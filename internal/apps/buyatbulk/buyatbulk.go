@@ -20,8 +20,10 @@
 package buyatbulk
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"parmbf/internal/apps/scenario"
@@ -215,16 +217,29 @@ func solveOnTree(g *graph.Graph, tree *frt.Tree, demands []Demand, cables []Cabl
 
 	sol := &Solution{Flow: flowBy}
 	for k, byCable := range counts {
-		w, ok := g.HasEdge(k[0], k[1])
-		if !ok {
+		if _, ok := g.HasEdge(k[0], k[1]); !ok {
 			return nil, fmt.Errorf("buyatbulk: purchase on non-edge {%d,%d}", k[0], k[1])
 		}
 		for cable, count := range byCable {
 			sol.Purchases = append(sol.Purchases, Purchase{U: k[0], V: k[1], Cable: cable, Count: count})
-			sol.Cost += float64(count) * cables[cable].Cost * w
 		}
 	}
+	sol.price(g, cables)
 	return sol, nil
+}
+
+// price sorts the purchases by (U, V, Cable) and sums their cost in that
+// order. The purchases are gathered from maps, so without the sort two
+// identical calls would list them, and round the floating-point sum, in
+// different orders.
+func (s *Solution) price(g *graph.Graph, cables []CableType) {
+	slices.SortFunc(s.Purchases, func(a, b Purchase) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V), cmp.Compare(a.Cable, b.Cable))
+	})
+	for _, p := range s.Purchases {
+		w, _ := g.HasEdge(p.U, p.V)
+		s.Cost += float64(p.Count) * cables[p.Cable].Cost * w
+	}
 }
 
 // bottomUp returns the tree nodes ordered children-before-parents: FRT trees
@@ -265,11 +280,10 @@ func DirectShortestPath(g *graph.Graph, demands []Demand, cables []CableType) *S
 	}
 	sol := &Solution{Flow: flowBy}
 	for k, f := range flowBy {
-		w, _ := g.HasEdge(k[0], k[1])
 		cable, count, _ := bestCable(cables, f)
 		sol.Purchases = append(sol.Purchases, Purchase{U: k[0], V: k[1], Cable: cable, Count: count})
-		sol.Cost += float64(count) * cables[cable].Cost * w
 	}
+	sol.price(g, cables)
 	return sol
 }
 

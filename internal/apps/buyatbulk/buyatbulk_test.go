@@ -1,6 +1,8 @@
 package buyatbulk
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"parmbf/internal/frt"
@@ -213,5 +215,43 @@ func TestSolveNoDemands(t *testing.T) {
 	}
 	if sol.Cost != 0 || len(sol.Purchases) != 0 {
 		t.Fatalf("empty demand set produced cost %v", sol.Cost)
+	}
+}
+
+// TestSolveDeterministic pins that identical calls return identical
+// solutions: the same purchases in the same order and a bitwise-equal Cost.
+// The purchases are gathered from maps, whose iteration order changes from
+// call to call, so this fails unless Solve fixes the order.
+func TestSolveDeterministic(t *testing.T) {
+	rng := par.NewRNG(4)
+	g := graph.RandomConnected(60, 150, 5, rng)
+	emb, err := frt.NewEmbedder(g, frt.Options{RNG: rng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ens, err := emb.SampleEnsemble(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var demands []Demand
+	for i := 0; i < 12; i++ {
+		demands = append(demands, Demand{S: graph.Node(i), T: graph.Node(59 - 2*i), Amount: 0.7 + float64(i)})
+	}
+	first, err := Solve(g, demands, testCables, Options{Ensemble: ens})
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct := DirectShortestPath(g, demands, testCables)
+	for i := 0; i < 8; i++ {
+		again, err := Solve(g, demands, testCables, Options{Ensemble: ens})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(first, again) || math.Float64bits(first.Cost) != math.Float64bits(again.Cost) {
+			t.Fatalf("call %d: Solve differs from the first call (cost %v vs %v)", i, again.Cost, first.Cost)
+		}
+		if d := DirectShortestPath(g, demands, testCables); !reflect.DeepEqual(direct, d) || math.Float64bits(direct.Cost) != math.Float64bits(d.Cost) {
+			t.Fatalf("call %d: DirectShortestPath differs from the first call", i)
+		}
 	}
 }

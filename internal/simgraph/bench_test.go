@@ -1,12 +1,14 @@
-package simgraph
+package simgraph_test
 
 import (
 	"testing"
 
+	"parmbf/internal/frt"
 	"parmbf/internal/graph"
 	"parmbf/internal/hopset"
 	"parmbf/internal/par"
 	"parmbf/internal/semiring"
+	"parmbf/internal/simgraph"
 )
 
 // BenchmarkOracleIterate measures one simulated iteration on H (Equation
@@ -15,8 +17,8 @@ import (
 func BenchmarkOracleIterate(b *testing.B) {
 	g := graph.RandomConnected(256, 1024, 8, par.NewRNG(11))
 	hs := hopset.DefaultSkeleton(g, par.NewRNG(12), nil)
-	h := Build(hs, 0, par.NewRNG(13))
-	oracle := NewOracle(h, nil)
+	h := simgraph.Build(hs, 0, par.NewRNG(13))
+	oracle := simgraph.NewOracle(h, nil)
 	oracle.FilterInPlace = semiring.TopKFilterInPlace(8, semiring.Inf, nil)
 	filter := semiring.TopKFilter(8, semiring.Inf, nil)
 	x := make([]semiring.DistMap, g.N())
@@ -28,5 +30,26 @@ func BenchmarkOracleIterate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		oracle.Iterate(x, filter)
+	}
+}
+
+// BenchmarkOracleRunToFixpoint measures the LE-list computation of one FRT
+// tree on H: a full RunToFixpoint from the initial states under the LE
+// filter, the oracle's share of an Embedder draw. Unlike a single Iterate it
+// includes the later oracle iterations, where the level runs resume from
+// their previous fixpoints.
+func BenchmarkOracleRunToFixpoint(b *testing.B) {
+	g := graph.RandomConnected(256, 1024, 8, par.NewRNG(11))
+	hs := hopset.DefaultSkeleton(g, par.NewRNG(12), nil)
+	h := simgraph.Build(hs, 0, par.NewRNG(13))
+	order := frt.NewOrder(g.N(), par.NewRNG(14))
+	oracle := simgraph.NewOracle(h, nil)
+	oracle.FilterInPlace = order.FilterInPlace()
+	filter := order.Filter()
+	x0 := frt.InitialStates(g.N())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		oracle.RunToFixpoint(x0, filter, simgraph.MaxIters(g.N()))
 	}
 }

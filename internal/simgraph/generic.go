@@ -23,7 +23,8 @@ import (
 //
 // The distance-map Oracle of oracle-fame is the M = D specialisation; the
 // tests validate the generic version with the routing semimodule (next-hop
-// tables on H).
+// tables on H). Unlike Oracle.RunToFixpoint, GenericOracle.RunToFixpoint
+// runs every level cold in every iteration: it has no caller outside tests.
 type GenericOracle[S, M any] struct {
 	H      *H
 	Module semiring.Semimodule[S, M]

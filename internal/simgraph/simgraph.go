@@ -24,12 +24,21 @@
 // Λ+1 parallel runs of d filtered iterations on G′ (Equation 5.9),
 // re-filtered and aggregated — which is valid precisely because filters are
 // representative projections of congruence relations (Corollary 2.17).
+//
+// Oracle.RunToFixpoint is semi-naive across oracle iterations: a level whose
+// previous run reached a true fixpoint of r∘A_λ resumes from it, seeded only
+// at the nodes whose state changed, instead of restarting from P_λ x. This
+// is exact for two reasons. A_H has the identity on its diagonal, so the
+// oracle states only grow in the congruence order (x_t ≡ x_t ⊕ x_{t−1}), and
+// Corollary 2.17 lets r commute with ⊕ and A_λ. Iterate and Run stay cold and
+// are the reference the warm path is tested against. GenericOracle's loop
+// stays cold too.
 package simgraph
 
 import (
 	"math"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"parmbf/internal/graph"
 	"parmbf/internal/hopset"
@@ -182,6 +191,18 @@ type levelScratch struct {
 	sc    semiring.Scratch
 }
 
+// warmStart is what RunToFixpoint carries from one oracle iteration to the
+// next. It lives for a single RunToFixpoint call.
+type warmStart struct {
+	// fix[λ] is level λ's unprojected result from the previous oracle
+	// iteration if that run ended with an empty frontier — a true fixpoint
+	// of r∘A_λ — and nil otherwise.
+	fix [][]semiring.DistMap
+	// changed lists the nodes whose state the previous oracle iteration
+	// changed, in ascending order.
+	changed []graph.Node
+}
+
 // NewOracle returns an oracle for H charging work/depth to tracker (which
 // may be nil).
 func NewOracle(h *H, tracker *par.Tracker) *Oracle {
@@ -208,18 +229,23 @@ func (o *Oracle) project(x []semiring.DistMap, lambda int) []semiring.DistMap {
 //
 // (Equation 5.9). filter must be a representative projection of a
 // congruence relation on D; Corollary 2.17 guarantees the result equals the
-// unfiltered iteration r^V(A_H x).
+// unfiltered iteration r^V(A_H x). Every level runs cold from P_λ x, which
+// makes Iterate and Run the reference RunToFixpoint is tested against.
 func (o *Oracle) Iterate(x []semiring.DistMap, filter semiring.Filter[semiring.DistMap]) []semiring.DistMap {
-	out, _ := o.iterate(x, filter, false)
-	return out
+	return o.iterate(x, filter, nil)
 }
 
-// iterate is Iterate plus optional change detection: with detect set, the
-// cross-level merge pass also compares every node's new state against its
-// old one (short-circuiting once a difference is found) and reports whether
-// anything changed — the fixpoint test fused into the pass that already
-// owns the data, replacing a separate full-vector Equal scan.
-func (o *Oracle) iterate(x []semiring.DistMap, filter semiring.Filter[semiring.DistMap], detect bool) ([]semiring.DistMap, bool) {
+// iterate is Iterate with optional warm starts: with ws set, each level
+// resumes from its previous fixpoint when it has one (see runLevel), and the
+// cross-level merge pass records in ws.changed every node whose new state
+// differs from x — the fixpoint test fused into the pass that already owns
+// the data.
+//
+// Each level's runner charges a private tracker. The Λ+1 level runs are
+// independent (they would execute in parallel in the PRAM formulation), so
+// the oracle iteration charges o.Tracker one phase with the summed work and
+// the depth of the deepest level.
+func (o *Oracle) iterate(x []semiring.DistMap, filter semiring.Filter[semiring.DistMap], ws *warmStart) []semiring.DistMap {
 	h := o.H
 	gp := h.Hop.Graph
 	n := len(x)
@@ -236,45 +262,46 @@ func (o *Oracle) iterate(x []semiring.DistMap, filter semiring.Filter[semiring.D
 		}
 		o.runnersH = h
 	}
+	var levelTracker *par.Tracker
+	if o.Tracker != nil {
+		levelTracker = new(par.Tracker)
+	}
+	var work, depth int64
+	var changed []bool
+	if ws != nil {
+		changed = make([]bool, n)
+	}
 	// ⊕_λ is folded incrementally: acc carries r(⊕_{λ'≤λ} P_λ' …) and each
-	// level's result vector is dropped as soon as it is merged in, so the
-	// iteration retains two n-vectors instead of Λ+1 of them — at n = 2^20
-	// and Λ ≈ 20 that is the difference between ~100 MB and ~1 GB of slice
-	// headers alone. Filtering between partial merges is exact, not an
-	// approximation: a representative projection satisfies
-	// r(r(a⊕b)⊕c) = r(a⊕b⊕c) (Lemma 2.16 / Corollary 2.17), so the folded
-	// result equals the one-shot (Λ+1)-way merge entry for entry. The fold
-	// order λ = 0, 1, …, Λ is fixed, keeping the output deterministic at any
-	// parallel width.
+	// level's projected vector is dropped as soon as it is merged in.
+	// Filtering between partial merges is exact, not an approximation: a
+	// representative projection satisfies r(r(a⊕b)⊕c) = r(a⊕b⊕c)
+	// (Lemma 2.16 / Corollary 2.17), so the folded result equals the one-shot
+	// (Λ+1)-way merge entry for entry. The fold order λ = 0, 1, …, Λ is
+	// fixed, keeping the output deterministic at any parallel width.
 	var agg semiring.DistMapModule
 	var acc []semiring.DistMap
-	accOwned := false // acc entries are fresh merge outputs (in-place filterable)
-	var diff atomic.Bool
 	for lambda := 0; lambda <= h.Lambda; lambda++ {
 		runner := o.runners[lambda]
 		runner.Filter = filter
 		runner.FilterInPlace = o.FilterInPlace
-		// Note: per-level runs are independent (they would execute in
-		// parallel in the PRAM formulation), so each charges its own
-		// work; the oracle charges the depth of the deepest level once.
-		runner.Tracker = o.Tracker
-		y := o.project(x, lambda)
-		// (r^V A_λ)^d y through the frontier-driven sparse fixpoint engine:
-		// once the filtered states stop changing the remaining iterations up
-		// to d are identities, so the result is exactly the d-iteration
-		// product, and late sparse iterations re-aggregate only the nodes
-		// still in motion (the common case — d is the worst-case hop bound
-		// of the hop set). This inner loop is the hot path of Embedder
-		// builds.
-		y, _ = runner.RunToFixpoint(y, h.Hop.D)
-		lvl := o.project(y, lambda)
-		if acc == nil {
-			// Level 0 seeds the accumulator. The vector is ours (the runner
-			// builds a fresh one) but its entries may alias the caller's
-			// states, so only pure filters may touch them.
-			acc = lvl
+		runner.Tracker = levelTracker
+		levelTracker.Reset()
+		y := o.runLevel(runner, x, filter, lambda, ws)
+		work += levelTracker.Work()
+		depth = max(depth, levelTracker.Depth())
+		if lambda == 0 {
+			// P_0 is the identity, so level 0 seeds the accumulator with y
+			// itself. The fold below overwrites acc in place: a y kept as the
+			// next iteration's warm start must not be that vector. Its
+			// entries may alias the caller's states, so only pure filters
+			// may touch them.
+			acc = y
+			if ws != nil && ws.fix[0] != nil {
+				acc = slices.Clone(y)
+			}
 			continue
 		}
+		lvl := o.project(y, lambda)
 		final := lambda == h.Lambda
 		par.ForEach(n, func(v int) {
 			st, _ := o.scratch.Get().(*levelScratch)
@@ -290,32 +317,94 @@ func (o *Oracle) iterate(x []semiring.DistMap, filter semiring.Filter[semiring.D
 			} else {
 				acc[v] = filter(merged)
 			}
-			if final && detect && !diff.Load() && !agg.Equal(acc[v], x[v]) {
-				diff.Store(true)
+			if final && changed != nil {
+				changed[v] = !agg.Equal(acc[v], x[v])
 			}
 			terms[0], terms[1] = semiring.Term[float64, semiring.DistMap]{}, semiring.Term[float64, semiring.DistMap]{}
 			st.terms = terms[:0]
 			o.scratch.Put(st)
 		})
-		accOwned = true
 	}
-	if !accOwned {
-		// Single-level graph (Λ = 0): the merge loop never ran, so apply the
-		// final filter and change detection in one pass. acc entries may
-		// alias the input states — the pure filter is mandatory here.
+	o.Tracker.AddPhase(work, depth)
+	if h.Lambda == 0 {
+		// Single-level graph: the merge loop never ran, so apply the final
+		// filter and change detection in one pass.
 		out := make([]semiring.DistMap, n)
 		par.ForEach(n, func(v int) {
 			out[v] = filter(acc[v])
-			if detect && !diff.Load() && !agg.Equal(out[v], x[v]) {
-				diff.Store(true)
+			if changed != nil {
+				changed[v] = !agg.Equal(out[v], x[v])
 			}
 		})
-		return out, diff.Load()
+		acc = out
 	}
-	return acc, diff.Load()
+	if ws != nil {
+		ws.changed = ws.changed[:0]
+		for v, c := range changed {
+			if c {
+				ws.changed = append(ws.changed, graph.Node(v))
+			}
+		}
+	}
+	return acc
 }
 
-// Run performs h MBF-like iterations on H starting from x0.
+// runLevel returns (r^V A_λ)^d P_λ x, level λ's term of Equation 5.9 before
+// its outer P_λ, through the frontier-driven sparse fixpoint engine: once
+// the filtered states stop changing, the remaining iterations up to d are
+// identities, so the result is exactly the d-iteration product, and late
+// sparse iterations re-aggregate only the nodes still in motion. This inner
+// loop is the hot path of Embedder builds.
+//
+// With ws set, a level that has a fixpoint from the previous oracle
+// iteration resumes from it instead of from P_λ x (the exactness argument is
+// on RunToFixpoint), and a result is kept in ws.fix only when its run
+// provably ended with an empty frontier: a run that used all d iterations
+// may have stopped short of its fixpoint, so the level runs cold next time.
+func (o *Oracle) runLevel(runner *mbf.Runner[float64, semiring.DistMap], x []semiring.DistMap, filter semiring.Filter[semiring.DistMap], lambda int, ws *warmStart) []semiring.DistMap {
+	d := o.H.Hop.D
+	if ws == nil {
+		y, _ := runner.RunToFixpoint(o.project(x, lambda), d)
+		return y
+	}
+	var y []semiring.DistMap
+	var it int
+	if fix := ws.fix[lambda]; fix == nil {
+		y, it = runner.RunToFixpoint(o.project(x, lambda), d)
+	} else if seeds := o.reseed(fix, x, ws.changed, lambda, filter); len(seeds) == 0 {
+		return fix // nothing new reached this level: fix is still its fixpoint
+	} else {
+		y, _, it = runner.RunToFixpointFrom(fix, seeds, d)
+	}
+	ws.fix[lambda] = nil
+	if it < d {
+		ws.fix[lambda] = y
+	}
+	return y
+}
+
+// reseed turns level λ's previous fixpoint into the warm start for input x:
+// at every changed node v of level ≥ λ it sets fix[v] = r(fix[v] ⊕ x[v]),
+// in place, and returns the nodes where that altered fix — exactly the seed
+// frontier the sparse engine needs. Nodes outside changed have the same
+// projected input as last time, which fix already absorbs through A_λ's
+// identity diagonal.
+func (o *Oracle) reseed(fix, x []semiring.DistMap, changed []graph.Node, lambda int, filter semiring.Filter[semiring.DistMap]) []graph.Node {
+	var agg semiring.DistMapModule
+	var seeds []graph.Node
+	for _, v := range changed {
+		if o.H.Level[v] < lambda {
+			continue
+		}
+		if b := filter(agg.Add(fix[v], x[v])); !agg.Equal(b, fix[v]) {
+			fix[v] = b
+			seeds = append(seeds, v)
+		}
+	}
+	return seeds
+}
+
+// Run performs iters cold MBF-like iterations on H starting from x0.
 func (o *Oracle) Run(x0 []semiring.DistMap, filter semiring.Filter[semiring.DistMap], iters int) []semiring.DistMap {
 	x := make([]semiring.DistMap, len(x0))
 	for i, s := range x0 {
@@ -334,15 +423,34 @@ func (o *Oracle) Run(x0 []semiring.DistMap, filter semiring.Filter[semiring.Dist
 // polylogarithmically many oracle iterations. Change detection is fused
 // into the cross-level merge pass (no separate vector comparison), and the
 // per-level inner loops run on the sparse frontier engine.
+//
+// The level runs are semi-naive: from the second oracle iteration on, a
+// level whose previous run reached a fixpoint y of r∘A_λ restarts from y
+// instead of from P_λ x. At each changed node v of level ≥ λ the start state
+// becomes r(y[v] ⊕ x[v]), and only the nodes where that differs from y seed
+// the frontier; a level with no seeds costs no runner work at all. The
+// states and the iteration count equal those of Run node for node. Two facts
+// make this exact. A_H has the identity on its diagonal, so successive
+// oracle states satisfy x_t ≡ x_t ⊕ x_{t−1} and P_λ x_t ≡ P_λ x_t ⊕ P_λ x_{t−1}.
+// And r is the representative projection of a congruence (Lemma 7.5 for
+// the LE filter), so Corollary 2.17 lets it commute with ⊕ and A_λ; with
+// y ≡ A_λ^d P_λ x_{t−1} a fixpoint,
+//
+//	r(A_λ^d (y ⊕ P_λ x_t)) = r(y ⊕ A_λ^d P_λ x_t) = r(A_λ^d P_λ x_t).
+//
+// A level result is reused only after a true fixpoint: a run that used all
+// d hops restarts cold in the next iteration. The warm state is created on
+// entry and dropped on return, so the oracle stays safe for sequential
+// reuse; it keeps one state vector per level.
 func (o *Oracle) RunToFixpoint(x0 []semiring.DistMap, filter semiring.Filter[semiring.DistMap], maxIters int) ([]semiring.DistMap, int) {
 	x := make([]semiring.DistMap, len(x0))
 	for i, s := range x0 {
 		x[i] = filter(s)
 	}
+	ws := &warmStart{fix: make([][]semiring.DistMap, o.H.Lambda+1)}
 	for it := 1; it <= maxIters; it++ {
-		next, changed := o.iterate(x, filter, true)
-		x = next
-		if !changed {
+		x = o.iterate(x, filter, ws)
+		if len(ws.changed) == 0 {
 			return x, it
 		}
 	}

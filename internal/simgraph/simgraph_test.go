@@ -206,6 +206,34 @@ func TestOracleTracksWork(t *testing.T) {
 	}
 }
 
+// TestOracleChargesDeepestLevel pins the cost accounting of one oracle
+// iteration: the Λ+1 level runs are independent, so the iteration charges
+// their summed work but only the depth of the deepest of them.
+func TestOracleChargesDeepestLevel(t *testing.T) {
+	_, h := buildH(9, 60, 150)
+	filter := semiring.TopKFilter(3, semiring.Inf, nil)
+	x := semiring.SingletonStates(h.N())
+	tr := &par.Tracker{}
+	oracle := NewOracle(h, tr)
+	oracle.Iterate(x, filter)
+	var work, depth, depthSum int64
+	for lambda, runner := range oracle.runners {
+		level := &par.Tracker{}
+		runner.Tracker = level
+		runner.RunToFixpoint(oracle.project(x, lambda), h.Hop.D)
+		work += level.Work()
+		depth = max(depth, level.Depth())
+		depthSum += level.Depth()
+	}
+	if tr.Work() != work || tr.Depth() != depth {
+		t.Fatalf("oracle charged work %d depth %d, want the level runs' summed work %d and deepest depth %d",
+			tr.Work(), tr.Depth(), work, depth)
+	}
+	if depthSum == depth {
+		t.Fatal("only one level does any work; the test cannot tell max from sum")
+	}
+}
+
 func TestMaxItersGrowsPolylog(t *testing.T) {
 	if MaxIters(16) >= MaxIters(1<<20) {
 		t.Fatal("MaxIters not increasing")
