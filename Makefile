@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt-check test test-short test-race fuzz-short cover bench bench-ensemble bench-graph bench-mbf bench-semiring bench-oracle bench-apps bench-scale bench-gate bench-scale-gate scale-smoke profile-mbf ci
+.PHONY: build vet fmt-check test test-short test-race fuzz-short cover bench bench-ensemble bench-graph bench-mbf bench-semiring bench-oracle bench-apps bench-scale bench-gate bench-scale-gate scale-smoke profile-mbf profile-draw ci
 
 build:
 	$(GO) build ./...
@@ -65,10 +65,10 @@ bench-graph:
 
 ## MBF-engine benchmarks (k-way aggregation fast path vs generic fold,
 ## sparse frontier engine vs dense fixpoint loop, source detection, oracle
-## iteration, embedder sampling); each run appends one JSON line to
-## BENCH_mbf.json.
+## iteration, embedder sampling, the LE filter in both key spaces); each run
+## appends one JSON line to BENCH_mbf.json.
 bench-mbf:
-	@out="$$($(GO) test ./internal/mbf/ ./internal/simgraph/ ./internal/frt/ -run xxx -bench 'Iterate4096|IterateGeneric4096|IterateSparse4096|FixpointSparse4096|FixpointDense4096|SourceDetection4096|SourceDetectionBatch8|SourceDetectionPerSet8|SSSPIteration|KSSP$$|OracleIterate|OracleRunToFixpoint|LEListsOnGraph|EmbedderSample|IncrementalUpdate' -benchmem)" \
+	@out="$$($(GO) test ./internal/mbf/ ./internal/simgraph/ ./internal/frt/ -run xxx -bench 'Iterate4096|IterateGeneric4096|IterateSparse4096|FixpointSparse4096|FixpointDense4096|SourceDetection4096|SourceDetectionBatch8|SourceDetectionPerSet8|SSSPIteration|KSSP$$|OracleIterate|OracleRunToFixpoint|LEListsOnGraph|LEFilter|EmbedderSample|IncrementalUpdate' -benchmem)" \
 		|| { echo "$$out"; echo "bench-mbf: go test failed"; exit 1; }; \
 	echo "$$out"; \
 	echo "$$out" | grep '^Benchmark' | jq -R . | jq -sc \
@@ -155,7 +155,7 @@ scale-smoke:
 ## >20% ns/op regression in the gated hot paths.
 bench-gate:
 	$(GO) run ./cmd/benchgate -file BENCH_graph.json -match 'Dijkstra4096' -max 1.20
-	$(GO) run ./cmd/benchgate -file BENCH_mbf.json -match 'Iterate4096|SourceDetection4096|SourceDetectionBatch8|IncrementalUpdate-' -max 1.20
+	$(GO) run ./cmd/benchgate -file BENCH_mbf.json -match 'Iterate4096|SourceDetection4096|SourceDetectionBatch8|IncrementalUpdate-|BenchmarkEmbedderSample$$|BenchmarkOracleRunToFixpoint$$' -max 1.20
 	$(GO) run ./cmd/benchgate -file BENCH_oracle.json -match 'OracleIndexMinBatch4096|SnapshotLoad4096|FleetBatch1024' -max 1.20
 	$(GO) run ./cmd/benchgate -file BENCH_semiring.json -match 'MergeKernel/' -max 1.20
 	$(GO) run ./cmd/benchgate -file BENCH_apps.json -match 'KMedianEvalIndex|KMedianSolve|BuyAtBulkSolve|RouteQueryBatch' -max 1.20
@@ -178,6 +178,16 @@ profile-mbf:
 	$(GO) test ./internal/mbf/ -run xxx -bench 'BenchmarkIterate4096$$' -benchtime 30x \
 		-cpuprofile /tmp/mbf.cpu.pprof -memprofile /tmp/mbf.mem.pprof
 	$(GO) tool pprof -top -nodecount 15 /tmp/mbf.cpu.pprof
+
+## CPU + heap profiles of one tree's LE fixpoint on H, the bulk of an
+## Embedder draw (BenchmarkOracleRunToFixpoint: n=256, m=4n, the embed
+## workload's shape): writes /tmp/draw.cpu.pprof and /tmp/draw.mem.pprof
+## (the test binary goes to /tmp/draw.test, outside the tree), then prints
+## the top CPU consumers.
+profile-draw:
+	$(GO) test ./internal/simgraph/ -run xxx -bench 'BenchmarkOracleRunToFixpoint$$' -benchtime 20x \
+		-o /tmp/draw.test -cpuprofile /tmp/draw.cpu.pprof -memprofile /tmp/draw.mem.pprof
+	$(GO) tool pprof -top -nodecount 15 /tmp/draw.cpu.pprof
 
 ## ci is the exact step list the GitHub Actions test matrix runs (the
 ## workflow invokes `make ci` so the two cannot drift).

@@ -32,19 +32,32 @@ func BenchmarkLEListsFromMetric(b *testing.B) {
 	}
 }
 
+// BenchmarkLEFilter applies the LE filter to one unfiltered state in both
+// key spaces: node-keyed (Order.Filter: sort by rank, Staircase scan, sort
+// back by node) and rank-keyed (the bare Staircase scan the fixpoints run).
 func BenchmarkLEFilter(b *testing.B) {
 	rng := par.NewRNG(3)
 	order := NewOrder(256, rng)
-	filter := order.Filter()
 	// A worst-case-ish unfiltered state: 64 entries with random distances.
 	input := semiring.NewDistMap(64)
 	for node := semiring.NodeID(0); node < 256; node += 4 {
 		input = input.Append(node, float64(rng.Intn(1000)))
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		filter(input)
+	ranked := input.Relabel(order.mustKeys(256).key)
+	for _, c := range []struct {
+		name   string
+		filter semiring.Filter[semiring.DistMap]
+		input  semiring.DistMap
+	}{
+		{"node", order.Filter(), input},
+		{"rank", semiring.Staircase, ranked},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.filter(c.input)
+			}
+		})
 	}
 }
 

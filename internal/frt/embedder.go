@@ -6,6 +6,7 @@ import (
 	"parmbf/internal/graph"
 	"parmbf/internal/hopset"
 	"parmbf/internal/par"
+	"parmbf/internal/semiring"
 	"parmbf/internal/simgraph"
 )
 
@@ -99,14 +100,16 @@ func (e *Embedder) sampleWith(rng *par.RNG, tracker *par.Tracker) (*Embedding, e
 	n := e.g.N()
 	order := NewOrder(n, rng)
 	beta := RandomBeta(rng)
-	// Each sample binds a fresh oracle: to its own tracker (ensemble
-	// sampling charges a private per-tree tracker so the shared tracker can
-	// record max-depth, not summed depth) and to this order's in-place
-	// filter for the aggregation fast path. Only H is shared state.
+	rk := order.mustKeys(n)
+	// Each sample binds a fresh oracle to its own tracker (ensemble sampling
+	// charges a private per-tree tracker so the shared tracker can record
+	// max-depth, not summed depth). Only H is shared state. The fixpoint
+	// runs on rank-keyed lists, where the LE filter is the Staircase scan,
+	// and the tree is read off them directly (see the package doc).
 	oracle := simgraph.NewOracle(e.h, tracker)
-	oracle.FilterInPlace = order.FilterInPlace()
-	lists, iters := oracle.RunToFixpoint(InitialStates(n), order.Filter(), simgraph.MaxIters(n))
-	tree, err := BuildTree(lists, order, beta)
+	oracle.FilterInPlace = semiring.StaircaseInPlace
+	lists, iters := oracle.RunToFixpoint(semiring.SingletonStatesKeyed(rk.key), semiring.Staircase, simgraph.MaxIters(n))
+	tree, err := buildTreeRanked(lists, rk, beta)
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +117,7 @@ func (e *Embedder) sampleWith(rng *par.RNG, tracker *par.Tracker) (*Embedding, e
 		Tree:       tree,
 		Order:      order,
 		Beta:       beta,
-		LELists:    lists,
+		LELists:    rk.nodeKeyed(lists),
 		H:          e.h,
 		Iterations: iters,
 	}, nil

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"parmbf/internal/graph"
+	"parmbf/internal/mbf"
 	"parmbf/internal/par"
 	"parmbf/internal/semiring"
 )
@@ -99,22 +100,17 @@ func TestLEFilterOutputShape(t *testing.T) {
 	if !got.IsSorted() {
 		t.Fatal("LE filter output not sorted by node")
 	}
-	// By increasing distance, ranks strictly decrease.
-	byDist := SortByDist(got)
-	for i := 1; i < byDist.Len(); i++ {
-		if byDist.Dist(i) < byDist.Dist(i-1) {
-			t.Fatal("SortByDist violated")
-		}
-		if o.Rank[byDist.Node(i)] >= o.Rank[byDist.Node(i-1)] {
-			t.Fatal("ranks not strictly decreasing along LE list")
+	// In rank order, distances strictly decrease: the Staircase invariant
+	// the rank-keyed tree construction reads.
+	byRank := got.Relabel(o.mustKeys(30).key)
+	for i := 1; i < byRank.Len(); i++ {
+		if byRank.Dist(i) >= byRank.Dist(i-1) {
+			t.Fatalf("distances not strictly decreasing along rank order: %v", byRank)
 		}
 	}
-	// The minimum-rank node present always survives.
-	if byDist.Node(byDist.Len()-1) != o.MinNode() && got.Get(o.MinNode()) == semiring.Inf {
-		// MinNode may be absent from x; only check if it was present.
-		if x.Get(o.MinNode()) != semiring.Inf {
-			t.Fatal("rank-0 entry filtered out")
-		}
+	// The minimum-rank node, when present, always survives.
+	if x.Get(o.MinNode()) != semiring.Inf && got.Get(o.MinNode()) == semiring.Inf {
+		t.Fatal("rank-0 entry filtered out")
 	}
 }
 
@@ -210,6 +206,15 @@ func TestBuildTreeRejectsBadInput(t *testing.T) {
 	}
 	if _, err := BuildTree([]semiring.DistMap{{}}, o, 1.5); err == nil {
 		t.Fatal("empty LE list accepted")
+	}
+	if _, err := BuildTree([]semiring.DistMap{semiring.SingletonDist(5, 0)}, o, 1.5); err == nil {
+		t.Fatal("LE list naming a node outside the graph accepted")
+	}
+	if _, err := BuildTree(lists, &Order{Rank: []uint64{0, 1}}, 1.5); err == nil {
+		t.Fatal("order of the wrong length accepted")
+	}
+	if _, err := BuildTree(lists, &Order{Rank: []uint64{3}}, 1.5); err == nil {
+		t.Fatal("order that is not a permutation of 0..n−1 accepted")
 	}
 }
 
@@ -459,24 +464,40 @@ func TestRandomBetaDistribution(t *testing.T) {
 // TestLEListsOnGraphBatchMatchesPerOrder pins the batched LE-list
 // construction: B independent orders advanced as one multi-source sweep must
 // produce, order for order, exactly the lists and iteration counts of the
-// per-order runs.
+// per-order runs, and of a node-keyed reference fixpoint (InitialStates +
+// Order.Filter) — the sweep runs on rank-keyed lists, so this also checks
+// that its node-sorted output survives the conversion back.
 func TestLEListsOnGraphBatchMatchesPerOrder(t *testing.T) {
 	rng := par.NewRNG(31)
-	g := graph.RandomConnected(36, 85, 7, rng)
-	orders := make([]*Order, 4)
-	for i := range orders {
-		orders[i] = NewOrder(g.N(), rng)
-	}
-	gotLists, gotIters := LEListsOnGraphBatch(g, orders, nil)
+	graphs := append(rankKeyGraphs(), struct {
+		name string
+		g    *graph.Graph
+	}{"small", graph.RandomConnected(36, 85, 7, rng)})
 	mod := semiring.DistMapModule{}
-	for b, o := range orders {
-		want, wantIters := LEListsOnGraph(g, o, nil)
-		if gotIters[b] != wantIters {
-			t.Fatalf("order %d: batch ran %d iterations, solo %d", b, gotIters[b], wantIters)
+	for _, tc := range graphs {
+		g := tc.g
+		orders := make([]*Order, 4)
+		for i := range orders {
+			orders[i] = NewOrder(g.N(), rng)
 		}
-		for v := range want {
-			if !mod.Equal(gotLists[b][v], want[v]) {
-				t.Fatalf("order %d node %d: batch %v ≠ solo %v", b, v, gotLists[b][v], want[v])
+		gotLists, gotIters := LEListsOnGraphBatch(g, orders, nil)
+		for b, o := range orders {
+			want, wantIters := LEListsOnGraph(g, o, nil)
+			ref := &mbf.Runner[float64, semiring.DistMap]{
+				Graph:  g,
+				Module: mod,
+				Filter: o.Filter(),
+				Weight: mbf.MinPlusWeight,
+			}
+			refLists, refIters := ref.RunToFixpoint(InitialStates(g.N()), g.N())
+			if gotIters[b] != wantIters || gotIters[b] != refIters {
+				t.Fatalf("%s order %d: batch ran %d iterations, solo %d, node-keyed %d", tc.name, b, gotIters[b], wantIters, refIters)
+			}
+			for v := range want {
+				l := gotLists[b][v]
+				if !l.IsSorted() || !mod.Equal(l, want[v]) || !mod.Equal(l, refLists[v]) {
+					t.Fatalf("%s order %d node %d: batch %v, solo %v, node-keyed %v", tc.name, b, v, l, want[v], refLists[v])
+				}
 			}
 		}
 	}

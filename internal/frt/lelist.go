@@ -5,9 +5,26 @@
 // §5 oracle on the simulated graph H — and an FRT tree is assembled from
 // them (Lemma 7.2). The package also contains the metric-input baseline in
 // the style of Blelloch et al. [10] used by the work-crossover experiment.
+//
+// # Key spaces
+//
+// LE lists live in two key spaces. The public API is node-keyed:
+// InitialStates, Order.Filter and Order.FilterInPlace, BuildTree,
+// LEListsOnGraph(Batch) and Embedding.LELists take and return DistMaps
+// whose entry for source w is stored under w. Inside the package's LE
+// fixpoints — Embedder sampling, LEListsOnGraphBatch and DynamicEnsemble —
+// each tree's lists are rank-keyed instead: the entry for w is stored under
+// Rank[w]. The relabel is exact, because the semimodule operations and the
+// merge kernel only compare keys, and it pays twice: key order becomes rank
+// order, so the LE filter is the linear semiring.Staircase scan with no sort,
+// and a rank-keyed LE list is distance-descending, which is the order the
+// tree construction reads (buildTreeRanked). Lists cross back to node keys
+// once, on output.
 package frt
 
 import (
+	"fmt"
+
 	"parmbf/internal/graph"
 	"parmbf/internal/mbf"
 	"parmbf/internal/par"
@@ -17,7 +34,8 @@ import (
 // Order is the uniformly random total order on the nodes used by the FRT
 // construction (§7.1 step 2): Rank[v] is v's position in a random
 // permutation, so ranks are distinct and "v < w" in the paper's notation
-// means Rank[v] < Rank[w].
+// means Rank[v] < Rank[w]. The tree construction and the LE fixpoints
+// require Rank to be a permutation of 0..n−1, as NewOrder draws it.
 type Order struct {
 	Rank []uint64
 }
@@ -45,15 +63,58 @@ func (o *Order) MinNode() graph.Node {
 	panic("frt: empty order")
 }
 
-// Filter returns the LE-list representative projection r of Definition 7.3:
-// an entry (w, x_w) survives iff no other entry (u, x_u) has Rank[u] <
-// Rank[w] and x_u ≤ x_w. Lemma 7.5 shows r is a representative projection
-// of a congruence relation on D, which is what entitles the oracle to apply
-// it after every intermediate iteration.
+// rankKeys is the rank-keyed view of an Order: key[v] is Rank[v] as a
+// DistMap key, and node[k] is the node of rank k.
+type rankKeys struct {
+	key, node []graph.Node
+}
+
+// keys returns o's rank-keyed view on n nodes. It fails unless Rank is a
+// permutation of 0..n−1.
+func (o *Order) keys(n int) (rankKeys, error) {
+	if len(o.Rank) != n {
+		return rankKeys{}, fmt.Errorf("frt: order has %d ranks for %d nodes", len(o.Rank), n)
+	}
+	rk := rankKeys{key: make([]graph.Node, n), node: make([]graph.Node, n)}
+	for k := range rk.node {
+		rk.node[k] = -1
+	}
+	for v, r := range o.Rank {
+		if r >= uint64(n) || rk.node[r] != -1 {
+			return rankKeys{}, fmt.Errorf("frt: order ranks are not a permutation of 0..%d", n-1)
+		}
+		rk.key[v], rk.node[r] = graph.Node(r), graph.Node(v)
+	}
+	return rk, nil
+}
+
+// mustKeys is keys for callers whose API has no error return; a bad order
+// there is a programming error.
+func (o *Order) mustKeys(n int) rankKeys {
+	rk, err := o.keys(n)
+	if err != nil {
+		panic(err)
+	}
+	return rk
+}
+
+// nodeKeyed converts one tree's rank-keyed lists to node keys.
+func (rk rankKeys) nodeKeyed(lists []semiring.DistMap) []semiring.DistMap {
+	out := make([]semiring.DistMap, len(lists))
+	par.ForEach(len(lists), func(v int) { out[v] = lists[v].Relabel(rk.node) })
+	return out
+}
+
+// Filter returns the LE-list representative projection r of Definition 7.3
+// on node-keyed lists: an entry (w, x_w) survives iff no other entry
+// (u, x_u) has Rank[u] < Rank[w] and x_u ≤ x_w. Lemma 7.5 shows r is a
+// representative projection of a congruence relation on D, which is what
+// entitles the oracle to apply it after every intermediate iteration.
 //
-// The surviving entries, read in order of increasing distance, have strictly
-// decreasing ranks; their count is O(log n) w.h.p. for any input that does
-// not depend on the random order (Lemma 7.6).
+// The surviving entries, read in order of increasing rank, have strictly
+// decreasing distances; their count is O(log n) w.h.p. for any input that
+// does not depend on the random order (Lemma 7.6). On rank-keyed lists the
+// same projection is semiring.Staircase.
 func (o *Order) Filter() semiring.Filter[semiring.DistMap] {
 	inPlace := o.FilterInPlace()
 	return func(x semiring.DistMap) semiring.DistMap {
@@ -61,61 +122,32 @@ func (o *Order) Filter() semiring.Filter[semiring.DistMap] {
 	}
 }
 
-// FilterInPlace is Filter for caller-owned values: it sorts and compacts the
-// surviving entries inside x's backing array, allocating nothing. The engine
-// applies it to the freshly merged output of the aggregation fast path; it
-// must never be used on shared DistMap values (see the type's aliasing
-// contract in internal/semiring).
+// FilterInPlace is Filter for caller-owned values: it works inside x's
+// backing array, allocating nothing. It must never be used on shared DistMap
+// values (see the type's aliasing contract in internal/semiring).
 //
-// Both variants compute the same representative: the survivor set is
-// uniquely determined (ranks are distinct, so the (distance, rank) sort key
-// has no ties), and the result is re-sorted by node ID.
+// It is the rank-keyed filter conjugated by the relabel: sort x by rank, run
+// the shared semiring.StaircaseInPlace scan, and sort the survivors back by
+// node ID. Ranks are distinct, so both sorts are total orders and the
+// survivor set is unique; Filter computes the same representative.
 func (o *Order) FilterInPlace() semiring.Filter[semiring.DistMap] {
 	rank := o.Rank
+	byRank := func(a, b semiring.Entry) bool { return rank[a.Node] < rank[b.Node] }
+	byNode := func(a, b semiring.Entry) bool { return a.Node < b.Node }
 	return func(x semiring.DistMap) semiring.DistMap {
-		if x.Len() == 0 {
-			return semiring.DistMap{}
-		}
-		// Sort by (distance, rank): a sweep then keeps exactly the entries
-		// that no earlier entry dominates.
-		x.SortFunc(func(a, b semiring.Entry) bool {
-			if a.Dist != b.Dist {
-				return a.Dist < b.Dist
-			}
-			return rank[a.Node] < rank[b.Node]
-		})
-		best := ^uint64(0)
-		kept := x.Compact(func(e semiring.Entry) bool {
-			if rank[e.Node] < best {
-				best = rank[e.Node]
-				return true
-			}
-			return false
-		})
-		kept.SortFunc(func(a, b semiring.Entry) bool { return a.Node < b.Node })
+		x.SortFunc(byRank)
+		kept := semiring.StaircaseInPlace(x)
+		kept.SortFunc(byNode)
 		return kept
 	}
 }
 
-// SortByDist returns the LE list ordered by increasing distance (the form
-// used by the tree construction): ranks strictly decrease along the result.
-func SortByDist(x semiring.DistMap) semiring.DistMap {
-	out := x.Clone()
-	// Survivor distances are distinct up to the dominating entry, and node
-	// IDs break any remaining ties, so this order is total.
-	out.SortFunc(func(a, b semiring.Entry) bool {
-		if a.Dist != b.Dist {
-			return a.Dist < b.Dist
-		}
-		return a.Node < b.Node
-	})
-	return out
-}
-
 // InitialStates returns the LE-list initialisation x(0) of Definition 7.3:
-// every node knows itself at distance 0. The singletons share one bulk
-// backing allocation (see semiring.SingletonStates) — at large n the old
+// every node knows itself at distance 0, node-keyed. The singletons share
+// one bulk backing allocation (see semiring.SingletonStates) — at large n
 // per-node pair allocations dominated initialisation time and heap count.
+// The package's rank-keyed fixpoints start from the same shape under rank
+// keys (semiring.SingletonStatesKeyed).
 func InitialStates(n int) []semiring.DistMap {
 	return semiring.SingletonStates(n)
 }
@@ -139,8 +171,24 @@ func LEListsOnGraph(g *graph.Graph, order *Order, tracker *par.Tracker) ([]semir
 // per-arc weights and merge scratch across lanes, with bit-packed per-node
 // lane masks tracking which orders can still change where. Lane b's lists
 // and iteration count equal LEListsOnGraph(g, orders[b], …) exactly (pinned
-// by the batch differential tests).
+// by the batch differential tests). The sweep runs on rank-keyed lists (see
+// the package doc) and converts them to node keys once, on output; every
+// order's ranks must be a permutation of 0..n−1.
 func LEListsOnGraphBatch(g *graph.Graph, orders []*Order, tracker *par.Tracker) ([][]semiring.DistMap, []int) {
+	keys := make([]rankKeys, len(orders))
+	for b, order := range orders {
+		keys[b] = order.mustKeys(g.N())
+	}
+	lists, iters := leListsRanked(g, keys, tracker)
+	for b, rk := range keys {
+		lists[b] = rk.nodeKeyed(lists[b])
+	}
+	return lists, iters
+}
+
+// leListsRanked is LEListsOnGraphBatch on rank-keyed lists: every lane
+// starts from rank singletons and filters with the Staircase scan.
+func leListsRanked(g *graph.Graph, keys []rankKeys, tracker *par.Tracker) ([][]semiring.DistMap, []int) {
 	runner := &mbf.Runner[float64, semiring.DistMap]{
 		Graph:   g,
 		Module:  semiring.DistMapModule{},
@@ -148,13 +196,13 @@ func LEListsOnGraphBatch(g *graph.Graph, orders []*Order, tracker *par.Tracker) 
 		Size:    func(m semiring.DistMap) int { return m.Len() + 1 },
 		Tracker: tracker,
 	}
-	xs := make([][]semiring.DistMap, len(orders))
-	lanes := make([]mbf.BatchLane[semiring.DistMap], len(orders))
-	for b, order := range orders {
-		xs[b] = InitialStates(g.N())
+	xs := make([][]semiring.DistMap, len(keys))
+	lanes := make([]mbf.BatchLane[semiring.DistMap], len(keys))
+	for b, rk := range keys {
+		xs[b] = semiring.SingletonStatesKeyed(rk.key)
 		lanes[b] = mbf.BatchLane[semiring.DistMap]{
-			Filter:        order.Filter(),
-			FilterInPlace: order.FilterInPlace(),
+			Filter:        semiring.Staircase,
+			FilterInPlace: semiring.StaircaseInPlace,
 		}
 	}
 	return runner.RunToFixpointBatch(xs, lanes, g.N())

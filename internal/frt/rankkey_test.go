@@ -1,0 +1,183 @@
+package frt
+
+import (
+	"math"
+	"reflect"
+	"sort"
+	"testing"
+
+	"parmbf/internal/graph"
+	"parmbf/internal/par"
+	"parmbf/internal/semiring"
+	"parmbf/internal/simgraph"
+)
+
+// The rank-keyed suite pins the two key spaces against each other: the
+// package's fixpoints run on rank-keyed lists, and everything they return
+// must equal what the node-keyed public primitives (InitialStates,
+// Order.Filter, BuildTree) compute on their own.
+
+// TestStaircaseMatchesOrderFilter checks the shared dominance rule on random
+// maps with many tied distances: under the node→rank relabel, the Staircase
+// scan (pure and in place) keeps exactly what Order.Filter keeps.
+func TestStaircaseMatchesOrderFilter(t *testing.T) {
+	rng := par.NewRNG(31)
+	const n = 40
+	mod := semiring.DistMapModule{}
+	for trial := 0; trial < 300; trial++ {
+		o := NewOrder(n, rng)
+		rk := o.mustKeys(n)
+		x := semiring.DistMap{}
+		for v := semiring.NodeID(0); v < n; v++ {
+			if rng.Float64() < 0.6 {
+				x = x.Append(v, float64(rng.Intn(6))) // few values: many ties
+			}
+		}
+		want := o.Filter()(x)
+		ranked := x.Relabel(rk.key)
+		got := semiring.Staircase(ranked)
+		if !mod.Equal(got, want.Relabel(rk.key)) {
+			t.Fatalf("trial %d: Staircase %v ≠ relabelled Order.Filter %v", trial, got, want.Relabel(rk.key))
+		}
+		if inPlace := semiring.StaircaseInPlace(ranked.Clone()); !mod.Equal(inPlace, got) {
+			t.Fatalf("trial %d: StaircaseInPlace %v ≠ Staircase %v", trial, inPlace, got)
+		}
+		if back := got.Relabel(rk.node); !mod.Equal(back, want) || !back.IsSorted() {
+			t.Fatalf("trial %d: back to node keys %v, want %v", trial, back, want)
+		}
+	}
+}
+
+// rankKeyGraphs are the graph families of the differential tests.
+func rankKeyGraphs() []struct {
+	name string
+	g    *graph.Graph
+} {
+	return []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"random", graph.RandomConnected(96, 300, 8, par.NewRNG(41))},
+		{"grid", graph.GridGraph(8, 10, 4, par.NewRNG(42))},
+		{"chunglu", graph.ChungLu(96, 4, 2.5, 8, par.NewRNG(43))},
+	}
+}
+
+// TestEmbedderMatchesNodeKeyedOracle replays every Embedder draw through the
+// node-keyed public path — InitialStates, Order.Filter with no in-place
+// variant, the oracle, and BuildTree — and requires the same LE lists,
+// iteration count and tree, at two parallel widths.
+func TestEmbedderMatchesNodeKeyedOracle(t *testing.T) {
+	defer func(p int) { par.MaxProcs = p }(par.MaxProcs)
+	for _, procs := range []int{1, 2} {
+		par.MaxProcs = procs
+		for _, tc := range rankKeyGraphs() {
+			n := tc.g.N()
+			e, err := NewEmbedder(tc.g, Options{RNG: par.NewRNG(44)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			embs, err := e.SampleEmbeddings(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mod := semiring.DistMapModule{}
+			for i, emb := range embs {
+				filter := emb.Order.Filter()
+				oracle := simgraph.NewOracle(e.H(), nil)
+				want, wantIts := oracle.RunToFixpoint(InitialStates(n), filter, simgraph.MaxIters(n))
+				cold := oracle.Run(InitialStates(n), filter, wantIts)
+				if emb.Iterations != wantIts {
+					t.Fatalf("%s procs=%d tree %d: %d iterations, node-keyed %d", tc.name, procs, i, emb.Iterations, wantIts)
+				}
+				for v := range want {
+					if !emb.LELists[v].IsSorted() || !mod.Equal(emb.LELists[v], want[v]) || !mod.Equal(cold[v], want[v]) {
+						t.Fatalf("%s procs=%d tree %d node %d: LELists %v, node-keyed %v, cold %v",
+							tc.name, procs, i, v, emb.LELists[v], want[v], cold[v])
+					}
+				}
+				tree, err := BuildTree(want, emb.Order, emb.Beta)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(tree, emb.Tree) {
+					t.Fatalf("%s procs=%d tree %d: Embedder tree differs from BuildTree on node-keyed lists", tc.name, procs, i)
+				}
+			}
+		}
+	}
+}
+
+// TestDynamicEnsembleRepairRankKeyed drives the taint-cone path with weight
+// increases, which never disconnect the graph, so every batch must succeed:
+// a cone reset under the wrong key space surfaces as a BuildTree error there,
+// not as a silently skipped round.
+func TestDynamicEnsembleRepairRankKeyed(t *testing.T) {
+	rng := par.NewRNG(46)
+	d, err := NewDynamicEnsemble(graph.RandomConnected(64, 200, 8, rng), 2, par.NewRNG(47), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cones := 0
+	for round := 0; round < 6; round++ {
+		edges := d.Graph().Edges()
+		e := edges[rng.Intn(len(edges))]
+		stats, err := d.ApplyEdits([]graph.Edit{{Op: graph.EditReweight, U: e.U, V: e.V, Weight: e.Weight * 3}})
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		cones += stats.RecomputedNodes
+		assertDynamicMatchesRebuild(t, d)
+	}
+	if cones == 0 {
+		t.Fatal("no round recomputed any node; the cone path went untested")
+	}
+}
+
+// leLengthC pins the 99th-percentile LE-list length over Embedder draws
+// below leLengthC·ln n (Lemma 7.6: O(log n) w.h.p.; the expected length is
+// about H_n ≈ ln n). Observed p99s on the seeds below are 2.0–2.2·ln n,
+// so c = 4 leaves ~2× headroom, while a filter that let dominated entries
+// through would blow past it at once.
+const leLengthC = 4.0
+
+// TestLEListLengthQuantile is the statistical pin of Lemma 7.6 on the paper's
+// own pipeline: the 99th percentile of the LE-list lengths over every node
+// of several Embedder draws stays below leLengthC·ln n. Skipped in -short
+// mode: the n = 1024 draws take a few seconds.
+func TestLEListLengthQuantile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("Embedder draws at n = 1024 are slow; run without -short")
+	}
+	for _, tc := range []struct {
+		n, trees int
+		seed     uint64
+	}{
+		{256, 8, 51},
+		{1024, 2, 52},
+	} {
+		rng := par.NewRNG(tc.seed)
+		g := graph.RandomConnected(tc.n, 4*tc.n, 8, rng)
+		e, err := NewEmbedder(g, Options{RNG: rng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		embs, err := e.SampleEmbeddings(tc.trees)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lens []int
+		for _, emb := range embs {
+			for _, l := range emb.LELists {
+				lens = append(lens, l.Len())
+			}
+		}
+		sort.Ints(lens)
+		p99 := lens[len(lens)*99/100]
+		lnN := math.Log(float64(tc.n))
+		t.Logf("n=%d trees=%d: LE length p99 %d = %.2f·ln n, max %d", tc.n, tc.trees, p99, float64(p99)/lnN, lens[len(lens)-1])
+		if float64(p99) > leLengthC*lnN {
+			t.Fatalf("n=%d: LE-list length p99 %d exceeds %.1f·ln n = %.1f", tc.n, p99, leLengthC, leLengthC*lnN)
+		}
+	}
+}

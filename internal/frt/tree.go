@@ -159,15 +159,44 @@ func (t *Tree) Validate() error {
 // BuildTree assembles the FRT tree from LE lists (Lemma 7.2). lists[v] must
 // be the complete LE list of node v w.r.t. a distance function on which the
 // construction is to be performed (the distances of H in the main pipeline),
-// ordered arbitrarily; beta is the random scale β ∈ [1, 2).
+// as a node-keyed DistMap (sorted by node ID, as Order.Filter returns it);
+// order must be the order the lists were filtered with; beta is the random
+// scale β ∈ [1, 2).
+//
+// BuildTree relabels the lists to rank keys and runs the rank-keyed builder
+// the package's own fixpoints call directly (see the package doc).
+func BuildTree(lists []semiring.DistMap, order *Order, beta float64) (*Tree, error) {
+	n := len(lists)
+	if n == 0 {
+		return nil, fmt.Errorf("frt: no LE lists")
+	}
+	rk, err := order.keys(n)
+	if err != nil {
+		return nil, err
+	}
+	for v, l := range lists {
+		for i := 0; i < l.Len(); i++ {
+			if w := l.Node(i); w < 0 || int(w) >= n {
+				return nil, fmt.Errorf("frt: LE list of %d holds node %d outside 0..%d", v, w, n-1)
+			}
+		}
+	}
+	ranked := make([]semiring.DistMap, n)
+	par.ForEach(n, func(v int) { ranked[v] = lists[v].Relabel(rk.key) })
+	return buildTreeRanked(ranked, rk, beta)
+}
+
+// buildTreeRanked is BuildTree on rank-keyed LE lists. In key order an LE
+// list's distances strictly decrease (the Staircase invariant), so entry 0
+// is the farthest and the last entry is v itself at distance 0.
 //
 // For each level i with radius r_i = β·2^i, node v's level-i center is
-// v_i = min{w | dist(v,w) ≤ r_i} — readable directly off the LE list, since
-// LE entries by increasing distance have strictly decreasing ranks. The
-// level range [imin, imax] is chosen so that r_imin is below the smallest
-// non-zero LE distance (leaf clusters are singletons) and r_imax reaches
-// every node's final LE entry (a single root, centered at the rank-0 node).
-func BuildTree(lists []semiring.DistMap, order *Order, beta float64) (*Tree, error) {
+// v_i = min{w | dist(v,w) ≤ r_i}: the first entry with distance ≤ r_i,
+// mapped back to its node through rk.node. The level range [imin, imax] is
+// chosen so that r_imin is below the smallest non-zero LE distance (leaf
+// clusters are singletons) and r_imax reaches every node's farthest LE
+// entry (a single root, centered at the rank-0 node).
+func buildTreeRanked(lists []semiring.DistMap, rk rankKeys, beta float64) (*Tree, error) {
 	n := len(lists)
 	if n == 0 {
 		return nil, fmt.Errorf("frt: no LE lists")
@@ -175,11 +204,10 @@ func BuildTree(lists []semiring.DistMap, order *Order, beta float64) (*Tree, err
 	if beta < 1 || beta >= 2 {
 		return nil, fmt.Errorf("frt: beta %v outside [1,2)", beta)
 	}
-	// Sort every list and reduce the distance range in parallel: the
-	// per-node sorts are independent, and min/max are order-free, so the
-	// result is identical at any parallel width. Validation failures record
-	// the lowest offending node so the error matches the serial scan's.
-	sorted := make([]semiring.DistMap, n)
+	// Validate every list and reduce the distance range in parallel: min and
+	// max are order-free, so the result is identical at any parallel width.
+	// Validation failures record the lowest offending node so the error
+	// matches the serial scan's.
 	type rangeAcc struct {
 		dmin, dmax float64
 		badEmpty   int // lowest node with an empty list, or n
@@ -190,20 +218,19 @@ func BuildTree(lists []semiring.DistMap, order *Order, beta float64) (*Tree, err
 		func(v int) rangeAcc {
 			r := rangeAcc{dmin: semiring.Inf, badEmpty: n, badSelf: n}
 			l := lists[v]
-			if l.Len() == 0 {
+			last := l.Len() - 1
+			if last < 0 {
 				r.badEmpty = v
 				return r
 			}
-			s := SortByDist(l)
-			if s.Node(0) != graph.Node(v) || s.Dist(0) != 0 {
+			if l.Node(last) != rk.key[v] || l.Dist(last) != 0 {
 				r.badSelf = v
 				return r
 			}
-			sorted[v] = s
-			if s.Len() > 1 {
-				r.dmin = s.Dist(1)
+			if last > 0 {
+				r.dmin = l.Dist(last - 1)
 			}
-			r.dmax = s.Dist(s.Len() - 1)
+			r.dmax = l.Dist(0)
 			return r
 		},
 		func(a, b rangeAcc) rangeAcc {
@@ -245,25 +272,25 @@ func BuildTree(lists []semiring.DistMap, order *Order, beta float64) (*Tree, err
 		imax++
 	}
 
-	// v's level-i center is the last LE entry with distance ≤ r_i. The sweep
-	// below visits levels top-down with strictly shrinking radii, so each
-	// node keeps a cursor into its sorted list that only ever moves left:
+	// v's level-i center is the first LE entry with distance ≤ r_i. The
+	// sweep below visits levels top-down with strictly shrinking radii, so
+	// each node keeps a cursor into its list that only ever moves right:
 	// total center work per node is O(len + levels) instead of O(len·levels),
-	// and the per-level cursor advance is embarrassingly parallel. Entry 0 is
-	// self at distance 0 ≤ r, so the cursor never underflows.
+	// and the per-level cursor advance is embarrassingly parallel. The last
+	// entry is self at distance 0 ≤ r, so the cursor never overruns.
 	cursor := make([]int32, n)
 	advance := func(i int) {
 		r := beta * math.Pow(2, float64(i))
 		par.ForEach(n, func(v int) {
-			s := sorted[v]
+			l := lists[v]
 			j := cursor[v]
-			for j > 0 && s.Dist(int(j)) > r {
-				j--
+			for l.Dist(int(j)) > r {
+				j++
 			}
 			cursor[v] = j
 		})
 	}
-	centerAt := func(v int) graph.Node { return sorted[v].Node(int(cursor[v])) }
+	centerAt := func(v int) graph.Node { return rk.node[lists[v].Node(int(cursor[v]))] }
 
 	tree := &Tree{Beta: beta, Leaf: make([]int32, n)}
 	addNode := func(parent int32, c graph.Node, level int, w float64) int32 {
@@ -276,10 +303,7 @@ func BuildTree(lists []semiring.DistMap, order *Order, beta float64) (*Tree, err
 	}
 
 	// Root: all nodes share the center at level imax (the rank-0 node).
-	// Start every cursor at the end of its list and pull it back to r_imax.
-	for v := 0; v < n; v++ {
-		cursor[v] = int32(sorted[v].Len() - 1)
-	}
+	// Every cursor starts at the farthest entry, which r_imax reaches.
 	advance(imax)
 	rootCenter := centerAt(0)
 	agree := par.Reduce(n, true,
@@ -301,9 +325,10 @@ func BuildTree(lists []semiring.DistMap, order *Order, beta float64) (*Tree, err
 		parent int32
 		center graph.Node
 	}
+	ids := make(map[key]int32) // cleared per level; keeps its buckets
 	for i := imax - 1; i >= imin; i-- {
 		advance(i)
-		ids := make(map[key]int32)
+		clear(ids)
 		w := 2 * beta * math.Pow(2, float64(i)) // doubled weight; see Tree doc
 		for v := 0; v < n; v++ {
 			k := key{parent: cur[v], center: centerAt(v)}

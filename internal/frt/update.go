@@ -22,7 +22,9 @@
 //     fixpoint entry has a same-source supporting next hop along each of its
 //     shortest paths, so the walk over-approximates the stale set — then the
 //     cone is reset to singleton states and repaired together with the edit
-//     endpoints. Untainted nodes provably keep exactly their old lists, so
+//     endpoints. The retained lists are rank-keyed (see the package doc);
+//     the walk only compares keys, and a reset node v gets the singleton
+//     {Rank[v]: 0}. Untainted nodes provably keep exactly their old lists, so
 //     the cone is also the damage bound.
 //
 // Trees are patched per-tree: a tree whose repaired lists are unchanged
@@ -50,9 +52,12 @@ import (
 // daemon holds one update lock) and hand out Ensemble() snapshots to
 // readers.
 type DynamicEnsemble struct {
-	g       *graph.Graph
-	orders  []*Order
-	betas   []float64
+	g      *graph.Graph
+	orders []*Order
+	betas  []float64
+	// keys are the orders' rank-keyed views; lists holds each tree's
+	// retained LE fixpoint under those rank keys (see the package doc).
+	keys    []rankKeys
 	lists   [][]semiring.DistMap
 	trees   []*Tree
 	tracker *par.Tracker
@@ -108,10 +113,18 @@ func NewDynamicEnsembleWith(g *graph.Graph, orders []*Order, betas []float64, tr
 	if len(orders) == 0 || len(orders) != len(betas) {
 		return nil, fmt.Errorf("frt: need equally many orders and betas (≥ 1), got %d and %d", len(orders), len(betas))
 	}
-	lists, _ := LEListsOnGraphBatch(g, orders, tracker)
+	keys := make([]rankKeys, len(orders))
+	for i, o := range orders {
+		rk, err := o.keys(g.N())
+		if err != nil {
+			return nil, fmt.Errorf("frt: tree %d: %w", i, err)
+		}
+		keys[i] = rk
+	}
+	lists, _ := leListsRanked(g, keys, tracker)
 	trees := make([]*Tree, len(orders))
 	for i := range orders {
-		t, err := BuildTree(lists[i], orders[i], betas[i])
+		t, err := buildTreeRanked(lists[i], keys[i], betas[i])
 		if err != nil {
 			return nil, fmt.Errorf("frt: tree %d: %w", i, err)
 		}
@@ -121,6 +134,7 @@ func NewDynamicEnsembleWith(g *graph.Graph, orders []*Order, betas []float64, tr
 		g:       g,
 		orders:  orders,
 		betas:   betas,
+		keys:    keys,
 		lists:   lists,
 		trees:   trees,
 		tracker: tracker,
@@ -147,15 +161,14 @@ func (d *DynamicEnsemble) Ensemble() *Ensemble {
 	return &Ensemble{Trees: d.Trees()}
 }
 
-// leRunner builds the solo LE-list runner of Definition 7.3 on g for one
-// order — the repair-path counterpart of LEListsOnGraphBatch's shared
-// runner.
-func leRunner(g *graph.Graph, order *Order, tracker *par.Tracker) *mbf.Runner[float64, semiring.DistMap] {
+// leRunner builds the solo rank-keyed LE-list runner of Definition 7.3 on
+// g — the repair-path counterpart of leListsRanked's shared runner.
+func leRunner(g *graph.Graph, tracker *par.Tracker) *mbf.Runner[float64, semiring.DistMap] {
 	return &mbf.Runner[float64, semiring.DistMap]{
 		Graph:         g,
 		Module:        semiring.DistMapModule{},
-		Filter:        order.Filter(),
-		FilterInPlace: order.FilterInPlace(),
+		Filter:        semiring.Staircase,
+		FilterInPlace: semiring.StaircaseInPlace,
 		Weight:        mbf.MinPlusWeight,
 		Size:          func(m semiring.DistMap) int { return m.Len() + 1 },
 		Tracker:       tracker,
@@ -267,14 +280,14 @@ func (d *DynamicEnsemble) ApplyEdits(edits []graph.Edit) (*UpdateStats, error) {
 			if len(cone) > 0 {
 				base = append([]semiring.DistMap(nil), old...)
 				for _, v := range cone {
-					base[v] = semiring.SingletonDist(v, 0)
+					base[v] = semiring.SingletonDist(d.keys[i].key[v], 0)
 				}
 				seeds = make([]graph.Node, 0, len(cone)+len(sum.Touched))
 				seeds = append(seeds, cone...)
 				seeds = append(seeds, sum.Touched...)
 			}
 		}
-		runner := leRunner(g2, d.orders[i], d.tracker)
+		runner := leRunner(g2, d.tracker)
 		repaired, changed, iters := runner.RunToFixpointFrom(base, seeds, g2.N())
 		if iters > stats.Iterations {
 			stats.Iterations = iters
@@ -300,7 +313,7 @@ func (d *DynamicEnsemble) ApplyEdits(edits []graph.Edit) (*UpdateStats, error) {
 			continue
 		}
 		stats.AffectedTrees++
-		t, err := BuildTree(repaired, d.orders[i], d.betas[i])
+		t, err := buildTreeRanked(repaired, d.keys[i], d.betas[i])
 		if err != nil {
 			return nil, fmt.Errorf("frt: repairing tree %d: %w", i, err)
 		}

@@ -21,6 +21,16 @@ type Entry struct {
 // a vector in (ℝ≥0 ∪ {∞})^V stored sparsely, sorted by node ID. Absent nodes
 // implicitly hold ∞. The zero element ⊥ = (∞, …, ∞)ᵀ is the zero DistMap.
 //
+// # Keys
+//
+// The "node ID" of an entry is a key: every operation of the algebra and
+// the merge kernel only compares keys, so any injective relabelling of V
+// that is applied to a whole fixpoint commutes with it. Public APIs key by
+// node ID. The frt package's LE-list fixpoints key each tree's maps by the
+// node's rank in that tree's random order instead, which turns the LE
+// filter into the linear Staircase scan (see Relabel for converting between
+// the two key spaces).
+//
 // # Representation
 //
 // The entries are stored as a structure of arrays: a node-ID slice and a
@@ -47,9 +57,9 @@ type Entry struct {
 // Code that owns a value exclusively — in practice: the freshly merged
 // output of Aggregate, or a Clone — may use the explicitly in-place
 // operations, which are the only ones allowed to write to their argument:
-// SMulInPlace (rewrites distances), TopKFilterInPlace, Compact, SortFunc,
-// and Order.FilterInPlace in internal/frt (all of which reorder or compact
-// both arrays). Applying them to a value that shares storage with a state
+// SMulInPlace (rewrites distances), TopKFilterInPlace, StaircaseInPlace,
+// Compact, SortFunc, and Order.FilterInPlace in internal/frt (all of which
+// reorder or compact both arrays). Applying them to a value that shares storage with a state
 // vector corrupts every alias, including the shared ID array of an SMul
 // result.
 type DistMap struct {
@@ -109,12 +119,25 @@ func SingletonDist(v NodeID, d float64) DistMap {
 // safe under the aliasing contract: DistMap values are immutable once
 // published, and the engines only apply in-place filters to merge results
 // they own, never to inputs.
-func SingletonStates(n int) []DistMap {
+func SingletonStates(n int) []DistMap { return singletonStates(n, nil) }
+
+// SingletonStatesKeyed is SingletonStates with node v's singleton stored
+// under key[v] instead of v — the initial state of a fixpoint whose maps
+// are keyed by something other than node ID (the frt package keys its LE
+// fixpoints by rank) — in the same single backing allocation.
+func SingletonStatesKeyed(key []NodeID) []DistMap { return singletonStates(len(key), key) }
+
+// singletonStates carves n singletons at distance 0 from one allocation,
+// keyed by key[v], or by v when key is nil.
+func singletonStates(n int, key []NodeID) []DistMap {
 	ids, ds := allocPairs(n)
 	ids, ds = ids[:n], ds[:n]
 	states := make([]DistMap, n)
 	for v := 0; v < n; v++ {
 		ids[v] = NodeID(v)
+		if key != nil {
+			ids[v] = key[v]
+		}
 		// ds is zeroed by allocPairs; each singleton views its own element.
 		states[v] = DistMap{ids: ids[v : v+1 : v+1], ds: ds[v : v+1 : v+1]}
 	}
@@ -206,6 +229,79 @@ func (x DistMap) Compact(keep func(Entry) bool) DistMap {
 		if keep(Entry{Node: x.ids[i], Dist: x.ds[i]}) {
 			x.ids[w] = x.ids[i]
 			x.ds[w] = x.ds[i]
+			w++
+		}
+	}
+	return DistMap{ids: x.ids[:w], ds: x.ds[:w]}
+}
+
+// Relabel returns a fresh map holding x's entries under the keys key[id],
+// sorted by the new keys. key must be injective on x's keys. The frt package
+// uses it to move LE lists between node keys and rank keys.
+func (x DistMap) Relabel(key []NodeID) DistMap {
+	n := len(x.ids)
+	if n == 0 {
+		return DistMap{}
+	}
+	ids, ds := allocPairs(n)
+	ids, ds = ids[:n], ds[:n]
+	for i, id := range x.ids {
+		ids[i], ds[i] = key[id], x.ds[i]
+	}
+	sortPairs(ids, ds, byKey)
+	return DistMap{ids: ids, ds: ds}
+}
+
+func byKey(a, b Entry) bool { return a.Node < b.Node }
+
+// Staircase keeps, in key order, every entry whose distance is strictly
+// below the distance of each earlier entry, so the distances of the result
+// strictly decrease. It is a pure filter: x is returned unchanged when every
+// entry survives, and a fresh right-sized map otherwise.
+//
+// On maps keyed by rank it is exactly the LE-list projection of
+// Definition 7.3 (an entry survives iff no lower-ranked entry is at most as
+// far), which is what the frt package's fixpoints key their lists by.
+func Staircase(x DistMap) DistMap {
+	if len(x.ds) == 0 {
+		return x
+	}
+	kept := 1
+	best := x.ds[0]
+	for _, d := range x.ds[1:] {
+		if d < best {
+			best = d
+			kept++
+		}
+	}
+	if kept == len(x.ds) {
+		return x
+	}
+	ids, ds := allocPairs(kept)
+	ids, ds = append(ids, x.ids[0]), append(ds, x.ds[0])
+	best = x.ds[0]
+	for i, d := range x.ds[1:] {
+		if d < best {
+			best = d
+			ids, ds = append(ids, x.ids[i+1]), append(ds, d)
+		}
+	}
+	return DistMap{ids: ids, ds: ds}
+}
+
+// StaircaseInPlace is Staircase for exclusively owned maps: it compacts the
+// survivors to the front of x's storage and allocates nothing (see the
+// aliasing contract).
+func StaircaseInPlace(x DistMap) DistMap {
+	if len(x.ds) == 0 {
+		return x
+	}
+	w := 1
+	best := x.ds[0]
+	for i, d := range x.ds[1:] {
+		if d < best {
+			best = d
+			x.ids[w], x.ds[w] = x.ids[i+1], d
 			w++
 		}
 	}
