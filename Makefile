@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt-check test test-short test-race fuzz-short cover bench bench-ensemble bench-graph bench-mbf bench-semiring bench-oracle bench-apps bench-scale bench-gate bench-scale-gate scale-smoke profile-mbf profile-draw ci
+.PHONY: build vet fmt-check test test-short test-race fuzz-short cover bench bench-ensemble bench-graph bench-mbf bench-semiring bench-oracle bench-apps bench-scale bench-gate bench-scale-gate scale-smoke profile-mbf profile-draw perfbench-check ci
 
 build:
 	$(GO) build ./...
@@ -63,12 +63,12 @@ bench-graph:
 		--arg commit "$$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
 		'{date: $$date, commit: $$commit, bench: .}' >> BENCH_graph.json
 
-## MBF-engine benchmarks (k-way aggregation fast path vs generic fold,
-## sparse frontier engine vs dense fixpoint loop, source detection, oracle
-## iteration, embedder sampling, the LE filter in both key spaces); each run
-## appends one JSON line to BENCH_mbf.json.
+## MBF-engine benchmarks (k-way aggregation fast path vs generic fold, the
+## sparse fixpoint engine, source detection, oracle iteration, LE lists,
+## embedder sampling, the LE filter in both key spaces); each run appends one
+## JSON line to BENCH_mbf.json.
 bench-mbf:
-	@out="$$($(GO) test ./internal/mbf/ ./internal/simgraph/ ./internal/frt/ -run xxx -bench 'Iterate4096|IterateGeneric4096|IterateSparse4096|FixpointSparse4096|FixpointDense4096|SourceDetection4096|SourceDetectionBatch8|SourceDetectionPerSet8|SSSPIteration|KSSP$$|OracleIterate|OracleRunToFixpoint|LEListsOnGraph|LEFilter|EmbedderSample|IncrementalUpdate' -benchmem)" \
+	@out="$$($(GO) test ./internal/mbf/ ./internal/simgraph/ ./internal/frt/ -run xxx -bench 'Iterate4096|IterateGeneric4096|FixpointSparse4096|SourceDetection4096|SSSPIteration|KSSP$$|OracleIterate|OracleRunToFixpoint|LEListsOnGraph|LEFilter|EmbedderSample|IncrementalUpdate' -benchmem)" \
 		|| { echo "$$out"; echo "bench-mbf: go test failed"; exit 1; }; \
 	echo "$$out"; \
 	echo "$$out" | grep '^Benchmark' | jq -R . | jq -sc \
@@ -155,7 +155,7 @@ scale-smoke:
 ## >20% ns/op regression in the gated hot paths.
 bench-gate:
 	$(GO) run ./cmd/benchgate -file BENCH_graph.json -match 'Dijkstra4096' -max 1.20
-	$(GO) run ./cmd/benchgate -file BENCH_mbf.json -match 'Iterate4096|SourceDetection4096|SourceDetectionBatch8|IncrementalUpdate-|BenchmarkEmbedderSample$$|BenchmarkOracleRunToFixpoint$$' -max 1.20
+	$(GO) run ./cmd/benchgate -file BENCH_mbf.json -match 'Iterate4096|SourceDetection4096|BenchmarkLEListsOnGraph$$|BenchmarkIncrementalUpdate$$|BenchmarkEmbedderSample$$|BenchmarkOracleRunToFixpoint$$' -max 1.20
 	$(GO) run ./cmd/benchgate -file BENCH_oracle.json -match 'OracleIndexMinBatch4096|SnapshotLoad4096|FleetBatch1024' -max 1.20
 	$(GO) run ./cmd/benchgate -file BENCH_semiring.json -match 'MergeKernel/' -max 1.20
 	$(GO) run ./cmd/benchgate -file BENCH_apps.json -match 'KMedianEvalIndex|KMedianSolve|BuyAtBulkSolve|RouteQueryBatch' -max 1.20
@@ -189,6 +189,13 @@ profile-draw:
 		-o /tmp/draw.test -cpuprofile /tmp/draw.cpu.pprof -memprofile /tmp/draw.mem.pprof
 	$(GO) tool pprof -top -nodecount 15 /tmp/draw.cpu.pprof
 
+## perfbench is a separate module (it holds the end-to-end benchmark), so the
+## root `go build ./...` never compiles it: vet it and run its short tests so
+## an API change in the library cannot silently break the benchmark. Under
+## -short its end-to-end smoke test skips.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
+
 ## ci is the exact step list the GitHub Actions test matrix runs (the
 ## workflow invokes `make ci` so the two cannot drift).
-ci: vet fmt-check build test-short test-race
+ci: vet fmt-check build test-short test-race perfbench-check

@@ -462,11 +462,11 @@ func TestRandomBetaDistribution(t *testing.T) {
 }
 
 // TestLEListsOnGraphBatchMatchesPerOrder pins the batched LE-list
-// construction: B independent orders advanced as one multi-source sweep must
-// produce, order for order, exactly the lists and iteration counts of the
-// per-order runs, and of a node-keyed reference fixpoint (InitialStates +
-// Order.Filter) — the sweep runs on rank-keyed lists, so this also checks
-// that its node-sorted output survives the conversion back.
+// construction: B independent orders must produce, order for order, exactly
+// the lists and iteration counts of the per-order runs, and of a node-keyed
+// reference fixpoint (InitialStates + Order.Filter) — the batch runs on
+// rank-keyed lists, so this also checks that its node-sorted output survives
+// the conversion back.
 func TestLEListsOnGraphBatchMatchesPerOrder(t *testing.T) {
 	rng := par.NewRNG(31)
 	graphs := append(rankKeyGraphs(), struct {
@@ -500,5 +500,35 @@ func TestLEListsOnGraphBatchMatchesPerOrder(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestLEListsOnGraphBatchTracker pins the cost-model charge of the batched
+// LE lists: the orders are independent parallel work (§1.2), so the batch
+// charges the sum of the per-order works and the maximum of their depths —
+// not their summed depth.
+func TestLEListsOnGraphBatchTracker(t *testing.T) {
+	rng := par.NewRNG(37)
+	g := graph.RandomConnected(96, 300, 8, rng)
+	orders := make([]*Order, 5)
+	for i := range orders {
+		orders[i] = NewOrder(g.N(), rng)
+	}
+	var wantWork, wantDepth, sumDepth int64
+	for _, o := range orders {
+		tk := &par.Tracker{}
+		LEListsOnGraph(g, o, tk)
+		if tk.Work() == 0 || tk.Depth() == 0 {
+			t.Fatalf("per-order run charged work %d, depth %d", tk.Work(), tk.Depth())
+		}
+		wantWork += tk.Work()
+		wantDepth = max(wantDepth, tk.Depth())
+		sumDepth += tk.Depth()
+	}
+	tk := &par.Tracker{}
+	LEListsOnGraphBatch(g, orders, tk)
+	if tk.Work() != wantWork || tk.Depth() != wantDepth {
+		t.Fatalf("batch charged work %d, depth %d; want work %d (Σ per order), depth %d (max per order; Σ is %d)",
+			tk.Work(), tk.Depth(), wantWork, wantDepth, sumDepth)
 	}
 }

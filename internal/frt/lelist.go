@@ -165,15 +165,11 @@ func LEListsOnGraph(g *graph.Graph, order *Order, tracker *par.Tracker) ([]semir
 }
 
 // LEListsOnGraphBatch computes the LE lists of a graph under B independent
-// random orders — the B tree samples of an FRT ensemble — as one batched
-// multi-source sweep (mbf.Runner.RunToFixpointBatch): every iteration makes
-// a single pass over the CSR arcs serving all orders at once, sharing the
-// per-arc weights and merge scratch across lanes, with bit-packed per-node
-// lane masks tracking which orders can still change where. Lane b's lists
-// and iteration count equal LEListsOnGraph(g, orders[b], …) exactly (pinned
-// by the batch differential tests). The sweep runs on rank-keyed lists (see
-// the package doc) and converts them to node keys once, on output; every
-// order's ranks must be a permutation of 0..n−1.
+// random orders — the B tree samples of an FRT ensemble — with one sparse
+// fixpoint per order; lists[b] and iters[b] equal LEListsOnGraph(g,
+// orders[b], …) exactly. The fixpoints run on rank-keyed lists (see the
+// package doc) and convert them to node keys once, on output; every order's
+// ranks must be a permutation of 0..n−1.
 func LEListsOnGraphBatch(g *graph.Graph, orders []*Order, tracker *par.Tracker) ([][]semiring.DistMap, []int) {
 	keys := make([]rankKeys, len(orders))
 	for b, order := range orders {
@@ -186,26 +182,39 @@ func LEListsOnGraphBatch(g *graph.Graph, orders []*Order, tracker *par.Tracker) 
 	return lists, iters
 }
 
-// leListsRanked is LEListsOnGraphBatch on rank-keyed lists: every lane
-// starts from rank singletons and filters with the Staircase scan.
+// leListsRanked is LEListsOnGraphBatch on rank-keyed lists: one leRunner
+// fixpoint per order, from rank singletons. The orders are independent
+// parallel work in the cost model of §1.2, so each charges a private tracker
+// and the caller's tracker is charged their summed work and maximum depth.
 func leListsRanked(g *graph.Graph, keys []rankKeys, tracker *par.Tracker) ([][]semiring.DistMap, []int) {
-	runner := &mbf.Runner[float64, semiring.DistMap]{
-		Graph:   g,
-		Module:  semiring.DistMapModule{},
-		Weight:  mbf.MinPlusWeight,
-		Size:    func(m semiring.DistMap) int { return m.Len() + 1 },
-		Tracker: tracker,
-	}
-	xs := make([][]semiring.DistMap, len(keys))
-	lanes := make([]mbf.BatchLane[semiring.DistMap], len(keys))
+	lists := make([][]semiring.DistMap, len(keys))
+	iters := make([]int, len(keys))
+	var work, depth int64
 	for b, rk := range keys {
-		xs[b] = semiring.SingletonStatesKeyed(rk.key)
-		lanes[b] = mbf.BatchLane[semiring.DistMap]{
-			Filter:        semiring.Staircase,
-			FilterInPlace: semiring.StaircaseInPlace,
+		var tk *par.Tracker
+		if tracker != nil {
+			tk = &par.Tracker{}
 		}
+		lists[b], iters[b] = leRunner(g, tk).RunToFixpoint(semiring.SingletonStatesKeyed(rk.key), g.N())
+		work += tk.Work()
+		depth = max(depth, tk.Depth())
 	}
-	return runner.RunToFixpointBatch(xs, lanes, g.N())
+	tracker.AddPhase(work, depth)
+	return lists, iters
+}
+
+// leRunner builds the rank-keyed LE-list runner of Definition 7.3 on g, the
+// one configuration shared by the LE fixpoints and their repairs.
+func leRunner(g *graph.Graph, tracker *par.Tracker) *mbf.Runner[float64, semiring.DistMap] {
+	return &mbf.Runner[float64, semiring.DistMap]{
+		Graph:         g,
+		Module:        semiring.DistMapModule{},
+		Filter:        semiring.Staircase,
+		FilterInPlace: semiring.StaircaseInPlace,
+		Weight:        mbf.MinPlusWeight,
+		Size:          func(m semiring.DistMap) int { return m.Len() + 1 },
+		Tracker:       tracker,
+	}
 }
 
 // LEListsFromMetric computes LE lists directly from an explicit metric — the

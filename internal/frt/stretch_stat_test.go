@@ -122,3 +122,39 @@ func TestStatisticalStretchPipeline(t *testing.T) {
 	}
 	checkEnsembleStretch(t, "pipeline128", g, e, par.NewRNG(212), 300)
 }
+
+// TestExpectedStretchPerPair pins the FRT guarantee itself rather than a
+// proxy: for every sampled pair, the stretch averaged over 64 independent
+// trees of the direct sampler — an estimate of the per-pair expectation
+// E[d_T(u,v)]/dist_G(u,v) — stays below 8·log₂ n. Observed worst pairs are
+// 2.9–4.0·log₂ n on these seeds, so the constant leaves ~2× headroom while
+// an Ω(n^ε) stretch regression fails at once.
+func TestExpectedStretchPerPair(t *testing.T) {
+	const trees, pairs, c = 64, 200, 8.0
+	for _, tc := range []struct {
+		name string
+		seed uint64
+		make func(rng *par.RNG) *graph.Graph
+	}{
+		{"random128", 301, func(rng *par.RNG) *graph.Graph { return graph.RandomConnected(128, 512, 8, rng) }},
+		{"grid10x10", 303, func(rng *par.RNG) *graph.Graph { return graph.GridGraph(10, 10, 4, rng) }},
+		{"random256", 305, func(rng *par.RNG) *graph.Graph { return graph.RandomConnected(256, 1024, 8, rng) }},
+	} {
+		rng := par.NewRNG(tc.seed)
+		g := tc.make(rng)
+		stats, err := MeasureStretch(g, func() (*Embedding, error) { return SampleOnGraph(g, rng, nil) }, trees, pairs, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logn := math.Log2(float64(g.N()))
+		t.Logf("%s: n=%d worst per-pair expected stretch %.2f = %.2f·log₂ n, mean %.2f",
+			tc.name, g.N(), stats.MaxAvgStretch, stats.MaxAvgStretch/logn, stats.AvgStretch)
+		if stats.MinRatio < 1-1e-9 {
+			t.Fatalf("%s: dominance violated: min ratio %v", tc.name, stats.MinRatio)
+		}
+		if stats.MaxAvgStretch > c*logn {
+			t.Fatalf("%s: per-pair expected stretch %.2f exceeds %.0f·log₂(%d) = %.2f",
+				tc.name, stats.MaxAvgStretch, c, g.N(), c*logn)
+		}
+	}
+}

@@ -37,7 +37,6 @@ import (
 	"fmt"
 
 	"parmbf/internal/graph"
-	"parmbf/internal/mbf"
 	"parmbf/internal/par"
 	"parmbf/internal/semiring"
 )
@@ -80,7 +79,7 @@ type UpdateStats struct {
 }
 
 // NewDynamicEnsemble draws count independent trees of g's exact metric via
-// the batched direct pipeline and retains the fixpoint state needed for
+// the direct LE-list pipeline and retains the fixpoint state needed for
 // incremental updates. The per-tree randomness (order and β) is drawn from
 // RNGs split off rng sequentially, so a fixed seed yields the identical
 // ensemble at any parallelism.
@@ -159,20 +158,6 @@ func (d *DynamicEnsemble) Trees() []*Tree {
 // it in front of readers.
 func (d *DynamicEnsemble) Ensemble() *Ensemble {
 	return &Ensemble{Trees: d.Trees()}
-}
-
-// leRunner builds the solo rank-keyed LE-list runner of Definition 7.3 on
-// g — the repair-path counterpart of leListsRanked's shared runner.
-func leRunner(g *graph.Graph, tracker *par.Tracker) *mbf.Runner[float64, semiring.DistMap] {
-	return &mbf.Runner[float64, semiring.DistMap]{
-		Graph:         g,
-		Module:        semiring.DistMapModule{},
-		Filter:        semiring.Staircase,
-		FilterInPlace: semiring.StaircaseInPlace,
-		Weight:        mbf.MinPlusWeight,
-		Size:          func(m semiring.DistMap) int { return m.Len() + 1 },
-		Tracker:       tracker,
-	}
 }
 
 // taintCone walks support chains forwards over the OLD graph and OLD lists

@@ -51,7 +51,7 @@ func randomBuilder(n, m int, seed int64) *Builder {
 		if rng.Intn(4) == 0 {
 			u, v = v, u // reversed duplicates
 		}
-		b.AddEdge(u, v, w)
+		b.Add(u, v, w)
 		if rng.Intn(3) == 0 { // parallel edge, different weight
 			b.Add(u, v, quantize(0.5+rng.Float64()))
 		}

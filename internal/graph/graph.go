@@ -327,12 +327,6 @@ func (b *Builder) Add(u, v Node, w float64) *Builder {
 	return b
 }
 
-// AddEdge records the undirected edge {u, v} with weight w.
-//
-// Deprecated: AddEdge is a shim easing migration from the old mutable
-// Graph API; new code should use Add (chainable) instead.
-func (b *Builder) AddEdge(u, v Node, w float64) { b.Add(u, v, w) }
-
 // halfArc is a directed arc with an explicit source, the unit of the
 // Freeze radix scatter.
 type halfArc struct {

@@ -62,7 +62,7 @@ func BenchmarkIterateGeneric4096(b *testing.B) {
 // grid — the loop shape of the §5 oracle's per-level inner runs and of
 // LE-list computations, on the kind of high-SPD topology those fixpoints
 // are slow on. Distance information moves outward from the source as a
-// wavefront over SPD ≈ 100+ iterations, so the dense engine re-aggregates
+// wavefront over SPD ≈ 100+ iterations, so a dense loop would re-aggregate
 // thousands of already-stable states per step while the frontier engine
 // touches only the wave.
 func fixpointBenchRunner() (*Runner[float64, semiring.DistMap], []semiring.DistMap) {
@@ -80,49 +80,13 @@ func fixpointBenchRunner() (*Runner[float64, semiring.DistMap], []semiring.DistM
 }
 
 // BenchmarkFixpointSparse4096 measures the frontier-driven sparse fixpoint
-// loop; BenchmarkFixpointDense4096 is the dense reference on the identical
-// workload. Their ratio is the headline number of the sparse engine.
+// loop on the grid wavefront workload.
 func BenchmarkFixpointSparse4096(b *testing.B) {
 	r, x0 := fixpointBenchRunner()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.RunToFixpoint(x0, r.Graph.N())
-	}
-}
-
-func BenchmarkFixpointDense4096(b *testing.B) {
-	r, x0 := fixpointBenchRunner()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.RunToFixpointDense(x0, r.Graph.N())
-	}
-}
-
-// BenchmarkIterateSparse4096 measures one sparse step in the middle of a
-// fixpoint run: the states are advanced 64 steps into the ~130-step grid
-// wavefront, then one IterateDelta over that mid-run frontier (a wave of a
-// few hundred nodes) is timed — the steady-state cost the sparse engine
-// pays where the dense engine would re-aggregate all n nodes. The timed
-// call goes through the pure public API, so it includes the n-length
-// header copy that RunToFixpoint's in-place internal steps avoid.
-func BenchmarkIterateSparse4096(b *testing.B) {
-	r, x := fixpointBenchRunner()
-	for v := range x {
-		x[v] = r.filter(x[v])
-	}
-	frontier := r.Frontier(x)
-	for i := 0; i < 64; i++ {
-		x, frontier = r.IterateDelta(x, frontier)
-		if len(frontier) == 0 {
-			b.Fatal("fixpoint reached before the mid-run step")
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.IterateDelta(x, frontier)
 	}
 }
 
@@ -134,45 +98,6 @@ func BenchmarkSourceDetection4096(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		SourceDetection(g, nil, 8, semiring.Inf, 8, nil)
-	}
-}
-
-// sourceDetectionSets are the 8 source sets of the batch-vs-sequential
-// comparison below.
-func sourceDetectionSets() []func(graph.Node) bool {
-	sets := make([]func(graph.Node) bool, 8)
-	for i := range sets {
-		mod := graph.Node(i + 2)
-		sets[i] = func(v graph.Node) bool { return v%mod == 0 }
-	}
-	return sets
-}
-
-// BenchmarkSourceDetectionBatch8 runs 8 source-detection instances as ONE
-// batched multi-source sweep (shared CSR pass, bit-packed lane masks) at
-// n=1024. Its counterpart below runs the same 8 instances sequentially; the
-// ratio in BENCH_mbf.json is the recorded speedup of the batch path.
-func BenchmarkSourceDetectionBatch8(b *testing.B) {
-	g := graph.RandomConnected(1024, 4096, 8, par.NewRNG(9))
-	sets := sourceDetectionSets()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SourceDetectionBatch(g, sets, 8, semiring.Inf, 8, nil)
-	}
-}
-
-// BenchmarkSourceDetectionPerSet8 is the sequential baseline of the batch
-// benchmark: the same 8 instances, one RunToFixpoint each.
-func BenchmarkSourceDetectionPerSet8(b *testing.B) {
-	g := graph.RandomConnected(1024, 4096, 8, par.NewRNG(9))
-	sets := sourceDetectionSets()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, sources := range sets {
-			SourceDetection(g, sources, 8, semiring.Inf, 8, nil)
-		}
 	}
 }
 

@@ -22,8 +22,10 @@
 // happens after at most SPD(G) hops for the distance algebras) spend their
 // late iterations re-deriving states that are already stable: x'(v) depends
 // only on x at v and at v's neighbors, so if none of those states changed in
-// the previous iteration, recomputing v reproduces x(v) exactly. The sparse
-// engine exploits this with change propagation:
+// the previous iteration, recomputing v reproduces x(v) exactly. Every
+// fixpoint driver of the Runner — RunToFixpoint, RunToFixpointFrom and the
+// step-wise Stepper — runs one sparse loop that exploits this with change
+// propagation:
 //
 //   - the frontier after an iteration is the set of nodes whose filtered
 //     state changed in that iteration;
@@ -32,22 +34,23 @@
 //     diagonal) plus every node with a frontier node among its in-neighbors
 //     (graph.Graph.InNeighbors, the transpose view, which is the graph
 //     itself for the symmetric graphs this library builds);
-//   - all other nodes keep their state, which IterateDelta never touches.
+//   - all other nodes keep their state, untouched.
 //
-// The initial frontier is the set of nodes whose filtered x(0) is non-⊥: a
-// node that is ⊥ with an all-⊥ in-neighborhood stays ⊥, because the
-// semimodule is zero-preserving and the filter is a representative
-// projection with r(⊥) = ⊥ (RunToFixpoint verifies r(⊥) = ⊥ at runtime and
-// falls back to the dense loop otherwise). The fixpoint is reached exactly
-// when the frontier empties — no separate state-vector comparison pass is
-// needed — and the states produced are identical, per Module.Equal at every
-// node after every iteration, to those of the dense engine
-// (RunToFixpointDense, kept as the differential-test reference).
+// A fresh run seeds the frontier with the nodes whose filtered x(0) is
+// non-⊥: a node that is ⊥ with an all-⊥ in-neighborhood stays ⊥, because
+// the semimodule is zero-preserving and the filter is a representative
+// projection with r(⊥) = ⊥. The engine verifies r(⊥) = ⊥ at runtime and
+// seeds every node otherwise; zero-stability only matters for the initial
+// frontier, so that seeding reproduces the dense loop's states and iteration
+// count. The fixpoint is reached exactly when the frontier empties — no
+// separate state-vector comparison pass is needed — and the states produced
+// are identical, per Module.Equal at every node after every iteration, to
+// those of Iterate, the dense definition the differential tests compare
+// against.
 package mbf
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"parmbf/internal/graph"
 	"parmbf/internal/par"
@@ -91,22 +94,17 @@ type Runner[S, M any] struct {
 	// Weight can return the zero and exact work accounting matters.
 	PropagatedSize func(s S, x M) int
 	// Tracker, if non-nil, is charged the work/depth of every iteration in
-	// the DAG cost model of §1.2. Sparse iterations (IterateDelta) charge
-	// only the nodes they actually re-aggregate — the work performed, not
-	// the work a dense iteration would have performed.
+	// the DAG cost model of §1.2. Sparse iterations charge only the nodes
+	// they actually re-aggregate — the work performed, not the work a dense
+	// iteration would have performed.
 	Tracker *par.Tracker
 
 	// scratch recycles per-worker buffers of the aggregation fast path, so
 	// steady-state iterations allocate only the output states.
 	scratch sync.Pool // *iterScratch[S, M]
 	// deltaPool recycles the frontier bookkeeping of the sparse engine
-	// across IterateDelta calls, so external fixpoint drivers (e.g. the
-	// Congest simulation, which needs per-step round accounting) iterate
-	// as cheaply as RunToFixpoint's internal loop.
+	// across fixpoint runs and Steppers.
 	deltaPool sync.Pool // *deltaScratch
-	// batchPool recycles the per-worker buffers of the batched multi-source
-	// sweep (batch.go).
-	batchPool sync.Pool // *batchScratch[S, M]
 }
 
 // iterScratch is one worker's reusable aggregation state: the term buffer
@@ -135,6 +133,15 @@ func (r *Runner[S, M]) filter(x M) M {
 		return x
 	}
 	return r.Filter(x)
+}
+
+// filterAll returns a fresh vector of the filtered states of x0.
+func (r *Runner[S, M]) filterAll(x0 []M) []M {
+	x := make([]M, len(x0))
+	for i, s := range x0 {
+		x[i] = r.filter(s)
+	}
+	return x
 }
 
 // ownedFilter returns the filter the engine applies to values it owns
@@ -264,15 +271,7 @@ func (r *Runner[S, M]) Iterate(x []M) []M {
 	if len(x) != n {
 		panic("mbf: state vector length does not match graph size")
 	}
-	return r.iterateInto(x, make([]M, n))
-}
-
-// iterateInto is Iterate writing into a caller-provided output vector, which
-// it fully overwrites and returns. RunToFixpointDense ping-pongs two vectors
-// through it so a fixpoint run allocates two state-header vectors total
-// instead of one per iteration.
-func (r *Runner[S, M]) iterateInto(x, out []M) []M {
-	n := r.Graph.N()
+	out := make([]M, n)
 	var workPerNode []int64
 	if r.Tracker != nil {
 		workPerNode = make([]int64, n)
@@ -300,7 +299,7 @@ func (r *Runner[S, M]) iterateInto(x, out []M) []M {
 // the candidate mark bits, the candidate list, the per-candidate change
 // flags, and the per-candidate recomputed states (buffered so the write-back
 // can happen after the parallel read phase, letting the driver update its
-// vector in place). One instance serves a whole RunToFixpoint loop.
+// vector in place). One instance serves a whole fixpoint loop.
 type deltaScratch[M any] struct {
 	touched []bool
 	cand    []graph.Node
@@ -322,34 +321,6 @@ func (r *Runner[S, M]) getDelta(n int) *deltaScratch[M] {
 }
 
 func (r *Runner[S, M]) putDelta(ds *deltaScratch[M]) { r.deltaPool.Put(ds) }
-
-// IterateDelta performs one sparse MBF-like iteration: given that frontier
-// lists every node whose state changed in the previous iteration (for the
-// first iteration: every node with a non-⊥ filtered state, see Frontier),
-// it re-aggregates only the affected nodes — frontier nodes and nodes with
-// a frontier node among their in-neighbors — and returns the next state
-// vector together with the next frontier, in ascending discovery order.
-// Unaffected nodes keep their state value (the returned vector aliases
-// them; states are shared immutable values). The input vector is not
-// modified — the purity costs one n-length header copy, which
-// RunToFixpoint's internal loop avoids by updating its own vector in
-// place, so a sparse step there is O(affected), not Ω(n).
-//
-// IterateDelta(x, frontier) equals Iterate(x) node-for-node whenever the
-// frontier invariant holds, and the returned frontier is exactly the set of
-// nodes at which the two vectors differ. Duplicate frontier entries are
-// tolerated.
-func (r *Runner[S, M]) IterateDelta(x []M, frontier []graph.Node) ([]M, []graph.Node) {
-	if len(x) != r.Graph.N() {
-		panic("mbf: state vector length does not match graph size")
-	}
-	out := make([]M, len(x))
-	copy(out, x)
-	ds := r.getDelta(len(x))
-	next := r.iterateDelta(out, frontier, ds)
-	r.putDelta(ds)
-	return out, next
-}
 
 // iterateDelta is the in-place sparse step: it recomputes the affected
 // nodes of x (reading the vector concurrently, buffering the results in
@@ -437,10 +408,10 @@ func (r *Runner[S, M]) Frontier(x []M) []graph.Node {
 	return f
 }
 
-// zeroStable reports whether the filter maps ⊥ to ⊥ — the property the
-// sparse engine needs so that untouched all-⊥ neighborhoods provably stay
-// ⊥. Every representative projection in this library satisfies it; a custom
-// filter that does not sends RunToFixpoint to the dense loop.
+// zeroStable reports whether the filter maps ⊥ to ⊥ — the property that
+// lets a fresh run seed only its non-⊥ nodes, because untouched all-⊥
+// neighborhoods provably stay ⊥. Every representative projection in this
+// library satisfies it.
 func (r *Runner[S, M]) zeroStable() bool {
 	if r.Filter == nil {
 		return true
@@ -449,89 +420,67 @@ func (r *Runner[S, M]) zeroStable() bool {
 	return r.Module.Equal(r.Filter(zero), zero)
 }
 
+// start filters x0 into a fresh vector the caller owns and returns it with
+// the seed frontier of a fresh run: the non-⊥ nodes, or every node when the
+// filter does not map ⊥ to ⊥ (a full first iteration, as the dense loop
+// would perform).
+func (r *Runner[S, M]) start(x0 []M) ([]M, []graph.Node) {
+	x := r.filterAll(x0)
+	if r.zeroStable() {
+		return x, r.Frontier(x)
+	}
+	all := make([]graph.Node, len(x))
+	for v := range all {
+		all[v] = graph.Node(v)
+	}
+	return x, all
+}
+
+// fixpoint is the one sparse loop behind RunToFixpoint and
+// RunToFixpointFrom: it steps x in place from frontier until the frontier
+// empties or maxIter iterations have run, handing each iteration's changed
+// nodes to visit when it is non-nil, and returns the number of iterations
+// performed — including the final one that confirms the fixpoint. The
+// caller must own x exclusively.
+func (r *Runner[S, M]) fixpoint(x []M, frontier []graph.Node, maxIter int, visit func(changed []graph.Node)) int {
+	ds := r.getDelta(len(x))
+	defer r.putDelta(ds)
+	it := 0
+	for ; it < maxIter && len(frontier) > 0; it++ {
+		frontier = r.iterateDelta(x, frontier, ds)
+		if visit != nil {
+			visit(frontier)
+		}
+	}
+	return it
+}
+
 // RunToFixpoint iterates until the filtered state vector stops changing or
 // maxIter iterations have run, returning the final states and the number of
 // iterations performed — including the final iteration that confirms the
 // fixpoint. A fixpoint is reached after at most SPD(G) hops for the distance
 // algebras (§1.2), so the count is SPD-related + 1 when it converges.
 //
-// The loop is frontier-driven: it seeds the frontier with the non-⊥ filtered
-// initial states and performs sparse IterateDelta steps until the frontier
-// empties, re-aggregating only nodes that can still change and never
-// scanning the full vector for equality. An all-⊥ input is recognised as a
-// fixpoint immediately, with 0 iterations. The states are identical to
-// RunToFixpointDense's; if the filter does not map ⊥ to ⊥ (no filter in
-// this library does that), the dense loop runs instead.
+// It is the sparse loop of RunToFixpointFrom seeded for a fresh run: the
+// frontier starts at the non-⊥ filtered initial states (every node if the
+// filter does not map ⊥ to ⊥), and only nodes that can still change are
+// re-aggregated. An all-⊥ input under a ⊥-preserving filter is recognised
+// as a fixpoint immediately, with 0 iterations; otherwise the states and
+// iteration count equal those of iterating Iterate until two consecutive
+// vectors are equal.
 func (r *Runner[S, M]) RunToFixpoint(x0 []M, maxIter int) ([]M, int) {
-	if !r.zeroStable() {
-		return r.RunToFixpointDense(x0, maxIter)
+	if len(x0) != r.Graph.N() {
+		panic("mbf: state vector length does not match graph size")
 	}
-	x := make([]M, len(x0))
-	for i, s := range x0 {
-		x[i] = r.filter(s)
-	}
-	frontier := r.Frontier(x)
-	ds := r.getDelta(len(x))
-	defer r.putDelta(ds)
-	// The loop owns x (built fresh above), so each sparse step updates it
-	// in place — no per-iteration vector copy.
-	for it := 0; it < maxIter; it++ {
-		if len(frontier) == 0 {
-			return x, it
-		}
-		frontier = r.iterateDelta(x, frontier, ds)
-	}
-	return x, maxIter
-}
-
-// RunToFixpointDense is the dense reference fixpoint loop: every iteration
-// re-aggregates all nodes and a full (early-exiting) vector comparison
-// detects convergence. It computes exactly the states and iteration count of
-// RunToFixpoint (except that an all-⊥ input costs one confirming iteration
-// the sparse loop skips) and remains as the fallback for filters that do not
-// preserve ⊥, and as the differential-test baseline.
-func (r *Runner[S, M]) RunToFixpointDense(x0 []M, maxIter int) ([]M, int) {
-	x := make([]M, len(x0))
-	for i, s := range x0 {
-		x[i] = r.filter(s)
-	}
-	// Ping-pong between two vectors: iterateInto fully overwrites its output,
-	// so the vector from two iterations ago can carry the next one.
-	spare := make([]M, len(x))
-	for it := 1; it <= maxIter; it++ {
-		next := r.iterateInto(x, spare)
-		if r.statesEqual(x, next) {
-			return next, it
-		}
-		x, spare = next, x
-	}
-	return x, maxIter
-}
-
-// statesEqual compares two state vectors node-wise, in parallel, bailing out
-// as soon as any worker finds a mismatch (the remaining indices only load
-// one atomic flag each).
-func (r *Runner[S, M]) statesEqual(x, y []M) bool {
-	var diff atomic.Bool
-	par.ForEach(len(x), func(i int) {
-		if diff.Load() {
-			return
-		}
-		if !r.Module.Equal(x[i], y[i]) {
-			diff.Store(true)
-		}
-	})
-	return !diff.Load()
+	x, frontier := r.start(x0)
+	return x, r.fixpoint(x, frontier, maxIter, nil)
 }
 
 // Run performs h iterations starting from x0 and returns r^V A^h x(0).
 // The initial filter application is included (states are kept filtered
 // throughout, which Corollary 2.17 shows is equivalent).
 func (r *Runner[S, M]) Run(x0 []M, h int) []M {
-	x := make([]M, len(x0))
-	for i, s := range x0 {
-		x[i] = r.filter(s)
-	}
+	x := r.filterAll(x0)
 	for i := 0; i < h; i++ {
 		x = r.Iterate(x)
 	}

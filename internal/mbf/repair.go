@@ -4,11 +4,11 @@ import "parmbf/internal/graph"
 
 // RunToFixpointFrom resumes a fixpoint computation from a caller-supplied
 // state vector and seed frontier — the incremental-repair entry point of the
-// sparse engine. It is the change-propagation dual of RunToFixpoint: instead
-// of seeding from the non-⊥ initial states of a fresh run, the caller hands
-// in an old fixpoint (or an old fixpoint with some nodes reset) plus the set
-// of nodes whose state or whose inputs changed, and the engine re-aggregates
-// outward from those seeds until the states stabilise again.
+// sparse engine, sharing RunToFixpoint's loop: instead of seeding from the
+// non-⊥ initial states of a fresh run, the caller hands in an old fixpoint
+// (or an old fixpoint with some nodes reset) plus the set of nodes whose
+// state or whose inputs changed, and the engine re-aggregates outward from
+// those seeds until the states stabilise again.
 //
 // The contract on (x0, seeds): x0 must already be filtered, and every node
 // NOT in seeds must satisfy the fixpoint equation x0(v) = r(x0(v) ⊕ ⊕_w
@@ -42,18 +42,14 @@ func (r *Runner[S, M]) RunToFixpointFrom(x0 []M, seeds []graph.Node, maxIter int
 		}
 	}
 	clear(seen) // reuse as the changed-set marks below
-	ds := r.getDelta(len(x))
-	defer r.putDelta(ds)
 	var changed []graph.Node
-	it := 0
-	for ; it < maxIter && len(frontier) > 0; it++ {
-		frontier = r.iterateDelta(x, frontier, ds)
-		for _, v := range frontier {
+	it := r.fixpoint(x, frontier, maxIter, func(next []graph.Node) {
+		for _, v := range next {
 			if !seen[v] {
 				seen[v] = true
 				changed = append(changed, v)
 			}
 		}
-	}
+	})
 	return x, changed, it
 }

@@ -1,12 +1,13 @@
 package mbf
 
 // Differential property tests of the frontier-driven sparse fixpoint engine:
-// on random graphs, IterateDelta and the sparse RunToFixpoint must produce
-// states identical (per Module.Equal, which is exact representation
-// equality for every module here) to the dense engine, for every module and
-// filter configuration and for every parallel width. Runs in the short and
-// -race tiers — the sparse path shares the pooled aggregation scratch and
-// the frontier bookkeeping between workers.
+// on random graphs, Stepper and RunToFixpoint must produce states identical
+// (per Module.Equal, which is exact representation equality for every module
+// here) to the dense definition — Iterate repeated until two consecutive
+// vectors are equal — for every module and filter configuration and for
+// every parallel width. Runs in the short and -race tiers — the sparse path
+// shares the pooled aggregation scratch and the frontier bookkeeping between
+// workers.
 
 import (
 	"testing"
@@ -21,6 +22,29 @@ func maxProcsVariants() []int {
 	return []int{1, 4, par.MaxProcs}
 }
 
+// denseFixpoint is the dense reference fixpoint loop: every iteration
+// re-aggregates all nodes through Iterate and a full vector comparison
+// detects convergence. It returns the states and the number of iterations
+// performed, including the one that confirms the fixpoint.
+func denseFixpoint[S, M any](r *Runner[S, M], x0 []M, maxIter int) ([]M, int) {
+	x := r.filterAll(x0)
+	for it := 1; it <= maxIter; it++ {
+		next := r.Iterate(x)
+		equal := true
+		for v := range x {
+			if !r.Module.Equal(x[v], next[v]) {
+				equal = false
+				break
+			}
+		}
+		if equal {
+			return next, it
+		}
+		x = next
+	}
+	return x, maxIter
+}
+
 // fixpointBoth runs the sparse and dense fixpoint loops from the same x0
 // across the MaxProcs sweep and checks states and iteration counts agree
 // everywhere.
@@ -31,7 +55,7 @@ func fixpointBoth[S, M any](t *testing.T, r *Runner[S, M], x0 []M, maxIter int) 
 	wantIters := -1
 	for _, procs := range maxProcsVariants() {
 		par.MaxProcs = procs
-		dense, dIters := r.RunToFixpointDense(append([]M(nil), x0...), maxIter)
+		dense, dIters := denseFixpoint(r, x0, maxIter)
 		sparse, sIters := r.RunToFixpoint(append([]M(nil), x0...), maxIter)
 		if sIters != dIters {
 			t.Fatalf("MaxProcs=%d: sparse ran %d iterations, dense %d", procs, sIters, dIters)
@@ -139,10 +163,10 @@ func TestSparseFixpointMatchesDenseScalars(t *testing.T) {
 	fixpointBoth(t, rw, w0, g.N())
 }
 
-// TestIterateDeltaMatchesIterate drives the two engines step by step from
-// the same start: after every step the sparse vector must equal the dense
-// one node-for-node, and the returned frontier must be exactly the set of
-// nodes whose state changed in that step.
+// TestIterateDeltaMatchesIterate drives a Stepper and Iterate step by step
+// from the same start: after every step the sparse vector must equal the
+// dense one node-for-node, and the stepper's frontier must be exactly the
+// set of nodes whose state changed in that step.
 func TestIterateDeltaMatchesIterate(t *testing.T) {
 	g := diffGraph(18)
 	r := &Runner[float64, semiring.DistMap]{
@@ -158,13 +182,17 @@ func TestIterateDeltaMatchesIterate(t *testing.T) {
 			xd[v] = r.filter(semiring.SingletonDist(graph.Node(v), 0))
 		}
 	}
-	xs := append([]semiring.DistMap(nil), xd...)
-	frontier := r.Frontier(xs)
+	st := r.NewStepper(xd)
+	defer st.Release()
 	for step := 0; step < g.N(); step++ {
 		next := r.Iterate(xd)
-		xs, frontier = r.IterateDelta(xs, frontier)
-		inFrontier := make(map[graph.Node]bool, len(frontier))
-		for _, v := range frontier {
+		st.Step()
+		if st.Steps() != step+1 {
+			t.Fatalf("step %d: stepper reports %d steps", step, st.Steps())
+		}
+		xs := st.States()
+		inFrontier := make(map[graph.Node]bool, len(st.frontier))
+		for _, v := range st.frontier {
 			inFrontier[v] = true
 		}
 		done := true
@@ -183,8 +211,8 @@ func TestIterateDeltaMatchesIterate(t *testing.T) {
 		}
 		xd = next
 		if done {
-			if len(frontier) != 0 {
-				t.Fatalf("fixpoint reached but frontier %v not empty", frontier)
+			if !st.Done() {
+				t.Fatalf("fixpoint reached but frontier %v not empty", st.frontier)
 			}
 			return
 		}
@@ -213,7 +241,7 @@ func TestRunToFixpointCountsIterationsPerformed(t *testing.T) {
 		t.Fatalf("sparse: %d iterations, want %d = SPD+1", iters, n)
 	}
 	r, x0 = mk()
-	if _, iters := r.RunToFixpointDense(x0, 100); iters != n {
+	if _, iters := denseFixpoint(r, x0, 100); iters != n {
 		t.Fatalf("dense: %d iterations, want %d = SPD+1", iters, n)
 	}
 	// The cap is honoured and reported as the number performed.
@@ -240,18 +268,23 @@ func TestSparseFixpointAllBottomInput(t *testing.T) {
 }
 
 // TestZeroUnstableFilterFallsBackDense: a filter with r(⊥) ≠ ⊥ breaks the
-// frontier invariant; RunToFixpoint must detect it and use the dense loop
-// (whose result is still correct for such filters).
+// non-⊥ seed of a fresh run; RunToFixpoint and NewStepper must detect it and
+// seed every node, which reproduces the dense loop's states and iteration
+// count.
 func TestZeroUnstableFilterFallsBackDense(t *testing.T) {
-	g := graph.PathGraph(4, 1)
+	g := graph.PathGraph(5, 1)
 	r := &Runner[float64, float64]{
 		Graph:  g,
 		Module: semiring.MinPlusSelf{},
 		// Not a lawful representative projection — it invents information at
-		// ⊥ — but exactly the shape the runtime check must catch.
+		// ⊥ and erases the value 7, so filtered states can be ⊥ although
+		// r(⊥) ≠ ⊥ — but exactly the shape the runtime check must catch.
 		Filter: func(x float64) float64 {
-			if semiring.IsInf(x) {
+			switch {
+			case semiring.IsInf(x):
 				return 100
+			case x == 7:
+				return semiring.Inf
 			}
 			return x
 		},
@@ -260,17 +293,29 @@ func TestZeroUnstableFilterFallsBackDense(t *testing.T) {
 	if r.zeroStable() {
 		t.Fatal("zeroStable accepted a filter with r(⊥) ≠ ⊥")
 	}
-	x0 := make([]float64, g.N())
-	for v := range x0 {
-		x0[v] = semiring.Inf
-	}
-	x0[0] = 0
-	got, _ := r.RunToFixpoint(append([]float64(nil), x0...), 100)
-	want, _ := r.RunToFixpointDense(x0, 100)
-	for v := range want {
-		if got[v] != want[v] {
-			t.Fatalf("node %d: fallback %v != dense %v", v, got[v], want[v])
+	// Filtered, nodes 0 and 1 are ⊥ with an all-⊥ neighborhood on the left,
+	// which a non-⊥ seed would skip in the first iteration. Every cap is
+	// compared, so the states must agree after every iteration, not only at
+	// the fixpoint.
+	x0 := []float64{7, 7, semiring.Inf, semiring.Inf, 0}
+	_, fixIters := denseFixpoint(r, x0, 100)
+	st := r.NewStepper(x0)
+	defer st.Release()
+	for maxIter := 1; maxIter <= fixIters; maxIter++ {
+		got, gotIters := r.RunToFixpoint(x0, maxIter)
+		want, wantIters := denseFixpoint(r, x0, maxIter)
+		st.Step()
+		if gotIters != wantIters || st.Steps() != wantIters {
+			t.Fatalf("cap %d: every-node seed ran %d iterations, stepper %d, dense %d", maxIter, gotIters, st.Steps(), wantIters)
 		}
+		for v := range want {
+			if got[v] != want[v] || st.States()[v] != want[v] {
+				t.Fatalf("cap %d node %d: fixpoint %v, stepper %v, dense %v", maxIter, v, got[v], st.States()[v], want[v])
+			}
+		}
+	}
+	if !st.Done() {
+		t.Fatalf("stepper not done after the dense loop's %d iterations", fixIters)
 	}
 }
 

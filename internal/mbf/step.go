@@ -7,9 +7,7 @@ import "parmbf/internal/graph"
 // simulations meter per-round message sizes, so they cannot hand the whole
 // loop to RunToFixpoint. The stepper owns its state vector and one
 // deltaScratch for its entire life, so each Step is the in-place O(affected)
-// sparse iteration of RunToFixpoint's internal loop rather than the pure
-// IterateDelta, whose immutability guarantee costs an Ω(n) vector copy per
-// call.
+// sparse iteration of RunToFixpoint's loop.
 //
 // A Stepper is not safe for concurrent use (each Step parallelises
 // internally), and the runner's Graph/Module/Filter must not change while a
@@ -24,17 +22,14 @@ type Stepper[S, M any] struct {
 }
 
 // NewStepper filters x0 into a stepper-owned vector and seeds the frontier
-// with the non-⊥ states, exactly as RunToFixpoint does before its first
-// iteration. The input vector is not retained.
+// exactly as RunToFixpoint does before its first iteration. The input vector
+// is not retained.
 func (r *Runner[S, M]) NewStepper(x0 []M) *Stepper[S, M] {
-	x := make([]M, len(x0))
-	for i, s := range x0 {
-		x[i] = r.filter(s)
-	}
+	x, frontier := r.start(x0)
 	return &Stepper[S, M]{
 		r:        r,
 		x:        x,
-		frontier: r.Frontier(x),
+		frontier: frontier,
 		ds:       r.getDelta(len(x)),
 	}
 }

@@ -57,42 +57,7 @@ func SourceDetection(g *graph.Graph, sources func(graph.Node) bool, h int, d flo
 			x0[v] = semiring.SingletonDist(graph.Node(v), 0)
 		}
 	}
-	lane := BatchLane[semiring.DistMap]{Filter: r.Filter, FilterInPlace: r.FilterInPlace}
-	out, _ := r.RunToFixpointBatch([][]semiring.DistMap{x0}, []BatchLane[semiring.DistMap]{lane}, h)
-	return out[0]
-}
-
-// SourceDetectionBatch runs B independent (S_b, h, d, k)-source-detection
-// instances — one per entry of sourceSets — as a single batched multi-source
-// sweep: every iteration makes one pass over the CSR arcs serving all lanes
-// at once, with per-node bit-packed lane masks tracking which lanes can
-// still change (see mbf.Runner.RunToFixpointBatch). The result equals
-// running SourceDetection per source set, lane for lane (pinned by the
-// batch differential tests), at a fraction of the graph traffic.
-func SourceDetectionBatch(g *graph.Graph, sourceSets []func(graph.Node) bool, h int, d float64, k int, tracker *par.Tracker) [][]semiring.DistMap {
-	r := &Runner[float64, semiring.DistMap]{
-		Graph:   g,
-		Module:  semiring.DistMapModule{},
-		Weight:  MinPlusWeight,
-		Size:    func(x semiring.DistMap) int { return x.Len() + 1 },
-		Tracker: tracker,
-	}
-	xs := make([][]semiring.DistMap, len(sourceSets))
-	lanes := make([]BatchLane[semiring.DistMap], len(sourceSets))
-	for b, sources := range sourceSets {
-		x0 := make([]semiring.DistMap, g.N())
-		for v := range x0 {
-			if sources == nil || sources(graph.Node(v)) {
-				x0[v] = semiring.SingletonDist(graph.Node(v), 0)
-			}
-		}
-		xs[b] = x0
-		lanes[b] = BatchLane[semiring.DistMap]{
-			Filter:        semiring.TopKFilter(k, d, sources),
-			FilterInPlace: semiring.TopKFilterInPlace(k, d, sources),
-		}
-	}
-	out, _ := r.RunToFixpointBatch(xs, lanes, h)
+	out, _ := r.RunToFixpoint(x0, h)
 	return out
 }
 

@@ -68,22 +68,6 @@ type FilteredAggregator[S, M any] interface {
 	AggregateFiltered(sc *Scratch, self M, terms []Term[S, M], filter Filter[M]) M
 }
 
-// BatchAggregator is the optional batched fast path of a semimodule: one
-// call aggregates B independent lanes — selfs[b] ⊕ ⊕_i terms[b][i] for every
-// lane b — over a single shared Scratch, so the merge buffers stay hot
-// across lanes. It backs the batched multi-source sweep (mbf.Runner's
-// IterateBatch/RunToFixpointBatch), where one pass over the CSR arcs
-// gathers every lane's terms at once.
-//
-// outs must have length len(selfs); outs[b] receives lane b's result, which
-// must equal Aggregate(sc, selfs[b], terms[b]) exactly and never alias an
-// input. Engines fall back to per-lane Aggregate (or the generic fold) when
-// a module does not implement it.
-type BatchAggregator[S, M any] interface {
-	Aggregator[S, M]
-	AggregateBatch(sc *Scratch, selfs []M, terms [][]Term[S, M], outs []M)
-}
-
 // Scratch holds the reusable buffers of Aggregate: the k-way-merge cursor
 // heap, per-module list headers, and the reduction arenas of the SoA
 // distance-map kernel (distmerge.go). A zero Scratch is ready to use;

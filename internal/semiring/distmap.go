@@ -545,18 +545,6 @@ func (b *smallLists) gather(self DistMap, terms []Term[float64, DistMap]) (n, to
 	return n, total, true
 }
 
-// AggregateBatch is the batched multi-source sweep entry point: it computes,
-// for every lane b, the k-way aggregation selfs[b] ⊕ ⊕_i terms[b][i] through
-// the same SoA kernel, sharing one scratch (cursor heap, reduction arenas,
-// shift buffers stay hot across lanes). outs[b] receives lane b's result,
-// which never aliases any input. It powers mbf.Runner.IterateBatch, where
-// one pass over the CSR arcs gathers the terms of every lane at once.
-func (m DistMapModule) AggregateBatch(sc *Scratch, selfs []DistMap, terms [][]Term[float64, DistMap], outs []DistMap) {
-	for b := range selfs {
-		outs[b] = m.Aggregate(sc, selfs[b], terms[b])
-	}
-}
-
 // Zero returns ⊥, the empty distance map.
 func (DistMapModule) Zero() DistMap { return DistMap{} }
 
@@ -580,7 +568,6 @@ func (DistMapModule) Equal(x, y DistMap) bool {
 
 var (
 	_ Aggregator[float64, DistMap]         = DistMapModule{}
-	_ BatchAggregator[float64, DistMap]    = DistMapModule{}
 	_ FilteredAggregator[float64, DistMap] = DistMapModule{}
 )
 

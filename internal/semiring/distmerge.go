@@ -1,9 +1,9 @@
 package semiring
 
 // This file is the k-way min-merge kernel of the distance-map semimodule —
-// the single merge implementation behind DistMapModule.Add, Aggregate, and
-// AggregateBatch, and therefore the inner loop of every MBF-like iteration,
-// oracle cross-level merge, and LE-list pass (Lemma 2.3).
+// the single merge implementation behind DistMapModule.Add and Aggregate,
+// and therefore the inner loop of every MBF-like iteration, oracle
+// cross-level merge, and LE-list pass (Lemma 2.3).
 //
 // The kernel exploits the SoA layout of DistMap: the merge order is decided
 // on the contiguous int32 node-ID arrays alone, with the float64 payload
