@@ -109,10 +109,11 @@ bench-oracle:
 ## Application-tier benchmarks: k-median candidate evaluation on the batched
 ## OracleIndex kernel vs the seed-era per-center Dijkstra loop (the measured
 ## rebase speedup), the full k-median and buy-at-bulk solves on a pre-drawn
-## ensemble, and oblivious routing (table build + 256-route query batches);
-## each run appends one JSON line to BENCH_apps.json.
+## ensemble, buy-at-bulk on warm routing tables (the served path), and
+## oblivious routing (table build + 256-route query batches); each run
+## appends one JSON line to BENCH_apps.json.
 bench-apps:
-	@out="$$($(GO) test ./internal/apps/kmedian/ ./internal/apps/buyatbulk/ ./internal/apps/routing/ -run xxx -bench 'KMedianEval|KMedianSolve|BuyAtBulkSolve|RoutingTables|RouteQueryBatch' -benchmem -timeout 30m)" \
+	@out="$$($(GO) test ./internal/apps/kmedian/ ./internal/apps/buyatbulk/ ./internal/apps/routing/ -run xxx -bench 'KMedianEval|KMedianSolve|BuyAtBulkSolve|BuyAtBulkWarmTables|RoutingTables|RouteQueryBatch' -benchmem -timeout 30m)" \
 		|| { echo "$$out"; echo "bench-apps: go test failed"; exit 1; }; \
 	echo "$$out"; \
 	echo "$$out" | grep '^Benchmark' | jq -R . | jq -sc \
@@ -158,7 +159,7 @@ bench-gate:
 	$(GO) run ./cmd/benchgate -file BENCH_mbf.json -match 'Iterate4096|SourceDetection4096|BenchmarkLEListsOnGraph$$|BenchmarkIncrementalUpdate$$|BenchmarkEmbedderSample$$|BenchmarkOracleRunToFixpoint$$' -max 1.20
 	$(GO) run ./cmd/benchgate -file BENCH_oracle.json -match 'OracleIndexMinBatch4096|SnapshotLoad4096|FleetBatch1024' -max 1.20
 	$(GO) run ./cmd/benchgate -file BENCH_semiring.json -match 'MergeKernel/' -max 1.20
-	$(GO) run ./cmd/benchgate -file BENCH_apps.json -match 'KMedianEvalIndex|KMedianSolve|BuyAtBulkSolve|RouteQueryBatch' -max 1.20
+	$(GO) run ./cmd/benchgate -file BENCH_apps.json -match 'KMedianEvalIndex|KMedianSolve|BuyAtBulkSolve|BuyAtBulkWarmTables|RouteQueryBatch' -max 1.20
 
 ## Scale-tier gate: wider ns/op budget (single 1x runs are noisier than the
 ## averaged core tier) plus a B/op ceiling — at 10^6 nodes a 15% allocation

@@ -166,8 +166,13 @@ func (s *server) handleBuyAtBulk(w http.ResponseWriter, r *http.Request) {
 	for i, c := range req.Cables {
 		cables[i] = buyatbulk.CableType{Capacity: c.Capacity, Cost: c.Cost}
 	}
-	sol, err := buyatbulk.Solve(st.g, demands, cables, buyatbulk.Options{
-		Ensemble:  st.ens,
+	tables, err := s.routingTables(st)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, errBadScenario,
+			"building routing tables: "+err.Error(), nil)
+		return
+	}
+	sol, err := buyatbulk.SolveOnTables(tables, demands, cables, buyatbulk.Options{
 		FirstTree: req.FirstTree,
 		Trees:     req.Trees,
 	})
@@ -184,8 +189,8 @@ func (s *server) handleBuyAtBulk(w http.ResponseWriter, r *http.Request) {
 }
 
 // routeRequest asks for oblivious routes. The next-hop tables are built
-// lazily on the first /route after a (re)start or /update and cached until
-// the serving version moves.
+// lazily on the first /route or /buyatbulk after a (re)start or /update and
+// cached until the serving version moves.
 type routeRequest struct {
 	Pairs [][2]int64 `json:"pairs"`
 }
@@ -202,8 +207,10 @@ type routeResponse struct {
 }
 
 // routingTables returns the oblivious-routing tables for the snapshot st,
-// building them on first use and rebuilding after every /update (the cache
-// key is the serving-state version).
+// building them on the first /route or /buyatbulk and rebuilding on the
+// first one after every /update (the cache key is the serving-state
+// version). /buyatbulk expands its loaded tree edges through the same
+// tables, so neither endpoint runs a fixpoint on a warm cache.
 func (s *server) routingTables(st *serverState) (*routing.Tables, error) {
 	s.scenarioMu.Lock()
 	defer s.scenarioMu.Unlock()

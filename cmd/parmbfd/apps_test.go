@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -415,5 +416,98 @@ func TestClientScenarioModes(t *testing.T) {
 	}
 	if err := runClient(ts.URL, "nonsense", 1, 1, 1, 1, ""); err == nil {
 		t.Fatal("unknown -mode must fail")
+	}
+}
+
+// cachedRouteTables reads the per-version routing-table cache under its lock.
+func cachedRouteTables(s *server) (*routing.Tables, int64) {
+	s.scenarioMu.Lock()
+	defer s.scenarioMu.Unlock()
+	return s.routeTables, s.routeTablesAt
+}
+
+// TestBuyAtBulkSharesRouteTables: /buyatbulk expands its loaded tree edges
+// through the per-version routing tables /route caches. A /buyatbulk sent
+// before any /route builds them and the next /route reuses them; /update
+// leaves the rebuild to the next scenario request; and every answer equals
+// buyatbulk.Solve on the serving ensemble of its version, bit for bit.
+func TestBuyAtBulkSharesRouteTables(t *testing.T) {
+	s, ts, dyn := testDynamicServer(t)
+	req := buyAtBulkRequest{
+		Demands: []wireDemand{{S: 0, T: 31, Amount: 2}, {S: 5, T: 17, Amount: 1.5}, {S: 38, T: 3, Amount: 6}, {S: 12, T: 25, Amount: 9}},
+		Cables:  testCables,
+	}
+	demands := make([]buyatbulk.Demand, len(req.Demands))
+	for i, d := range req.Demands {
+		demands[i] = buyatbulk.Demand{S: graph.Node(d.S), T: graph.Node(d.T), Amount: d.Amount}
+	}
+	cables := make([]buyatbulk.CableType, len(req.Cables))
+	for i, c := range req.Cables {
+		cables[i] = buyatbulk.CableType{Capacity: c.Capacity, Cost: c.Cost}
+	}
+	check := func(when string) {
+		t.Helper()
+		var got buyAtBulkResponse
+		if code := postJSONValue(t, ts.URL+"/buyatbulk", req, &got); code != http.StatusOK {
+			t.Fatalf("buyatbulk %s: code %d", when, code)
+		}
+		st := s.state.Load()
+		want, err := buyatbulk.Solve(st.g, demands, cables, buyatbulk.Options{Ensemble: st.ens})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got.Cost) != math.Float64bits(want.Cost) || len(got.Purchases) != len(want.Purchases) {
+			t.Fatalf("%s: endpoint cost %v (%d purchases), buyatbulk.Solve %v (%d purchases)",
+				when, got.Cost, len(got.Purchases), want.Cost, len(want.Purchases))
+		}
+		for i, p := range want.Purchases {
+			w := wirePurchase{U: int64(p.U), V: int64(p.V), Cable: p.Cable, Count: p.Count}
+			if got.Purchases[i] != w {
+				t.Fatalf("%s: purchase %d = %+v, want %+v", when, i, got.Purchases[i], w)
+			}
+		}
+	}
+
+	if rt, _ := cachedRouteTables(s); rt != nil {
+		t.Fatal("routing tables built before the first scenario request")
+	}
+	check("cold")
+	built, at := cachedRouteTables(s)
+	if built == nil || at != s.state.Load().version {
+		t.Fatal("/buyatbulk did not build the per-version routing tables")
+	}
+	var routed routeResponse
+	if code := postJSONValue(t, ts.URL+"/route", routeRequest{Pairs: [][2]int64{{0, 25}}}, &routed); code != http.StatusOK {
+		t.Fatalf("route: code %d", code)
+	}
+	if rt, _ := cachedRouteTables(s); rt != built {
+		t.Fatal("/route rebuilt the tables /buyatbulk had built for the same version")
+	}
+
+	e := dyn.Graph().Edges()[3]
+	var ur updateResponse
+	if code := postJSONValue(t, ts.URL+"/update", updateRequest{Edits: []updateEdit{
+		{Op: "reweight", U: int64(e.U), V: int64(e.V), Weight: e.Weight * 4},
+	}}, &ur); code != http.StatusOK {
+		t.Fatalf("update: code %d", code)
+	}
+	if rt, _ := cachedRouteTables(s); rt != built {
+		t.Fatal("/update rebuilt the routing tables itself")
+	}
+	check("after update")
+	if rt, at := cachedRouteTables(s); rt == built || at != s.state.Load().version {
+		t.Fatal("/buyatbulk after /update did not rebuild the tables for the new version")
+	}
+}
+
+// TestBuyAtBulkRejectsUnpriceableCable: a capacity so small that the cable
+// count overflows an int used to yield a solution failing its own Validate;
+// it is a structured 400 now.
+func TestBuyAtBulkRejectsUnpriceableCable(t *testing.T) {
+	_, ts, _, _ := testServer(t)
+	status, e := postForError(t, ts.URL+"/buyatbulk",
+		`{"demands":[{"s":0,"t":31,"amount":1}],"cables":[{"capacity":1e-300,"cost":1}]}`)
+	if status != http.StatusBadRequest || e.Code != errBadScenario {
+		t.Fatalf("status %d code %q, want %d %q", status, e.Code, http.StatusBadRequest, errBadScenario)
 	}
 }

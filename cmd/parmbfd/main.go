@@ -333,7 +333,7 @@ type server struct {
 
 	// scenarioMu guards the lazily built oblivious-routing tables; they are
 	// keyed by the serving-state version, so an /update invalidates them and
-	// the next /route rebuilds against the new trees.
+	// the next /route or /buyatbulk rebuilds against the new trees.
 	scenarioMu    sync.Mutex
 	routeTables   *routing.Tables
 	routeTablesAt int64

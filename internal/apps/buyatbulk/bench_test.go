@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"parmbf/internal/apps/routing"
 	"parmbf/internal/frt"
 	"parmbf/internal/graph"
 	"parmbf/internal/par"
@@ -50,14 +51,46 @@ func benchFixture(b *testing.B) (*graph.Graph, *frt.Ensemble, []Demand, []CableT
 }
 
 // BenchmarkBuyAtBulkSolve is one full solve on a pre-drawn ensemble: the LCA
-// flow accumulation over 256 demands, the cable loader per loaded edge, and
-// the best-of-ensemble fold.
+// flow accumulation over 256 demands, one routing fixpoint towards the union
+// of the loaded parent centers, the cable loader per loaded edge, and the
+// best-of-ensemble fold.
 func BenchmarkBuyAtBulkSolve(b *testing.B) {
 	g, ens, demands, cables := benchFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sol, err := Solve(g, demands, cables, Options{Ensemble: ens})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if sol.Cost <= 0 {
+			b.Fatal("non-positive cost")
+		}
+	}
+}
+
+var warmTables struct {
+	once   sync.Once
+	tables *routing.Tables
+	err    error
+}
+
+// BenchmarkBuyAtBulkWarmTables is the served path: the same solve as
+// BenchmarkBuyAtBulkSolve on routing tables built once beforehand (as a
+// daemon caches them per serving version), so a request runs no fixpoint
+// and indexes no tree.
+func BenchmarkBuyAtBulkWarmTables(b *testing.B) {
+	g, ens, demands, cables := benchFixture(b)
+	warmTables.once.Do(func() {
+		warmTables.tables, warmTables.err = routing.Build(g, routing.Options{Ensemble: ens})
+	})
+	if warmTables.err != nil {
+		b.Fatal(warmTables.err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sol, err := SolveOnTables(warmTables.tables, demands, cables, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,8 +10,17 @@
 //	    accumulated with an LCA-delta sweep over the TreeIndex instead of
 //	    per-demand lockstep walks, and
 //	(3) maps each loaded tree edge back to a shortest path in G between the
-//	    cluster centers (§7.5) by walking the next-hop tables of one
-//	    sparse-engine routing fixpoint, purchasing the same cables along it.
+//	    cluster centers (§7.5) through routing.Tables, the application
+//	    tier's one path expander, purchasing the same cables along it.
+//	    Solve builds one Tables per call, whose single sparse-engine
+//	    fixpoint targets the union of every visited tree's loaded parent
+//	    centers; SolveOnTables reuses prebuilt tables — a daemon passes the
+//	    ones it caches for /route — so a request runs no fixpoint and
+//	    indexes no tree.
+//
+// A next-hop entry is (exact distance, smallest neighbour on a shortest
+// path) whichever other targets share its fixpoint, so both entry points
+// walk the same paths and return bitwise-equal solutions.
 //
 // The linearity of the objective in edge weights is what makes the FRT
 // stretch argument go through: an optimal solution in G induces a tree
@@ -26,11 +35,10 @@ import (
 	"slices"
 	"sort"
 
+	"parmbf/internal/apps/routing"
 	"parmbf/internal/apps/scenario"
 	"parmbf/internal/frt"
 	"parmbf/internal/graph"
-	"parmbf/internal/mbf"
-	"parmbf/internal/par"
 )
 
 // Demand routes Amount units of (distinct) flow from S to T.
@@ -77,14 +85,16 @@ type Options = scenario.Options
 const defaultTrees = 1
 
 // bestCable returns the cable choice minimising cost·⌈flow/capacity⌉ per
-// unit of edge weight.
+// unit of edge weight. idx is -1 when some cable's count ⌈flow/capacity⌉
+// does not fit in an int.
 func bestCable(cables []CableType, flow float64) (idx, count int, costPerWeight float64) {
 	idx = -1
 	for i, c := range cables {
-		n := int(math.Ceil(flow / c.Capacity))
-		if n < 1 {
-			n = 1
+		q := math.Ceil(flow / c.Capacity)
+		if !(q < float64(math.MaxInt)) {
+			return -1, 0, 0
 		}
+		n := max(int(q), 1)
 		if cost := float64(n) * c.Cost; idx == -1 || cost < costPerWeight {
 			idx, count, costPerWeight = i, n, cost
 		}
@@ -92,22 +102,36 @@ func bestCable(cables []CableType, flow float64) (idx, count int, costPerWeight 
 	return idx, count, costPerWeight
 }
 
-// Solve computes an expected O(log n)-approximate buy-at-bulk solution.
-func Solve(g *graph.Graph, demands []Demand, cables []CableType, opts Options) (*Solution, error) {
+// positiveFinite reports whether x is a finite number above zero.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
+// validate checks the cable catalogue and the demands against a graph of n
+// nodes.
+func validate(n int, demands []Demand, cables []CableType) error {
 	if len(cables) == 0 {
-		return nil, fmt.Errorf("buyatbulk: no cable types")
+		return fmt.Errorf("buyatbulk: no cable types")
 	}
 	for _, c := range cables {
-		if c.Capacity <= 0 || c.Cost <= 0 {
-			return nil, fmt.Errorf("buyatbulk: invalid cable type %+v", c)
+		if !positiveFinite(c.Capacity) || !positiveFinite(c.Cost) {
+			return fmt.Errorf("buyatbulk: invalid cable type %+v", c)
 		}
 	}
 	for _, d := range demands {
-		if d.Amount <= 0 || int(d.S) >= g.N() || int(d.T) >= g.N() {
-			return nil, fmt.Errorf("buyatbulk: invalid demand %+v", d)
+		if !positiveFinite(d.Amount) || d.S < 0 || int(d.S) >= n || d.T < 0 || int(d.T) >= n {
+			return fmt.Errorf("buyatbulk: invalid demand %+v", d)
 		}
 	}
+	return nil
+}
 
+// Solve computes an expected O(log n)-approximate buy-at-bulk solution. It
+// indexes the visited trees, computes every tree's loaded hops, and expands
+// them all through one routing.Tables built towards the union of their
+// parent centers.
+func Solve(g *graph.Graph, demands []Demand, cables []CableType, opts Options) (*Solution, error) {
+	if err := validate(g.N(), demands, cables); err != nil {
+		return nil, err
+	}
 	ens, err := opts.Resolve(g, defaultTrees)
 	if err != nil {
 		return nil, err
@@ -116,32 +140,58 @@ func Solve(g *graph.Graph, demands []Demand, cables []CableType, opts Options) (
 	if err != nil {
 		return nil, err
 	}
-	var best *Solution
-	for _, tree := range visit {
-		sol, err := solveOnTree(g, tree, demands, cables, opts.Tracker)
-		if err != nil {
+	trees := make([]*frt.TreeIndex, len(visit))
+	loads := make([][]load, len(visit))
+	var targets []graph.Node
+	for i, tree := range visit {
+		if trees[i], err = frt.NewTreeIndex(tree); err != nil {
 			return nil, err
 		}
-		if best == nil || sol.Cost < best.Cost {
-			best = sol
+		loads[i] = treeLoads(trees[i], demands)
+		for _, l := range loads[i] {
+			targets = append(targets, l.to)
 		}
 	}
-	return best, nil
+	return cheapest(routing.New(g, trees, targets, opts.Tracker), loads, cables)
 }
 
-// solveOnTree runs steps (2) and (3) against one sampled tree.
-func solveOnTree(g *graph.Graph, tree *frt.Tree, demands []Demand, cables []CableType, tracker *par.Tracker) (*Solution, error) {
-	tidx, err := frt.NewTreeIndex(tree)
+// SolveOnTables is Solve on prebuilt routing tables: it visits the trees of
+// rt that opts.FirstTree and opts.Trees select and expands every loaded hop
+// through rt, so it runs no fixpoint and indexes no tree. The other Options
+// fields are unused. rt must route towards every internal-node center of its
+// trees, as routing.Build's tables do; on tables built from the same
+// ensemble it returns exactly what Solve returns.
+func SolveOnTables(rt *routing.Tables, demands []Demand, cables []CableType, opts Options) (*Solution, error) {
+	if err := validate(rt.Graph().N(), demands, cables); err != nil {
+		return nil, err
+	}
+	lo, hi, err := opts.Span(rt.NumTrees())
 	if err != nil {
 		return nil, err
 	}
-	nt := tree.NumNodes()
+	trees := rt.Trees()[lo:hi]
+	loads := make([][]load, len(trees))
+	for i, tidx := range trees {
+		loads[i] = treeLoads(tidx, demands)
+	}
+	return cheapest(rt, loads, cables)
+}
 
-	// (2) Route demands on the tree: per demand, +amount at both leaves and
-	// −amount at their meeting height, then one children-before-parents
-	// subtree-sum pass turns the deltas into per-tree-edge flow (keyed by
-	// the child endpoint). O(|demands|·log depth + nt) total, replacing the
-	// seed-era O(|demands|·depth) per-pair lockstep walks.
+// load is one loaded tree edge as a center-to-center hop in G.
+type load struct {
+	from, to graph.Node
+	flow     float64
+}
+
+// treeLoads runs step (2) on one tree: per demand, +amount at both leaves
+// and −amount at their meeting height, then one children-before-parents
+// subtree-sum pass turns the deltas into per-tree-edge flow (keyed by the
+// child endpoint). O(|demands|·log depth + nt) total. Every tree edge with
+// positive flow and distinct endpoint centers becomes a hop from the child's
+// center to the parent's.
+func treeLoads(tidx *frt.TreeIndex, demands []Demand) []load {
+	tree := tidx.Tree()
+	nt := tree.NumNodes()
 	delta := make([]float64, nt)
 	for _, d := range demands {
 		if d.S == d.T {
@@ -162,18 +212,7 @@ func solveOnTree(g *graph.Graph, tree *frt.Tree, demands []Demand, cables []Cabl
 		flow[u] = delta[u]
 		delta[p] += delta[u]
 	}
-
-	// (3) Buy cables per loaded tree edge and map them onto shortest
-	// center-to-center paths in G: one routing fixpoint towards the distinct
-	// parent centers builds next-hop tables for every source at once, and
-	// each path is materialised by walking Next pointers (§7.5's "nodes
-	// locally store the predecessor of shortest paths just like in APSP").
-	type load struct {
-		from, to graph.Node
-		flow     float64
-	}
 	var loads []load
-	targetSet := map[graph.Node]bool{}
 	for child := int32(0); child < int32(nt); child++ {
 		f := flow[child]
 		p := tree.Parent[child]
@@ -185,33 +224,51 @@ func solveOnTree(g *graph.Graph, tree *frt.Tree, demands []Demand, cables []Cabl
 			continue // zero-length hop: nothing to buy
 		}
 		loads = append(loads, load{from: from, to: to, flow: f})
-		targetSet[to] = true
 	}
+	return loads
+}
 
+// cheapest buys every tree's loads through rt and returns the cheapest
+// per-tree solution (the first on ties).
+func cheapest(rt *routing.Tables, loads [][]load, cables []CableType) (*Solution, error) {
+	var best *Solution
+	for _, ls := range loads {
+		sol, err := buy(rt, ls, cables)
+		if err != nil {
+			return nil, err
+		}
+		if best == nil || sol.Cost < best.Cost {
+			best = sol
+		}
+	}
+	return best, nil
+}
+
+// buy runs step (3) for one tree: it buys cables per loaded hop and lays
+// them along the hop's shortest center-to-center path in G, which rt walks
+// from its next-hop tables (§7.5's "nodes locally store the predecessor of
+// shortest paths just like in APSP").
+func buy(rt *routing.Tables, loads []load, cables []CableType) (*Solution, error) {
+	g := rt.Graph()
 	type edgeKey = [2]graph.Node
 	counts := map[edgeKey]map[int]int{}
 	flowBy := map[edgeKey]float64{}
-	if len(loads) > 0 {
-		targets := make([]graph.Node, 0, len(targetSet))
-		for t := range targetSet {
-			targets = append(targets, t)
+	for _, l := range loads {
+		cable, count, _ := bestCable(cables, l.flow)
+		if cable < 0 {
+			return nil, fmt.Errorf("buyatbulk: flow %v needs more cables than an int counts", l.flow)
 		}
-		sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
-		tables := mbf.RoutingTablesTo(g, targets, tracker)
-		for _, l := range loads {
-			cable, count, _ := bestCable(cables, l.flow)
-			path := mbf.WalkRoute(tables, l.from, l.to)
-			if path == nil {
-				return nil, fmt.Errorf("buyatbulk: centers %d, %d disconnected", l.from, l.to)
+		path := rt.Path(l.from, l.to)
+		if path == nil {
+			return nil, fmt.Errorf("buyatbulk: centers %d, %d disconnected", l.from, l.to)
+		}
+		for i := 1; i < len(path); i++ {
+			k := orderedKey(path[i-1], path[i])
+			if counts[k] == nil {
+				counts[k] = map[int]int{}
 			}
-			for i := 1; i < len(path); i++ {
-				k := orderedKey(path[i-1], path[i])
-				if counts[k] == nil {
-					counts[k] = map[int]int{}
-				}
-				counts[k][cable] += count
-				flowBy[k] += l.flow
-			}
+			counts[k][cable] += count
+			flowBy[k] += l.flow
 		}
 	}
 
@@ -263,7 +320,8 @@ func orderedKey(u, v graph.Node) [2]graph.Node {
 
 // DirectShortestPath is the aggregation-free baseline: each demand is routed
 // on a shortest path in G, flows are summed per edge, and the best cable
-// combination is bought per edge.
+// combination is bought per edge. It expects demands and cables that Solve
+// accepts.
 func DirectShortestPath(g *graph.Graph, demands []Demand, cables []CableType) *Solution {
 	flowBy := map[[2]graph.Node]float64{}
 	sssp := map[graph.Node]*graph.SSSPResult{}

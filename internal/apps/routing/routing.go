@@ -7,6 +7,12 @@
 // set, and the FRT stretch bound makes every routed path an expected
 // O(log n)-approximation of the shortest path.
 //
+// Tables is also the application tier's one path expander: buy-at-bulk and
+// Steiner map their loaded tree edges to graph paths through Tables.Path,
+// either on tables built for one solve (New, towards exactly the parent
+// centers the solve loads) or on the tables a daemon already caches for
+// /route.
+//
 // The implementation rides entirely on the fast layers:
 //
 //   - trees come from the shared frt.Embedder pipeline (or an injected
@@ -18,16 +24,19 @@
 //     (mbf.RoutingTablesTo with the RouteMapModule aggregator fast path)
 //     towards the distinct cluster centers, shared by all trees,
 //   - paths are materialised by mbf.WalkRoute, one trusted hop at a time.
+//     A table entry is (exact distance, smallest neighbour on a shortest
+//     path) and does not depend on which other targets share the fixpoint,
+//     so a walk is the same on every Tables that routes towards its end.
 package routing
 
 import (
 	"fmt"
-	"sort"
 
 	"parmbf/internal/apps/scenario"
 	"parmbf/internal/frt"
 	"parmbf/internal/graph"
 	"parmbf/internal/mbf"
+	"parmbf/internal/par"
 	"parmbf/internal/semiring"
 )
 
@@ -42,7 +51,7 @@ type Options = scenario.Options
 const defaultTrees = 4
 
 // Tables is a built oblivious-routing scheme: per-tree decompositions plus
-// one shared next-hop table towards every cluster center.
+// one shared next-hop table towards a set of target centers.
 type Tables struct {
 	g     *graph.Graph
 	trees []*frt.TreeIndex
@@ -50,8 +59,8 @@ type Tables struct {
 	// serves all trees because the target set is the union of their centers.
 	tables []semiring.RouteMap
 	// isTarget marks the graph nodes the shared tables can route towards
-	// (the internal-node centers of all trees). Segments ending elsewhere
-	// are walked in reverse — valid on undirected graphs.
+	// (for Build: the internal-node centers of all trees). Segments ending
+	// elsewhere are walked in reverse — valid on undirected graphs.
 	isTarget []bool
 }
 
@@ -70,7 +79,8 @@ type RouteResult struct {
 	TreeDist float64
 }
 
-// Build constructs the oblivious routing tables for g.
+// Build constructs the oblivious routing tables for g: the visited trees'
+// decompositions and next-hop tables towards every internal-node center.
 func Build(g *graph.Graph, opts Options) (*Tables, error) {
 	ens, err := opts.Resolve(g, defaultTrees)
 	if err != nil {
@@ -80,13 +90,12 @@ func Build(g *graph.Graph, opts Options) (*Tables, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := &Tables{g: g, isTarget: make([]bool, g.N())}
-	for _, tree := range visit {
-		tidx, err := frt.NewTreeIndex(tree)
-		if err != nil {
+	trees := make([]*frt.TreeIndex, len(visit))
+	var targets []graph.Node
+	for i, tree := range visit {
+		if trees[i], err = frt.NewTreeIndex(tree); err != nil {
 			return nil, err
 		}
-		rt.trees = append(rt.trees, tidx)
 		// Every internal tree node's center is a potential segment endpoint;
 		// leaves' centers are the graph nodes themselves and need no table
 		// entry (they are only ever walked *from*, or reached in reverse).
@@ -96,25 +105,39 @@ func Build(g *graph.Graph, opts Options) (*Tables, error) {
 		}
 		for x := 0; x < tree.NumNodes(); x++ {
 			if !isLeaf[x] {
-				rt.isTarget[tree.Center[x]] = true
+				targets = append(targets, tree.Center[x])
 			}
 		}
 	}
-	targets := make([]graph.Node, 0)
-	for v, is := range rt.isTarget {
-		if is {
-			targets = append(targets, graph.Node(v))
-		}
-	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
-	if len(targets) > 0 {
-		rt.tables = mbf.RoutingTablesTo(g, targets, opts.Tracker)
-	}
-	return rt, nil
+	return New(g, trees, targets, opts.Tracker), nil
 }
 
-// NumTrees returns the ensemble size the tables were built from.
+// New builds Tables over the given tree decompositions, with next-hop tables
+// towards targets only (repeats allowed): one sparse fixpoint whose state is
+// n×|distinct targets|. Path expands any hop with an endpoint among the
+// targets; Route needs the targets to cover every internal-node center of
+// trees, as Build's do. trees may be empty when the caller only expands
+// paths.
+func New(g *graph.Graph, trees []*frt.TreeIndex, targets []graph.Node, tracker *par.Tracker) *Tables {
+	rt := &Tables{g: g, trees: trees, isTarget: make([]bool, g.N())}
+	for _, t := range targets {
+		rt.isTarget[t] = true
+	}
+	if len(targets) > 0 {
+		rt.tables = mbf.RoutingTablesTo(g, targets, tracker)
+	}
+	return rt
+}
+
+// NumTrees returns the number of tree decompositions the tables hold.
 func (rt *Tables) NumTrees() int { return len(rt.trees) }
+
+// Trees returns the tree decompositions in ensemble order. The slice is
+// shared: callers must not modify it.
+func (rt *Tables) Trees() []*frt.TreeIndex { return rt.trees }
+
+// Graph returns the graph the tables route on.
+func (rt *Tables) Graph() *graph.Graph { return rt.g }
 
 // Route routes one demand obliviously: pick the tree with the smallest tree
 // distance, walk its tree path as a chain of cluster centers, and expand
@@ -125,6 +148,9 @@ func (rt *Tables) Route(u, v graph.Node) (*RouteResult, error) {
 	}
 	if u == v {
 		return &RouteResult{Path: []graph.Node{u}}, nil
+	}
+	if len(rt.trees) == 0 {
+		return nil, fmt.Errorf("routing: tables hold no trees")
 	}
 	best, bestDist := 0, rt.trees[0].Dist(u, v)
 	for t := 1; t < len(rt.trees); t++ {
@@ -149,7 +175,7 @@ func (rt *Tables) Route(u, v graph.Node) (*RouteResult, error) {
 	length := 0.0
 	for i := 1; i < len(chain); i++ {
 		a, b := chain[i-1], chain[i]
-		seg := rt.segment(a, b)
+		seg := rt.Path(a, b)
 		if seg == nil {
 			return nil, fmt.Errorf("routing: centers %d, %d disconnected", a, b)
 		}
@@ -162,11 +188,17 @@ func (rt *Tables) Route(u, v graph.Node) (*RouteResult, error) {
 	return &RouteResult{Path: path, Length: length, Tree: best, TreeDist: bestDist}, nil
 }
 
-// segment expands one center hop a→b into a shortest path of G. Every hop
-// has at least one endpoint in the target set (internal centers are targets;
-// only the chain's first and last centers can be plain leaves), so either a
-// forward walk towards b or a reversed walk from b towards a applies.
-func (rt *Tables) segment(a, b graph.Node) []graph.Node {
+// Path expands one center hop a→b into a shortest path of G, from a to b.
+// One endpoint must be a target of the tables: a forward walk applies when b
+// is one, else a reversed walk from b towards a. (On a Route chain every hop
+// qualifies — internal centers are targets, and only the chain's first and
+// last centers can be plain leaves.) Returns nil when neither endpoint is a
+// target, either is out of range, or the two are disconnected.
+func (rt *Tables) Path(a, b graph.Node) []graph.Node {
+	n := len(rt.isTarget)
+	if int(a) < 0 || int(a) >= n || int(b) < 0 || int(b) >= n || rt.tables == nil {
+		return nil
+	}
 	if rt.isTarget[b] {
 		return mbf.WalkRoute(rt.tables, a, b)
 	}

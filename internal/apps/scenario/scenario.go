@@ -70,22 +70,31 @@ func (o Options) Resolve(g *graph.Graph, defaultTrees int) (*frt.Ensemble, error
 }
 
 // Visit returns the subrange of ens.Trees the scenario's per-tree loop
-// should cover: [FirstTree, FirstTree+Trees) clamped to the ensemble, the
-// whole ensemble when Trees is 0. An out-of-range FirstTree is an error (a
-// sharded deployment asking for trees the worker does not hold is a caller
-// bug, not something to silently clamp to empty).
+// should cover; see Span.
 func (o Options) Visit(ens *frt.Ensemble) ([]*frt.Tree, error) {
-	k := len(ens.Trees)
-	lo := o.FirstTree
+	lo, hi, err := o.Span(len(ens.Trees))
+	if err != nil {
+		return nil, err
+	}
+	return ens.Trees[lo:hi], nil
+}
+
+// Span returns the bounds of the per-tree loop over k trees:
+// [FirstTree, FirstTree+Trees) clamped to k, all k trees when Trees is 0. An
+// out-of-range FirstTree is an error (a sharded deployment asking for trees
+// the worker does not hold is a caller bug, not something to silently clamp
+// to empty).
+func (o Options) Span(k int) (lo, hi int, err error) {
+	lo = o.FirstTree
 	if lo < 0 || lo >= k {
 		if lo == 0 {
-			return nil, fmt.Errorf("scenario: ensemble has no trees")
+			return 0, 0, fmt.Errorf("scenario: ensemble has no trees")
 		}
-		return nil, fmt.Errorf("scenario: FirstTree=%d out of range for %d trees", lo, k)
+		return 0, 0, fmt.Errorf("scenario: FirstTree=%d out of range for %d trees", lo, k)
 	}
-	hi := k
+	hi = k
 	if o.Trees > 0 && lo+o.Trees < hi {
 		hi = lo + o.Trees
 	}
-	return ens.Trees[lo:hi], nil
+	return lo, hi, nil
 }

@@ -12,11 +12,12 @@
 //     the Steiner tree *on each tree* (trivial: the union of terminal-to-root
 //     paths pruned to the terminal spanning subtree — trees make Steiner
 //     easy, the whole point of tree embeddings), map its edges back to
-//     shortest paths in G by walking the next-hop tables of one
-//     sparse-engine routing fixpoint (§7.5), and prune the union with an
-//     MST + leaf trimming; the lightest per-tree result wins. Expected cost
-//     O(log n)·OPT by the FRT stretch argument, since the objective is
-//     linear in edge weights.
+//     shortest paths in G (§7.5) through routing.Tables, the application
+//     tier's one path expander, and prune the union with an MST + leaf
+//     trimming; the lightest per-tree result wins. All visited trees share
+//     one Tables, whose single sparse-engine fixpoint targets the union of
+//     their used parent centers. Expected cost O(log n)·OPT by the FRT
+//     stretch argument, since the objective is linear in edge weights.
 //
 //   - MetricClosureMST: the classic 2-approximation (MST of the terminal
 //     distance closure, paths expanded and pruned) as the baseline.
@@ -26,10 +27,10 @@ import (
 	"fmt"
 	"sort"
 
+	"parmbf/internal/apps/routing"
 	"parmbf/internal/apps/scenario"
 	"parmbf/internal/frt"
 	"parmbf/internal/graph"
-	"parmbf/internal/mbf"
 	"parmbf/internal/par"
 )
 
@@ -145,9 +146,18 @@ func Solve(g *graph.Graph, terminals []graph.Node, opts Options) (*Result, error
 	if err != nil {
 		return nil, err
 	}
+	hops := make([][]hop, len(visit))
+	var targets []graph.Node
+	for i, tree := range visit {
+		hops[i] = treeHops(tree, terminals)
+		for _, h := range hops[i] {
+			targets = append(targets, h.to)
+		}
+	}
+	rt := routing.New(g, nil, targets, opts.Tracker)
 	var best *Result
-	for _, tree := range visit {
-		res, err := solveOnTree(g, tree, terminals, opts.Tracker)
+	for _, hs := range hops {
+		res, err := expand(rt, hs, terminals)
 		if err != nil {
 			return nil, err
 		}
@@ -158,22 +168,21 @@ func Solve(g *graph.Graph, terminals []graph.Node, opts Options) (*Result, error
 	return best, nil
 }
 
-// solveOnTree extracts the Steiner tree on one FRT tree and maps it back to G.
-func solveOnTree(g *graph.Graph, tree *frt.Tree, terminals []graph.Node, tracker *par.Tracker) (*Result, error) {
-	// Steiner tree on the FRT tree: mark the tree edges on terminal-to-root
-	// paths, keep those below the terminals' lowest common ancestors — i.e.
-	// edges whose subtree contains ≥ 1 terminal but not all of them.
+// hop is one used tree edge as a center-to-center hop in G.
+type hop struct{ from, to graph.Node }
+
+// treeHops extracts the Steiner tree on one FRT tree as center-to-center
+// hops: it marks the tree edges on terminal-to-root paths and keeps those
+// below the terminals' lowest common ancestor — edges whose subtree contains
+// ≥ 1 terminal but not all of them.
+func treeHops(tree *frt.Tree, terminals []graph.Node) []hop {
 	termCount := make([]int, tree.NumNodes())
 	for _, t := range terminals {
 		for u := tree.Leaf[t]; u != -1; u = tree.Parent[u] {
 			termCount[u]++
 		}
 	}
-	// Collect the used tree edges as center-to-center hops, deduplicating the
-	// parent centers into the target set of one routing fixpoint.
-	type hop struct{ from, to graph.Node }
 	var hops []hop
-	targetSet := map[graph.Node]bool{}
 	for child := int32(0); child < int32(tree.NumNodes()); child++ {
 		if tree.Parent[child] == -1 {
 			continue
@@ -186,28 +195,23 @@ func solveOnTree(g *graph.Graph, tree *frt.Tree, terminals []graph.Node, tracker
 			continue
 		}
 		hops = append(hops, hop{from: from, to: to})
-		targetSet[to] = true
 	}
-	// Map each used tree edge back to a shortest path in G by walking the
-	// next-hop tables of a single sparse-engine fixpoint towards the distinct
-	// parent centers (§7.5); collect the union subgraph.
+	return hops
+}
+
+// expand maps one tree's hops back to shortest paths in G through rt,
+// collects their union and prunes it to a Steiner tree.
+func expand(rt *routing.Tables, hops []hop, terminals []graph.Node) (*Result, error) {
+	g := rt.Graph()
 	sub := graph.NewBuilder(g.N())
-	if len(hops) > 0 {
-		targets := make([]graph.Node, 0, len(targetSet))
-		for t := range targetSet {
-			targets = append(targets, t)
+	for _, h := range hops {
+		path := rt.Path(h.from, h.to)
+		if path == nil {
+			return nil, fmt.Errorf("steiner: centers %d, %d disconnected", h.from, h.to)
 		}
-		sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
-		tables := mbf.RoutingTablesTo(g, targets, tracker)
-		for _, h := range hops {
-			path := mbf.WalkRoute(tables, h.from, h.to)
-			if path == nil {
-				return nil, fmt.Errorf("steiner: centers %d, %d disconnected", h.from, h.to)
-			}
-			for i := 1; i < len(path); i++ {
-				w, _ := g.HasEdge(path[i-1], path[i])
-				sub.Add(path[i-1], path[i], w)
-			}
+		for i := 1; i < len(path); i++ {
+			w, _ := g.HasEdge(path[i-1], path[i])
+			sub.Add(path[i-1], path[i], w)
 		}
 	}
 	result := prune(g, sub.Freeze(), terminals)

@@ -1,5 +1,10 @@
 package semiring
 
+import (
+	"cmp"
+	"slices"
+)
+
 // This file adds a routing algebra to the toolbox: distance computations
 // that also record the first hop of a shortest path, so that MBF-like
 // algorithms produce usable routing tables (§7.5 of the paper relies on
@@ -226,15 +231,13 @@ func (RouteMapModule) Equal(x, y RouteMap) bool {
 
 var _ Semimodule[Hop, RouteMap] = RouteMapModule{}
 
-// Get returns the route for target, or a zero Route and false.
+// Get returns the route for target, or a zero Route and false. The table is
+// sorted by target, so the lookup is a binary search: a path walk through
+// tables with one entry per cluster center does O(log |targets|) per hop.
 func (x RouteMap) Get(target NodeID) (Route, bool) {
-	for _, r := range x {
-		if r.Target == target {
-			return r, true
-		}
-		if r.Target > target {
-			break
-		}
+	i, ok := slices.BinarySearchFunc(x, target, func(r Route, t NodeID) int { return cmp.Compare(r.Target, t) })
+	if !ok {
+		return Route{}, false
 	}
-	return Route{}, false
+	return x[i], true
 }
