@@ -1,12 +1,18 @@
 GO ?= go
 
-.PHONY: build vet fmt-check test test-short test-race fuzz-short cover bench bench-ensemble bench-graph bench-mbf bench-semiring bench-oracle bench-apps bench-scale bench-gate bench-scale-gate scale-smoke profile-mbf profile-draw perfbench-check ci
+.PHONY: build loc vet fmt-check test test-short test-race fuzz-short cover bench bench-ensemble bench-graph bench-mbf bench-semiring bench-oracle bench-apps bench-scale bench-gate bench-scale-gate scale-smoke profile-mbf profile-draw perfbench-check ci
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+## Non-test Go lines: the mbf/simgraph/frt/apps core, and the whole
+## repository minus the perfbench module (the counts ROADMAP.md quotes).
+loc:
+	@printf 'mbf+simgraph+frt+apps: '; find internal/mbf internal/simgraph internal/frt internal/apps -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l
+	@printf 'repository minus perfbench/: '; find . \( -path ./perfbench -o -path ./.bench_build \) -prune -o -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l
 
 fmt-check:
 	@test -z "$$(gofmt -l .)" || { echo "gofmt needed on:"; gofmt -l .; exit 1; }
@@ -106,9 +112,9 @@ bench-oracle:
 		--arg commit "$$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
 		'{date: $$date, commit: $$commit, bench: .}' >> BENCH_oracle.json
 
-## Application-tier benchmarks: k-median candidate evaluation on the batched
-## OracleIndex kernel vs the seed-era per-center Dijkstra loop (the measured
-## rebase speedup), the full k-median and buy-at-bulk solves on a pre-drawn
+## Application-tier benchmarks: the exact k-median plan evaluation Solve
+## runs once per tree (one multi-source Dijkstra) vs the seed-era per-center
+## Dijkstra loop, the full k-median and buy-at-bulk solves on a pre-drawn
 ## ensemble, buy-at-bulk on warm routing tables (the served path), and
 ## oblivious routing (table build + 256-route query batches); each run
 ## appends one JSON line to BENCH_apps.json.
@@ -157,9 +163,9 @@ scale-smoke:
 bench-gate:
 	$(GO) run ./cmd/benchgate -file BENCH_graph.json -match 'Dijkstra4096' -max 1.20
 	$(GO) run ./cmd/benchgate -file BENCH_mbf.json -match 'Iterate4096|SourceDetection4096|BenchmarkLEListsOnGraph$$|BenchmarkIncrementalUpdate$$|BenchmarkEmbedderSample$$|BenchmarkOracleRunToFixpoint$$' -max 1.20
-	$(GO) run ./cmd/benchgate -file BENCH_oracle.json -match 'OracleIndexMinBatch4096|SnapshotLoad4096|FleetBatch1024' -max 1.20
+	$(GO) run ./cmd/benchgate -file BENCH_oracle.json -match 'OracleIndexMinBatch4096|OracleIndexMedianBatch4096|SnapshotLoad4096|FleetBatch1024' -max 1.20
 	$(GO) run ./cmd/benchgate -file BENCH_semiring.json -match 'MergeKernel/' -max 1.20
-	$(GO) run ./cmd/benchgate -file BENCH_apps.json -match 'KMedianEvalIndex|KMedianSolve|BuyAtBulkSolve|BuyAtBulkWarmTables|RouteQueryBatch' -max 1.20
+	$(GO) run ./cmd/benchgate -file BENCH_apps.json -match 'KMedianEvalDijkstra|KMedianSolve|BuyAtBulkSolve|BuyAtBulkWarmTables|RouteQueryBatch' -max 1.20
 
 ## Scale-tier gate: wider ns/op budget (single 1x runs are noisier than the
 ## averaged core tier) plus a B/op ceiling — at 10^6 nodes a 15% allocation

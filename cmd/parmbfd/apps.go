@@ -323,11 +323,11 @@ func (rt *router) handleKMedian(w http.ResponseWriter, r *http.Request) {
 		body   []byte
 		err    error
 	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		outcomes []shardOutcome
-	)
+	// One slot per shard, folded in ascending tree order below: with the
+	// same strict comparison as kmedian.Solve, a cost tie keeps the lower
+	// tree's plan on both sides.
+	var wg sync.WaitGroup
+	outcomes := make([]shardOutcome, len(rt.shards))
 	for i, shard := range rt.shards {
 		if shard[0] == shard[1] {
 			continue
@@ -336,19 +336,19 @@ func (rt *router) handleKMedian(w http.ResponseWriter, r *http.Request) {
 		go func(primary, lo, hi int) {
 			defer wg.Done()
 			body, err := json.Marshal(kmedianRequest{K: req.K, Seed: req.Seed, FirstTree: lo, Trees: hi - lo})
-			var status int
-			var resp []byte
+			oc := &outcomes[primary]
 			if err == nil {
-				status, resp, err = rt.fetchScenario(ctx, primary, "/kmedian", body)
+				oc.status, oc.body, err = rt.fetchScenario(ctx, primary, "/kmedian", body)
 			}
-			mu.Lock()
-			outcomes = append(outcomes, shardOutcome{status: status, body: resp, err: err})
-			mu.Unlock()
+			oc.err = err
 		}(i, shard[0], shard[1])
 	}
 	wg.Wait()
 	var best *kmedianResponse
-	for _, oc := range outcomes {
+	for i, oc := range outcomes {
+		if rt.shards[i][0] == rt.shards[i][1] {
+			continue
+		}
 		if oc.err != nil {
 			writeError(w, http.StatusBadGateway, errUpstreamUnavailable, oc.err.Error(), nil)
 			return

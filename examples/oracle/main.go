@@ -36,8 +36,9 @@ func main() {
 	sampleTime := time.Since(t0)
 	fmt.Printf("sampled %d trees in %v\n", len(ens.Trees), sampleTime.Round(time.Millisecond))
 
-	// Index the ensemble: per-leaf ancestor and prefix-weight tables make
-	// every query a handful of array lookups instead of a pointer walk.
+	// Index the ensemble: packed per-node ancestor words and prefix-weight
+	// rows make every query a handful of word operations instead of a
+	// pointer walk.
 	t0 = time.Now()
 	idx, err := ens.Index()
 	if err != nil {

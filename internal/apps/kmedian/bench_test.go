@@ -11,22 +11,18 @@ import (
 )
 
 // The bench fixture is one n=1024, m=16384 graph (mean degree 32) with a
-// K=4 ensemble — the regime in which the seed-era evaluation (one
-// multi-source Dijkstra per candidate center set, O(m log n) each) became
-// the k-median bottleneck. The oracle evaluation touches only the n × k
-// pair grid, so its cost is independent of edge density; EvalIndex vs
-// EvalDijkstra is the measured speedup of moving candidate evaluation onto
-// the batched OracleIndex kernel.
+// K=4 ensemble. Solve evaluates every per-tree plan exactly, one
+// multi-source Dijkstra sweep each (EvalDijkstra); EvalPerCenter is the
+// seed-era loop of one single-source Dijkstra per center.
 var benchFix struct {
 	once    sync.Once
 	g       *graph.Graph
 	ens     *frt.Ensemble
-	idx     *frt.OracleIndex
 	centers []graph.Node
 	err     error
 }
 
-func benchFixture(b *testing.B) (*graph.Graph, *frt.Ensemble, *frt.OracleIndex, []graph.Node) {
+func benchFixture(b *testing.B) (*graph.Graph, *frt.Ensemble, []graph.Node) {
 	b.Helper()
 	benchFix.once.Do(func() {
 		rng := par.NewRNG(17)
@@ -40,10 +36,6 @@ func benchFixture(b *testing.B) (*graph.Graph, *frt.Ensemble, *frt.OracleIndex, 
 		if benchFix.err != nil {
 			return
 		}
-		benchFix.idx, benchFix.err = benchFix.ens.Index()
-		if benchFix.err != nil {
-			return
-		}
 		for i := 0; i < 8; i++ {
 			benchFix.centers = append(benchFix.centers, graph.Node(i*127))
 		}
@@ -51,27 +43,13 @@ func benchFixture(b *testing.B) (*graph.Graph, *frt.Ensemble, *frt.OracleIndex, 
 	if benchFix.err != nil {
 		b.Fatal(benchFix.err)
 	}
-	return benchFix.g, benchFix.ens, benchFix.idx, benchFix.centers
+	return benchFix.g, benchFix.ens, benchFix.centers
 }
 
-// BenchmarkKMedianEvalIndex is one candidate-set evaluation on the batched
-// oracle kernel: one MinBatch over the n × k grid plus a per-client fold.
-func BenchmarkKMedianEvalIndex(b *testing.B) {
-	_, _, idx, centers := benchFixture(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if CostOnIndex(idx, centers) <= 0 {
-			b.Fatal("non-positive cost")
-		}
-	}
-}
-
-// BenchmarkKMedianEvalDijkstra is the exact evaluation of the same candidate
-// set through the batched multi-source sweep — the modern exact path, paid
-// once for the winning set only.
+// BenchmarkKMedianEvalDijkstra is one exact evaluation of a center set
+// through the batched multi-source sweep — what Solve pays per tree.
 func BenchmarkKMedianEvalDijkstra(b *testing.B) {
-	g, _, _, centers := benchFixture(b)
+	g, _, centers := benchFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -86,7 +64,7 @@ func BenchmarkKMedianEvalDijkstra(b *testing.B) {
 // per-center Dijkstra loop the application tier ran before it was rebased
 // onto the oracle and multi-source kernels.
 func BenchmarkKMedianEvalPerCenter(b *testing.B) {
-	g, _, _, centers := benchFixture(b)
+	g, _, centers := benchFixture(b)
 	best := make([]float64, g.N())
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -112,11 +90,11 @@ func BenchmarkKMedianEvalPerCenter(b *testing.B) {
 	}
 }
 
-// BenchmarkKMedianSolve is the full rebased pipeline per op: candidate
-// sampling through the sparse engine, one tree DP per ensemble tree, oracle
-// ranking, one exact evaluation of the winner.
+// BenchmarkKMedianSolve is the full pipeline per op: candidate sampling
+// through the sparse engine, then one tree DP and one exact evaluation per
+// ensemble tree.
 func BenchmarkKMedianSolve(b *testing.B) {
-	g, ens, _, _ := benchFixture(b)
+	g, ens, _ := benchFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

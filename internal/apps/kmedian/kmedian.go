@@ -11,9 +11,9 @@
 //	    restricted to the candidate leaves — made simple by the FRT
 //	    structure: leaf-to-leaf distance depends only on the level of the
 //	    lowest common ancestor, so a leaf served outside its subtree pays a
-//	    level-determined toll. Tree solutions are compared with the batched
-//	    OracleIndex kernel (one MinBatch over the client × center grid) and
-//	    only the winner pays an exact evaluation.
+//	    level-determined toll. Tree solutions are compared by their exact
+//	    cost (one multi-source Dijkstra sweep each), so solving all trees
+//	    at once and keeping the cheapest of per-tree solves agree.
 //
 // Baselines for the experiments: exact brute force (tiny instances) and
 // local search with single swaps (the classic (3+ε)-approximation).
@@ -181,8 +181,9 @@ const defaultTrees = 3
 // Solve computes an expected O(log k)-approximate k-median solution of g
 // (Theorem 9.2): Mettu–Plaxton candidate sampling, then for each FRT tree of
 // the ensemble an exact tree DP with centers restricted to candidate leaves.
-// The per-tree solutions are compared by the batched oracle estimate
-// (CostOnIndex); only the winner is evaluated exactly.
+// The per-tree solutions are compared by exact cost, in tree order with a
+// strict comparison, so the result equals the cheapest of the per-tree
+// solves with FirstTree=t, Trees=1 — the fold a sharded router runs.
 func Solve(g *graph.Graph, k int, opts Options) (*Result, error) {
 	if opts.RNG == nil {
 		return nil, fmt.Errorf("kmedian: Options.RNG is required")
@@ -209,10 +210,6 @@ func Solve(g *graph.Graph, k int, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx, err := ens.Index()
-	if err != nil {
-		return nil, err
-	}
 	allowed := make([]bool, g.N())
 	for _, q := range candidates {
 		allowed[q] = true
@@ -222,7 +219,7 @@ func Solve(g *graph.Graph, k int, opts Options) (*Result, error) {
 		weight[v] = 1
 	}
 	var best []graph.Node
-	bestEst := math.Inf(1)
+	var bestCost float64
 	for _, t := range visit {
 		picked := TreeKMedianRestricted(t, weight, allowed, k)
 		if len(picked) == 0 {
@@ -232,48 +229,14 @@ func Solve(g *graph.Graph, k int, opts Options) (*Result, error) {
 		for i, leaf := range picked {
 			centers[i] = graph.Node(leaf)
 		}
-		if est := CostOnIndex(idx, centers); est < bestEst {
-			best, bestEst = centers, est
+		if c := Cost(g, centers); best == nil || c < bestCost {
+			best, bestCost = centers, c
 		}
 	}
 	if best == nil {
 		return nil, fmt.Errorf("kmedian: no tree produced a center set")
 	}
-	return &Result{Centers: best, Cost: Cost(g, best), Candidates: candidates}, nil
-}
-
-// CostOnIndex estimates Σ_v dist(v, centers) with the ensemble oracle: one
-// MinBatch over the n × |centers| pair grid, then a per-client min. Each
-// term upper-bounds the true distance (Min is dominance-safe) with expected
-// stretch O(log n), so the estimate ranks center sets without touching the
-// graph — the batched replacement for the seed-era per-candidate-set
-// multi-source Dijkstra evaluation.
-func CostOnIndex(idx *frt.OracleIndex, centers []graph.Node) float64 {
-	n := idx.NumLeaves()
-	k := len(centers)
-	if k == 0 {
-		return math.Inf(1)
-	}
-	pairs := make([]frt.Pair, n*k)
-	for v := 0; v < n; v++ {
-		for i, c := range centers {
-			pairs[v*k+i] = frt.Pair{U: graph.Node(v), V: c}
-		}
-	}
-	out := make([]float64, len(pairs))
-	idx.MinBatch(pairs, out)
-	total := 0.0
-	for v := 0; v < n; v++ {
-		row := out[v*k : v*k+k]
-		m := row[0]
-		for _, d := range row[1:] {
-			if d < m {
-				m = d
-			}
-		}
-		total += m
-	}
-	return total
+	return &Result{Centers: best, Cost: bestCost, Candidates: candidates}, nil
 }
 
 // TreeKMedian solves weighted k-median exactly on an FRT tree: it returns

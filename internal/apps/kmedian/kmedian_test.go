@@ -1,6 +1,7 @@
 package kmedian
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
@@ -198,28 +199,44 @@ func TestSolveApproximationVsBruteForce(t *testing.T) {
 	}
 }
 
-func TestCostOnIndexDominatesExactCost(t *testing.T) {
-	// The oracle index never under-estimates distances, so the batched
-	// candidate evaluation must never under-estimate the exact serving cost.
-	rng := par.NewRNG(10)
-	g := graph.RandomConnected(40, 100, 5, rng)
-	emb, err := frt.NewEmbedder(g, frt.Options{RNG: rng})
-	if err != nil {
-		t.Fatal(err)
+// TestSolveIsBestPerTreeSolve pins the best-of-K fold: Solve over the whole
+// ensemble must return exactly the cheapest of the per-tree solves
+// (FirstTree=t, Trees=1) — the plans a sharded router merges — with ties
+// going to the lower tree.
+func TestSolveIsBestPerTreeSolve(t *testing.T) {
+	const k, trees = 4, 6
+	seeds := 40
+	if testing.Short() {
+		seeds = 10
 	}
-	ens, err := emb.SampleEnsemble(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, err := ens.Index()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, centers := range [][]graph.Node{{0}, {3, 17}, {5, 20, 35}} {
-		est := CostOnIndex(idx, centers)
-		exact := Cost(g, centers)
-		if est < exact-1e-9 {
-			t.Fatalf("centers %v: index estimate %v under-estimates exact cost %v", centers, est, exact)
+	for seed := uint64(0); seed < uint64(seeds); seed++ {
+		rng := par.NewRNG(seed)
+		g := graph.RandomConnected(128, 512, 20, rng)
+		emb, err := frt.NewEmbedder(g, frt.Options{RNG: rng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ens, err := emb.SampleEnsemble(trees)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, err := Solve(g, k, Options{RNG: par.NewRNG(seed + 100), Ensemble: ens})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var best *Result
+		for ti := 0; ti < trees; ti++ {
+			one, err := Solve(g, k, Options{RNG: par.NewRNG(seed + 100), Ensemble: ens, FirstTree: ti, Trees: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if best == nil || one.Cost < best.Cost {
+				best = one
+			}
+		}
+		if !reflect.DeepEqual(all, best) {
+			t.Fatalf("seed %d: Solve chose %v (cost %v), best per-tree plan %v (cost %v)",
+				seed, all.Centers, all.Cost, best.Centers, best.Cost)
 		}
 	}
 }

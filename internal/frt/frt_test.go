@@ -375,59 +375,6 @@ func TestOraclePipelineStretchClose(t *testing.T) {
 	}
 }
 
-func TestEdgePath(t *testing.T) {
-	rng := par.NewRNG(15)
-	g := graph.RandomConnected(40, 100, 5, rng)
-	emb, err := SampleOnGraph(g, rng, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree := emb.Tree
-	for child := int32(0); child < int32(tree.NumNodes()); child++ {
-		if tree.Parent[child] == -1 {
-			continue
-		}
-		path, err := EdgePath(g, tree, child)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if path[0] != tree.Center[child] || path[len(path)-1] != tree.Center[tree.Parent[child]] {
-			t.Fatalf("path endpoints wrong: %v", path)
-		}
-		// Path weight within the §7.5-style bound relative to the tree
-		// edge: ω(path) = dist_G(centers) ≤ r_i + r_{i+1} = 1.5·EdgeWeight.
-		w := 0.0
-		for i := 1; i < len(path); i++ {
-			ew, ok := g.HasEdge(path[i-1], path[i])
-			if !ok {
-				t.Fatalf("non-edge on path: %v", path)
-			}
-			w += ew
-		}
-		if w > 1.5*tree.EdgeWeight[child] {
-			t.Fatalf("path weight %v exceeds 1.5× tree edge weight %v", w, tree.EdgeWeight[child])
-		}
-	}
-}
-
-func TestEdgePathRootRejected(t *testing.T) {
-	rng := par.NewRNG(16)
-	g := graph.PathGraph(5, 1)
-	emb, err := SampleOnGraph(g, rng, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := int32(-1)
-	for u, p := range emb.Tree.Parent {
-		if p == -1 {
-			root = int32(u)
-		}
-	}
-	if _, err := EdgePath(g, emb.Tree, root); err == nil {
-		t.Fatal("EdgePath on root should fail")
-	}
-}
-
 func TestTreeDepthLogarithmicInWeightRange(t *testing.T) {
 	rng := par.NewRNG(17)
 	g := graph.RandomConnected(50, 120, 8, rng)

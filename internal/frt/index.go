@@ -165,54 +165,46 @@ type Pair struct {
 
 // OracleIndex is the batched query service over an ensemble of indexed
 // trees: Min answers the paper's headline estimate min_k dist_Tk(u,v) — an
-// O(log n)-expected-stretch upper bound on dist_G(u,v) — in O(K·log depth)
-// array lookups, and MinBatch fans a pair slice out over par.ForEach.
+// O(log n)-expected-stretch upper bound on dist_G(u,v) — in O(K·depth/4)
+// word operations, and MinBatch fans a pair slice out over par.ForEach.
 //
-// The per-tree TreeIndex rows are additionally repacked into one block per
-// graph node holding all K trees' ancestor and prefix-weight rows
-// back-to-back (shallower trees padded by repeating their root). A query
-// then streams exactly two contiguous blocks — one per endpoint — instead
-// of touching 2·K rows scattered across K separate indexes, which is what
-// makes the batched path an order of magnitude faster than the parent
-// walk even on a single core.
+// The per-tree TreeIndex rows are repacked into one block per graph node
+// holding all K trees' ancestor rows back-to-back (shallower trees padded by
+// repeating their root). A query then streams exactly two contiguous blocks
+// — one per endpoint — instead of touching 2·K rows scattered across K
+// separate indexes, which is what makes the batched path an order of
+// magnitude faster than the parent walk even on a single core.
 type OracleIndex struct {
-	n      int
-	k      int   // ensemble size
-	depths []int // per-tree leaf depth (the per-tree indexes are not retained)
-	// stride is maxDepth+1: every packed row is padded to it, so one search
-	// loop serves all trees.
+	n int
+	k int // ensemble size
+	// stride is maxDepth+1: every weight row is padded to it, so one lookup
+	// serves all trees.
 	stride int
-	// anc[(v*k+t)*stride + h] is the height-h ancestor of v's leaf in tree
-	// t; heights past tree t's depth repeat its root. Built only when the
-	// packed representation is disabled (test knob / external callers that
-	// want the plain rows).
-	anc []int32
-	// pw mirrors anc with the prefix weight from the leaf up to height h.
-	// Built only when the shared level-weight table is unavailable.
-	pw []float64
-	// pwShared collapses pw when every tree is level-uniform — all leaves
-	// of a tree see the same edge weight at each height, which is how
-	// BuildTree constructs trees (the level-i edge weight 2β2^i does not
-	// depend on the cluster). Then pw[(v*k+t)*stride+h] == pwShared[t*stride+h]
-	// for every v, the whole table is k·stride floats that live in L1, and
-	// a query's memory traffic drops to the two packed ancestor rows.
-	// Nil when any tree has non-uniform level weights (possible for trees
-	// deserialised from elsewhere); queries then read the per-leaf pw.
-	pwShared []float64
-	// packed is the fast merge-height representation: ancestors are
-	// renumbered into per-height dense cluster ids (equality-preserving, so
-	// XOR comparisons find the merge height) and packed into uint64 words.
-	// The heights split by lane width at `split`: heights ≥ split have at
-	// most 65536 distinct clusters in every tree, so their ids pack four
-	// 16-bit lanes per word into packed — packed[(v*k+t)*words + (h-split)/4],
-	// lane (h-split)%4 — while the low heights 0…split-1 (where cluster
-	// counts can approach n) pack two 32-bit lanes per word into packedLo.
-	// Cluster counts only shrink going up (clusters merge), so one split
-	// serves every tree, and for n ≤ 65536 the split is 0: the whole row is
-	// 16-bit lanes and packedLo is empty. The merge height of a pair in one
-	// tree is a top-down scan of XOR-compared words — high row first, then
-	// the low row — plus one leading-zero count: O(depth/4) word ops,
-	// typically 2–3, instead of a pointer walk or a lane-wise search.
+	// pw[v*pwStep + t*stride + h] is the prefix weight from v's leaf up to
+	// its height-h ancestor in tree t (heights past the tree's depth repeat
+	// the full leaf-to-root weight). pwStep is 0 when every tree is
+	// level-uniform — all leaves of a tree see the same edge weight at each
+	// height, which is how BuildTree constructs trees (the level-i edge
+	// weight 2β2^i does not depend on the cluster) — so the whole table is
+	// k·stride floats that live in L1 and a query's memory traffic is the
+	// two packed ancestor blocks. Trees with non-uniform level weights
+	// (possible for trees deserialised from elsewhere) need one row per leaf:
+	// pwStep is then k·stride.
+	pw     []float64
+	pwStep int
+	// packed is the merge-height representation: ancestors are renumbered
+	// into per-height dense cluster ids (equality-preserving, so XOR
+	// comparisons find the merge height) and packed into uint64 words. The
+	// heights split by lane width at `split`: heights ≥ split have at most
+	// 65536 distinct clusters in every tree, so their ids pack four 16-bit
+	// lanes per word into packed — packed[(v*k+t)*words + (h-split)/4], lane
+	// (h-split)%4 — while the low heights 0…split-1 (where cluster counts can
+	// approach n) pack two 32-bit lanes per word into packedLo. Cluster
+	// counts only shrink going up (clusters merge), so one split serves
+	// every tree, and for n ≤ 65536 the split is 0: the whole row is 16-bit
+	// lanes and packedLo is empty. The merge height of a pair in one tree is
+	// a top-down scan of XOR-compared words — high row first, then the low
+	// row — plus one leading-zero count: O(depth/4) word ops, typically 2–3.
 	packed []uint64
 	// packedLo holds the 32-bit lanes of heights < split (nil when split=0).
 	packedLo []uint64
@@ -233,35 +225,24 @@ const packedLaneMax = 1 << 16
 
 // NewOracleIndex indexes every tree of the ensemble. All trees must embed
 // the same node set.
-func NewOracleIndex(trees []*Tree) (*OracleIndex, error) {
-	return newOracleIndex(trees, false, false)
-}
-
-// newOracleIndex is the constructor with kernel-selection knobs, used by
-// tests to force the fallback kernels that NewOracleIndex would not build
-// on level-uniform ensembles.
 //
 // Construction streams over the trees one at a time: each tree's TreeIndex
-// is built, scattered into the selected resident tables, and dropped
-// before the next tree is touched, so the construction peak holds one
-// n·stride index instead of K of them — at n = 2^20 and K = 16 the
-// difference between ~0.3 GB and ~5 GB of scratch. Each representation is
-// materialised only if its kernel is selected: the repacked int32/float64
-// fallback tables are skipped entirely when the packed words and the
-// shared level-weight table supersede them — for the common case
-// (BuildTree trees) the resident index is the packed words plus one
-// k·stride float table.
-func newOracleIndex(trees []*Tree, disablePacked, disableShared bool) (*OracleIndex, error) {
+// is built, packed, and dropped before the next tree is touched, so the
+// construction peak holds one n·stride index instead of K of them — at
+// n = 2^20 and K = 16 the difference between ~0.3 GB and ~5 GB of scratch.
+// The stream first assumes level-uniform weights; the first tree that
+// breaks them restarts it with per-leaf weight rows.
+func NewOracleIndex(trees []*Tree) (*OracleIndex, error) {
 	if len(trees) == 0 {
 		return nil, fmt.Errorf("frt: oracle index needs ≥ 1 tree")
 	}
-	o := &OracleIndex{n: len(trees[0].Leaf), k: len(trees), depths: make([]int, len(trees))}
+	o := &OracleIndex{n: len(trees[0].Leaf), k: len(trees)}
 	o.med.New = func() *[]float64 { ds := make([]float64, o.k); return &ds }
 	// Cheap pre-pass: per-tree depths (for the padded stride) and per-height
 	// cluster-count bounds (for the 16/32-bit lane split), both derivable
 	// from the parent arrays alone — no TreeIndex needed. Structural defects
-	// are NOT diagnosed here; the streaming loop's NewTreeIndex reports them
-	// with the same wording as before.
+	// are NOT diagnosed here; the streaming loop's NewTreeIndex reports them.
+	depths := make([]int, len(trees))
 	maxDepth := 0
 	for i, t := range trees {
 		if len(t.Leaf) != o.n {
@@ -271,7 +252,7 @@ func newOracleIndex(trees []*Tree, disablePacked, disableShared bool) (*OracleIn
 		if !ok {
 			return nil, fmt.Errorf("frt: tree %d: %w", i, fmt.Errorf("frt: broken parent chain at leaf 0 (run Validate for details)"))
 		}
-		o.depths[i] = d
+		depths[i] = d
 		if d > maxDepth {
 			maxDepth = d
 		}
@@ -280,95 +261,85 @@ func newOracleIndex(trees []*Tree, disablePacked, disableShared bool) (*OracleIn
 	// split = lowest height whose cluster count fits a 16-bit lane in every
 	// tree. Distinct height-h ancestors of the n leaves number at most
 	// min(n, nodes at the matching tree level), so for n ≤ 65536 the split
-	// is always 0 (pure 16-bit rows, the historical layout).
-	o.split = 0
-	if !disablePacked {
-		if o.n > packedLaneMax {
-			bound := make([]int, o.stride)
-			for i, t := range trees {
-				counts := treeLevelCounts(t, o.depths[i])
-				for h := 0; h < o.stride; h++ {
-					c := o.n
-					if counts != nil && h <= o.depths[i] && int(counts[h]) < c {
-						c = int(counts[h])
-					} else if counts != nil && h > o.depths[i] {
-						c = 1 // padded heights repeat the root
-					}
-					if c > bound[h] {
-						bound[h] = c
-					}
+	// is always 0.
+	if o.n > packedLaneMax {
+		bound := make([]int, o.stride)
+		for i, t := range trees {
+			counts := treeLevelCounts(t, depths[i])
+			for h := 0; h < o.stride; h++ {
+				c := o.n
+				if counts != nil && h <= depths[i] && int(counts[h]) < c {
+					c = int(counts[h])
+				} else if counts != nil && h > depths[i] {
+					c = 1 // padded heights repeat the root
 				}
-			}
-			for h := o.stride - 1; h >= 0; h-- {
-				if bound[h] > packedLaneMax {
-					o.split = h + 1
-					break
+				if c > bound[h] {
+					bound[h] = c
 				}
 			}
 		}
-		o.words = (o.stride - o.split + 3) / 4
-		o.loWords = (o.split + 1) / 2
-		o.packed = make([]uint64, o.n*o.k*o.words)
-		if o.loWords > 0 {
-			o.packedLo = make([]uint64, o.n*o.k*o.loWords)
+		for h := o.stride - 1; h >= 0; h-- {
+			if bound[h] > packedLaneMax {
+				o.split = h + 1
+				break
+			}
 		}
 	}
-	needPw := disableShared
-	shared := make([]float64, o.k*o.stride)
-	uniform := !disableShared
-	if disablePacked {
-		o.anc = make([]int32, o.n*o.k*o.stride)
+	o.words = (o.stride - o.split + 3) / 4
+	o.loWords = (o.split + 1) / 2
+	for {
+		done, err := o.stream(trees)
+		if err != nil {
+			return nil, err
+		}
+		if done {
+			return o, nil
+		}
+		o.pwStep = o.k * o.stride
 	}
-	// Streaming pass: index one tree, scatter it, drop it.
+}
+
+// stream fills the packed words and the weight table from scratch, one tree
+// at a time. With pwStep = 0 it returns false at the first tree whose level
+// weights are not uniform, leaving the caller to restart with per-leaf rows.
+func (o *OracleIndex) stream(trees []*Tree) (bool, error) {
+	o.packed = make([]uint64, o.n*o.k*o.words)
+	if o.loWords > 0 {
+		o.packedLo = make([]uint64, o.n*o.k*o.loWords)
+	}
+	rows := 1
+	if o.pwStep > 0 {
+		rows = o.n
+	}
+	o.pw = make([]float64, rows*o.k*o.stride)
 	for i, t := range trees {
 		x, err := NewTreeIndex(t)
 		if err != nil {
-			return nil, fmt.Errorf("frt: tree %d: %w", i, err)
+			return false, fmt.Errorf("frt: tree %d: %w", i, err)
 		}
-		if o.packed != nil {
-			o.packTree(x, i)
+		o.packTree(x, i)
+		if o.pwStep > 0 {
+			par.ForEach(o.n, func(v int) {
+				padRow(o.pw[v*o.pwStep+i*o.stride:][:o.stride], x.pw[v*x.stride:(v+1)*x.stride])
+			})
+			continue
 		}
-		if o.anc != nil {
-			o.scatterAnc(x, i)
-		}
-		if uniform {
-			row := shared[i*o.stride : (i+1)*o.stride]
-			copy(row, x.pw[:x.stride]) // leaf 0's row
-			for h := x.stride; h < o.stride; h++ {
-				row[h] = x.pw[x.depth] // pad with the full leaf-to-root weight
-			}
-			if !o.uniformWeights(x, row) {
-				// A non-uniform tree (deserialised from elsewhere) voids the
-				// shared table; switch to per-leaf weights, back-filling the
-				// already-dropped earlier trees below.
-				uniform = false
-				needPw = true
-			}
-		}
-		if needPw {
-			if o.pw == nil {
-				o.pw = make([]float64, o.n*o.k*o.stride)
-			}
-			o.scatterPw(x, i)
+		row := o.pw[i*o.stride : (i+1)*o.stride]
+		padRow(row, x.pw[:x.stride]) // leaf 0's row
+		if !o.uniformWeights(x, row) {
+			return false, nil
 		}
 	}
-	if uniform {
-		o.pwShared = shared
-	} else if o.pw != nil {
-		// Back-fill the trees streamed before non-uniformity was detected
-		// (their indexes are gone). This re-indexes a prefix of the ensemble
-		// — the rare path, taken only for non-BuildTree ensembles.
-		for i := range trees {
-			if !o.pwFilled(i) {
-				x, err := NewTreeIndex(trees[i])
-				if err != nil {
-					return nil, fmt.Errorf("frt: tree %d: %w", i, err)
-				}
-				o.scatterPw(x, i)
-			}
-		}
+	return true, nil
+}
+
+// padRow copies one prefix-weight row into dst and pads the heights past
+// the tree's depth with its full leaf-to-root weight.
+func padRow(dst, src []float64) {
+	copy(dst, src)
+	for h := len(src); h < len(dst); h++ {
+		dst[h] = src[len(src)-1]
 	}
-	return o, nil
 }
 
 // leafDepth measures the parent-chain length of Leaf[0] with explicit
@@ -441,45 +412,6 @@ func treeLevelCounts(t *Tree, depth int) []int32 {
 		counts[h]++
 	}
 	return counts
-}
-
-// scatterAnc repacks one tree's int32 ancestor rows into the per-node
-// blocks of the binary-search fallback kernel. Padding repeats the root:
-// the padded heights stay equal across any two nodes, so the merge-height
-// search is unchanged.
-func (o *OracleIndex) scatterAnc(x *TreeIndex, t int) {
-	par.ForEach(o.n, func(v int) {
-		dst := (v*o.k + t) * o.stride
-		src := v * x.stride
-		copy(o.anc[dst:dst+x.stride], x.anc[src:src+x.stride])
-		root := x.anc[src+x.depth]
-		for h := x.stride; h < o.stride; h++ {
-			o.anc[dst+h] = root
-		}
-	})
-}
-
-// scatterPw repacks one tree's per-leaf prefix weights into the per-node
-// blocks — the distance lookup for trees with non-uniform level weights.
-func (o *OracleIndex) scatterPw(x *TreeIndex, t int) {
-	par.ForEach(o.n, func(v int) {
-		dst := (v*o.k + t) * o.stride
-		src := v * x.stride
-		copy(o.pw[dst:dst+x.stride], x.pw[src:src+x.stride])
-		top := x.pw[src+x.depth]
-		for h := x.stride; h < o.stride; h++ {
-			o.pw[dst+h] = top
-		}
-	})
-}
-
-// pwFilled reports whether tree t's pw rows were already scattered (every
-// prefix-weight row starts at 0 and is non-decreasing with positive edge
-// weights, so a still-zero final entry at some leaf means "not filled" —
-// except for the degenerate single-node tree, which scatters zeros anyway
-// and is idempotent to re-scatter).
-func (o *OracleIndex) pwFilled(t int) bool {
-	return o.pw[(0*o.k+t)*o.stride+o.stride-1] != 0
 }
 
 // uniformWeights reports whether every leaf's prefix-weight row in x
@@ -562,7 +494,7 @@ func (o *OracleIndex) NumTrees() int { return o.k }
 func (o *OracleIndex) NumLeaves() int { return o.n }
 
 // MaxDepth returns the largest tree depth in the ensemble (queries cost
-// O(NumTrees · log MaxDepth)).
+// O(NumTrees · MaxDepth/4) word operations).
 func (o *OracleIndex) MaxDepth() int { return o.stride - 1 }
 
 // Min returns the smallest tree distance over the ensemble, identical (to
@@ -570,116 +502,67 @@ func (o *OracleIndex) MaxDepth() int { return o.stride - 1 }
 // per-tree distances are the same prefix sums, and trees are folded in the
 // same ascending order with the same strict comparison.
 //
-// With the packed representation each tree's merge height — the first
-// height at which the two ancestor rows agree; they agree at the shared
-// root, and lockstep walks never separate once met — is found by
-// XOR-comparing packed-lane words top-down (16-bit high row first, then
-// the 32-bit low row holding the wide bottom heights of large graphs) and
-// locating the highest differing lane with a leading-zero count. The
-// binary-search int32 kernel remains as the disablePacked fallback.
+// Each tree's merge height — the first height at which the two ancestor
+// rows agree; they agree at the shared root, and lockstep walks never
+// separate once met — is found by XOR-comparing packed-lane words top-down
+// and locating the highest differing lane with a leading-zero count. The
+// loop is chosen from the index's shape: 16-bit rows over level-uniform
+// trees (every BuildTree ensemble up to 65536 nodes) take a hand-inlined
+// scan, anything else the per-tree treeDist helper.
 func (o *OracleIndex) Min(u, v graph.Node) float64 {
 	if u == v {
 		return 0
 	}
-	ks := o.k * o.stride
 	var best float64
-	if o.packed != nil && o.packedLo != nil {
-		// Split rows (n > 65536): per-tree scan over both packed rows.
+	if o.split > 0 || o.pwStep > 0 {
 		for t := 0; t < o.k; t++ {
-			h := o.splitMergeHeight(u, v, t)
-			var d float64
-			if ps := o.pwShared; ps != nil {
-				d = ps[t*o.stride+h] + ps[t*o.stride+h]
-			} else {
-				d = o.pw[int(u)*ks+t*o.stride+h] + o.pw[int(v)*ks+t*o.stride+h]
-			}
-			if t == 0 || d < best {
+			if d := o.treeDist(u, v, t); t == 0 || d < best {
 				best = d
 			}
 		}
 		return best
 	}
-	if o.packed != nil {
-		kw := o.k * o.words
-		xu := o.packed[int(u)*kw : int(u)*kw+kw]
-		xv := o.packed[int(v)*kw : int(v)*kw+kw]
-		off, woff := 0, 0
-		if ps := o.pwShared; ps != nil {
-			// Both half-paths climb through identical level weights, so
-			// d = pwShared[h] + pwShared[h] — the same bits as pw[…u…+h] +
-			// pw[…v…+h] — and the query never touches the per-leaf table.
-			// The word scan is inlined by hand: the Go inliner refuses
-			// functions with loops, and 16 calls per query are measurable
-			// on the serving path.
-			for t := 0; t < o.k; t++ {
-				h := 0
-				for w := woff + o.words - 1; w >= woff; w-- {
-					if x := xu[w] ^ xv[w]; x != 0 {
-						h = (w-woff)*4 + (bits.Len64(x)-1)>>4 + 1
-						break
-					}
-				}
-				if d := ps[off+h] + ps[off+h]; t == 0 || d < best {
-					best = d
-				}
-				off += o.stride
-				woff += o.words
-			}
-			return best
-		}
-		pu, pv := o.pw[int(u)*ks:int(u)*ks+ks], o.pw[int(v)*ks:int(v)*ks+ks]
-		for t := 0; t < o.k; t++ {
-			h := packedMergeHeight(xu[woff:woff+o.words], xv[woff:woff+o.words])
-			if d := pu[off+h] + pv[off+h]; t == 0 || d < best {
-				best = d
-			}
-			off += o.stride
-			woff += o.words
-		}
-		return best
-	}
-	bu, bv := int(u)*ks, int(v)*ks
-	au, av := o.anc[bu:bu+ks], o.anc[bv:bv+ks]
-	if ps := o.pwShared; ps != nil {
-		for off := 0; off < ks; off += o.stride {
-			h := off + mergeHeight(au[off:off+o.stride], av[off:off+o.stride])
-			if d := ps[h] + ps[h]; off == 0 || d < best {
-				best = d
+	kw := o.k * o.words
+	xu := o.packed[int(u)*kw : int(u)*kw+kw]
+	xv := o.packed[int(v)*kw : int(v)*kw+kw]
+	ps := o.pw
+	off, woff := 0, 0
+	// Both half-paths climb through identical level weights, so
+	// d = ps[h] + ps[h] — the same bits as the two per-leaf prefix weights —
+	// and the query never touches a per-leaf table. The word scan is inlined
+	// by hand: the Go inliner refuses functions with loops, and 16 calls per
+	// query are measurable on the serving path.
+	for t := 0; t < o.k; t++ {
+		h := 0
+		for w := woff + o.words - 1; w >= woff; w-- {
+			if x := xu[w] ^ xv[w]; x != 0 {
+				h = (w-woff)*4 + (bits.Len64(x)-1)>>4 + 1
+				break
 			}
 		}
-		return best
-	}
-	pu, pv := o.pw[bu:bu+ks], o.pw[bv:bv+ks]
-	for off := 0; off < ks; off += o.stride {
-		h := off + mergeHeight(au[off:off+o.stride], av[off:off+o.stride])
-		if d := pu[h] + pv[h]; off == 0 || d < best {
+		if d := ps[off+h] + ps[off+h]; t == 0 || d < best {
 			best = d
 		}
+		off += o.stride
+		woff += o.words
 	}
 	return best
 }
 
-// packedMergeHeight scans two packed 16-bit-lane rows top-down for the
-// highest differing height; the merge height is one above it. With a zero
-// split, distinct leaves guarantee a difference in word 0, so the scan
-// always terminates with a hit for u ≠ v.
-func packedMergeHeight(xu, xv []uint64) int {
-	for w := len(xu) - 1; w >= 0; w-- {
-		if x := xu[w] ^ xv[w]; x != 0 {
-			lane := (bits.Len64(x) - 1) >> 4
-			return w*4 + lane + 1
-		}
-	}
-	return 0
+// treeDist returns the distance of u ≠ v in tree t: the prefix weights of
+// both leaves at their merge height.
+func (o *OracleIndex) treeDist(u, v graph.Node, t int) float64 {
+	h := t*o.stride + o.height(u, v, t)
+	return o.pw[int(u)*o.pwStep+h] + o.pw[int(v)*o.pwStep+h]
 }
 
-// splitMergeHeight is packedMergeHeight for split rows: the 16-bit high
-// row covers heights ≥ split, the 32-bit low row covers heights < split.
-// If the high rows agree everywhere the scan drops into the low row, where
-// distinct leaves guarantee a difference at height 0 (leaf clusters are
-// singletons); unused low padding lanes are zero on both sides and can
-// never fire.
-func (o *OracleIndex) splitMergeHeight(u, v graph.Node, t int) int {
+// height returns the merge height of u ≠ v in tree t: the 16-bit high row
+// covers heights ≥ split, the 32-bit low row heights < split. If the high
+// rows agree everywhere the scan drops into the low row, where distinct
+// leaves guarantee a difference at height 0 (leaf clusters are singletons);
+// unused low padding lanes are zero on both sides and can never fire. With
+// a zero split, distinct leaves differ in the high row's word 0.
+func (o *OracleIndex) height(u, v graph.Node, t int) int {
 	bu, bv := (int(u)*o.k+t)*o.words, (int(v)*o.k+t)*o.words
 	for w := o.words - 1; w >= 0; w-- {
 		if x := o.packed[bu+w] ^ o.packed[bv+w]; x != 0 {
@@ -695,8 +578,8 @@ func (o *OracleIndex) splitMergeHeight(u, v graph.Node, t int) int {
 	return 0
 }
 
-// mergeHeight binary-searches one padded int32 row pair for the first
-// height at which they agree — the fallback kernel for n > 65536.
+// mergeHeight binary-searches one int32 ancestor row pair for the first
+// height at which they agree (TreeIndex's merge-height search).
 func mergeHeight(au, av []int32) int {
 	lo, hi := 0, len(au)-1
 	for lo < hi {
@@ -743,35 +626,8 @@ func (o *OracleIndex) perTreeDists(u, v graph.Node, lo, hi int, dst []float64) {
 		}
 		return
 	}
-	ks := o.k * o.stride
-	if o.packed != nil {
-		for t := lo; t < hi; t++ {
-			var h int
-			if o.packedLo != nil {
-				h = o.splitMergeHeight(u, v, t)
-			} else {
-				h = packedMergeHeight(
-					o.packed[(int(u)*o.k+t)*o.words:(int(u)*o.k+t+1)*o.words],
-					o.packed[(int(v)*o.k+t)*o.words:(int(v)*o.k+t+1)*o.words])
-			}
-			if ps := o.pwShared; ps != nil {
-				dst[t-lo] = ps[t*o.stride+h] + ps[t*o.stride+h]
-			} else {
-				dst[t-lo] = o.pw[int(u)*ks+t*o.stride+h] + o.pw[int(v)*ks+t*o.stride+h]
-			}
-		}
-		return
-	}
-	bu, bv := int(u)*ks, int(v)*ks
-	au, av := o.anc[bu:bu+ks], o.anc[bv:bv+ks]
 	for t := lo; t < hi; t++ {
-		off := t * o.stride
-		h := off + mergeHeight(au[off:off+o.stride], av[off:off+o.stride])
-		if ps := o.pwShared; ps != nil {
-			dst[t-lo] = ps[h] + ps[h]
-		} else {
-			dst[t-lo] = o.pw[bu+h] + o.pw[bv+h]
-		}
+		dst[t-lo] = o.treeDist(u, v, t)
 	}
 }
 

@@ -42,64 +42,55 @@ func bigSyntheticTree(n, groups int, byDivision bool, leafW, groupW float64) *Tr
 	return tr
 }
 
-// TestOracleIndexSplitLanes drives the packed kernel past the 16-bit lane
+// TestOracleIndexSplitLanes drives the packed rows past the 16-bit lane
 // capacity: with n > 65536 leaves the height-0 cluster ids need 32-bit
 // lanes, so the index must select a nonzero split and still answer every
-// query identically to the tree walk and to the binary-search fallback.
+// query identically to the tree walk — over level-uniform trees (shared
+// weight row) and with one skewed tree added (per-leaf weight rows).
 func TestOracleIndexSplitLanes(t *testing.T) {
 	n := 1<<16 + 512
-	trees := []*Tree{
+	uniform := []*Tree{
 		bigSyntheticTree(n, 300, false, 1, 4),
 		bigSyntheticTree(n, 17, true, 2, 8),
 	}
-	for i, tr := range trees {
+	skewed := bigSyntheticTree(n, 300, false, 1, 4)
+	skewed.EdgeWeight[skewed.Leaf[300*7+5]] = 3
+	for i, tr := range append(uniform, skewed) {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("tree %d: %v", i, err)
 		}
-	}
-	idx, err := NewOracleIndex(trees)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx.packed == nil || idx.packedLo == nil || idx.split == 0 {
-		t.Fatalf("split kernel not engaged: split=%d loWords=%d", idx.split, idx.loWords)
-	}
-	if idx.pwShared == nil {
-		t.Fatal("level-uniform trees must engage the shared weight table")
-	}
-	if idx.anc != nil || idx.pw != nil {
-		t.Fatal("superseded fallback tables retained alongside the split kernel")
-	}
-	fallback, err := newOracleIndex(trees, true, false)
-	if err != nil {
-		t.Fatal(err)
 	}
 	pairs := []Pair{
 		{0, 1}, {0, 300}, {1, 301}, {5, 5 + 300*7}, // same/different groups in tree 0
 		{0, graph.Node(n - 1)}, {graph.Node(n / 2), graph.Node(n/2 + 1)},
 		{17, 17}, {graph.Node(n - 2), graph.Node(n - 1)},
 	}
-	for _, p := range pairs {
-		got := idx.Min(p.U, p.V)
-		wantWalk := trees[0].Dist(p.U, p.V)
-		if d := trees[1].Dist(p.U, p.V); d < wantWalk {
-			wantWalk = d
+	for _, trees := range [][]*Tree{uniform, append(uniform, skewed)} {
+		idx, err := NewOracleIndex(trees)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got != wantWalk {
-			t.Fatalf("Min(%d,%d)=%v, walk %v", p.U, p.V, got, wantWalk)
+		if idx.packedLo == nil || idx.split == 0 {
+			t.Fatalf("split rows not engaged: split=%d loWords=%d", idx.split, idx.loWords)
 		}
-		if fb := fallback.Min(p.U, p.V); got != fb {
-			t.Fatalf("Min(%d,%d)=%v, fallback kernel %v", p.U, p.V, got, fb)
+		if perLeaf := idx.pwStep > 0; perLeaf != (len(trees) == 3) {
+			t.Fatalf("%d trees: per-leaf weight rows = %v", len(trees), perLeaf)
 		}
-		if med, fb := idx.Median(p.U, p.V), fallback.Median(p.U, p.V); med != fb {
-			t.Fatalf("Median(%d,%d)=%v, fallback kernel %v", p.U, p.V, med, fb)
+		ens := &Ensemble{Trees: trees}
+		for _, p := range pairs {
+			if got, want := idx.Min(p.U, p.V), ens.minWalk(p.U, p.V); got != want {
+				t.Fatalf("%d trees: Min(%d,%d)=%v, walk %v", len(trees), p.U, p.V, got, want)
+			}
+			if got, want := idx.Median(p.U, p.V), medianWalkDirect(trees, p.U, p.V); got != want {
+				t.Fatalf("%d trees: Median(%d,%d)=%v, walk %v", len(trees), p.U, p.V, got, want)
+			}
 		}
 	}
 }
 
 // TestOracleIndexBackfillsNonUniformPrefix covers the streaming rare path:
-// when a later tree breaks level uniformity, the per-leaf weight table must
-// be back-filled for the earlier (already dropped) trees.
+// when a later tree breaks level uniformity, the restarted stream must also
+// fill the per-leaf weight rows of the earlier (already dropped) trees.
 func TestOracleIndexBackfillsNonUniformPrefix(t *testing.T) {
 	uniform := &Tree{
 		Parent:     []int32{-1, 0, 0, 1, 2},
@@ -126,7 +117,7 @@ func TestOracleIndexBackfillsNonUniformPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.pwShared != nil {
+	if idx.pwStep == 0 {
 		t.Fatal("shared table built despite a non-uniform tree")
 	}
 	want := uniform.Dist(0, 1)
@@ -134,7 +125,7 @@ func TestOracleIndexBackfillsNonUniformPrefix(t *testing.T) {
 		want = d
 	}
 	if got := idx.Min(0, 1); got != want {
-		t.Fatalf("Min(0,1)=%v, walk %v (tree 0's weights lost in back-fill?)", got, want)
+		t.Fatalf("Min(0,1)=%v, walk %v (tree 0's weights lost in the restart?)", got, want)
 	}
 	var per [2]float64
 	idx.perTreeDists(0, 1, 0, 2, per[:])

@@ -134,81 +134,116 @@ func insertionSort(a []float64) {
 	}
 }
 
-// TestOracleIndexFastPathSelection pins the internal kernel selection: on
-// sampled trees (level-uniform by construction, n ≤ 65536) the index must
-// engage both the packed-word representation and the shared level-weight
-// table — if either silently stops applying, the serving path regresses by
-// an order of magnitude with no functional failure to flag it.
+// TestOracleIndexFastPathSelection pins the layout selection: on sampled
+// trees (level-uniform by construction, n ≤ 65536) the index must take the
+// 16-bit rows and the shared level-weight table that Min's fast loop scans —
+// if either silently stops applying, the serving path regresses with no
+// functional failure to flag it.
 func TestOracleIndexFastPathSelection(t *testing.T) {
 	_, e := sampleEnsembleForIndex(t, 61, 48, 120, 4)
 	idx, err := e.Index()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.packed == nil {
-		t.Fatal("packed merge-height representation not built for a small graph")
+	if idx.split != 0 || idx.packedLo != nil {
+		t.Fatalf("32-bit low rows built for a small graph (split=%d)", idx.split)
 	}
-	if idx.pwShared == nil {
+	if idx.pwStep != 0 {
 		t.Fatal("shared level-weight table not detected on BuildTree trees")
 	}
 }
 
-// TestOracleIndexKernelsAgree forces every query-kernel combination over
-// the same ensemble and pairs: the packed+shared fast path (the default),
-// the packed per-leaf path (non-uniform weights), and the int32
-// binary-search fallbacks (n > 65536), with and without the shared table,
-// must all reproduce the walk bitwise.
+// perturbLeafEdge returns a copy of tr whose leaf edge of graph node v
+// carries half its weight: the tree stays valid but is no longer
+// level-uniform, so an index over it needs per-leaf weight rows.
+func perturbLeafEdge(t testing.TB, tr *Tree, v graph.Node) *Tree {
+	t.Helper()
+	cp := *tr
+	cp.EdgeWeight = append([]float64(nil), tr.EdgeWeight...)
+	cp.EdgeWeight[tr.Leaf[v]] /= 2
+	if err := cp.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return &cp
+}
+
+// TestOracleIndexKernelsAgree runs both of Min's loops on real input: a
+// BuildTree ensemble (the fast loop) and the same ensemble with one leaf
+// edge of one tree reweighted (per-leaf weight rows, the general loop),
+// on random pairs and on every pair with the reweighted leaf.
+// Min, Median, MinBatch, MedianBatch and PerTreeBatch must reproduce the
+// walk bitwise at every par.MaxProcs setting.
 func TestOracleIndexKernelsAgree(t *testing.T) {
+	defer func(p int) { par.MaxProcs = p }(par.MaxProcs)
 	g, e := sampleEnsembleForIndex(t, 71, 64, 160, 5)
+	const moved = 7
+	skewed := append([]*Tree(nil), e.Trees...)
+	skewed[2] = perturbLeafEdge(t, e.Trees[2], moved)
 	prng := par.NewRNG(72)
-	pairs := make([]Pair, 150)
+	pairs := make([]Pair, 150, 150+2*g.N())
 	for i := range pairs {
 		pairs[i] = Pair{U: graph.Node(prng.Intn(g.N())), V: graph.Node(prng.Intn(g.N()))}
 	}
-	kernels := []struct {
-		name                         string
-		disablePacked, disableShared bool
-	}{
-		{"packed+shared", false, false},
-		{"packed per-leaf", false, true},
-		{"int32+shared", true, false},
-		{"int32 per-leaf", true, true},
+	for v := graph.Node(0); v < graph.Node(g.N()); v++ {
+		pairs = append(pairs, Pair{U: moved, V: v}, Pair{U: v, V: moved})
 	}
-	for _, k := range kernels {
-		idx, err := newOracleIndex(e.Trees, k.disablePacked, k.disableShared)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (idx.packed == nil) != k.disablePacked || (idx.pwShared == nil) != k.disableShared {
-			t.Fatalf("%s: kernel selection did not take (packed=%v shared=%v)",
-				k.name, idx.packed != nil, idx.pwShared != nil)
-		}
-		for _, p := range pairs {
-			if got, want := idx.Min(p.U, p.V), e.minWalk(p.U, p.V); got != want {
-				t.Fatalf("%s kernel: Min(%d,%d)=%v, walk %v", k.name, p.U, p.V, got, want)
+	for _, procs := range maxProcsSettings() {
+		par.MaxProcs = procs
+		for _, c := range []struct {
+			name    string
+			trees   []*Tree
+			perLeaf bool
+		}{
+			{"uniform", e.Trees, false},
+			{"skewed", skewed, true},
+		} {
+			ens := &Ensemble{Trees: c.trees}
+			idx, err := NewOracleIndex(c.trees)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got, want := idx.Median(p.U, p.V), medianWalkDirect(e.Trees, p.U, p.V); got != want {
-				t.Fatalf("%s kernel: Median(%d,%d)=%v, walk %v", k.name, p.U, p.V, got, want)
+			if perLeaf := idx.pwStep > 0; perLeaf != c.perLeaf {
+				t.Fatalf("%s: per-leaf weight rows = %v, want %v", c.name, perLeaf, c.perLeaf)
+			}
+			mins := idx.MinBatch(pairs, nil)
+			meds := idx.MedianBatch(pairs, nil)
+			per, err := idx.PerTreeBatch(pairs, 0, idx.k, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range pairs {
+				want := ens.minWalk(p.U, p.V)
+				if got := idx.Min(p.U, p.V); got != want || mins[i] != want {
+					t.Fatalf("procs=%d %s: Min(%d,%d)=%v, MinBatch %v, walk %v", procs, c.name, p.U, p.V, got, mins[i], want)
+				}
+				wmed := medianWalkDirect(c.trees, p.U, p.V)
+				if got := idx.Median(p.U, p.V); got != wmed || meds[i] != wmed {
+					t.Fatalf("procs=%d %s: Median(%d,%d)=%v, MedianBatch %v, walk %v", procs, c.name, p.U, p.V, got, meds[i], wmed)
+				}
+				for ti, tr := range c.trees {
+					if got, want := per[i*idx.k+ti], tr.Dist(p.U, p.V); got != want {
+						t.Fatalf("procs=%d %s: PerTreeBatch(%d,%d) tree %d = %v, walk %v", procs, c.name, p.U, p.V, ti, got, want)
+					}
+				}
 			}
 		}
 	}
 }
 
-// TestOracleIndexReleasesSupersededTables pins the memory contract: once
-// the packed and shared-weight kernels are selected, the repacked int32
-// ancestors and the per-leaf prefix weights they supersede must be
-// released — a long-running server should not hold three representations.
+// TestOracleIndexReleasesSupersededTables pins the memory contract: on
+// BuildTree ensembles the weight table is one k·stride row set, not one row
+// per leaf, and no 32-bit low rows are held below 65536 nodes.
 func TestOracleIndexReleasesSupersededTables(t *testing.T) {
 	_, e := sampleEnsembleForIndex(t, 91, 32, 80, 3)
 	idx, err := NewOracleIndex(e.Trees)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.packed == nil || idx.pwShared == nil {
-		t.Fatal("fast kernels not engaged")
+	if len(idx.pw) != idx.k*idx.stride {
+		t.Fatalf("weight table holds %d entries, want k·stride = %d", len(idx.pw), idx.k*idx.stride)
 	}
-	if idx.anc != nil || idx.pw != nil {
-		t.Fatalf("superseded tables retained: anc=%d pw=%d entries", len(idx.anc), len(idx.pw))
+	if idx.packedLo != nil {
+		t.Fatalf("low rows retained: %d words", len(idx.packedLo))
 	}
 }
 
@@ -232,7 +267,7 @@ func TestOracleIndexNonUniformWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.pwShared != nil {
+	if idx.pwStep == 0 {
 		t.Fatal("shared level-weight table built for non-uniform weights")
 	}
 	if got, want := idx.Min(0, 1), tr.Dist(0, 1); got != want {

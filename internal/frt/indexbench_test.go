@@ -68,8 +68,8 @@ func BenchmarkOracleWalkMin4096(b *testing.B) {
 }
 
 // BenchmarkOracleIndexMinBatch4096 is the new serving path: the same batch
-// through OracleIndex.MinBatch (binary-searched merge heights over flat
-// per-leaf rows, parallelised by par.ForEach). The acceptance bar of the
+// through OracleIndex.MinBatch (packed merge-height words over one shared
+// weight row per tree, parallelised by par.ForEach). The acceptance bar of the
 // query subsystem is ≥ 10× over BenchmarkOracleWalkMin4096.
 func BenchmarkOracleIndexMinBatch4096(b *testing.B) {
 	_, idx, pairs := oracleFixture(b)

@@ -89,8 +89,8 @@ func TestMemoryBudget(t *testing.T) {
 	budget("trees (K=2)", bytes, 512)
 
 	// Layer 5: the oracle index. Packed merge-height words (16-bit lanes
-	// above the split, 32-bit below), prefix-summed depths, and the shared
-	// or per-leaf weight table.
+	// above the split, 32-bit below) and the weight table, one shared row
+	// per tree for these BuildTree trees.
 	iv, bytes := retainedBytes(func() any {
 		idx, err := NewOracleIndex(trees)
 		if err != nil {

@@ -1,8 +1,6 @@
 package frt
 
 import (
-	"fmt"
-
 	"parmbf/internal/graph"
 	"parmbf/internal/par"
 	"parmbf/internal/semiring"
@@ -111,29 +109,6 @@ func SampleExact(g *graph.Graph, rng *par.RNG, tracker *par.Tracker) (*Embedding
 	m := graph.APSPDijkstra(g)
 	tracker.AddPhase(int64(g.N())*int64(g.M()+g.N()), int64(graph.SPDFrom(g, 0)+1))
 	return SampleFromMetric(m, rng, tracker)
-}
-
-// EdgePath maps a tree edge (child cluster → its parent) back to a path in
-// g between the two cluster centers (§7.5). The path is a shortest path in
-// g; any common member v of the two clusters has dist(v, c_child) ≤ r_i and
-// dist(v, c_parent) ≤ r_{i+1}, so the path weight is at most r_i + r_{i+1} =
-// 3·β2^i = 1.5·EdgeWeight — the paper's factor-3 bound relative to its
-// undoubled edge weight β2^i.
-func EdgePath(g *graph.Graph, t *Tree, child int32) ([]graph.Node, error) {
-	p := t.Parent[child]
-	if p == -1 {
-		return nil, fmt.Errorf("frt: root has no parent edge")
-	}
-	from, to := t.Center[child], t.Center[p]
-	if from == to {
-		return []graph.Node{from}, nil
-	}
-	res := graph.Dijkstra(g, from)
-	path := res.PathTo(to)
-	if path == nil {
-		return nil, fmt.Errorf("frt: centers %d and %d disconnected in G", from, to)
-	}
-	return path, nil
 }
 
 func ceilLog2(n int) int {

@@ -31,8 +31,7 @@
 // is exact for two reasons. A_H has the identity on its diagonal, so the
 // oracle states only grow in the congruence order (x_t ≡ x_t ⊕ x_{t−1}), and
 // Corollary 2.17 lets r commute with ⊕ and A_λ. Iterate and Run stay cold and
-// are the reference the warm path is tested against. GenericOracle's loop
-// stays cold too.
+// are the reference the warm path is tested against.
 package simgraph
 
 import (
