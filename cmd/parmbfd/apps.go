@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -338,7 +337,7 @@ func (rt *router) handleKMedian(w http.ResponseWriter, r *http.Request) {
 			body, err := json.Marshal(kmedianRequest{K: req.K, Seed: req.Seed, FirstTree: lo, Trees: hi - lo})
 			oc := &outcomes[primary]
 			if err == nil {
-				oc.status, oc.body, err = rt.fetchScenario(ctx, primary, "/kmedian", body)
+				oc.status, oc.body, err = rt.fetch(ctx, primary, "/kmedian", body, nil)
 			}
 			oc.err = err
 		}(i, shard[0], shard[1])
@@ -404,7 +403,7 @@ func (rt *router) proxyScenario(w http.ResponseWriter, r *http.Request, path str
 	// Spread scenario load round-robin over the fleet: each request starts at
 	// a different primary.
 	primary := int(rt.batches.Add(1)-1) % len(rt.workers)
-	status, resp, err := rt.fetchScenario(ctx, primary, path, body)
+	status, resp, err := rt.fetch(ctx, primary, path, body, nil)
 	if err != nil {
 		writeError(w, http.StatusBadGateway, errUpstreamUnavailable, err.Error(), nil)
 		return
@@ -415,56 +414,4 @@ func (rt *router) proxyScenario(w http.ResponseWriter, r *http.Request, path str
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(resp)
-}
-
-// fetchScenario posts body to path on the shard's candidate workers in
-// health order, returning the first HTTP response obtained. Like fetchShard,
-// each attempt runs under the per-attempt timeout and the shared in-flight
-// limiter; only transport errors fail over — a structured rejection is a
-// response, not a reason to retry elsewhere.
-func (rt *router) fetchScenario(ctx context.Context, primary int, path string, body []byte) (int, []byte, error) {
-	var lastErr error
-	for attempt, wi := range rt.candidates(primary) {
-		wk := rt.workers[wi]
-		if err := rt.limiter.Acquire(ctx); err != nil {
-			return 0, nil, err
-		}
-		status, resp, err := rt.postScenario(ctx, wk, path, body)
-		rt.limiter.Release()
-		if err == nil {
-			wk.healthy.Store(true)
-			wk.served.Add(1)
-			if attempt > 0 {
-				rt.failovers.Add(1)
-			}
-			return status, resp, nil
-		}
-		wk.failures.Add(1)
-		wk.healthy.Store(false)
-		lastErr = fmt.Errorf("worker %s: %w", wk.url, err)
-		if ctx.Err() != nil {
-			return 0, nil, lastErr
-		}
-	}
-	return 0, nil, lastErr
-}
-
-func (rt *router) postScenario(ctx context.Context, wk *workerRef, path string, body []byte) (int, []byte, error) {
-	actx, cancel := context.WithTimeout(ctx, rt.attemptTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, wk.url+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := rt.hc.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, nil, err
-	}
-	return resp.StatusCode, b, nil
 }

@@ -131,6 +131,19 @@ func TestScenarioStructuredErrors(t *testing.T) {
 			errBadScenario, http.StatusBadRequest},
 		{"buyatbulk cable cap", "/buyatbulk", string(manyCablesBody),
 			errBatchTooLarge, http.StatusRequestEntityTooLarge},
+		// A tree count near MaxInt clamps to the ensemble (it used to wrap
+		// FirstTree+Trees and panic the handler); a negative one is rejected
+		// instead of meaning "all trees".
+		{"kmedian trees MaxInt", "/kmedian",
+			`{"k":2,"seed":1,"firstTree":1,"trees":9223372036854775807}`, "", http.StatusOK},
+		{"kmedian trees negative", "/kmedian",
+			`{"k":2,"seed":1,"firstTree":1,"trees":-1}`, errBadScenario, http.StatusBadRequest},
+		{"buyatbulk trees MaxInt", "/buyatbulk",
+			`{"demands":[{"s":0,"t":1,"amount":1}],"cables":[{"capacity":1,"cost":1}],"firstTree":1,"trees":9223372036854775807}`,
+			"", http.StatusOK},
+		{"buyatbulk trees negative", "/buyatbulk",
+			`{"demands":[{"s":0,"t":1,"amount":1}],"cables":[{"capacity":1,"cost":1}],"firstTree":1,"trees":-1}`,
+			errBadScenario, http.StatusBadRequest},
 		{"route empty", "/route", `{"pairs":[]}`, errEmptyPairs, http.StatusBadRequest},
 		{"route range", "/route", `{"pairs":[[0,99999]]}`, errPairOutOfRange, http.StatusBadRequest},
 		{"route cap", "/route", string(manyPairs), errBatchTooLarge, http.StatusRequestEntityTooLarge},

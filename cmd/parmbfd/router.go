@@ -266,28 +266,43 @@ func (rt *router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *router) postUpdate(ctx context.Context, w *workerRef, body []byte) (int64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+"/update", bytes.NewReader(body))
+	status, resp, err := rt.post(ctx, w, "/update", body)
 	if err != nil {
 		return 0, err
+	}
+	if status != http.StatusOK {
+		var er errorResponse
+		if json.Unmarshal(resp, &er) == nil && er.Error.Code != "" {
+			return 0, fmt.Errorf("POST /update: %d %s: %s (%s)", status, http.StatusText(status), er.Error.Message, er.Error.Code)
+		}
+		return 0, fmt.Errorf("POST /update: %d %s", status, http.StatusText(status))
+	}
+	var ur updateResponse
+	if err := json.Unmarshal(resp, &ur); err != nil {
+		return 0, err
+	}
+	return ur.Version, nil
+}
+
+// post sends one POST of body to path on worker w and returns the status
+// and the whole response body. Any HTTP answer is a response; only transport
+// failures are errors.
+func (rt *router) post(ctx context.Context, w *workerRef, path string, body []byte) (int, []byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+path, bytes.NewReader(body))
+	if err != nil {
+		return 0, nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := rt.hc.Do(req)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var er errorResponse
-		if json.NewDecoder(resp.Body).Decode(&er) == nil && er.Error.Code != "" {
-			return 0, fmt.Errorf("POST /update: %s: %s (%s)", resp.Status, er.Error.Message, er.Error.Code)
-		}
-		return 0, fmt.Errorf("POST /update: %s", resp.Status)
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return 0, nil, err
 	}
-	var ur updateResponse
-	if err := json.NewDecoder(resp.Body).Decode(&ur); err != nil {
-		return 0, err
-	}
-	return ur.Version, nil
+	return resp.StatusCode, b, nil
 }
 
 // handleHealthz reports fleet health: ok with every replica up, degraded
@@ -476,22 +491,13 @@ func (rt *router) fanBatch(ctx context.Context, pairs []frt.Pair, stat string, b
 			copy(ds[t:t+w], sr.dists[i*w:(i+1)*w])
 			t += w
 		}
-		sort.Float64s(ds)
-		mid := rt.k / 2
-		if rt.k%2 == 1 {
-			out[i] = ds[mid]
-		} else {
-			out[i] = (ds[mid-1] + ds[mid]) / 2
-		}
+		out[i] = frt.MedianOf(ds)
 	}
 	return out, nil
 }
 
-// fetchShard asks workers for trees [lo, hi) of every pair, primary replica
-// first, then healthy replicas, then anything still standing. Each attempt
-// runs under the per-attempt timeout and the shared in-flight limiter, so a
-// hung worker costs one timeout — not the request — and a burst of retries
-// cannot stampede the fleet.
+// fetchShard asks workers for trees [lo, hi) of every pair: an answer
+// counts only if it is a 200 with exactly len(pairs)·(hi−lo) distances.
 func (rt *router) fetchShard(ctx context.Context, primary, lo, hi int, pairs []frt.Pair) ([]float64, error) {
 	body, err := json.Marshal(batchRequest{
 		Pairs: pairsToWire(pairs), Stat: "pertree", Trees: &[2]int{lo, hi},
@@ -499,30 +505,61 @@ func (rt *router) fetchShard(ctx context.Context, primary, lo, hi int, pairs []f
 	if err != nil {
 		return nil, err
 	}
+	var dists []float64
+	_, _, err = rt.fetch(ctx, primary, "/batch", body, func(status int, resp []byte) error {
+		if status != http.StatusOK {
+			return fmt.Errorf("POST /batch: %d %s", status, http.StatusText(status))
+		}
+		var br batchResponse
+		if err := json.Unmarshal(resp, &br); err != nil {
+			return err
+		}
+		if want := len(pairs) * (hi - lo); len(br.Dists) != want {
+			return fmt.Errorf("shard answer has %d dists, want %d", len(br.Dists), want)
+		}
+		dists = br.Dists
+		return nil
+	})
+	return dists, err
+}
+
+// fetch posts body to path on the candidate workers of primary — primary
+// replica first, then healthy replicas, then anything still standing — and
+// returns the first answer accept takes (nil accept takes any HTTP answer).
+// Each attempt runs under the per-attempt timeout and the shared in-flight
+// limiter, so a hung worker costs one timeout — not the request — and a
+// burst of retries cannot stampede the fleet. A transport failure or a
+// rejected answer marks the worker unhealthy and fails over.
+func (rt *router) fetch(ctx context.Context, primary int, path string, body []byte, accept func(status int, resp []byte) error) (int, []byte, error) {
 	var lastErr error
 	for attempt, wi := range rt.candidates(primary) {
 		w := rt.workers[wi]
 		if err := rt.limiter.Acquire(ctx); err != nil {
-			return nil, err
+			return 0, nil, err
 		}
-		dists, err := rt.postPerTree(ctx, w, body, len(pairs)*(hi-lo))
+		actx, cancel := context.WithTimeout(ctx, rt.attemptTimeout)
+		status, resp, err := rt.post(actx, w, path, body)
+		cancel()
 		rt.limiter.Release()
+		if err == nil && accept != nil {
+			err = accept(status, resp)
+		}
 		if err == nil {
 			w.healthy.Store(true)
 			w.served.Add(1)
 			if attempt > 0 {
 				rt.failovers.Add(1)
 			}
-			return dists, nil
+			return status, resp, nil
 		}
 		w.failures.Add(1)
 		w.healthy.Store(false)
 		lastErr = fmt.Errorf("worker %s: %w", w.url, err)
 		if ctx.Err() != nil {
-			return nil, lastErr
+			return 0, nil, lastErr
 		}
 	}
-	return nil, lastErr
+	return 0, nil, lastErr
 }
 
 // candidates orders worker indices for one shard: its primary, then the
@@ -542,32 +579,6 @@ func (rt *router) candidates(primary int) []int {
 		}
 	}
 	return order
-}
-
-func (rt *router) postPerTree(ctx context.Context, w *workerRef, body []byte, wantDists int) ([]float64, error) {
-	actx, cancel := context.WithTimeout(ctx, rt.attemptTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, w.url+"/batch", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := rt.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("POST /batch: %s", resp.Status)
-	}
-	var br batchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
-		return nil, err
-	}
-	if len(br.Dists) != wantDists {
-		return nil, fmt.Errorf("shard answer has %d dists, want %d", len(br.Dists), wantDists)
-	}
-	return br.Dists, nil
 }
 
 func pairsToWire(pairs []frt.Pair) [][2]int64 {

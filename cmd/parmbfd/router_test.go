@@ -260,6 +260,62 @@ func TestRouterSurvivesHangingWorker(t *testing.T) {
 	}
 }
 
+// TestRouterFailsOverRejectedShardAnswer: a replica that answers a shard
+// fetch with an HTTP error, a body that is not JSON, or the wrong number of
+// per-tree distances is passed over like a dead one — the shard is retried
+// on a healthy replica, the merged answers stay bitwise the single server's,
+// and the failovers are counted.
+func TestRouterFailsOverRejectedShardAnswer(t *testing.T) {
+	rt, _, ref := testFleet(t, 2, time.Second, time.Hour)
+	st := ref.state.Load()
+	stats := statsResponse{Nodes: int64(st.n), Trees: int64(st.idx.NumTrees())}
+	fake := func(batch func(w http.ResponseWriter)) string {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/batch" {
+				batch(w)
+				return
+			}
+			writeJSON(w, http.StatusOK, stats)
+		}))
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	failing := fake(func(w http.ResponseWriter) {
+		writeError(w, http.StatusInternalServerError, errOverloaded, "rejected", nil)
+	})
+	garbled := fake(func(w http.ResponseWriter) { _, _ = w.Write([]byte("{")) })
+	short := fake(func(w http.ResponseWriter) { writeJSON(w, http.StatusOK, batchResponse{Dists: []float64{1}}) })
+	// The three bad replicas are the primaries of shards 0–2.
+	rt2, err := newRouter([]string{failing, garbled, short, rt.workers[0].url, rt.workers[1].url}, 8, time.Second, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt2.Close)
+	rts := httptest.NewServer(rt2.mux())
+	t.Cleanup(rts.Close)
+
+	wire, pairs := randomWirePairs(17, st.n, 16)
+	for _, stat := range []string{"min", "median"} {
+		want := st.idx.MinBatch(pairs, nil)
+		if stat == "median" {
+			want = st.idx.MedianBatch(pairs, nil)
+		}
+		body, _ := json.Marshal(batchRequest{Pairs: wire, Stat: stat})
+		code, br := postJSON(t, rts.URL+"/batch", string(body))
+		if code != http.StatusOK {
+			t.Fatalf("%s batch with rejecting replicas: code %d", stat, code)
+		}
+		for i := range want {
+			if br.Dists[i] != want[i] {
+				t.Fatalf("%s pair %d: %v, want %v", stat, i, br.Dists[i], want[i])
+			}
+		}
+	}
+	if got := rt2.failovers.Load(); got < 3 {
+		t.Fatalf("failovers = %d, want ≥ 3 (one per rejecting primary)", got)
+	}
+}
+
 // TestRouterShutdownLeaksNoGoroutines pins the lifecycle: a router that
 // served traffic (including failed attempts against a dead worker) must
 // release every goroutine on Close — health loop, fan-out workers, and

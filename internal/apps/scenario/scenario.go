@@ -81,9 +81,9 @@ func (o Options) Visit(ens *frt.Ensemble) ([]*frt.Tree, error) {
 
 // Span returns the bounds of the per-tree loop over k trees:
 // [FirstTree, FirstTree+Trees) clamped to k, all k trees when Trees is 0. An
-// out-of-range FirstTree is an error (a sharded deployment asking for trees
-// the worker does not hold is a caller bug, not something to silently clamp
-// to empty).
+// out-of-range FirstTree or a negative Trees is an error (a sharded
+// deployment asking for trees the worker does not hold is a caller bug, not
+// something to silently clamp to empty or widen to everything).
 func (o Options) Span(k int) (lo, hi int, err error) {
 	lo = o.FirstTree
 	if lo < 0 || lo >= k {
@@ -92,8 +92,12 @@ func (o Options) Span(k int) (lo, hi int, err error) {
 		}
 		return 0, 0, fmt.Errorf("scenario: FirstTree=%d out of range for %d trees", lo, k)
 	}
+	if o.Trees < 0 {
+		return 0, 0, fmt.Errorf("scenario: Trees=%d is negative", o.Trees)
+	}
 	hi = k
-	if o.Trees > 0 && lo+o.Trees < hi {
+	// Compared without adding: lo+Trees overflows for Trees near MaxInt.
+	if o.Trees > 0 && o.Trees < hi-lo {
 		hi = lo + o.Trees
 	}
 	return lo, hi, nil

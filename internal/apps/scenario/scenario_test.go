@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -93,5 +94,38 @@ func TestVisit(t *testing.T) {
 	}
 	if _, err := (Options{}).Visit(&frt.Ensemble{}); err == nil {
 		t.Fatal("empty ensemble must error")
+	}
+}
+
+// TestSpan pins the per-tree bounds, including the clamps that must not
+// overflow (Trees near MaxInt) and the inputs that must be rejected.
+func TestSpan(t *testing.T) {
+	cases := []struct {
+		name      string
+		o         Options
+		k, lo, hi int
+		wantErr   bool
+	}{
+		{"all trees", Options{}, 4, 0, 4, false},
+		{"prefix", Options{Trees: 2}, 4, 0, 2, false},
+		{"middle", Options{FirstTree: 1, Trees: 2}, 4, 1, 3, false},
+		{"exact tail", Options{FirstTree: 1, Trees: 3}, 4, 1, 4, false},
+		{"overshoot clamps", Options{FirstTree: 3, Trees: 99}, 4, 3, 4, false},
+		{"MaxInt clamps", Options{FirstTree: 1, Trees: math.MaxInt}, 4, 1, 4, false},
+		{"MaxInt from 0", Options{Trees: math.MaxInt}, 4, 0, 4, false},
+		{"negative trees", Options{Trees: -1}, 4, 0, 0, true},
+		{"MinInt trees", Options{FirstTree: 1, Trees: math.MinInt}, 4, 0, 0, true},
+		{"first past end", Options{FirstTree: 4}, 4, 0, 0, true},
+		{"negative first", Options{FirstTree: -1}, 4, 0, 0, true},
+		{"no trees", Options{}, 0, 0, 0, true},
+	}
+	for _, c := range cases {
+		lo, hi, err := c.o.Span(c.k)
+		if (err != nil) != c.wantErr {
+			t.Fatalf("%s: err = %v, want error %v", c.name, err, c.wantErr)
+		}
+		if err == nil && (lo != c.lo || hi != c.hi) {
+			t.Fatalf("%s: Span(%d) = [%d, %d), want [%d, %d)", c.name, c.k, lo, hi, c.lo, c.hi)
+		}
 	}
 }

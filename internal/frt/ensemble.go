@@ -95,6 +95,14 @@ func (e *Ensemble) Median(u, v graph.Node) float64 {
 	for i, t := range e.Trees {
 		ds[i] = t.Dist(u, v)
 	}
+	return MedianOf(ds)
+}
+
+// MedianOf returns the median of the non-empty ds — the middle value, or
+// the mean of the two middle values for even length — sorting ds in place.
+// OracleIndex.Median, Ensemble.Median and the router's sharded merge all
+// fold per-tree distances through it, so their medians agree bitwise.
+func MedianOf(ds []float64) float64 {
 	sort.Float64s(ds)
 	mid := len(ds) / 2
 	if len(ds)%2 == 1 {

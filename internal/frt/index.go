@@ -3,7 +3,6 @@ package frt
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync/atomic"
 
 	"parmbf/internal/graph"
@@ -606,12 +605,7 @@ func (o *OracleIndex) median(u, v graph.Node, ds []float64) float64 {
 		return 0
 	}
 	o.perTreeDists(u, v, 0, o.k, ds)
-	sort.Float64s(ds)
-	mid := len(ds) / 2
-	if len(ds)%2 == 1 {
-		return ds[mid]
-	}
-	return (ds[mid-1] + ds[mid]) / 2
+	return MedianOf(ds)
 }
 
 // perTreeDists writes the tree distance of (u, v) in every tree t ∈ [lo, hi)

@@ -91,37 +91,26 @@ func TestFastPathMatchesFoldDistMapUnfiltered(t *testing.T) {
 	runBoth(t, r, x0, 4)
 }
 
-func TestFastPathMatchesFoldWidthMap(t *testing.T) {
-	for _, seed := range []uint64{5, 6} {
-		g := diffGraph(seed)
-		r := &Runner[float64, semiring.WidthMap]{
-			Graph:  g,
-			Module: semiring.WidthMapModule{},
-			Weight: MaxMinWeight,
-		}
-		x0 := make([]semiring.WidthMap, g.N())
-		for v := range x0 {
-			if v%3 == 0 {
-				x0[v] = semiring.WidthMap{{Node: graph.Node(v), Width: semiring.Inf}}
-			}
-		}
-		runBoth(t, r, x0, 6)
-	}
-}
-
+// TestFastPathMatchesFoldRouteMap runs the next-hop tables unfiltered and
+// under the top-k projection RoutingTables uses, which Aggregate applies to
+// its own merge (the in-place variant) while the fold applies the pure one.
 func TestFastPathMatchesFoldRouteMap(t *testing.T) {
 	for _, seed := range []uint64{11, 12, 13} {
-		g := diffGraph(seed)
-		r := &Runner[semiring.Hop, semiring.RouteMap]{
-			Graph:  g,
-			Module: semiring.RouteMapModule{},
-			Weight: HopWeight,
+		for _, k := range []int{0, 4} {
+			g := diffGraph(seed)
+			r := &Runner[semiring.Hop, semiring.RouteMap]{
+				Graph:         g,
+				Module:        semiring.RouteMapModule{},
+				Filter:        routeTopK(k),
+				FilterInPlace: routeTopKInPlace(k),
+				Weight:        HopWeight,
+			}
+			x0 := make([]semiring.RouteMap, g.N())
+			for v := range x0 {
+				x0[v] = semiring.RouteMap{{Target: graph.Node(v), Dist: 0, Next: semiring.NoVia}}
+			}
+			runBoth(t, r, x0, 6)
 		}
-		x0 := make([]semiring.RouteMap, g.N())
-		for v := range x0 {
-			x0[v] = semiring.RouteMap{{Target: graph.Node(v), Dist: 0, Next: semiring.NoVia}}
-		}
-		runBoth(t, r, x0, 6)
 	}
 }
 
@@ -144,34 +133,38 @@ func TestFastPathMatchesFoldRouteMapRestricted(t *testing.T) {
 	runBoth(t, r, x0, 6)
 }
 
-func TestFastPathMatchesFoldBoolSet(t *testing.T) {
-	g := diffGraph(7)
-	r := &Runner[bool, []semiring.NodeID]{
-		Graph:  g,
-		Module: semiring.BoolSet{},
-		Weight: BoolWeight,
-	}
-	x0 := make([][]semiring.NodeID, g.N())
-	for v := range x0 {
-		x0[v] = []semiring.NodeID{graph.Node(v)}
-	}
-	runBoth(t, r, x0, 4)
-}
-
+// TestFastPathMatchesFoldScalars runs both scalar algebras unfiltered and
+// under a threshold filter (the forest-fire projection (3.5) for min-plus,
+// its width analogue for max-min), which Aggregate applies itself.
 func TestFastPathMatchesFoldScalars(t *testing.T) {
 	g := diffGraph(8)
-	rmin := &Runner[float64, float64]{Graph: g, Module: semiring.MinPlusSelf{}, Weight: MinPlusWeight}
-	x0 := make([]float64, g.N())
-	for v := range x0 {
-		x0[v] = semiring.Inf
+	within := func(x float64) float64 {
+		if x <= 12 {
+			return x
+		}
+		return semiring.Inf
 	}
-	x0[0] = 0
-	runBoth(t, rmin, x0, 8)
-
-	rmax := &Runner[float64, float64]{Graph: g, Module: semiring.MaxMinSelf{}, Weight: MaxMinWeight}
-	w0 := make([]float64, g.N())
-	w0[0] = semiring.Inf
-	runBoth(t, rmax, w0, 8)
+	wide := func(x float64) float64 {
+		if x >= 3 {
+			return x
+		}
+		return 0
+	}
+	for _, filter := range []semiring.Filter[float64]{nil, within} {
+		rmin := &Runner[float64, float64]{Graph: g, Module: semiring.MinPlusSelf{}, Filter: filter, Weight: MinPlusWeight}
+		x0 := make([]float64, g.N())
+		for v := range x0 {
+			x0[v] = semiring.Inf
+		}
+		x0[0] = 0
+		runBoth(t, rmin, x0, 8)
+	}
+	for _, filter := range []semiring.Filter[float64]{nil, wide} {
+		rmax := &Runner[float64, float64]{Graph: g, Module: semiring.MaxMinSelf{}, Filter: filter, Weight: MaxMinWeight}
+		w0 := make([]float64, g.N())
+		w0[0] = semiring.Inf
+		runBoth(t, rmax, w0, 8)
+	}
 }
 
 // TestFastPathDoesNotMutateInput is the engine-level mutation fuzz: Iterate

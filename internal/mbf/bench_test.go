@@ -145,3 +145,25 @@ func BenchmarkRoutingTablesTop8(b *testing.B) {
 		RoutingTables(g, 8, 12, nil)
 	}
 }
+
+// BenchmarkAPWP and BenchmarkConnectivity run the two sparse-list algebras
+// that aggregate through the generic Add/SMul fold (WidthMap, BoolSet): six
+// all-pairs iterations on the same graph, where the states grow to hundreds
+// of entries.
+func BenchmarkAPWP(b *testing.B) {
+	g := graph.RandomConnected(512, 2048, 20, par.NewRNG(6))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		APWP(g, 6, nil)
+	}
+}
+
+func BenchmarkConnectivity(b *testing.B) {
+	g := graph.RandomConnected(512, 2048, 20, par.NewRNG(6))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Connectivity(g, 6, nil)
+	}
+}

@@ -72,11 +72,11 @@ type Runner[S, M any] struct {
 	// Filter is the representative projection r. Nil means the identity.
 	Filter semiring.Filter[M]
 	// FilterInPlace, if non-nil, must compute the same function as Filter
-	// but may reuse its argument's storage. The engine applies it only to
-	// values it owns exclusively — the freshly merged output of the
-	// Aggregator fast path — saving the copy a pure Filter would make.
-	// Callers that set it must also set Filter (the generic path and the
-	// initial-state projection still go through Filter).
+	// but may reuse its argument's storage. The engine hands it to the
+	// module's Aggregate, which applies it only to a merge it owns
+	// exclusively, saving the copy a pure Filter would make. Callers that
+	// set it must also set Filter (the generic fold and the initial-state
+	// projection still go through Filter).
 	FilterInPlace semiring.Filter[M]
 	// Weight translates the arc from→to of weight w into a_{from,to} ∈ S.
 	Weight func(from, to graph.Node, w float64) S
@@ -88,8 +88,8 @@ type Runner[S, M any] struct {
 	// materialising the propagated state. The aggregation fast path uses it
 	// to charge the Tracker exactly what the generic fold charges for a
 	// propagated term; nil approximates by Size(x), which is exact for the
-	// shift-style modules of this library (DistMap, WidthMap, BoolSet, the
-	// scalar algebras) whenever Weight never returns the semiring zero — a
+	// shift-style modules that aggregate (DistMap, RouteMap, the scalar
+	// algebras) whenever Weight never returns the semiring zero — a
 	// dead edge, whose SMul collapses the state to ⊥. Set it when a custom
 	// Weight can return the zero and exact work accounting matters.
 	PropagatedSize func(s S, x M) int
@@ -154,14 +154,6 @@ func (r *Runner[S, M]) ownedFilter() semiring.Filter[M] {
 	return r.Filter
 }
 
-// filterOwned filters a value the engine owns exclusively.
-func (r *Runner[S, M]) filterOwned(x M) M {
-	if f := r.ownedFilter(); f != nil {
-		return f(x)
-	}
-	return x
-}
-
 // getIter pops a pooled per-worker aggregation scratch; putIter drops the
 // state references the term buffer accumulated since getIter and returns it
 // to the pool. The iteration loops call the pair once per ForEachChunk range,
@@ -186,31 +178,23 @@ func (r *Runner[S, M]) putIter(st *iterScratch[S, M]) {
 }
 
 // recompute derives one node's next state x'(v) = r(x(v) ⊕ ⊕_w a_vw ⊙ x(w))
-// — through the k-way aggregation fast path when the module provides one,
+// — through the module's filtered k-way aggregation when agg is non-nil,
 // through the generic Add/SMul fold otherwise — and returns it together with
 // the work to charge for the node (0 when no Tracker is attached). Both
 // paths charge identically: the node's own state, every propagated state,
 // and the filtered output. st carries the worker's pooled term buffer and
-// merge scratch; the fast path leaves its state references in st.terms for
-// putIter to drop once per chunk.
-func (r *Runner[S, M]) recompute(vi int, x []M, st *iterScratch[S, M], agg semiring.Aggregator[S, M], fa semiring.FilteredAggregator[S, M], fast bool) (M, int64) {
+// merge scratch; the aggregation leaves its state references in st.terms
+// for putIter to drop once per chunk.
+func (r *Runner[S, M]) recompute(vi int, x []M, st *iterScratch[S, M], agg semiring.Aggregator[S, M]) (M, int64) {
 	g := r.Graph
 	v := graph.Node(vi)
 	var work int64
-	if fast {
+	if agg != nil {
 		terms := st.terms[:0]
 		for _, a := range g.Neighbors(v) {
 			terms = append(terms, semiring.Term[S, M]{S: r.Weight(v, a.To, a.Weight), X: x[a.To]})
 		}
-		var out M
-		if fa != nil {
-			// Fused merge-and-filter: the raw merge lives in scratch and only
-			// the filtered survivors are allocated (right-sized states keep
-			// the vector cache-dense for the next iteration).
-			out = fa.AggregateFiltered(&st.sc, x[vi], terms, r.ownedFilter())
-		} else {
-			out = r.filterOwned(agg.Aggregate(&st.sc, x[vi], terms))
-		}
+		out := agg.Aggregate(&st.sc, x[vi], terms, r.ownedFilter())
 		if r.Tracker != nil {
 			work = int64(r.size(x[vi]))
 			for _, t := range terms {
@@ -261,11 +245,10 @@ func (r *Runner[S, M]) chargePhase(workPerNode []int64) {
 // nodes. The input is not modified.
 //
 // When the module implements semiring.Aggregator, each node's neighborhood
-// is aggregated in one k-way merge over pooled scratch buffers — the
-// Lemma 2.3 fast path, which allocates only the merged result — and the
-// (identical) in-place filter is applied to it when available. Otherwise the
-// generic Add/SMul fold of Definition 2.11 runs; both paths compute the same
-// states.
+// is aggregated and filtered in one call over pooled scratch buffers — the
+// Lemma 2.3 fast path, which allocates only the filtered result — handing
+// the module the in-place filter when available. Otherwise the generic
+// Add/SMul fold of Definition 2.11 runs; both paths compute the same states.
 func (r *Runner[S, M]) Iterate(x []M) []M {
 	n := r.Graph.N()
 	if len(x) != n {
@@ -276,14 +259,13 @@ func (r *Runner[S, M]) Iterate(x []M) []M {
 	if r.Tracker != nil {
 		workPerNode = make([]int64, n)
 	}
-	agg, fast := r.Module.(semiring.Aggregator[S, M])
-	// The fused-path assertion is hoisted out of the per-node loop: generic
-	// interface assertions go through the runtime, too slow per node.
-	fa, _ := r.Module.(semiring.FilteredAggregator[S, M])
+	// The assertion is hoisted out of the per-node loop: generic interface
+	// assertions go through the runtime, too slow per node.
+	agg, _ := r.Module.(semiring.Aggregator[S, M])
 	par.ForEachChunk(n, func(start, end int) {
 		st := r.getIter()
 		for vi := start; vi < end; vi++ {
-			s, work := r.recompute(vi, x, st, agg, fa, fast)
+			s, work := r.recompute(vi, x, st, agg)
 			out[vi] = s
 			if workPerNode != nil {
 				workPerNode[vi] = work
@@ -359,13 +341,12 @@ func (r *Runner[S, M]) iterateDelta(x []M, frontier []graph.Node, ds *deltaScrat
 			workPerNode = append(workPerNode, 0)
 		}
 	}
-	agg, fast := r.Module.(semiring.Aggregator[S, M])
-	fa, _ := r.Module.(semiring.FilteredAggregator[S, M])
+	agg, _ := r.Module.(semiring.Aggregator[S, M])
 	par.ForEachChunk(len(cand), func(start, end int) {
 		st := r.getIter()
 		for i := start; i < end; i++ {
 			v := cand[i]
-			s, work := r.recompute(int(v), x, st, agg, fa, fast)
+			s, work := r.recompute(int(v), x, st, agg)
 			if workPerNode != nil {
 				workPerNode[i] = work
 			}

@@ -3,19 +3,23 @@ package semiring
 // This file defines the optional fast-aggregation interface of semimodules.
 //
 // One MBF-like iteration aggregates, at every node v, the propagated states
-// of its neighbors: x'(v) = x(v) ⊕ ⊕_w a_{vw} ⊙ x(w). Folding Add/SMul
-// pairwise materialises a fresh intermediate per neighbor and re-copies the
-// accumulator each step — O(d·k) allocation churn for degree d and state
-// size k. Lemma 2.3 of the paper aggregates all k inputs in ONE merge; the
-// Aggregator interface exposes exactly that: the engine hands a semimodule
-// the whole neighborhood at once and the module merges the sorted entry
-// lists through a 4-ary heap of cursors, allocating only the result.
+// of its neighbors and filters the result: x'(v) = r(x(v) ⊕ ⊕_w a_{vw} ⊙
+// x(w)). Folding Add/SMul pairwise materialises a fresh intermediate per
+// neighbor and re-copies the accumulator each step — O(d·k) allocation
+// churn for degree d and state size k. Lemma 2.3 of the paper aggregates
+// all k inputs in ONE merge; the Aggregator interface exposes exactly that:
+// the engine hands a semimodule the whole neighborhood and the filter at
+// once, and the module merges the sorted entry lists, applies the filter to
+// a value it owns, and allocates only the result.
 //
 // Implementing Aggregator is optional. The engine (mbf.Runner) type-asserts
 // for it and falls back to the generic Add/SMul fold, so Definition 2.11
 // semantics are defined solely by the Semimodule laws; Aggregate must be
-// extensionally equal to the fold (the differential tests in internal/mbf
-// pin this on random graphs for every module below).
+// extensionally equal to the filtered fold (the differential tests in
+// internal/mbf pin this on random graphs for every module below). A module
+// implements it only where the merge measurably beats the fold: DistMap
+// (every oracle, LE-list and source-detection iteration), RouteMap (the
+// routing tables' memory) and the two scalar algebras.
 
 // Term is one summand s ⊙ x of a k-way aggregation: S is the
 // adjacency-matrix entry of the edge and X the neighbor's state.
@@ -26,46 +30,27 @@ type Term[S, M any] struct {
 
 // Aggregator is the optional fast-aggregation interface of a semimodule.
 // Implement it when states are sorted entry lists (or scalars) whose ⊕ is a
-// positional merge; stay with the generic fold when aggregation genuinely
-// combines whole values (e.g. the all-paths semiring, whose ⊕ unions path
-// sets of heterogeneous keys).
+// positional merge and a paired benchmark shows the merge beating the fold;
+// stay with the generic fold otherwise (e.g. the all-paths semiring, whose ⊕
+// unions path sets of heterogeneous keys).
 type Aggregator[S, M any] interface {
 	Semimodule[S, M]
 
 	// Aggregate returns
 	//
-	//	self ⊕ ⊕_i terms[i].S ⊙ terms[i].X
+	//	filter(self ⊕ ⊕_i terms[i].S ⊙ terms[i].X)
 	//
-	// computed as one k-way merge instead of a left fold of Add/SMul. It
-	// must equal the fold exactly.
+	// computed as one k-way merge instead of a left fold of Add/SMul, or the
+	// plain merge when filter is nil. It must equal the filtered fold
+	// exactly.
 	//
-	// Ownership: the result never aliases self, any term, or sc — the
-	// caller owns it exclusively and may mutate it (e.g. apply an in-place
-	// filter). terms and sc are caller-owned scratch, reused across calls;
-	// Aggregate must not retain references to either.
-	Aggregate(sc *Scratch, self M, terms []Term[S, M]) M
-}
-
-// FilteredAggregator is the optional fused aggregate-then-filter fast path
-// of a semimodule. A filtered MBF-like iteration discards most of the merged
-// neighborhood immediately — a top-k projection keeps k entries of a merge
-// that produced many more — so allocating the full merge result only to
-// truncate it wastes allocation bytes and leaves the retained states
-// over-sized for the next iteration's reads. AggregateFiltered merges into
-// scratch-owned buffers, applies the filter there, and allocates only the
-// surviving entries: the per-node allocation is sized to the filtered
-// output, and state vectors stay cache-dense.
-type FilteredAggregator[S, M any] interface {
-	Aggregator[S, M]
-
-	// AggregateFiltered returns filter(self ⊕ ⊕_i terms[i].S ⊙ terms[i].X),
-	// or the plain aggregation when filter is nil. It must equal
-	// filter(Aggregate(sc, self, terms)) exactly. The filter is applied to a
-	// scratch-backed intermediate the module owns exclusively, so engines
-	// pass their in-place filter variant when they have one; the filter must
-	// not retain its argument. The result is freshly allocated, right-sized,
-	// and never aliases self, any term, sc, or the filter's argument.
-	AggregateFiltered(sc *Scratch, self M, terms []Term[S, M], filter Filter[M]) M
+	// The filter is applied to an intermediate the module owns exclusively,
+	// so engines pass their in-place filter variant when they have one; the
+	// filter must not retain its argument. The result never aliases self,
+	// any term, or sc — the caller owns it exclusively. terms and sc are
+	// caller-owned scratch, reused across calls; Aggregate must not retain
+	// references to either.
+	Aggregate(sc *Scratch, self M, terms []Term[S, M], filter Filter[M]) M
 }
 
 // Scratch holds the reusable buffers of Aggregate: the k-way-merge cursor
@@ -78,10 +63,8 @@ type Scratch struct {
 	pos    []int32
 	heap   []mergeCursor
 	shifts []float64
-	width  []WidthMap
 	routes []RouteMap
 	vias   []NodeID
-	sets   [][]NodeID
 	// SoA distance-map kernel state: per-list ID/distance headers, the
 	// reduction-round group headers, and the two ping-pong arenas.
 	dIds    [][]NodeID
@@ -90,8 +73,8 @@ type Scratch struct {
 	rDs     [][]float64
 	rShifts []float64
 	arenas  [2]mergeArena
-	// out is the scratch-owned merge output of the fused
-	// aggregate-then-filter path (AggregateFiltered).
+	// out is the scratch-owned merge output a filtered Aggregate filters
+	// in place before copying out the survivors.
 	out mergeArena
 }
 

@@ -1,7 +1,7 @@
 package semiring
 
 // Differential and ownership tests for the Aggregator fast path: Aggregate
-// must equal the Add/SMul fold exactly, must not mutate its inputs, and must
+// must equal the (filtered) Add/SMul fold exactly, must not mutate its inputs, and must
 // return a value that shares no storage with them — the contract the engine
 // relies on when it applies in-place filters to merged results.
 
@@ -15,26 +15,6 @@ func randDistMap(rng *rand.Rand, n int) DistMap {
 	for v := 0; v < n; v++ {
 		if rng.Intn(3) == 0 {
 			out = out.Append(NodeID(v), float64(rng.Intn(50))/2)
-		}
-	}
-	return out
-}
-
-func randWidthMap(rng *rand.Rand, n int) WidthMap {
-	var out WidthMap
-	for v := 0; v < n; v++ {
-		if rng.Intn(3) == 0 {
-			out = append(out, WidthEntry{Node: NodeID(v), Width: 0.5 + float64(rng.Intn(40))/2})
-		}
-	}
-	return out
-}
-
-func randNodeSet(rng *rand.Rand, n int) []NodeID {
-	var out []NodeID
-	for v := 0; v < n; v++ {
-		if rng.Intn(3) == 0 {
-			out = append(out, NodeID(v))
 		}
 	}
 	return out
@@ -65,55 +45,9 @@ func TestAggregateDistMapMatchesFold(t *testing.T) {
 			terms[i] = Term[float64, DistMap]{S: s, X: randDistMap(rng, 24)}
 		}
 		want := foldDist(self, terms)
-		got := mod.Aggregate(&sc, self, terms)
+		got := mod.Aggregate(&sc, self, terms, nil)
 		if !mod.Equal(got, want) {
 			t.Fatalf("round %d: Aggregate %v != fold %v (self %v)", round, got, want, self)
-		}
-	}
-}
-
-func TestAggregateWidthMapMatchesFold(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	var mod WidthMapModule
-	var sc Scratch
-	for round := 0; round < 500; round++ {
-		self := randWidthMap(rng, 24)
-		terms := make([]Term[float64, WidthMap], rng.Intn(7))
-		for i := range terms {
-			s := float64(rng.Intn(6)) / 2 // includes 0, the annihilator
-			if rng.Intn(8) == 0 {
-				s = Inf // infinite-width edge: the scalar identity
-			}
-			terms[i] = Term[float64, WidthMap]{S: s, X: randWidthMap(rng, 24)}
-		}
-		acc := self
-		for _, tm := range terms {
-			acc = mod.Add(acc, mod.SMul(tm.S, tm.X))
-		}
-		got := mod.Aggregate(&sc, self, terms)
-		if !mod.Equal(got, acc) {
-			t.Fatalf("round %d: Aggregate %v != fold %v", round, got, acc)
-		}
-	}
-}
-
-func TestAggregateBoolSetMatchesFold(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var mod BoolSet
-	var sc Scratch
-	for round := 0; round < 500; round++ {
-		self := randNodeSet(rng, 24)
-		terms := make([]Term[bool, []NodeID], rng.Intn(7))
-		for i := range terms {
-			terms[i] = Term[bool, []NodeID]{S: rng.Intn(4) > 0, X: randNodeSet(rng, 24)}
-		}
-		acc := self
-		for _, tm := range terms {
-			acc = mod.Add(acc, mod.SMul(tm.S, tm.X))
-		}
-		got := mod.Aggregate(&sc, self, terms)
-		if !mod.Equal(got, acc) {
-			t.Fatalf("round %d: Aggregate %v != fold %v", round, got, acc)
 		}
 	}
 }
@@ -128,6 +62,18 @@ func TestAggregateScalarModulesMatchFold(t *testing.T) {
 		}
 		return float64(rng.Intn(30)) / 2
 	}
+	within := func(x float64) float64 {
+		if x <= 6 {
+			return x
+		}
+		return Inf
+	}
+	wide := func(x float64) float64 {
+		if x >= 4 {
+			return x
+		}
+		return 0
+	}
 	for round := 0; round < 500; round++ {
 		selfD, selfW := randVal(), float64(rng.Intn(20))
 		terms := make([]Term[float64, float64], rng.Intn(7))
@@ -137,11 +83,67 @@ func TestAggregateScalarModulesMatchFold(t *testing.T) {
 			accD = mp.Add(accD, mp.SMul(terms[i].S, terms[i].X))
 			accW = mm.Add(accW, mm.SMul(terms[i].S, terms[i].X))
 		}
-		if got := mp.Aggregate(nil, selfD, terms); got != accD {
+		if got := mp.Aggregate(nil, selfD, terms, nil); got != accD {
 			t.Fatalf("round %d: MinPlusSelf.Aggregate %v != fold %v", round, got, accD)
 		}
-		if got := mm.Aggregate(nil, selfW, terms); got != accW {
+		if got := mm.Aggregate(nil, selfW, terms, nil); got != accW {
 			t.Fatalf("round %d: MaxMinSelf.Aggregate %v != fold %v", round, got, accW)
+		}
+		if got, want := mp.Aggregate(nil, selfD, terms, within), within(accD); got != want {
+			t.Fatalf("round %d: filtered MinPlusSelf.Aggregate %v != filtered fold %v", round, got, want)
+		}
+		if got, want := mm.Aggregate(nil, selfW, terms, wide), wide(accW); got != want {
+			t.Fatalf("round %d: filtered MaxMinSelf.Aggregate %v != filtered fold %v", round, got, want)
+		}
+	}
+}
+
+// TestAggregateRouteMapMatchesFold pins the next-hop merge — per target the
+// lightest route, ties towards the smaller next hop — against the fold,
+// unfiltered and under a distance threshold, with dead edges (∞ weight),
+// rerouting scalars and pass-through scalars (NoVia) mixed in.
+func TestAggregateRouteMapMatchesFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var mod RouteMapModule
+	var sc Scratch
+	randRoutes := func() RouteMap {
+		var out RouteMap
+		for v := 0; v < 24; v++ {
+			if rng.Intn(3) == 0 {
+				out = append(out, Route{Target: NodeID(v), Dist: float64(rng.Intn(20)) / 2, Next: NodeID(rng.Intn(4))})
+			}
+		}
+		return out
+	}
+	near := func(x RouteMap) RouteMap {
+		var out RouteMap
+		for _, r := range x {
+			if r.Dist <= 8 {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+	for round := 0; round < 500; round++ {
+		self := randRoutes()
+		terms := make([]Term[Hop, RouteMap], rng.Intn(7))
+		acc := self
+		for i := range terms {
+			s := Hop{W: float64(rng.Intn(6)) / 2, Via: NodeID(rng.Intn(4))}
+			switch rng.Intn(6) {
+			case 0:
+				s.W = Inf
+			case 1:
+				s.Via = NoVia
+			}
+			terms[i] = Term[Hop, RouteMap]{S: s, X: randRoutes()}
+			acc = mod.Add(acc, mod.SMul(s, terms[i].X))
+		}
+		if got := mod.Aggregate(&sc, self, terms, nil); !mod.Equal(got, acc) {
+			t.Fatalf("round %d: Aggregate %v != fold %v", round, got, acc)
+		}
+		if got, want := mod.Aggregate(&sc, self, terms, near), near(acc); !mod.Equal(got, want) {
+			t.Fatalf("round %d: filtered Aggregate %v != filtered fold %v", round, got, want)
 		}
 	}
 }
@@ -166,7 +168,7 @@ func TestAggregateOwnershipFuzz(t *testing.T) {
 			termCopies[i] = tm.X.Clone()
 		}
 
-		out := mod.Aggregate(&sc, self, terms)
+		out := mod.Aggregate(&sc, self, terms, nil)
 		// Scribble over the result (legal: the caller owns it exclusively):
 		// inputs must not see it.
 		mod.SMulInPlace(1000, out)

@@ -113,11 +113,11 @@ func BenchmarkMergeKernel(b *testing.B) {
 		b.Run(benchK(k), func(b *testing.B) {
 			self, terms := mergeKernelInputs(k)
 			var sc Scratch
-			mod.Aggregate(&sc, self, terms) // warm the pooled buffers
+			mod.Aggregate(&sc, self, terms, nil) // warm the pooled buffers
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				mod.Aggregate(&sc, self, terms)
+				mod.Aggregate(&sc, self, terms, nil)
 			}
 		})
 	}

@@ -64,40 +64,6 @@ func (BoolSet) SMul(s bool, x []NodeID) []NodeID {
 	return x
 }
 
-// Aggregate implements the Aggregator fast path: the k-way union of self
-// and every neighbor set whose edge propagates (s = true), in one merge.
-// The result is freshly allocated and never aliases an input.
-func (BoolSet) Aggregate(sc *Scratch, self []NodeID, terms []Term[bool, []NodeID]) []NodeID {
-	lists := sc.sets[:0]
-	total := 0
-	if len(self) > 0 {
-		lists = append(lists, self)
-		total += len(self)
-	}
-	for _, t := range terms {
-		if !t.S || len(t.X) == 0 {
-			continue
-		}
-		lists = append(lists, t.X)
-		total += len(t.X)
-	}
-	var out []NodeID
-	if total > 0 {
-		out = make([]NodeID, 0, total)
-		mergeSorted(sc, lists, func(v NodeID) NodeID { return v },
-			func(_ int32, v NodeID, first bool) {
-				if first {
-					out = append(out, v)
-				}
-			})
-	}
-	for i := range lists {
-		lists[i] = nil
-	}
-	sc.sets = lists[:0]
-	return out
-}
-
 // Zero returns the empty set.
 func (BoolSet) Zero() []NodeID { return nil }
 
@@ -116,5 +82,5 @@ func (BoolSet) Equal(x, y []NodeID) bool {
 
 var (
 	_ Semiring[bool]             = Boolean{}
-	_ Aggregator[bool, []NodeID] = BoolSet{}
+	_ Semimodule[bool, []NodeID] = BoolSet{}
 )

@@ -386,21 +386,24 @@ func (DistMapModule) SMulInPlace(s float64, x DistMap) DistMap {
 // Aggregate implements the Aggregator fast path: the k-way aggregation of
 // Lemma 2.3, merging self and every propagated neighbor list in one pass
 // (min per node ID, shifts applied on the fly) instead of folding Add/SMul.
-// Dead terms (s = ∞ or ⊥ states) are skipped; the result is freshly
-// allocated and never aliases an input, so callers may filter it in place.
+// Dead terms (s = ∞ or ⊥ states) are skipped.
 //
 // The merge runs over the SoA node-ID arrays through the branch-light
 // kernel of distmerge.go: direct 2-/3-/4-way merges for small k, two-level
 // reduction rounds for moderate k, and the cursor heap only for large k.
-func (DistMapModule) Aggregate(sc *Scratch, self DistMap, terms []Term[float64, DistMap]) DistMap {
+// Unfiltered, it merges straight into the freshly allocated result. With a
+// filter, it merges into scratch, filters there in place, and allocates
+// only the survivors: under a top-k or LE projection the per-node
+// allocation is the filtered size, not the raw merge size, and the retained
+// states stay dense for the next iteration's reads.
+func (DistMapModule) Aggregate(sc *Scratch, self DistMap, terms []Term[float64, DistMap], filter Filter[DistMap]) DistMap {
+	// The stack gather and the scratch headers below stay in separate
+	// locals: sharing one lets sb escape to the heap.
 	var sb smallLists
 	if n, total, ok := sb.gather(self, terms); ok {
-		if total == 0 {
-			return DistMap{}
-		}
-		oIds, oDs := allocPairs(total)
+		oIds, oDs := sc.mergeOut(total, filter)
 		oIds, oDs = mergeUpTo8Into(oIds, oDs, sb.ids[:n], sb.ds[:n], sb.shifts[:n])
-		return DistMap{ids: oIds, ds: oDs}
+		return filterOut(DistMap{ids: oIds, ds: oDs}, filter)
 	}
 	sc.growDist(len(terms) + 1)
 	ids := sc.dIds[:0]
@@ -422,89 +425,38 @@ func (DistMapModule) Aggregate(sc *Scratch, self DistMap, terms []Term[float64, 
 		shifts = append(shifts, t.S)
 		total += t.X.Len()
 	}
-	var out DistMap
-	if total > 0 {
-		oIds, oDs := allocPairs(total)
-		oIds, oDs = mergeDistInto(sc, oIds, oDs, ids, ds, shifts)
-		out = DistMap{ids: oIds, ds: oDs}
-	}
+	oIds, oDs := sc.mergeOut(total, filter)
+	oIds, oDs = mergeDistInto(sc, oIds, oDs, ids, ds, shifts)
 	for i := range ids {
 		ids[i], ds[i] = nil, nil // release state references so pooled scratch cannot pin them
 	}
 	sc.dIds, sc.dDs, sc.shifts = ids[:0], ds[:0], shifts[:0]
-	return out
+	return filterOut(DistMap{ids: oIds, ds: oDs}, filter)
 }
 
-// AggregateFiltered implements the fused aggregate-then-filter fast path:
-// the k-way merge runs into a scratch-owned output buffer, the filter is
-// applied there in place, and only the surviving entries are copied into the
-// freshly allocated result. Under a top-k projection this shrinks the
-// per-node allocation from the raw merge size to the filtered size, and the
-// retained state vectors stay dense for the next iteration's reads.
-func (m DistMapModule) AggregateFiltered(sc *Scratch, self DistMap, terms []Term[float64, DistMap], filter Filter[DistMap]) DistMap {
-	var sb smallLists
-	if n, total, ok := sb.gather(self, terms); ok {
-		var merged DistMap
-		if total > 0 {
-			o := &sc.out
-			if cap(o.ids) < total {
-				o.ids = make([]NodeID, 0, total)
-				o.ds = make([]float64, 0, total)
-			}
-			oIds, oDs := mergeUpTo8Into(o.ids[:0], o.ds[:0], sb.ids[:n], sb.ds[:n], sb.shifts[:n])
-			o.ids, o.ds = oIds[:0], oDs[:0]
-			merged = DistMap{ids: oIds, ds: oDs}
-		}
-		if filter != nil {
-			merged = filter(merged)
-		}
-		// Right-size the survivors into one fresh block (see allocPairs).
-		return merged.Clone()
+// mergeOut returns the empty output buffers of a merge of total entries:
+// the freshly allocated result when unfiltered, the pre-grown scratch
+// buffer (so the merge never reallocates out of it) when filtered.
+func (sc *Scratch) mergeOut(total int, filter Filter[DistMap]) ([]NodeID, []float64) {
+	if filter == nil {
+		return allocPairs(total)
 	}
-	sc.growDist(len(terms) + 1)
-	ids := sc.dIds[:0]
-	ds := sc.dDs[:0]
-	shifts := sc.shifts[:0]
-	total := 0
-	if self.Len() > 0 {
-		ids = append(ids, self.ids)
-		ds = append(ds, self.ds)
-		shifts = append(shifts, 0)
-		total += self.Len()
+	o := &sc.out
+	if cap(o.ids) < total {
+		o.ids = make([]NodeID, 0, total)
+		o.ds = make([]float64, 0, total)
 	}
-	for _, t := range terms {
-		if IsInf(t.S) || t.X.Len() == 0 {
-			continue
-		}
-		ids = append(ids, t.X.ids)
-		ds = append(ds, t.X.ds)
-		shifts = append(shifts, t.S)
-		total += t.X.Len()
+	return o.ids[:0], o.ds[:0]
+}
+
+// filterOut turns a merge written into mergeOut's buffers into Aggregate's
+// result: as is when unfiltered; filtered in scratch, with the survivors
+// right-sized into one fresh block (see allocPairs), otherwise.
+func filterOut(merged DistMap, filter Filter[DistMap]) DistMap {
+	if filter == nil {
+		return merged
 	}
-	var merged DistMap
-	if total > 0 {
-		o := &sc.out
-		// Pre-grow so the merge never reallocates out of the scratch buffer.
-		if cap(o.ids) < total {
-			o.ids = make([]NodeID, 0, total)
-			o.ds = make([]float64, 0, total)
-		}
-		oIds, oDs := mergeDistInto(sc, o.ids[:0], o.ds[:0], ids, ds, shifts)
-		o.ids, o.ds = oIds[:0], oDs[:0]
-		merged = DistMap{ids: oIds, ds: oDs}
-	}
-	for i := range ids {
-		ids[i], ds[i] = nil, nil // release state references so pooled scratch cannot pin them
-	}
-	sc.dIds, sc.dDs, sc.shifts = ids[:0], ds[:0], shifts[:0]
-	if filter != nil {
-		merged = filter(merged)
-	}
-	if merged.Len() == 0 {
-		return DistMap{}
-	}
-	// Right-size the survivors into one fresh block (see allocPairs).
-	return merged.Clone()
+	return filter(merged).Clone()
 }
 
 // smallLists is the stack-resident gather buffer of the ≤ 8-list
@@ -566,10 +518,7 @@ func (DistMapModule) Equal(x, y DistMap) bool {
 	return true
 }
 
-var (
-	_ Aggregator[float64, DistMap]         = DistMapModule{}
-	_ FilteredAggregator[float64, DistMap] = DistMapModule{}
-)
+var _ Aggregator[float64, DistMap] = DistMapModule{}
 
 // Normalize sorts the entries by node ID, keeping the minimum distance per
 // node, and drops ∞ entries. It is used to establish the representation
@@ -619,7 +568,7 @@ func MergeMin(xs ...DistMap) DistMap {
 	for i, x := range xs {
 		terms[i] = Term[float64, DistMap]{S: 0, X: x}
 	}
-	return DistMapModule{}.Aggregate(&sc, DistMap{}, terms)
+	return DistMapModule{}.Aggregate(&sc, DistMap{}, terms, nil)
 }
 
 // SupportedVia reports whether some entry (t, d) of xq is derivable from xw

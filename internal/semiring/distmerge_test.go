@@ -177,8 +177,8 @@ func TestMergeKernelBoundaryNodeIDs(t *testing.T) {
 	}
 }
 
-// TestAggregateMatchesReference drives the public entry points — Aggregate
-// and AggregateFiltered — over random shapes with dead terms (∞ scalars, ⊥
+// TestAggregateMatchesReference drives the public entry point — Aggregate,
+// unfiltered and filtered — over random shapes with dead terms (∞ scalars, ⊥
 // states) mixed in, against the reference built from the surviving terms.
 func TestAggregateMatchesReference(t *testing.T) {
 	mod := DistMapModule{}
@@ -206,25 +206,21 @@ func TestAggregateMatchesReference(t *testing.T) {
 			}
 		}
 		want := refMerge(ids, ds, shifts)
-		got := mod.Aggregate(&sc, self, terms)
+		got := mod.Aggregate(&sc, self, terms, nil)
 		if !mod.Equal(got, want) {
 			t.Fatalf("trial %d: Aggregate %v ≠ reference %v", trial, got, want)
 		}
 		filter := TopKFilterInPlace(3, Inf, nil)
-		gotF := mod.AggregateFiltered(&sc, self, terms, filter)
+		gotF := mod.Aggregate(&sc, self, terms, filter)
 		wantF := filter(want.Clone())
 		if !mod.Equal(gotF, wantF) {
-			t.Fatalf("trial %d: AggregateFiltered %v ≠ filtered reference %v", trial, gotF, wantF)
-		}
-		gotNil := mod.AggregateFiltered(&sc, self, terms, nil)
-		if !mod.Equal(gotNil, got) {
-			t.Fatalf("trial %d: AggregateFiltered(nil) %v ≠ Aggregate %v", trial, gotNil, got)
+			t.Fatalf("trial %d: filtered Aggregate %v ≠ filtered reference %v", trial, gotF, wantF)
 		}
 	}
 }
 
-// TestAggregateFilteredOwnership pins the ownership contract of the fused
-// path: the result must survive scratch reuse and in-place mutation without
+// TestAggregateFilteredOwnership pins the ownership contract of the
+// filtered Aggregate, which filters inside scratch: the result must survive scratch reuse and in-place mutation without
 // disturbing the inputs.
 func TestAggregateFilteredOwnership(t *testing.T) {
 	mod := DistMapModule{}
@@ -234,16 +230,16 @@ func TestAggregateFilteredOwnership(t *testing.T) {
 		{S: 1, X: dm(Entry{2, 1}, Entry{3, 9})},
 		{S: 2, X: dm(Entry{1, 1}, Entry{4, 4})},
 	}
-	out := mod.AggregateFiltered(&sc, self, terms, TopKFilterInPlace(8, Inf, nil))
+	out := mod.Aggregate(&sc, self, terms, TopKFilterInPlace(8, Inf, nil))
 	snapshot := out.Clone()
 	// Scribble over the scratch with an unrelated merge, then mutate out.
-	mod.AggregateFiltered(&sc, dm(Entry{9, 9}), terms, TopKFilterInPlace(1, Inf, nil))
+	mod.Aggregate(&sc, dm(Entry{9, 9}), terms, TopKFilterInPlace(1, Inf, nil))
 	if !mod.Equal(out, snapshot) {
 		t.Fatalf("result changed under scratch reuse: %v ≠ %v", out, snapshot)
 	}
 	mod.SMulInPlace(1000, out)
 	if self.Dist(0) != 5 || terms[0].X.Dist(0) != 1 {
-		t.Fatal("mutating the fused result reached an input")
+		t.Fatal("mutating the filtered result reached an input")
 	}
 }
 
@@ -284,9 +280,9 @@ func TestAllocPairsSharedBlock(t *testing.T) {
 
 // TestAggregateAllocsWarmScratch is the steady-state allocation budget of
 // the fast path (the scratch pre-sizing contract of Scratch.grow/growDist):
-// over a warmed Scratch, Aggregate and AggregateFiltered allocate exactly
-// the output — one shared id/distance block (allocPairs) — on every ladder
-// rung.
+// over a warmed Scratch, Aggregate allocates exactly the output — one
+// shared id/distance block (allocPairs) — on every ladder rung, unfiltered
+// and filtered.
 func TestAggregateAllocsWarmScratch(t *testing.T) {
 	mod := DistMapModule{}
 	rng := rand.New(rand.NewSource(13))
@@ -298,17 +294,17 @@ func TestAggregateAllocsWarmScratch(t *testing.T) {
 			terms[i] = Term[float64, DistMap]{S: float64(1 + rng.Intn(5)), X: randomDistMap(rng, 8)}
 		}
 		var sc Scratch
-		mod.Aggregate(&sc, self, terms) // warm the pooled buffers
+		mod.Aggregate(&sc, self, terms, nil) // warm the pooled buffers
 		if allocs := testing.AllocsPerRun(50, func() {
-			mod.Aggregate(&sc, self, terms)
+			mod.Aggregate(&sc, self, terms, nil)
 		}); allocs > 1 {
 			t.Errorf("k=%d: Aggregate allocates %.0f/op over warm scratch, want ≤ 1", k, allocs)
 		}
-		mod.AggregateFiltered(&sc, self, terms, filter)
+		mod.Aggregate(&sc, self, terms, filter)
 		if allocs := testing.AllocsPerRun(50, func() {
-			mod.AggregateFiltered(&sc, self, terms, filter)
+			mod.Aggregate(&sc, self, terms, filter)
 		}); allocs > 1 {
-			t.Errorf("k=%d: AggregateFiltered allocates %.0f/op over warm scratch, want ≤ 1", k, allocs)
+			t.Errorf("k=%d: filtered Aggregate allocates %.0f/op over warm scratch, want ≤ 1", k, allocs)
 		}
 	}
 }

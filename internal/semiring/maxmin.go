@@ -48,8 +48,9 @@ func (MaxMinSelf) Zero() float64 { return 0 }
 func (MaxMinSelf) Equal(x, y float64) bool { return x == y }
 
 // Aggregate implements the Aggregator fast path: max over the edge-capped
-// neighbor widths, in one scan with no intermediate values.
-func (MaxMinSelf) Aggregate(_ *Scratch, self float64, terms []Term[float64, float64]) float64 {
+// neighbor widths, in one scan with no intermediate values, then the
+// filter.
+func (MaxMinSelf) Aggregate(_ *Scratch, self float64, terms []Term[float64, float64], filter Filter[float64]) float64 {
 	acc := self
 	for _, t := range terms {
 		v := t.X
@@ -59,6 +60,9 @@ func (MaxMinSelf) Aggregate(_ *Scratch, self float64, terms []Term[float64, floa
 		if v > acc {
 			acc = v
 		}
+	}
+	if filter != nil {
+		return filter(acc)
 	}
 	return acc
 }

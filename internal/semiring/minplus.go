@@ -55,13 +55,17 @@ func (MinPlusSelf) Zero() float64 { return Inf }
 func (MinPlusSelf) Equal(x, y float64) bool { return x == y }
 
 // Aggregate implements the Aggregator fast path: min over the shifted
-// neighbor distances, in one scan with no intermediate values.
-func (MinPlusSelf) Aggregate(_ *Scratch, self float64, terms []Term[float64, float64]) float64 {
+// neighbor distances, in one scan with no intermediate values, then the
+// filter.
+func (MinPlusSelf) Aggregate(_ *Scratch, self float64, terms []Term[float64, float64], filter Filter[float64]) float64 {
 	acc := self
 	for _, t := range terms {
 		if v := t.S + t.X; v < acc {
 			acc = v
 		}
+	}
+	if filter != nil {
+		return filter(acc)
 	}
 	return acc
 }

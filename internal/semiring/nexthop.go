@@ -156,13 +156,13 @@ func (RouteMapModule) SMul(s Hop, x RouteMap) RouteMap {
 // applied on the fly: list li's entries are shifted by shifts[li] and
 // rerouted through vias[li], where NoVia keeps the entry's own hop (which is
 // also how the self list rides the merge unscaled). Terms with an ∞ scalar
-// or empty tables are skipped; the result is freshly allocated and never
-// aliases an input.
+// or empty tables are skipped; the merge is freshly allocated, so a non-nil
+// filter runs on it in place, and the result never aliases an input.
 //
 // Ties on both Dist and Next mean identical Route values, so the per-target
 // minimum is order-independent and the merge equals the left fold exactly —
 // the differential test in internal/mbf pins this on random graphs.
-func (RouteMapModule) Aggregate(sc *Scratch, self RouteMap, terms []Term[Hop, RouteMap]) RouteMap {
+func (RouteMapModule) Aggregate(sc *Scratch, self RouteMap, terms []Term[Hop, RouteMap], filter Filter[RouteMap]) RouteMap {
 	lists := sc.routes[:0]
 	shifts := sc.shifts[:0]
 	vias := sc.vias[:0]
@@ -205,6 +205,9 @@ func (RouteMapModule) Aggregate(sc *Scratch, self RouteMap, terms []Term[Hop, Ro
 		lists[i] = nil
 	}
 	sc.routes, sc.shifts, sc.vias = lists[:0], shifts[:0], vias[:0]
+	if filter != nil {
+		out = filter(out)
+	}
 	if len(out) == 0 {
 		return nil
 	}

@@ -23,17 +23,16 @@
 // # Aggregation fast path
 //
 // A semimodule may additionally implement Aggregator, the k-way aggregation
-// of Lemma 2.3: the engine then hands it a node's whole neighborhood at once
-// and the module computes x(v) ⊕ ⊕_w a_{vw} ⊙ x(w) as one merge, allocating
-// only the result, instead of the generic Add/SMul fold that materialises
-// ~2·deg(v) intermediates per node. Implement Aggregator when states are
-// sorted entry lists (DistMap, WidthMap, the Boolean node sets) or scalars
-// (MinPlusSelf, MaxMinSelf) whose ⊕ is a positional merge — the payoff is
-// proportional to degree × state size. Rely on the generic fold when ⊕
-// combines values with heterogeneous keys or non-positional structure (the
-// all-paths PathSet, the next-hop RouteMap): the fold is the semantic
-// definition (Definition 2.11), and every Aggregate must be extensionally
-// equal to it (pinned by the differential tests in internal/mbf).
+// of Lemma 2.3: the engine then hands it a node's whole neighborhood and
+// its filter at once, and the module computes r(x(v) ⊕ ⊕_w a_{vw} ⊙ x(w))
+// as one merge, allocating only the result, instead of the generic Add/SMul
+// fold that materialises ~2·deg(v) intermediates per node. DistMap, the
+// next-hop RouteMap and the scalar algebras (MinPlusSelf, MaxMinSelf)
+// implement it, because a paired benchmark shows each beating the fold;
+// WidthMap, the Boolean node sets and the all-paths PathSet rely on the
+// fold. The fold is the semantic definition (Definition 2.11), and every
+// Aggregate must be extensionally equal to it (pinned by the differential
+// tests in internal/mbf).
 package semiring
 
 // NodeID identifies a vertex. Graph code aliases this type; it lives here so

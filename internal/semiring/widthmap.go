@@ -73,61 +73,6 @@ func (WidthMapModule) SMul(s float64, x WidthMap) WidthMap {
 	return out
 }
 
-// Aggregate implements the Aggregator fast path: one k-way merge of self
-// and the propagated neighbor lists — per node the maximum over the
-// edge-capped widths (Equations 3.7/3.8) — instead of a fold of Add/SMul.
-// Terms with s = 0 (non-edges) or ⊥ states are skipped; the result is
-// freshly allocated and never aliases an input.
-func (WidthMapModule) Aggregate(sc *Scratch, self WidthMap, terms []Term[float64, WidthMap]) WidthMap {
-	lists := sc.width[:0]
-	caps := sc.shifts[:0]
-	selfIdx := int32(-1)
-	total := 0
-	if len(self) > 0 {
-		lists = append(lists, self)
-		caps = append(caps, Inf)
-		selfIdx = 0
-		total += len(self)
-	}
-	for _, t := range terms {
-		if t.S == 0 || len(t.X) == 0 {
-			continue
-		}
-		lists = append(lists, t.X)
-		caps = append(caps, t.S)
-		total += len(t.X)
-	}
-	var out WidthMap
-	if total > 0 {
-		out = make(WidthMap, 0, total)
-		mergeSorted(sc, lists, func(e WidthEntry) NodeID { return e.Node },
-			func(li int32, e WidthEntry, _ bool) {
-				w := e.Width
-				if c := caps[li]; c < w {
-					w = c
-				}
-				if w <= 0 && li != selfIdx {
-					return // SMul drops propagated entries capped to ≤ 0
-				}
-				if n := len(out); n > 0 && out[n-1].Node == e.Node {
-					if w > out[n-1].Width {
-						out[n-1].Width = w
-					}
-				} else {
-					out = append(out, WidthEntry{Node: e.Node, Width: w})
-				}
-			})
-	}
-	for i := range lists {
-		lists[i] = nil
-	}
-	sc.width, sc.shifts = lists[:0], caps[:0]
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
 // Zero returns ⊥, the empty width map.
 func (WidthMapModule) Zero() WidthMap { return nil }
 
@@ -144,7 +89,7 @@ func (WidthMapModule) Equal(x, y WidthMap) bool {
 	return true
 }
 
-var _ Aggregator[float64, WidthMap] = WidthMapModule{}
+var _ Semimodule[float64, WidthMap] = WidthMapModule{}
 
 // Get returns the width stored for node v, or 0 if absent.
 func (x WidthMap) Get(v NodeID) float64 {

@@ -166,8 +166,8 @@ type Oracle struct {
 
 	// FilterInPlace, if non-nil, must compute the same function as the
 	// filter argument passed to Iterate/Run/RunToFixpoint but may reuse its
-	// argument's storage. It is applied only to values the oracle owns
-	// exclusively (freshly merged aggregation results), mirroring
+	// argument's storage. It is handed to DistMapModule.Aggregate, which
+	// applies it only to merges it owns exclusively, mirroring
 	// mbf.Runner.FilterInPlace.
 	FilterInPlace semiring.Filter[semiring.DistMap]
 
@@ -278,6 +278,10 @@ func (o *Oracle) iterate(x []semiring.DistMap, filter semiring.Filter[semiring.D
 	// (Λ+1)-way merge entry for entry. The fold order λ = 0, 1, …, Λ is
 	// fixed, keeping the output deterministic at any parallel width.
 	var agg semiring.DistMapModule
+	owned := filter
+	if o.FilterInPlace != nil {
+		owned = o.FilterInPlace
+	}
 	var acc []semiring.DistMap
 	for lambda := 0; lambda <= h.Lambda; lambda++ {
 		runner := o.runners[lambda]
@@ -310,12 +314,7 @@ func (o *Oracle) iterate(x []semiring.DistMap, filter semiring.Filter[semiring.D
 			terms := append(st.terms[:0],
 				semiring.Term[float64, semiring.DistMap]{X: acc[v]},
 				semiring.Term[float64, semiring.DistMap]{X: lvl[v]})
-			merged := agg.Aggregate(&st.sc, semiring.DistMap{}, terms)
-			if o.FilterInPlace != nil {
-				acc[v] = o.FilterInPlace(merged)
-			} else {
-				acc[v] = filter(merged)
-			}
+			acc[v] = agg.Aggregate(&st.sc, semiring.DistMap{}, terms, owned)
 			if final && changed != nil {
 				changed[v] = !agg.Equal(acc[v], x[v])
 			}
