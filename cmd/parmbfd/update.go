@@ -42,10 +42,12 @@ type updateResponse struct {
 
 // decodeUpdate parses a /update body into graph edits, writing the
 // structured error itself on failure. Wire-level shape problems (unknown op,
-// edit-count cap) are rejected here; semantic validation (range, duplicate
-// edits, missing edges, weight domain) is graph.validateEdits' job and
-// surfaces as bad_edit from the handler.
-func decodeUpdate(w http.ResponseWriter, r *http.Request) ([]graph.Edit, bool) {
+// edit-count cap, endpoints outside [0, n)) are rejected here; semantic
+// validation (duplicate edits, missing edges, weight domain) is
+// graph.validateEdits' job and surfaces as bad_edit from the handler. The
+// range check runs on the wire's int64 IDs, before the narrowing to
+// graph.Node, so an ID such as 2^32 cannot wrap onto node 0.
+func decodeUpdate(w http.ResponseWriter, r *http.Request, n int) ([]graph.Edit, bool) {
 	var req updateRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err := dec.Decode(&req); err != nil {
@@ -62,8 +64,15 @@ func decodeUpdate(w http.ResponseWriter, r *http.Request) ([]graph.Edit, bool) {
 			map[string]any{"max": maxUpdateEdits, "got": len(req.Edits)})
 		return nil, false
 	}
+	nn := int64(n)
 	edits := make([]graph.Edit, len(req.Edits))
 	for i, e := range req.Edits {
+		if e.U < 0 || e.U >= nn || e.V < 0 || e.V >= nn {
+			writeError(w, http.StatusBadRequest, errBadEdit,
+				fmt.Sprintf("edit %d: endpoints (%d, %d) out of range", i, e.U, e.V),
+				map[string]any{"index": i, "u": e.U, "v": e.V, "n": n})
+			return nil, false
+		}
 		var op graph.EditOp
 		switch e.Op {
 		case "insert":
@@ -96,7 +105,7 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			"server is static (built without -dynamic); live updates unavailable", nil)
 		return
 	}
-	edits, ok := decodeUpdate(w, r)
+	edits, ok := decodeUpdate(w, r, s.state.Load().n)
 	if !ok {
 		return
 	}

@@ -111,6 +111,9 @@ func TestUpdateRejectsStaticServer(t *testing.T) {
 func TestUpdateBadBatches(t *testing.T) {
 	_, ts, dyn := testDynamicServer(t)
 	treesBefore := dyn.Trees()
+	// An existing edge's endpoint plus 2^32 narrows onto that endpoint as an
+	// int32 node ID, so only a range check on the wire value rejects it.
+	e := dyn.Graph().Edges()[0]
 	cases := []struct {
 		name     string
 		body     any
@@ -124,6 +127,8 @@ func TestUpdateBadBatches(t *testing.T) {
 		{"missing edge", updateRequest{Edits: []updateEdit{{Op: "delete", U: 0, V: 39}}},
 			http.StatusBadRequest, errBadEdit},
 		{"out of range", updateRequest{Edits: []updateEdit{{Op: "insert", U: 0, V: 4096, Weight: 1}}},
+			http.StatusBadRequest, errBadEdit},
+		{"wrapped id", updateRequest{Edits: []updateEdit{{Op: "reweight", U: int64(e.U) + 1<<32, V: int64(e.V), Weight: e.Weight * 2}}},
 			http.StatusBadRequest, errBadEdit},
 		{"too many edits", updateRequest{Edits: make([]updateEdit, maxUpdateEdits+1)},
 			http.StatusRequestEntityTooLarge, errBatchTooLarge},

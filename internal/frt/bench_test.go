@@ -140,6 +140,27 @@ func BenchmarkEmbedderSample(b *testing.B) {
 	}
 }
 
+// BenchmarkEmbedderSampleChungLu1024 is a K=2 draw on a warm Embedder at the
+// scale tier's graph shape (scaleGraph: Chung-Lu, average degree 8, tail
+// exponent 2.5) with the landmark hop set, at n=1024. Its hubs give H nodes
+// with hundreds of in-neighbours, so the oracle's merge over many input
+// lists dominates — the shape BenchmarkEmbedderSample at n=128 never
+// reaches.
+func BenchmarkEmbedderSampleChungLu1024(b *testing.B) {
+	g := scaleGraph(1 << 10)
+	e, err := NewEmbedder(g, Options{RNG: par.NewRNG(42), HopSet: HopSetLandmark})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.SampleEnsemble(2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkTreeDist(b *testing.B) {
 	rng := par.NewRNG(5)
 	g := graph.RandomConnected(512, 2048, 8, rng)

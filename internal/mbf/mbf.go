@@ -47,6 +47,29 @@
 // are identical, per Module.Equal at every node after every iteration, to
 // those of Iterate, the dense definition the differential tests compare
 // against.
+//
+// # Semi-naive merges
+//
+// The loop is semi-naive inside each node as well: the first iteration of
+// every call recomputes its candidates from all in-neighbours, and every
+// later iteration recomputes candidate v as
+//
+//	x'(v) = r( x(v) ⊕ ⊕_{w ∈ frontier} a_{vw} ⊙ x(w) ),
+//
+// merging only the neighbours whose state changed in the previous
+// iteration. This is exact because of an absorption invariant: after every
+// iteration, every node has absorbed every neighbour outside the frontier,
+// r(x(v) ⊕ a_{vw} ⊙ x(w)) = x(v). After the full first iteration it holds
+// at every recomputed node by idempotence of ⊕ (its merge already contained
+// that term, and Corollary 2.17 lets r commute with ⊕), and at every other
+// node because that node satisfies its full fixpoint equation on entry —
+// by ⊥-stability for a fresh run, by RunToFixpointFrom's contract for a
+// resumed one. A later iteration then adds only terms the full merge would
+// add too, so the semi-naive merge equals the full one node for node and
+// the invariant carries over. The first iteration has to be full: a node
+// seeded because its own state was reset (RunToFixpointFrom after a
+// non-monotone edit) has absorbed nothing, and only the full merge gives
+// it back its unchanged neighbours' states.
 package mbf
 
 import (
@@ -95,8 +118,10 @@ type Runner[S, M any] struct {
 	PropagatedSize func(s S, x M) int
 	// Tracker, if non-nil, is charged the work/depth of every iteration in
 	// the DAG cost model of §1.2. Sparse iterations charge only the nodes
-	// they actually re-aggregate — the work performed, not the work a dense
-	// iteration would have performed.
+	// they actually re-aggregate and, after a loop's first iteration, only
+	// the terms they actually merge (the node's own state and its changed
+	// neighbours') — the work performed, not the work a dense iteration
+	// would have performed.
 	Tracker *par.Tracker
 
 	// scratch recycles per-worker buffers of the aggregation fast path, so
@@ -180,18 +205,24 @@ func (r *Runner[S, M]) putIter(st *iterScratch[S, M]) {
 // recompute derives one node's next state x'(v) = r(x(v) ⊕ ⊕_w a_vw ⊙ x(w))
 // — through the module's filtered k-way aggregation when agg is non-nil,
 // through the generic Add/SMul fold otherwise — and returns it together with
-// the work to charge for the node (0 when no Tracker is attached). Both
-// paths charge identically: the node's own state, every propagated state,
-// and the filtered output. st carries the worker's pooled term buffer and
-// merge scratch; the aggregation leaves its state references in st.terms
-// for putIter to drop once per chunk.
-func (r *Runner[S, M]) recompute(vi int, x []M, st *iterScratch[S, M], agg semiring.Aggregator[S, M]) (M, int64) {
+// the work to charge for the node (0 when no Tracker is attached). A non-nil
+// front restricts the sum to the arcs whose head is marked in it: the
+// semi-naive merge of the sparse loop's later iterations, where every
+// unmarked neighbour's term is already absorbed by x(v). Both paths skip the
+// same arcs and charge identically: the node's own state, every propagated
+// state actually merged, and the filtered output. st carries the worker's
+// pooled term buffer and merge scratch; the aggregation leaves its state
+// references in st.terms for putIter to drop once per chunk.
+func (r *Runner[S, M]) recompute(vi int, x []M, front []bool, st *iterScratch[S, M], agg semiring.Aggregator[S, M]) (M, int64) {
 	g := r.Graph
 	v := graph.Node(vi)
 	var work int64
 	if agg != nil {
 		terms := st.terms[:0]
 		for _, a := range g.Neighbors(v) {
+			if front != nil && !front[a.To] {
+				continue
+			}
 			terms = append(terms, semiring.Term[S, M]{S: r.Weight(v, a.To, a.Weight), X: x[a.To]})
 		}
 		out := agg.Aggregate(&st.sc, x[vi], terms, r.ownedFilter())
@@ -211,6 +242,9 @@ func (r *Runner[S, M]) recompute(vi int, x []M, st *iterScratch[S, M], agg semir
 		work = int64(r.size(acc))
 	}
 	for _, a := range g.Neighbors(v) {
+		if front != nil && !front[a.To] {
+			continue
+		}
 		// Propagate the neighbor's state over the edge, then aggregate.
 		s := r.Weight(v, a.To, a.Weight)
 		propagated := r.Module.SMul(s, x[a.To])
@@ -265,7 +299,7 @@ func (r *Runner[S, M]) Iterate(x []M) []M {
 	par.ForEachChunk(n, func(start, end int) {
 		st := r.getIter()
 		for vi := start; vi < end; vi++ {
-			s, work := r.recompute(vi, x, st, agg)
+			s, work := r.recompute(vi, x, nil, st, agg)
 			out[vi] = s
 			if workPerNode != nil {
 				workPerNode[vi] = work
@@ -278,12 +312,14 @@ func (r *Runner[S, M]) Iterate(x []M) []M {
 }
 
 // deltaScratch holds the reusable frontier bookkeeping of the sparse engine:
-// the candidate mark bits, the candidate list, the per-candidate change
-// flags, and the per-candidate recomputed states (buffered so the write-back
-// can happen after the parallel read phase, letting the driver update its
-// vector in place). One instance serves a whole fixpoint loop.
+// the candidate mark bits, the frontier mark bits of a semi-naive iteration,
+// the candidate list, the per-candidate change flags, and the per-candidate
+// recomputed states (buffered so the write-back can happen after the
+// parallel read phase, letting the driver update its vector in place). One
+// instance serves a whole fixpoint loop.
 type deltaScratch[M any] struct {
 	touched []bool
+	front   []bool
 	cand    []graph.Node
 	changed []bool
 	states  []M
@@ -291,13 +327,13 @@ type deltaScratch[M any] struct {
 }
 
 // getDelta pops a pooled deltaScratch sized for the runner's graph (the
-// mark array must have one bit per node), allocating on first use. Callers
+// mark arrays must have one bit per node), allocating on first use. Callers
 // return it with putDelta; iterateDelta leaves every mark cleared and every
 // buffered state reference dropped, so a pooled scratch is always ready.
 func (r *Runner[S, M]) getDelta(n int) *deltaScratch[M] {
 	ds, _ := r.deltaPool.Get().(*deltaScratch[M])
 	if ds == nil || len(ds.touched) != n {
-		ds = &deltaScratch[M]{touched: make([]bool, n)}
+		ds = &deltaScratch[M]{touched: make([]bool, n), front: make([]bool, n)}
 	}
 	return ds
 }
@@ -308,7 +344,12 @@ func (r *Runner[S, M]) putDelta(ds *deltaScratch[M]) { r.deltaPool.Put(ds) }
 // nodes of x (reading the vector concurrently, buffering the results in
 // ds.states) and then writes the changed states back into x, returning the
 // next frontier. The caller must own x exclusively.
-func (r *Runner[S, M]) iterateDelta(x []M, frontier []graph.Node, ds *deltaScratch[M]) []graph.Node {
+//
+// With full set every candidate merges all its in-neighbours; otherwise the
+// step is semi-naive and a candidate merges only its own state and the
+// frontier's — exact when frontier is the change set of the previous
+// iteration of the same loop (see fixpoint).
+func (r *Runner[S, M]) iterateDelta(x []M, frontier []graph.Node, full bool, ds *deltaScratch[M]) []graph.Node {
 	g := r.Graph
 	// Candidates: the frontier plus everyone reading a frontier node's
 	// state. Node v aggregates x over its out-arcs, so a change at u feeds
@@ -341,12 +382,19 @@ func (r *Runner[S, M]) iterateDelta(x []M, frontier []graph.Node, ds *deltaScrat
 			workPerNode = append(workPerNode, 0)
 		}
 	}
+	var front []bool
+	if !full {
+		front = ds.front
+		for _, u := range frontier {
+			front[u] = true
+		}
+	}
 	agg, _ := r.Module.(semiring.Aggregator[S, M])
 	par.ForEachChunk(len(cand), func(start, end int) {
 		st := r.getIter()
 		for i := start; i < end; i++ {
 			v := cand[i]
-			s, work := r.recompute(int(v), x, st, agg)
+			s, work := r.recompute(int(v), x, front, st, agg)
 			if workPerNode != nil {
 				workPerNode[i] = work
 			}
@@ -357,6 +405,11 @@ func (r *Runner[S, M]) iterateDelta(x []M, frontier []graph.Node, ds *deltaScrat
 		}
 		r.putIter(st)
 	})
+	if front != nil {
+		for _, u := range frontier {
+			front[u] = false
+		}
+	}
 	r.chargePhase(workPerNode)
 	// Write-back after the parallel read phase: no candidate may observe a
 	// neighbor's new state mid-iteration.
@@ -422,13 +475,15 @@ func (r *Runner[S, M]) start(x0 []M) ([]M, []graph.Node) {
 // empties or maxIter iterations have run, handing each iteration's changed
 // nodes to visit when it is non-nil, and returns the number of iterations
 // performed — including the final one that confirms the fixpoint. The
-// caller must own x exclusively.
+// caller must own x exclusively. The first iteration merges every
+// in-neighbour and the later ones only the frontier (the semi-naive rule of
+// the package doc); Stepper.Step follows the same rule.
 func (r *Runner[S, M]) fixpoint(x []M, frontier []graph.Node, maxIter int, visit func(changed []graph.Node)) int {
 	ds := r.getDelta(len(x))
 	defer r.putDelta(ds)
 	it := 0
 	for ; it < maxIter && len(frontier) > 0; it++ {
-		frontier = r.iterateDelta(x, frontier, ds)
+		frontier = r.iterateDelta(x, frontier, it == 0, ds)
 		if visit != nil {
 			visit(frontier)
 		}

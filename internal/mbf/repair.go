@@ -11,13 +11,21 @@ import "parmbf/internal/graph"
 // those seeds until the states stabilise again.
 //
 // The contract on (x0, seeds): x0 must already be filtered, and every node
-// NOT in seeds must satisfy the fixpoint equation x0(v) = r(x0(v) ⊕ ⊕_w
-// a_vw ⊙ x0(w)) under the runner's CURRENT graph — i.e. seeds must cover
-// every node whose own state was modified by the caller (e.g. reset to a
-// singleton after a non-monotone edit) and every endpoint of an edited edge.
-// Nodes beyond the seeds' influence cone are then provably stable and are
-// never visited, which is what makes a small edit cost O(affected), not
-// Ω(n).
+// that neither is a seed nor reads a seed's state (has an arc to a seed)
+// must satisfy the fixpoint equation x0(v) = r(x0(v) ⊕ ⊕_w a_vw ⊙ x0(w))
+// under the runner's CURRENT graph — i.e. seeds must cover every node whose
+// own state was modified by the caller (e.g. reset to a singleton after a
+// non-monotone edit) and every endpoint of an edited edge. Nodes beyond the
+// seeds' influence cone are then provably stable and are never visited,
+// which is what makes a small edit cost O(affected), not Ω(n).
+//
+// The first iteration recomputes the seeds and their readers from all the
+// states they read — a reset seed has absorbed nothing, so it must re-read
+// its unchanged neighbours once — and every later iteration merges only the
+// neighbours that changed in the previous one. The contract is exactly what
+// makes the later, semi-naive iterations exact: a node the first iteration
+// does not recompute already absorbs each of its neighbours, because it
+// satisfies its full fixpoint equation (see the package doc).
 //
 // Returns the repaired states (x0 is not modified; the result vector aliases
 // unchanged states), the deduplicated set of nodes whose state actually

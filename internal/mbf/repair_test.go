@@ -7,6 +7,7 @@ package mbf
 // changed set. Runs in the short and -race tiers.
 
 import (
+	"slices"
 	"testing"
 
 	"parmbf/internal/graph"
@@ -102,6 +103,97 @@ func TestRunToFixpointFromNoopSeeds(t *testing.T) {
 	for v := range fix {
 		if !r.Module.Equal(got[v], fix[v]) {
 			t.Fatalf("no-op repair moved node %d", v)
+		}
+	}
+}
+
+// TestRunToFixpointFromResetMatchesFresh pins the contract on the
+// non-monotone repair shape frt's DynamicEnsemble uses: on a rank-keyed
+// Staircase (LE-list) fixpoint, raise one edge's weight, reset every stale
+// node to its singleton, and seed only the reset nodes and the edge's
+// endpoints. Their non-seed neighbours are never in the frontier, so a
+// reset node recovers their entries only through the full merge of the
+// first iteration; the repair must land on exactly the fresh fixpoint of the
+// edited graph and report exactly the nodes that moved from the reset
+// vector.
+func TestRunToFixpointFromResetMatchesFresh(t *testing.T) {
+	defer func(p int) { par.MaxProcs = p }(par.MaxProcs)
+	leRunner := func(g *graph.Graph) *Runner[float64, semiring.DistMap] {
+		return &Runner[float64, semiring.DistMap]{
+			Graph:         g,
+			Module:        semiring.DistMapModule{},
+			Filter:        semiring.Staircase,
+			FilterInPlace: semiring.StaircaseInPlace,
+			Weight:        MinPlusWeight,
+		}
+	}
+	module := semiring.DistMapModule{}
+	for _, seed := range []uint64{24, 25, 26} {
+		rng := par.NewRNG(seed)
+		g := graph.RandomConnected(48, 140, 8, rng)
+		key := make([]graph.Node, g.N())
+		for v, r := range rng.Perm(g.N()) {
+			key[v] = graph.Node(r)
+		}
+		x0 := semiring.SingletonStatesKeyed(key)
+		old, _ := leRunner(g).RunToFixpoint(x0, g.N())
+
+		// Raise the weight of the first edge (in a random order) whose
+		// increase invalidates some list.
+		var g2 *graph.Graph
+		var e graph.Edge
+		var want []semiring.DistMap
+		edges := g.Edges()
+		for _, i := range rng.Perm(len(edges)) {
+			e = edges[i]
+			var err error
+			g2, _, err = graph.ApplyEdits(g, []graph.Edit{
+				{Op: graph.EditReweight, U: e.U, V: e.V, Weight: e.Weight * 4},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ = leRunner(g2).RunToFixpoint(x0, g2.N())
+			if !slices.EqualFunc(old, want, module.Equal) {
+				break
+			}
+		}
+		// Reset the stale nodes — those whose list the edit moves, the
+		// smallest reset the contract allows — and seed them with the
+		// edge's endpoints.
+		base := append([]semiring.DistMap(nil), old...)
+		var seeds []graph.Node
+		for v := range old {
+			if !module.Equal(old[v], want[v]) {
+				base[v] = semiring.SingletonDist(key[v], 0)
+				seeds = append(seeds, graph.Node(v))
+			}
+		}
+		if len(seeds) == 0 {
+			t.Fatalf("seed %d: no edge increase moved any list", seed)
+		}
+		seeds = append(seeds, e.U, e.V)
+		for _, procs := range maxProcsVariants() {
+			par.MaxProcs = procs
+			got, changed, _ := leRunner(g2).RunToFixpointFrom(base, seeds, g2.N())
+			for v := range want {
+				if !module.Equal(got[v], want[v]) {
+					t.Fatalf("seed %d MaxProcs=%d node %d: repaired %v, fresh %v", seed, procs, v, got[v], want[v])
+				}
+			}
+			isChanged := make(map[graph.Node]bool, len(changed))
+			for _, v := range changed {
+				isChanged[v] = true
+			}
+			if len(isChanged) != len(changed) {
+				t.Fatalf("seed %d: changed set %v has duplicates", seed, changed)
+			}
+			for v := range want {
+				if moved := !module.Equal(base[v], want[v]); moved != isChanged[graph.Node(v)] {
+					t.Fatalf("seed %d MaxProcs=%d node %d: moved=%v but reported changed=%v",
+						seed, procs, v, moved, isChanged[graph.Node(v)])
+				}
+			}
 		}
 	}
 }

@@ -324,7 +324,9 @@ func TestZeroUnstableFilterFallsBackDense(t *testing.T) {
 // Add/SMul fold charges — with the default Size approximation when every
 // edge weight is live, and with the PropagatedSize hook when a custom
 // Weight can return the semiring zero (a dead edge, whose propagated state
-// collapses to ⊥).
+// collapses to ⊥). Parity must hold on the dense Run and on both sparse
+// drivers, whose semi-naive iterations skip the same unchanged neighbours
+// in either path.
 func TestTrackerParityFastVsGeneric(t *testing.T) {
 	size := func(x semiring.DistMap) int { return x.Len() + 1 }
 	// Weight that kills every arc into or out of node 0: propagation over
@@ -365,14 +367,38 @@ func TestTrackerParityFastVsGeneric(t *testing.T) {
 				Weight: cfg.weight, Size: size,
 				Tracker: slowTr,
 			}
+			parity := func(leg string) {
+				t.Helper()
+				if fastTr.Work() != slowTr.Work() {
+					t.Fatalf("%s: fast path charged %d work, generic fold %d", leg, fastTr.Work(), slowTr.Work())
+				}
+				if fastTr.Depth() != slowTr.Depth() {
+					t.Fatalf("%s: fast path charged %d depth, generic fold %d", leg, fastTr.Depth(), slowTr.Depth())
+				}
+			}
 			fast.Run(x0, 4)
 			slow.Run(x0, 4)
-			if fastTr.Work() != slowTr.Work() {
-				t.Fatalf("fast path charged %d work, generic fold %d", fastTr.Work(), slowTr.Work())
+			parity("Run")
+
+			// Even nodes are the sources of a fixpoint; the repair leg then
+			// adds the odd nodes below 8 as sources and resumes from them.
+			half := make([]semiring.DistMap, g.N())
+			for v := 0; v < g.N(); v += 2 {
+				half[v] = x0[v]
 			}
-			if fastTr.Depth() != slowTr.Depth() {
-				t.Fatalf("fast path charged %d depth, generic fold %d", fastTr.Depth(), slowTr.Depth())
+			fix, _ := fast.RunToFixpoint(half, g.N())
+			slow.RunToFixpoint(half, g.N())
+			parity("RunToFixpoint")
+
+			base := append([]semiring.DistMap(nil), fix...)
+			var seeds []graph.Node
+			for v := 1; v < 8; v += 2 {
+				base[v] = fast.Module.Add(base[v], x0[v])
+				seeds = append(seeds, graph.Node(v))
 			}
+			fast.RunToFixpointFrom(base, seeds, g.N())
+			slow.RunToFixpointFrom(base, seeds, g.N())
+			parity("RunToFixpointFrom")
 		})
 	}
 }

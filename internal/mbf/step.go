@@ -35,13 +35,14 @@ func (r *Runner[S, M]) NewStepper(x0 []M) *Stepper[S, M] {
 }
 
 // Step performs one sparse iteration in place and reports whether any state
-// changed. Once it returns false the fixpoint is reached and further calls
-// are no-ops.
+// changed: the first from all in-neighbours, every later one semi-naive
+// from the previous step's changed nodes only, as in RunToFixpoint. Once it
+// returns false the fixpoint is reached and further calls are no-ops.
 func (st *Stepper[S, M]) Step() bool {
 	if len(st.frontier) == 0 {
 		return false
 	}
-	st.frontier = st.r.iterateDelta(st.x, st.frontier, st.ds)
+	st.frontier = st.r.iterateDelta(st.x, st.frontier, st.steps == 0, st.ds)
 	st.steps++
 	return len(st.frontier) > 0
 }

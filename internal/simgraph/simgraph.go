@@ -32,6 +32,14 @@
 // oracle states only grow in the congruence order (x_t ≡ x_t ⊕ x_{t−1}), and
 // Corollary 2.17 lets r commute with ⊕ and A_λ. Iterate and Run stay cold and
 // are the reference the warm path is tested against.
+//
+// Each level run is semi-naive inside as well: mbf's sparse loop merges a
+// node's whole neighbourhood only in the first iteration of a run, and
+// afterwards only the neighbours whose state changed in the previous
+// iteration (the absorption argument is in the mbf package doc). A warm
+// restart from reseed satisfies that argument's entry condition, because
+// every node that neither was reseeded nor reads a reseeded node still
+// satisfies its fixpoint equation of the previous run.
 package simgraph
 
 import (
