@@ -88,7 +88,7 @@ bench-mbf:
 
 ## Merge-kernel micro-benchmarks: the SoA k-way merge behind
 ## DistMapModule.Aggregate on every rung of the dispatch ladder (k = 2, 4,
-## 8, 16, 40, 72) against an array-of-structs fold baseline, plus the
+## 8, 16, 40, 72, 600) against an array-of-structs fold baseline, plus the
 ## surrounding DistMap primitives; each run appends one JSON line to
 ## BENCH_semiring.json.
 bench-semiring:

@@ -75,7 +75,7 @@ type Solution struct {
 
 // Options is the unified application-scenario configuration; see
 // scenario.Options. Solve draws Trees trees (default 1) through the shared
-// embedder pipeline unless an Embedder or Ensemble is injected; with several
+// embedder pipeline unless an Ensemble is injected; with several
 // trees the cheapest per-tree solution is returned.
 type Options = scenario.Options
 

@@ -168,7 +168,7 @@ func nearestDist(g *graph.Graph, sources []graph.Node, tracker *par.Tracker) []f
 
 // Options is the unified application-scenario configuration; see
 // scenario.Options. Solve draws Trees trees (default 3) through the shared
-// embedder pipeline unless an Embedder or Ensemble is injected. RNG is
+// embedder pipeline unless an Ensemble is injected. RNG is
 // always required: candidate sampling is randomized even when the trees are
 // injected.
 type Options = scenario.Options

@@ -42,7 +42,7 @@ import (
 
 // Options is the unified application-scenario configuration; see
 // scenario.Options. Build draws Trees trees (default 4) through the shared
-// embedder pipeline unless an Embedder or Ensemble is injected.
+// embedder pipeline unless an Ensemble is injected.
 type Options = scenario.Options
 
 // defaultTrees is the ensemble size Build uses when Options does not say

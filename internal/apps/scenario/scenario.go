@@ -1,10 +1,9 @@
 // Package scenario holds the entry-point conventions shared by every
 // application scenario (kmedian, buyatbulk, steiner, routing): one Options
-// shape with an embedder/ensemble injection point. A standalone caller sets
-// just RNG and the scenario builds its own hop-set → H → oracle pipeline;
-// a daemon builds the pipeline once and injects the shared Embedder or the
-// already-sampled Ensemble, so every scenario answers from the same trees
-// and the same oracle index.
+// shape with an ensemble injection point. A standalone caller sets just RNG
+// and the scenario builds its own hop-set → H → oracle pipeline; a daemon
+// samples the ensemble once and injects it, so every scenario answers from
+// the same trees and the same oracle index.
 package scenario
 
 import (
@@ -17,10 +16,10 @@ import (
 
 // Options configures an application scenario. The zero value is invalid:
 // every scenario needs either an RNG (to sample trees, and for its own
-// randomized stages) or an injected pipeline.
+// randomized stages) or an injected ensemble.
 type Options struct {
-	// RNG is the randomness source. Required unless Ensemble or Embedder is
-	// injected and the scenario has no randomized stage of its own.
+	// RNG is the randomness source. Required unless Ensemble is injected
+	// and the scenario has no randomized stage of its own.
 	RNG *par.RNG
 	// Trees is the number of FRT trees the scenario draws — or, with an
 	// injected Ensemble, visits — in its per-tree loop; 0 selects the
@@ -31,9 +30,6 @@ type Options struct {
 	// [FirstTree, FirstTree+Trees) and the router merges by reported cost.
 	// Ignored when trees are freshly sampled.
 	FirstTree int
-	// Embedder, if non-nil, is the shared pipeline to draw trees from; the
-	// scenario skips its own NewEmbedder build.
-	Embedder *frt.Embedder
 	// Ensemble, if non-nil, is used directly — no sampling happens.
 	Ensemble *frt.Ensemble
 	// Tracker, if non-nil, is charged the work/depth of the scenario's
@@ -42,8 +38,8 @@ type Options struct {
 }
 
 // Resolve returns the ensemble the scenario should run on: the injected one;
-// otherwise Trees (or defaultTrees) fresh trees drawn from the injected
-// embedder, or from a new embedder built on g.
+// otherwise Trees (or defaultTrees) fresh trees drawn from a new embedder
+// built on g.
 func (o Options) Resolve(g *graph.Graph, defaultTrees int) (*frt.Ensemble, error) {
 	if o.Ensemble != nil {
 		if len(o.Ensemble.Trees) == 0 {
@@ -55,16 +51,12 @@ func (o Options) Resolve(g *graph.Graph, defaultTrees int) (*frt.Ensemble, error
 	if trees <= 0 {
 		trees = defaultTrees
 	}
-	emb := o.Embedder
-	if emb == nil {
-		if o.RNG == nil {
-			return nil, fmt.Errorf("scenario: Options.RNG is required unless an embedder or ensemble is injected")
-		}
-		var err error
-		emb, err = frt.NewEmbedder(g, frt.Options{RNG: o.RNG, Tracker: o.Tracker})
-		if err != nil {
-			return nil, err
-		}
+	if o.RNG == nil {
+		return nil, fmt.Errorf("scenario: Options.RNG is required unless an ensemble is injected")
+	}
+	emb, err := frt.NewEmbedder(g, frt.Options{RNG: o.RNG, Tracker: o.Tracker})
+	if err != nil {
+		return nil, err
 	}
 	return emb.SampleEnsemble(trees)
 }

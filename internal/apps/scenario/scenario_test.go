@@ -34,18 +34,11 @@ func TestResolveSamplesFreshTrees(t *testing.T) {
 	}
 }
 
-func TestResolveInjectedEmbedderAndEnsemble(t *testing.T) {
+func TestResolveInjectedEnsemble(t *testing.T) {
 	g := testGraph(t)
-	emb, err := frt.NewEmbedder(g, frt.Options{RNG: par.NewRNG(11)})
+	ens, err := Options{RNG: par.NewRNG(11)}.Resolve(g, 2)
 	if err != nil {
 		t.Fatal(err)
-	}
-	ens, err := Options{Embedder: emb}.Resolve(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ens.Trees) != 2 {
-		t.Fatalf("embedder injection: got %d trees, want 2", len(ens.Trees))
 	}
 	// An injected ensemble wins over everything and needs no RNG.
 	got, err := Options{Ensemble: ens}.Resolve(g, 99)

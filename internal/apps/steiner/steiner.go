@@ -123,7 +123,7 @@ func prune(g *graph.Graph, sub *graph.Graph, terminals []graph.Node) *Result {
 
 // Options is the unified application-scenario configuration; see
 // scenario.Options. Solve draws Trees trees (default 1) through the shared
-// embedder pipeline unless an Embedder or Ensemble is injected; with several
+// embedder pipeline unless an Ensemble is injected; with several
 // trees the lightest per-tree result is returned.
 type Options = scenario.Options
 

@@ -26,7 +26,6 @@ import (
 type Embedder struct {
 	g    *graph.Graph
 	opts Options
-	hop  *hopset.Result
 	h    *simgraph.H
 }
 
@@ -60,7 +59,7 @@ func NewEmbedder(g *graph.Graph, opts Options) (*Embedder, error) {
 	}
 
 	h := simgraph.Build(hs, opts.EpsHat, opts.RNG)
-	return &Embedder{g: g, opts: opts, hop: hs, h: h}, nil
+	return &Embedder{g: g, opts: opts, h: h}, nil
 }
 
 // H returns the shared simulated graph.
@@ -68,31 +67,6 @@ func (e *Embedder) H() *simgraph.H { return e.h }
 
 // Graph returns the input graph.
 func (e *Embedder) Graph() *graph.Graph { return e.g }
-
-// ApplyEdits refreshes the embedder's shared pipeline stages for an edited
-// graph with the per-graph randomness held fixed: the graph is edited
-// copy-on-write, the hop set is rebuilt from its frozen sample set
-// (hopset.Result.Rebuild), and H is rebound to the new hop set keeping the
-// frozen level assignment (simgraph.H.WithHop). No RNG state is consumed, so
-// trees drawn after an update differ from a fresh embedder's only where the
-// metric actually changed. Like the other methods, not safe for concurrent
-// use; a deletion that disconnects the graph is rejected and the embedder is
-// left unchanged.
-func (e *Embedder) ApplyEdits(edits []graph.Edit) (*graph.EditSummary, error) {
-	g2, sum, err := graph.ApplyEdits(e.g, edits)
-	if err != nil {
-		return nil, err
-	}
-	if len(sum.Applied) == 0 {
-		return sum, nil
-	}
-	if sum.Deletes > 0 && !g2.Connected() {
-		return nil, fmt.Errorf("frt: edit batch disconnects the graph")
-	}
-	hop2 := e.hop.Rebuild(g2, e.opts.Tracker)
-	e.g, e.hop, e.h = g2, hop2, e.h.WithHop(hop2)
-	return sum, nil
-}
 
 // sampleWith draws one tree using rng for the per-tree randomness (order and
 // β) and charging work/depth to tracker.

@@ -209,44 +209,3 @@ func TestDynamicEnsembleNoopReweightKeepsTrees(t *testing.T) {
 	}
 	assertDynamicMatchesRebuild(t, d)
 }
-
-// TestEmbedderApplyEdits pins the oracle-pipeline refresh: applying edits to
-// an embedder must leave it in exactly the state of a fresh same-seed
-// embedder built on the edited graph — same hop-set samples, same levels —
-// so the next sampled tree is bitwise identical.
-func TestEmbedderApplyEdits(t *testing.T) {
-	for _, hk := range []HopSetKind{HopSetNone, HopSetLandmark} {
-		g := graph.RandomConnected(56, 160, 8, par.NewRNG(61))
-		e1, err := NewEmbedder(g, Options{RNG: par.NewRNG(62), HopSet: hk})
-		if err != nil {
-			t.Fatal(err)
-		}
-		edges := g.Edges()
-		edits := []graph.Edit{
-			{Op: graph.EditReweight, U: edges[3].U, V: edges[3].V, Weight: edges[3].Weight * 2},
-			{Op: graph.EditDelete, U: edges[10].U, V: edges[10].V},
-		}
-		sum, err := e1.ApplyEdits(edits)
-		if err != nil {
-			t.Skipf("hop %v: batch disconnects this graph: %v", hk, err)
-		}
-		if sum.Deletes != 1 || sum.Reweights != 1 {
-			t.Fatalf("summary: %+v", sum)
-		}
-		// Fresh embedder, same seed, on the edited graph: consumes the same
-		// RNG draws (hop sampling + levels depend only on n), so the updated
-		// e1 must now sample identical trees.
-		e2, err := NewEmbedder(e1.Graph(), Options{RNG: par.NewRNG(62), HopSet: hk})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t1, err1 := e1.Sample()
-		t2, err2 := e2.Sample()
-		if err1 != nil || err2 != nil {
-			t.Fatalf("sampling: %v, %v", err1, err2)
-		}
-		if !reflect.DeepEqual(t1.Tree, t2.Tree) {
-			t.Fatalf("hop %v: post-update tree diverges from fresh same-seed embedder", hk)
-		}
-	}
-}

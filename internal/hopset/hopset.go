@@ -32,19 +32,6 @@ import (
 	"parmbf/internal/semiring"
 )
 
-// Kind identifies which construction produced a Result — what Rebuild needs
-// to re-run the same construction on an edited graph.
-type Kind uint8
-
-const (
-	// KindNone is the trivial hop set (G itself).
-	KindNone Kind = iota
-	// KindSkeleton is the exact skeleton hop set.
-	KindSkeleton
-	// KindLandmark is the landmark hop set.
-	KindLandmark
-)
-
 // Result describes a constructed hop set.
 type Result struct {
 	// Graph is G′ = G augmented with the hop-set edges.
@@ -57,29 +44,6 @@ type Result struct {
 	EpsHat float64
 	// Added is the number of edges added on top of G.
 	Added int
-	// Kind records the construction, and Samples its frozen random node set
-	// (skeleton nodes or landmarks; nil for KindNone). Ell is the skeleton
-	// window length. Together they let Rebuild reproduce the construction on
-	// an edited graph with the randomness held fixed.
-	Kind    Kind
-	Samples []graph.Node
-	Ell     int
-}
-
-// Rebuild re-runs this hop set's construction on g2 with the same frozen
-// random samples — the live-update path: edge edits change the ℓ-hop and
-// landmark distances, so the overlay edges must be recomputed, but the
-// sampled node sets are randomness that an incremental refresh keeps fixed.
-// Node count must be unchanged (edits never add or remove nodes).
-func (r *Result) Rebuild(g2 *graph.Graph, tracker *par.Tracker) *Result {
-	switch r.Kind {
-	case KindSkeleton:
-		return SkeletonFrom(g2, r.Samples, r.Ell, tracker)
-	case KindLandmark:
-		return LandmarkFrom(g2, r.Samples, tracker)
-	default:
-		return None(g2)
-	}
 }
 
 // None returns the trivial hop set: G itself with d = n−1 and ε̂ = 0. It is
@@ -89,7 +53,7 @@ func None(g *graph.Graph) *Result {
 	if d < 1 {
 		d = 1
 	}
-	return &Result{Graph: g, D: d, EpsHat: 0, Added: 0, Kind: KindNone}
+	return &Result{Graph: g, D: d, EpsHat: 0, Added: 0}
 }
 
 // Skeleton builds the exact skeleton hop set with window length ell and
@@ -113,17 +77,6 @@ func Skeleton(g *graph.Graph, ell int, c float64, rng *par.RNG, tracker *par.Tra
 	}
 	if len(skeleton) == 0 && n > 0 {
 		skeleton = append(skeleton, graph.Node(rng.Intn(n)))
-	}
-	return SkeletonFrom(g, skeleton, ell, tracker)
-}
-
-// SkeletonFrom builds the skeleton hop set from an explicit skeleton node
-// set — the deterministic core of Skeleton, and what Rebuild uses to refresh
-// a hop set on an edited graph with the sampled nodes held fixed.
-func SkeletonFrom(g *graph.Graph, skeleton []graph.Node, ell int, tracker *par.Tracker) *Result {
-	n := g.N()
-	if ell < 1 {
-		ell = 1
 	}
 
 	// ℓ-hop-limited distances from every skeleton node, in parallel.
@@ -161,7 +114,7 @@ func SkeletonFrom(g *graph.Graph, skeleton []graph.Node, ell int, tracker *par.T
 	if d < 1 {
 		d = 1
 	}
-	return &Result{Graph: gp, D: d, EpsHat: 0, Added: added, Kind: KindSkeleton, Samples: skeleton, Ell: ell}
+	return &Result{Graph: gp, D: d, EpsHat: 0, Added: added}
 }
 
 // DefaultSkeleton builds Skeleton with the balanced window length
@@ -190,15 +143,7 @@ func Landmark(g *graph.Graph, count int, rng *par.RNG, tracker *par.Tracker) *Re
 	for _, v := range rng.Perm(n)[:count] {
 		landmarks = append(landmarks, graph.Node(v))
 	}
-	return LandmarkFrom(g, landmarks, tracker)
-}
 
-// LandmarkFrom builds the landmark hop set from an explicit landmark set —
-// the deterministic core of Landmark, used by Rebuild to refresh the hop set
-// on an edited graph with the landmark choice held fixed.
-func LandmarkFrom(g *graph.Graph, landmarks []graph.Node, tracker *par.Tracker) *Result {
-	n := g.N()
-	count := len(landmarks)
 	dists := make([]*graph.SSSPResult, count)
 	par.ForEach(count, func(i int) {
 		dists[i] = graph.Dijkstra(g, landmarks[i])
@@ -216,7 +161,7 @@ func LandmarkFrom(g *graph.Graph, landmarks []graph.Node, tracker *par.Tracker) 
 		}
 	}
 	gp := b.Freeze()
-	return &Result{Graph: gp, D: 2, EpsHat: math.NaN(), Added: gp.M() - g.M(), Kind: KindLandmark, Samples: landmarks}
+	return &Result{Graph: gp, D: 2, EpsHat: math.NaN(), Added: gp.M() - g.M()}
 }
 
 // Measure empirically evaluates the hop-set inequality (1.3) on `pairs`

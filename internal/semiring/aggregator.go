@@ -84,10 +84,9 @@ type mergeArena struct {
 	ds  []float64
 }
 
-// grow pre-sizes the k-way-merge buffers for k lists in one place, so a
-// fresh (or pool-recycled) Scratch does not re-grow pos/heap one append at
-// a time on its first large-degree node. Pinned by the allocs-per-op
-// regression test in distmerge_test.go.
+// grow pre-sizes the cursor-heap buffers of mergeSorted for k lists in one
+// place, so a fresh (or pool-recycled) Scratch does not re-grow pos/heap one
+// append at a time on its first large-degree node.
 func (sc *Scratch) grow(k int) {
 	if cap(sc.pos) < k {
 		sc.pos = make([]int32, 0, k)
@@ -108,9 +107,6 @@ func (sc *Scratch) growDist(k int) {
 			sc.rIds = make([][]NodeID, 0, groups)
 			sc.rDs = make([][]float64, 0, groups)
 			sc.rShifts = make([]float64, 0, groups)
-		}
-		if k > heapMergeMinLists {
-			sc.grow(k)
 		}
 	}
 }

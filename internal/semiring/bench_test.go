@@ -88,13 +88,14 @@ func BenchmarkRouteMapAdd(b *testing.B) {
 //
 // BenchmarkMergeKernel times the SoA k-way merge behind Aggregate on each
 // rung of the dispatch ladder (distmerge.go): k=2 galloping two-way, k=4/8
-// unrolled head-min loops, k=16/40 one reduction round, k=72 two rounds.
+// unrolled head-min loops, k=16/40 one reduction round, k=72 two rounds,
+// k=600 three rounds (past 8·8·8 lists, the hub neighbourhoods of H).
 // BenchmarkMergeKernelAoS folds the same inputs through a faithful replica
 // of the pre-SoA array-of-structs layout — pairwise two-way merges over
 // []aosEntry — so the trajectory in BENCH_semiring.json keeps the layout
 // comparison honest run over run.
 
-var mergeKernelKs = []int{2, 4, 8, 16, 40, 72}
+var mergeKernelKs = []int{2, 4, 8, 16, 40, 72, 600}
 
 // mergeKernelInputs builds k lists of 16 entries plus a self state, shaped
 // like a filtered MBF neighborhood.

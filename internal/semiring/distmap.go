@@ -389,8 +389,8 @@ func (DistMapModule) SMulInPlace(s float64, x DistMap) DistMap {
 // Dead terms (s = ∞ or ⊥ states) are skipped.
 //
 // The merge runs over the SoA node-ID arrays through the branch-light
-// kernel of distmerge.go: direct 2-/3-/4-way merges for small k, two-level
-// reduction rounds for moderate k, and the cursor heap only for large k.
+// kernel of distmerge.go: direct 2-/3-/4-/8-way merges for k ≤ 8, and
+// reduction rounds of 8-way merges for every larger k.
 // Unfiltered, it merges straight into the freshly allocated result. With a
 // filter, it merges into scratch, filters there in place, and allocates
 // only the survivors: under a top-k or LE projection the per-node
@@ -571,34 +571,23 @@ func MergeMin(xs ...DistMap) DistMap {
 	return DistMapModule{}.Aggregate(&sc, DistMap{}, terms, nil)
 }
 
-// SupportedVia reports whether some entry (t, d) of xq is derivable from xw
-// over an arc of weight a — i.e. whether xw holds an entry (t, dw) with
-// d == a + dw exactly. In a min-plus fixpoint every non-self entry of a node
-// has such a supporting in-neighbor (the next hop of a shortest path, where
-// the LE-list suffix property keeps the target alive through the filter), so
-// the incremental-repair taint walk uses this predicate to trace which
-// states an edge deletion or weight increase can invalidate. The comparison
-// is float-exact by design: the fixpoint derived d as a + dw with this very
-// addition, so checking a + dw == d (never d − a == dw, which floating-point
-// subtraction does not invert) identifies derivations bitwise.
-//
-// Both maps are sorted by node ID (the representation invariant), so this is
-// one linear merge-join over the SoA arrays with no allocation.
-func SupportedVia(xq, xw DistMap, a float64) bool {
-	found := false
-	SupportedEntries(xq, xw, a, func(int, int) { found = true })
-	return found
-}
-
 // SupportedEntries visits every individual derivation of xq from xw over an
 // arc of weight a: each pair of positions (i, j) with
-// xq.ids[i] == xw.ids[j] and xq.ds[i] == a + xw.ds[j] exactly. This is the
-// entry-granular form of SupportedVia — the taint walk uses it to propagate
-// invalidation per source rather than per node, so an edit only taints the
-// entries whose own support chain crosses the edited edge instead of every
-// node any shortest path happens to route through. Node IDs match at most
-// once per map (IDs are unique within a list), so yield fires at most
-// min(len(xq), len(xw)) times in one linear merge-join.
+// xq.ids[i] == xw.ids[j] and xq.ds[i] == a + xw.ds[j] exactly. In a
+// min-plus fixpoint every non-self entry of a node has such a supporting
+// in-neighbor (the next hop of a shortest path, where the LE-list suffix
+// property keeps the target alive through the filter), so the
+// incremental-repair taint walk uses it to trace which entries an edge
+// deletion or weight increase can invalidate — per source rather than per
+// node, so an edit only taints the entries whose own support chain crosses
+// the edited edge instead of every node any shortest path happens to route
+// through. The comparison is float-exact by design: the fixpoint derived d
+// as a + dw with this very addition, so checking a + dw == d (never
+// d − a == dw, which floating-point subtraction does not invert) identifies
+// derivations bitwise. Both maps are sorted by node ID (the representation
+// invariant) and node IDs match at most once per map, so yield fires at
+// most min(len(xq), len(xw)) times in one linear merge-join with no
+// allocation.
 func SupportedEntries(xq, xw DistMap, a float64, yield func(i, j int)) {
 	i, j := 0, 0
 	for i < len(xq.ids) && j < len(xw.ids) {

@@ -15,13 +15,11 @@ package semiring
 //	k ≤ 8    direct merge (2-way with galloping run copies, 3-/4-/8-way
 //	         unrolled head-min loops; the 8-way pads missing lists with
 //	         always-sentinel cursors),
-//	k ≤ 512  reduction rounds: groups of ≤ 8 lists merge into pooled
-//	         ping-pong arenas (shifts folded in at the leaf round, remainder
-//	         groups of one passed through unmerged), ⌈log₈ k⌉ - 1 ≤ 2 rounds
-//	         leaving at most 8 lists for the direct finale,
-//	k > 512  the classic cursor heap (4-ary, pooled): a third reduction
-//	         round would revisit an arena still referenced by a passthrough
-//	         view, so past two rounds the heap takes over.
+//	k > 8    reduction rounds: groups of ≤ 8 lists merge into pooled
+//	         ping-pong arenas sized per round, each round cutting the list
+//	         count 8×, until at most 8 lists are left for the direct finale
+//	         (⌈log₈ k⌉ - 1 rounds; only the first round passes a remainder
+//	         group of one through uncopied).
 
 // idSentinel is returned as the head of an exhausted cursor: it compares
 // greater than every valid node ID (IDs are int32, including MaxInt32).
@@ -379,23 +377,25 @@ func mergeDistInto(sc *Scratch, oIds []NodeID, oDs []float64,
 	if k <= 8 {
 		return mergeUpTo8Into(oIds, oDs, ids, ds, shifts)
 	}
-	if k > heapMergeMinLists {
-		return heapMergeInto(sc, oIds, oDs, ids, ds, shifts)
-	}
 	// Reduction rounds: merge groups of ≤ 8 into an arena, reducing the list
-	// count by 8× per round; shifts are folded in at the first round, so later
-	// rounds and the finale merge shift-free. For 8 < k ≤ 512 (past that the
-	// cursor heap takes over) at most two rounds leave ≤ 8 lists for the
-	// direct finale. Later rounds read group headers out of sc.rIds while
-	// appending the new round's headers into the same backing array; that is
-	// safe because group g's reads (indices 8g … 8g+7) finish before its
-	// single header append at index g.
-	total := 0
-	for _, l := range ids {
-		total += len(l)
-	}
+	// count by 8× per round; a list's shift is folded in where it is first
+	// merged, so arena lists are shift-free. Only the first round passes a
+	// remainder group of one through unmerged, shift and all: that view is an
+	// original input, which no arena write can touch. From the second round
+	// on the remainder is an arena view, so it is copied into the new arena
+	// like any other group — the ping-pong overwrites the arena it lives in
+	// two rounds later. Each arena is sized from its own round's inputs, which
+	// past the first round are the (usually much shorter) merged outputs.
+	// Later rounds read group headers out of sc.rIds while appending the new
+	// round's headers into the same backing array; that is safe because group
+	// g's reads (indices 8g … 8g+7) finish before its single header append at
+	// index g.
 	arena := 0
-	for k > 8 {
+	for first := true; k > 8; first = false {
+		total := 0
+		for _, l := range ids {
+			total += len(l)
+		}
 		a := &sc.arenas[arena]
 		arena ^= 1
 		// Pre-grow so appends never reallocate: group headers sliced out of
@@ -415,12 +415,7 @@ func mergeDistInto(sc *Scratch, oIds []NodeID, oDs []float64,
 			if hi > k {
 				hi = k
 			}
-			if hi-lo == 1 {
-				// A remainder group of one list passes through unmerged, shift
-				// and all — no arena copy. The view it carries is an original
-				// input (round 1) or a round-1 arena slice (round 2); the
-				// ping-pong only revisits an arena on a third round, which the
-				// k ≤ 512 cap makes unreachable.
+			if first && hi-lo == 1 {
 				gIds = append(gIds, ids[lo])
 				gDs = append(gDs, ds[lo])
 				gShifts = append(gShifts, shifts[lo])
@@ -442,59 +437,5 @@ func mergeDistInto(sc *Scratch, oIds []NodeID, oDs []float64,
 		sc.rIds[i], sc.rDs[i] = nil, nil // arena views only, but drop them anyway
 	}
 	sc.rIds, sc.rDs, sc.rShifts = sc.rIds[:0], sc.rDs[:0], sc.rShifts[:0]
-	return oIds, oDs
-}
-
-// heapMergeMinLists is the list count above which the cursor heap replaces
-// the reduction rounds. The rounds cost at most two extra full passes over
-// the N entries and beat the heap's per-element siftDown by a wide margin in
-// the merge microbenchmarks (BenchmarkMergeKernel: ~4× at k = 40), but the
-// singleton-passthrough trick is only sound through two rounds of arena
-// ping-pong — so the ladder caps at 8·8·8 = 512 lists and hands anything
-// larger to the heap.
-const heapMergeMinLists = 512
-
-// heapMergeInto is the large-k fallback: a 4-ary min-heap of (head ID, list)
-// cursors over sc.heap/sc.pos, specialised to the SoA layout (no per-element
-// callbacks). Equal IDs combine by minimum as they surface.
-func heapMergeInto(sc *Scratch, oIds []NodeID, oDs []float64,
-	ids [][]NodeID, ds [][]float64, shifts []float64) ([]NodeID, []float64) {
-	pos := sc.pos[:0]
-	heap := sc.heap[:0]
-	for li, l := range ids {
-		pos = append(pos, 0)
-		if len(l) > 0 {
-			heap = append(heap, mergeCursor{node: l[0], li: int32(li)})
-		}
-	}
-	for i := (len(heap) - 2) / 4; i >= 0; i-- {
-		siftDown(heap, i)
-	}
-	for len(heap) > 0 {
-		cur := heap[0]
-		li := cur.li
-		p := pos[li]
-		d := ds[li][p] + shifts[li]
-		if n := len(oIds); n > 0 && oIds[n-1] == cur.node {
-			if d < oDs[n-1] {
-				oDs[n-1] = d
-			}
-		} else {
-			oIds = append(oIds, cur.node)
-			oDs = append(oDs, d)
-		}
-		pos[li] = p + 1
-		if int(p+1) < len(ids[li]) {
-			heap[0].node = ids[li][p+1]
-		} else {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
-			if len(heap) == 0 {
-				break
-			}
-		}
-		siftDown(heap, 0)
-	}
-	sc.pos, sc.heap = pos[:0], heap[:0]
 	return oIds, oDs
 }

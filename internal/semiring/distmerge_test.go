@@ -69,13 +69,14 @@ func refMergeLists(lists []DistMap, shifts []float64) DistMap {
 }
 
 // TestMergeKernelDispatchLadder exercises every rung — direct 1..4, the
-// unrolled 8-way, one- and two-round reductions (with and without remainder
-// groups of one, including a passthrough chained through both rounds), and
-// the cursor heap past k = 512 — against the reference.
+// unrolled 8-way, and one to four reduction rounds (with and without
+// remainder groups of one: passed through in the first round, copied in
+// later ones, and at k = 4097 carried as a remainder through all four) —
+// against the reference.
 func TestMergeKernelDispatchLadder(t *testing.T) {
 	mod := DistMapModule{}
 	rng := rand.New(rand.NewSource(11))
-	for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 17, 24, 25, 32, 33, 40, 64, 65, 72, 100, 512, 513, 520} {
+	for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 17, 24, 25, 32, 33, 40, 64, 65, 72, 100, 512, 513, 520, 4096, 4097, 4105} {
 		for trial := 0; trial < 20; trial++ {
 			lists := make([]DistMap, k)
 			shifts := make([]float64, k)
@@ -101,7 +102,7 @@ func TestMergeKernelDispatchLadder(t *testing.T) {
 // anything, on every ladder rung.
 func TestMergeKernelEmptyListsInterleaved(t *testing.T) {
 	mod := DistMapModule{}
-	for _, k := range []int{2, 3, 4, 5, 8, 9, 17, 33, 65, 520} {
+	for _, k := range []int{2, 3, 4, 5, 8, 9, 17, 33, 65, 520, 4096, 4097, 4105} {
 		lists := make([]DistMap, k)
 		shifts := make([]float64, k)
 		for i := range lists {
@@ -279,7 +280,7 @@ func TestAllocPairsSharedBlock(t *testing.T) {
 }
 
 // TestAggregateAllocsWarmScratch is the steady-state allocation budget of
-// the fast path (the scratch pre-sizing contract of Scratch.grow/growDist):
+// the fast path (the scratch pre-sizing contract of Scratch.growDist):
 // over a warmed Scratch, Aggregate allocates exactly the output — one
 // shared id/distance block (allocPairs) — on every ladder rung, unfiltered
 // and filtered.
@@ -287,7 +288,7 @@ func TestAggregateAllocsWarmScratch(t *testing.T) {
 	mod := DistMapModule{}
 	rng := rand.New(rand.NewSource(13))
 	filter := TopKFilterInPlace(8, Inf, nil)
-	for _, k := range []int{2, 4, 8, 16, 33, 40, 65} {
+	for _, k := range []int{2, 4, 8, 16, 33, 40, 65, 600} {
 		self := randomDistMap(rng, 8)
 		terms := make([]Term[float64, DistMap], k)
 		for i := range terms {

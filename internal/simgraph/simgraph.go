@@ -104,17 +104,6 @@ func Build(hs *hopset.Result, epsHat float64, rng *par.RNG) *H {
 	return h
 }
 
-// WithHop returns a new H over a refreshed hop set, keeping the frozen
-// level assignment, Λ, ε̂, and scale table — the live-update path: edge
-// edits change the underlying metric (and thus the hop-set overlay) but the
-// per-node level randomness stays fixed. The hop set must cover the same
-// node count. Returning a fresh H (rather than mutating) matters: Oracle
-// caches its per-level runners keyed by H identity, so a new pointer
-// invalidates stale runners naturally.
-func (h *H) WithHop(hop *hopset.Result) *H {
-	return &H{Hop: hop, Level: h.Level, Lambda: h.Lambda, EpsHat: h.EpsHat, scale: h.scale}
-}
-
 // N returns the number of nodes of H.
 func (h *H) N() int { return len(h.Level) }
 
