@@ -43,7 +43,7 @@ func main() {
 		os.Exit(1)
 	}
 	rng := par.NewRNG(*seed)
-	g, err := loadGraph(*in, *gen, *n, *m, rng)
+	g, err := graph.Load(*in, *gen, *n, *m, rng)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
@@ -124,42 +124,6 @@ func main() {
 			}
 			fmt.Printf("tree written to %s\n", *treeOut)
 		}
-	}
-}
-
-func loadGraph(in, gen string, n, m int, rng *par.RNG) (*graph.Graph, error) {
-	if in != "" {
-		f, err := os.Open(in)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return graph.Read(f)
-	}
-	switch gen {
-	case "random":
-		if m <= 0 {
-			m = 4 * n
-		}
-		return graph.RandomConnected(n, m, 10, rng), nil
-	case "grid":
-		side := 1
-		for side*side < n {
-			side++
-		}
-		return graph.GridGraph(side, side, 10, rng), nil
-	case "path":
-		return graph.PathGraph(n, 1), nil
-	case "cycle":
-		return graph.CycleGraph(n, 1), nil
-	case "geometric":
-		return graph.RandomGeometric(n, 0.15, rng), nil
-	case "lollipop":
-		return graph.Lollipop(n/4, 3*n/4), nil
-	case "powerlaw":
-		return graph.BarabasiAlbert(n, 3, 10, rng), nil
-	default:
-		return nil, fmt.Errorf("unknown generator %q", gen)
 	}
 }
 

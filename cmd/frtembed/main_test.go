@@ -12,7 +12,7 @@ import (
 func TestLoadGraphGenerators(t *testing.T) {
 	rng := par.NewRNG(1)
 	for _, gen := range []string{"random", "grid", "path", "cycle", "geometric", "lollipop", "powerlaw"} {
-		g, err := loadGraph("", gen, 40, 0, rng)
+		g, err := graph.Load("", gen, 40, 0, rng)
 		if err != nil {
 			t.Fatalf("%s: %v", gen, err)
 		}
@@ -23,7 +23,7 @@ func TestLoadGraphGenerators(t *testing.T) {
 			t.Fatalf("%s: disconnected", gen)
 		}
 	}
-	if _, err := loadGraph("", "nope", 10, 0, rng); err == nil {
+	if _, err := graph.Load("", "nope", 10, 0, rng); err == nil {
 		t.Fatal("unknown generator accepted")
 	}
 }
@@ -40,14 +40,14 @@ func TestLoadGraphFromFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	got, err := loadGraph(path, "", 0, 0, rng)
+	got, err := graph.Load(path, "", 0, 0, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.N() != 20 || got.M() != 40 {
 		t.Fatalf("loaded %d/%d", got.N(), got.M())
 	}
-	if _, err := loadGraph(filepath.Join(t.TempDir(), "missing.txt"), "", 0, 0, rng); err == nil {
+	if _, err := graph.Load(filepath.Join(t.TempDir(), "missing.txt"), "", 0, 0, rng); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }

@@ -182,7 +182,7 @@ func main() {
 	case *dynamic:
 		rng := par.NewRNG(*seed)
 		var err error
-		g, err = loadGraph(*in, *gen, *n, *m, rng)
+		g, err = graph.Load(*in, *gen, *n, *m, rng)
 		if err != nil {
 			fail(err)
 		}
@@ -196,7 +196,7 @@ func main() {
 	default:
 		rng := par.NewRNG(*seed)
 		var err error
-		g, err = loadGraph(*in, *gen, *n, *m, rng)
+		g, err = graph.Load(*in, *gen, *n, *m, rng)
 		if err != nil {
 			fail(err)
 		}
@@ -895,40 +895,4 @@ func postChecked(hc *http.Client, url string, body []byte, check func(status int
 		return err
 	}
 	return check(resp.StatusCode, data)
-}
-
-func loadGraph(in, gen string, n, m int, rng *par.RNG) (*graph.Graph, error) {
-	if in != "" {
-		f, err := os.Open(in)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return graph.Read(f)
-	}
-	switch gen {
-	case "random":
-		if m <= 0 {
-			m = 4 * n
-		}
-		return graph.RandomConnected(n, m, 10, rng), nil
-	case "grid":
-		side := 1
-		for side*side < n {
-			side++
-		}
-		return graph.GridGraph(side, side, 10, rng), nil
-	case "path":
-		return graph.PathGraph(n, 1), nil
-	case "cycle":
-		return graph.CycleGraph(n, 1), nil
-	case "geometric":
-		return graph.RandomGeometric(n, 0.15, rng), nil
-	case "lollipop":
-		return graph.Lollipop(n/4, 3*n/4), nil
-	case "powerlaw":
-		return graph.BarabasiAlbert(n, 3, 10, rng), nil
-	default:
-		return nil, fmt.Errorf("unknown generator %q", gen)
-	}
 }

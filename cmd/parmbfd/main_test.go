@@ -351,7 +351,7 @@ func TestClientReportsServerErrors(t *testing.T) {
 func TestLoadGraphGenerators(t *testing.T) {
 	rng := par.NewRNG(1)
 	for _, gen := range []string{"random", "grid", "path", "cycle", "geometric", "lollipop", "powerlaw"} {
-		g, err := loadGraph("", gen, 32, 0, rng)
+		g, err := graph.Load("", gen, 32, 0, rng)
 		if err != nil {
 			t.Fatalf("%s: %v", gen, err)
 		}
@@ -359,10 +359,10 @@ func TestLoadGraphGenerators(t *testing.T) {
 			t.Fatalf("%s: empty graph", gen)
 		}
 	}
-	if _, err := loadGraph("", "nope", 16, 0, rng); err == nil {
+	if _, err := graph.Load("", "nope", 16, 0, rng); err == nil {
 		t.Fatal("unknown generator accepted")
 	}
-	if _, err := loadGraph("/nonexistent/file", "", 0, 0, rng); err == nil {
+	if _, err := graph.Load("/nonexistent/file", "", 0, 0, rng); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }

@@ -17,7 +17,7 @@ import (
 // referenceSolve is the per-tree expansion Solve replaced, kept as the
 // differential reference: every visited tree indexes itself and runs its own
 // mbf.RoutingTablesTo fixpoint towards exactly its loaded parent centers,
-// then walks each hop with mbf.WalkRoute.
+// then walks each hop with mbf.Routes.Walk.
 func referenceSolve(g *graph.Graph, demands []Demand, cables []CableType, ens *frt.Ensemble, opts Options) (*Solution, error) {
 	visit, err := opts.Visit(ens)
 	if err != nil {
@@ -88,7 +88,7 @@ func referenceSolveOnTree(g *graph.Graph, tree *frt.Tree, demands []Demand, cabl
 		tables := mbf.RoutingTablesTo(g, targets, nil)
 		for _, h := range hops {
 			cable, count, _ := bestCable(cables, h.flow)
-			path := mbf.WalkRoute(tables, h.from, h.to)
+			path := tables.Walk(h.from, h.to)
 			if path == nil {
 				return nil, fmt.Errorf("centers %d, %d disconnected", h.from, h.to)
 			}

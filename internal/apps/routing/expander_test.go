@@ -54,7 +54,7 @@ func TestPathOnNewTables(t *testing.T) {
 	if rt.Path(-1, 3) != nil || rt.Path(3, graph.Node(g.N())) != nil {
 		t.Fatal("out-of-range hop expanded")
 	}
-	if want := mbf.WalkRoute(mbf.RoutingTablesTo(g, targets, nil), 9, 17); !slices.Equal(rt.Path(9, 17), want) {
+	if want := mbf.RoutingTablesTo(g, targets, nil).Walk(9, 17); !slices.Equal(rt.Path(9, 17), want) {
 		t.Fatalf("Path(9, 17) = %v, the next-hop walk gives %v", rt.Path(9, 17), want)
 	}
 	if _, err := rt.Route(0, 1); err == nil {

@@ -20,13 +20,15 @@
 //     distance oracle),
 //   - the tree decomposition is read through frt.TreeIndex
 //     (MergeHeight/Ancestor — O(log depth) per query, no pointer walks),
-//   - the next-hop tables are one sparse-engine fixpoint
-//     (mbf.RoutingTablesTo with the RouteMapModule aggregator fast path)
-//     towards the distinct cluster centers, shared by all trees,
-//   - paths are materialised by mbf.WalkRoute, one trusted hop at a time.
-//     A table entry is (exact distance, smallest neighbour on a shortest
-//     path) and does not depend on which other targets share the fixpoint,
-//     so a walk is the same on every Tables that routes towards its end.
+//   - the next-hop tables are mbf.RoutingTablesTo towards the distinct
+//     cluster centers, shared by all trees: one distance-map fixpoint on
+//     the sparse engine, then one pass that derives each entry's next hop
+//     from the exact distances,
+//   - paths are materialised by mbf.Routes.Walk, one trusted hop at a
+//     time. A table entry is (exact distance, smallest neighbour on a
+//     shortest path) and does not depend on which other targets share the
+//     fixpoint, so a walk is the same on every Tables that routes towards
+//     its end.
 package routing
 
 import (
@@ -37,7 +39,6 @@ import (
 	"parmbf/internal/graph"
 	"parmbf/internal/mbf"
 	"parmbf/internal/par"
-	"parmbf/internal/semiring"
 )
 
 // Options is the unified application-scenario configuration; see
@@ -55,9 +56,10 @@ const defaultTrees = 4
 type Tables struct {
 	g     *graph.Graph
 	trees []*frt.TreeIndex
-	// tables[v] routes v towards every target center; one sparse fixpoint
-	// serves all trees because the target set is the union of their centers.
-	tables []semiring.RouteMap
+	// tables routes every node towards every target center; one sparse
+	// fixpoint serves all trees because the target set is the union of
+	// their centers.
+	tables *mbf.Routes
 	// isTarget marks the graph nodes the shared tables can route towards
 	// (for Build: the internal-node centers of all trees). Segments ending
 	// elsewhere are walked in reverse — valid on undirected graphs.
@@ -200,9 +202,9 @@ func (rt *Tables) Path(a, b graph.Node) []graph.Node {
 		return nil
 	}
 	if rt.isTarget[b] {
-		return mbf.WalkRoute(rt.tables, a, b)
+		return rt.tables.Walk(a, b)
 	}
-	seg := mbf.WalkRoute(rt.tables, b, a)
+	seg := rt.tables.Walk(b, a)
 	if seg == nil {
 		return nil
 	}

@@ -15,7 +15,7 @@ import (
 
 // referenceSolveOnTree is the per-tree expansion Solve replaced, kept as the
 // differential reference: one mbf.RoutingTablesTo fixpoint towards exactly
-// this tree's used parent centers, each hop walked with mbf.WalkRoute.
+// this tree's used parent centers, each hop walked with mbf.Routes.Walk.
 func referenceSolveOnTree(g *graph.Graph, tree *frt.Tree, terminals []graph.Node) (*Result, error) {
 	termCount := make([]int, tree.NumNodes())
 	for _, t := range terminals {
@@ -43,7 +43,7 @@ func referenceSolveOnTree(g *graph.Graph, tree *frt.Tree, terminals []graph.Node
 		sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
 		tables := mbf.RoutingTablesTo(g, targets, nil)
 		for _, h := range hops {
-			path := mbf.WalkRoute(tables, h.from, h.to)
+			path := tables.Walk(h.from, h.to)
 			if path == nil {
 				return nil, fmt.Errorf("centers %d, %d disconnected", h.from, h.to)
 			}

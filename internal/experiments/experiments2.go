@@ -460,18 +460,6 @@ func A4SpannerPre(cfg Config) *Table {
 	return t
 }
 
-// All runs the complete suite in order.
-func All(cfg Config) []*Table {
-	return []*Table{
-		E1Stretch(cfg), E2SPDH(cfg), E3HStretch(cfg), E4LELists(cfg),
-		E5Work(cfg), E6HopSet(cfg), E7Metric(cfg), E8Spanner(cfg),
-		E9Congest(cfg), E10Zoo(cfg), E11KMedian(cfg), E12BuyAtBulk(cfg),
-		E13Ensemble(cfg),
-		A1Filtering(cfg), A2LevelPenalty(cfg), A3HopSetChoice(cfg), A4SpannerPre(cfg),
-		X1Steiner(cfg),
-	}
-}
-
 // X1Steiner measures the extension application: Steiner trees via the
 // embedding vs the classic 2-approximation (metric-closure MST). Not a
 // paper table — the introduction motivates Steiner-type problems as FRT

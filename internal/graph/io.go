@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"strconv"
 	"strings"
+
+	"parmbf/internal/par"
 )
 
 // This file implements a plain-text edge-list format for graphs:
@@ -275,4 +278,44 @@ func WriteDIMACS(w io.Writer, g *Graph) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// Load returns the graph a command line names: the edge-list file in when
+// it is non-empty, otherwise a fresh graph from the generator gen (random,
+// grid, path, cycle, geometric, lollipop or powerlaw) with about n nodes,
+// drawn from rng. m is the random generator's edge count (≤ 0: 4n).
+func Load(in, gen string, n, m int, rng *par.RNG) (*Graph, error) {
+	if in != "" {
+		f, err := os.Open(in)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return Read(f)
+	}
+	switch gen {
+	case "random":
+		if m <= 0 {
+			m = 4 * n
+		}
+		return RandomConnected(n, m, 10, rng), nil
+	case "grid":
+		side := 1
+		for side*side < n {
+			side++
+		}
+		return GridGraph(side, side, 10, rng), nil
+	case "path":
+		return PathGraph(n, 1), nil
+	case "cycle":
+		return CycleGraph(n, 1), nil
+	case "geometric":
+		return RandomGeometric(n, 0.15, rng), nil
+	case "lollipop":
+		return Lollipop(n/4, 3*n/4), nil
+	case "powerlaw":
+		return BarabasiAlbert(n, 3, 10, rng), nil
+	default:
+		return nil, fmt.Errorf("unknown generator %q", gen)
+	}
 }

@@ -91,48 +91,6 @@ func TestFastPathMatchesFoldDistMapUnfiltered(t *testing.T) {
 	runBoth(t, r, x0, 4)
 }
 
-// TestFastPathMatchesFoldRouteMap runs the next-hop tables unfiltered and
-// under the top-k projection RoutingTables uses, which Aggregate applies to
-// its own merge (the in-place variant) while the fold applies the pure one.
-func TestFastPathMatchesFoldRouteMap(t *testing.T) {
-	for _, seed := range []uint64{11, 12, 13} {
-		for _, k := range []int{0, 4} {
-			g := diffGraph(seed)
-			r := &Runner[semiring.Hop, semiring.RouteMap]{
-				Graph:         g,
-				Module:        semiring.RouteMapModule{},
-				Filter:        routeTopK(k),
-				FilterInPlace: routeTopKInPlace(k),
-				Weight:        HopWeight,
-			}
-			x0 := make([]semiring.RouteMap, g.N())
-			for v := range x0 {
-				x0[v] = semiring.RouteMap{{Target: graph.Node(v), Dist: 0, Next: semiring.NoVia}}
-			}
-			runBoth(t, r, x0, 6)
-		}
-	}
-}
-
-// TestFastPathMatchesFoldRouteMapRestricted covers the sparse shape the
-// routing application feeds the engine: only a subset of nodes seed a table,
-// so most merges see empty self states and dead terms.
-func TestFastPathMatchesFoldRouteMapRestricted(t *testing.T) {
-	g := diffGraph(14)
-	r := &Runner[semiring.Hop, semiring.RouteMap]{
-		Graph:  g,
-		Module: semiring.RouteMapModule{},
-		Weight: HopWeight,
-	}
-	x0 := make([]semiring.RouteMap, g.N())
-	for v := range x0 {
-		if v%5 == 0 {
-			x0[v] = semiring.RouteMap{{Target: graph.Node(v), Dist: 0, Next: semiring.NoVia}}
-		}
-	}
-	runBoth(t, r, x0, 6)
-}
-
 // TestFastPathMatchesFoldScalars runs both scalar algebras unfiltered and
 // under a threshold filter (the forest-fire projection (3.5) for min-plus,
 // its width analogue for max-min), which Aggregate applies itself.

@@ -1,6 +1,9 @@
 // Package mbf implements the generic Moore-Bellman-Ford-like algorithm
 // engine of §2 of Friedrichs & Lenzen, together with the algorithm zoo of §3
-// built on top of it.
+// built on top of it. The routing tables of §7.5 (RoutingTables,
+// RoutingTablesTo) are a min-plus distance-map fixpoint plus one pass that
+// derives each entry's next hop from the exact distances (Routes); no
+// second algebra carries hops through the iterations.
 //
 // An MBF-like algorithm is a triple (semimodule over a semiring, congruence
 // relation with representative projection r, initial state vector x(0)); h
@@ -107,21 +110,17 @@ type Runner[S, M any] struct {
 	// number of non-∞ entries of a distance map, Lemma 2.3). It is used for
 	// work accounting only; nil means size 1 per state.
 	Size func(M) int
-	// PropagatedSize, if non-nil, returns Size(Module.SMul(s, x)) without
-	// materialising the propagated state. The aggregation fast path uses it
-	// to charge the Tracker exactly what the generic fold charges for a
-	// propagated term; nil approximates by Size(x), which is exact for the
-	// shift-style modules that aggregate (DistMap, RouteMap, the scalar
-	// algebras) whenever Weight never returns the semiring zero — a
-	// dead edge, whose SMul collapses the state to ⊥. Set it when a custom
-	// Weight can return the zero and exact work accounting matters.
-	PropagatedSize func(s S, x M) int
 	// Tracker, if non-nil, is charged the work/depth of every iteration in
 	// the DAG cost model of §1.2. Sparse iterations charge only the nodes
 	// they actually re-aggregate and, after a loop's first iteration, only
 	// the terms they actually merge (the node's own state and its changed
 	// neighbours') — the work performed, not the work a dense iteration
-	// would have performed.
+	// would have performed. A node is charged Size of its own state, of
+	// every merged term and of its output. The aggregation path charges a
+	// term Size(x) of the neighbour's state x rather than of the propagated
+	// s ⊙ x: the aggregating modules shift distances, so the two sizes
+	// agree unless Weight returns the semiring zero, which no Weight in
+	// this library does.
 	Tracker *par.Tracker
 
 	// scratch recycles per-worker buffers of the aggregation fast path, so
@@ -144,13 +143,6 @@ func (r *Runner[S, M]) size(x M) int {
 		return 1
 	}
 	return r.Size(x)
-}
-
-func (r *Runner[S, M]) propagatedSize(s S, x M) int {
-	if r.PropagatedSize != nil {
-		return r.PropagatedSize(s, x)
-	}
-	return r.size(x)
 }
 
 func (r *Runner[S, M]) filter(x M) M {
@@ -229,7 +221,7 @@ func (r *Runner[S, M]) recompute(vi int, x []M, front []bool, st *iterScratch[S,
 		if r.Tracker != nil {
 			work = int64(r.size(x[vi]))
 			for _, t := range terms {
-				work += int64(r.propagatedSize(t.S, t.X))
+				work += int64(r.size(t.X))
 			}
 			work += int64(r.size(out))
 		}
@@ -534,13 +526,6 @@ func MaxMinWeight(_, _ graph.Node, w float64) float64 { return w }
 // BoolWeight is the Weight function of the Boolean algebra
 // (Equation 3.28): every edge propagates.
 func BoolWeight(_, _ graph.Node, _ float64) bool { return true }
-
-// HopWeight is the Weight function of the next-hop-enriched min-plus
-// algebra (HopSemiring): the arc from→to carries the edge weight and stamps
-// to as the first hop of every route it relaxes.
-func HopWeight(_, to graph.Node, w float64) semiring.Hop {
-	return semiring.Hop{W: w, Via: to}
-}
 
 // PathWeight is the Weight function of the all-paths semiring
 // (Equation 3.18): the arc from→to becomes the single-edge path (from, to)

@@ -320,35 +320,18 @@ func TestZeroUnstableFilterFallsBackDense(t *testing.T) {
 }
 
 // TestTrackerParityFastVsGeneric pins the work-accounting satellite: the
-// aggregation fast path must charge the Tracker exactly what the generic
-// Add/SMul fold charges — with the default Size approximation when every
-// edge weight is live, and with the PropagatedSize hook when a custom
-// Weight can return the semiring zero (a dead edge, whose propagated state
-// collapses to ⊥). Parity must hold on the dense Run and on both sparse
-// drivers, whose semi-naive iterations skip the same unchanged neighbours
-// in either path.
+// aggregation fast path, which charges a merged term Size of the
+// neighbour's state, must charge the Tracker exactly what the generic
+// Add/SMul fold charges for the propagated state when every edge weight is
+// live. Parity must hold on the dense Run and on both sparse drivers, whose
+// semi-naive iterations skip the same unchanged neighbours in either path.
 func TestTrackerParityFastVsGeneric(t *testing.T) {
 	size := func(x semiring.DistMap) int { return x.Len() + 1 }
-	// Weight that kills every arc into or out of node 0: propagation over
-	// those arcs yields ⊥, which the generic path charges as size 1.
-	deadWeight := func(from, to graph.Node, w float64) float64 {
-		if from == 0 || to == 0 {
-			return semiring.Inf
-		}
-		return w
-	}
 	for _, cfg := range []struct {
-		name           string
-		weight         func(from, to graph.Node, w float64) float64
-		propagatedSize func(s float64, x semiring.DistMap) int
+		name   string
+		weight func(from, to graph.Node, w float64) float64
 	}{
-		{"live-edges-default-approximation", MinPlusWeight, nil},
-		{"dead-edges-propagated-size-hook", deadWeight, func(s float64, x semiring.DistMap) int {
-			if semiring.IsInf(s) {
-				return 1 // size of ⊥ under Size = len+1
-			}
-			return x.Len() + 1
-		}},
+		{"live-edges-default-approximation", MinPlusWeight},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			g := diffGraph(20)
@@ -359,7 +342,7 @@ func TestTrackerParityFastVsGeneric(t *testing.T) {
 			fastTr, slowTr := &par.Tracker{}, &par.Tracker{}
 			fast := &Runner[float64, semiring.DistMap]{
 				Graph: g, Module: semiring.DistMapModule{},
-				Weight: cfg.weight, Size: size, PropagatedSize: cfg.propagatedSize,
+				Weight: cfg.weight, Size: size,
 				Tracker: fastTr,
 			}
 			slow := &Runner[float64, semiring.DistMap]{

@@ -1,7 +1,7 @@
 package mbf
 
 import (
-	"sort"
+	"sync/atomic"
 
 	"parmbf/internal/graph"
 	"parmbf/internal/par"
@@ -203,115 +203,123 @@ func sourceSet(n int, sources []graph.Node) func(graph.Node) bool {
 	return func(v graph.Node) bool { return set[v] }
 }
 
+// Routes is a routing table per node: the fixpoint distance maps of a
+// min-plus MBF-like run plus one next-hop column beside their entries. It is
+// the predecessor bookkeeping §7.5 of the paper relies on to trace tree
+// edges back to graph paths ("nodes locally store the predecessor of
+// shortest paths just like in APSP").
+//
+// A next hop is a function of exact distances, so it is derived after the
+// fixpoint instead of carried through every iteration: the hop of v's entry
+// for target t is the smallest neighbour w whose own entry for t plus the
+// arc weight reproduces v's entry bitwise, ω(v,w) + d(w,t) == d(v,t), found
+// by semiring.SupportedEntries — the float-exact merge-join the LE-list
+// repair uses. At a fixpoint this is exactly the lightest route per target
+// with ties broken towards the smaller neighbour. The target's own entry,
+// and an entry no neighbour supports, has hop -1.
+type Routes struct {
+	// Dist[v] is v's distance map: one entry per target v routes towards.
+	Dist []semiring.DistMap
+	// next is the hop column: next[off[v]+i] is the hop of Dist[v]'s i-th
+	// entry.
+	next []graph.Node
+	off  []int
+}
+
 // RoutingTables computes, for every node, a routing table of its k nearest
-// targets (k ≤ 0: all nodes): distance plus the first hop of a shortest
-// path. It instantiates the engine with the next-hop-enriched min-plus
-// algebra of internal/semiring (HopSemiring / RouteMapModule) — the
-// predecessor bookkeeping that §7.5 of the paper uses to trace tree edges
-// back to graph paths, expressed as just another MBF-like algorithm.
-func RoutingTables(g *graph.Graph, k, h int, tracker *par.Tracker) []semiring.RouteMap {
-	r := &Runner[semiring.Hop, semiring.RouteMap]{
-		Graph:         g,
-		Module:        semiring.RouteMapModule{},
-		Filter:        routeTopK(k),
-		FilterInPlace: routeTopKInPlace(k),
-		Weight:        HopWeight,
-		Size:          func(x semiring.RouteMap) int { return len(x) + 1 },
-		Tracker:       tracker,
-	}
-	x0 := make([]semiring.RouteMap, g.N())
-	for v := range x0 {
-		x0[v] = semiring.RouteMap{{Target: graph.Node(v), Dist: 0, Next: semiring.NoVia}}
-	}
-	x, _ := r.RunToFixpoint(x0, h)
-	return x
+// targets (k ≤ 0: all nodes) within h hops: the (V, h, ∞, k)-source
+// detection fixpoint of KSSP plus the derived next hops. With h at or above
+// the fixpoint's iteration count every entry is an exact distance with the
+// first hop of a shortest path. A run capped before its fixpoint keeps
+// h-hop distances; there an entry's hop is the smallest neighbour whose
+// capped entry reproduces it, or -1 when none does.
+func RoutingTables(g *graph.Graph, k, h int, tracker *par.Tracker) *Routes {
+	return deriveRoutes(g, KSSP(g, k, h, tracker), tracker)
 }
 
 // RoutingTablesTo computes, for every node, the full routing table towards a
-// restricted target set: table[v] holds one entry per target with the exact
-// shortest-path distance and the first hop of a shortest path (ties broken
-// towards the smaller next hop, so tables are deterministic). Only targets
-// seed a state, so intermediate state size — and the fixpoint's work — is
-// bounded by |targets| per node rather than n. This is the §7.5 primitive
-// the application tier uses to materialise a tree edge as a graph path:
-// walking Next pointers from a node towards a target traces a shortest path
-// one trusted hop at a time.
-func RoutingTablesTo(g *graph.Graph, targets []graph.Node, tracker *par.Tracker) []semiring.RouteMap {
-	r := &Runner[semiring.Hop, semiring.RouteMap]{
+// restricted target set (repeats allowed): one entry per target with the
+// exact shortest-path distance and the first hop of a shortest path (ties
+// broken towards the smaller next hop, so tables are deterministic). Only
+// targets seed a state, so intermediate state size — and the fixpoint's
+// work — is bounded by |targets| per node rather than n. This is the §7.5
+// primitive the application tier uses to materialise a tree edge as a graph
+// path. An entry does not depend on which other targets share the fixpoint.
+func RoutingTablesTo(g *graph.Graph, targets []graph.Node, tracker *par.Tracker) *Routes {
+	r := &Runner[float64, semiring.DistMap]{
 		Graph:   g,
-		Module:  semiring.RouteMapModule{},
-		Weight:  HopWeight,
-		Size:    func(x semiring.RouteMap) int { return len(x) + 1 },
+		Module:  semiring.DistMapModule{},
+		Weight:  MinPlusWeight,
+		Size:    func(x semiring.DistMap) int { return x.Len() + 1 },
 		Tracker: tracker,
 	}
-	x0 := make([]semiring.RouteMap, g.N())
+	x0 := make([]semiring.DistMap, g.N())
 	for _, t := range targets {
-		x0[t] = semiring.RouteMap{{Target: t, Dist: 0, Next: semiring.NoVia}}
+		x0[t] = semiring.SingletonDist(t, 0)
 	}
 	x, _ := r.RunToFixpoint(x0, g.N())
-	return x
+	return deriveRoutes(g, x, tracker)
 }
 
-// WalkRoute materialises the next-hop path from→to recorded in tables (as
-// produced by RoutingTables / RoutingTablesTo): it follows Next pointers —
-// each hop is an incident edge and strictly decreases the remaining
-// distance — until it arrives. The returned path is a shortest from→to path
-// whose total weight is tables[from].Get(to).Dist. Returns nil when the
-// tables record no route.
-func WalkRoute(tables []semiring.RouteMap, from, to graph.Node) []graph.Node {
+// deriveRoutes sets the next hop of every entry of the min-plus states x in
+// one parallel pass over the nodes, charged to the tracker as one phase
+// whose work is the entries the merge-joins read. Neighbors are sorted by
+// target, so the first supporting neighbour is the smallest.
+func deriveRoutes(g *graph.Graph, x []semiring.DistMap, tracker *par.Tracker) *Routes {
+	n := len(x)
+	off := make([]int, n+1)
+	for v := range x {
+		off[v+1] = off[v] + x[v].Len()
+	}
+	next := make([]graph.Node, off[n])
+	var work atomic.Int64
+	par.ForEachChunk(n, func(start, end int) {
+		var w int64
+		for vi := start; vi < end; vi++ {
+			hops := next[off[vi]:off[vi+1]]
+			for i := range hops {
+				hops[i] = -1
+			}
+			xv := x[vi]
+			for _, a := range g.Neighbors(graph.Node(vi)) {
+				semiring.SupportedEntries(xv, x[a.To], a.Weight, func(i, _ int) {
+					if hops[i] < 0 {
+						hops[i] = a.To
+					}
+				})
+				w += int64(xv.Len() + x[a.To].Len())
+			}
+		}
+		work.Add(w)
+	})
+	tracker.AddPhase(work.Load(), 1)
+	return &Routes{Dist: x, next: next, off: off}
+}
+
+// Route returns v's entry for target t: the distance, the next hop (-1 for
+// t == v), and whether v's table holds t at all.
+func (r *Routes) Route(v, t graph.Node) (dist float64, next graph.Node, ok bool) {
+	i, ok := r.Dist[v].Index(t)
+	if !ok {
+		return semiring.Inf, -1, false
+	}
+	return r.Dist[v].Dist(i), r.next[r.off[v]+i], true
+}
+
+// Walk materialises the next-hop path from→to: it follows hops — each one
+// an arc of the graph that reproduces the remaining distance exactly —
+// until it arrives. The returned path is a shortest from→to path whose
+// total weight is from's distance to to. Returns nil when the tables record
+// no route.
+func (r *Routes) Walk(from, to graph.Node) []graph.Node {
 	path := []graph.Node{from}
-	cur := from
-	for cur != to {
-		r, ok := tables[cur].Get(to)
-		if !ok || r.Next == semiring.NoVia || len(path) > len(tables) {
+	for cur := from; cur != to; {
+		_, next, ok := r.Route(cur, to)
+		if !ok || next < 0 || len(path) > len(r.Dist) {
 			return nil
 		}
-		cur = graph.Node(r.Next)
+		cur = next
 		path = append(path, cur)
 	}
 	return path
-}
-
-// routeTopK keeps the k nearest routes (ties broken by target ID); k ≤ 0
-// keeps everything.
-func routeTopK(k int) semiring.Filter[semiring.RouteMap] {
-	if k <= 0 {
-		return nil
-	}
-	return func(x semiring.RouteMap) semiring.RouteMap {
-		if len(x) <= k {
-			return x
-		}
-		kept := append(semiring.RouteMap(nil), x...)
-		return routeTruncate(kept, k)
-	}
-}
-
-// routeTopKInPlace is the ownership-taking variant of routeTopK: it reorders
-// and truncates its argument instead of copying, for engines that hand the
-// filter exclusively owned states.
-func routeTopKInPlace(k int) semiring.Filter[semiring.RouteMap] {
-	if k <= 0 {
-		return nil
-	}
-	return func(x semiring.RouteMap) semiring.RouteMap {
-		if len(x) <= k {
-			return x
-		}
-		return routeTruncate(x, k)
-	}
-}
-
-// routeTruncate keeps the k nearest routes of kept (ties broken by target
-// ID), restoring the sorted-by-target representation invariant.
-func routeTruncate(kept semiring.RouteMap, k int) semiring.RouteMap {
-	sort.Slice(kept, func(i, j int) bool {
-		if kept[i].Dist != kept[j].Dist {
-			return kept[i].Dist < kept[j].Dist
-		}
-		return kept[i].Target < kept[j].Target
-	})
-	kept = kept[:k]
-	sort.Slice(kept, func(i, j int) bool { return kept[i].Target < kept[j].Target })
-	return kept
 }

@@ -1,7 +1,6 @@
 package par
 
 import (
-	"sort"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -240,65 +239,6 @@ func BenchmarkRNGUint64(b *testing.B) {
 	_ = sink
 }
 
-func TestSortSmallAndLarge(t *testing.T) {
-	rng := NewRNG(1)
-	for _, n := range []int{0, 1, 2, 100, sortGrain - 1, sortGrain + 1, 5 * sortGrain} {
-		s := make([]int, n)
-		for i := range s {
-			s[i] = int(rng.Uint64() % 100000)
-		}
-		Sort(s, func(a, b int) bool { return a < b })
-		for i := 1; i < n; i++ {
-			if s[i-1] > s[i] {
-				t.Fatalf("n=%d: not sorted at %d", n, i)
-			}
-		}
-	}
-}
-
-func TestSortMatchesStdlib(t *testing.T) {
-	rng := NewRNG(2)
-	n := 3*sortGrain + 17
-	a := make([]float64, n)
-	for i := range a {
-		a[i] = rng.Float64()
-	}
-	b := append([]float64(nil), a...)
-	Sort(a, func(x, y float64) bool { return x < y })
-	sort.Float64s(b)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("mismatch at %d", i)
-		}
-	}
-}
-
-func TestSortSequentialFallbackWhenSingleProc(t *testing.T) {
-	old := MaxProcs
-	defer func() { MaxProcs = old }()
-	MaxProcs = 1
-	s := []int{5, 2, 9, 1}
-	Sort(s, func(a, b int) bool { return a < b })
-	if s[0] != 1 || s[3] != 9 {
-		t.Fatalf("sorted = %v", s)
-	}
-}
-
-func BenchmarkParSort(b *testing.B) {
-	rng := NewRNG(3)
-	base := make([]float64, 1<<16)
-	for i := range base {
-		base[i] = rng.Float64()
-	}
-	work := make([]float64, len(base))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(work, base)
-		Sort(work, func(x, y float64) bool { return x < y })
-	}
-}
-
 // withMaxProcs forces a parallel width for the duration of f so the parallel
 // branches are exercised even when the test host has a single core.
 func withMaxProcs(t *testing.T, procs int, f func()) {
@@ -358,24 +298,6 @@ func TestReduceParallelMatchesSequential(t *testing.T) {
 	if got := Reduce(0, 42, body, merge); got != 42 {
 		t.Fatalf("empty reduce returned %d, want the identity", got)
 	}
-}
-
-func TestSortParallelMatchesStdlib(t *testing.T) {
-	withMaxProcs(t, 4, func() {
-		rng := NewRNG(99)
-		s := make([]int, 3*sortGrain)
-		for i := range s {
-			s[i] = rng.Intn(1 << 20)
-		}
-		want := append([]int(nil), s...)
-		sort.Ints(want)
-		Sort(s, func(a, b int) bool { return a < b })
-		for i := range s {
-			if s[i] != want[i] {
-				t.Fatalf("mismatch at %d: %d vs %d", i, s[i], want[i])
-			}
-		}
-	})
 }
 
 func TestRNGSplitNAndBool(t *testing.T) {

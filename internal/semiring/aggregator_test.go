@@ -98,56 +98,6 @@ func TestAggregateScalarModulesMatchFold(t *testing.T) {
 	}
 }
 
-// TestAggregateRouteMapMatchesFold pins the next-hop merge — per target the
-// lightest route, ties towards the smaller next hop — against the fold,
-// unfiltered and under a distance threshold, with dead edges (∞ weight),
-// rerouting scalars and pass-through scalars (NoVia) mixed in.
-func TestAggregateRouteMapMatchesFold(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var mod RouteMapModule
-	var sc Scratch
-	randRoutes := func() RouteMap {
-		var out RouteMap
-		for v := 0; v < 24; v++ {
-			if rng.Intn(3) == 0 {
-				out = append(out, Route{Target: NodeID(v), Dist: float64(rng.Intn(20)) / 2, Next: NodeID(rng.Intn(4))})
-			}
-		}
-		return out
-	}
-	near := func(x RouteMap) RouteMap {
-		var out RouteMap
-		for _, r := range x {
-			if r.Dist <= 8 {
-				out = append(out, r)
-			}
-		}
-		return out
-	}
-	for round := 0; round < 500; round++ {
-		self := randRoutes()
-		terms := make([]Term[Hop, RouteMap], rng.Intn(7))
-		acc := self
-		for i := range terms {
-			s := Hop{W: float64(rng.Intn(6)) / 2, Via: NodeID(rng.Intn(4))}
-			switch rng.Intn(6) {
-			case 0:
-				s.W = Inf
-			case 1:
-				s.Via = NoVia
-			}
-			terms[i] = Term[Hop, RouteMap]{S: s, X: randRoutes()}
-			acc = mod.Add(acc, mod.SMul(s, terms[i].X))
-		}
-		if got := mod.Aggregate(&sc, self, terms, nil); !mod.Equal(got, acc) {
-			t.Fatalf("round %d: Aggregate %v != fold %v", round, got, acc)
-		}
-		if got, want := mod.Aggregate(&sc, self, terms, near), near(acc); !mod.Equal(got, want) {
-			t.Fatalf("round %d: filtered Aggregate %v != filtered fold %v", round, got, want)
-		}
-	}
-}
-
 // TestAggregateOwnershipFuzz is the alias/mutation fuzz of the scratch-reuse
 // contract: Aggregate must leave every input byte-identical, and its result
 // must be mutable without corrupting any input — even when the same Scratch

@@ -70,20 +70,6 @@ func BenchmarkAllPathsMul(b *testing.B) {
 	}
 }
 
-func BenchmarkRouteMapAdd(b *testing.B) {
-	mod := RouteMapModule{}
-	x := make(RouteMap, 32)
-	y := make(RouteMap, 32)
-	for i := range x {
-		x[i] = Route{Target: NodeID(2 * i), Dist: float64(i), Next: 1}
-		y[i] = Route{Target: NodeID(2*i + 1), Dist: float64(i), Next: 2}
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		mod.Add(x, y)
-	}
-}
-
 // --- merge-kernel micro-benchmarks (`make bench-semiring`) ---------------
 //
 // BenchmarkMergeKernel times the SoA k-way merge behind Aggregate on each

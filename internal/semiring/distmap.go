@@ -1,12 +1,11 @@
 package semiring
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"unsafe"
-
-	"parmbf/internal/par"
 )
 
 // Entry is one (node, distance) pair of a sparse distance map. It is the
@@ -184,11 +183,16 @@ func (x DistMap) Entries() []Entry {
 
 // Get returns the distance stored for node v, or ∞ if absent.
 func (x DistMap) Get(v NodeID) float64 {
-	i := sort.Search(len(x.ids), func(i int) bool { return x.ids[i] >= v })
-	if i < len(x.ids) && x.ids[i] == v {
+	if i, ok := x.Index(v); ok {
 		return x.ds[i]
 	}
 	return Inf
+}
+
+// Index returns the position of node v's entry by binary search over the
+// ID array, and whether v has one.
+func (x DistMap) Index(v NodeID) (int, bool) {
+	return slices.BinarySearch(x.ids, v)
 }
 
 // Clone returns a deep copy of x, which the caller owns exclusively.
@@ -528,13 +532,11 @@ func Normalize(x DistMap) DistMap {
 		return DistMap{}
 	}
 	out := x.Entries()
-	// Large merges use the parallel sort (the Lemma 2.3 aggregation path of
-	// the oracle); small ones the standard library.
-	par.Sort(out, func(a, b Entry) bool {
-		if a.Node != b.Node {
-			return a.Node < b.Node
+	slices.SortFunc(out, func(a, b Entry) int {
+		if c := cmp.Compare(a.Node, b.Node); c != 0 {
+			return c
 		}
-		return a.Dist < b.Dist
+		return cmp.Compare(a.Dist, b.Dist)
 	})
 	w := 0
 	for i := 0; i < len(out); i++ {

@@ -26,9 +26,9 @@
 // of Lemma 2.3: the engine then hands it a node's whole neighborhood and
 // its filter at once, and the module computes r(x(v) ⊕ ⊕_w a_{vw} ⊙ x(w))
 // as one merge, allocating only the result, instead of the generic Add/SMul
-// fold that materialises ~2·deg(v) intermediates per node. DistMap, the
-// next-hop RouteMap and the scalar algebras (MinPlusSelf, MaxMinSelf)
-// implement it, because a paired benchmark shows each beating the fold;
+// fold that materialises ~2·deg(v) intermediates per node. DistMap and the
+// scalar algebras (MinPlusSelf, MaxMinSelf) implement it, because a paired
+// benchmark shows each beating the fold;
 // WidthMap, the Boolean node sets and the all-paths PathSet rely on the
 // fold. The fold is the semantic definition (Definition 2.11), and every
 // Aggregate must be extensionally equal to it (pinned by the differential
