@@ -8,11 +8,13 @@ build:
 vet:
 	$(GO) vet ./...
 
-## Non-test Go lines: the mbf/simgraph/frt/apps core, and the whole
-## repository minus the perfbench module (the counts ROADMAP.md quotes).
+## Non-test Go lines: the mbf/simgraph/frt/apps core, the whole
+## repository minus the perfbench module, and the parmbfd serving command
+## (the counts ROADMAP.md quotes).
 loc:
 	@printf 'mbf+simgraph+frt+apps: '; find internal/mbf internal/simgraph internal/frt internal/apps -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l
 	@printf 'repository minus perfbench/: '; find . \( -path ./perfbench -o -path ./.bench_build \) -prune -o -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l
+	@printf 'cmd/parmbfd: '; find cmd/parmbfd -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l
 
 fmt-check:
 	@test -z "$$(gofmt -l .)" || { echo "gofmt needed on:"; gofmt -l .; exit 1; }
@@ -34,12 +36,14 @@ test-race:
 
 ## Brief fuzz tier: every fuzz target runs for a few seconds (CI smoke; for
 ## a real fuzzing session raise -fuzztime). -fuzz takes one target per
-## invocation, so each parser gets its own run.
+## invocation, so each parser — and parmbfd's request decoding, through
+## every endpoint of a small -dynamic worker — gets its own run.
 fuzz-short:
 	$(GO) test ./internal/frt/ -run xxx -fuzz FuzzReadTree -fuzztime 10s
 	$(GO) test ./internal/frt/ -run xxx -fuzz FuzzReadSnapshot -fuzztime 10s
 	$(GO) test ./internal/graph/ -run xxx -fuzz FuzzReadDIMACS -fuzztime 10s
 	$(GO) test ./internal/graph/ -run xxx -fuzz FuzzApplyUpdates -fuzztime 10s
+	$(GO) test ./cmd/parmbfd/ -run xxx -fuzz FuzzEndpoints -fuzztime 10s
 
 ## Coverage floor: the short tier under -coverprofile must not drop below
 ## COVER_MIN, measured at the application-tier branch point (83.0% with a

@@ -25,13 +25,17 @@
 //	parmbfd -addr :8342 -load oracle.snap &
 //	parmbfd -addr :8337 -router -workers http://localhost:8341,http://localhost:8342
 //
-// Endpoints (identical on server and router):
+// Endpoints (identical on server and router: both register the endpoints
+// table in endpoints.go, the one place a route is defined — its method and
+// path, its decode-and-validate step, and its worker and router steps):
 //
 //	GET  /healthz                       liveness (router: fleet health)
 //	GET  /stats                         shape + query counters
 //	GET  /dist?u=4&v=9[&stat=median]    one estimate (default stat=min)
 //	POST /batch                         {"pairs":[[u,v],…],"stat":"min"}
 //	                                    → {"dists":[…]}
+//	POST /update                        {"edits":[…]} live edits (-dynamic;
+//	                                    router: applied on every worker)
 //	POST /kmedian                       {"k":4,"seed":7} → centers + exact
 //	                                    cost (router: per-tree shard fan-out,
 //	                                    cheapest plan wins)
@@ -62,18 +66,14 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -163,50 +163,39 @@ func main() {
 		meta frt.SnapshotMeta
 		dyn  *frt.DynamicEnsemble
 		g    *graph.Graph
+		err  error
 	)
 	start := time.Now()
-	switch {
-	case *load != "":
+	if *load != "" {
 		if *dynamic {
 			// A snapshot holds only the trees, not the LE-list fixpoint state
 			// incremental repair resumes from.
 			fail(fmt.Errorf("-dynamic requires building from a graph (-in or -gen), not -load"))
 		}
-		var err error
-		ens, meta, err = frt.ReadSnapshotFile(*load)
-		if err != nil {
+		if ens, meta, err = frt.ReadSnapshotFile(*load); err != nil {
 			fail(err)
 		}
 		fmt.Printf("snapshot %s: n=%d m=%d K=%d loaded in %v\n",
 			*load, meta.GraphNodes, meta.GraphEdges, len(ens.Trees), time.Since(start).Round(time.Millisecond))
-	case *dynamic:
+	} else {
 		rng := par.NewRNG(*seed)
-		var err error
-		g, err = graph.Load(*in, *gen, *n, *m, rng)
-		if err != nil {
+		if g, err = graph.Load(*in, *gen, *n, *m, rng); err != nil {
 			fail(err)
 		}
 		fmt.Printf("graph: n=%d m=%d\n", g.N(), g.M())
-		dyn, err = frt.NewDynamicEnsemble(g, *trees, rng, nil)
+		pipeline := "pipeline"
+		if *dynamic {
+			pipeline = "pipeline (direct, dynamic)"
+			if dyn, err = frt.NewDynamicEnsemble(g, *trees, rng, nil); err == nil {
+				ens, meta = dyn.Ensemble(), frt.SnapshotMeta{GraphNodes: g.N(), GraphEdges: g.M()}
+			}
+		} else {
+			ens, meta, err = buildEnsemble(g, *trees, rng)
+		}
 		if err != nil {
 			fail(err)
 		}
-		ens, meta = dyn.Ensemble(), frt.SnapshotMeta{GraphNodes: g.N(), GraphEdges: g.M()}
-		fmt.Printf("pipeline (direct, dynamic): K=%d trees built in %v\n", len(ens.Trees), time.Since(start).Round(time.Millisecond))
-	default:
-		rng := par.NewRNG(*seed)
-		var err error
-		g, err = graph.Load(*in, *gen, *n, *m, rng)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("graph: n=%d m=%d\n", g.N(), g.M())
-		var err2 error
-		ens, meta, err2 = buildEnsemble(g, *trees, rng)
-		if err2 != nil {
-			fail(err2)
-		}
-		fmt.Printf("pipeline: K=%d trees built in %v\n", len(ens.Trees), time.Since(start).Round(time.Millisecond))
+		fmt.Printf("%s: K=%d trees built in %v\n", pipeline, len(ens.Trees), time.Since(start).Round(time.Millisecond))
 	}
 	if *save != "" {
 		t0 := time.Now()
@@ -240,13 +229,8 @@ func splitWorkerURLs(s string) []string {
 	return urls
 }
 
-// listenAndServe serves h until the listener fails or the process receives
-// SIGINT/SIGTERM, then shuts down gracefully: the listener closes at once
-// (the router's health probes and shard retries see connection refused and
-// stop cleanly), in-flight requests — including a /batch mid-merge or an
-// /update mid-repair — get up to drain to complete, and only then does
-// onStopped (e.g. the router's health-loop teardown) run. A nil error means
-// a clean signal-initiated exit.
+// listenAndServe listens on addr and serves h there until the listener
+// fails or a signal stops it gracefully (see serveGracefully).
 func listenAndServe(addr string, h http.Handler, drain time.Duration, onStopped func()) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -341,8 +325,6 @@ type server struct {
 	queries atomic.Int64 // pairs answered
 	batches atomic.Int64 // /batch requests served
 	updates atomic.Int64 // edit batches applied
-
-	bufs sync.Pool // *[]float64 response buffers
 }
 
 // buildEnsemble runs the full shared pipeline once: hop set → simulated
@@ -372,30 +354,17 @@ func newServer(g *graph.Graph, ens *frt.Ensemble, meta frt.SnapshotMeta, dyn *fr
 	}
 	s := &server{dyn: dyn, started: time.Now()}
 	s.state.Store(&serverState{n: idx.NumLeaves(), m: meta.GraphEdges, idx: idx, ens: ens, g: g})
-	s.bufs.New = func() any { b := make([]float64, 0, 1024); return &b }
 	return s, nil
 }
 
-func (s *server) mux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /stats", s.handleStats)
-	mux.HandleFunc("GET /dist", s.handleDist)
-	mux.HandleFunc("POST /batch", s.handleBatch)
-	mux.HandleFunc("POST /update", s.handleUpdate)
-	mux.HandleFunc("POST /kmedian", s.handleKMedian)
-	mux.HandleFunc("POST /buyatbulk", s.handleBuyAtBulk)
-	mux.HandleFunc("POST /route", s.handleRoute)
-	return mux
+func (s *server) mux() *http.ServeMux { return newMux(s, nil) }
+
+func (s *server) serveHealthz(context.Context, *serverState, any) (any, *apiError) {
+	return map[string]string{"status": "ok"}, nil
 }
 
-func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	st := s.state.Load()
-	writeJSON(w, http.StatusOK, map[string]any{
+func (s *server) serveStats(_ context.Context, st *serverState, _ any) (any, *apiError) {
+	return map[string]any{
 		"mode":      "server",
 		"dynamic":   s.dyn != nil,
 		"scenarios": st.g != nil,
@@ -408,40 +377,20 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"batches":   s.batches.Load(),
 		"updates":   s.updates.Load(),
 		"uptimeMs":  time.Since(s.started).Milliseconds(),
-	})
-}
-
-func (s *server) handleDist(w http.ResponseWriter, r *http.Request) {
-	st := s.state.Load()
-	u, err1 := parseNode(r.URL.Query().Get("u"), st.n)
-	v, err2 := parseNode(r.URL.Query().Get("v"), st.n)
-	if err1 != nil || err2 != nil {
-		writeError(w, http.StatusBadRequest, errBadNode,
-			"u and v must be node ids in [0, n)", map[string]any{"n": st.n})
-		return
-	}
-	var d float64
-	switch stat := r.URL.Query().Get("stat"); stat {
-	case "", "min":
-		d = st.idx.Min(u, v)
-	case "median":
-		d = st.idx.Median(u, v)
-	default:
-		writeError(w, http.StatusBadRequest, errBadStat,
-			"stat must be min or median", map[string]any{"stat": stat})
-		return
-	}
-	s.queries.Add(1)
-	writeJSON(w, http.StatusOK, map[string]any{"u": u, "v": v, "dist": d})
+	}, nil
 }
 
 // batchRequest is the /batch payload: pairs of node ids, the estimator to
 // apply (min by default), and — for the router-facing "pertree" estimator —
-// the half-open tree shard to answer for.
+// the half-open tree shard to answer for. The decode step adds the pairs as
+// graph nodes; dist marks the one-pair batch GET /dist decodes to, answered
+// as /dist's one object.
 type batchRequest struct {
 	Pairs [][2]int64 `json:"pairs"`
 	Stat  string     `json:"stat"`
 	Trees *[2]int    `json:"trees,omitempty"`
+	pairs []frt.Pair
+	dist  bool
 }
 
 type batchResponse struct {
@@ -451,80 +400,110 @@ type batchResponse struct {
 	Trees *[2]int `json:"trees,omitempty"`
 }
 
-// decodeBatch parses and validates a /batch body against node count n,
-// writing the structured error response itself on failure. The body is read
-// through http.MaxBytesReader, which (unlike a bare LimitReader) also closes
-// the connection on overflow so the client cannot keep streaming, and lets
-// the decode error be classified as a 413.
-func decodeBatch(w http.ResponseWriter, r *http.Request, n int) ([]frt.Pair, *batchRequest, bool) {
-	var req batchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		writeDecodeError(w, err)
-		return nil, nil, false
+// batchResponses pools /dist and /batch answers with their Dists buffers;
+// the wrapper releases each once it has encoded it.
+var batchResponses = sync.Pool{New: func() any { return &batchResponse{Dists: make([]float64, 0, 1024)} }}
+
+func (b *batchResponse) release() {
+	b.Dists, b.Trees = b.Dists[:0], nil
+	batchResponses.Put(b)
+}
+
+type distResponse struct {
+	Dist float64 `json:"dist"`
+	U    int64   `json:"u"`
+	V    int64   `json:"v"`
+}
+
+func countBatch(req any) (int64, int64) {
+	if q := req.(*batchRequest); !q.dist {
+		return int64(len(q.pairs)), 1
 	}
-	if len(req.Pairs) == 0 {
-		writeError(w, http.StatusBadRequest, errEmptyPairs, "pairs must be non-empty", nil)
-		return nil, nil, false
+	return 1, 0
+}
+
+// answer shapes a batch answer for the route that asked.
+func (q *batchRequest) answer(resp *batchResponse) any {
+	if !q.dist {
+		return resp
 	}
-	if len(req.Pairs) > maxBatchPairs {
-		writeError(w, http.StatusRequestEntityTooLarge, errBatchTooLarge,
-			fmt.Sprintf("batch of %d pairs exceeds cap %d", len(req.Pairs), maxBatchPairs),
-			map[string]any{"max": maxBatchPairs, "got": len(req.Pairs)})
-		return nil, nil, false
+	defer resp.release()
+	return distResponse{Dist: resp.Dists[0], U: q.Pairs[0][0], V: q.Pairs[0][1]}
+}
+
+func decodeDist(r *http.Request, n int) (any, *apiError) {
+	u, err1 := parseNode(r.URL.Query().Get("u"), n)
+	v, err2 := parseNode(r.URL.Query().Get("v"), n)
+	if err1 != nil || err2 != nil {
+		return nil, reject(http.StatusBadRequest, errBadNode,
+			"u and v must be node ids in [0, n)", map[string]any{"n": n})
 	}
-	nn := int64(n)
-	pairs := make([]frt.Pair, len(req.Pairs))
-	for i, p := range req.Pairs {
-		if p[0] < 0 || p[0] >= nn || p[1] < 0 || p[1] >= nn {
-			writeError(w, http.StatusBadRequest, errPairOutOfRange,
+	stat := r.URL.Query().Get("stat")
+	if stat != "" && stat != "min" && stat != "median" {
+		return nil, reject(http.StatusBadRequest, errBadStat,
+			"stat must be min or median", map[string]any{"stat": stat})
+	}
+	return &batchRequest{Pairs: [][2]int64{{int64(u), int64(v)}}, Stat: stat,
+		pairs: []frt.Pair{{U: u, V: v}}, dist: true}, nil
+}
+
+func decodeBatch(r *http.Request, n int) (any, *apiError) {
+	q := &batchRequest{}
+	if aerr := decodeJSON(r, q); aerr != nil {
+		return nil, aerr
+	}
+	var aerr *apiError
+	q.pairs, aerr = nodePairs(q.Pairs, n, maxBatchPairs, "batch of %d pairs exceeds cap %d")
+	return q, aerr
+}
+
+// nodePairs checks a non-empty wire pair list against its cap max (what
+// formats the 413) and every id against n, and converts it to graph nodes.
+func nodePairs(wire [][2]int64, n, max int, what string) ([]frt.Pair, *apiError) {
+	if len(wire) == 0 {
+		return nil, reject(http.StatusBadRequest, errEmptyPairs, "pairs must be non-empty", nil)
+	}
+	if aerr := overCap(what, len(wire), max); aerr != nil {
+		return nil, aerr
+	}
+	pairs := make([]frt.Pair, len(wire))
+	for i, p := range wire {
+		if !inRange(p[0], n) || !inRange(p[1], n) {
+			return nil, reject(http.StatusBadRequest, errPairOutOfRange,
 				fmt.Sprintf("pair %d = [%d, %d] out of range", i, p[0], p[1]),
 				map[string]any{"index": i, "pair": p, "n": n})
-			return nil, nil, false
 		}
 		pairs[i] = frt.Pair{U: graph.Node(p[0]), V: graph.Node(p[1])}
 	}
-	return pairs, &req, true
+	return pairs, nil
 }
 
-func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	st := s.state.Load()
-	pairs, req, ok := decodeBatch(w, r, st.n)
-	if !ok {
-		return
-	}
-	bufp := s.bufs.Get().(*[]float64)
-	defer s.bufs.Put(bufp)
-	var out []float64
-	resp := batchResponse{}
-	switch req.Stat {
+func (s *server) serveBatch(_ context.Context, st *serverState, req any) (any, *apiError) {
+	q := req.(*batchRequest)
+	resp := batchResponses.Get().(*batchResponse)
+	switch q.Stat {
 	case "", "min":
-		out = st.idx.MinBatch(pairs, *bufp)
+		resp.Dists = st.idx.MinBatch(q.pairs, resp.Dists)
 	case "median":
-		out = st.idx.MedianBatch(pairs, *bufp)
+		resp.Dists = st.idx.MedianBatch(q.pairs, resp.Dists)
 	case "pertree":
 		lo, hi := 0, st.idx.NumTrees()
-		if req.Trees != nil {
-			lo, hi = req.Trees[0], req.Trees[1]
+		if q.Trees != nil {
+			lo, hi = q.Trees[0], q.Trees[1]
 		}
-		var err error
-		out, err = st.idx.PerTreeBatch(pairs, lo, hi, *bufp)
+		out, err := st.idx.PerTreeBatch(q.pairs, lo, hi, resp.Dists)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, errBadTreeRange,
+			resp.release()
+			return nil, reject(http.StatusBadRequest, errBadTreeRange,
 				err.Error(), map[string]any{"trees": [2]int{lo, hi}, "k": st.idx.NumTrees()})
-			return
 		}
-		resp.Trees = &[2]int{lo, hi}
+		resp.Dists, resp.Trees = out, &[2]int{lo, hi}
 	default:
-		writeError(w, http.StatusBadRequest, errBadStat,
-			"stat must be min, median, or pertree", map[string]any{"stat": req.Stat})
-		return
+		resp.release()
+		return nil, reject(http.StatusBadRequest, errBadStat,
+			"stat must be min, median, or pertree", map[string]any{"stat": q.Stat})
 	}
-	*bufp = out[:0]
-	s.queries.Add(int64(len(pairs)))
-	s.batches.Add(1)
-	resp.Dists = out
-	writeJSON(w, http.StatusOK, resp)
+	return q.answer(resp), nil
 }
 
 func parseNode(s string, n int) (graph.Node, error) {
@@ -538,361 +517,4 @@ func parseNode(s string, n int) (graph.Node, error) {
 		return 0, fmt.Errorf("node %d out of range", v)
 	}
 	return graph.Node(v), nil
-}
-
-// Error codes of the structured error schema. Every non-200 response body is
-//
-//	{"error": {"code": <one of these>, "message": <human text>,
-//	           "details": <code-specific object, may be absent>}}
-//
-// so clients branch on a stable machine-readable code instead of matching
-// message prose.
-const (
-	errBadJSON             = "bad_json"
-	errEmptyPairs          = "empty_pairs"
-	errBatchTooLarge       = "batch_too_large"
-	errBodyTooLarge        = "body_too_large"
-	errPairOutOfRange      = "pair_out_of_range"
-	errBadStat             = "bad_stat"
-	errBadNode             = "bad_node"
-	errBadTreeRange        = "bad_tree_range"
-	errBadEdit             = "bad_edit"
-	errUpdateUnsupported   = "update_unsupported"
-	errOverloaded          = "overloaded"
-	errUpstreamUnavailable = "upstream_unavailable"
-	errBadScenario         = "bad_scenario"
-	errScenarioUnavailable = "scenario_unavailable"
-)
-
-// writeDecodeError classifies a JSON-decode failure: a body that tripped
-// http.MaxBytesReader is a 413 with its own code (the client must shrink the
-// request, not fix its syntax); everything else is a 400 bad_json.
-func writeDecodeError(w http.ResponseWriter, err error) {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		writeError(w, http.StatusRequestEntityTooLarge, errBodyTooLarge,
-			fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit),
-			map[string]any{"maxBytes": tooLarge.Limit})
-		return
-	}
-	writeError(w, http.StatusBadRequest, errBadJSON, "bad JSON: "+err.Error(), nil)
-}
-
-type apiError struct {
-	Code    string         `json:"code"`
-	Message string         `json:"message"`
-	Details map[string]any `json:"details,omitempty"`
-}
-
-type errorResponse struct {
-	Error apiError `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, code, msg string, details map[string]any) {
-	writeJSON(w, status, errorResponse{Error: apiError{Code: code, Message: msg, Details: details}})
-}
-
-// clientSummary is the machine-readable record of one load-generation run
-// (-json appends it as a line, the same one-object-per-line convention the
-// BENCH_*.json trajectories use).
-type clientSummary struct {
-	Date          string  `json:"date"`
-	Target        string  `json:"target"`
-	Mode          string  `json:"mode"`
-	Requests      int     `json:"requests"`
-	Batch         int     `json:"batch"`
-	Concurrency   int     `json:"concurrency"`
-	Failed        int     `json:"failed"`
-	PairsPerSec   float64 `json:"pairsPerSec"`
-	BatchesPerSec float64 `json:"batchesPerSec"`
-	P50Us         int64   `json:"p50us"`
-	P90Us         int64   `json:"p90us"`
-	P99Us         int64   `json:"p99us"`
-	MaxUs         int64   `json:"maxus"`
-}
-
-// runClient floods one target endpoint — selected by -mode — with pre-drawn
-// request bodies from `concurrency` connections and reports throughput and
-// latency quantiles. It is the load harness for both a single server and a
-// router-fronted fleet (the API is identical): "batch" floods /batch with
-// random pairs, "kmedian"/"buyatbulk"/"route" flood the application-scenario
-// endpoints with random instances.
-func runClient(target, mode string, requests, batch, concurrency int, seed uint64, jsonOut string) error {
-	if requests < 1 || batch < 1 || concurrency < 1 {
-		return fmt.Errorf("-requests, -batch, and -concurrency must all be ≥ 1 (got %d, %d, %d)",
-			requests, batch, concurrency)
-	}
-	// One idle connection per worker, so the measured quantiles are server
-	// batch latency rather than TCP handshakes (DefaultTransport keeps only
-	// 2 idle conns per host), and a hung server fails the run instead of
-	// blocking it forever.
-	hc := &http.Client{
-		Timeout: time.Minute,
-		Transport: &http.Transport{
-			MaxIdleConns:        concurrency,
-			MaxIdleConnsPerHost: concurrency,
-		},
-	}
-	stats, err := fetchStats(hc, target)
-	if err != nil {
-		return fmt.Errorf("fetching %s/stats: %w", target, err)
-	}
-	n := int(stats.Nodes)
-	if n < 2 {
-		return fmt.Errorf("server graph too small: n=%d", n)
-	}
-	fmt.Printf("target %s: n=%d trees=%d mode=%s\n", target, n, stats.Trees, mode)
-
-	// Pre-draw every request body so the measured loop is pure I/O + server.
-	path, bodies, check, err := buildWorkload(mode, par.NewRNG(seed), n, requests, batch)
-	if err != nil {
-		return err
-	}
-
-	latencies := make([]time.Duration, requests)
-	errs := make([]error, requests)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < concurrency; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= requests {
-					return
-				}
-				t0 := time.Now()
-				errs[i] = postChecked(hc, target+path, bodies[i], check)
-				latencies[i] = time.Since(t0)
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	failed := 0
-	for _, err := range errs {
-		if err != nil {
-			failed++
-		}
-	}
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	pairs := requests * batch
-	sum := clientSummary{
-		Date:          time.Now().UTC().Format(time.RFC3339),
-		Target:        target,
-		Mode:          mode,
-		Requests:      requests,
-		Batch:         batch,
-		Concurrency:   concurrency,
-		Failed:        failed,
-		PairsPerSec:   float64(pairs) / elapsed.Seconds(),
-		BatchesPerSec: float64(requests) / elapsed.Seconds(),
-		P50Us:         latencies[requests/2].Microseconds(),
-		P90Us:         latencies[requests*9/10].Microseconds(),
-		P99Us:         latencies[requests*99/100].Microseconds(),
-		MaxUs:         latencies[requests-1].Microseconds(),
-	}
-	fmt.Printf("sent %d batches × %d pairs in %v (%d failed)\n", requests, batch, elapsed.Round(time.Millisecond), failed)
-	fmt.Printf("throughput: %.0f pairs/s, %.1f batches/s\n", sum.PairsPerSec, sum.BatchesPerSec)
-	fmt.Printf("latency: p50 %v  p90 %v  p99 %v  max %v\n",
-		latencies[requests/2], latencies[requests*9/10], latencies[requests*99/100], latencies[requests-1])
-	if jsonOut != "" {
-		if err := appendJSONLine(jsonOut, sum); err != nil {
-			return fmt.Errorf("writing %s: %w", jsonOut, err)
-		}
-	}
-	if failed > 0 {
-		return fmt.Errorf("%d of %d requests failed: first error: %w", failed, requests, firstError(errs))
-	}
-	return nil
-}
-
-func appendJSONLine(path string, v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(append(b, '\n')); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func firstError(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-type statsResponse struct {
-	Nodes int64 `json:"nodes"`
-	Trees int64 `json:"trees"`
-}
-
-func fetchStats(hc *http.Client, target string) (*statsResponse, error) {
-	resp, err := hc.Get(target + "/stats")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET /stats: %s", resp.Status)
-	}
-	var s statsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
-		return nil, err
-	}
-	return &s, nil
-}
-
-// buildWorkload pre-draws `requests` bodies for one client -mode and returns
-// the endpoint path plus a response check. batch sizes the instances: pairs
-// per /batch and /route request, demands per /buyatbulk request; /kmedian
-// solves once per request with a varying seed, so batch is ignored there.
-func buildWorkload(mode string, rng *par.RNG, n, requests, batch int) (string, [][]byte, func(status int, data []byte) error, error) {
-	bodies := make([][]byte, requests)
-	fill := func(body func(i int) any) error {
-		for i := range bodies {
-			b, err := json.Marshal(body(i))
-			if err != nil {
-				return err
-			}
-			bodies[i] = b
-		}
-		return nil
-	}
-	randomPairs := func(count int) [][2]int64 {
-		pairs := make([][2]int64, count)
-		for j := range pairs {
-			pairs[j] = [2]int64{int64(rng.Intn(n)), int64(rng.Intn(n))}
-		}
-		return pairs
-	}
-	switch mode {
-	case "batch":
-		err := fill(func(int) any {
-			return batchRequest{Pairs: randomPairs(batch), Stat: "min"}
-		})
-		check := func(status int, data []byte) error {
-			var br batchResponse
-			if err := checkOK(status, data, &br); err != nil {
-				return err
-			}
-			if len(br.Dists) != batch {
-				return fmt.Errorf("got %d dists, want %d", len(br.Dists), batch)
-			}
-			return nil
-		}
-		return "/batch", bodies, check, err
-	case "kmedian":
-		k := 8
-		if k > n {
-			k = n
-		}
-		err := fill(func(i int) any {
-			return kmedianRequest{K: k, Seed: uint64(i + 1)}
-		})
-		check := func(status int, data []byte) error {
-			var kr kmedianResponse
-			if err := checkOK(status, data, &kr); err != nil {
-				return err
-			}
-			if len(kr.Centers) != k {
-				return fmt.Errorf("got %d centers, want %d", len(kr.Centers), k)
-			}
-			return nil
-		}
-		return "/kmedian", bodies, check, err
-	case "buyatbulk":
-		// A fixed three-tier economies-of-scale catalogue; demands are random
-		// unit-ish flows, so every request exercises the LCA flow accumulation
-		// and the cable loader.
-		cables := []wireCable{{Capacity: 1, Cost: 1}, {Capacity: 4, Cost: 2.5}, {Capacity: 16, Cost: 6}}
-		err := fill(func(int) any {
-			demands := make([]wireDemand, batch)
-			for j := range demands {
-				demands[j] = wireDemand{
-					S:      int64(rng.Intn(n)),
-					T:      int64(rng.Intn(n)),
-					Amount: 1 + rng.Float64()*3,
-				}
-			}
-			return buyAtBulkRequest{Demands: demands, Cables: cables}
-		})
-		check := func(status int, data []byte) error {
-			var br buyAtBulkResponse
-			if err := checkOK(status, data, &br); err != nil {
-				return err
-			}
-			if br.Cost <= 0 {
-				return fmt.Errorf("non-positive cost %g", br.Cost)
-			}
-			return nil
-		}
-		return "/buyatbulk", bodies, check, err
-	case "route":
-		pairs := batch
-		if pairs > maxRoutePairs {
-			pairs = maxRoutePairs
-		}
-		err := fill(func(int) any {
-			return routeRequest{Pairs: randomPairs(pairs)}
-		})
-		check := func(status int, data []byte) error {
-			var rr routeResponse
-			if err := checkOK(status, data, &rr); err != nil {
-				return err
-			}
-			if len(rr.Routes) != pairs {
-				return fmt.Errorf("got %d routes, want %d", len(rr.Routes), pairs)
-			}
-			return nil
-		}
-		return "/route", bodies, check, err
-	default:
-		return "", nil, nil, fmt.Errorf("-mode must be batch, kmedian, buyatbulk, or route (got %q)", mode)
-	}
-}
-
-// checkOK decodes a 200 response into out, surfacing the structured error
-// code on anything else.
-func checkOK(status int, data []byte, out any) error {
-	if status != http.StatusOK {
-		var er errorResponse
-		if json.Unmarshal(data, &er) == nil && er.Error.Code != "" {
-			return fmt.Errorf("status %d: %s (%s)", status, er.Error.Message, er.Error.Code)
-		}
-		return fmt.Errorf("status %d", status)
-	}
-	return json.Unmarshal(data, out)
-}
-
-func postChecked(hc *http.Client, url string, body []byte, check func(status int, data []byte) error) error {
-	resp, err := hc.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	data, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return err
-	}
-	return check(resp.StatusCode, data)
 }

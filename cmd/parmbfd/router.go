@@ -1,13 +1,12 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,8 +45,7 @@ type router struct {
 	queries   atomic.Int64
 	batches   atomic.Int64
 	failovers atomic.Int64 // shard attempts redirected off their primary
-
-	bufs sync.Pool // *[]float64 merge buffers
+	next      atomic.Int64 // round-robin cursor of the one-worker fan
 
 	cancelHealth context.CancelFunc
 	healthDone   chan struct{}
@@ -88,7 +86,6 @@ func newRouter(urls []string, inflight int, attemptTimeout, healthEvery time.Dur
 		return nil, fmt.Errorf("fleet serves an empty ensemble (n=%d, K=%d)", rt.n, rt.k)
 	}
 	rt.shards = shardTrees(rt.k, len(rt.workers))
-	rt.bufs.New = func() any { b := make([]float64, 0, 1024); return &b }
 
 	hctx, cancel := context.WithCancel(context.Background())
 	rt.cancelHealth = cancel
@@ -99,35 +96,19 @@ func newRouter(urls []string, inflight int, attemptTimeout, healthEvery time.Dur
 
 // probeStats fetches one worker's /stats, retrying briefly — at startup the
 // fleet may still be binding its listeners.
-func (rt *router) probeStats(w *workerRef) (*statsResponse, error) {
-	var lastErr error
+func (rt *router) probeStats(w *workerRef) (st *statsResponse, err error) {
 	for attempt := 0; attempt < 8; attempt++ {
 		if attempt > 0 {
 			time.Sleep(250 * time.Millisecond)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), rt.attemptTimeout)
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.url+"/stats", nil)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		resp, err := rt.hc.Do(req)
-		if err != nil {
-			cancel()
-			lastErr = err
-			continue
-		}
-		var st statsResponse
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
+		st, err = fetchStats(ctx, rt.hc, w.url)
 		cancel()
-		if err != nil {
-			lastErr = err
-			continue
+		if err == nil {
+			return st, nil
 		}
-		return &st, nil
 	}
-	return nil, lastErr
+	return nil, err
 }
 
 // shardTrees splits K trees into w contiguous ranges, spreading the
@@ -137,14 +118,8 @@ func (rt *router) probeStats(w *workerRef) (*statsResponse, error) {
 func shardTrees(k, w int) [][2]int {
 	shards := make([][2]int, w)
 	base, extra := k/w, k%w
-	cur := 0
 	for i := range shards {
-		size := base
-		if i < extra {
-			size++
-		}
-		shards[i] = [2]int{cur, cur + size}
-		cur += size
+		shards[i] = [2]int{i*base + min(i, extra), (i+1)*base + min(i+1, extra)}
 	}
 	return shards
 }
@@ -169,19 +144,9 @@ func (rt *router) healthLoop(ctx context.Context, every time.Duration) {
 		case <-tick.C:
 			for _, w := range rt.workers {
 				hctx, cancel := context.WithTimeout(ctx, rt.attemptTimeout)
-				req, err := http.NewRequestWithContext(hctx, http.MethodGet, w.url+"/healthz", nil)
-				if err == nil {
-					var resp *http.Response
-					resp, err = rt.hc.Do(req)
-					if err == nil {
-						resp.Body.Close()
-						if resp.StatusCode != http.StatusOK {
-							err = fmt.Errorf("healthz: %s", resp.Status)
-						}
-					}
-				}
+				status, _, err := call(hctx, rt.hc, http.MethodGet, w.url+"/healthz", nil)
 				cancel()
-				w.healthy.Store(err == nil)
+				w.healthy.Store(err == nil && status == http.StatusOK)
 			}
 		}
 	}
@@ -197,117 +162,11 @@ func (rt *router) healthyCount() int {
 	return c
 }
 
-func (rt *router) mux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	mux.HandleFunc("GET /stats", rt.handleStats)
-	mux.HandleFunc("GET /dist", rt.handleDist)
-	mux.HandleFunc("POST /batch", rt.handleBatch)
-	mux.HandleFunc("POST /update", rt.handleUpdate)
-	mux.HandleFunc("POST /kmedian", rt.handleKMedian)
-	mux.HandleFunc("POST /buyatbulk", rt.handleBuyAtBulk)
-	mux.HandleFunc("POST /route", rt.handleRoute)
-	return mux
-}
+func (rt *router) mux() *http.ServeMux { return newMux(nil, rt) }
 
-// handleUpdate forwards an edit batch to every worker replica — each worker
-// holds the full ensemble, so all of them must apply every update. The
-// forwards run concurrently; the response reports each worker's resulting
-// version. Any worker failure yields 502 with the per-worker outcomes so the
-// operator can see which replicas diverged (a replica that missed an update
-// must be restarted before it serves again — the router's health probes
-// don't track versions).
-func (rt *router) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		writeDecodeError(w, err)
-		return
-	}
-	// Updates run a repair and a reindex upstream — give them far more room
-	// than one query attempt.
-	timeout := 6 * rt.attemptTimeout
-	if timeout < 30*time.Second {
-		timeout = 30 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	type workerUpdate struct {
-		URL     string `json:"url"`
-		Version int64  `json:"version,omitempty"`
-		Error   string `json:"error,omitempty"`
-	}
-	results := make([]workerUpdate, len(rt.workers))
-	var wg sync.WaitGroup
-	failed := 0
-	var mu sync.Mutex
-	for i, wk := range rt.workers {
-		wg.Add(1)
-		go func(i int, wk *workerRef) {
-			defer wg.Done()
-			ver, err := rt.postUpdate(ctx, wk, body)
-			results[i] = workerUpdate{URL: wk.url, Version: ver}
-			if err != nil {
-				results[i].Error = err.Error()
-				mu.Lock()
-				failed++
-				mu.Unlock()
-			}
-		}(i, wk)
-	}
-	wg.Wait()
-	if failed > 0 {
-		writeError(w, http.StatusBadGateway, errUpstreamUnavailable,
-			fmt.Sprintf("%d of %d workers failed to apply the update", failed, len(rt.workers)),
-			map[string]any{"workers": results})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"workers": results})
-}
-
-func (rt *router) postUpdate(ctx context.Context, w *workerRef, body []byte) (int64, error) {
-	status, resp, err := rt.post(ctx, w, "/update", body)
-	if err != nil {
-		return 0, err
-	}
-	if status != http.StatusOK {
-		var er errorResponse
-		if json.Unmarshal(resp, &er) == nil && er.Error.Code != "" {
-			return 0, fmt.Errorf("POST /update: %d %s: %s (%s)", status, http.StatusText(status), er.Error.Message, er.Error.Code)
-		}
-		return 0, fmt.Errorf("POST /update: %d %s", status, http.StatusText(status))
-	}
-	var ur updateResponse
-	if err := json.Unmarshal(resp, &ur); err != nil {
-		return 0, err
-	}
-	return ur.Version, nil
-}
-
-// post sends one POST of body to path on worker w and returns the status
-// and the whole response body. Any HTTP answer is a response; only transport
-// failures are errors.
-func (rt *router) post(ctx context.Context, w *workerRef, path string, body []byte) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := rt.hc.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, nil, err
-	}
-	return resp.StatusCode, b, nil
-}
-
-// handleHealthz reports fleet health: ok with every replica up, degraded
+// fanHealthz reports fleet health: ok with every replica up, degraded
 // (still 200 — the router is serving) with some down, 503 with none.
-func (rt *router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+func (rt *router) fanHealthz(context.Context, any) (any, *apiError) {
 	type workerHealth struct {
 		URL     string `json:"url"`
 		Healthy bool   `json:"healthy"`
@@ -324,10 +183,10 @@ func (rt *router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	case healthy < len(rt.workers):
 		status = "degraded"
 	}
-	writeJSON(w, code, map[string]any{"status": status, "workers": ws})
+	return &reply{status: code, body: wire(map[string]any{"status": status, "workers": ws})}, nil
 }
 
-func (rt *router) handleStats(w http.ResponseWriter, _ *http.Request) {
+func (rt *router) fanStats(context.Context, any) (any, *apiError) {
 	type workerStats struct {
 		URL      string `json:"url"`
 		Healthy  bool   `json:"healthy"`
@@ -339,7 +198,7 @@ func (rt *router) handleStats(w http.ResponseWriter, _ *http.Request) {
 		ws[i] = workerStats{URL: wk.url, Healthy: wk.healthy.Load(),
 			Served: wk.served.Load(), Failures: wk.failures.Load()}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	return map[string]any{
 		"mode":           "router",
 		"nodes":          rt.n,
 		"trees":          rt.k,
@@ -352,175 +211,199 @@ func (rt *router) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"inflight":       rt.limiter.InFlight(),
 		"inflightCap":    rt.limiter.Cap(),
 		"uptimeMs":       time.Since(rt.started).Milliseconds(),
-	})
+	}, nil
 }
 
-func (rt *router) handleDist(w http.ResponseWriter, r *http.Request) {
-	u, err1 := parseNode(r.URL.Query().Get("u"), rt.n)
-	v, err2 := parseNode(r.URL.Query().Get("v"), rt.n)
-	if err1 != nil || err2 != nil {
-		writeError(w, http.StatusBadRequest, errBadNode,
-			"u and v must be node ids in [0, n)", map[string]any{"n": rt.n})
-		return
-	}
-	stat := r.URL.Query().Get("stat")
-	if stat == "" {
-		stat = "min"
-	}
-	if stat != "min" && stat != "median" {
-		writeError(w, http.StatusBadRequest, errBadStat,
-			"stat must be min or median", map[string]any{"stat": stat})
-		return
-	}
-	dists, err := rt.fanBatch(r.Context(), []frt.Pair{{U: u, V: v}}, stat, nil)
-	if err != nil {
-		writeError(w, http.StatusBadGateway, errUpstreamUnavailable, err.Error(), nil)
-		return
-	}
-	rt.queries.Add(1)
-	writeJSON(w, http.StatusOK, map[string]any{"u": u, "v": v, "dist": dists[0]})
+// reply is an answer with its own status and an encoded JSON body: a
+// worker's answer relayed verbatim — also as the error of a fan-out a worker
+// rejected — or the router's /healthz.
+type reply struct {
+	status int
+	body   []byte
 }
 
-func (rt *router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	pairs, req, ok := decodeBatch(w, r, rt.n)
-	if !ok {
-		return
+func (r *reply) MarshalJSON() ([]byte, error) { return r.body, nil }
+func (r *reply) Error() string                { return fmt.Sprintf("worker answered %d", r.status) }
+
+// upstreamFailure answers a fan-out that failed: a worker's own rejection is
+// relayed, anything else is a 502.
+func upstreamFailure(err error) (any, *apiError) {
+	var rp *reply
+	if errors.As(err, &rp) {
+		return rp, nil
 	}
-	stat := req.Stat
-	if stat == "" {
-		stat = "min"
-	}
-	if stat != "min" && stat != "median" {
-		// pertree is the worker-facing protocol, not a router stat: the
-		// router exists to hide shard reassembly from clients.
-		writeError(w, http.StatusBadRequest, errBadStat,
-			"stat must be min or median", map[string]any{"stat": stat})
-		return
-	}
-	bufp := rt.bufs.Get().(*[]float64)
-	defer rt.bufs.Put(bufp)
-	dists, err := rt.fanBatch(r.Context(), pairs, stat, *bufp)
-	if err != nil {
-		writeError(w, http.StatusBadGateway, errUpstreamUnavailable, err.Error(), nil)
-		return
-	}
-	*bufp = dists[:0]
-	rt.queries.Add(int64(len(pairs)))
-	rt.batches.Add(1)
-	writeJSON(w, http.StatusOK, batchResponse{Dists: dists})
+	return nil, reject(http.StatusBadGateway, errUpstreamUnavailable, err.Error(), nil)
 }
 
-// shardResult is one shard's pair-major per-tree block.
-type shardResult struct {
-	lo, hi int
-	dists  []float64
+// wire encodes a value decoded from JSON, or built from such values, for a
+// worker or a reply; such values always encode, so the error is impossible.
+func wire(v any) []byte {
+	b, _ := json.Marshal(v)
+	return b
+}
+
+// fanDeadline bounds one fan-out: every shard may in the worst case try
+// every worker sequentially.
+func (rt *router) fanDeadline() time.Duration {
+	return rt.attemptTimeout*time.Duration(len(rt.workers)) + rt.attemptTimeout/2
+}
+
+// fanShards is the per-shard fan of /batch and /kmedian: it runs
+// fetch(ctx, i, lo, hi) for every non-empty shard i = trees [lo, hi)
+// concurrently under the fan-out deadline. The first error cancels the
+// other shards and is returned.
+func (rt *router) fanShards(ctx context.Context, fetch func(ctx context.Context, i, lo, hi int) error) error {
+	ctx, cancel := context.WithTimeout(ctx, rt.fanDeadline())
+	defer cancel()
+	var (
+		wg    sync.WaitGroup
+		once  sync.Once
+		first error
+	)
+	for i, sh := range rt.shards {
+		if sh[0] == sh[1] {
+			continue // spare worker, no primary shard
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := fetch(ctx, i, sh[0], sh[1]); err != nil {
+				once.Do(func() { first = err; cancel() })
+			}
+		}()
+	}
+	wg.Wait()
+	return first
 }
 
 // fanBatch asks each non-empty shard for its per-tree distances (retrying on
 // other replicas), reassembles every pair's full K-vector in ascending tree
 // order, and folds it exactly as OracleIndex does — strict-< for min, full
 // sort for median — so the merged answers are bitwise identical to a single
-// process evaluating the whole ensemble.
-func (rt *router) fanBatch(ctx context.Context, pairs []frt.Pair, stat string, buf []float64) ([]float64, error) {
-	// Overall budget: every shard may in the worst case try every worker
-	// sequentially.
-	deadline := rt.attemptTimeout*time.Duration(len(rt.workers)) + rt.attemptTimeout/2
-	ctx, cancel := context.WithTimeout(ctx, deadline)
-	defer cancel()
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		results  []shardResult
-		firstErr error
-	)
-	for i, shard := range rt.shards {
-		if shard[0] == shard[1] {
-			continue // spare worker, no primary shard
-		}
-		wg.Add(1)
-		go func(primary int, lo, hi int) {
-			defer wg.Done()
-			dists, err := rt.fetchShard(ctx, primary, lo, hi, pairs)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("shard [%d, %d): %w", lo, hi, err)
-					cancel() // no point finishing the other shards
-				}
-				return
+// process evaluating the whole ensemble. An answer counts only if it is a
+// 200 with exactly len(pairs)·(hi−lo) distances.
+func (rt *router) fanBatch(ctx context.Context, req any) (any, *apiError) {
+	q := req.(*batchRequest)
+	if q.Stat != "" && q.Stat != "min" && q.Stat != "median" {
+		// pertree is the worker-facing protocol, not a router stat: the
+		// router exists to hide shard reassembly from clients.
+		return nil, reject(http.StatusBadRequest, errBadStat,
+			"stat must be min or median", map[string]any{"stat": q.Stat})
+	}
+	blocks := make([][]float64, len(rt.shards))
+	err := rt.fanShards(ctx, func(ctx context.Context, i, lo, hi int) error {
+		body := wire(batchRequest{Pairs: q.Pairs, Stat: "pertree", Trees: &[2]int{lo, hi}})
+		_, _, err := rt.fetch(ctx, i, "/batch", body, func(status int, resp []byte) error {
+			if status != http.StatusOK {
+				return fmt.Errorf("POST /batch: %w", answerError(status, resp))
 			}
-			results = append(results, shardResult{lo: lo, hi: hi, dists: dists})
-		}(i, shard[0], shard[1])
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	// Ascending tree order: the merge contract of OracleIndex.PerTreeBatch.
-	sort.Slice(results, func(a, b int) bool { return results[a].lo < results[b].lo })
-
-	out := buf
-	if cap(out) < len(pairs) {
-		out = make([]float64, len(pairs))
-	}
-	out = out[:len(pairs)]
-	if stat == "min" {
-		for i := range pairs {
-			var best float64
-			t := 0
-			for _, sr := range results {
-				w := sr.hi - sr.lo
-				for j := 0; j < w; j++ {
-					if d := sr.dists[i*w+j]; t == 0 || d < best {
-						best = d
-					}
-					t++
-				}
+			var br batchResponse
+			if err := json.Unmarshal(resp, &br); err != nil {
+				return err
 			}
-			out[i] = best
+			if want := len(q.Pairs) * (hi - lo); len(br.Dists) != want {
+				return fmt.Errorf("shard answer has %d dists, want %d", len(br.Dists), want)
+			}
+			blocks[i] = br.Dists
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("shard [%d, %d): %w", lo, hi, err)
 		}
-		return out, nil
-	}
-	ds := make([]float64, rt.k)
-	for i := range pairs {
-		t := 0
-		for _, sr := range results {
-			w := sr.hi - sr.lo
-			copy(ds[t:t+w], sr.dists[i*w:(i+1)*w])
-			t += w
-		}
-		out[i] = frt.MedianOf(ds)
-	}
-	return out, nil
-}
-
-// fetchShard asks workers for trees [lo, hi) of every pair: an answer
-// counts only if it is a 200 with exactly len(pairs)·(hi−lo) distances.
-func (rt *router) fetchShard(ctx context.Context, primary, lo, hi int, pairs []frt.Pair) ([]float64, error) {
-	body, err := json.Marshal(batchRequest{
-		Pairs: pairsToWire(pairs), Stat: "pertree", Trees: &[2]int{lo, hi},
-	})
-	if err != nil {
-		return nil, err
-	}
-	var dists []float64
-	_, _, err = rt.fetch(ctx, primary, "/batch", body, func(status int, resp []byte) error {
-		if status != http.StatusOK {
-			return fmt.Errorf("POST /batch: %d %s", status, http.StatusText(status))
-		}
-		var br batchResponse
-		if err := json.Unmarshal(resp, &br); err != nil {
-			return err
-		}
-		if want := len(pairs) * (hi - lo); len(br.Dists) != want {
-			return fmt.Errorf("shard answer has %d dists, want %d", len(br.Dists), want)
-		}
-		dists = br.Dists
 		return nil
 	})
-	return dists, err
+	if err != nil {
+		return upstreamFailure(err)
+	}
+	resp := batchResponses.Get().(*batchResponse)
+	out, ds := slices.Grow(resp.Dists[:0], len(q.Pairs))[:len(q.Pairs)], make([]float64, rt.k)
+	for i := range out {
+		t := 0
+		for s, sh := range rt.shards {
+			w := sh[1] - sh[0]
+			t += copy(ds[t:], blocks[s][i*w:(i+1)*w])
+		}
+		if q.Stat == "median" {
+			out[i] = frt.MedianOf(ds)
+			continue
+		}
+		out[i] = ds[0]
+		for _, d := range ds[1:] {
+			if d < out[i] {
+				out[i] = d
+			}
+		}
+	}
+	resp.Dists = out
+	return q.answer(resp), nil
+}
+
+// roundRobin is the fan of /buyatbulk and /route, which build on state that
+// is not tree-separable (one flow accumulation, one shared next-hop table):
+// each request goes whole to one worker, starting at the next one in turn
+// and failing over across replicas like a shard fetch. The worker's answer —
+// success or structured rejection — is relayed verbatim.
+func roundRobin(path string) func(*router, context.Context, any) (any, *apiError) {
+	return func(rt *router, ctx context.Context, req any) (any, *apiError) {
+		ctx, cancel := context.WithTimeout(ctx, rt.fanDeadline())
+		defer cancel()
+		primary := int((rt.next.Add(1) - 1) % int64(len(rt.workers)))
+		status, resp, err := rt.fetch(ctx, primary, path, wire(req), nil)
+		if err != nil {
+			return upstreamFailure(err)
+		}
+		return &reply{status: status, body: resp}, nil
+	}
+}
+
+// fanUpdate forwards an edit batch to every worker replica — each worker
+// holds the full ensemble, so all of them must apply every update. The
+// forwards run concurrently; the response reports each worker's resulting
+// version. Any worker failure yields 502 with the per-worker outcomes so the
+// operator can see which replicas diverged (a replica that missed an update
+// must be restarted before it serves again — the router's health probes
+// don't track versions).
+func (rt *router) fanUpdate(ctx context.Context, req any) (any, *apiError) {
+	// Updates run a repair and a reindex upstream — give them far more room
+	// than one query attempt.
+	ctx, cancel := context.WithTimeout(ctx, max(6*rt.attemptTimeout, 30*time.Second))
+	defer cancel()
+	type workerUpdate struct {
+		URL     string `json:"url"`
+		Version int64  `json:"version,omitempty"`
+		Error   string `json:"error,omitempty"`
+	}
+	body := wire(req)
+	results := make([]workerUpdate, len(rt.workers))
+	var failed atomic.Int64
+	var wg sync.WaitGroup
+	for i, wk := range rt.workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i].URL = wk.url
+			status, resp, err := call(ctx, rt.hc, http.MethodPost, wk.url+"/update", body)
+			var ur updateResponse
+			if err == nil && status != http.StatusOK {
+				err = fmt.Errorf("POST /update: %w", answerError(status, resp))
+			} else if err == nil {
+				err = json.Unmarshal(resp, &ur)
+			}
+			if err != nil {
+				results[i].Error = err.Error()
+				failed.Add(1)
+				return
+			}
+			results[i].Version = ur.Version
+		}()
+	}
+	wg.Wait()
+	if f := failed.Load(); f > 0 {
+		return nil, reject(http.StatusBadGateway, errUpstreamUnavailable,
+			fmt.Sprintf("%d of %d workers failed to apply the update", f, len(rt.workers)),
+			map[string]any{"workers": results})
+	}
+	return map[string]any{"workers": results}, nil
 }
 
 // fetch posts body to path on the candidate workers of primary — primary
@@ -538,7 +421,7 @@ func (rt *router) fetch(ctx context.Context, primary int, path string, body []by
 			return 0, nil, err
 		}
 		actx, cancel := context.WithTimeout(ctx, rt.attemptTimeout)
-		status, resp, err := rt.post(actx, w, path, body)
+		status, resp, err := call(actx, rt.hc, http.MethodPost, w.url+path, body)
 		cancel()
 		rt.limiter.Release()
 		if err == nil && accept != nil {
@@ -566,25 +449,13 @@ func (rt *router) fetch(ctx context.Context, primary int, path string, body []by
 // currently healthy replicas, then the rest — a dead replica is only asked
 // once everything believed alive has failed.
 func (rt *router) candidates(primary int) []int {
-	order := make([]int, 0, len(rt.workers))
-	order = append(order, primary)
-	for i, w := range rt.workers {
-		if i != primary && w.healthy.Load() {
-			order = append(order, i)
-		}
-	}
-	for i, w := range rt.workers {
-		if i != primary && !w.healthy.Load() {
-			order = append(order, i)
+	order := append(make([]int, 0, len(rt.workers)), primary)
+	for _, healthy := range []bool{true, false} {
+		for i, w := range rt.workers {
+			if i != primary && w.healthy.Load() == healthy {
+				order = append(order, i)
+			}
 		}
 	}
 	return order
-}
-
-func pairsToWire(pairs []frt.Pair) [][2]int64 {
-	out := make([][2]int64, len(pairs))
-	for i, p := range pairs {
-		out[i] = [2]int64{int64(p.U), int64(p.V)}
-	}
-	return out
 }

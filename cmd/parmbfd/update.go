@@ -1,7 +1,7 @@
 package main
 
 import (
-	"encoding/json"
+	"context"
 	"fmt"
 	"net/http"
 	"time"
@@ -24,8 +24,11 @@ type updateEdit struct {
 	Weight float64 `json:"weight,omitempty"`
 }
 
+// updateRequest is the /update payload; the decode step adds its edits as
+// graph edits.
 type updateRequest struct {
 	Edits []updateEdit `json:"edits"`
+	edits []graph.Edit
 }
 
 // updateResponse reports one applied batch. Version is the serving-state
@@ -40,103 +43,78 @@ type updateResponse struct {
 	ElapsedMs       int64 `json:"elapsedMs"`
 }
 
-// decodeUpdate parses a /update body into graph edits, writing the
-// structured error itself on failure. Wire-level shape problems (unknown op,
-// edit-count cap, endpoints outside [0, n)) are rejected here; semantic
+var editOps = map[string]graph.EditOp{"insert": graph.EditInsert, "delete": graph.EditDelete, "reweight": graph.EditReweight}
+
+// decodeUpdate rejects the wire-level shape problems of an edit batch
+// (unknown op, edit-count cap, endpoints outside [0, n)); semantic
 // validation (duplicate edits, missing edges, weight domain) is
-// graph.validateEdits' job and surfaces as bad_edit from the handler. The
-// range check runs on the wire's int64 IDs, before the narrowing to
-// graph.Node, so an ID such as 2^32 cannot wrap onto node 0.
-func decodeUpdate(w http.ResponseWriter, r *http.Request, n int) ([]graph.Edit, bool) {
-	var req updateRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		writeDecodeError(w, err)
-		return nil, false
+// graph.validateEdits' job and surfaces as bad_edit from serveUpdate.
+func decodeUpdate(r *http.Request, n int) (any, *apiError) {
+	q := &updateRequest{}
+	if aerr := decodeJSON(r, q); aerr != nil {
+		return nil, aerr
 	}
-	if len(req.Edits) == 0 {
-		writeError(w, http.StatusBadRequest, errBadEdit, "edits must be non-empty", nil)
-		return nil, false
+	if len(q.Edits) == 0 {
+		return nil, reject(http.StatusBadRequest, errBadEdit, "edits must be non-empty", nil)
 	}
-	if len(req.Edits) > maxUpdateEdits {
-		writeError(w, http.StatusRequestEntityTooLarge, errBatchTooLarge,
-			fmt.Sprintf("batch of %d edits exceeds cap %d", len(req.Edits), maxUpdateEdits),
-			map[string]any{"max": maxUpdateEdits, "got": len(req.Edits)})
-		return nil, false
+	if aerr := overCap("batch of %d edits exceeds cap %d", len(q.Edits), maxUpdateEdits); aerr != nil {
+		return nil, aerr
 	}
-	nn := int64(n)
-	edits := make([]graph.Edit, len(req.Edits))
-	for i, e := range req.Edits {
-		if e.U < 0 || e.U >= nn || e.V < 0 || e.V >= nn {
-			writeError(w, http.StatusBadRequest, errBadEdit,
+	q.edits = make([]graph.Edit, len(q.Edits))
+	for i, e := range q.Edits {
+		if !inRange(e.U, n) || !inRange(e.V, n) {
+			return nil, reject(http.StatusBadRequest, errBadEdit,
 				fmt.Sprintf("edit %d: endpoints (%d, %d) out of range", i, e.U, e.V),
 				map[string]any{"index": i, "u": e.U, "v": e.V, "n": n})
-			return nil, false
 		}
-		var op graph.EditOp
-		switch e.Op {
-		case "insert":
-			op = graph.EditInsert
-		case "delete":
-			op = graph.EditDelete
-		case "reweight":
-			op = graph.EditReweight
-		default:
-			writeError(w, http.StatusBadRequest, errBadEdit,
+		op, ok := editOps[e.Op]
+		if !ok {
+			return nil, reject(http.StatusBadRequest, errBadEdit,
 				fmt.Sprintf("edit %d: op must be insert, delete, or reweight", i),
 				map[string]any{"index": i, "op": e.Op})
-			return nil, false
 		}
-		edits[i] = graph.Edit{Op: op, U: graph.Node(e.U), V: graph.Node(e.V), Weight: e.Weight}
+		q.edits[i] = graph.Edit{Op: op, U: graph.Node(e.U), V: graph.Node(e.V), Weight: e.Weight}
 	}
-	return edits, true
+	return q, nil
 }
 
-// handleUpdate applies an edge edit batch to the live ensemble and swaps the
+// serveUpdate applies an edge edit batch to the live ensemble and swaps the
 // serving snapshot atomically. Updates are serialised end to end (repair +
 // reindex + swap) under updateMu; queries are never blocked — they keep
 // answering from the previous snapshot until the single atomic swap, which
 // is the bounded-staleness contract documented in the README. A failed
 // batch (validation error, disconnecting deletion) changes nothing: the old
 // snapshot keeps serving.
-func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
+func (s *server) serveUpdate(_ context.Context, _ *serverState, req any) (any, *apiError) {
 	if s.dyn == nil {
-		writeError(w, http.StatusConflict, errUpdateUnsupported,
+		return nil, reject(http.StatusConflict, errUpdateUnsupported,
 			"server is static (built without -dynamic); live updates unavailable", nil)
-		return
-	}
-	edits, ok := decodeUpdate(w, r, s.state.Load().n)
-	if !ok {
-		return
 	}
 	s.updateMu.Lock()
 	defer s.updateMu.Unlock()
 	t0 := time.Now()
-	stats, err := s.dyn.ApplyEdits(edits)
+	stats, err := s.dyn.ApplyEdits(req.(*updateRequest).edits)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, errBadEdit, err.Error(), nil)
-		return
+		return nil, reject(http.StatusBadRequest, errBadEdit, err.Error(), nil)
 	}
 	old := s.state.Load()
 	st := &serverState{n: old.n, m: s.dyn.Graph().M(), version: old.version + 1,
 		ens: s.dyn.Ensemble(), g: s.dyn.Graph()}
-	st.idx, err = st.ens.Index()
-	if err != nil {
+	if st.idx, err = st.ens.Index(); err != nil {
 		// Repair succeeded but indexing failed — the old snapshot keeps
 		// serving; the dynamic state has already advanced, so surface this
 		// loudly rather than silently diverging.
-		writeError(w, http.StatusInternalServerError, errUpdateUnsupported,
+		return nil, reject(http.StatusInternalServerError, errInternal,
 			"reindex after update failed: "+err.Error(), nil)
-		return
 	}
 	s.state.Store(st)
 	s.updates.Add(1)
-	writeJSON(w, http.StatusOK, updateResponse{
+	return &updateResponse{
 		Version:         st.version,
 		Edges:           st.m,
 		AffectedTrees:   stats.AffectedTrees,
 		RecomputedNodes: stats.RecomputedNodes,
 		DecreaseOnly:    stats.DecreaseOnly,
 		ElapsedMs:       time.Since(t0).Milliseconds(),
-	})
+	}, nil
 }

@@ -282,6 +282,9 @@ func buy(rt *routing.Tables, loads []load, cables []CableType) (*Solution, error
 		}
 	}
 	sol.price(g, cables)
+	if math.IsInf(sol.Cost, 0) || math.IsNaN(sol.Cost) {
+		return nil, fmt.Errorf("buyatbulk: total cost %v is not finite", sol.Cost)
+	}
 	return sol, nil
 }
 

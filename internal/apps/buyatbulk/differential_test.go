@@ -4,20 +4,18 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"testing"
 
 	"parmbf/internal/apps/routing"
 	"parmbf/internal/frt"
 	"parmbf/internal/graph"
-	"parmbf/internal/mbf"
 	"parmbf/internal/par"
 )
 
 // referenceSolve is the per-tree expansion Solve replaced, kept as the
-// differential reference: every visited tree indexes itself and runs its own
-// mbf.RoutingTablesTo fixpoint towards exactly its loaded parent centers,
-// then walks each hop with mbf.Routes.Walk.
+// differential reference: every visited tree indexes itself and expands each
+// loaded hop with dijkstraWalk — no mbf routing table involved, so a wrong
+// next-hop rule in mbf cannot hide in both sides.
 func referenceSolve(g *graph.Graph, demands []Demand, cables []CableType, ens *frt.Ensemble, opts Options) (*Solution, error) {
 	visit, err := opts.Visit(ens)
 	if err != nil {
@@ -67,7 +65,6 @@ func referenceSolveOnTree(g *graph.Graph, tree *frt.Tree, demands []Demand, cabl
 		flow     float64
 	}
 	var hops []hop
-	targetSet := map[graph.Node]bool{}
 	for child := int32(0); child < int32(nt); child++ {
 		f := flow[child]
 		p := tree.Parent[child]
@@ -75,31 +72,23 @@ func referenceSolveOnTree(g *graph.Graph, tree *frt.Tree, demands []Demand, cabl
 			continue
 		}
 		hops = append(hops, hop{from: tree.Center[child], to: tree.Center[p], flow: f})
-		targetSet[tree.Center[p]] = true
 	}
 	counts := map[[2]graph.Node]map[int]int{}
 	flowBy := map[[2]graph.Node]float64{}
-	if len(hops) > 0 {
-		targets := make([]graph.Node, 0, len(targetSet))
-		for t := range targetSet {
-			targets = append(targets, t)
+	dist := map[graph.Node][]float64{}
+	for _, h := range hops {
+		cable, count, _ := bestCable(cables, h.flow)
+		path := dijkstraWalk(g, dist, h.from, h.to)
+		if path == nil {
+			return nil, fmt.Errorf("centers %d, %d disconnected", h.from, h.to)
 		}
-		sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
-		tables := mbf.RoutingTablesTo(g, targets, nil)
-		for _, h := range hops {
-			cable, count, _ := bestCable(cables, h.flow)
-			path := tables.Walk(h.from, h.to)
-			if path == nil {
-				return nil, fmt.Errorf("centers %d, %d disconnected", h.from, h.to)
+		for i := 1; i < len(path); i++ {
+			k := orderedKey(path[i-1], path[i])
+			if counts[k] == nil {
+				counts[k] = map[int]int{}
 			}
-			for i := 1; i < len(path); i++ {
-				k := orderedKey(path[i-1], path[i])
-				if counts[k] == nil {
-					counts[k] = map[int]int{}
-				}
-				counts[k][cable] += count
-				flowBy[k] += h.flow
-			}
+			counts[k][cable] += count
+			flowBy[k] += h.flow
 		}
 	}
 	sol := &Solution{Flow: flowBy}
@@ -110,6 +99,35 @@ func referenceSolveOnTree(g *graph.Graph, tree *frt.Tree, demands []Demand, cabl
 	}
 	sol.price(g, cables)
 	return sol, nil
+}
+
+// dijkstraWalk is the reference expansion of one hop from → to, derived
+// independently of the mbf routing tables under test: exact distances to
+// `to` from one graph.Dijkstra per target (memoised in dist), and at every
+// node the smallest neighbour w with d(w, to) + ω(v, w) == d(v, to), bit for
+// bit. Returns nil when from cannot reach to.
+func dijkstraWalk(g *graph.Graph, dist map[graph.Node][]float64, from, to graph.Node) []graph.Node {
+	d, ok := dist[to]
+	if !ok {
+		d = graph.Dijkstra(g, to).Dist
+		dist[to] = d
+	}
+	path := []graph.Node{from}
+	for v := from; v != to; {
+		next := graph.Node(-1)
+		for _, a := range g.Neighbors(v) { // sorted by target: the first match is the smallest
+			if d[a.To]+a.Weight == d[v] {
+				next = a.To
+				break
+			}
+		}
+		if next < 0 || len(path) > g.N() {
+			return nil
+		}
+		v = next
+		path = append(path, v)
+	}
+	return path
 }
 
 // sameSolution reports the first difference between two solutions: cost
@@ -268,5 +286,11 @@ func TestSolveRejectsNonFiniteAndNegativeInput(t *testing.T) {
 		if _, err := Solve(g, []Demand{d}, testCables, Options{RNG: rng}); err == nil {
 			t.Fatalf("demand %+v accepted", d)
 		}
+	}
+	// Finite inputs whose priced total overflows to +Inf: the cost cannot be
+	// reported (or encoded as JSON), so it is an input error too.
+	huge := []CableType{{Capacity: 1, Cost: math.MaxFloat64}}
+	if sol, err := Solve(g, []Demand{{S: 0, T: 5, Amount: 1}}, huge, Options{RNG: rng}); err == nil {
+		t.Fatalf("overflowing total cost %v accepted", sol.Cost)
 	}
 }

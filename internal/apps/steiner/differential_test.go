@@ -4,18 +4,17 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"testing"
 
 	"parmbf/internal/frt"
 	"parmbf/internal/graph"
-	"parmbf/internal/mbf"
 	"parmbf/internal/par"
 )
 
 // referenceSolveOnTree is the per-tree expansion Solve replaced, kept as the
-// differential reference: one mbf.RoutingTablesTo fixpoint towards exactly
-// this tree's used parent centers, each hop walked with mbf.Routes.Walk.
+// differential reference: each used hop is expanded with dijkstraWalk — no
+// mbf routing table involved, so a wrong next-hop rule in mbf cannot hide in
+// both sides.
 func referenceSolveOnTree(g *graph.Graph, tree *frt.Tree, terminals []graph.Node) (*Result, error) {
 	termCount := make([]int, tree.NumNodes())
 	for _, t := range terminals {
@@ -25,35 +24,55 @@ func referenceSolveOnTree(g *graph.Graph, tree *frt.Tree, terminals []graph.Node
 	}
 	type hop struct{ from, to graph.Node }
 	var hops []hop
-	targetSet := map[graph.Node]bool{}
 	for child := int32(0); child < int32(tree.NumNodes()); child++ {
 		p := tree.Parent[child]
 		if p == -1 || termCount[child] == 0 || termCount[child] == len(terminals) || tree.Center[child] == tree.Center[p] {
 			continue
 		}
 		hops = append(hops, hop{from: tree.Center[child], to: tree.Center[p]})
-		targetSet[tree.Center[p]] = true
 	}
 	sub := graph.NewBuilder(g.N())
-	if len(hops) > 0 {
-		targets := make([]graph.Node, 0, len(targetSet))
-		for t := range targetSet {
-			targets = append(targets, t)
+	dist := map[graph.Node][]float64{}
+	for _, h := range hops {
+		path := dijkstraWalk(g, dist, h.from, h.to)
+		if path == nil {
+			return nil, fmt.Errorf("centers %d, %d disconnected", h.from, h.to)
 		}
-		sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
-		tables := mbf.RoutingTablesTo(g, targets, nil)
-		for _, h := range hops {
-			path := tables.Walk(h.from, h.to)
-			if path == nil {
-				return nil, fmt.Errorf("centers %d, %d disconnected", h.from, h.to)
-			}
-			for i := 1; i < len(path); i++ {
-				w, _ := g.HasEdge(path[i-1], path[i])
-				sub.Add(path[i-1], path[i], w)
-			}
+		for i := 1; i < len(path); i++ {
+			w, _ := g.HasEdge(path[i-1], path[i])
+			sub.Add(path[i-1], path[i], w)
 		}
 	}
 	return prune(g, sub.Freeze(), terminals), nil
+}
+
+// dijkstraWalk is the reference expansion of one hop from → to, derived
+// independently of the mbf routing tables under test: exact distances to
+// `to` from one graph.Dijkstra per target (memoised in dist), and at every
+// node the smallest neighbour w with d(w, to) + ω(v, w) == d(v, to), bit for
+// bit. Returns nil when from cannot reach to.
+func dijkstraWalk(g *graph.Graph, dist map[graph.Node][]float64, from, to graph.Node) []graph.Node {
+	d, ok := dist[to]
+	if !ok {
+		d = graph.Dijkstra(g, to).Dist
+		dist[to] = d
+	}
+	path := []graph.Node{from}
+	for v := from; v != to; {
+		next := graph.Node(-1)
+		for _, a := range g.Neighbors(v) { // sorted by target: the first match is the smallest
+			if d[a.To]+a.Weight == d[v] {
+				next = a.To
+				break
+			}
+		}
+		if next < 0 || len(path) > g.N() {
+			return nil
+		}
+		v = next
+		path = append(path, v)
+	}
+	return path
 }
 
 // TestSolveMatchesPerTreeReference pins that Solve's one shared fixpoint
