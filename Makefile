@@ -78,11 +78,14 @@ bench-graph:
 ## embedder sampling — at n=128 and, as EmbedderSampleChungLu1024, at the
 ## scale tier's Chung-Lu shape with the landmark hop set, which the
 ## EmbedderSample alternative also selects — the LE filter in both key
-## spaces, the next-hop routing tables, and the two list algebras that run
-## the fold: APWP over width maps and Connectivity over node sets); each run
-## appends one JSON line to BENCH_mbf.json.
+## spaces, tree assembly (BuildTree, n=512), the live-update path (one edit
+## plus reindex at n=4096, K=16, and UpdateCycle: the serving benchmark's
+## six-edit /update cycle at n=2048, K=16, split into apply_ms and index_ms),
+## the next-hop routing tables, and the two list algebras that run the fold:
+## APWP over width maps and Connectivity over node sets); each run appends
+## one JSON line to BENCH_mbf.json.
 bench-mbf:
-	@out="$$($(GO) test ./internal/mbf/ ./internal/simgraph/ ./internal/frt/ -run xxx -bench 'Iterate4096|IterateGeneric4096|FixpointSparse4096|SourceDetection4096|SSSPIteration|KSSP$$|OracleIterate|OracleRunToFixpoint|LEListsOnGraph|LEFilter|EmbedderSample|IncrementalUpdate|RoutingTablesTop8|APWP|Connectivity' -benchmem)" \
+	@out="$$($(GO) test ./internal/mbf/ ./internal/simgraph/ ./internal/frt/ -run xxx -bench 'Iterate4096|IterateGeneric4096|FixpointSparse4096|SourceDetection4096|SSSPIteration|KSSP$$|OracleIterate|OracleRunToFixpoint|LEListsOnGraph|LEFilter|BenchmarkBuildTree$$|EmbedderSample|IncrementalUpdate|UpdateCycle|RoutingTablesTop8|APWP|Connectivity' -benchmem)" \
 		|| { echo "$$out"; echo "bench-mbf: go test failed"; exit 1; }; \
 	echo "$$out"; \
 	echo "$$out" | grep '^Benchmark' | jq -R . | jq -sc \
@@ -170,7 +173,7 @@ scale-smoke:
 ## >20% ns/op regression in the gated hot paths.
 bench-gate:
 	$(GO) run ./cmd/benchgate -file BENCH_graph.json -match 'Dijkstra4096' -max 1.20
-	$(GO) run ./cmd/benchgate -file BENCH_mbf.json -match 'Iterate4096|SourceDetection4096|BenchmarkLEListsOnGraph$$|BenchmarkIncrementalUpdate$$|BenchmarkEmbedderSample$$|BenchmarkEmbedderSampleChungLu1024$$|BenchmarkOracleRunToFixpoint$$|RoutingTablesTop8$$' -max 1.20
+	$(GO) run ./cmd/benchgate -file BENCH_mbf.json -match 'Iterate4096|SourceDetection4096|BenchmarkLEListsOnGraph$$|BenchmarkBuildTree$$|BenchmarkIncrementalUpdate$$|BenchmarkEmbedderSample$$|BenchmarkEmbedderSampleChungLu1024$$|BenchmarkOracleRunToFixpoint$$|RoutingTablesTop8$$' -max 1.20
 	$(GO) run ./cmd/benchgate -file BENCH_oracle.json -match 'OracleIndexMinBatch4096|OracleIndexMedianBatch4096|SnapshotLoad4096|FleetBatch1024' -max 1.20
 	$(GO) run ./cmd/benchgate -file BENCH_semiring.json -match 'MergeKernel/' -max 1.20
 	$(GO) run ./cmd/benchgate -file BENCH_apps.json -match 'KMedianEvalDijkstra|KMedianSolve|BuyAtBulkSolve|BuyAtBulkWarmTables|RouteQueryBatch' -max 1.20

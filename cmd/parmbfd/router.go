@@ -359,10 +359,11 @@ func roundRobin(path string) func(*router, context.Context, any) (any, *apiError
 // fanUpdate forwards an edit batch to every worker replica — each worker
 // holds the full ensemble, so all of them must apply every update. The
 // forwards run concurrently; the response reports each worker's resulting
-// version. Any worker failure yields 502 with the per-worker outcomes so the
-// operator can see which replicas diverged (a replica that missed an update
-// must be restarted before it serves again — the router's health probes
-// don't track versions).
+// version. When every worker refuses the batch with the same 4xx status and
+// code, that refusal is relayed with the per-worker outcomes; any other
+// failure yields 502 with them, so the operator can see which replicas
+// diverged (a replica that missed an update must be restarted before it
+// serves again — the router's health probes don't track versions).
 func (rt *router) fanUpdate(ctx context.Context, req any) (any, *apiError) {
 	// Updates run a repair and a reindex upstream — give them far more room
 	// than one query attempt.
@@ -375,6 +376,7 @@ func (rt *router) fanUpdate(ctx context.Context, req any) (any, *apiError) {
 	}
 	body := wire(req)
 	results := make([]workerUpdate, len(rt.workers))
+	refusals := make([]apiError, len(rt.workers)) // each worker's 4xx envelope, if it sent one
 	var failed atomic.Int64
 	var wg sync.WaitGroup
 	for i, wk := range rt.workers {
@@ -385,6 +387,11 @@ func (rt *router) fanUpdate(ctx context.Context, req any) (any, *apiError) {
 			status, resp, err := call(ctx, rt.hc, http.MethodPost, wk.url+"/update", body)
 			var ur updateResponse
 			if err == nil && status != http.StatusOK {
+				var er errorResponse
+				if status >= 400 && status < 500 && json.Unmarshal(resp, &er) == nil {
+					refusals[i] = er.Error
+					refusals[i].status = status
+				}
 				err = fmt.Errorf("POST /update: %w", answerError(status, resp))
 			} else if err == nil {
 				err = json.Unmarshal(resp, &ur)
@@ -399,6 +406,19 @@ func (rt *router) fanUpdate(ctx context.Context, req any) (any, *apiError) {
 	}
 	wg.Wait()
 	if f := failed.Load(); f > 0 {
+		// A batch every worker refuses alike (a missing edge, a
+		// disconnecting delete) is the client's error, not the fleet's:
+		// relay it. Any other mix of answers is a 502.
+		r := refusals[0]
+		unanimous := r.Code != ""
+		for _, o := range refusals[1:] {
+			unanimous = unanimous && o.status == r.status && o.Code == r.Code
+		}
+		if unanimous {
+			return nil, reject(r.status, r.Code,
+				fmt.Sprintf("all %d workers refused the update: %s", len(rt.workers), r.Message),
+				map[string]any{"workers": results})
+		}
 		return nil, reject(http.StatusBadGateway, errUpstreamUnavailable,
 			fmt.Sprintf("%d of %d workers failed to apply the update", f, len(rt.workers)),
 			map[string]any{"workers": results})

@@ -395,3 +395,40 @@ func TestShardTrees(t *testing.T) {
 		}
 	}
 }
+
+// TestRouterRelaysUnanimousUpdateRefusal: a well-formed batch that every
+// worker refuses on its own graph (deleting a missing edge) is the client's
+// 400 bad_edit, relayed with each worker's outcome, and no replica moves; a
+// fleet with a dead worker still answers 502.
+func TestRouterRelaysUnanimousUpdateRefusal(t *testing.T) {
+	rt, workers := dynamicFleet(t)
+	rts := httptest.NewServer(rt.mux())
+	t.Cleanup(rts.Close)
+	missing := `{"edits":[{"op":"delete","u":0,"v":39}]}`
+	status, e := postForError(t, rts.URL+"/update", missing)
+	if status != http.StatusBadRequest || e.Code != errBadEdit {
+		t.Fatalf("unanimous refusal: status %d code %q, want 400 %q", status, e.Code, errBadEdit)
+	}
+	if ws, ok := e.Details["workers"].([]any); !ok || len(ws) != len(workers) {
+		t.Fatalf("refusal details %v, want one outcome per worker", e.Details)
+	}
+	for i, ws := range workers {
+		if v := ws.state.Load().version; v != 0 {
+			t.Fatalf("worker %d at version %d after a refused batch", i, v)
+		}
+	}
+
+	_, live, _ := testDynamicServer(t)
+	_, dead, _ := testDynamicServer(t)
+	rt2, err := newRouter([]string{live.URL, dead.URL}, 8, 2*time.Second, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt2.Close)
+	dead.Close()
+	rts2 := httptest.NewServer(rt2.mux())
+	t.Cleanup(rts2.Close)
+	if status, e := postForError(t, rts2.URL+"/update", missing); status != http.StatusBadGateway || e.Code != errUpstreamUnavailable {
+		t.Fatalf("refusal with a dead worker: status %d code %q, want 502 %q", status, e.Code, errUpstreamUnavailable)
+	}
+}

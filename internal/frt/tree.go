@@ -3,6 +3,7 @@ package frt
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"parmbf/internal/graph"
 	"parmbf/internal/par"
@@ -292,16 +293,6 @@ func buildTreeRanked(lists []semiring.DistMap, rk rankKeys, beta float64) (*Tree
 	}
 	centerAt := func(v int) graph.Node { return rk.node[lists[v].Node(int(cursor[v]))] }
 
-	tree := &Tree{Beta: beta, Leaf: make([]int32, n)}
-	addNode := func(parent int32, c graph.Node, level int, w float64) int32 {
-		id := int32(len(tree.Parent))
-		tree.Parent = append(tree.Parent, parent)
-		tree.EdgeWeight = append(tree.EdgeWeight, w)
-		tree.Center = append(tree.Center, c)
-		tree.Level = append(tree.Level, int32(level))
-		return id
-	}
-
 	// Root: all nodes share the center at level imax (the rank-0 node).
 	// Every cursor starts at the farthest entry, which r_imax reaches.
 	advance(imax)
@@ -312,38 +303,79 @@ func buildTreeRanked(lists []semiring.DistMap, rk rankKeys, beta float64) (*Tree
 	if !agree {
 		return nil, fmt.Errorf("frt: no common root at level %d", imax)
 	}
-	root := addNode(-1, rootCenter, imax, 0)
 
-	// Sweep levels top-down, splitting each cluster by its members' centers.
+	// Sweep levels top-down, splitting each cluster by its members' centers:
+	// a level's clusters are its distinct (parent cluster, center) pairs.
 	// Cluster ids are assigned by the serial v-order loop, so the tree is
-	// byte-identical at any parallel width.
-	cur := make([]int32, n)
-	for v := range cur {
-		cur[v] = root
+	// byte-identical at any parallel width. The pairs are grouped without
+	// hashing: head[c] starts a chain, through next, of the level's clusters
+	// centered at c, one per parent cluster that c's members come from, so
+	// chains are short. A level has at most n clusters, so they live in
+	// n-sized scratch at their offset k within the level (tree id base+k),
+	// and head is reset from the level's own centers. Each finished level is
+	// kept at its exact size, and the Tree's arrays are allocated once, at
+	// the final node count.
+	type level struct {
+		parent []int32
+		center []graph.Node
 	}
-	type key struct {
-		parent int32
-		center graph.Node
+	levels := []level{{parent: []int32{-1}, center: []graph.Node{rootCenter}}}
+	nodes := 1
+	cur := make([]int32, n) // every node's cluster one level up: the root, id 0
+	head := make([]int32, n)
+	for c := range head {
+		head[c] = -1
 	}
-	ids := make(map[key]int32) // cleared per level; keeps its buckets
+	next := make([]int32, n)
+	parent := make([]int32, n)
+	center := make([]graph.Node, n)
 	for i := imax - 1; i >= imin; i-- {
 		advance(i)
-		clear(ids)
-		w := 2 * beta * math.Pow(2, float64(i)) // doubled weight; see Tree doc
+		base, k := int32(nodes), int32(0)
 		for v := 0; v < n; v++ {
-			k := key{parent: cur[v], center: centerAt(v)}
-			id, ok := ids[k]
-			if !ok {
-				id = addNode(k.parent, k.center, i, w)
-				ids[k] = id
+			p, c := cur[v], centerAt(v)
+			j := head[c]
+			for j >= 0 && parent[j] != p {
+				j = next[j]
 			}
-			cur[v] = id
+			if j < 0 {
+				j, k = k, k+1
+				parent[j], center[j] = p, c
+				next[j], head[c] = head[c], j
+			}
+			cur[v] = base + j
+		}
+		for _, c := range center[:k] {
+			head[c] = -1
+		}
+		levels = append(levels, level{parent: slices.Clone(parent[:k]), center: slices.Clone(center[:k])})
+		nodes += int(k)
+	}
+
+	tree := &Tree{
+		Parent:     make([]int32, 0, nodes),
+		EdgeWeight: make([]float64, 0, nodes),
+		Center:     make([]graph.Node, 0, nodes),
+		Level:      make([]int32, 0, nodes),
+		Leaf:       cur,
+		Beta:       beta,
+	}
+	for li, l := range levels {
+		i := imax - li
+		w := 0.0 // the root's
+		if li > 0 {
+			w = 2 * beta * math.Pow(2, float64(i)) // doubled weight; see Tree doc
+		}
+		tree.Parent = append(tree.Parent, l.parent...)
+		tree.Center = append(tree.Center, l.center...)
+		for range l.parent {
+			tree.EdgeWeight = append(tree.EdgeWeight, w)
+			tree.Level = append(tree.Level, int32(i))
 		}
 	}
-	for v := 0; v < n; v++ {
-		tree.Leaf[v] = cur[v]
-		if tree.Center[cur[v]] != graph.Node(v) {
-			return nil, fmt.Errorf("frt: leaf cluster of %d centered at %d — imin not below minimum distance", v, tree.Center[cur[v]])
+	for v, leaf := range tree.Leaf {
+		if tree.Center[leaf] != graph.Node(v) {
+			return nil, fmt.Errorf("frt: leaf cluster of %d centered at %d — imin not below minimum distance", v, tree.Center[leaf])
 		}
 	}
 	return tree, nil

@@ -27,10 +27,13 @@
 //     {Rank[v]: 0}. Untainted nodes provably keep exactly their old lists, so
 //     the cone is also the damage bound.
 //
-// Trees are patched per-tree: a tree whose repaired lists are unchanged
+// Trees are patched per-tree, and the trees of a batch are repaired
+// concurrently: each tree's cone, re-fixpoint, dirty check and re-assembly
+// is independent of the others'. A tree whose repaired lists are unchanged
 // keeps its Tree object untouched; only trees whose lists actually differ
-// are re-assembled. The differential suite pins both paths bitwise against
-// a full rebuild with frozen randomness (same orders, same betas).
+// are re-assembled. Stats are merged in tree order, so they do not depend
+// on the parallel width. The differential suite pins both paths bitwise
+// against a full rebuild with frozen randomness (same orders, same betas).
 package frt
 
 import (
@@ -122,12 +125,14 @@ func NewDynamicEnsembleWith(g *graph.Graph, orders []*Order, betas []float64, tr
 	}
 	lists, _ := leListsRanked(g, keys, tracker)
 	trees := make([]*Tree, len(orders))
-	for i := range orders {
-		t, err := buildTreeRanked(lists[i], keys[i], betas[i])
+	errs := make([]error, len(orders))
+	par.ForEach(len(orders), func(i int) {
+		trees[i], errs[i] = buildTreeRanked(lists[i], keys[i], betas[i])
+	})
+	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("frt: tree %d: %w", i, err)
 		}
-		trees[i] = t
 	}
 	return &DynamicEnsemble{
 		g:       g,
@@ -226,9 +231,9 @@ func taintCone(g *graph.Graph, lists []semiring.DistMap, applied []graph.Applied
 // ApplyEdits applies an edge edit batch and incrementally repairs the
 // ensemble: the graph is edited copy-on-write (see graph.ApplyEdits), each
 // tree's LE-list fixpoint is re-converged from the affected seeds, and only
-// trees whose lists changed are re-assembled. The result is bitwise the
-// full rebuild with the same frozen randomness (NewDynamicEnsembleWith on
-// the edited graph).
+// trees whose lists changed are re-assembled; the trees are repaired
+// concurrently. The result is bitwise the full rebuild with the same frozen
+// randomness (NewDynamicEnsembleWith on the edited graph).
 //
 // The batch is transactional: on any error — validation, a deletion that
 // disconnects the graph (the §1.2 standing assumption), tree assembly — the
@@ -250,10 +255,19 @@ func (d *DynamicEnsemble) ApplyEdits(edits []graph.Edit) (*UpdateStats, error) {
 	if sum.Deletes > 0 && !g2.Connected() {
 		return nil, fmt.Errorf("frt: edit batch disconnects the graph")
 	}
-	newLists := make([][]semiring.DistMap, d.K())
-	newTrees := make([]*Tree, d.K())
+	// Each tree repairs into its own slot. Stats are merged in tree order
+	// and the lowest-index error wins, so the outcome does not depend on
+	// the parallel width; d changes only once every tree has succeeded.
 	module := semiring.DistMapModule{}
-	for i := range d.trees {
+	type repair struct {
+		lists           []semiring.DistMap
+		tree            *Tree
+		iters, affected int
+		err             error
+	}
+	repairs := make([]repair, d.K())
+	par.ForEach(d.K(), func(i int) {
+		r := &repairs[i]
 		old := d.lists[i]
 		base := old
 		seeds := sum.Touched
@@ -272,37 +286,48 @@ func (d *DynamicEnsemble) ApplyEdits(edits []graph.Edit) (*UpdateStats, error) {
 				seeds = append(seeds, sum.Touched...)
 			}
 		}
-		runner := leRunner(g2, d.tracker)
-		repaired, changed, iters := runner.RunToFixpointFrom(base, seeds, g2.N())
-		if iters > stats.Iterations {
-			stats.Iterations = iters
-		}
+		repaired, changed, iters := leRunner(g2, d.tracker).RunToFixpointFrom(base, seeds, g2.N())
+		r.iters = iters
 		// The affected set — reset or actually changed — is where the new
 		// lists can differ from the old; everything else aliases old states.
+		// cone and changed are each duplicate-free, so only a changed node
+		// that was also reset is skipped.
 		dirty := false
-		affected := 0
-		mark := make(map[graph.Node]struct{}, len(cone)+len(changed))
-		for _, v := range append(append([]graph.Node(nil), cone...), changed...) {
-			if _, dup := mark[v]; dup {
-				continue
-			}
-			mark[v] = struct{}{}
-			affected++
-			if !module.Equal(repaired[v], old[v]) {
-				dirty = true
+		reset := make([]bool, g2.N())
+		for _, v := range cone {
+			reset[v] = true
+			dirty = dirty || !module.Equal(repaired[v], old[v])
+		}
+		r.affected = len(cone)
+		for _, v := range changed {
+			if !reset[v] {
+				r.affected++
+				dirty = dirty || !module.Equal(repaired[v], old[v])
 			}
 		}
-		stats.RecomputedNodes += affected
 		if !dirty {
-			newLists[i], newTrees[i] = old, d.trees[i]
-			continue
+			r.lists, r.tree = old, d.trees[i]
+			return
 		}
-		stats.AffectedTrees++
 		t, err := buildTreeRanked(repaired, d.keys[i], d.betas[i])
 		if err != nil {
-			return nil, fmt.Errorf("frt: repairing tree %d: %w", i, err)
+			r.err = fmt.Errorf("frt: repairing tree %d: %w", i, err)
+			return
 		}
-		newLists[i], newTrees[i] = repaired, t
+		r.lists, r.tree = repaired, t
+	})
+	newLists := make([][]semiring.DistMap, d.K())
+	newTrees := make([]*Tree, d.K())
+	for i, r := range repairs {
+		if r.err != nil {
+			return nil, r.err
+		}
+		stats.Iterations = max(stats.Iterations, r.iters)
+		stats.RecomputedNodes += r.affected
+		if r.tree != d.trees[i] {
+			stats.AffectedTrees++
+		}
+		newLists[i], newTrees[i] = r.lists, r.tree
 	}
 	d.g, d.lists, d.trees = g2, newLists, newTrees
 	return stats, nil

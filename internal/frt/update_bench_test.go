@@ -5,11 +5,14 @@ package frt
 // repair + tree patch + fresh OracleIndex, i.e. everything POST /update does
 // — against the full frozen-randomness rebuild it replaces. The acceptance
 // bar for the dynamic path is incremental ≥ 10× faster than the rebuild.
-// Part of the bench-mbf tier; IncrementalUpdate is pinned by bench-gate.
+// UpdateCycle runs the serving benchmark's /update script shape in-process
+// and splits each cycle into repair and reindex time. Part of the bench-mbf
+// tier; IncrementalUpdate is pinned by bench-gate.
 
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"parmbf/internal/graph"
 	"parmbf/internal/par"
@@ -74,4 +77,69 @@ func BenchmarkIncrementalUpdateBaseline(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkUpdateCycle is perfbench's serve-update shape without HTTP: the
+// n = 2048, m = 4n, K = 16 live ensemble absorbs cycles of six one-edit
+// batches that return the graph to its start state — halve and restore an
+// edge weight, delete and reinsert a non-bridge edge, insert and delete a
+// new edge — each followed by the fresh OracleIndex POST /update builds.
+// One op is one cycle; apply_ms/cycle and index_ms/cycle split it into
+// ApplyEdits and Index time.
+func BenchmarkUpdateCycle(b *testing.B) {
+	g := graph.RandomConnected(2048, 8192, 10, par.NewRNG(1))
+	d, err := NewDynamicEnsemble(g, 16, par.NewRNG(1), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	edges := g.Edges()
+	rng := par.NewRNG(1 ^ 0xed17)
+	pick := func() graph.Edge { return edges[rng.Intn(len(edges))] }
+	cycle := func() []graph.Edit {
+		e1, e2 := pick(), pick()
+		for {
+			g2, _, err := graph.ApplyEdits(g, []graph.Edit{{Op: graph.EditDelete, U: e2.U, V: e2.V}})
+			if err == nil && g2.Connected() {
+				break
+			}
+			e2 = pick()
+		}
+		var u, v graph.Node
+		for {
+			u, v = graph.Node(rng.Intn(g.N())), graph.Node(rng.Intn(g.N()))
+			if _, ok := g.HasEdge(u, v); u != v && !ok {
+				break
+			}
+		}
+		w := pick().Weight
+		return []graph.Edit{
+			{Op: graph.EditReweight, U: e1.U, V: e1.V, Weight: e1.Weight / 2},
+			{Op: graph.EditReweight, U: e1.U, V: e1.V, Weight: e1.Weight},
+			{Op: graph.EditDelete, U: e2.U, V: e2.V},
+			{Op: graph.EditInsert, U: e2.U, V: e2.V, Weight: e2.Weight},
+			{Op: graph.EditInsert, U: u, V: v, Weight: w},
+			{Op: graph.EditDelete, U: u, V: v},
+		}
+	}
+	var apply, index time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		edits := cycle()
+		b.StartTimer()
+		for _, e := range edits {
+			t0 := time.Now()
+			if _, err := d.ApplyEdits([]graph.Edit{e}); err != nil {
+				b.Fatal(err)
+			}
+			t1 := time.Now()
+			if _, err := d.Ensemble().Index(); err != nil {
+				b.Fatal(err)
+			}
+			apply += t1.Sub(t0)
+			index += time.Since(t1)
+		}
+	}
+	b.ReportMetric(float64(apply.Microseconds())/1e3/float64(b.N), "apply_ms/cycle")
+	b.ReportMetric(float64(index.Microseconds())/1e3/float64(b.N), "index_ms/cycle")
 }

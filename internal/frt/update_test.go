@@ -9,6 +9,7 @@ package frt
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -93,6 +94,37 @@ func TestDynamicEnsembleDifferential(t *testing.T) {
 				}
 				assertDynamicMatchesRebuild(t, d)
 			}
+		}
+	}
+}
+
+// TestDynamicEnsembleStatsDeterministic: trees are repaired concurrently, so
+// the per-batch UpdateStats (and which batches fail) must not depend on the
+// parallel width either.
+func TestDynamicEnsembleStatsDeterministic(t *testing.T) {
+	defer func(p int) { par.MaxProcs = p }(par.MaxProcs)
+	run := func(procs int) []string {
+		par.MaxProcs = procs
+		rng := par.NewRNG(29)
+		d, err := NewDynamicEnsemble(graph.RandomConnected(80, 1000, 8, rng), 6, par.NewRNG(30), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for round := 0; round < 8; round++ {
+			stats, err := d.ApplyEdits(randomEditBatch(d.Graph(), 1+round%4, rng))
+			if err != nil {
+				out = append(out, err.Error())
+				continue
+			}
+			out = append(out, fmt.Sprintf("%+v", *stats))
+		}
+		return out
+	}
+	want := run(1)
+	for _, procs := range []int{4, runtime.GOMAXPROCS(0)} {
+		if got := run(procs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("procs %d: stats %v, want (procs 1) %v", procs, got, want)
 		}
 	}
 }
