@@ -41,16 +41,17 @@ test-race:
 fuzz-short:
 	$(GO) test ./internal/frt/ -run xxx -fuzz FuzzReadTree -fuzztime 10s
 	$(GO) test ./internal/frt/ -run xxx -fuzz FuzzReadSnapshot -fuzztime 10s
-	$(GO) test ./internal/graph/ -run xxx -fuzz FuzzReadDIMACS -fuzztime 10s
+	$(GO) test ./internal/graph/ -run xxx -fuzz 'FuzzRead$$' -fuzztime 10s
 	$(GO) test ./internal/graph/ -run xxx -fuzz FuzzApplyUpdates -fuzztime 10s
 	$(GO) test ./cmd/parmbfd/ -run xxx -fuzz FuzzEndpoints -fuzztime 10s
 
 ## Coverage floor: the short tier under -coverprofile must not drop below
-## COVER_MIN, measured at the application-tier branch point (83.0% with a
-## 0.5pt allowance for run-to-run jitter — the fleet fault-injection tests
+## COVER_MIN, measured after the graph layer dropped its directed-graph and
+## DIMACS code (84.9–85.0% over two runs; pinned at the lower reading with
+## a 0.5pt allowance for run-to-run jitter — the fleet fault-injection tests
 ## take timing-dependent branches). Raise the pin when coverage grows;
 ## never lower it to make a PR pass.
-COVER_MIN ?= 82.5
+COVER_MIN ?= 84.4
 cover:
 	$(GO) test -short -covermode=atomic -coverprofile=coverage.out ./...
 	@total=$$($(GO) tool cover -func=coverage.out | tail -n 1 | awk '{print $$3}' | tr -d '%'); \

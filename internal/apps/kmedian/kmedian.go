@@ -221,7 +221,7 @@ func Solve(g *graph.Graph, k int, opts Options) (*Result, error) {
 	var best []graph.Node
 	var bestCost float64
 	for _, t := range visit {
-		picked := TreeKMedianRestricted(t, weight, allowed, k)
+		picked := TreeKMedian(t, weight, allowed, k)
 		if len(picked) == 0 {
 			continue
 		}
@@ -241,7 +241,12 @@ func Solve(g *graph.Graph, k int, opts Options) (*Result, error) {
 
 // TreeKMedian solves weighted k-median exactly on an FRT tree: it returns
 // up to k leaves (as graph-node indices into the tree's leaf set) minimising
-// Σ_leaf weight[leaf] · dist_T(leaf, F).
+// Σ_leaf weight[leaf] · dist_T(leaf, F), with the centers restricted to the
+// leaves whose graph node is marked in allowed (nil allows every leaf).
+// Disallowed leaves remain clients — they pay the toll to wherever their
+// serving center merges — but can never host a center. This is how the
+// candidate-sampling stage composes with trees drawn on the full graph: the
+// DP runs on the real FRT tree of G, no candidate submetric required.
 //
 // The DP exploits the FRT structure: all leaves share one depth and edge
 // weights depend only on the level, so a leaf served by a center outside
@@ -250,17 +255,7 @@ func Solve(g *graph.Graph, k int, opts Options) (*Result, error) {
 // ascent cost. f[t][j] is the optimal cost of subtree(t) with exactly j ≥ 1
 // centers inside serving all of its leaves; a child allocated 0 centers
 // contributes its total weight times the toll at t.
-func TreeKMedian(t *frt.Tree, weight []float64, k int) []int32 {
-	return TreeKMedianRestricted(t, weight, nil, k)
-}
-
-// TreeKMedianRestricted is TreeKMedian with the center set restricted to the
-// leaves whose graph node is marked in allowed (nil allows every leaf):
-// disallowed leaves remain clients — they pay the toll to wherever their
-// serving center merges — but can never host a center. This is how the
-// candidate-sampling stage composes with trees drawn on the full graph: the
-// DP runs on the real FRT tree of G, no candidate submetric required.
-func TreeKMedianRestricted(t *frt.Tree, weight []float64, allowed []bool, k int) []int32 {
+func TreeKMedian(t *frt.Tree, weight []float64, allowed []bool, k int) []int32 {
 	nt := t.NumNodes()
 	children := make([][]int32, nt)
 	root := int32(-1)

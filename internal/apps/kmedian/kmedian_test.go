@@ -99,7 +99,7 @@ func TestTreeKMedianSinglePath(t *testing.T) {
 	for i := range w {
 		w[i] = 1
 	}
-	picked := TreeKMedian(emb.Tree, w, 6)
+	picked := TreeKMedian(emb.Tree, w, nil, 6)
 	if len(picked) != 6 {
 		t.Fatalf("k=n picked %d centers", len(picked))
 	}
@@ -133,7 +133,7 @@ func TestTreeKMedianMatchesBruteForceOnTree(t *testing.T) {
 		weight[i] = float64(1 + rng.Intn(5))
 	}
 	for k := 1; k <= 4; k++ {
-		picked := TreeKMedian(emb.Tree, weight, k)
+		picked := TreeKMedian(emb.Tree, weight, nil, k)
 		if len(picked) == 0 || len(picked) > k {
 			t.Fatalf("k=%d: picked %d centers", k, len(picked))
 		}

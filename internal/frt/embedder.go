@@ -47,18 +47,14 @@ func NewEmbedder(g *graph.Graph, opts Options) (*Embedder, error) {
 	case HopSetSkeleton:
 		hs = hopset.DefaultSkeleton(g, opts.RNG, opts.Tracker)
 	case HopSetLandmark:
-		count := opts.LandmarkCount
-		if count <= 0 {
-			count = 2 * ceilLog2(n)
-		}
-		hs = hopset.Landmark(g, count, opts.RNG, opts.Tracker)
+		hs = hopset.Landmark(g, 2*ceilLog2(n), opts.RNG, opts.Tracker)
 	case HopSetNone:
 		hs = hopset.None(g)
 	default:
 		return nil, fmt.Errorf("frt: unknown hop set kind %d", opts.HopSet)
 	}
 
-	h := simgraph.Build(hs, opts.EpsHat, opts.RNG)
+	h := simgraph.Build(hs, 0, opts.RNG)
 	return &Embedder{g: g, opts: opts, h: h}, nil
 }
 

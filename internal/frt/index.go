@@ -151,12 +151,6 @@ func (x *TreeIndex) Ancestor(v graph.Node, h int) int32 {
 	return x.anc[int(v)*x.stride+h]
 }
 
-// LCA returns the lowest common ancestor (as a tree node) of the leaves of
-// u and v.
-func (x *TreeIndex) LCA(u, v graph.Node) int32 {
-	return x.anc[int(u)*x.stride+x.MergeHeight(u, v)]
-}
-
 // Pair is a distance-query pair.
 type Pair struct {
 	U, V graph.Node

@@ -49,20 +49,6 @@ func NewOrder(n int, rng *par.RNG) *Order {
 	return &Order{Rank: rank}
 }
 
-// Less reports whether v precedes w in the random order.
-func (o *Order) Less(v, w graph.Node) bool { return o.Rank[v] < o.Rank[w] }
-
-// MinNode returns the first node of the order (the node of rank 0), the
-// root center of every FRT tree drawn with this order.
-func (o *Order) MinNode() graph.Node {
-	for v, r := range o.Rank {
-		if r == 0 {
-			return graph.Node(v)
-		}
-	}
-	panic("frt: empty order")
-}
-
 // rankKeys is the rank-keyed view of an Order: key[v] is Rank[v] as a
 // DistMap key, and node[k] is the node of rank k.
 type rankKeys struct {
@@ -236,16 +222,4 @@ func LEListsFromMetric(m *graph.Matrix, order *Order, tracker *par.Tracker) []se
 	})
 	tracker.AddPhase(int64(n)*int64(n), 1)
 	return out
-}
-
-// MaxLELength returns the longest LE list, the quantity bounded by
-// O(log n) w.h.p. in Lemma 7.6 (experiment E4).
-func MaxLELength(lists []semiring.DistMap) int {
-	max := 0
-	for _, l := range lists {
-		if l.Len() > max {
-			max = l.Len()
-		}
-	}
-	return max
 }

@@ -25,14 +25,9 @@ const (
 type Options struct {
 	// RNG is the randomness source (required).
 	RNG *par.RNG
-	// HopSet selects the hop-set stage.
+	// HopSet selects the hop-set stage. HopSetLandmark draws 2·⌈log₂ n⌉
+	// landmarks; H's level-penalty base is simgraph.DefaultEpsHat.
 	HopSet HopSetKind
-	// LandmarkCount is the landmark budget for HopSetLandmark; 0 selects
-	// 2·⌈log₂ n⌉.
-	LandmarkCount int
-	// EpsHat is the level-penalty base of H; 0 selects the default
-	// 1/⌈log₂ n⌉².
-	EpsHat float64
 	// Tracker, if non-nil, is charged all work/depth.
 	Tracker *par.Tracker
 }

@@ -83,15 +83,6 @@ func (t *Tree) Dist(u, v graph.Node) float64 {
 	return du + dv
 }
 
-// PathToRoot returns the tree nodes from v's leaf up to the root.
-func (t *Tree) PathToRoot(v graph.Node) []int32 {
-	var out []int32
-	for u := t.Leaf[v]; u != -1; u = t.Parent[u] {
-		out = append(out, u)
-	}
-	return out
-}
-
 // Validate checks the structural invariants of the tree: consistent array
 // lengths, a single root, acyclic parent pointers, leaves in range and at
 // uniform depth, positive edge weights, and centers consistent with levels.

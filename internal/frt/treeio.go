@@ -141,37 +141,3 @@ func ReadTree(r io.Reader) (*Tree, error) {
 	}
 	return t, nil
 }
-
-// ReadTreeIndex parses a serialised tree and preprocesses it for querying.
-// The index is a deterministic function of the tree, so an index
-// round-trips through WriteTree/ReadTreeIndex: the rebuilt index is
-// structurally identical to one built from the original in-memory tree.
-func ReadTreeIndex(r io.Reader) (*TreeIndex, error) {
-	t, err := ReadTree(r)
-	if err != nil {
-		return nil, err
-	}
-	return NewTreeIndex(t)
-}
-
-// ToGraph converts the tree into an explicit weighted graph whose first
-// len(Leaf) node IDs… cannot in general coincide with the graph nodes
-// (leaves are interior tree IDs), so the returned graph is on the tree's
-// own node IDs and the second return value maps each original graph node to
-// its leaf. Distances in the returned graph equal Tree.Dist on leaf pairs —
-// the cross-check used by the tests and a convenient handoff to tree
-// solvers that expect a plain graph.
-func (t *Tree) ToGraph() (*graph.Graph, []graph.Node) {
-	b := graph.NewBuilder(t.NumNodes())
-	for u := 0; u < t.NumNodes(); u++ {
-		if p := t.Parent[u]; p != -1 {
-			b.Add(graph.Node(u), graph.Node(p), t.EdgeWeight[u])
-		}
-	}
-	g := b.Freeze()
-	leaves := make([]graph.Node, len(t.Leaf))
-	for v, leaf := range t.Leaf {
-		leaves[v] = graph.Node(leaf)
-	}
-	return g, leaves
-}

@@ -67,9 +67,26 @@ func TestReadTreeRejectsMalformed(t *testing.T) {
 	}
 }
 
+// treeGraph converts a tree into an explicit weighted graph on the tree's
+// own node ids (leaves are tree nodes, not graph nodes) and maps each graph
+// node to its leaf: the Dijkstra cross-check of Tree.Dist.
+func treeGraph(tr *Tree) (*graph.Graph, []graph.Node) {
+	b := graph.NewBuilder(tr.NumNodes())
+	for u, p := range tr.Parent {
+		if p != -1 {
+			b.Add(graph.Node(u), graph.Node(p), tr.EdgeWeight[u])
+		}
+	}
+	leaves := make([]graph.Node, len(tr.Leaf))
+	for v, leaf := range tr.Leaf {
+		leaves[v] = graph.Node(leaf)
+	}
+	return b.Freeze(), leaves
+}
+
 func TestToGraphPreservesTreeMetric(t *testing.T) {
 	g, tree := sampleTreeForIO(t, 2, 25, 60)
-	tg, leaves := tree.ToGraph()
+	tg, leaves := treeGraph(tree)
 	if !tg.Connected() {
 		t.Fatal("tree graph disconnected")
 	}

@@ -216,7 +216,7 @@ func taintCone(g *graph.Graph, lists []semiring.DistMap, applied []graph.Applied
 		w := queue[head]
 		queued[w] = false
 		tw := taintIdx[w]
-		for _, a := range g.InNeighbors(w) {
+		for _, a := range g.Neighbors(w) {
 			q := a.To
 			semiring.SupportedEntries(lists[q], lists[w], a.Weight, func(i, j int) {
 				if tw[j] {

@@ -6,9 +6,8 @@ import (
 	"parmbf/internal/semiring"
 )
 
-// Matrix is a dense n×n matrix over the min-plus semiring, row-major.
-// Matrix powers compute h-hop distances: (A^h)_{vw} = dist^h(v, w, G)
-// (§1.2, distance product).
+// Matrix is a dense n×n distance matrix over the min-plus semiring,
+// row-major.
 type Matrix struct {
 	N    int
 	Data []float64
@@ -32,57 +31,6 @@ func (m *Matrix) At(v, w int) float64 { return m.Data[v*m.N+w] }
 
 // Set assigns m[v][w] = d.
 func (m *Matrix) Set(v, w int, d float64) { m.Data[v*m.N+w] = d }
-
-// AdjacencyMatrix returns the min-plus adjacency matrix of Equation (1.4):
-// 0 on the diagonal, ω(v,w) for edges, ∞ otherwise.
-func AdjacencyMatrix(g *Graph) *Matrix {
-	n := g.N()
-	m := NewMatrix(n)
-	for v := 0; v < n; v++ {
-		for _, a := range g.Neighbors(Node(v)) {
-			m.Set(v, int(a.To), a.Weight)
-		}
-	}
-	return m
-}
-
-// MinPlusSquare returns the distance product A ⊙ A, parallelised over rows.
-// tracker, if non-nil, is charged Θ(n³) work and O(log n)-equivalent depth
-// per squaring (the paper's fixpoint iteration on matrices, §1.1).
-func MinPlusSquare(a *Matrix, tracker *par.Tracker) *Matrix {
-	n := a.N
-	out := &Matrix{N: n, Data: make([]float64, n*n)}
-	par.ForEach(n, func(v int) {
-		row := a.Data[v*n : (v+1)*n]
-		dst := out.Data[v*n : (v+1)*n]
-		for w := 0; w < n; w++ {
-			best := semiring.Inf
-			col := w
-			for u := 0; u < n; u++ {
-				if d := row[u] + a.Data[u*n+col]; d < best {
-					best = d
-				}
-			}
-			dst[w] = best
-		}
-	})
-	tracker.AddPhase(int64(n)*int64(n)*int64(n), 1)
-	return out
-}
-
-// APSPMatrixSquaring computes exact all-pairs distances by repeated squaring
-// of the adjacency matrix: ⌈log₂ n⌉ squarings reach the fixpoint (§1.1).
-// This is the Θ(n³ log n)-work, polylog-depth baseline that the oracle-based
-// approach of §6 undercuts on sparse graphs.
-func APSPMatrixSquaring(g *Graph, tracker *par.Tracker) *Matrix {
-	a := AdjacencyMatrix(g)
-	n := g.N()
-	for span := 1; span < n-1; span *= 2 {
-		next := MinPlusSquare(a, tracker)
-		a = next
-	}
-	return a
-}
 
 // APSPDijkstra computes exact all-pairs distances with one Dijkstra per
 // node, parallelised over sources. It is the work-efficient but

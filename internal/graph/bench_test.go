@@ -210,16 +210,6 @@ func BenchmarkAPSPDijkstra256(b *testing.B) {
 	}
 }
 
-func BenchmarkMinPlusSquare128(b *testing.B) {
-	g := benchGraph(b, 128, 512)
-	a := AdjacencyMatrix(g)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MinPlusSquare(a, nil)
-	}
-}
-
 func BenchmarkSPDFrom(b *testing.B) {
 	g := benchGraph(b, 512, 2048)
 	b.ReportAllocs()

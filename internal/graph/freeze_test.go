@@ -29,9 +29,6 @@ func sameGraph(t *testing.T, a, b *Graph) {
 			t.Fatalf("arcs[%d]: %+v vs %+v", i, a.arcs[i], b.arcs[i])
 		}
 	}
-	if a.symmetric != b.symmetric {
-		t.Fatalf("symmetric flag: %v vs %v", a.symmetric, b.symmetric)
-	}
 }
 
 // randomBuilder accumulates a messy edge stream: duplicates with differing

@@ -222,22 +222,6 @@ func Clustered(k, perCluster int, sep float64, rng *par.RNG) *Graph {
 	return b.Freeze()
 }
 
-// CompleteFromMatrix builds the complete graph whose edge weights are the
-// off-diagonal entries of a finite metric matrix. This realises the paper's
-// remark that "a metric can be interpreted as a complete weighted graph of
-// SPD 1" (§1.1) and is used to compare against the metric-input baseline of
-// Blelloch et al.
-func CompleteFromMatrix(m *Matrix) *Graph {
-	n := m.N
-	b := NewBuilder(n)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			b.Add(Node(u), Node(v), m.At(u, v))
-		}
-	}
-	return b.Freeze()
-}
-
 // RandomGeometric returns a connected random geometric graph: n points
 // uniform in the unit square, edges between pairs within distance radius
 // with Euclidean weights (scaled by 1000 so the minimum weight stays well

@@ -1,7 +1,7 @@
 // Package graph provides the weighted-graph substrate of the library:
 // an immutable compressed-sparse-row (CSR) adjacency structure, exact
 // shortest-path algorithms (Dijkstra on a non-boxing 4-ary index heap,
-// Bellman-Ford, APSP by repeated squaring over the min-plus semiring),
+// Bellman-Ford, all-pairs distances by one Dijkstra per source),
 // shortest-path-diameter computation, and the graph generators used by the
 // experiment suite.
 //
@@ -35,7 +35,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"parmbf/internal/par"
 	"parmbf/internal/semiring"
@@ -66,23 +65,12 @@ type Graph struct {
 	// arcs is the flat arc array, length 2m.
 	arcs []Arc
 	m    int
-	// symmetric records whether every arc u→v has a reverse arc v→u of
-	// equal weight; Transpose/InNeighbors then answer in-neighbor queries
-	// without any reversed copy. Builder-frozen graphs are symmetric by
-	// construction (both halves of each undirected edge are inserted, and
-	// dedup keeps the same lightest weight in both directions) — the
-	// property tests assert this against detectSymmetric, so a directed
-	// construction path added later cannot silently inherit the flag.
-	symmetric bool
-	// transpose caches the lazily built reversed-CSR view of an asymmetric
-	// graph (nil until the first Transpose call; unused when symmetric).
-	transpose atomic.Pointer[Graph]
 }
 
 // New returns an immutable edgeless graph on n nodes. To build a graph with
 // edges, use NewBuilder.
 func New(n int) *Graph {
-	return &Graph{rowStart: make([]int32, n+1), symmetric: true}
+	return &Graph{rowStart: make([]int32, n+1)}
 }
 
 // N returns the number of nodes.
@@ -148,10 +136,9 @@ func (g *Graph) Edges() []Edge {
 // that want independent backing arrays.
 func (g *Graph) Clone() *Graph {
 	h := &Graph{
-		rowStart:  make([]int32, len(g.rowStart)),
-		arcs:      make([]Arc, len(g.arcs)),
-		m:         g.m,
-		symmetric: g.symmetric,
+		rowStart: make([]int32, len(g.rowStart)),
+		arcs:     make([]Arc, len(g.arcs)),
+		m:        g.m,
 	}
 	copy(h.rowStart, g.rowStart)
 	copy(h.arcs, g.arcs)
@@ -175,78 +162,6 @@ func (g *Graph) Builder() *Builder {
 		}
 	}
 	return b
-}
-
-// Symmetric reports whether every arc u→v is matched by a reverse arc v→u
-// of equal weight. Builder-frozen (undirected) graphs always are.
-func (g *Graph) Symmetric() bool { return g.symmetric }
-
-// Transpose returns the graph with every arc reversed. For a symmetric
-// graph — the invariant every Builder-frozen graph satisfies — the arc set
-// is its own reversal and Transpose returns g itself, so in-neighbor queries
-// cost nothing extra. Otherwise the reversed CSR is built once, on first
-// use, and cached; the transpose's own Transpose points back at g.
-func (g *Graph) Transpose() *Graph {
-	if g.symmetric {
-		return g
-	}
-	if t := g.transpose.Load(); t != nil {
-		return t
-	}
-	t := g.buildTranspose()
-	t.transpose.Store(g)
-	// Another goroutine may have raced the build; keep whichever view was
-	// published first so every caller shares one transpose.
-	g.transpose.CompareAndSwap(nil, t)
-	return g.transpose.Load()
-}
-
-// InNeighbors returns the arcs entering v: one Arc{To: w, Weight: ω(w,v)}
-// per arc w→v, sorted by source. It is the row of v in the transpose view —
-// identical to Neighbors(v) on symmetric graphs — and is what the frontier
-// engine walks to find the nodes whose next state a change at v can affect.
-// The caller must not modify the returned slice.
-func (g *Graph) InNeighbors(v Node) []Arc { return g.Transpose().Neighbors(v) }
-
-// buildTranspose reverses the arc array with a stable counting scatter by
-// target; stability keeps every transposed row sorted by source, preserving
-// the CSR ordering invariant.
-func (g *Graph) buildTranspose() *Graph {
-	n := g.N()
-	cnt := make([]int32, n+1)
-	for _, a := range g.arcs {
-		cnt[a.To+1]++
-	}
-	for v := 0; v < n; v++ {
-		cnt[v+1] += cnt[v]
-	}
-	rowStart := append([]int32(nil), cnt...)
-	arcs := make([]Arc, len(g.arcs))
-	next := cnt[:n]
-	for u := 0; u < n; u++ {
-		for _, a := range g.arcs[g.rowStart[u]:g.rowStart[u+1]] {
-			arcs[next[a.To]] = Arc{To: Node(u), Weight: a.Weight}
-			next[a.To]++
-		}
-	}
-	return &Graph{rowStart: rowStart, arcs: arcs, m: g.m}
-}
-
-// detectSymmetric reports whether every arc has an equal-weight reverse
-// arc, by binary search over the target's sorted row — O(m log Δ). It is
-// the reference predicate behind the symmetric flag: Freeze sets the flag
-// by construction, and the transpose property tests assert the two agree.
-func detectSymmetric(rowStart []int32, arcs []Arc, n int) bool {
-	for u := 0; u < n; u++ {
-		for _, a := range arcs[rowStart[u]:rowStart[u+1]] {
-			row := arcs[rowStart[a.To]:rowStart[a.To+1]]
-			i := sort.Search(len(row), func(i int) bool { return row[i].To >= Node(u) })
-			if i >= len(row) || row[i].To != Node(u) || row[i].Weight != a.Weight {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // WeightRange returns the minimum and maximum edge weight. It panics on an
@@ -446,11 +361,9 @@ func (b *Builder) freezeSerial() *Graph {
 	}
 	// Freeze output is symmetric by construction: both directed halves of
 	// every edge are inserted, and the per-row dedup keeps the lightest of
-	// the same parallel-weight multiset in each direction. The invariant is
-	// asserted against detectSymmetric by the transpose property tests
-	// rather than re-derived on every Freeze (an O(m log Δ) scan that would
-	// tax all graph construction for a provable constant).
-	return &Graph{rowStart: finalRow, arcs: arcs, m: w / 2, symmetric: true}
+	// the same parallel-weight multiset in each direction. The tests assert
+	// this arc-level symmetry rather than re-deriving it on every Freeze.
+	return &Graph{rowStart: finalRow, arcs: arcs, m: w / 2}
 }
 
 // freezeParallel is the multi-worker counting scatter. Each worker owns a
@@ -607,5 +520,5 @@ func (b *Builder) freezeParallel() *Graph {
 		})
 		arcs = dense
 	}
-	return &Graph{rowStart: finalRow, arcs: arcs, m: w / 2, symmetric: true}
+	return &Graph{rowStart: finalRow, arcs: arcs, m: w / 2}
 }

@@ -283,38 +283,6 @@ func TestHopDiameter(t *testing.T) {
 	}
 }
 
-func TestAdjacencyMatrix(t *testing.T) {
-	g := diamond()
-	a := AdjacencyMatrix(g)
-	if a.At(0, 0) != 0 {
-		t.Fatal("diagonal should be 0")
-	}
-	if a.At(0, 1) != 1 || a.At(1, 0) != 1 {
-		t.Fatal("edge weight wrong")
-	}
-	if !semiring.IsInf(a.At(1, 2)) {
-		t.Fatal("non-edge should be ∞")
-	}
-}
-
-func TestAPSPMatrixSquaringMatchesDijkstra(t *testing.T) {
-	rng := par.NewRNG(2)
-	g := RandomConnected(40, 90, 8, rng)
-	tr := &par.Tracker{}
-	sq := APSPMatrixSquaring(g, tr)
-	dj := APSPDijkstra(g)
-	for v := 0; v < g.N(); v++ {
-		for w := 0; w < g.N(); w++ {
-			if diff := sq.At(v, w) - dj.At(v, w); diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("APSP mismatch at (%d,%d): %v vs %v", v, w, sq.At(v, w), dj.At(v, w))
-			}
-		}
-	}
-	if tr.Work() == 0 {
-		t.Fatal("tracker not charged")
-	}
-}
-
 func TestAPSPIsMetric(t *testing.T) {
 	rng := par.NewRNG(3)
 	g := RandomConnected(30, 60, 5, rng)
@@ -400,34 +368,6 @@ func TestLollipopHighSPD(t *testing.T) {
 	g := Lollipop(8, 30)
 	if spd := SPD(g); spd < 30 {
 		t.Fatalf("lollipop SPD = %d, want ≥ 30", spd)
-	}
-}
-
-func TestCompleteFromMatrix(t *testing.T) {
-	rng := par.NewRNG(7)
-	g := RandomConnected(15, 40, 5, rng)
-	m := APSPDijkstra(g)
-	c := CompleteFromMatrix(m)
-	if c.M() != 15*14/2 {
-		t.Fatalf("complete graph edge count = %d", c.M())
-	}
-	if spd := SPD(c); spd != 1 {
-		t.Fatalf("SPD of metric completion = %d, want 1", spd)
-	}
-}
-
-func TestCompleteGraphDistancesMatchMetric(t *testing.T) {
-	rng := par.NewRNG(8)
-	g := RandomConnected(12, 25, 5, rng)
-	m := APSPDijkstra(g)
-	c := CompleteFromMatrix(m)
-	cm := APSPDijkstra(c)
-	for v := 0; v < 12; v++ {
-		for w := 0; w < 12; w++ {
-			if d := cm.At(v, w) - m.At(v, w); d > 1e-9 || d < -1e-9 {
-				t.Fatalf("metric completion changed distance (%d,%d)", v, w)
-			}
-		}
 	}
 }
 

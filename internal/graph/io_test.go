@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -120,6 +122,135 @@ func TestReadRejectsMalformed(t *testing.T) {
 	for _, c := range cases {
 		if _, err := Read(strings.NewReader(c.src)); err == nil {
 			t.Fatalf("%s: accepted", c.name)
+		}
+	}
+}
+
+// TestReadRejectsNodeCountBeyondInt32: node ids are int32, so a header
+// above MaxInt32 must be an error. Without the guard, Node(u) wraps the
+// in-range edge endpoint 2^31 to −2^31 and Builder.Add panics.
+func TestReadRejectsNodeCountBeyondInt32(t *testing.T) {
+	if _, err := Read(strings.NewReader(hugeHeaderInput)); err == nil {
+		t.Fatal("accepted a header with 2^31+1 nodes")
+	}
+}
+
+// hugeHeaderInput declares one node more than 2^31 and an edge whose first
+// endpoint is 2^31: in range for the header, out of range for an int32 id.
+const hugeHeaderInput = "p 2147483649 1\ne 2147483648 0 1\n"
+
+// fuzzMaxNodes caps the node count a FuzzRead input may declare: Freeze
+// allocates three int32 row tables of n+1 entries, so a header near 2^31
+// would ask for ~24 GB of zeroed memory per input.
+const fuzzMaxNodes = 1 << 16
+
+// headerNodes returns the node count of data's first header line as Read
+// parses it, or -1 if there is none.
+func headerNodes(data []byte) int {
+	for _, line := range strings.Split(string(data), "\n") {
+		var n int
+		if line = strings.TrimSpace(line); strings.HasPrefix(line, "p ") {
+			if _, err := fmt.Sscanf(line, "p %d", &n); err == nil {
+				return n
+			}
+			return -1
+		}
+	}
+	return -1
+}
+
+// FuzzRead drives the edge-list parser behind the commands' -in flag with
+// hostile inputs: whatever the bytes, Read must return a graph or an error
+// without panicking, and a returned graph must satisfy the invariants the
+// library assumes — positive finite weights, in-range targets, no loops,
+// arc-level symmetry — and survive Write → Read unchanged. Inputs declaring
+// more than fuzzMaxNodes (but at most MaxInt32) nodes are skipped: they
+// would be accepted and only cost memory; larger headers still run, since
+// Read rejects them before allocating.
+func FuzzRead(f *testing.F) {
+	f.Add([]byte(hugeHeaderInput))
+	f.Add([]byte("p 2 1\ne 0 1 3\n"))
+	f.Add([]byte("# triangle\np 3 3\n\ne 0 1 1.5\ne 1 2 2\ne 0 2 0.25\n"))
+	f.Add([]byte("p 0 0\n"))
+	f.Add([]byte("p 65536 1\ne 0 65535 1\n"))           // largest fuzzed n
+	f.Add([]byte("p 2 99999999999999999999999\n"))      // unparseable m
+	f.Add([]byte("e 0 1 3\np 2 1\n"))                   // edge before header
+	f.Add([]byte("p 2 1\ne 0 1 1e309\n"))               // overflowing weight
+	f.Add([]byte("p 3 2\ne 0 1 2\ne 1 0 1\ne 1 2 4\n")) // parallel edges collapse
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if n := headerNodes(data); n > fuzzMaxNodes && n <= math.MaxInt32 {
+			t.Skip("header too large to freeze per fuzz input")
+		}
+		g, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for v := 0; v < g.N(); v++ {
+			for _, a := range g.Neighbors(Node(v)) {
+				if !(a.Weight > 0) || math.IsInf(a.Weight, 0) || a.To == Node(v) || a.To < 0 || int(a.To) >= g.N() {
+					t.Fatalf("invalid arc %d→%d w=%g", v, a.To, a.Weight)
+				}
+			}
+		}
+		if !detectSymmetric(g) {
+			t.Fatal("parsed graph is not symmetric")
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		h, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("re-reading Write output: %v", err)
+		}
+		sameGraph(t, g, h)
+	})
+}
+
+// TestLoadGeneratorBounds runs every generator at n ∈ {−3, 0, 1, 2, 3} and
+// the random generator at edge counts outside [n−1, n(n−1)/2]: a size
+// outside a generator's domain is an error naming the bound, never a
+// panic, and the sizes inside it load the graph they always did.
+func TestLoadGeneratorBounds(t *testing.T) {
+	const bad = -1 // an error is expected
+	cases := []struct {
+		gen   string
+		m     int
+		nodes [5]int // loaded node count at n = −3, 0, 1, 2, 3
+	}{
+		{"random", 0, [5]int{bad, bad, bad, bad, bad}},
+		{"grid", 0, [5]int{1, 1, 1, 4, 4}},
+		{"path", 0, [5]int{bad, 0, 1, 2, 3}},
+		{"cycle", 0, [5]int{bad, bad, bad, bad, 3}},
+		{"geometric", 0, [5]int{bad, bad, 1, 2, 3}},
+		{"lollipop", 0, [5]int{bad, 0, 0, bad, bad}},
+		{"powerlaw", 0, [5]int{bad, 0, 1, 2, 3}},
+		{"random", 3, [5]int{bad, bad, bad, bad, 3}},
+		{"random", 4, [5]int{bad, bad, bad, bad, bad}},
+		{"random", 1, [5]int{bad, bad, bad, 2, bad}},
+	}
+	for _, c := range cases {
+		for i, n := range []int{-3, 0, 1, 2, 3} {
+			g, err := Load("", c.gen, n, c.m, par.NewRNG(1))
+			if want := c.nodes[i]; want == bad {
+				if err == nil {
+					t.Errorf("%s n=%d m=%d: loaded a %d-node graph, want an error", c.gen, n, c.m, g.N())
+				} else if !strings.Contains(err.Error(), c.gen) || !strings.Contains(err.Error(), "≥") {
+					t.Errorf("%s n=%d m=%d: error %q does not name the generator's bound", c.gen, n, c.m, err)
+				}
+			} else if err != nil {
+				t.Errorf("%s n=%d m=%d: %v", c.gen, n, c.m, err)
+			} else if g.N() != want {
+				t.Errorf("%s n=%d m=%d: %d nodes, want %d", c.gen, n, c.m, g.N(), want)
+			}
+		}
+	}
+	for _, m := range []int{8, 9, 45, 46} { // n = 10: m ∈ [9, 45] loads
+		g, err := Load("", "random", 10, m, par.NewRNG(1))
+		if ok := m >= 9 && m <= 45; ok != (err == nil) {
+			t.Errorf("random n=10 m=%d: err = %v", m, err)
+		} else if ok && g.M() != m {
+			t.Errorf("random n=10 m=%d: %d edges", m, g.M())
 		}
 	}
 }

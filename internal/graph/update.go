@@ -177,7 +177,7 @@ func ApplyEdits(g *Graph, edits []Edit) (*Graph, *EditSummary, error) {
 // leaves unchanged, so the clone is structurally identical to g.
 func reweightCOW(g *Graph, sum *EditSummary) *Graph {
 	arcs := append([]Arc(nil), g.arcs...)
-	h := &Graph{rowStart: g.rowStart, arcs: arcs, m: g.m, symmetric: g.symmetric}
+	h := &Graph{rowStart: g.rowStart, arcs: arcs, m: g.m}
 	patch := func(u, v Node, w float64) {
 		row := arcs[g.rowStart[u]:g.rowStart[u+1]]
 		i := sort.Search(len(row), func(i int) bool { return row[i].To >= v })

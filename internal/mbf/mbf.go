@@ -34,9 +34,9 @@
 //     state changed in that iteration;
 //   - the next iteration re-aggregates only the affected nodes — every
 //     frontier node (its own state feeds its next state through the
-//     diagonal) plus every node with a frontier node among its in-neighbors
-//     (graph.Graph.InNeighbors, the transpose view, which is the graph
-//     itself for the symmetric graphs this library builds);
+//     diagonal) plus every node with a frontier node among its
+//     in-neighbors, which are its graph.Graph.Neighbors because graphs are
+//     undirected (§1.2);
 //   - all other nodes keep their state, untouched.
 //
 // A fresh run seeds the frontier with the nodes whose filtered x(0) is
@@ -344,16 +344,16 @@ func (r *Runner[S, M]) putDelta(ds *deltaScratch[M]) { r.deltaPool.Put(ds) }
 func (r *Runner[S, M]) iterateDelta(x []M, frontier []graph.Node, full bool, ds *deltaScratch[M]) []graph.Node {
 	g := r.Graph
 	// Candidates: the frontier plus everyone reading a frontier node's
-	// state. Node v aggregates x over its out-arcs, so a change at u feeds
-	// exactly the nodes with an arc into u — u's in-neighbors (the
-	// transpose view; the graph itself when symmetric).
+	// state. Node v aggregates x over its arcs, so a change at u feeds
+	// exactly the nodes with an arc into u — u's neighbors, since graphs
+	// are undirected.
 	cand := ds.cand[:0]
 	for _, u := range frontier {
 		if !ds.touched[u] {
 			ds.touched[u] = true
 			cand = append(cand, u)
 		}
-		for _, a := range g.InNeighbors(u) {
+		for _, a := range g.Neighbors(u) {
 			if !ds.touched[a.To] {
 				ds.touched[a.To] = true
 				cand = append(cand, a.To)

@@ -151,7 +151,8 @@ func TestKSSPReturnsKClosest(t *testing.T) {
 func TestMSSP(t *testing.T) {
 	g := randomGraph(5, 30, 60)
 	sources := []graph.Node{2, 11, 17}
-	res := MSSP(g, sources, g.N(), nil)
+	// (S, h, ∞, |S|)-source detection (Example 3.6).
+	res := SourceDetection(g, sourceSet(g.N(), sources), g.N(), semiring.Inf, 0, nil)
 	for v := 0; v < g.N(); v++ {
 		if res[v].Len() != len(sources) {
 			t.Fatalf("node %d sees %d sources, want %d", v, res[v].Len(), len(sources))

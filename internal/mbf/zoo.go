@@ -74,13 +74,6 @@ func KSSP(g *graph.Graph, k, h int, tracker *par.Tracker) []semiring.DistMap {
 	return SourceDetection(g, nil, h, semiring.Inf, k, tracker)
 }
 
-// MSSP computes each node's h-hop distances to all designated sources
-// (Example 3.6): (S, h, ∞, |S|)-source detection.
-func MSSP(g *graph.Graph, sources []graph.Node, h int, tracker *par.Tracker) []semiring.DistMap {
-	isSource := sourceSet(g.N(), sources)
-	return SourceDetection(g, isSource, h, semiring.Inf, 0, tracker)
-}
-
 // ForestFire solves the sensor-network problem of Example 3.7: every node
 // learns whether some burning node lies within distance d, running over
 // S_{min,+} as a module over itself with the threshold filter (3.5). The
