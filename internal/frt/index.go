@@ -3,7 +3,6 @@ package frt
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 
 	"parmbf/internal/graph"
 	"parmbf/internal/par"
@@ -73,35 +72,34 @@ func NewTreeIndex(t *Tree) (*TreeIndex, error) {
 		anc:    make([]int32, n*stride),
 		pw:     make([]float64, n*stride),
 	}
-	// Rows are independent; fill them in parallel. A structural defect found
-	// by any worker is recorded (first writer wins) and reported after the
-	// sweep.
-	var badV atomic.Int32
-	badV.Store(-1)
-	par.ForEach(n, func(v int) {
-		row := v * stride
-		u := t.Leaf[v]
-		if u < 0 || int(u) >= t.NumNodes() {
-			badV.CompareAndSwap(-1, int32(v))
-			return
-		}
-		x.anc[row] = u
-		for h := 0; h < depth; h++ {
-			p := t.Parent[u]
-			if p < 0 || int(p) >= t.NumNodes() {
-				badV.CompareAndSwap(-1, int32(v))
-				return
+	// Rows are independent; fill them in parallel. Each row reports whether
+	// its chain is broken, and the lowest such graph node is named, so the
+	// error does not depend on scheduling.
+	bad := par.Reduce(n, n,
+		func(v int) int {
+			row := v * stride
+			u := t.Leaf[v]
+			if u < 0 || int(u) >= t.NumNodes() {
+				return v
 			}
-			x.pw[row+h+1] = x.pw[row+h] + t.EdgeWeight[u]
-			x.anc[row+h+1] = p
-			u = p
-		}
-		if t.Parent[u] != -1 {
-			badV.CompareAndSwap(-1, int32(v)) // deeper than Leaf[0]: unequal depths
-		}
-	})
-	if v := badV.Load(); v != -1 {
-		return nil, fmt.Errorf("frt: tree is structurally invalid at graph node %d (run Validate for details)", v)
+			x.anc[row] = u
+			for h := 0; h < depth; h++ {
+				p := t.Parent[u]
+				if p < 0 || int(p) >= t.NumNodes() {
+					return v
+				}
+				x.pw[row+h+1] = x.pw[row+h] + t.EdgeWeight[u]
+				x.anc[row+h+1] = p
+				u = p
+			}
+			if t.Parent[u] != -1 {
+				return v // deeper than Leaf[0]: unequal depths
+			}
+			return n
+		},
+		func(a, b int) int { return min(a, b) })
+	if bad < n {
+		return nil, invalidTreeAt(bad)
 	}
 	return x, nil
 }
@@ -161,8 +159,8 @@ type Pair struct {
 // O(log n)-expected-stretch upper bound on dist_G(u,v) — in O(K·depth/4)
 // word operations, and MinBatch fans a pair slice out over par.ForEach.
 //
-// The per-tree TreeIndex rows are repacked into one block per graph node
-// holding all K trees' ancestor rows back-to-back (shallower trees padded by
+// Every tree's ancestor chains are packed into one block per graph node
+// holding all K trees' rows back-to-back (shallower trees padded by
 // repeating their root). A query then streams exactly two contiguous blocks
 // — one per endpoint — instead of touching 2·K rows scattered across K
 // separate indexes, which is what makes the batched path an order of
@@ -217,14 +215,17 @@ type OracleIndex struct {
 const packedLaneMax = 1 << 16
 
 // NewOracleIndex indexes every tree of the ensemble. All trees must embed
-// the same node set.
+// the same node set, and each must be structurally sound: leaves and
+// parents in range, no parent cycle, every leaf at the same depth. A tree
+// that breaks any of these is refused (the defects NewTreeIndex reports).
 //
-// Construction streams over the trees one at a time: each tree's TreeIndex
-// is built, packed, and dropped before the next tree is touched, so the
-// construction peak holds one n·stride index instead of K of them — at
-// n = 2^20 and K = 16 the difference between ~0.3 GB and ~5 GB of scratch.
-// The stream first assumes level-uniform weights; the first tree that
-// breaks them restarts it with per-leaf weight rows.
+// Each tree is packed straight from its Parent, Leaf and EdgeWeight arrays,
+// one tree at a time: a serial walk numbers the tree's clusters per height
+// (clusterIDs), then a parallel walk up from every leaf writes the leaf's
+// packed words and fills or checks its prefix weights. Construction scratch
+// is two int32 per tree node of the largest tree, and no per-leaf ancestor
+// table is built. The packing first assumes level-uniform weights; the
+// first tree that breaks them restarts it with per-leaf weight rows.
 func NewOracleIndex(trees []*Tree) (*OracleIndex, error) {
 	if len(trees) == 0 {
 		return nil, fmt.Errorf("frt: oracle index needs ≥ 1 tree")
@@ -233,10 +234,10 @@ func NewOracleIndex(trees []*Tree) (*OracleIndex, error) {
 	o.med.New = func() *[]float64 { ds := make([]float64, o.k); return &ds }
 	// Cheap pre-pass: per-tree depths (for the padded stride) and per-height
 	// cluster-count bounds (for the 16/32-bit lane split), both derivable
-	// from the parent arrays alone — no TreeIndex needed. Structural defects
-	// are NOT diagnosed here; the streaming loop's NewTreeIndex reports them.
+	// from the parent arrays alone. The depth walk checks only leaf 0's
+	// chain; clusterIDs checks every leaf.
 	depths := make([]int, len(trees))
-	maxDepth := 0
+	maxDepth, maxNodes := 0, 0
 	for i, t := range trees {
 		if len(t.Leaf) != o.n {
 			return nil, fmt.Errorf("frt: tree %d embeds %d nodes, tree 0 embeds %d", i, len(t.Leaf), o.n)
@@ -246,9 +247,8 @@ func NewOracleIndex(trees []*Tree) (*OracleIndex, error) {
 			return nil, fmt.Errorf("frt: tree %d: %w", i, fmt.Errorf("frt: broken parent chain at leaf 0 (run Validate for details)"))
 		}
 		depths[i] = d
-		if d > maxDepth {
-			maxDepth = d
-		}
+		maxDepth = max(maxDepth, d)
+		maxNodes = max(maxNodes, t.NumNodes())
 	}
 	o.stride = maxDepth + 1
 	// split = lowest height whose cluster count fits a 16-bit lane in every
@@ -280,8 +280,10 @@ func NewOracleIndex(trees []*Tree) (*OracleIndex, error) {
 	}
 	o.words = (o.stride - o.split + 3) / 4
 	o.loWords = (o.split + 1) / 2
+	id := make([]int32, maxNodes)
+	height := make([]int32, maxNodes)
 	for {
-		done, err := o.stream(trees)
+		done, err := o.pack(trees, depths, id, height)
 		if err != nil {
 			return nil, err
 		}
@@ -292,10 +294,11 @@ func NewOracleIndex(trees []*Tree) (*OracleIndex, error) {
 	}
 }
 
-// stream fills the packed words and the weight table from scratch, one tree
-// at a time. With pwStep = 0 it returns false at the first tree whose level
-// weights are not uniform, leaving the caller to restart with per-leaf rows.
-func (o *OracleIndex) stream(trees []*Tree) (bool, error) {
+// pack fills the packed words and the weight table from scratch, one tree
+// at a time, with id and height as clusterIDs' scratch. With pwStep = 0 it
+// returns false at the first tree whose level weights are not uniform,
+// leaving the caller to restart with per-leaf rows.
+func (o *OracleIndex) pack(trees []*Tree, depths []int, id, height []int32) (bool, error) {
 	o.packed = make([]uint64, o.n*o.k*o.words)
 	if o.loWords > 0 {
 		o.packedLo = make([]uint64, o.n*o.k*o.loWords)
@@ -306,33 +309,62 @@ func (o *OracleIndex) stream(trees []*Tree) (bool, error) {
 	}
 	o.pw = make([]float64, rows*o.k*o.stride)
 	for i, t := range trees {
-		x, err := NewTreeIndex(t)
-		if err != nil {
+		nn := t.NumNodes()
+		if err := clusterIDs(t, depths[i], id[:nn], height[:nn]); err != nil {
 			return false, fmt.Errorf("frt: tree %d: %w", i, err)
 		}
-		o.packTree(x, i)
-		if o.pwStep > 0 {
-			par.ForEach(o.n, func(v int) {
-				padRow(o.pw[v*o.pwStep+i*o.stride:][:o.stride], x.pw[v*x.stride:(v+1)*x.stride])
-			})
-			continue
-		}
-		row := o.pw[i*o.stride : (i+1)*o.stride]
-		padRow(row, x.pw[:x.stride]) // leaf 0's row
-		if !o.uniformWeights(x, row) {
+		if !o.packTree(t, i, depths[i], id[:nn]) {
 			return false, nil
 		}
 	}
 	return true, nil
 }
 
-// padRow copies one prefix-weight row into dst and pads the heights past
-// the tree's depth with its full leaf-to-root weight.
-func padRow(dst, src []float64) {
-	copy(dst, src)
-	for h := len(src); h < len(dst); h++ {
-		dst[h] = src[len(src)-1]
+// invalidTreeAt is the error for a tree whose parent chain from graph node
+// v's leaf breaks.
+func invalidTreeAt(v int) error {
+	return fmt.Errorf("frt: tree is structurally invalid at graph node %d (run Validate for details)", v)
+}
+
+// clusterIDs numbers t's nodes per height in first-seen order into id: for
+// v = 0…n−1 it climbs from v's leaf to the first node already numbered, and
+// a node's id is the number of same-height nodes numbered before it. Every
+// ancestor of a numbered node is numbered, so a height-h node gets its id
+// at the first leaf whose height-h ancestor it is — the equality-preserving
+// renumbering the merge-height scan compares, independent of how the tree
+// numbers its nodes. The walk also checks what NewTreeIndex checks: leaves
+// and parents in range, and every leaf at depth, which is leaf 0's depth. A
+// node reached at a height other than the one it was numbered at closes a
+// parent cycle or joins chains of unequal length. The error names the
+// lowest graph node whose walk finds a defect.
+func clusterIDs(t *Tree, depth int, id, height []int32) error {
+	nn := len(id)
+	for u := range id {
+		id[u] = -1
 	}
+	next := make([]int32, depth+1)
+	for v, u := range t.Leaf {
+		for h := int32(0); ; h++ {
+			if u < 0 || int(u) >= nn || int(h) > depth {
+				return invalidTreeAt(v)
+			}
+			if id[u] >= 0 {
+				if height[u] != h {
+					return invalidTreeAt(v)
+				}
+				break
+			}
+			id[u], height[u] = next[h], h
+			next[h]++
+			if u = t.Parent[u]; u == -1 {
+				if int(h) != depth {
+					return invalidTreeAt(v)
+				}
+				break
+			}
+		}
+	}
+	return nil
 }
 
 // leafDepth measures the parent-chain length of Leaf[0] with explicit
@@ -358,8 +390,8 @@ func leafDepth(t *Tree) (int, bool) {
 // below depth), an upper bound on the distinct height-h ancestors the
 // packed renumbering can produce. It returns nil on structurally suspect
 // trees (cycles, dangling parents, nodes deeper than the leaves); the
-// caller then falls back to the conservative bound n and the streaming
-// loop's validation reports the defect.
+// caller then falls back to the conservative bound n and clusterIDs
+// reports the defect.
 func treeLevelCounts(t *Tree, depth int) []int32 {
 	nn := t.NumNodes()
 	d := make([]int32, nn) // depth from the root; -1 = unknown
@@ -407,77 +439,81 @@ func treeLevelCounts(t *Tree, depth int) []int32 {
 	return counts
 }
 
-// uniformWeights reports whether every leaf's prefix-weight row in x
-// matches the shared row (leaf 0's, padded) bitwise.
-func (o *OracleIndex) uniformWeights(x *TreeIndex, row []float64) bool {
-	return par.Reduce(o.n, true,
-		func(v int) bool {
-			for h, w := range x.pw[v*x.stride : (v+1)*x.stride] {
-				if row[h] != w {
-					return false
-				}
+// packTree writes tree t's packed words (see the packed field doc) and its
+// prefix weights, from the cluster ids clusterIDs numbered; the tree's
+// structure is already checked. Each leaf's walk to the root owns its
+// leaf's words, so leaves run in parallel, and every word is stored once.
+// Lanes past the tree's depth are the root's id 0, and low-row padding lanes
+// are 0 too, so padding never manufactures a difference. Prefix weights
+// accumulate bottom-up, Tree.Dist's summation order. With per-leaf rows
+// (pwStep > 0) each leaf writes its row, padded past the depth with the
+// full leaf-to-root weight; otherwise every leaf's sums are checked against
+// the shared row, leaf 0's, and packTree reports whether all matched
+// bitwise.
+func (o *OracleIndex) packTree(t *Tree, ti, depth int, id []int32) bool {
+	shared := o.pw[ti*o.stride : (ti+1)*o.stride]
+	if o.pwStep == 0 {
+		u, acc := t.Leaf[0], 0.0
+		for h := 1; h < o.stride; h++ {
+			if h <= depth {
+				acc += t.EdgeWeight[u]
+				u = t.Parent[u]
 			}
-			return true
-		},
-		func(a, b bool) bool { return a && b })
-}
-
-// packTree renumbers one tree's per-height clusters into dense ids and
-// packs them into the split-lane words (see the packed field doc).
-// Renumbering is equality-preserving per (tree, height) — first-seen order
-// over v = 0…n−1, independent of parallel width — which is all the
-// merge-height scan compares. High-row lanes past the tree's depth repeat
-// the root id, and low-row padding lanes stay zero, so padding never
-// manufactures a difference. Parallelism is per word column: each column
-// owns disjoint output words, renumbering its 2 or 4 heights with private
-// scratch.
-func (o *OracleIndex) packTree(x *TreeIndex, t int) {
-	nn := x.tree.NumNodes()
-	packColumn := func(heights []int, write func(v int, lane int, id uint32)) {
-		id := make([]uint32, nn)
-		stamp := make([]int32, nn)
-		for i := range stamp {
-			stamp[i] = -1
-		}
-		for lane, h := range heights {
-			hEff := h
-			if hEff > x.depth {
-				hEff = x.depth
-			}
-			next := uint32(0)
-			for v := 0; v < o.n; v++ {
-				a := x.anc[v*x.stride+hEff]
-				if stamp[a] != int32(lane) {
-					stamp[a] = int32(lane)
-					id[a] = next
-					next++
-				}
-				write(v, lane, id[a])
-			}
+			shared[h] = acc
 		}
 	}
-	par.ForEach(o.loWords+o.words, func(w int) {
-		if w < o.loWords {
-			// Low column w: heights 2w, 2w+1 (the latter only if < split).
-			heights := []int{2 * w}
-			if 2*w+1 < o.split {
-				heights = append(heights, 2*w+1)
+	split, k, words, loWords, perLeaf := o.split, o.k, o.words, o.loWords, o.pwStep > 0
+	parent, weight := t.Parent, t.EdgeWeight
+	return par.Reduce(o.n, true,
+		func(v int) bool {
+			hi := o.packed[(v*k+ti)*words:][:words]
+			lo := o.packedLo[(v*k+ti)*loWords:][:loWords]
+			pw := shared
+			if perLeaf {
+				pw = o.pw[v*o.pwStep+ti*o.stride:][:o.stride]
 			}
-			packColumn(heights, func(v, lane int, cid uint32) {
-				o.packedLo[(v*o.k+t)*o.loWords+w] |= uint64(cid) << (uint(lane) * 32)
-			})
-			return
-		}
-		// High column: 4 heights starting at split + 4*(w - loWords).
-		hw := w - o.loWords
-		heights := make([]int, 4)
-		for l := range heights {
-			heights[l] = o.split + hw*4 + l
-		}
-		packColumn(heights, func(v, lane int, cid uint32) {
-			o.packed[(v*o.k+t)*o.words+hw] |= uint64(cid) << (uint(lane) * 16)
-		})
-	})
+			uniform := true
+			u, acc, word := t.Leaf[v], 0.0, uint64(0)
+			for h := 0; ; h++ {
+				c := uint64(id[u])
+				if h < split {
+					word |= c << (uint(h&1) * 32)
+					if h&1 == 1 || h == split-1 {
+						lo[h>>1], word = word, 0
+					}
+				} else {
+					l := uint(h - split)
+					word |= c << ((l & 3) * 16)
+					if l&3 == 3 {
+						hi[l>>2], word = word, 0
+					}
+				}
+				if perLeaf {
+					pw[h] = acc
+				} else if pw[h] != acc {
+					uniform = false
+				}
+				if h == depth {
+					break
+				}
+				acc += weight[u]
+				u = parent[u]
+			}
+			if word != 0 { // the partial word holding height depth
+				if depth < split {
+					lo[depth/2] = word
+				} else {
+					hi[(depth-split)/4] = word
+				}
+			}
+			if perLeaf {
+				for h := depth + 1; h < len(pw); h++ {
+					pw[h] = acc
+				}
+			}
+			return uniform
+		},
+		func(a, b bool) bool { return a && b })
 }
 
 // NumTrees returns the ensemble size K.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"parmbf/internal/graph"
@@ -330,13 +331,11 @@ func TestTreeIndexRoundTripsThroughIO(t *testing.T) {
 }
 
 // TestTreeIndexRejectsInvalidTrees covers the structural guards: empty
-// trees, unequal leaf depths, and out-of-range pointers must refuse to
-// index (and, matching the Dist edge-case fix, the walk now reports +Inf on
-// unequal depths instead of panicking).
+// trees, unequal leaf depths, out-of-range leaves and parents, and parent
+// cycles must refuse to index, in a TreeIndex and in an OracleIndex alike
+// (and, matching the Dist edge-case fix, the walk reports +Inf on unequal
+// depths instead of panicking).
 func TestTreeIndexRejectsInvalidTrees(t *testing.T) {
-	if _, err := NewTreeIndex(&Tree{}); err == nil {
-		t.Fatal("empty tree indexed")
-	}
 	// Root with one leaf child at depth 1 and one at depth 2.
 	uneven := &Tree{
 		Parent:     []int32{-1, 0, 0, 2},
@@ -346,27 +345,85 @@ func TestTreeIndexRejectsInvalidTrees(t *testing.T) {
 		Leaf:       []int32{1, 3},
 		Beta:       1.5,
 	}
-	if err := uneven.Validate(); err == nil {
-		t.Fatal("Validate accepted unequal leaf depths")
-	}
-	if _, err := NewTreeIndex(uneven); err == nil {
-		t.Fatal("unequal-depth tree indexed")
-	}
 	if d := uneven.Dist(0, 1); !math.IsInf(d, 1) {
 		t.Fatalf("Dist on unequal-depth tree = %v, want +Inf", d)
 	}
-	oob := &Tree{
-		Parent:     []int32{-1, 7},
-		EdgeWeight: []float64{0, 1},
-		Center:     []graph.Node{0, 0},
-		Level:      []int32{1, 0},
-		Leaf:       []int32{1},
+	// A valid two-leaf tree, then copies with one defect each.
+	valid := func() *Tree {
+		return &Tree{
+			Parent:     []int32{-1, 0, 0},
+			EdgeWeight: []float64{0, 1, 1},
+			Center:     []graph.Node{0, 0, 1},
+			Level:      []int32{1, 0, 0},
+			Leaf:       []int32{1, 2},
+			Beta:       1.5,
+		}
 	}
-	if _, err := NewTreeIndex(oob); err == nil {
-		t.Fatal("out-of-range parent indexed")
+	leafOOB, leafNeg, cycle := valid(), valid(), valid()
+	leafOOB.Leaf[1] = 3
+	leafNeg.Leaf[1] = -1
+	// Leaf 1's parent chain 2 → 3 → 4 → 3 never reaches the root.
+	cycle.Parent = append(cycle.Parent, 3, 4)
+	cycle.Parent[2], cycle.Parent[4] = 3, 3
+	cycle.EdgeWeight = append(cycle.EdgeWeight, 1, 1)
+	cycle.Center = append(cycle.Center, 1, 1)
+	cycle.Level = append(cycle.Level, 0, 0)
+	for _, c := range []struct {
+		name string
+		tr   *Tree
+	}{
+		{"empty", &Tree{}},
+		{"uneven depth", uneven},
+		{"out-of-range parent", &Tree{
+			Parent:     []int32{-1, 7},
+			EdgeWeight: []float64{0, 1},
+			Center:     []graph.Node{0, 0},
+			Level:      []int32{1, 0},
+			Leaf:       []int32{1},
+		}},
+		{"out-of-range leaf", leafOOB},
+		{"negative leaf", leafNeg},
+		{"parent cycle", cycle},
+	} {
+		if err := c.tr.Validate(); err == nil {
+			t.Fatalf("%s: Validate accepted the tree", c.name)
+		}
+		if _, err := NewTreeIndex(c.tr); err == nil {
+			t.Fatalf("%s: TreeIndex built", c.name)
+		}
+		if _, err := NewOracleIndex([]*Tree{valid(), c.tr}); err == nil {
+			t.Fatalf("%s: OracleIndex built", c.name)
+		}
 	}
-	if err := oob.Validate(); err == nil {
-		t.Fatal("Validate accepted out-of-range parent")
+	if _, err := NewOracleIndex([]*Tree{valid()}); err != nil {
+		t.Fatalf("valid tree refused: %v", err)
+	}
+}
+
+// TestIndexErrorNamesLowestNode pins the error of a tree with several
+// broken leaves: both indexes name the lowest one, whatever the parallel
+// width. Most broken leaves open a parallel chunk, so a first-found report
+// would often name a higher node.
+func TestIndexErrorNamesLowestNode(t *testing.T) {
+	defer func(p int) { par.MaxProcs = p }(par.MaxProcs)
+	const n = 4000
+	tr := bigSyntheticTree(n, 10, false, 1, 4)
+	// With 4 workers a chunk is 125 leaves: break the last leaf of the first
+	// chunk and the first leaf of every other.
+	for _, v := range []int{124, 125, 250, 375, 500, 2000, 3875} {
+		tr.Leaf[v] = 2 // a group node: its chain is one level short
+	}
+	want := "graph node 124 "
+	for _, procs := range []int{1, 4} {
+		par.MaxProcs = procs
+		for rep := 0; rep < 20; rep++ {
+			if _, err := NewTreeIndex(tr); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("procs %d: NewTreeIndex error %v, want one naming %q", procs, err, want)
+			}
+			if _, err := NewOracleIndex([]*Tree{tr}); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("procs %d: NewOracleIndex error %v, want one naming %q", procs, err, want)
+			}
+		}
 	}
 }
 

@@ -41,7 +41,7 @@ func BenchmarkScaleLELists(b *testing.B) {
 }
 
 // BenchmarkScaleBuildTree measures tree assembly from warm LE lists at scale
-// (sort sweep, cursor-based center sweep, serial cluster grouping).
+// (one center pass per node, serial cluster grouping).
 func BenchmarkScaleBuildTree(b *testing.B) {
 	for _, n := range scaleSizes() {
 		g := scaleGraph(n)

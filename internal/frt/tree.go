@@ -264,35 +264,35 @@ func buildTreeRanked(lists []semiring.DistMap, rk rankKeys, beta float64) (*Tree
 		imax++
 	}
 
-	// v's level-i center is the first LE entry with distance ≤ r_i. The
-	// sweep below visits levels top-down with strictly shrinking radii, so
-	// each node keeps a cursor into its list that only ever moves right:
-	// total center work per node is O(len + levels) instead of O(len·levels),
-	// and the per-level cursor advance is embarrassingly parallel. The last
-	// entry is self at distance 0 ≤ r, so the cursor never overruns.
-	cursor := make([]int32, n)
-	advance := func(i int) {
-		r := beta * math.Pow(2, float64(i))
-		par.ForEach(n, func(v int) {
-			l := lists[v]
-			j := cursor[v]
-			for l.Dist(int(j)) > r {
+	// Every node's center at every level, level-major: centers[li*n+v] is
+	// v's center at level imax−li, the first entry of its list within
+	// r = β·2^(imax−li). The radii strictly shrink with li, so one pass per
+	// node reads its list once with a cursor that only moves right: O(len +
+	// levels) per node, and the nodes are independent. The last entry is
+	// self at distance 0 ≤ r, so the cursor never overruns.
+	levelCount := imax - imin + 1
+	radius := make([]float64, levelCount)
+	for li := range radius {
+		radius[li] = beta * math.Pow(2, float64(imax-li))
+	}
+	centers := make([]graph.Node, levelCount*n)
+	par.ForEach(n, func(v int) {
+		l := lists[v]
+		j := 0
+		for li, r := range radius {
+			for l.Dist(j) > r {
 				j++
 			}
-			cursor[v] = j
-		})
-	}
-	centerAt := func(v int) graph.Node { return rk.node[lists[v].Node(int(cursor[v]))] }
+			centers[li*n+v] = rk.node[l.Node(j)]
+		}
+	})
 
 	// Root: all nodes share the center at level imax (the rank-0 node).
-	// Every cursor starts at the farthest entry, which r_imax reaches.
-	advance(imax)
-	rootCenter := centerAt(0)
-	agree := par.Reduce(n, true,
-		func(v int) bool { return centerAt(v) == rootCenter },
-		func(a, b bool) bool { return a && b })
-	if !agree {
-		return nil, fmt.Errorf("frt: no common root at level %d", imax)
+	rootCenter := centers[0]
+	for _, c := range centers[:n] {
+		if c != rootCenter {
+			return nil, fmt.Errorf("frt: no common root at level %d", imax)
+		}
 	}
 
 	// Sweep levels top-down, splitting each cluster by its members' centers:
@@ -320,11 +320,11 @@ func buildTreeRanked(lists []semiring.DistMap, rk rankKeys, beta float64) (*Tree
 	next := make([]int32, n)
 	parent := make([]int32, n)
 	center := make([]graph.Node, n)
-	for i := imax - 1; i >= imin; i-- {
-		advance(i)
+	for li := 1; li < levelCount; li++ {
+		row := centers[li*n : (li+1)*n]
 		base, k := int32(nodes), int32(0)
-		for v := 0; v < n; v++ {
-			p, c := cur[v], centerAt(v)
+		for v, c := range row {
+			p := cur[v]
 			j := head[c]
 			for j >= 0 && parent[j] != p {
 				j = next[j]

@@ -64,9 +64,21 @@ func FuzzReadTree(f *testing.F) {
 				tr.NumNodes(), tr2.NumNodes(), len(tr.Leaf), len(tr2.Leaf))
 		}
 		// An accepted tree must also index: the query layer inherits the
-		// parser's trust, so anything Validate admits NewTreeIndex must too.
+		// parser's trust, so anything Validate admits NewTreeIndex and
+		// NewOracleIndex must too, and the oracle must answer the walk's
+		// bits.
 		if _, ierr := NewTreeIndex(tr); ierr != nil {
 			t.Fatalf("accepted tree refuses to index: %v", ierr)
+		}
+		idx, ierr := NewOracleIndex([]*Tree{tr})
+		if ierr != nil {
+			t.Fatalf("accepted tree refuses an oracle index: %v", ierr)
+		}
+		n := len(tr.Leaf)
+		for _, p := range []Pair{{0, graph.Node(n - 1)}, {graph.Node(n / 2), 0}, {graph.Node(n - 1), graph.Node(n / 3)}} {
+			if got, want := idx.Min(p.U, p.V), tr.Dist(p.U, p.V); got != want {
+				t.Fatalf("oracle Min(%d,%d) = %v, walk %v", p.U, p.V, got, want)
+			}
 		}
 	})
 }

@@ -131,14 +131,17 @@ func Load(in, gen string, n, m int, rng *par.RNG) (*Graph, error) {
 		}
 		return RandomConnected(n, m, 10, rng), nil
 	case "grid":
+		if n < 1 {
+			return nil, needN(1)
+		}
 		side := 1
 		for side*side < n {
 			side++
 		}
 		return GridGraph(side, side, 10, rng), nil
 	case "path":
-		if n < 0 {
-			return nil, needN(0)
+		if n < 1 {
+			return nil, needN(1)
 		}
 		return PathGraph(n, 1), nil
 	case "cycle":
@@ -152,16 +155,14 @@ func Load(in, gen string, n, m int, rng *par.RNG) (*Graph, error) {
 		}
 		return RandomGeometric(n, 0.15, rng), nil
 	case "lollipop":
-		// The path hangs off the clique, so a non-empty path needs a clique
-		// node (n ∈ {−1, 0, 1} round both parts to the empty graph).
-		clique, path := n/4, 3*n/4
-		if clique+path < 0 || clique == 0 && path > 0 {
+		// The path hangs off the clique, so the graph needs a clique node.
+		if n < 4 {
 			return nil, needN(4)
 		}
-		return Lollipop(clique, path), nil
+		return Lollipop(n/4, 3*n/4), nil
 	case "powerlaw":
-		if n < 0 {
-			return nil, needN(0)
+		if n < 1 {
+			return nil, needN(1)
 		}
 		return BarabasiAlbert(n, 3, 10, rng), nil
 	default:

@@ -219,12 +219,12 @@ func TestLoadGeneratorBounds(t *testing.T) {
 		nodes [5]int // loaded node count at n = −3, 0, 1, 2, 3
 	}{
 		{"random", 0, [5]int{bad, bad, bad, bad, bad}},
-		{"grid", 0, [5]int{1, 1, 1, 4, 4}},
-		{"path", 0, [5]int{bad, 0, 1, 2, 3}},
+		{"grid", 0, [5]int{bad, bad, 1, 4, 4}},
+		{"path", 0, [5]int{bad, bad, 1, 2, 3}},
 		{"cycle", 0, [5]int{bad, bad, bad, bad, 3}},
 		{"geometric", 0, [5]int{bad, bad, 1, 2, 3}},
-		{"lollipop", 0, [5]int{bad, 0, 0, bad, bad}},
-		{"powerlaw", 0, [5]int{bad, 0, 1, 2, 3}},
+		{"lollipop", 0, [5]int{bad, bad, bad, bad, bad}},
+		{"powerlaw", 0, [5]int{bad, bad, 1, 2, 3}},
 		{"random", 3, [5]int{bad, bad, bad, bad, 3}},
 		{"random", 4, [5]int{bad, bad, bad, bad, bad}},
 		{"random", 1, [5]int{bad, bad, bad, 2, bad}},
