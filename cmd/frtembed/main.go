@@ -104,7 +104,7 @@ func main() {
 		estats.AvgMinStretch, estats.MaxMinStretch, estats.DominanceOK)
 	if first != nil {
 		fmt.Printf("first tree: %d tree nodes, depth %d, β=%.3f, oracle iterations %d\n",
-			first.Tree.NumNodes(), first.Tree.Depth(), first.Beta, first.Iterations)
+			first.Tree.NumNodes(), first.Tree.Depth(), first.Tree.Beta, first.Iterations)
 		if *printTree {
 			printTreeOut(first.Tree)
 		}

@@ -32,11 +32,14 @@ func fleetFixture(b *testing.B) (*frt.Ensemble, frt.SnapshotMeta, string) {
 	fleetFix.once.Do(func() {
 		rng := par.NewRNG(3)
 		g := graph.RandomConnected(1024, 4096, 8, rng)
-		fleetFix.ens, fleetFix.err = frt.SampleEnsemble(8, func() (*frt.Embedding, error) {
-			return frt.SampleOnGraph(g, rng, nil)
-		})
-		if fleetFix.err != nil {
-			return
+		fleetFix.ens = &frt.Ensemble{}
+		for range 8 {
+			emb, err := frt.SampleOnGraph(g, rng, nil)
+			if err != nil {
+				fleetFix.err = err
+				return
+			}
+			fleetFix.ens.Trees = append(fleetFix.ens.Trees, emb.Tree)
 		}
 		fleetFix.meta = frt.SnapshotMeta{GraphNodes: g.N(), GraphEdges: g.M()}
 		req := batchRequest{Pairs: make([][2]int64, 256)}

@@ -24,7 +24,7 @@ func main() {
 		panic(err)
 	}
 	fmt.Printf("sampled tree: %d tree nodes, depth %d, β=%.3f\n",
-		emb.Tree.NumNodes(), emb.Tree.Depth(), emb.Beta)
+		emb.Tree.NumNodes(), emb.Tree.Depth(), emb.Tree.Beta)
 	fmt.Printf("oracle iterations to LE-list fixpoint: %d (≈ SPD(H) ∈ O(log²n))\n\n", emb.Iterations)
 
 	// Spot-check a few pairs against exact distances.

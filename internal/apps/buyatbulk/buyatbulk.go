@@ -7,16 +7,16 @@
 //	(2) routes every demand along its unique tree path and buys, per tree
 //	    edge with accumulated flow d_e, the cable type minimising
 //	    c_i·⌈d_e/u_i⌉ (an O(1)-approximation on the tree) — flows are
-//	    accumulated with an LCA-delta sweep over the TreeIndex instead of
-//	    per-demand lockstep walks, and
+//	    accumulated with an LCA-delta sweep: one lockstep walk per demand
+//	    finds its LCA, and one subtree-sum pass turns the deltas into
+//	    per-edge flow, and
 //	(3) maps each loaded tree edge back to a shortest path in G between the
 //	    cluster centers (§7.5) through routing.Tables, the application
 //	    tier's one path expander, purchasing the same cables along it.
 //	    Solve builds one Tables per call, whose single sparse-engine
 //	    fixpoint targets the union of every visited tree's loaded parent
 //	    centers; SolveOnTables reuses prebuilt tables — a daemon passes the
-//	    ones it caches for /route — so a request runs no fixpoint and
-//	    indexes no tree.
+//	    ones it caches for /route — so a request runs no fixpoint.
 //
 // A next-hop entry is (exact distance, smallest neighbour on a shortest
 // path) whichever other targets share its fixpoint, so both entry points
@@ -125,9 +125,9 @@ func validate(n int, demands []Demand, cables []CableType) error {
 }
 
 // Solve computes an expected O(log n)-approximate buy-at-bulk solution. It
-// indexes the visited trees, computes every tree's loaded hops, and expands
-// them all through one routing.Tables built towards the union of their
-// parent centers.
+// validates the visited trees, computes every tree's loaded hops, and
+// expands them all through one routing.Tables built towards the union of
+// their parent centers.
 func Solve(g *graph.Graph, demands []Demand, cables []CableType, opts Options) (*Solution, error) {
 	if err := validate(g.N(), demands, cables); err != nil {
 		return nil, err
@@ -140,24 +140,23 @@ func Solve(g *graph.Graph, demands []Demand, cables []CableType, opts Options) (
 	if err != nil {
 		return nil, err
 	}
-	trees := make([]*frt.TreeIndex, len(visit))
 	loads := make([][]load, len(visit))
 	var targets []graph.Node
 	for i, tree := range visit {
-		if trees[i], err = frt.NewTreeIndex(tree); err != nil {
-			return nil, err
+		if err := tree.Validate(); err != nil {
+			return nil, fmt.Errorf("buyatbulk: tree %d: %w", i, err)
 		}
-		loads[i] = treeLoads(trees[i], demands)
+		loads[i] = treeLoads(tree, demands)
 		for _, l := range loads[i] {
 			targets = append(targets, l.to)
 		}
 	}
-	return cheapest(routing.New(g, trees, targets, opts.Tracker), loads, cables)
+	return cheapest(routing.New(g, targets, opts.Tracker), loads, cables)
 }
 
 // SolveOnTables is Solve on prebuilt routing tables: it visits the trees of
 // rt that opts.FirstTree and opts.Trees select and expands every loaded hop
-// through rt, so it runs no fixpoint and indexes no tree. The other Options
+// through rt, so it runs no fixpoint. The other Options
 // fields are unused. rt must route towards every internal-node center of its
 // trees, as routing.Build's tables do; on tables built from the same
 // ensemble it returns exactly what Solve returns.
@@ -171,8 +170,8 @@ func SolveOnTables(rt *routing.Tables, demands []Demand, cables []CableType, opt
 	}
 	trees := rt.Trees()[lo:hi]
 	loads := make([][]load, len(trees))
-	for i, tidx := range trees {
-		loads[i] = treeLoads(tidx, demands)
+	for i, tree := range trees {
+		loads[i] = treeLoads(tree, demands)
 	}
 	return cheapest(rt, loads, cables)
 }
@@ -183,25 +182,29 @@ type load struct {
 	flow     float64
 }
 
-// treeLoads runs step (2) on one tree: per demand, +amount at both leaves
-// and −amount at their meeting height, then one children-before-parents
+// treeLoads runs step (2) on one valid tree: per demand, +amount at both
+// leaves and −amount at their LCA, which a lockstep walk up from the two
+// leaves (all at one depth) finds, then one children-before-parents
 // subtree-sum pass turns the deltas into per-tree-edge flow (keyed by the
-// child endpoint). O(|demands|·log depth + nt) total. Every tree edge with
+// child endpoint). O(|demands|·depth + nt) total. Every tree edge with
 // positive flow and distinct endpoint centers becomes a hop from the child's
 // center to the parent's.
-func treeLoads(tidx *frt.TreeIndex, demands []Demand) []load {
-	tree := tidx.Tree()
+func treeLoads(tree *frt.Tree, demands []Demand) []load {
 	nt := tree.NumNodes()
 	delta := make([]float64, nt)
 	for _, d := range demands {
 		if d.S == d.T {
 			continue
 		}
-		h := tidx.MergeHeight(d.S, d.T)
-		delta[tidx.Ancestor(d.S, 0)] += d.Amount
-		delta[tidx.Ancestor(d.S, h)] -= d.Amount
-		delta[tidx.Ancestor(d.T, 0)] += d.Amount
-		delta[tidx.Ancestor(d.T, h)] -= d.Amount
+		ls, lt := tree.Leaf[d.S], tree.Leaf[d.T]
+		lca, b := ls, lt
+		for lca != b {
+			lca, b = tree.Parent[lca], tree.Parent[b]
+		}
+		delta[ls] += d.Amount
+		delta[lca] -= d.Amount
+		delta[lt] += d.Amount
+		delta[lca] -= d.Amount
 	}
 	flow := make([]float64, nt)
 	for _, u := range bottomUp(tree) {

@@ -255,3 +255,26 @@ func TestSolveDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestSolveRejectsInvalidTree: a structurally invalid injected tree is an
+// error, not a walk that loops or runs off the tree.
+func TestSolveRejectsInvalidTree(t *testing.T) {
+	rng := par.NewRNG(5)
+	g := graph.RandomConnected(30, 70, 5, rng)
+	emb, err := frt.NewEmbedder(g, frt.Options{RNG: rng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ens, err := emb.SampleEnsemble(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := *ens.Trees[0]
+	bad.Parent = append([]int32(nil), bad.Parent...)
+	leaf := bad.Leaf[4]
+	bad.Parent[bad.Parent[leaf]] = leaf // a parent cycle above node 4's leaf
+	demands := []Demand{{S: 4, T: 20, Amount: 1}}
+	if _, err := Solve(g, demands, testCables, Options{Ensemble: &frt.Ensemble{Trees: []*frt.Tree{&bad}}}); err == nil {
+		t.Fatal("Solve accepted a structurally invalid tree")
+	}
+}

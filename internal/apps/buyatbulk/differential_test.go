@@ -13,8 +13,8 @@ import (
 )
 
 // referenceSolve is the per-tree expansion Solve replaced, kept as the
-// differential reference: every visited tree indexes itself and expands each
-// loaded hop with dijkstraWalk — no mbf routing table involved, so a wrong
+// differential reference: every visited tree finds its LCAs by marking root
+// paths and expands each loaded hop with dijkstraWalk — no mbf routing table involved, so a wrong
 // next-hop rule in mbf cannot hide in both sides.
 func referenceSolve(g *graph.Graph, demands []Demand, cables []CableType, ens *frt.Ensemble, opts Options) (*Solution, error) {
 	visit, err := opts.Visit(ens)
@@ -35,8 +35,7 @@ func referenceSolve(g *graph.Graph, demands []Demand, cables []CableType, ens *f
 }
 
 func referenceSolveOnTree(g *graph.Graph, tree *frt.Tree, demands []Demand, cables []CableType) (*Solution, error) {
-	tidx, err := frt.NewTreeIndex(tree)
-	if err != nil {
+	if err := tree.Validate(); err != nil {
 		return nil, err
 	}
 	nt := tree.NumNodes()
@@ -45,11 +44,18 @@ func referenceSolveOnTree(g *graph.Graph, tree *frt.Tree, demands []Demand, cabl
 		if d.S == d.T {
 			continue
 		}
-		h := tidx.MergeHeight(d.S, d.T)
-		delta[tidx.Ancestor(d.S, 0)] += d.Amount
-		delta[tidx.Ancestor(d.S, h)] -= d.Amount
-		delta[tidx.Ancestor(d.T, 0)] += d.Amount
-		delta[tidx.Ancestor(d.T, h)] -= d.Amount
+		onPath := map[int32]bool{}
+		for a := tree.Leaf[d.S]; a != -1; a = tree.Parent[a] {
+			onPath[a] = true
+		}
+		lca := tree.Leaf[d.T]
+		for !onPath[lca] {
+			lca = tree.Parent[lca]
+		}
+		delta[tree.Leaf[d.S]] += d.Amount
+		delta[lca] -= d.Amount
+		delta[tree.Leaf[d.T]] += d.Amount
+		delta[lca] -= d.Amount
 	}
 	flow := make([]float64, nt)
 	for _, u := range bottomUp(tree) {

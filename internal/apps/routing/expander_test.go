@@ -17,7 +17,7 @@ import (
 func TestPathOnNewTables(t *testing.T) {
 	g := graph.RandomConnected(50, 130, 6, par.NewRNG(12))
 	targets := []graph.Node{3, 17, 41}
-	rt := New(g, nil, targets, nil)
+	rt := New(g, targets, nil)
 	dist := make(map[graph.Node][]float64)
 	for _, s := range targets {
 		dist[s] = graph.Dijkstra(g, s).Dist

@@ -18,8 +18,9 @@
 //   - trees come from the shared frt.Embedder pipeline (or an injected
 //     ensemble, so a daemon serves routing from the same trees as its
 //     distance oracle),
-//   - the tree decomposition is read through frt.TreeIndex
-//     (MergeHeight/Ancestor — O(log depth) per query, no pointer walks),
+//   - Route picks its tree through an frt.OracleIndex over the visited
+//     trees (TreeDist, the per-tree distance the distance oracle serves),
+//     and reads the chosen tree path with one lockstep parent walk,
 //   - the next-hop tables are mbf.RoutingTablesTo towards the distinct
 //     cluster centers, shared by all trees: one distance-map fixpoint on
 //     the sparse engine, then one pass that derives each entry's next hop
@@ -33,6 +34,7 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 
 	"parmbf/internal/apps/scenario"
 	"parmbf/internal/frt"
@@ -51,11 +53,14 @@ type Options = scenario.Options
 // tightening the per-pair stretch without changing the oblivious tables.
 const defaultTrees = 4
 
-// Tables is a built oblivious-routing scheme: per-tree decompositions plus
-// one shared next-hop table towards a set of target centers.
+// Tables is a built oblivious-routing scheme: the visited trees and their
+// index, plus one shared next-hop table towards a set of target centers.
 type Tables struct {
 	g     *graph.Graph
-	trees []*frt.TreeIndex
+	trees []*frt.Tree
+	// index answers the per-tree distances Route picks its tree by (nil
+	// when the tables hold no trees).
+	index *frt.OracleIndex
 	// tables routes every node towards every target center; one sparse
 	// fixpoint serves all trees because the target set is the union of
 	// their centers.
@@ -82,7 +87,8 @@ type RouteResult struct {
 }
 
 // Build constructs the oblivious routing tables for g: the visited trees'
-// decompositions and next-hop tables towards every internal-node center.
+// index and next-hop tables towards every internal-node center. A
+// structurally invalid tree is an error.
 func Build(g *graph.Graph, opts Options) (*Tables, error) {
 	ens, err := opts.Resolve(g, defaultTrees)
 	if err != nil {
@@ -92,12 +98,12 @@ func Build(g *graph.Graph, opts Options) (*Tables, error) {
 	if err != nil {
 		return nil, err
 	}
-	trees := make([]*frt.TreeIndex, len(visit))
+	index, err := frt.NewOracleIndex(visit)
+	if err != nil {
+		return nil, err
+	}
 	var targets []graph.Node
-	for i, tree := range visit {
-		if trees[i], err = frt.NewTreeIndex(tree); err != nil {
-			return nil, err
-		}
+	for _, tree := range visit {
 		// Every internal tree node's center is a potential segment endpoint;
 		// leaves' centers are the graph nodes themselves and need no table
 		// entry (they are only ever walked *from*, or reached in reverse).
@@ -111,17 +117,17 @@ func Build(g *graph.Graph, opts Options) (*Tables, error) {
 			}
 		}
 	}
-	return New(g, trees, targets, opts.Tracker), nil
+	rt := New(g, targets, opts.Tracker)
+	rt.trees, rt.index = visit, index
+	return rt, nil
 }
 
-// New builds Tables over the given tree decompositions, with next-hop tables
+// New builds path-expansion Tables, holding no trees, with next-hop tables
 // towards targets only (repeats allowed): one sparse fixpoint whose state is
 // n×|distinct targets|. Path expands any hop with an endpoint among the
-// targets; Route needs the targets to cover every internal-node center of
-// trees, as Build's do. trees may be empty when the caller only expands
-// paths.
-func New(g *graph.Graph, trees []*frt.TreeIndex, targets []graph.Node, tracker *par.Tracker) *Tables {
-	rt := &Tables{g: g, trees: trees, isTarget: make([]bool, g.N())}
+// targets; Route needs tables from Build.
+func New(g *graph.Graph, targets []graph.Node, tracker *par.Tracker) *Tables {
+	rt := &Tables{g: g, isTarget: make([]bool, g.N())}
 	for _, t := range targets {
 		rt.isTarget[t] = true
 	}
@@ -131,12 +137,12 @@ func New(g *graph.Graph, trees []*frt.TreeIndex, targets []graph.Node, tracker *
 	return rt
 }
 
-// NumTrees returns the number of tree decompositions the tables hold.
+// NumTrees returns the number of trees the tables hold.
 func (rt *Tables) NumTrees() int { return len(rt.trees) }
 
-// Trees returns the tree decompositions in ensemble order. The slice is
-// shared: callers must not modify it.
-func (rt *Tables) Trees() []*frt.TreeIndex { return rt.trees }
+// Trees returns the trees in ensemble order, each structurally valid. The
+// slice is shared: callers must not modify it.
+func (rt *Tables) Trees() []*frt.Tree { return rt.trees }
 
 // Graph returns the graph the tables route on.
 func (rt *Tables) Graph() *graph.Graph { return rt.g }
@@ -154,25 +160,27 @@ func (rt *Tables) Route(u, v graph.Node) (*RouteResult, error) {
 	if len(rt.trees) == 0 {
 		return nil, fmt.Errorf("routing: tables hold no trees")
 	}
-	best, bestDist := 0, rt.trees[0].Dist(u, v)
+	best, bestDist := 0, rt.index.TreeDist(u, v, 0)
 	for t := 1; t < len(rt.trees); t++ {
-		if d := rt.trees[t].Dist(u, v); d < bestDist {
+		if d := rt.index.TreeDist(u, v, t); d < bestDist {
 			best, bestDist = t, d
 		}
 	}
-	tidx := rt.trees[best]
-	// The tree path of (u, v) read as centers: up from u to the LCA, down to
-	// v. Consecutive duplicate centers (a cluster keeping its center one
-	// level up) collapse to nothing — the walk shortcuts them for free.
-	h := tidx.MergeHeight(u, v)
-	center := tidx.Tree().Center
-	chain := make([]graph.Node, 0, 2*h+1)
-	for i := 0; i <= h; i++ {
-		chain = appendCenter(chain, center[tidx.Ancestor(u, i)])
+	// The tree path of (u, v) read as centers, in one lockstep walk: up
+	// from u to the LCA into the front of buf, up from v into its back, so
+	// buf[j:] runs down to v. Consecutive duplicate centers (a cluster
+	// keeping its center one level up) compact away — the walk shortcuts
+	// them for free.
+	tree := rt.trees[best]
+	buf := make([]graph.Node, 2*rt.index.MaxDepth()+1)
+	a, b, i, j := tree.Leaf[u], tree.Leaf[v], 0, len(buf)
+	for ; a != b; a, b = tree.Parent[a], tree.Parent[b] {
+		j--
+		buf[i], buf[j] = tree.Center[a], tree.Center[b]
+		i++
 	}
-	for i := h - 1; i >= 0; i-- {
-		chain = appendCenter(chain, center[tidx.Ancestor(v, i)])
-	}
+	buf[i] = tree.Center[a]
+	chain := slices.Compact(append(buf[:i+1], buf[j:]...))
 	path := []graph.Node{u}
 	length := 0.0
 	for i := 1; i < len(chain); i++ {
@@ -225,14 +233,6 @@ func (rt *Tables) RouteBatch(pairs []frt.Pair) ([]*RouteResult, error) {
 		out[i] = r
 	}
 	return out, nil
-}
-
-// appendCenter appends c unless it repeats the chain's last center.
-func appendCenter(chain []graph.Node, c graph.Node) []graph.Node {
-	if n := len(chain); n > 0 && chain[n-1] == c {
-		return chain
-	}
-	return append(chain, c)
 }
 
 // Validate checks a routed result against g: endpoints match, every hop is a

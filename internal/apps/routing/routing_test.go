@@ -132,6 +132,60 @@ func TestRouteInjectedEnsembleSharesTrees(t *testing.T) {
 	}
 }
 
+// TestRouteTreeChoiceMatchesWalk pins Route's tree choice: per pair it must
+// return the tree and the TreeDist bits of the strict-< argmin (first tree
+// on ties) of Tree.Dist over the visited trees, on the full ensemble and on
+// a FirstTree/Trees shard.
+func TestRouteTreeChoiceMatchesWalk(t *testing.T) {
+	rng := par.NewRNG(8)
+	g := graph.GridGraph(7, 7, 1, rng) // unit weights: tied tree distances
+	emb, err := frt.NewEmbedder(g, frt.Options{RNG: rng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ens, err := emb.SampleEnsemble(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, span := range []struct{ first, trees int }{{0, 0}, {1, 3}} {
+		rt, err := Build(g, Options{Ensemble: ens, FirstTree: span.first, Trees: span.trees})
+		if err != nil {
+			t.Fatal(err)
+		}
+		visit := ens.Trees[span.first:]
+		if span.trees > 0 {
+			visit = visit[:span.trees]
+		}
+		for u := graph.Node(0); int(u) < g.N(); u += 3 {
+			for v := graph.Node(1); int(v) < g.N(); v += 4 {
+				if u == v {
+					continue
+				}
+				best, bestDist := 0, visit[0].Dist(u, v)
+				for i, tr := range visit[1:] {
+					if d := tr.Dist(u, v); d < bestDist {
+						best, bestDist = i+1, d
+					}
+				}
+				r, err := rt.Route(u, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.Tree != best || math.Float64bits(r.TreeDist) != math.Float64bits(bestDist) {
+					t.Fatalf("span %+v pair (%d,%d): tree %d dist %v, walk argmin tree %d dist %v",
+						span, u, v, r.Tree, r.TreeDist, best, bestDist)
+				}
+			}
+		}
+	}
+	bad := *ens.Trees[0]
+	bad.Leaf = append([]int32(nil), bad.Leaf...)
+	bad.Leaf[3] = bad.Parent[bad.Leaf[3]] // one level short of the others
+	if _, err := Build(g, Options{Ensemble: &frt.Ensemble{Trees: []*frt.Tree{&bad}}}); err == nil {
+		t.Fatal("Build accepted a structurally invalid tree")
+	}
+}
+
 // routingStretchBoundC pins the median routed-path stretch at
 // c·log₂ n, mirroring the frt stretch_stat suite: observed medians on the
 // fixed seeds are ~1.5–2.5 (log₂ 128 = 7), so c = 1 gives ample headroom

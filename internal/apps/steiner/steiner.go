@@ -154,7 +154,7 @@ func Solve(g *graph.Graph, terminals []graph.Node, opts Options) (*Result, error
 			targets = append(targets, h.to)
 		}
 	}
-	rt := routing.New(g, nil, targets, opts.Tracker)
+	rt := routing.New(g, targets, opts.Tracker)
 	var best *Result
 	for _, hs := range hops {
 		res, err := expand(rt, hs, terminals)

@@ -112,7 +112,8 @@ func TestSkeletonListsMatchOverlayLE(t *testing.T) {
 	g := graph.RandomConnected(60, 150, 5, rng)
 	res := Skeleton(g, rng, SkeletonOptions{})
 	overlay := ExplicitOverlay(g, res.Spanner, res.StretchBound)
-	want, _ := frt.LEListsOnGraph(overlay, res.Order, nil)
+	lists, _ := frt.LEListsOnGraphBatch(overlay, []*frt.Order{res.Order}, nil)
+	want := lists[0]
 	mod := semiring.DistMapModule{}
 	for v := 0; v < g.N(); v++ {
 		if !mod.Equal(res.Lists[v], want[v]) {

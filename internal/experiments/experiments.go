@@ -215,10 +215,9 @@ func E4LELists(cfg Config) *Table {
 	}
 	for _, n := range cfg.sizes(128, 256, 512, 1024) {
 		g := graph.RandomConnected(n, 3*n, 8, rng)
-		order := frt.NewOrder(n, rng)
-		lists, _ := frt.LEListsOnGraph(g, order, nil)
+		lists, _ := frt.LEListsOnGraphBatch(g, []*frt.Order{frt.NewOrder(n, rng)}, nil)
 		maxLen, sum := 0, 0
-		for _, l := range lists {
+		for _, l := range lists[0] {
 			if l.Len() > maxLen {
 				maxLen = l.Len()
 			}

@@ -403,10 +403,13 @@ func A3HopSetChoice(cfg Config) *Table {
 		tr := &par.Tracker{}
 		var iters, d int
 		stats, err := frt.MeasureStretch(g, func() (*frt.Embedding, error) {
-			emb, err := frt.Sample(g, frt.Options{RNG: rng, HopSet: kind.k, Tracker: tr})
+			e, err := frt.NewEmbedder(g, frt.Options{RNG: rng, HopSet: kind.k, Tracker: tr})
+			if err != nil {
+				return nil, err
+			}
+			emb, err := e.Sample()
 			if err == nil {
-				iters = emb.Iterations
-				d = emb.H.Hop.D
+				iters, d = emb.Iterations, e.H().Hop.D
 			}
 			return emb, err
 		}, trees, pairs, rng)

@@ -16,7 +16,7 @@ func BenchmarkLEListsOnGraph(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		order := NewOrder(g.N(), rng)
-		LEListsOnGraph(g, order, nil)
+		leListsOnGraph(g, order, nil)
 	}
 }
 
@@ -27,8 +27,7 @@ func BenchmarkLEListsFromMetric(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		order := NewOrder(m.N, rng)
-		LEListsFromMetric(m, order, nil)
+		exactLELists(m, NewOrder(m.N, rng).mustKeys(m.N), nil)
 	}
 }
 
@@ -65,7 +64,7 @@ func BenchmarkBuildTree(b *testing.B) {
 	rng := par.NewRNG(4)
 	g := graph.RandomConnected(512, 2048, 8, rng)
 	order := NewOrder(g.N(), rng)
-	lists, _ := LEListsOnGraph(g, order, nil)
+	lists, _ := leListsOnGraph(g, order, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -91,7 +90,7 @@ func BenchmarkEnsembleNaive(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				rng := par.NewRNG(42)
-				_, err := SampleEnsemble(trees, func() (*Embedding, error) {
+				_, err := sampleEnsemble(trees, func() (*Embedding, error) {
 					return Sample(g, Options{RNG: rng})
 				})
 				if err != nil {

@@ -83,14 +83,7 @@ func (e *Embedder) sampleWith(rng *par.RNG, tracker *par.Tracker) (*Embedding, e
 	if err != nil {
 		return nil, err
 	}
-	return &Embedding{
-		Tree:       tree,
-		Order:      order,
-		Beta:       beta,
-		LELists:    rk.nodeKeyed(lists),
-		H:          e.h,
-		Iterations: iters,
-	}, nil
+	return &Embedding{Tree: tree, Order: order, Iterations: iters}, nil
 }
 
 // Sample draws one tree against the shared pipeline, advancing the

@@ -1,7 +1,6 @@
 package frt
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -37,25 +36,6 @@ type Ensemble struct {
 func (e *Ensemble) Index() (*OracleIndex, error) {
 	e.idxOnce.Do(func() { e.idx, e.idxErr = NewOracleIndex(e.Trees) })
 	return e.idx, e.idxErr
-}
-
-// SampleEnsemble draws `count` independent embeddings via sampler, one at a
-// time. Every call of sampler pays the full pipeline cost; prefer
-// (*Embedder).SampleEnsemble, which shares the hop set, H, and oracle across
-// trees and samples them concurrently.
-func SampleEnsemble(count int, sampler func() (*Embedding, error)) (*Ensemble, error) {
-	if count < 1 {
-		return nil, fmt.Errorf("frt: ensemble needs ≥ 1 tree")
-	}
-	e := &Ensemble{Trees: make([]*Tree, 0, count)}
-	for i := 0; i < count; i++ {
-		emb, err := sampler()
-		if err != nil {
-			return nil, err
-		}
-		e.Trees = append(e.Trees, emb.Tree)
-	}
-	return e, nil
 }
 
 // Min returns the smallest tree distance over the ensemble — an upper bound

@@ -5,17 +5,18 @@ import (
 
 	"parmbf/internal/graph"
 	"parmbf/internal/par"
+	"parmbf/internal/semiring"
 )
 
 func TestEnsembleMinImprovesWithTrees(t *testing.T) {
 	rng := par.NewRNG(1)
 	g := graph.RandomConnected(50, 120, 6, rng)
 	sampler := func() (*Embedding, error) { return SampleOnGraph(g, rng, nil) }
-	small, err := SampleEnsemble(1, sampler)
+	small, err := sampleEnsemble(1, sampler)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := SampleEnsemble(8, sampler)
+	big, err := sampleEnsemble(8, sampler)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestEnsembleMinImprovesWithTrees(t *testing.T) {
 func TestEnsembleMinIsMinimum(t *testing.T) {
 	rng := par.NewRNG(3)
 	g := graph.GridGraph(5, 5, 3, rng)
-	e, err := SampleEnsemble(4, func() (*Embedding, error) { return SampleOnGraph(g, rng, nil) })
+	e, err := sampleEnsemble(4, func() (*Embedding, error) { return SampleOnGraph(g, rng, nil) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestEnsembleMedianEvenOdd(t *testing.T) {
 	rng := par.NewRNG(4)
 	g := graph.PathGraph(10, 1)
 	for _, count := range []int{3, 4} {
-		e, err := SampleEnsemble(count, func() (*Embedding, error) { return SampleOnGraph(g, rng, nil) })
+		e, err := sampleEnsemble(count, func() (*Embedding, error) { return SampleOnGraph(g, rng, nil) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,29 +80,22 @@ func TestEnsembleMedianEvenOdd(t *testing.T) {
 	}
 }
 
-func TestEnsembleRejectsZeroCount(t *testing.T) {
-	if _, err := SampleEnsemble(0, nil); err == nil {
-		t.Fatal("count 0 accepted")
-	}
-}
-
-func TestEnsemblePropagatesSamplerError(t *testing.T) {
-	g := graph.PathGraph(3, 1)
-	calls := 0
-	_, err := SampleEnsemble(3, func() (*Embedding, error) {
-		calls++
-		if calls == 2 {
-			return nil, errTest
+// sampleEnsemble draws count embeddings via sampler, one at a time, into
+// an Ensemble.
+func sampleEnsemble(count int, sampler func() (*Embedding, error)) (*Ensemble, error) {
+	e := &Ensemble{}
+	for range count {
+		emb, err := sampler()
+		if err != nil {
+			return nil, err
 		}
-		return SampleOnGraph(g, par.NewRNG(1), nil)
-	})
-	if err != errTest {
-		t.Fatalf("sampler error not propagated: %v", err)
+		e.Trees = append(e.Trees, emb.Tree)
 	}
+	return e, nil
 }
 
-var errTest = &testError{}
-
-type testError struct{}
-
-func (*testError) Error() string { return "test error" }
+// leListsOnGraph is LEListsOnGraphBatch for one order.
+func leListsOnGraph(g *graph.Graph, o *Order, tracker *par.Tracker) ([]semiring.DistMap, int) {
+	lists, iters := LEListsOnGraphBatch(g, []*Order{o}, tracker)
+	return lists[0], iters[0]
+}

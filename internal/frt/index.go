@@ -8,146 +8,11 @@ import (
 	"parmbf/internal/par"
 )
 
-// This file is the query layer over sampled FRT trees: TreeIndex answers
-// single-tree distance queries in O(log depth) array lookups instead of the
-// O(depth) pointer walk of Tree.Dist, and OracleIndex bundles an ensemble
-// into a batched min-distance oracle — the serving-side counterpart of the
-// construction pipeline (Embedder builds trees cheaply, OracleIndex makes
-// them cheap to use).
-
-// TreeIndex is a preprocessed FRT tree supporting pointer-free distance
-// queries. It exploits the uniform leaf depth of FRT trees: every leaf has
-// exactly depth+1 ancestors (itself included), so the ancestors and the
-// prefix weights of all leaves pack into two flat arrays with one contiguous
-// row per graph node. A query touches only the two rows of its endpoints —
-// no pointer chasing through tree nodes scattered across the heap.
-//
-// Build cost is O(n·depth) time and memory; Dist is O(log depth): ancestor
-// rows merge monotonically (once two lockstep walks meet they stay met), so
-// the merge height is found by binary search.
-type TreeIndex struct {
-	tree   *Tree
-	n      int // number of leaves (graph nodes)
-	depth  int // levels from leaf to root; stride-1
-	stride int // depth+1 entries per row
-	// anc[v*stride+h] is the height-h ancestor of v's leaf (h=0 the leaf
-	// itself, h=depth the root).
-	anc []int32
-	// pw[v*stride+h] is the total edge weight from v's leaf up to its
-	// height-h ancestor, accumulated bottom-up — the same summation order as
-	// Tree.Dist's walk, so results agree bitwise.
-	pw []float64
-}
-
-// NewTreeIndex preprocesses t. It fails on structurally invalid trees
-// (unequal leaf depths, out-of-range pointers, parent cycles) — the same
-// defects Tree.Validate reports — rather than producing a lying index.
-func NewTreeIndex(t *Tree) (*TreeIndex, error) {
-	n := len(t.Leaf)
-	if n == 0 || t.NumNodes() == 0 {
-		return nil, fmt.Errorf("frt: cannot index an empty tree")
-	}
-	if len(t.EdgeWeight) < t.NumNodes() {
-		return nil, fmt.Errorf("frt: tree has %d parents but %d edge weights", t.NumNodes(), len(t.EdgeWeight))
-	}
-	// Measure the depth of Leaf[0] with explicit bounds checks (Tree.Depth
-	// assumes a valid tree; the index must not) — every other leaf is then
-	// required to match it during the parallel fill.
-	depth := 0
-	for u := t.Leaf[0]; ; depth++ {
-		if u < 0 || int(u) >= t.NumNodes() || depth > t.NumNodes() {
-			return nil, fmt.Errorf("frt: broken parent chain at leaf 0 (run Validate for details)")
-		}
-		if t.Parent[u] == -1 {
-			break
-		}
-		u = t.Parent[u]
-	}
-	stride := depth + 1
-	x := &TreeIndex{
-		tree:   t,
-		n:      n,
-		depth:  depth,
-		stride: stride,
-		anc:    make([]int32, n*stride),
-		pw:     make([]float64, n*stride),
-	}
-	// Rows are independent; fill them in parallel. Each row reports whether
-	// its chain is broken, and the lowest such graph node is named, so the
-	// error does not depend on scheduling.
-	bad := par.Reduce(n, n,
-		func(v int) int {
-			row := v * stride
-			u := t.Leaf[v]
-			if u < 0 || int(u) >= t.NumNodes() {
-				return v
-			}
-			x.anc[row] = u
-			for h := 0; h < depth; h++ {
-				p := t.Parent[u]
-				if p < 0 || int(p) >= t.NumNodes() {
-					return v
-				}
-				x.pw[row+h+1] = x.pw[row+h] + t.EdgeWeight[u]
-				x.anc[row+h+1] = p
-				u = p
-			}
-			if t.Parent[u] != -1 {
-				return v // deeper than Leaf[0]: unequal depths
-			}
-			return n
-		},
-		func(a, b int) int { return min(a, b) })
-	if bad < n {
-		return nil, invalidTreeAt(bad)
-	}
-	return x, nil
-}
-
-// Tree returns the tree the index was built from.
-func (x *TreeIndex) Tree() *Tree { return x.tree }
-
-// NumLeaves returns the number of graph nodes (leaves) indexed.
-func (x *TreeIndex) NumLeaves() int { return x.n }
-
-// Depth returns the uniform leaf depth of the indexed tree.
-func (x *TreeIndex) Depth() int { return x.depth }
-
-// Dist returns the tree distance between the leaves of u and v, bitwise
-// identical to Tree.Dist, in O(log depth) lookups: binary search for the
-// merge height h (the lowest height at which the ancestor rows agree), then
-// one prefix-weight load per endpoint.
-func (x *TreeIndex) Dist(u, v graph.Node) float64 {
-	if u == v {
-		return 0
-	}
-	ru, rv := int(u)*x.stride, int(v)*x.stride
-	h := mergeHeight(x.anc[ru:ru+x.stride], x.anc[rv:rv+x.stride])
-	return x.pw[ru+h] + x.pw[rv+h]
-}
-
-// MergeHeight returns the lowest height at which the ancestor chains of u's
-// and v's leaves meet — the height of their lowest common ancestor — in
-// O(log depth) lookups. MergeHeight(v, v) is 0.
-func (x *TreeIndex) MergeHeight(u, v graph.Node) int {
-	if u == v {
-		return 0
-	}
-	ru, rv := int(u)*x.stride, int(v)*x.stride
-	return mergeHeight(x.anc[ru:ru+x.stride], x.anc[rv:rv+x.stride])
-}
-
-// Ancestor returns the tree node that is the height-h ancestor of v's leaf
-// (h=0 the leaf itself, h=Depth() the root). Combined with MergeHeight it
-// exposes the tree decomposition to the application tier: the tree path
-// between two leaves is their ancestor chains up to the merge height, and
-// Ancestor(u, MergeHeight(u, v)) is the LCA. Panics if h is out of range.
-func (x *TreeIndex) Ancestor(v graph.Node, h int) int32 {
-	if h < 0 || h > x.depth {
-		panic("frt: ancestor height out of range")
-	}
-	return x.anc[int(v)*x.stride+h]
-}
+// This file is the query layer over sampled FRT trees: OracleIndex bundles
+// an ensemble into a batched min-distance oracle — the serving-side
+// counterpart of the construction pipeline (Embedder builds trees cheaply,
+// OracleIndex makes them cheap to use). A single tree is a one-tree
+// ensemble.
 
 // Pair is a distance-query pair.
 type Pair struct {
@@ -217,7 +82,8 @@ const packedLaneMax = 1 << 16
 // NewOracleIndex indexes every tree of the ensemble. All trees must embed
 // the same node set, and each must be structurally sound: leaves and
 // parents in range, no parent cycle, every leaf at the same depth. A tree
-// that breaks any of these is refused (the defects NewTreeIndex reports).
+// that breaks any of these is refused, with an error naming the lowest
+// graph node whose leaf-to-root walk finds the defect.
 //
 // Each tree is packed straight from its Parent, Leaf and EdgeWeight arrays,
 // one tree at a time: a serial walk numbers the tree's clusters per height
@@ -332,8 +198,8 @@ func invalidTreeAt(v int) error {
 // ancestor of a numbered node is numbered, so a height-h node gets its id
 // at the first leaf whose height-h ancestor it is — the equality-preserving
 // renumbering the merge-height scan compares, independent of how the tree
-// numbers its nodes. The walk also checks what NewTreeIndex checks: leaves
-// and parents in range, and every leaf at depth, which is leaf 0's depth. A
+// numbers its nodes. The walk also checks the tree's shape: leaves and
+// parents in range, and every leaf at depth, which is leaf 0's depth. A
 // node reached at a height other than the one it was numbered at closes a
 // parent cycle or joins chains of unequal length. The error names the
 // lowest graph node whose walk finds a defect.
@@ -537,7 +403,7 @@ func (o *OracleIndex) MaxDepth() int { return o.stride - 1 }
 // and locating the highest differing lane with a leading-zero count. The
 // loop is chosen from the index's shape: 16-bit rows over level-uniform
 // trees (every BuildTree ensemble up to 65536 nodes) take a hand-inlined
-// scan, anything else the per-tree treeDist helper.
+// scan, anything else the per-tree TreeDist.
 func (o *OracleIndex) Min(u, v graph.Node) float64 {
 	if u == v {
 		return 0
@@ -545,7 +411,7 @@ func (o *OracleIndex) Min(u, v graph.Node) float64 {
 	var best float64
 	if o.split > 0 || o.pwStep > 0 {
 		for t := 0; t < o.k; t++ {
-			if d := o.treeDist(u, v, t); t == 0 || d < best {
+			if d := o.TreeDist(u, v, t); t == 0 || d < best {
 				best = d
 			}
 		}
@@ -578,9 +444,13 @@ func (o *OracleIndex) Min(u, v graph.Node) float64 {
 	return best
 }
 
-// treeDist returns the distance of u ≠ v in tree t: the prefix weights of
-// both leaves at their merge height.
-func (o *OracleIndex) treeDist(u, v graph.Node, t int) float64 {
+// TreeDist returns the distance of u and v in tree t, bitwise
+// Trees[t].Dist(u, v): the prefix weights of both leaves at their merge
+// height, 0 when u == v.
+func (o *OracleIndex) TreeDist(u, v graph.Node, t int) float64 {
+	if u == v {
+		return 0
+	}
 	h := t*o.stride + o.height(u, v, t)
 	return o.pw[int(u)*o.pwStep+h] + o.pw[int(v)*o.pwStep+h]
 }
@@ -607,21 +477,6 @@ func (o *OracleIndex) height(u, v graph.Node, t int) int {
 	return 0
 }
 
-// mergeHeight binary-searches one int32 ancestor row pair for the first
-// height at which they agree (TreeIndex's merge-height search).
-func mergeHeight(au, av []int32) int {
-	lo, hi := 0, len(au)-1
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if au[mid] == av[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
 // Median returns the median tree distance, identical to Ensemble.Median.
 func (o *OracleIndex) Median(u, v graph.Node) float64 {
 	ds := o.med.Get()
@@ -644,14 +499,8 @@ func (o *OracleIndex) median(u, v graph.Node, ds []float64) float64 {
 // sorts a full gather) reproduces Min/Median bitwise — the contract the
 // sharded router relies on to merge partial per-tree results server-side.
 func (o *OracleIndex) perTreeDists(u, v graph.Node, lo, hi int, dst []float64) {
-	if u == v {
-		for i := range dst[: hi-lo : hi-lo] {
-			dst[i] = 0
-		}
-		return
-	}
 	for t := lo; t < hi; t++ {
-		dst[t-lo] = o.treeDist(u, v, t)
+		dst[t-lo] = o.TreeDist(u, v, t)
 	}
 }
 

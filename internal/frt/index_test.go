@@ -1,7 +1,6 @@
 package frt
 
 import (
-	"bytes"
 	"math"
 	"reflect"
 	"runtime"
@@ -19,7 +18,7 @@ func sampleEnsembleForIndex(t testing.TB, seed uint64, n, m, k int) (*graph.Grap
 	t.Helper()
 	rng := par.NewRNG(seed)
 	g := graph.RandomConnected(n, m, 8, rng)
-	e, err := SampleEnsemble(k, func() (*Embedding, error) { return SampleOnGraph(g, rng, nil) })
+	e, err := sampleEnsemble(k, func() (*Embedding, error) { return SampleOnGraph(g, rng, nil) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,8 +32,8 @@ func maxProcsSettings() []int {
 }
 
 // TestIndexDifferential is the pinning suite for the query rewrite: on
-// random graphs and random pairs, TreeIndex.Dist must equal the parent-walk
-// Tree.Dist and OracleIndex.MinBatch must equal the walk-based
+// random graphs and random pairs, OracleIndex.TreeDist must equal the
+// parent-walk Tree.Dist (u == v included) and OracleIndex.MinBatch the walk-based
 // min-over-trees bitwise (==, not within epsilon), for every par.MaxProcs
 // setting. The index may only change how distances are computed, never
 // their bits.
@@ -47,13 +46,13 @@ func TestIndexDifferential(t *testing.T) {
 	}
 	rngG := par.NewRNG(7)
 	grid := graph.GridGraph(6, 6, 5, rngG)
-	gridEns, err := SampleEnsemble(4, func() (*Embedding, error) { return SampleOnGraph(grid, rngG, nil) })
+	gridEns, err := sampleEnsemble(4, func() (*Embedding, error) { return SampleOnGraph(grid, rngG, nil) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	randG, randEns := sampleEnsembleForIndex(t, 11, 80, 240, 5)
 	pathG := graph.PathGraph(17, 2)
-	pathEns, err := SampleEnsemble(3, func() (*Embedding, error) { return SampleOnGraph(pathG, par.NewRNG(13), nil) })
+	pathEns, err := sampleEnsemble(3, func() (*Embedding, error) { return SampleOnGraph(pathG, par.NewRNG(13), nil) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,13 +76,9 @@ func TestIndexDifferential(t *testing.T) {
 			pairs = append(pairs, Pair{U: 0, V: 0}, Pair{U: 0, V: graph.Node(n - 1)}, Pair{U: graph.Node(n - 1), V: 0})
 
 			for ti, tr := range c.e.Trees {
-				ix, err := NewTreeIndex(tr)
-				if err != nil {
-					t.Fatal(err)
-				}
 				for _, p := range pairs {
-					if got, want := ix.Dist(p.U, p.V), tr.Dist(p.U, p.V); got != want {
-						t.Fatalf("procs=%d %s tree %d: TreeIndex.Dist(%d,%d)=%v, walk %v",
+					if got, want := idx.TreeDist(p.U, p.V, ti), tr.Dist(p.U, p.V); got != want {
+						t.Fatalf("procs=%d %s tree %d: TreeDist(%d,%d)=%v, walk %v",
 							procs, c.name, ti, p.U, p.V, got, want)
 					}
 				}
@@ -295,46 +290,11 @@ func TestEnsembleQueriesUseIndex(t *testing.T) {
 	}
 }
 
-// TestTreeIndexRoundTripsThroughIO pins the treeio contract: the index is a
-// deterministic function of the tree, so WriteTree → ReadTree →
-// NewTreeIndex rebuilds an index structurally identical to one built from
-// the in-memory tree.
-func TestTreeIndexRoundTripsThroughIO(t *testing.T) {
-	_, e := sampleEnsembleForIndex(t, 31, 35, 90, 1)
-	tr := e.Trees[0]
-	want, err := NewTreeIndex(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteTree(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	read, err := ReadTree(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := NewTreeIndex(read)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.n != want.n || got.depth != want.depth || got.stride != want.stride {
-		t.Fatalf("shape differs: n %d/%d depth %d/%d stride %d/%d",
-			got.n, want.n, got.depth, want.depth, got.stride, want.stride)
-	}
-	if !reflect.DeepEqual(got.anc, want.anc) {
-		t.Fatal("ancestor tables differ after IO round trip")
-	}
-	if !reflect.DeepEqual(got.pw, want.pw) {
-		t.Fatal("prefix-weight tables differ after IO round trip")
-	}
-}
-
-// TestTreeIndexRejectsInvalidTrees covers the structural guards: empty
-// trees, unequal leaf depths, out-of-range leaves and parents, and parent
-// cycles must refuse to index, in a TreeIndex and in an OracleIndex alike
-// (and, matching the Dist edge-case fix, the walk reports +Inf on unequal
-// depths instead of panicking).
+// TestTreeIndexRejectsInvalidTrees covers the structural guards: empty trees,
+// unequal leaf depths, out-of-range leaves and parents, and parent cycles
+// must fail Validate and refuse an OracleIndex (and, matching the Dist
+// edge-case fix, the walk reports +Inf on unequal depths instead of
+// panicking).
 func TestTreeIndexRejectsInvalidTrees(t *testing.T) {
 	// Root with one leaf child at depth 1 and one at depth 2.
 	uneven := &Tree{
@@ -388,9 +348,6 @@ func TestTreeIndexRejectsInvalidTrees(t *testing.T) {
 		if err := c.tr.Validate(); err == nil {
 			t.Fatalf("%s: Validate accepted the tree", c.name)
 		}
-		if _, err := NewTreeIndex(c.tr); err == nil {
-			t.Fatalf("%s: TreeIndex built", c.name)
-		}
 		if _, err := NewOracleIndex([]*Tree{valid(), c.tr}); err == nil {
 			t.Fatalf("%s: OracleIndex built", c.name)
 		}
@@ -401,7 +358,7 @@ func TestTreeIndexRejectsInvalidTrees(t *testing.T) {
 }
 
 // TestIndexErrorNamesLowestNode pins the error of a tree with several
-// broken leaves: both indexes name the lowest one, whatever the parallel
+// broken leaves: the index names the lowest one, whatever the parallel
 // width. Most broken leaves open a parallel chunk, so a first-found report
 // would often name a higher node.
 func TestIndexErrorNamesLowestNode(t *testing.T) {
@@ -417,9 +374,6 @@ func TestIndexErrorNamesLowestNode(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		par.MaxProcs = procs
 		for rep := 0; rep < 20; rep++ {
-			if _, err := NewTreeIndex(tr); err == nil || !strings.Contains(err.Error(), want) {
-				t.Fatalf("procs %d: NewTreeIndex error %v, want one naming %q", procs, err, want)
-			}
 			if _, err := NewOracleIndex([]*Tree{tr}); err == nil || !strings.Contains(err.Error(), want) {
 				t.Fatalf("procs %d: NewOracleIndex error %v, want one naming %q", procs, err, want)
 			}
@@ -445,13 +399,6 @@ func TestIndexAccessors(t *testing.T) {
 	}
 	if idx.MaxDepth() != maxDepth {
 		t.Fatalf("MaxDepth = %d, want %d", idx.MaxDepth(), maxDepth)
-	}
-	ti, err := NewTreeIndex(e.Trees[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ti.Tree() != e.Trees[0] || ti.NumLeaves() != g.N() || ti.Depth() != e.Trees[0].Depth() {
-		t.Fatalf("tree index shape: tree %p leaves %d depth %d", ti.Tree(), ti.NumLeaves(), ti.Depth())
 	}
 }
 
@@ -514,56 +461,5 @@ func TestOracleIndexRejectsMismatchedTrees(t *testing.T) {
 	_, e2 := sampleEnsembleForIndex(t, 52, 12, 24, 1)
 	if _, err := NewOracleIndex([]*Tree{e1.Trees[0], e2.Trees[0]}); err == nil {
 		t.Fatal("mismatched node counts indexed")
-	}
-}
-
-// TestTreeIndexDecompositionAccessors pins MergeHeight / Ancestor / LCA —
-// the decomposition API the application tier (oblivious routing, buy-at-bulk
-// flow accumulation) walks — against a naive parent walk on the raw tree.
-func TestTreeIndexDecompositionAccessors(t *testing.T) {
-	g, ens := sampleEnsembleForIndex(t, 91, 48, 140, 1)
-	tree := ens.Trees[0]
-	idx, err := NewTreeIndex(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx.Tree() != tree {
-		t.Fatal("Tree() does not return the indexed tree")
-	}
-	rng := par.NewRNG(92)
-	for trial := 0; trial < 200; trial++ {
-		u := graph.Node(rng.Intn(g.N()))
-		v := graph.Node(rng.Intn(g.N()))
-		// Naive walk: lift both leaves in lockstep (uniform leaf depth)
-		// until the chains meet.
-		cu, cv, h := tree.Leaf[u], tree.Leaf[v], 0
-		for cu != cv {
-			cu, cv = tree.Parent[cu], tree.Parent[cv]
-			h++
-		}
-		if got := idx.MergeHeight(u, v); got != h {
-			t.Fatalf("MergeHeight(%d, %d) = %d, walk says %d", u, v, got, h)
-		}
-		if got := idx.Ancestor(u, h); got != cu {
-			t.Fatalf("Ancestor(%d, %d) = %d, walk says %d", u, h, got, cu)
-		}
-		if got := idx.Ancestor(u, 0); got != tree.Leaf[u] {
-			t.Fatalf("Ancestor(%d, 0) = %d, want the leaf %d", u, got, tree.Leaf[u])
-		}
-	}
-	// The root is every leaf's Depth()-ancestor.
-	root := idx.Ancestor(0, idx.Depth())
-	if tree.Parent[root] != -1 {
-		t.Fatal("Depth()-ancestor is not the root")
-	}
-	for _, h := range []int{-1, idx.Depth() + 1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("Ancestor height %d must panic", h)
-				}
-			}()
-			idx.Ancestor(0, h)
-		}()
 	}
 }

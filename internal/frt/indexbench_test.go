@@ -27,7 +27,7 @@ func oracleFixture(b *testing.B) (*Ensemble, *OracleIndex, []Pair) {
 	oracleFix.once.Do(func() {
 		rng := par.NewRNG(1)
 		g := graph.RandomConnected(4096, 16384, 8, rng)
-		oracleFix.ens, oracleFix.err = SampleEnsemble(16, func() (*Embedding, error) {
+		oracleFix.ens, oracleFix.err = sampleEnsemble(16, func() (*Embedding, error) {
 			return SampleOnGraph(g, rng, nil)
 		})
 		if oracleFix.err != nil {

@@ -3,23 +3,26 @@
 // Lenzen: Least-Element (LE) lists are computed by an MBF-like algorithm —
 // either directly on a graph (the Khan et al. baseline, §8.1) or through the
 // §5 oracle on the simulated graph H — and an FRT tree is assembled from
-// them (Lemma 7.2). The package also contains the metric-input baseline in
-// the style of Blelloch et al. [10] used by the work-crossover experiment.
+// them (Lemma 7.2). The three input models of the paper differ only in how
+// the lists are computed — the oracle on H (Embedder, Sample), directly on G
+// (SampleOnGraph), or from an explicit metric in the style of Blelloch et
+// al. [10] (SampleExact, the work-crossover baseline).
 //
 // # Key spaces
 //
-// LE lists live in two key spaces. The public API is node-keyed:
-// InitialStates, Order.Filter and Order.FilterInPlace, BuildTree,
-// LEListsOnGraph(Batch) and Embedding.LELists take and return DistMaps
-// whose entry for source w is stored under w. Inside the package's LE
-// fixpoints — Embedder sampling, LEListsOnGraphBatch and DynamicEnsemble —
-// each tree's lists are rank-keyed instead: the entry for w is stored under
-// Rank[w]. The relabel is exact, because the semimodule operations and the
-// merge kernel only compare keys, and it pays twice: key order becomes rank
-// order, so the LE filter is the linear semiring.Staircase scan with no sort,
-// and a rank-keyed LE list is distance-descending, which is the order the
-// tree construction reads (buildTreeRanked). Lists cross back to node keys
-// once, on output.
+// LE lists live in two key spaces. The public list API is node-keyed:
+// InitialStates, Order.Filter and Order.FilterInPlace, BuildTree and
+// LEListsOnGraphBatch take and return DistMaps whose entry for source w is
+// stored under w. Everything the package computes itself — the samplers,
+// LEListsOnGraphBatch's fixpoints and DynamicEnsemble — is rank-keyed
+// instead: the entry for w is stored under Rank[w]. The relabel is exact,
+// because the semimodule operations and the merge kernel only compare keys,
+// and it pays twice: key order becomes rank order, so the LE filter is the
+// linear semiring.Staircase scan with no sort, and a rank-keyed LE list is
+// distance-descending, which is the order the tree construction reads
+// (buildTreeRanked). The samplers go from rank-keyed lists straight to the
+// tree; only LEListsOnGraphBatch converts its lists to node keys, once, on
+// output.
 package frt
 
 import (
@@ -138,24 +141,16 @@ func InitialStates(n int) []semiring.DistMap {
 	return semiring.SingletonStates(n)
 }
 
-// LEListsOnGraph computes the LE lists of a graph directly, by iterating
-// the MBF-like algorithm of Definition 7.3 on G until the fixpoint — the
-// parallel form of the Khan et al. algorithm (§8.1). It takes O(SPD(G))
-// iterations and is the baseline that the oracle-based computation on H
-// beats when SPD(G) is large. The returned iteration count is the number of
-// sparse iterations performed, including the final one that confirms the
-// fixpoint (see mbf.Runner.RunToFixpoint).
-func LEListsOnGraph(g *graph.Graph, order *Order, tracker *par.Tracker) ([]semiring.DistMap, int) {
-	lists, iters := LEListsOnGraphBatch(g, []*Order{order}, tracker)
-	return lists[0], iters[0]
-}
-
-// LEListsOnGraphBatch computes the LE lists of a graph under B independent
-// random orders — the B tree samples of an FRT ensemble — with one sparse
-// fixpoint per order; lists[b] and iters[b] equal LEListsOnGraph(g,
-// orders[b], …) exactly. The fixpoints run on rank-keyed lists (see the
-// package doc) and convert them to node keys once, on output; every order's
-// ranks must be a permutation of 0..n−1.
+// LEListsOnGraphBatch computes the LE lists of a graph directly, under B
+// independent random orders — the B tree samples of an FRT ensemble — by
+// iterating the MBF-like algorithm of Definition 7.3 on G until the
+// fixpoint: the parallel form of the Khan et al. algorithm (§8.1). It takes
+// O(SPD(G)) iterations per order and is the baseline that the oracle-based
+// computation on H beats when SPD(G) is large. iters[b] is the number of
+// sparse iterations of order b, including the final one that confirms the
+// fixpoint (see mbf.Runner.RunToFixpoint). The fixpoints run on rank-keyed
+// lists (see the package doc) and convert them to node keys once, on
+// output; every order's ranks must be a permutation of 0..n−1.
 func LEListsOnGraphBatch(g *graph.Graph, orders []*Order, tracker *par.Tracker) ([][]semiring.DistMap, []int) {
 	keys := make([]rankKeys, len(orders))
 	for b, order := range orders {
@@ -201,25 +196,4 @@ func leRunner(g *graph.Graph, tracker *par.Tracker) *mbf.Runner[float64, semirin
 		Size:          func(m semiring.DistMap) int { return m.Len() + 1 },
 		Tracker:       tracker,
 	}
-}
-
-// LEListsFromMetric computes LE lists directly from an explicit metric — the
-// input model of Blelloch et al. [10], where the metric is a complete graph
-// of SPD 1, so a single MBF-like iteration (here: one scan per node)
-// suffices. Work is Θ(n²) by necessity of reading the metric.
-func LEListsFromMetric(m *graph.Matrix, order *Order, tracker *par.Tracker) []semiring.DistMap {
-	n := m.N
-	out := make([]semiring.DistMap, n)
-	filter := order.Filter()
-	par.ForEach(n, func(v int) {
-		full := semiring.NewDistMap(n)
-		for w := 0; w < n; w++ {
-			if d := m.At(v, w); !semiring.IsInf(d) {
-				full = full.Append(graph.Node(w), d)
-			}
-		}
-		out[v] = filter(full)
-	})
-	tracker.AddPhase(int64(n)*int64(n), 1)
-	return out
 }

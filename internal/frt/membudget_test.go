@@ -65,7 +65,7 @@ func TestMemoryBudget(t *testing.T) {
 	// 7.6) at 12 B each, plus the 48 B header.
 	order := NewOrder(n, par.NewRNG(7))
 	lv, bytes := retainedBytes(func() any {
-		lists, _ := LEListsOnGraph(g, order, nil)
+		lists, _ := leListsOnGraph(g, order, nil)
 		return lists
 	})
 	lists := lv.([]semiring.DistMap)

@@ -23,7 +23,7 @@ func sameNode(v graph.Node) graph.Node { return v }
 // directTree is the direct pipeline: exact LE lists on g, then BuildTree.
 func directTree(t *testing.T, g *graph.Graph, order *Order, beta float64) *Tree {
 	t.Helper()
-	lists, _ := LEListsOnGraph(g, order, nil)
+	lists, _ := leListsOnGraph(g, order, nil)
 	tree, err := BuildTree(lists, order, beta)
 	if err != nil {
 		t.Fatal(err)

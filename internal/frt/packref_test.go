@@ -3,14 +3,13 @@ package frt
 // Reference test for the index pack: NewOracleIndex numbers each tree's
 // clusters in one serial climb from the leaves and writes every leaf's words
 // in one parallel walk; the reference below is the pack it replaced, which
-// built a TreeIndex per tree and renumbered each word column over the
-// ancestor table with per-column stamp arrays. Every field the queries read
+// built a per-leaf ancestor table per tree (ancRows) and renumbered each
+// word column over it with per-column stamp arrays. Every field the queries read
 // must agree exactly, at several parallel widths, on BuildTree ensembles,
 // on split 16/32-bit rows, on non-uniform weights and on trees whose node
 // ids are permuted (so a level's clusters are not contiguous).
 
 import (
-	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -19,7 +18,41 @@ import (
 	"parmbf/internal/par"
 )
 
-// packRef is NewOracleIndex as a TreeIndex per tree plus a per-column
+// ancRows is the per-leaf ancestor table the reference packs from, filled
+// serially: anc[v*stride+h] is the height-h ancestor of v's leaf (h = 0 the
+// leaf, h = depth the root) and pw[v*stride+h] the edge weight from the
+// leaf up to it, summed bottom-up like Tree.Dist.
+type ancRows struct {
+	tree          *Tree
+	depth, stride int
+	anc           []int32
+	pw            []float64
+}
+
+func newAncRows(tb testing.TB, t *Tree) *ancRows {
+	depth, ok := leafDepth(t)
+	if !ok {
+		tb.Fatal("reference: broken chain at leaf 0")
+	}
+	x := &ancRows{tree: t, depth: depth, stride: depth + 1}
+	x.anc = make([]int32, len(t.Leaf)*x.stride)
+	x.pw = make([]float64, len(t.Leaf)*x.stride)
+	for v, u := range t.Leaf {
+		row := v * x.stride
+		x.anc[row] = u
+		for h := 0; h < depth; h++ {
+			x.pw[row+h+1] = x.pw[row+h] + t.EdgeWeight[u]
+			u = t.Parent[u]
+			x.anc[row+h+1] = u
+		}
+		if t.Parent[u] != -1 {
+			tb.Fatalf("reference: leaf %d is deeper than leaf 0", v)
+		}
+	}
+	return x
+}
+
+// packRef is NewOracleIndex as an ancRows table per tree plus a per-column
 // stamp renumbering of its ancestor rows: the specification the direct
 // pack must meet.
 func packRef(tb testing.TB, trees []*Tree) *OracleIndex {
@@ -64,7 +97,7 @@ func packRef(tb testing.TB, trees []*Tree) *OracleIndex {
 	return o
 }
 
-// streamRef packs the trees one TreeIndex at a time; with pwStep = 0 it
+// streamRef packs the trees one ancRows table at a time; with pwStep = 0 it
 // returns false at the first tree whose prefix weights differ from leaf 0's.
 func (o *OracleIndex) streamRef(tb testing.TB, trees []*Tree) bool {
 	o.packed = make([]uint64, o.n*o.k*o.words)
@@ -84,10 +117,7 @@ func (o *OracleIndex) streamRef(tb testing.TB, trees []*Tree) bool {
 		}
 	}
 	for i, t := range trees {
-		x, err := NewTreeIndex(t)
-		if err != nil {
-			tb.Fatalf("reference: tree %d: %v", i, err)
-		}
+		x := newAncRows(tb, t)
 		o.packTreeRef(x, i)
 		if o.pwStep > 0 {
 			for v := 0; v < o.n; v++ {
@@ -111,7 +141,7 @@ func (o *OracleIndex) streamRef(tb testing.TB, trees []*Tree) bool {
 // packTreeRef renumbers each word column's heights in first-seen order over
 // v = 0…n−1 with a stamp per tree node, clamping heights past the tree's
 // depth to the root, and ORs the ids into their lanes.
-func (o *OracleIndex) packTreeRef(x *TreeIndex, t int) {
+func (o *OracleIndex) packTreeRef(x *ancRows, t int) {
 	nn := x.tree.NumNodes()
 	packColumn := func(heights []int, write func(v, lane int, id uint32)) {
 		id := make([]uint32, nn)
@@ -150,7 +180,7 @@ func (o *OracleIndex) packTreeRef(x *TreeIndex, t int) {
 
 // permuteTree renumbers tr's nodes by a random permutation (the root
 // included), so no level occupies a contiguous id range, and checks that
-// the result survives WriteTree → ReadTree.
+// the result is a valid tree.
 func permuteTree(tb testing.TB, tr *Tree, rng *par.RNG) *Tree {
 	tb.Helper()
 	nn := tr.NumNodes()
@@ -174,15 +204,10 @@ func permuteTree(tb testing.TB, tr *Tree, rng *par.RNG) *Tree {
 	for v, leaf := range tr.Leaf {
 		out.Leaf[v] = int32(perm[leaf])
 	}
-	var buf bytes.Buffer
-	if err := WriteTree(&buf, out); err != nil {
-		tb.Fatal(err)
+	if err := out.Validate(); err != nil {
+		tb.Fatalf("permuted tree is invalid: %v", err)
 	}
-	read, err := ReadTree(&buf)
-	if err != nil {
-		tb.Fatalf("permuted tree rejected by ReadTree: %v", err)
-	}
-	return read
+	return out
 }
 
 // packCases is the differential suite's input set.

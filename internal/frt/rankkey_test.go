@@ -63,10 +63,21 @@ func rankKeyGraphs() []struct {
 	}
 }
 
+// embedderLists replays the rank-keyed LE fixpoint an Embedder draw with
+// this order runs (sampleWith) and returns its lists under rank keys.
+func embedderLists(e *Embedder, order *Order) []semiring.DistMap {
+	n := e.Graph().N()
+	oracle := simgraph.NewOracle(e.H(), nil)
+	oracle.FilterInPlace = semiring.StaircaseInPlace
+	lists, _ := oracle.RunToFixpoint(semiring.SingletonStatesKeyed(order.mustKeys(n).key), semiring.Staircase, simgraph.MaxIters(n))
+	return lists
+}
+
 // TestEmbedderMatchesNodeKeyedOracle replays every Embedder draw through the
 // node-keyed public path — InitialStates, Order.Filter with no in-place
-// variant, the oracle, and BuildTree — and requires the same LE lists,
-// iteration count and tree, at two parallel widths.
+// variant, the oracle, and BuildTree — and requires the same LE lists (of
+// the rank-keyed replay, relabelled), iteration count and tree, at two
+// parallel widths.
 func TestEmbedderMatchesNodeKeyedOracle(t *testing.T) {
 	defer func(p int) { par.MaxProcs = p }(par.MaxProcs)
 	for _, procs := range []int{1, 2} {
@@ -90,13 +101,14 @@ func TestEmbedderMatchesNodeKeyedOracle(t *testing.T) {
 				if emb.Iterations != wantIts {
 					t.Fatalf("%s procs=%d tree %d: %d iterations, node-keyed %d", tc.name, procs, i, emb.Iterations, wantIts)
 				}
+				got := emb.Order.mustKeys(n).nodeKeyed(embedderLists(e, emb.Order))
 				for v := range want {
-					if !emb.LELists[v].IsSorted() || !mod.Equal(emb.LELists[v], want[v]) || !mod.Equal(cold[v], want[v]) {
-						t.Fatalf("%s procs=%d tree %d node %d: LELists %v, node-keyed %v, cold %v",
-							tc.name, procs, i, v, emb.LELists[v], want[v], cold[v])
+					if !got[v].IsSorted() || !mod.Equal(got[v], want[v]) || !mod.Equal(cold[v], want[v]) {
+						t.Fatalf("%s procs=%d tree %d node %d: rank-keyed %v, node-keyed %v, cold %v",
+							tc.name, procs, i, v, got[v], want[v], cold[v])
 					}
 				}
-				tree, err := BuildTree(want, emb.Order, emb.Beta)
+				tree, err := BuildTree(want, emb.Order, emb.Tree.Beta)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -168,7 +180,7 @@ func TestLEListLengthQuantile(t *testing.T) {
 		}
 		var lens []int
 		for _, emb := range embs {
-			for _, l := range emb.LELists {
+			for _, l := range embedderLists(e, emb.Order) {
 				lens = append(lens, l.Len())
 			}
 		}

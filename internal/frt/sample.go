@@ -4,7 +4,6 @@ import (
 	"parmbf/internal/graph"
 	"parmbf/internal/par"
 	"parmbf/internal/semiring"
-	"parmbf/internal/simgraph"
 )
 
 // HopSetKind selects the hop-set construction of the sampling pipeline
@@ -34,19 +33,11 @@ type Options struct {
 
 // Embedding is one sample from the FRT distribution of a graph.
 type Embedding struct {
-	// Tree is the sampled metric tree embedding.
+	// Tree is the sampled metric tree embedding; Tree.Beta is its random
+	// scale β.
 	Tree *Tree
 	// Order is the random node order used.
 	Order *Order
-	// Beta is the random scale β.
-	Beta float64
-	// LELists are the per-node LE lists w.r.t. the distances the tree was
-	// built on (dist_H in the oracle pipeline, exact distances in the
-	// baselines).
-	LELists []semiring.DistMap
-	// H is the simulated graph, when the oracle pipeline was used (nil in
-	// the baselines).
-	H *simgraph.H
 	// Iterations is the number of (oracle) iterations until the LE-list
 	// fixpoint.
 	Iterations int
@@ -74,36 +65,54 @@ func Sample(g *graph.Graph, opts Options) (*Embedding, error) {
 // instead of polylog. The trees are drawn from the FRT distribution of g's
 // exact metric.
 func SampleOnGraph(g *graph.Graph, rng *par.RNG, tracker *par.Tracker) (*Embedding, error) {
-	n := g.N()
-	order := NewOrder(n, rng)
+	order := NewOrder(g.N(), rng)
 	beta := RandomBeta(rng)
-	lists, iters := LEListsOnGraph(g, order, tracker)
-	tree, err := BuildTree(lists, order, beta)
+	rk := order.mustKeys(g.N())
+	lists, iters := leListsRanked(g, []rankKeys{rk}, tracker)
+	tree, err := buildTreeRanked(lists[0], rk, beta)
 	if err != nil {
 		return nil, err
 	}
-	return &Embedding{Tree: tree, Order: order, Beta: beta, LELists: lists, Iterations: iters}, nil
-}
-
-// SampleFromMetric draws one FRT tree from an explicit metric — the input
-// model of Blelloch et al. [10] (Θ(n²) work by reading the metric once).
-func SampleFromMetric(m *graph.Matrix, rng *par.RNG, tracker *par.Tracker) (*Embedding, error) {
-	order := NewOrder(m.N, rng)
-	beta := RandomBeta(rng)
-	lists := LEListsFromMetric(m, order, tracker)
-	tree, err := BuildTree(lists, order, beta)
-	if err != nil {
-		return nil, err
-	}
-	return &Embedding{Tree: tree, Order: order, Beta: beta, LELists: lists, Iterations: 1}, nil
+	return &Embedding{Tree: tree, Order: order, Iterations: iters[0]}, nil
 }
 
 // SampleExact draws one FRT tree of g's exact metric by solving APSP with
-// Dijkstra first — the quadratic-work baseline of experiment E5.
+// Dijkstra first — the quadratic-work baseline of experiment E5, and the
+// metric input model of Blelloch et al. [10]: the metric is a complete
+// graph of SPD 1, so one scan per node yields its LE list, and Θ(n²) work
+// is the price of reading the metric.
 func SampleExact(g *graph.Graph, rng *par.RNG, tracker *par.Tracker) (*Embedding, error) {
+	n := g.N()
 	m := graph.APSPDijkstra(g)
-	tracker.AddPhase(int64(g.N())*int64(g.M()+g.N()), int64(graph.SPDFrom(g, 0)+1))
-	return SampleFromMetric(m, rng, tracker)
+	tracker.AddPhase(int64(n)*int64(g.M()+n), int64(graph.SPDFrom(g, 0)+1))
+	order := NewOrder(n, rng)
+	beta := RandomBeta(rng)
+	rk := order.mustKeys(n)
+	tree, err := buildTreeRanked(exactLELists(m, rk, tracker), rk, beta)
+	if err != nil {
+		return nil, err
+	}
+	return &Embedding{Tree: tree, Order: order, Iterations: 1}, nil
+}
+
+// exactLELists reads the rank-keyed LE lists off an explicit metric: it
+// scans each row in rank order and keeps an entry iff it is strictly closer
+// than every lower-ranked one — Order.Filter's projection with no sort.
+func exactLELists(m *graph.Matrix, rk rankKeys, tracker *par.Tracker) []semiring.DistMap {
+	n := m.N
+	lists := make([]semiring.DistMap, n)
+	par.ForEach(n, func(v int) {
+		var l semiring.DistMap
+		closest := semiring.Inf
+		for r, w := range rk.node {
+			if d := m.At(v, int(w)); d < closest {
+				l, closest = l.Append(graph.Node(r), d), d
+			}
+		}
+		lists[v] = l
+	})
+	tracker.AddPhase(int64(n)*int64(n), 1)
+	return lists
 }
 
 func ceilLog2(n int) int {

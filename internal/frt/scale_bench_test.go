@@ -34,7 +34,7 @@ func BenchmarkScaleLELists(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				order := NewOrder(g.N(), par.NewRNG(7))
-				LEListsOnGraph(g, order, nil)
+				leListsOnGraph(g, order, nil)
 			}
 		})
 	}
@@ -46,7 +46,7 @@ func BenchmarkScaleBuildTree(b *testing.B) {
 	for _, n := range scaleSizes() {
 		g := scaleGraph(n)
 		order := NewOrder(g.N(), par.NewRNG(7))
-		lists, _ := LEListsOnGraph(g, order, nil)
+		lists, _ := leListsOnGraph(g, order, nil)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

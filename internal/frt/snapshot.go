@@ -235,7 +235,7 @@ func ReadSnapshot(data []byte) (*Ensemble, SnapshotMeta, error) {
 	graphNodes := le.Uint64(metaSec)
 	graphEdges := le.Uint64(metaSec[8:])
 	treeCount := le.Uint64(metaSec[16:])
-	if graphNodes == 0 || graphNodes > maxTreeRecords {
+	if graphNodes == 0 || graphNodes > math.MaxInt32 {
 		return nil, meta, fmt.Errorf("frt: graph node count %d outside (0, 2^31)", graphNodes)
 	}
 	if graphEdges > math.MaxInt64 {

@@ -12,11 +12,11 @@ import (
 
 // validSnapshotBytes serialises a real sampled ensemble — the corpus seed
 // that lets the mutator start from accepted input instead of flailing at the
-// header grammar (the binary analogue of validTreeText).
+// header grammar.
 func validSnapshotBytes(seed uint64, n, m, trees int) []byte {
 	rng := par.NewRNG(seed)
 	g := graph.RandomConnected(n, m, 6, rng)
-	ens, err := SampleEnsemble(trees, func() (*Embedding, error) { return SampleOnGraph(g, rng, nil) })
+	ens, err := sampleEnsemble(trees, func() (*Embedding, error) { return SampleOnGraph(g, rng, nil) })
 	if err != nil {
 		panic(err)
 	}
@@ -27,10 +27,11 @@ func validSnapshotBytes(seed uint64, n, m, trees int) []byte {
 	return buf.Bytes()
 }
 
-// FuzzReadSnapshot asserts the snapshot parser's hostile-input contract,
-// FuzzReadTree's for the binary format: arbitrary bytes either parse into an
-// ensemble whose every tree passes Validate, indexes cleanly, and round-trips
-// through WriteSnapshot/ReadSnapshot unchanged — or produce an error. Never
+// FuzzReadSnapshot asserts the hostile-input contract of the tree input:
+// arbitrary bytes either parse into an ensemble whose every tree passes
+// Validate, indexes cleanly, answers Min and TreeDist with Tree.Dist's bits,
+// and round-trips through WriteSnapshot/ReadSnapshot unchanged — or produce
+// an error. Never
 // a panic, and never memory proportional to counts a header merely declares
 // (the fuzz engine's memory limit doubles as the over-allocation check:
 // tiny inputs declaring 2^50 trees must fail before allocating).
@@ -60,12 +61,22 @@ func FuzzReadSnapshot(f *testing.F) {
 			}
 		}
 		// The query layer inherits the parser's trust: anything accepted
-		// must index and answer without panicking.
+		// must index, and the index must answer the walk's bits.
 		idx, ierr := NewOracleIndex(ens.Trees)
 		if ierr != nil {
 			t.Fatalf("accepted snapshot refuses to index: %v", ierr)
 		}
-		_ = idx.Min(0, graph.Node(meta.GraphNodes-1))
+		n := meta.GraphNodes
+		for _, p := range []Pair{{0, graph.Node(n - 1)}, {graph.Node(n / 2), 0}, {graph.Node(n - 1), graph.Node(n / 3)}} {
+			if got, want := idx.Min(p.U, p.V), ens.minWalk(p.U, p.V); got != want {
+				t.Fatalf("Min(%d,%d) = %v, walk %v", p.U, p.V, got, want)
+			}
+			for i, tr := range ens.Trees {
+				if got, want := idx.TreeDist(p.U, p.V, i), tr.Dist(p.U, p.V); got != want {
+					t.Fatalf("tree %d: TreeDist(%d,%d) = %v, walk %v", i, p.U, p.V, got, want)
+				}
+			}
+		}
 		// Canonical round trip: re-serialising what was read must restore
 		// the identical ensemble (unknown sections are dropped, everything
 		// else is preserved bit-for-bit).

@@ -81,7 +81,7 @@ func BenchmarkOracleRebuild4096(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ens, err := SampleEnsemble(16, func() (*Embedding, error) {
+		ens, err := sampleEnsemble(16, func() (*Embedding, error) {
 			return SampleOnGraph(g, rng, nil)
 		})
 		if err != nil {

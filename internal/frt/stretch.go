@@ -70,9 +70,8 @@ func drawEvalPairs(g *graph.Graph, count int, rng *par.RNG, retry bool) []evalPa
 
 // MeasureStretch samples `trees` embeddings from sampler and evaluates them
 // on `pairs` random node pairs of g against exact distances. Each sampled
-// tree is preprocessed into a TreeIndex and the pair set is evaluated
-// through it in parallel; the per-pair ratios are bitwise identical to the
-// direct Tree.Dist walk, so a fixed seed reports fixed statistics.
+// tree's Tree.Dist walk evaluates the pair set in parallel; a fixed seed
+// reports fixed statistics.
 func MeasureStretch(g *graph.Graph, sampler func() (*Embedding, error), trees, pairs int, rng *par.RNG) (StretchStats, error) {
 	n := g.N()
 	if n < 2 {
@@ -88,11 +87,7 @@ func MeasureStretch(g *graph.Graph, sampler func() (*Embedding, error), trees, p
 		if err != nil {
 			return stats, err
 		}
-		if idx, err := NewTreeIndex(emb.Tree); err == nil {
-			par.ForEach(len(ps), func(i int) { ratios[i] = idx.Dist(ps[i].u, ps[i].v) / ps[i].d })
-		} else {
-			par.ForEach(len(ps), func(i int) { ratios[i] = emb.Tree.Dist(ps[i].u, ps[i].v) / ps[i].d })
-		}
+		par.ForEach(len(ps), func(i int) { ratios[i] = emb.Tree.Dist(ps[i].u, ps[i].v) / ps[i].d })
 		for i, ratio := range ratios {
 			sum[i] += ratio
 			if ratio > stats.MaxStretch {

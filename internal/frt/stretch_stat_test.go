@@ -93,7 +93,7 @@ func TestStatisticalStretchDirectSampler(t *testing.T) {
 	} {
 		rng := par.NewRNG(tc.seed)
 		g := tc.make(rng)
-		e, err := SampleEnsemble(tc.k, func() (*Embedding, error) { return SampleOnGraph(g, rng, nil) })
+		e, err := sampleEnsemble(tc.k, func() (*Embedding, error) { return SampleOnGraph(g, rng, nil) })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -62,7 +62,7 @@ func (t *Tree) Depth() int {
 // the weight of the unique tree path between them. Both leaves are at equal
 // depth, so the walk climbs in lockstep until the paths merge. The two
 // half-paths are summed separately, bottom-up, so the result is bitwise
-// identical to TreeIndex.Dist, which answers from per-leaf prefix sums.
+// identical to OracleIndex.TreeDist, which answers from per-leaf prefix sums.
 //
 // On a tree violating the uniform-leaf-depth invariant (a structural error
 // that Validate reports) Dist returns +Inf rather than panicking.
@@ -87,7 +87,7 @@ func (t *Tree) Dist(u, v graph.Node) float64 {
 // lengths, a single root, acyclic parent pointers, leaves in range and at
 // uniform depth, positive edge weights, and centers consistent with levels.
 // It returns nil if all hold; it never panics, so it is safe to call on
-// trees assembled from untrusted input (ReadTree relies on this).
+// trees assembled from untrusted input (ReadSnapshot relies on this).
 func (t *Tree) Validate() error {
 	n := len(t.Leaf)
 	if t.NumNodes() == 0 {

@@ -1,10 +1,8 @@
 package frt
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -26,44 +24,9 @@ func sampleTreeForIO(t *testing.T, seed uint64, n, m int) (*graph.Graph, *Tree) 
 
 func TestTreeWriteReadRoundTrip(t *testing.T) {
 	_, tree := sampleTreeForIO(t, 1, 30, 70)
-	var buf bytes.Buffer
-	if err := WriteTree(&buf, tree); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTree(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumNodes() != tree.NumNodes() || got.Beta != tree.Beta {
-		t.Fatal("round trip changed shape")
-	}
-	for u := 0; u < tree.NumNodes(); u++ {
-		if got.Parent[u] != tree.Parent[u] || got.EdgeWeight[u] != tree.EdgeWeight[u] ||
-			got.Center[u] != tree.Center[u] || got.Level[u] != tree.Level[u] {
-			t.Fatalf("tree node %d differs", u)
-		}
-	}
-	for v := range tree.Leaf {
-		if got.Leaf[v] != tree.Leaf[v] {
-			t.Fatalf("leaf %d differs", v)
-		}
-	}
-}
-
-func TestReadTreeRejectsMalformed(t *testing.T) {
-	cases := []struct{ name, src string }{
-		{"no header", "n 0 -1 0 0 0\n"},
-		{"duplicate header", "t 1 1 1.5\nt 1 1 1.5\n"},
-		{"node out of range", "t 1 1 1.5\nn 5 -1 0 0 0\nl 0 0\n"},
-		{"missing leaf", "t 1 1 1.5\nn 0 -1 0 0 0\n"},
-		{"missing nodes", "t 2 1 1.5\nn 0 -1 0 0 0\nl 0 0\n"},
-		{"garbage", "t 1 1 1.5\nx y z\n"},
-		{"empty", ""},
-	}
-	for _, c := range cases {
-		if _, err := ReadTree(strings.NewReader(c.src)); err == nil {
-			t.Fatalf("%s: accepted", c.name)
-		}
+	got, _ := snapshotRoundTrip(t, &Ensemble{Trees: []*Tree{tree}}, SnapshotMeta{})
+	if !reflect.DeepEqual(got.Trees[0], tree) {
+		t.Fatal("round trip changed the tree")
 	}
 }
 
@@ -125,14 +88,8 @@ func TestQuickTreeRoundTripAndDominance(t *testing.T) {
 			return false
 		}
 		// Serialise and re-read.
-		var buf bytes.Buffer
-		if WriteTree(&buf, emb.Tree) != nil {
-			return false
-		}
-		got, err := ReadTree(&buf)
-		if err != nil {
-			return false
-		}
+		read, _ := snapshotRoundTrip(t, &Ensemble{Trees: []*Tree{emb.Tree}}, SnapshotMeta{})
+		got := read.Trees[0]
 		// Dominance and symmetry on all pairs of the re-read tree.
 		exact := graph.APSPDijkstra(g)
 		for u := 0; u < n; u++ {
@@ -155,7 +112,7 @@ func TestQuickTreeRoundTripAndDominance(t *testing.T) {
 
 // TestQuickTreeDeepEqualRoundTrip is the exact-round-trip property: for
 // randomly sampled trees (drawn through the shared-pipeline Embedder),
-// write → read reproduces the Tree struct field-for-field.
+// a snapshot write → read reproduces the Tree structs field-for-field.
 func TestQuickTreeDeepEqualRoundTrip(t *testing.T) {
 	f := func(s quickTreeSeed) bool {
 		rng := par.NewRNG(s.Seed)
@@ -169,20 +126,8 @@ func TestQuickTreeDeepEqualRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, tree := range ens.Trees {
-			var buf bytes.Buffer
-			if WriteTree(&buf, tree) != nil {
-				return false
-			}
-			got, err := ReadTree(&buf)
-			if err != nil {
-				return false
-			}
-			if !reflect.DeepEqual(got, tree) {
-				return false
-			}
-		}
-		return true
+		got, _ := snapshotRoundTrip(t, ens, SnapshotMeta{})
+		return reflect.DeepEqual(got.Trees, ens.Trees)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)

@@ -40,12 +40,15 @@ func Write(w io.Writer, g *Graph) error {
 // against the frozen edge count (parallel edges collapse to the lightest)
 // and re-applies all Graph invariants (positive weights, no loops, in-range
 // endpoints). A node count beyond the int32 node-id range, or an edge count
-// beyond the CSR offset range, is an error, never a panic.
+// beyond the CSR offset range, is an error, never a panic. So is a node
+// count above the edge lines + 1, checked before anything n-sized is
+// allocated: such a graph cannot be connected (§1.2), which every consumer
+// needs, and memory stays proportional to the input.
 func Read(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(make([]byte, 64*1024), 1<<24)
 	var b *Builder
-	declared := -1
+	declared, edgeLines := -1, 0
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -84,6 +87,7 @@ func Read(r io.Reader) (*Graph, error) {
 				return nil, fmt.Errorf("line %d: invalid edge %q", lineNo, line)
 			}
 			b.Add(Node(u), Node(v), w)
+			edgeLines++
 		default:
 			return nil, fmt.Errorf("line %d: unrecognised line %q", lineNo, line)
 		}
@@ -93,6 +97,9 @@ func Read(r io.Reader) (*Graph, error) {
 	}
 	if b == nil {
 		return nil, fmt.Errorf("missing header")
+	}
+	if b.N() > edgeLines+1 {
+		return nil, fmt.Errorf("%d nodes cannot be connected by %d edges", b.N(), edgeLines)
 	}
 	g, err := b.FreezeChecked()
 	if err != nil {

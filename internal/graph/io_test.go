@@ -2,10 +2,10 @@ package graph
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -139,48 +139,42 @@ func TestReadRejectsNodeCountBeyondInt32(t *testing.T) {
 // endpoint is 2^31: in range for the header, out of range for an int32 id.
 const hugeHeaderInput = "p 2147483649 1\ne 2147483648 0 1\n"
 
-// fuzzMaxNodes caps the node count a FuzzRead input may declare: Freeze
-// allocates three int32 row tables of n+1 entries, so a header near 2^31
-// would ask for ~24 GB of zeroed memory per input.
-const fuzzMaxNodes = 1 << 16
-
-// headerNodes returns the node count of data's first header line as Read
-// parses it, or -1 if there is none.
-func headerNodes(data []byte) int {
-	for _, line := range strings.Split(string(data), "\n") {
-		var n int
-		if line = strings.TrimSpace(line); strings.HasPrefix(line, "p ") {
-			if _, err := fmt.Sscanf(line, "p %d", &n); err == nil {
-				return n
-			}
-			return -1
+// TestReadBoundsAllocationByInput pins Read's memory to its input: a header
+// declaring more nodes than its edge lines can connect fails before Freeze
+// zeroes n-sized tables (three int32 tables of n+1 entries: ~24 GB for the
+// 15-byte first input, ~50 MB for the second).
+func TestReadBoundsAllocationByInput(t *testing.T) {
+	for _, src := range []string{"p 2147483647 0", "p 4194304 1\ne 0 1 1\n"} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Read(strings.NewReader(src))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%q: accepted", src)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Fatalf("%q: allocated %d bytes before failing", src, grew)
 		}
 	}
-	return -1
 }
 
 // FuzzRead drives the edge-list parser behind the commands' -in flag with
 // hostile inputs: whatever the bytes, Read must return a graph or an error
 // without panicking, and a returned graph must satisfy the invariants the
 // library assumes — positive finite weights, in-range targets, no loops,
-// arc-level symmetry — and survive Write → Read unchanged. Inputs declaring
-// more than fuzzMaxNodes (but at most MaxInt32) nodes are skipped: they
-// would be accepted and only cost memory; larger headers still run, since
-// Read rejects them before allocating.
+// arc-level symmetry — and survive Write → Read unchanged. Read allocates in
+// proportion to its input, so no header needs skipping.
 func FuzzRead(f *testing.F) {
 	f.Add([]byte(hugeHeaderInput))
 	f.Add([]byte("p 2 1\ne 0 1 3\n"))
 	f.Add([]byte("# triangle\np 3 3\n\ne 0 1 1.5\ne 1 2 2\ne 0 2 0.25\n"))
 	f.Add([]byte("p 0 0\n"))
-	f.Add([]byte("p 65536 1\ne 0 65535 1\n"))           // largest fuzzed n
+	f.Add([]byte("p 2147483647 0"))                     // more nodes than edges connect
 	f.Add([]byte("p 2 99999999999999999999999\n"))      // unparseable m
 	f.Add([]byte("e 0 1 3\np 2 1\n"))                   // edge before header
 	f.Add([]byte("p 2 1\ne 0 1 1e309\n"))               // overflowing weight
 	f.Add([]byte("p 3 2\ne 0 1 2\ne 1 0 1\ne 1 2 4\n")) // parallel edges collapse
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if n := headerNodes(data); n > fuzzMaxNodes && n <= math.MaxInt32 {
-			t.Skip("header too large to freeze per fuzz input")
-		}
 		g, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return

@@ -65,8 +65,9 @@ type Matrix = graph.Matrix
 // Tree is a sampled FRT metric tree embedding.
 type Tree = frt.Tree
 
-// Embedding is one sample from the FRT distribution, including the LE
-// lists and randomness it was drawn with.
+// Embedding is one sample from the FRT distribution: the tree (whose Beta
+// is the random scale), the random node order it was drawn with, and the
+// LE-list iteration count.
 type Embedding = frt.Embedding
 
 // RNG is the deterministic splittable random number generator used by all
@@ -202,13 +203,6 @@ type EnsembleStats = frt.EnsembleStats
 // answer pair slices in parallel. Obtain one from (*Ensemble).Index().
 type OracleIndex = frt.OracleIndex
 
-// TreeIndex preprocesses a single FRT tree for O(log depth) pointer-free
-// distance queries (bitwise identical to Tree.Dist).
-type TreeIndex = frt.TreeIndex
-
-// NewTreeIndex preprocesses t in O(n · depth).
-func NewTreeIndex(t *Tree) (*TreeIndex, error) { return frt.NewTreeIndex(t) }
-
 // Pair is a distance-query pair for the batched oracle APIs.
 type Pair = frt.Pair
 
@@ -318,8 +312,8 @@ func KMedianAssignment(g *Graph, centers []Node) []Node {
 }
 
 // RoutingTables holds oblivious-routing state over a tree ensemble: shared
-// next-hop tables toward every cluster center plus per-tree decomposition
-// indexes. Build once, answer any demand pair without seeing the others.
+// next-hop tables toward every cluster center plus an OracleIndex over the
+// trees. Build once, answer any demand pair without seeing the others.
 type RoutingTables = routing.Tables
 
 // RouteResult is one routed pair: the walked path in G, its length, and the

@@ -35,7 +35,7 @@ func TestFacadeDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Beta != b.Beta || a.Tree.NumNodes() != b.Tree.NumNodes() {
+	if a.Tree.Beta != b.Tree.Beta || a.Tree.NumNodes() != b.Tree.NumNodes() {
 		t.Fatal("same seed produced different embeddings")
 	}
 	for v := 0; v < g.N(); v++ {
@@ -49,7 +49,7 @@ func TestFacadeDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Beta == c.Beta && a.Order.Rank[0] == c.Order.Rank[0] && a.Order.Rank[1] == c.Order.Rank[1] {
+	if a.Tree.Beta == c.Tree.Beta && a.Order.Rank[0] == c.Order.Rank[0] && a.Order.Rank[1] == c.Order.Rank[1] {
 		t.Fatal("different seeds produced identical randomness")
 	}
 }
@@ -274,13 +274,14 @@ func TestFacadeTreeIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := NewTreeIndex(emb.Tree)
+	// A single tree is indexed as a one-tree ensemble.
+	idx, err := (&Ensemble{Trees: []*Tree{emb.Tree}}).Index()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < 10; v++ {
 		u, w := Node(v), Node(g.N()-1-v)
-		if got, want := idx.Dist(u, w), emb.Tree.Dist(u, w); got != want {
+		if got, want := idx.TreeDist(u, w, 0), emb.Tree.Dist(u, w); got != want {
 			t.Fatalf("index Dist(%d,%d) = %v, walk says %v", u, w, got, want)
 		}
 	}
