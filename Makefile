@@ -37,12 +37,14 @@ test-race:
 ## Brief fuzz tier: every fuzz target runs for a few seconds (CI smoke; for
 ## a real fuzzing session raise -fuzztime). -fuzz takes one target per
 ## invocation, so each parser — and parmbfd's request decoding, through
-## every endpoint of a small -dynamic worker — gets its own run.
+## every endpoint of a small -dynamic worker — gets its own run. Minimising
+## a new input may take 1s: at the 60s default one minimisation can fill
+## the whole run, and the 1s budget finds ~1.5-4x as many new inputs in it.
 fuzz-short:
-	$(GO) test ./internal/frt/ -run xxx -fuzz FuzzReadSnapshot -fuzztime 10s
-	$(GO) test ./internal/graph/ -run xxx -fuzz 'FuzzRead$$' -fuzztime 10s
-	$(GO) test ./internal/graph/ -run xxx -fuzz FuzzApplyUpdates -fuzztime 10s
-	$(GO) test ./cmd/parmbfd/ -run xxx -fuzz FuzzEndpoints -fuzztime 10s
+	$(GO) test ./internal/frt/ -run xxx -fuzz FuzzReadSnapshot -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/graph/ -run xxx -fuzz 'FuzzRead$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/graph/ -run xxx -fuzz FuzzApplyUpdates -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./cmd/parmbfd/ -run xxx -fuzz FuzzEndpoints -fuzztime 10s -fuzzminimizetime 1s
 
 ## Coverage floor: the short tier under -coverprofile must not drop below
 ## COVER_MIN, measured after the graph layer dropped its directed-graph and

@@ -33,12 +33,16 @@ type updateRequest struct {
 
 // updateResponse reports one applied batch. Version is the serving-state
 // version now visible to queries: any /dist or /batch admitted after this
-// response was written sees at least this version.
+// response was written sees at least this version. PatchedRows and
+// RangeRebuilds show the tree patch (frt.UpdateStats): the LE lists re-read,
+// and the re-assembled trees that had to re-read all of theirs.
 type updateResponse struct {
 	Version         int64 `json:"version"`
 	Edges           int   `json:"edges"`
 	AffectedTrees   int   `json:"affectedTrees"`
 	RecomputedNodes int   `json:"recomputedNodes"`
+	PatchedRows     int   `json:"patchedRows"`
+	RangeRebuilds   int   `json:"rangeRebuilds"`
 	DecreaseOnly    bool  `json:"decreaseOnly"`
 	ElapsedMs       int64 `json:"elapsedMs"`
 }
@@ -114,6 +118,8 @@ func (s *server) serveUpdate(_ context.Context, _ *serverState, req any) (any, *
 		Edges:           st.m,
 		AffectedTrees:   stats.AffectedTrees,
 		RecomputedNodes: stats.RecomputedNodes,
+		PatchedRows:     stats.PatchedRows,
+		RangeRebuilds:   stats.RangeRebuilds,
 		DecreaseOnly:    stats.DecreaseOnly,
 		ElapsedMs:       time.Since(t0).Milliseconds(),
 	}, nil

@@ -97,6 +97,58 @@ func TestUpdateEndpoint(t *testing.T) {
 	_ = s
 }
 
+// TestUpdateReportsPatch: /update returns the tree patch's counts,
+// patchedRows and rangeRebuilds, as frt.UpdateStats reports them. A light
+// reweight patches rows; an insert far lighter than every edge moves each
+// dirty tree's level range, so those trees re-read all n lists.
+func TestUpdateReportsPatch(t *testing.T) {
+	_, ts, dyn := testDynamicServer(t)
+	twin, err := frt.NewDynamicEnsemble(dyn.Graph(), 3, par.NewRNG(72), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := dyn.Graph().N()
+	e := dyn.Graph().Edges()[5]
+	var u, v graph.Node = 0, 1
+	for _, ok := dyn.Graph().HasEdge(u, v); ok; _, ok = dyn.Graph().HasEdge(u, v) {
+		v++
+	}
+	for step, edit := range []updateEdit{
+		{Op: "reweight", U: int64(e.U), V: int64(e.V), Weight: e.Weight / 8},
+		{Op: "insert", U: int64(u), V: int64(v), Weight: 1e-3},
+	} {
+		var raw map[string]any
+		if code := postJSONValue(t, ts.URL+"/update", updateRequest{Edits: []updateEdit{edit}}, &raw); code != http.StatusOK {
+			t.Fatalf("step %d: code %d, resp %v", step, code, raw)
+		}
+		want, err := twin.ApplyEdits([]graph.Edit{{Op: editOps[edit.Op], U: graph.Node(edit.U), V: graph.Node(edit.V), Weight: edit.Weight}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]int{}
+		for _, k := range []string{"affectedTrees", "patchedRows", "rangeRebuilds"} {
+			f, ok := raw[k].(float64)
+			if !ok {
+				t.Fatalf("step %d: response %v lacks %q", step, raw, k)
+			}
+			got[k] = int(f)
+		}
+		if got["affectedTrees"] != want.AffectedTrees || got["patchedRows"] != want.PatchedRows || got["rangeRebuilds"] != want.RangeRebuilds {
+			t.Fatalf("step %d: response %v, want stats %+v", step, got, *want)
+		}
+		switch step {
+		case 0:
+			if want.AffectedTrees == 0 || want.RangeRebuilds != 0 || want.PatchedRows >= want.AffectedTrees*n {
+				t.Fatalf("reweight: stats %+v, want a row patch", *want)
+			}
+		case 1:
+			if want.AffectedTrees != 3 || want.RangeRebuilds != 3 || want.PatchedRows != 3*n {
+				t.Fatalf("light insert: stats %+v, want 3 range rebuilds of %d rows", *want, n)
+			}
+		}
+	}
+}
+
 func TestUpdateRejectsStaticServer(t *testing.T) {
 	_, ts, _, _ := testServer(t)
 	var er errorResponse

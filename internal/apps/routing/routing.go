@@ -81,8 +81,8 @@ type RouteResult struct {
 	// Tree is the index (into the built ensemble) of the tree that routed
 	// the pair — the one with the smallest tree distance.
 	Tree int
-	// TreeDist is that tree's distance, an upper bound certificate:
-	// Length ≤ TreeDist always (the routed path shortcuts repeated centers).
+	// TreeDist is that tree's distance, the route's certificate:
+	// Length ≤ CertificateFactor·TreeDist (see CertificateFactor).
 	TreeDist float64
 }
 
@@ -235,9 +235,20 @@ func (rt *Tables) RouteBatch(pairs []frt.Pair) ([]*RouteResult, error) {
 	return out, nil
 }
 
+// CertificateFactor bounds a route's length by its tree distance:
+// Length ≤ CertificateFactor·TreeDist. The route maps each tree edge from a
+// level-i cluster to its parent onto a shortest path between their centers
+// c_i and c_{i+1}. Both centers lie within r_i = β2^i and r_{i+1} of the
+// routed endpoint below them, so that path costs at most r_i + r_{i+1} =
+// 3β2^i, against the edge's weight 2β2^i (the doubled weight of the frt
+// Tree doc). Hence 3/2, and shortcutting repeated centers only shortens
+// the route. Length ≤ TreeDist alone does not hold: on a unit-weight 7×7
+// grid a K=5 ensemble routes 8 of its 1,176 pairs longer than TreeDist.
+const CertificateFactor = 1.5
+
 // Validate checks a routed result against g: endpoints match, every hop is a
 // real edge, the length accounting is exact, and the tree-distance
-// certificate holds.
+// certificate Length ≤ CertificateFactor·TreeDist holds.
 func Validate(g *graph.Graph, u, v graph.Node, r *RouteResult) error {
 	if len(r.Path) == 0 || r.Path[0] != u || r.Path[len(r.Path)-1] != v {
 		return fmt.Errorf("routing: path endpoints %v do not match pair (%d, %d)", r.Path, u, v)
@@ -253,8 +264,8 @@ func Validate(g *graph.Graph, u, v graph.Node, r *RouteResult) error {
 	if diff := total - r.Length; diff > 1e-9 || diff < -1e-9 {
 		return fmt.Errorf("routing: length accounting off by %v", diff)
 	}
-	if u != v && r.Length > r.TreeDist+1e-9 {
-		return fmt.Errorf("routing: length %v exceeds the tree-distance certificate %v", r.Length, r.TreeDist)
+	if u != v && r.Length > CertificateFactor*r.TreeDist+1e-9 {
+		return fmt.Errorf("routing: length %v exceeds the certificate %v·%v", r.Length, CertificateFactor, r.TreeDist)
 	}
 	return nil
 }

@@ -136,6 +136,47 @@ func TestRouteInjectedEnsembleSharesTrees(t *testing.T) {
 // return the tree and the TreeDist bits of the strict-< argmin (first tree
 // on ties) of Tree.Dist over the visited trees, on the full ensemble and on
 // a FirstTree/Trees shard.
+// TestRouteCertificateAllPairs validates every pair of a unit-weight 7×7
+// grid routed over a K=5 Embedder ensemble. Some of these routes are longer
+// than their TreeDist (a center hop may cost 3β2^i against a 2β2^i tree
+// edge), so the test also pins that the 1.5 factor is needed, not slack.
+func TestRouteCertificateAllPairs(t *testing.T) {
+	rng := par.NewRNG(8)
+	g := graph.GridGraph(7, 7, 1, rng)
+	emb, err := frt.NewEmbedder(g, frt.Options{RNG: rng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ens, err := emb.SampleEnsemble(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := Build(g, Options{Ensemble: ens})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs, over := 0, 0
+	for u := graph.Node(0); int(u) < g.N(); u++ {
+		for v := u + 1; int(v) < g.N(); v++ {
+			r, err := rt.Route(u, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := Validate(g, u, v, r); err != nil {
+				t.Fatalf("pair (%d,%d): %v", u, v, err)
+			}
+			pairs++
+			if r.Length > r.TreeDist {
+				over++
+			}
+		}
+	}
+	if pairs != 1176 || over == 0 {
+		t.Fatalf("%d pairs, %d longer than TreeDist; want 1176 pairs and some longer", pairs, over)
+	}
+	t.Logf("%d of %d routes longer than TreeDist", over, pairs)
+}
+
 func TestRouteTreeChoiceMatchesWalk(t *testing.T) {
 	rng := par.NewRNG(8)
 	g := graph.GridGraph(7, 7, 1, rng) // unit weights: tied tree distances
@@ -174,6 +215,9 @@ func TestRouteTreeChoiceMatchesWalk(t *testing.T) {
 				if r.Tree != best || math.Float64bits(r.TreeDist) != math.Float64bits(bestDist) {
 					t.Fatalf("span %+v pair (%d,%d): tree %d dist %v, walk argmin tree %d dist %v",
 						span, u, v, r.Tree, r.TreeDist, best, bestDist)
+				}
+				if err := Validate(g, u, v, r); err != nil {
+					t.Fatalf("span %+v pair (%d,%d): %v", span, u, v, err)
 				}
 			}
 		}

@@ -27,6 +27,8 @@ type Embedder struct {
 	g    *graph.Graph
 	opts Options
 	h    *simgraph.H
+	// maxIters caps each tree's oracle fixpoint (simgraph.MaxIters).
+	maxIters int
 }
 
 // NewEmbedder validates opts, consumes randomness from opts.RNG for the
@@ -55,7 +57,7 @@ func NewEmbedder(g *graph.Graph, opts Options) (*Embedder, error) {
 	}
 
 	h := simgraph.Build(hs, 0, opts.RNG)
-	return &Embedder{g: g, opts: opts, h: h}, nil
+	return &Embedder{g: g, opts: opts, h: h, maxIters: simgraph.MaxIters(n)}, nil
 }
 
 // H returns the shared simulated graph.
@@ -78,7 +80,11 @@ func (e *Embedder) sampleWith(rng *par.RNG, tracker *par.Tracker) (*Embedding, e
 	// and the tree is read off them directly (see the package doc).
 	oracle := simgraph.NewOracle(e.h, tracker)
 	oracle.FilterInPlace = semiring.StaircaseInPlace
-	lists, iters := oracle.RunToFixpoint(semiring.SingletonStatesKeyed(rk.key), semiring.Staircase, simgraph.MaxIters(n))
+	lists, iters := oracle.RunToFixpoint(semiring.SingletonStatesKeyed(rk.key), semiring.Staircase, e.maxIters)
+	if iters > e.maxIters {
+		// Lists cut off before their fixpoint need not be LE lists.
+		return nil, fmt.Errorf("frt: oracle fixpoint not reached within the iteration cap %d", e.maxIters)
+	}
 	tree, err := buildTreeRanked(lists, rk, beta)
 	if err != nil {
 		return nil, err

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"parmbf/internal/graph"
 	"parmbf/internal/par"
+	"parmbf/internal/semiring"
+	"parmbf/internal/simgraph"
 )
 
 // ensembleBytes serialises every tree of the ensemble into one byte stream,
@@ -221,5 +224,34 @@ func TestEmbedderRejectsBadInput(t *testing.T) {
 	}
 	if _, err := e.SampleEnsemble(0); err == nil {
 		t.Fatal("zero-tree ensemble accepted")
+	}
+}
+
+// TestIterationCapIsLoud: on a long path two oracle iterations cannot reach
+// the LE-list fixpoint. The oracle must then report cap+1, not the cap, and
+// the Embedder must refuse to build a tree from the cut-off lists, naming
+// the cap. With the default cap the same draw succeeds within it.
+func TestIterationCapIsLoud(t *testing.T) {
+	const n, capIters = 64, 2
+	emb, err := NewEmbedder(graph.PathGraph(n, 1), Options{RNG: par.NewRNG(5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rk := NewOrder(n, par.NewRNG(6)).mustKeys(n)
+	oracle := simgraph.NewOracle(emb.H(), nil)
+	if _, it := oracle.RunToFixpoint(semiring.SingletonStatesKeyed(rk.key), semiring.Staircase, capIters); it != capIters+1 {
+		t.Fatalf("capped oracle run returned %d iterations, want cap+1 = %d", it, capIters+1)
+	}
+	emb.maxIters = capIters
+	if _, err := emb.Sample(); err == nil || !strings.Contains(err.Error(), "iteration cap 2") {
+		t.Fatalf("capped Embedder draw: error %v, want one naming the cap", err)
+	}
+	emb.maxIters = simgraph.MaxIters(n)
+	e, err := emb.Sample()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Iterations > simgraph.MaxIters(n) {
+		t.Fatalf("%d iterations above the cap %d", e.Iterations, simgraph.MaxIters(n))
 	}
 }

@@ -39,7 +39,8 @@ type Embedding struct {
 	// Order is the random node order used.
 	Order *Order
 	// Iterations is the number of (oracle) iterations until the LE-list
-	// fixpoint.
+	// fixpoint, including the one that confirms it. An Embedder draw
+	// whose oracle hits its iteration cap is an error, not an Embedding.
 	Iterations int
 }
 

@@ -178,9 +178,86 @@ func BuildTree(lists []semiring.DistMap, order *Order, beta float64) (*Tree, err
 	return buildTreeRanked(ranked, rk, beta)
 }
 
-// buildTreeRanked is BuildTree on rank-keyed LE lists. In key order an LE
-// list's distances strictly decrease (the Staircase invariant), so entry 0
-// is the farthest and the last entry is v itself at distance 0.
+// buildTreeRanked is BuildTree on rank-keyed LE lists: the full build, which
+// is assembleTree with every row read.
+func buildTreeRanked(lists []semiring.DistMap, rk rankKeys, beta float64) (*Tree, error) {
+	t, _, err := assembleTree(lists, rk, beta, treePatch{})
+	return t, err
+}
+
+// rowRange is the distance range of some LE lists: lo is their smallest
+// non-zero distance (+Inf if every list holds only its own node) and hi
+// their largest.
+type rowRange struct{ lo, hi float64 }
+
+// rangeBlock is the number of consecutive rows one stored rowRange covers.
+// Blocks keep the ranges a live tree retains at 1 B per node; a patch
+// re-ranges a changed row's whole block, two list entries per row.
+const rangeBlock = 16
+
+func joinRanges(a, b rowRange) rowRange { return rowRange{min(a.lo, b.lo), max(a.hi, b.hi)} }
+
+// treePatch is what a re-assembly may reuse: the tree built before the
+// lists changed with its block ranges, and the rows whose lists differ from
+// the ones it was built from. The zero value is a full build.
+type treePatch struct {
+	old    *Tree
+	ranges []rowRange
+	rows   []graph.Node
+}
+
+// assembly reports how assembleTree read its lists.
+type assembly struct {
+	// read is the number of lists read into the center table.
+	read int
+	// full is set when every list was read: a full build, or a patch whose
+	// level range moved.
+	full bool
+	// ranges is the tree's rowRange per block of rangeBlock rows, for the
+	// next patch.
+	ranges []rowRange
+}
+
+// treeScratch is the n-sized working memory of one tree assembly, pooled so
+// that the trees of an ensemble build or an update batch reuse it. Between
+// uses head is all −1 and changed all false.
+type treeScratch struct {
+	n       int
+	changed []bool
+	centers []graph.Node // level-major center table, levelCount·n
+	head    []int32
+	next    []int32
+	parent  []int32
+	center  []graph.Node
+	// The finished levels' parents and centers, concatenated.
+	allParent []int32
+	allCenter []graph.Node
+}
+
+var treeScratchPool = par.Pool[*treeScratch]{New: func() *treeScratch { return &treeScratch{} }}
+
+// getTreeScratch returns pooled scratch sized for n nodes.
+func getTreeScratch(n int) *treeScratch {
+	s := treeScratchPool.Get()
+	if s.n != n {
+		*s = treeScratch{
+			n:       n,
+			changed: make([]bool, n),
+			head:    make([]int32, n),
+			next:    make([]int32, n),
+			parent:  make([]int32, n),
+			center:  make([]graph.Node, n),
+		}
+		for c := range s.head {
+			s.head[c] = -1
+		}
+	}
+	return s
+}
+
+// assembleTree builds the FRT tree of rank-keyed LE lists. In key order an
+// LE list's distances strictly decrease (the Staircase invariant), so entry
+// 0 is the farthest and the last entry is v itself at distance 0.
 //
 // For each level i with radius r_i = β·2^i, node v's level-i center is
 // v_i = min{w | dist(v,w) ≤ r_i}: the first entry with distance ≤ r_i,
@@ -188,65 +265,88 @@ func BuildTree(lists []semiring.DistMap, order *Order, beta float64) (*Tree, err
 // chosen so that r_imin is below the smallest non-zero LE distance (leaf
 // clusters are singletons) and r_imax reaches every node's farthest LE
 // entry (a single root, centered at the rank-0 node).
-func buildTreeRanked(lists []semiring.DistMap, rk rankKeys, beta float64) (*Tree, error) {
+//
+// The level range is reduced from per-block rowRanges, which the assembly
+// returns. A patch passes p.old's and re-ranges only the blocks holding a
+// changed row.
+//
+// A node's chain of centers depends on its own list and the level range
+// alone. So a patch (p.old non-nil) reads only p.rows' lists, and takes
+// every other node's centers off p.old's leaf-to-root chain, provided the
+// level range is p.old's; when it moved, every list is read. The tree is
+// byte-identical to a full build of the same lists either way.
+func assembleTree(lists []semiring.DistMap, rk rankKeys, beta float64, p treePatch) (*Tree, assembly, error) {
 	n := len(lists)
 	if n == 0 {
-		return nil, fmt.Errorf("frt: no LE lists")
+		return nil, assembly{}, fmt.Errorf("frt: no LE lists")
 	}
 	if beta < 1 || beta >= 2 {
-		return nil, fmt.Errorf("frt: beta %v outside [1,2)", beta)
+		return nil, assembly{}, fmt.Errorf("frt: beta %v outside [1,2)", beta)
 	}
-	// Validate every list and reduce the distance range in parallel: min and
-	// max are order-free, so the result is identical at any parallel width.
-	// Validation failures record the lowest offending node so the error
-	// matches the serial scan's.
-	type rangeAcc struct {
-		dmin, dmax float64
-		badEmpty   int // lowest node with an empty list, or n
-		badSelf    int // lowest node whose list lacks self@0, or n
+	s := getTreeScratch(n)
+	defer treeScratchPool.Put(s)
+	built := assembly{ranges: make([]rowRange, (n+rangeBlock-1)/rangeBlock)}
+	scan := len(built.ranges) // blocks to re-range
+	block := func(i int) int { return i }
+	if p.old != nil {
+		copy(built.ranges, p.ranges)
+		blocks := make([]int, len(p.rows))
+		for i, v := range p.rows {
+			s.changed[v] = true
+			blocks[i] = int(v) / rangeBlock
+		}
+		defer func() {
+			for _, v := range p.rows {
+				s.changed[v] = false
+			}
+		}()
+		slices.Sort(blocks)
+		blocks = slices.Compact(blocks)
+		scan, block = len(blocks), func(i int) int { return blocks[i] }
 	}
-	acc := par.Reduce(n,
-		rangeAcc{dmin: semiring.Inf, badEmpty: n, badSelf: n},
-		func(v int) rangeAcc {
-			r := rangeAcc{dmin: semiring.Inf, badEmpty: n, badSelf: n}
-			l := lists[v]
-			last := l.Len() - 1
-			if last < 0 {
-				r.badEmpty = v
-				return r
+
+	// Validate and range the rows of the scanned blocks in parallel.
+	// Validation failures record the lowest offending node, so the error
+	// matches a serial scan's; blocks a patch does not scan hold only rows
+	// that were valid when p.old was built.
+	type invalid struct {
+		empty int // lowest node with an empty list, or n
+		self  int // lowest node whose list lacks self@0, or n
+	}
+	none := rowRange{lo: semiring.Inf}
+	bad := par.Reduce(scan, invalid{n, n},
+		func(i int) invalid {
+			b := block(i)
+			bad, r := invalid{n, n}, none
+			for v := b * rangeBlock; v < min(n, (b+1)*rangeBlock); v++ {
+				l := lists[v]
+				last := l.Len() - 1
+				switch {
+				case last < 0:
+					bad.empty = min(bad.empty, v)
+				case l.Node(last) != rk.key[v] || l.Dist(last) != 0:
+					bad.self = min(bad.self, v)
+				case last > 0:
+					r = joinRanges(r, rowRange{l.Dist(last - 1), l.Dist(0)})
+				}
 			}
-			if l.Node(last) != rk.key[v] || l.Dist(last) != 0 {
-				r.badSelf = v
-				return r
-			}
-			if last > 0 {
-				r.dmin = l.Dist(last - 1)
-			}
-			r.dmax = l.Dist(0)
-			return r
+			built.ranges[b] = r
+			return bad
 		},
-		func(a, b rangeAcc) rangeAcc {
-			if b.dmin < a.dmin {
-				a.dmin = b.dmin
-			}
-			if b.dmax > a.dmax {
-				a.dmax = b.dmax
-			}
-			if b.badEmpty < a.badEmpty {
-				a.badEmpty = b.badEmpty
-			}
-			if b.badSelf < a.badSelf {
-				a.badSelf = b.badSelf
-			}
-			return a
-		})
-	if acc.badEmpty < n && acc.badEmpty <= acc.badSelf {
-		return nil, fmt.Errorf("frt: empty LE list at node %d", acc.badEmpty)
+		func(a, b invalid) invalid { return invalid{min(a.empty, b.empty), min(a.self, b.self)} })
+	if bad.empty < n && bad.empty <= bad.self {
+		return nil, assembly{}, fmt.Errorf("frt: empty LE list at node %d", bad.empty)
 	}
-	if acc.badSelf < n {
-		return nil, fmt.Errorf("frt: LE list of %d lacks self at distance 0", acc.badSelf)
+	if bad.self < n {
+		return nil, assembly{}, fmt.Errorf("frt: LE list of %d lacks self at distance 0", bad.self)
 	}
-	dmin, dmax := acc.dmin, acc.dmax
+	// min and max are order-free, so the range is identical at any
+	// parallel width.
+	span := none
+	for _, r := range built.ranges {
+		span = joinRanges(span, r)
+	}
+	dmin, dmax := span.lo, span.hi
 	if semiring.IsInf(dmin) {
 		dmin = 1 // single-node graph: any scale works
 	}
@@ -263,20 +363,39 @@ func buildTreeRanked(lists []semiring.DistMap, rk rankKeys, beta float64) (*Tree
 	for beta*math.Pow(2, float64(imax)) < dmax {
 		imax++
 	}
+	old := p.old
+	if old != nil && (int(old.Level[0]) != imax || int(old.Level[old.Leaf[0]]) != imin) {
+		old = nil // the level range moved: read every list
+	}
+	built.read, built.full = n, old == nil
+	if old != nil {
+		built.read = len(p.rows)
+	}
 
 	// Every node's center at every level, level-major: centers[li*n+v] is
 	// v's center at level imax−li, the first entry of its list within
 	// r = β·2^(imax−li). The radii strictly shrink with li, so one pass per
 	// node reads its list once with a cursor that only moves right: O(len +
 	// levels) per node, and the nodes are independent. The last entry is
-	// self at distance 0 ≤ r, so the cursor never overruns.
+	// self at distance 0 ≤ r, so the cursor never overruns. A node whose
+	// list did not change reads its chain off the old tree instead, leaf
+	// (level imin) to root.
 	levelCount := imax - imin + 1
 	radius := make([]float64, levelCount)
 	for li := range radius {
 		radius[li] = beta * math.Pow(2, float64(imax-li))
 	}
-	centers := make([]graph.Node, levelCount*n)
+	s.centers = slices.Grow(s.centers[:0], levelCount*n)[:levelCount*n]
+	centers := s.centers
 	par.ForEach(n, func(v int) {
+		if old != nil && !s.changed[v] {
+			u := old.Leaf[v]
+			for li := levelCount - 1; li >= 0; li-- {
+				centers[li*n+v] = old.Center[u]
+				u = old.Parent[u]
+			}
+			return
+		}
 		l := lists[v]
 		j := 0
 		for li, r := range radius {
@@ -291,7 +410,7 @@ func buildTreeRanked(lists []semiring.DistMap, rk rankKeys, beta float64) (*Tree
 	rootCenter := centers[0]
 	for _, c := range centers[:n] {
 		if c != rootCenter {
-			return nil, fmt.Errorf("frt: no common root at level %d", imax)
+			return nil, assembly{}, fmt.Errorf("frt: no common root at level %d", imax)
 		}
 	}
 
@@ -304,25 +423,16 @@ func buildTreeRanked(lists []semiring.DistMap, rk rankKeys, beta float64) (*Tree
 	// chains are short. A level has at most n clusters, so they live in
 	// n-sized scratch at their offset k within the level (tree id base+k),
 	// and head is reset from the level's own centers. Each finished level is
-	// kept at its exact size, and the Tree's arrays are allocated once, at
-	// the final node count.
-	type level struct {
-		parent []int32
-		center []graph.Node
-	}
-	levels := []level{{parent: []int32{-1}, center: []graph.Node{rootCenter}}}
-	nodes := 1
+	// appended to allParent and allCenter, and the Tree's arrays are
+	// allocated once, at the final node count.
+	allParent := append(s.allParent[:0], -1)
+	allCenter := append(s.allCenter[:0], rootCenter)
+	levelEnd := []int{1}
 	cur := make([]int32, n) // every node's cluster one level up: the root, id 0
-	head := make([]int32, n)
-	for c := range head {
-		head[c] = -1
-	}
-	next := make([]int32, n)
-	parent := make([]int32, n)
-	center := make([]graph.Node, n)
+	head, next, parent, center := s.head, s.next, s.parent, s.center
 	for li := 1; li < levelCount; li++ {
 		row := centers[li*n : (li+1)*n]
-		base, k := int32(nodes), int32(0)
+		base, k := int32(len(allParent)), int32(0)
 		for v, c := range row {
 			p := cur[v]
 			j := head[c]
@@ -339,37 +449,62 @@ func buildTreeRanked(lists []semiring.DistMap, rk rankKeys, beta float64) (*Tree
 		for _, c := range center[:k] {
 			head[c] = -1
 		}
-		levels = append(levels, level{parent: slices.Clone(parent[:k]), center: slices.Clone(center[:k])})
-		nodes += int(k)
+		allParent = append(allParent, parent[:k]...)
+		allCenter = append(allCenter, center[:k]...)
+		levelEnd = append(levelEnd, len(allParent))
 	}
+	s.allParent, s.allCenter = allParent, allCenter
 
 	tree := &Tree{
-		Parent:     make([]int32, 0, nodes),
-		EdgeWeight: make([]float64, 0, nodes),
-		Center:     make([]graph.Node, 0, nodes),
-		Level:      make([]int32, 0, nodes),
-		Leaf:       cur,
-		Beta:       beta,
+		Parent: slices.Clone(allParent),
+		Center: slices.Clone(allCenter),
+		Leaf:   cur,
+		Beta:   beta,
 	}
-	for li, l := range levels {
-		i := imax - li
-		w := 0.0 // the root's
-		if li > 0 {
-			w = 2 * beta * math.Pow(2, float64(i)) // doubled weight; see Tree doc
-		}
-		tree.Parent = append(tree.Parent, l.parent...)
-		tree.Center = append(tree.Center, l.center...)
-		for range l.parent {
-			tree.EdgeWeight = append(tree.EdgeWeight, w)
-			tree.Level = append(tree.Level, int32(i))
+	// EdgeWeight and Level are functions of the level sizes, imax and β
+	// alone, so a patch whose levels kept their sizes shares the old
+	// tree's (trees are immutable).
+	if old != nil && sameLevels(old, levelEnd) {
+		tree.EdgeWeight, tree.Level = old.EdgeWeight, old.Level
+	} else {
+		nodes := len(allParent)
+		tree.EdgeWeight, tree.Level = make([]float64, nodes), make([]int32, nodes)
+		start := 0
+		for li, end := range levelEnd {
+			i := imax - li
+			w := 0.0 // the root's
+			if li > 0 {
+				w = 2 * beta * math.Pow(2, float64(i)) // doubled weight; see Tree doc
+			}
+			for t := start; t < end; t++ {
+				tree.EdgeWeight[t], tree.Level[t] = w, int32(i)
+			}
+			start = end
 		}
 	}
 	for v, leaf := range tree.Leaf {
 		if tree.Center[leaf] != graph.Node(v) {
-			return nil, fmt.Errorf("frt: leaf cluster of %d centered at %d — imin not below minimum distance", v, tree.Center[leaf])
+			return nil, assembly{}, fmt.Errorf("frt: leaf cluster of %d centered at %d — imin not below minimum distance", v, tree.Center[leaf])
 		}
 	}
-	return tree, nil
+	return tree, built, nil
+}
+
+// sameLevels reports whether t's levels end where levelEnd's do: level li
+// (level imax−li, top-down) occupies tree ids [levelEnd[li−1], levelEnd[li]).
+// Levels are stored top-down, so it suffices that the last id of each level
+// is at that level and the next id one level lower.
+func sameLevels(t *Tree, levelEnd []int) bool {
+	if len(t.Level) != levelEnd[len(levelEnd)-1] {
+		return false
+	}
+	for li, end := range levelEnd {
+		top := t.Level[0] - int32(li)
+		if t.Level[end-1] != top || end < len(t.Level) && t.Level[end] != top-1 {
+			return false
+		}
+	}
+	return true
 }
 
 // RandomBeta draws β ∈ [1, 2) from the FRT distribution (§7.1 step 1):

@@ -34,6 +34,20 @@
 // are re-assembled. Stats are merged in tree order, so they do not depend
 // on the parallel width. The differential suite pins both paths bitwise
 // against a full rebuild with frozen randomness (same orders, same betas).
+//
+// A dirty tree is re-assembled as a row patch (assembleTree with a
+// treePatch). A node's chain of level centers is a function of its own LE
+// list and the tree's level range [imin, imax] alone (Lemma 7.2), so only
+// the rows whose lists changed are re-read; every other node's chain is
+// copied off the old tree, leaf to root, and the levels are regrouped from
+// the full center table as in a fresh build, which keeps cluster ids and
+// the tree byte-identical. The level range comes from distance ranges
+// (smallest non-zero and largest list distance) retained per tree for
+// each block of rangeBlock rows; only the blocks holding a changed row are
+// re-ranged. When a batch moves the range (an edge lighter than every LE
+// distance, or a farthest node pushed past β·2^imax), the fallback reads
+// every list of that tree, exactly the full build. UpdateStats.PatchedRows
+// and RangeRebuilds count both.
 package frt
 
 import (
@@ -59,8 +73,12 @@ type DynamicEnsemble struct {
 	betas  []float64
 	// keys are the orders' rank-keyed views; lists holds each tree's
 	// retained LE fixpoint under those rank keys (see the package doc).
-	keys    []rankKeys
-	lists   [][]semiring.DistMap
+	keys  []rankKeys
+	lists [][]semiring.DistMap
+	// ranges[i] are the block distance ranges of lists[i] (assembleTree),
+	// from which a patched tree re-derives its level range without reading
+	// the unchanged lists.
+	ranges  [][]rowRange
 	trees   []*Tree
 	tracker *par.Tracker
 }
@@ -79,6 +97,13 @@ type UpdateStats struct {
 	RecomputedNodes int
 	// Iterations is the maximum sparse repair iteration count over trees.
 	Iterations int
+	// PatchedRows is the number of LE lists re-read into tree rows, summed
+	// over the re-assembled trees: a patched tree reads its changed lists,
+	// a range rebuild all n.
+	PatchedRows int
+	// RangeRebuilds is the number of re-assembled trees whose level range
+	// moved, so that every list was re-read.
+	RangeRebuilds int
 }
 
 // NewDynamicEnsemble draws count independent trees of g's exact metric via
@@ -124,10 +149,13 @@ func NewDynamicEnsembleWith(g *graph.Graph, orders []*Order, betas []float64, tr
 		keys[i] = rk
 	}
 	lists, _ := leListsRanked(g, keys, tracker)
+	ranges := make([][]rowRange, len(orders))
 	trees := make([]*Tree, len(orders))
 	errs := make([]error, len(orders))
 	par.ForEach(len(orders), func(i int) {
-		trees[i], errs[i] = buildTreeRanked(lists[i], keys[i], betas[i])
+		var built assembly
+		trees[i], built, errs[i] = assembleTree(lists[i], keys[i], betas[i], treePatch{})
+		ranges[i] = built.ranges
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -140,6 +168,7 @@ func NewDynamicEnsembleWith(g *graph.Graph, orders []*Order, betas []float64, tr
 		betas:   betas,
 		keys:    keys,
 		lists:   lists,
+		ranges:  ranges,
 		trees:   trees,
 		tracker: tracker,
 	}, nil
@@ -263,13 +292,16 @@ func (d *DynamicEnsemble) ApplyEdits(edits []graph.Edit) (*UpdateStats, error) {
 		lists           []semiring.DistMap
 		tree            *Tree
 		iters, affected int
+		built           assembly
 		err             error
 	}
 	repairs := make([]repair, d.K())
 	par.ForEach(d.K(), func(i int) {
 		r := &repairs[i]
 		old := d.lists[i]
-		base := old
+		// The repair steps its own copy of the old fixpoint; the old lists
+		// stay intact until the whole batch has succeeded.
+		x := append([]semiring.DistMap(nil), old...)
 		seeds := sum.Touched
 		var cone []graph.Node
 		if !sum.DecreaseOnly {
@@ -277,46 +309,51 @@ func (d *DynamicEnsemble) ApplyEdits(edits []graph.Edit) (*UpdateStats, error) {
 			// OLD graph and lists) and recompute it alongside the endpoints.
 			cone = taintCone(d.g, old, sum.Applied)
 			if len(cone) > 0 {
-				base = append([]semiring.DistMap(nil), old...)
 				for _, v := range cone {
-					base[v] = semiring.SingletonDist(d.keys[i].key[v], 0)
+					x[v] = semiring.SingletonDist(d.keys[i].key[v], 0)
 				}
 				seeds = make([]graph.Node, 0, len(cone)+len(sum.Touched))
 				seeds = append(seeds, cone...)
 				seeds = append(seeds, sum.Touched...)
 			}
 		}
-		repaired, changed, iters := leRunner(g2, d.tracker).RunToFixpointFrom(base, seeds, g2.N())
+		changed, iters := leRunner(g2, d.tracker).RepairInPlace(x, seeds, g2.N())
 		r.iters = iters
 		// The affected set — reset or actually changed — is where the new
 		// lists can differ from the old; everything else aliases old states.
 		// cone and changed are each duplicate-free, so only a changed node
-		// that was also reset is skipped.
-		dirty := false
+		// that was also reset is skipped. rows collects the affected nodes
+		// whose lists really differ: the rows the tree patch re-reads.
+		var rows []graph.Node
 		reset := make([]bool, g2.N())
 		for _, v := range cone {
 			reset[v] = true
-			dirty = dirty || !module.Equal(repaired[v], old[v])
+			if !module.Equal(x[v], old[v]) {
+				rows = append(rows, v)
+			}
 		}
 		r.affected = len(cone)
 		for _, v := range changed {
 			if !reset[v] {
 				r.affected++
-				dirty = dirty || !module.Equal(repaired[v], old[v])
+				if !module.Equal(x[v], old[v]) {
+					rows = append(rows, v)
+				}
 			}
 		}
-		if !dirty {
-			r.lists, r.tree = old, d.trees[i]
+		if len(rows) == 0 {
+			r.lists, r.tree, r.built.ranges = old, d.trees[i], d.ranges[i]
 			return
 		}
-		t, err := buildTreeRanked(repaired, d.keys[i], d.betas[i])
+		t, built, err := assembleTree(x, d.keys[i], d.betas[i], treePatch{old: d.trees[i], ranges: d.ranges[i], rows: rows})
 		if err != nil {
 			r.err = fmt.Errorf("frt: repairing tree %d: %w", i, err)
 			return
 		}
-		r.lists, r.tree = repaired, t
+		r.lists, r.tree, r.built = x, t, built
 	})
 	newLists := make([][]semiring.DistMap, d.K())
+	newRanges := make([][]rowRange, d.K())
 	newTrees := make([]*Tree, d.K())
 	for i, r := range repairs {
 		if r.err != nil {
@@ -326,9 +363,13 @@ func (d *DynamicEnsemble) ApplyEdits(edits []graph.Edit) (*UpdateStats, error) {
 		stats.RecomputedNodes += r.affected
 		if r.tree != d.trees[i] {
 			stats.AffectedTrees++
+			stats.PatchedRows += r.built.read
+			if r.built.full {
+				stats.RangeRebuilds++
+			}
 		}
-		newLists[i], newTrees[i] = r.lists, r.tree
+		newLists[i], newRanges[i], newTrees[i] = r.lists, r.built.ranges, r.tree
 	}
-	d.g, d.lists, d.trees = g2, newLists, newTrees
+	d.g, d.lists, d.ranges, d.trees = g2, newLists, newRanges, newTrees
 	return stats, nil
 }

@@ -36,13 +36,23 @@ import "parmbf/internal/graph"
 // from the runner's pooled scratch re-sizes the scratch transparently (see
 // getDelta), so a runner may be re-pointed at an edited graph between calls.
 func (r *Runner[S, M]) RunToFixpointFrom(x0 []M, seeds []graph.Node, maxIter int) ([]M, []graph.Node, int) {
-	if len(x0) != r.Graph.N() {
-		panic("mbf: state vector length does not match graph size")
-	}
 	x := make([]M, len(x0))
 	copy(x, x0)
+	changed, it := r.RepairInPlace(x, seeds, maxIter)
+	return x, changed, it
+}
+
+// RepairInPlace is RunToFixpointFrom on a state vector the caller owns and
+// hands over: it steps x itself, under the same contract on (x, seeds), and
+// returns the changed set and the iteration count. A caller that has to copy
+// the old fixpoint anyway, to reset part of it, repairs the copy with no
+// second one.
+func (r *Runner[S, M]) RepairInPlace(x []M, seeds []graph.Node, maxIter int) ([]graph.Node, int) {
+	if len(x) != r.Graph.N() {
+		panic("mbf: state vector length does not match graph size")
+	}
 	frontier := make([]graph.Node, 0, len(seeds))
-	seen := make([]bool, len(x0))
+	seen := make([]bool, len(x))
 	for _, v := range seeds {
 		if !seen[v] {
 			seen[v] = true
@@ -59,5 +69,5 @@ func (r *Runner[S, M]) RunToFixpointFrom(x0 []M, seeds []graph.Node, maxIter int
 			}
 		}
 	})
-	return x, changed, it
+	return changed, it
 }

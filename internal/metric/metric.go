@@ -36,7 +36,9 @@ type Result struct {
 	// ApproximateSparse. The lower bound is always 1.
 	MaxRatio float64
 	// Iterations is the number of oracle iterations to the APSP fixpoint
-	// (≤ SPD(H) ∈ O(log² n) w.h.p.).
+	// (≤ SPD(H) ∈ O(log² n) w.h.p.). It is simgraph.MaxIters(n)+1 when the
+	// cap cut the run off; Matrix then holds the states after the last
+	// iteration allowed, which need not be the metric of H.
 	Iterations int
 }
 

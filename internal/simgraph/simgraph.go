@@ -414,6 +414,9 @@ func (o *Oracle) Run(x0 []semiring.DistMap, filter semiring.Filter[semiring.Dist
 // RunToFixpoint iterates on H until the filtered states stop changing or
 // maxIters is hit, returning the states and the number of iterations
 // performed — including the final iteration that confirms the fixpoint.
+// A run the cap cuts off returns maxIters+1: its last iteration still
+// changed some state, so the fixpoint needs at least one more, and a caller
+// tells a capped run by a count above its cap.
 // Since SPD(H) ∈ O(log² n) w.h.p. (Theorem 4.5), the fixpoint arrives after
 // polylogarithmically many oracle iterations. Change detection is fused
 // into the cross-level merge pass (no separate vector comparison), and the
@@ -449,7 +452,7 @@ func (o *Oracle) RunToFixpoint(x0 []semiring.DistMap, filter semiring.Filter[sem
 			return x, it
 		}
 	}
-	return x, maxIters
+	return x, maxIters + 1
 }
 
 // MaxIters returns the default iteration cap 4·(⌈log₂ n⌉+1)², comfortably

@@ -327,7 +327,8 @@ func BuildRoutingTables(g *Graph, trees int, seed uint64) (*RoutingTables, error
 }
 
 // ValidateRoute audits one routed pair against g: endpoints, every hop a
-// real edge, exact length accounting, and the tree-distance certificate.
+// real edge, exact length accounting, and the tree-distance certificate
+// (length at most 1.5× the tree distance; see routing.CertificateFactor).
 func ValidateRoute(g *Graph, u, v Node, r *RouteResult) error {
 	return routing.Validate(g, u, v, r)
 }
