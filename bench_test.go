@@ -1,12 +1,13 @@
 package parmbf
 
 // This file is the benchmark harness of the reproduction: one testing.B
-// benchmark per experiment of DESIGN.md §2 (E1–E12), per ablation (A1–A4),
+// benchmark per experiment of package internal/experiments (E1–E12), per
+// ablation (A1–A4),
 // and for the extension experiment X1. Each bench regenerates its experiment's table; run with
 //
 //	go test -bench=. -benchmem
 //
-// and see cmd/benchall for the full-size tables that EXPERIMENTS.md records.
+// and see cmd/benchall for the full-size tables.
 // Benchmarks run the experiments in Quick mode (reduced sizes) so the suite
 // completes in minutes; the printed rows carry the measured values.
 

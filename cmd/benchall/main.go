@@ -1,6 +1,6 @@
 // Command benchall runs the complete reproduction suite (experiments E1–E12
-// and ablations A1–A4 of DESIGN.md) at full size and prints every table —
-// the payload recorded in EXPERIMENTS.md.
+// and ablations A1–A4 of package internal/experiments, whose doc lists
+// them) at full size and prints every table.
 //
 // Usage:
 //

@@ -36,6 +36,8 @@ type updateRequest struct {
 // response was written sees at least this version. PatchedRows and
 // RangeRebuilds show the tree patch (frt.UpdateStats): the LE lists re-read,
 // and the re-assembled trees that had to re-read all of theirs.
+// IndexRebuilds is 1 when the batch moved the OracleIndex layout, so that
+// the index was packed afresh instead of patched.
 type updateResponse struct {
 	Version         int64 `json:"version"`
 	Edges           int   `json:"edges"`
@@ -43,6 +45,7 @@ type updateResponse struct {
 	RecomputedNodes int   `json:"recomputedNodes"`
 	PatchedRows     int   `json:"patchedRows"`
 	RangeRebuilds   int   `json:"rangeRebuilds"`
+	IndexRebuilds   int   `json:"indexRebuilds"`
 	DecreaseOnly    bool  `json:"decreaseOnly"`
 	ElapsedMs       int64 `json:"elapsedMs"`
 }
@@ -83,8 +86,8 @@ func decodeUpdate(r *http.Request, n int) (any, *apiError) {
 }
 
 // serveUpdate applies an edge edit batch to the live ensemble and swaps the
-// serving snapshot atomically. Updates are serialised end to end (repair +
-// reindex + swap) under updateMu; queries are never blocked — they keep
+// serving snapshot atomically. Updates are serialised end to end (repair,
+// index patch, swap) under updateMu; queries are never blocked — they keep
 // answering from the previous snapshot until the single atomic swap, which
 // is the bounded-staleness contract documented in the README. A failed
 // batch (validation error, disconnecting deletion) changes nothing: the old
@@ -104,13 +107,9 @@ func (s *server) serveUpdate(_ context.Context, _ *serverState, req any) (any, *
 	old := s.state.Load()
 	st := &serverState{n: old.n, m: s.dyn.Graph().M(), version: old.version + 1,
 		ens: s.dyn.Ensemble(), g: s.dyn.Graph()}
-	if st.idx, err = st.ens.Index(); err != nil {
-		// Repair succeeded but indexing failed — the old snapshot keeps
-		// serving; the dynamic state has already advanced, so surface this
-		// loudly rather than silently diverging.
-		return nil, reject(http.StatusInternalServerError, errInternal,
-			"reindex after update failed: "+err.Error(), nil)
-	}
+	// ApplyEdits left the snapshot indexed (a failure to index fails the
+	// whole batch), so Index only returns the patched index.
+	st.idx, _ = st.ens.Index()
 	s.state.Store(st)
 	s.updates.Add(1)
 	return &updateResponse{
@@ -120,6 +119,7 @@ func (s *server) serveUpdate(_ context.Context, _ *serverState, req any) (any, *
 		RecomputedNodes: stats.RecomputedNodes,
 		PatchedRows:     stats.PatchedRows,
 		RangeRebuilds:   stats.RangeRebuilds,
+		IndexRebuilds:   stats.IndexRebuilds,
 		DecreaseOnly:    stats.DecreaseOnly,
 		ElapsedMs:       time.Since(t0).Milliseconds(),
 	}, nil

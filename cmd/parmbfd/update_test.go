@@ -97,10 +97,11 @@ func TestUpdateEndpoint(t *testing.T) {
 	_ = s
 }
 
-// TestUpdateReportsPatch: /update returns the tree patch's counts,
-// patchedRows and rangeRebuilds, as frt.UpdateStats reports them. A light
-// reweight patches rows; an insert far lighter than every edge moves each
-// dirty tree's level range, so those trees re-read all n lists.
+// TestUpdateReportsPatch: /update returns the tree and index patch's
+// counts, patchedRows, rangeRebuilds and indexRebuilds, as frt.UpdateStats
+// reports them. A light reweight patches rows and the index; an insert far
+// lighter than every edge moves each dirty tree's level range, so those
+// trees re-read all n lists, and deepens them, so the index is repacked.
 func TestUpdateReportsPatch(t *testing.T) {
 	_, ts, dyn := testDynamicServer(t)
 	twin, err := frt.NewDynamicEnsemble(dyn.Graph(), 3, par.NewRNG(72), nil)
@@ -126,24 +127,25 @@ func TestUpdateReportsPatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := map[string]int{}
-		for _, k := range []string{"affectedTrees", "patchedRows", "rangeRebuilds"} {
+		for _, k := range []string{"affectedTrees", "patchedRows", "rangeRebuilds", "indexRebuilds"} {
 			f, ok := raw[k].(float64)
 			if !ok {
 				t.Fatalf("step %d: response %v lacks %q", step, raw, k)
 			}
 			got[k] = int(f)
 		}
-		if got["affectedTrees"] != want.AffectedTrees || got["patchedRows"] != want.PatchedRows || got["rangeRebuilds"] != want.RangeRebuilds {
+		if got["affectedTrees"] != want.AffectedTrees || got["patchedRows"] != want.PatchedRows ||
+			got["rangeRebuilds"] != want.RangeRebuilds || got["indexRebuilds"] != want.IndexRebuilds {
 			t.Fatalf("step %d: response %v, want stats %+v", step, got, *want)
 		}
 		switch step {
 		case 0:
-			if want.AffectedTrees == 0 || want.RangeRebuilds != 0 || want.PatchedRows >= want.AffectedTrees*n {
-				t.Fatalf("reweight: stats %+v, want a row patch", *want)
+			if want.AffectedTrees == 0 || want.RangeRebuilds != 0 || want.PatchedRows >= want.AffectedTrees*n || want.IndexRebuilds != 0 {
+				t.Fatalf("reweight: stats %+v, want a row and index patch", *want)
 			}
 		case 1:
-			if want.AffectedTrees != 3 || want.RangeRebuilds != 3 || want.PatchedRows != 3*n {
-				t.Fatalf("light insert: stats %+v, want 3 range rebuilds of %d rows", *want, n)
+			if want.AffectedTrees != 3 || want.RangeRebuilds != 3 || want.PatchedRows != 3*n || want.IndexRebuilds != 1 {
+				t.Fatalf("light insert: stats %+v, want 3 range rebuilds of %d rows and an index rebuild", *want, n)
 			}
 		}
 	}

@@ -19,7 +19,7 @@
 //     al. whenever SPD(G) ≫ √n, which experiment E9 demonstrates on
 //     lollipop graphs.
 //
-// Substitution note (DESIGN.md, substitution 2): where §8.3 invokes the
+// Substitution note: where §8.3 invokes the
 // Henzinger et al. Congest hop set [25] to push the skeleton work to
 // n^{1/2+o(1)}, this simulator uses the exact hop-limited skeleton distances
 // of the [22] variant (§8.2); the measured comparison "skeleton beats

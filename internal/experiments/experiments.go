@@ -1,8 +1,8 @@
-// Package experiments implements the reproduction suite of DESIGN.md —
-// experiments E1–E12, ablations A1–A4, and extension X1: one function per paper claim, each
-// producing a printable table whose rows are regenerated measurements. The
-// package is shared by cmd/benchall (which prints all tables and the
-// EXPERIMENTS.md payload) and the root bench suite (which runs each
+// Package experiments implements the reproduction suite — experiments
+// E1–E12, ablations A1–A4, and extension X1: one function per paper claim,
+// each producing a printable table whose rows are regenerated
+// measurements. The package is shared by cmd/benchall (which prints all
+// tables at full size) and the root bench suite (which runs each
 // experiment as a testing.B benchmark).
 package experiments
 
@@ -275,7 +275,7 @@ func E5Work(cfg Config) *Table {
 }
 
 // E6HopSet verifies the hop-set inequality and reports sizes (§1.2 eq. 1.3;
-// DESIGN.md substitution 1).
+// the hop-set substitution is described in the hopset package doc).
 func E6HopSet(cfg Config) *Table {
 	rng := cfg.rng()
 	t := &Table{

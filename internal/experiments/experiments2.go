@@ -43,14 +43,20 @@ func E7Metric(cfg Config) *Table {
 			}
 			return worst
 		}
-		direct := metric.Approximate(g, rng, nil)
+		direct, err := metric.Approximate(g, rng, nil)
+		if err != nil {
+			panic(err)
+		}
 		t.Rows = append(t.Rows, []string{
 			"oracle", d0(n), d0(g.M()), f2(direct.MaxRatio), fmt.Sprintf("%.4f", observe(direct.Matrix)),
 			fmt.Sprintf("%v", direct.Matrix.IsMetric(1e-6)),
 		})
 		k := 2
 		sp := spanner.Build(g, k, rng, nil)
-		sparse := metric.Approximate(sp, rng, nil)
+		sparse, err := metric.Approximate(sp, rng, nil)
+		if err != nil {
+			panic(err)
+		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("spanner(k=%d)", k), d0(n), d0(sp.M()),
 			f2(float64(2*k-1) * sparse.MaxRatio), fmt.Sprintf("%.4f", observe(sparse.Matrix)),

@@ -32,7 +32,8 @@ type Ensemble struct {
 }
 
 // Index returns the ensemble's OracleIndex, building it on first use
-// (O(trees · n · depth)). All of Min, Median, and Evaluate answer from it.
+// (O(trees · n · depth)); a DynamicEnsemble's snapshot holds its index
+// already. All of Min, Median, and Evaluate answer from it.
 func (e *Ensemble) Index() (*OracleIndex, error) {
 	e.idxOnce.Do(func() { e.idx, e.idxErr = NewOracleIndex(e.Trees) })
 	return e.idx, e.idxErr
@@ -143,4 +144,12 @@ func (e *Ensemble) Evaluate(g *graph.Graph, pairs int, rng *par.RNG) EnsembleSta
 		stats.AvgMinStretch /= float64(stats.Pairs)
 	}
 	return stats
+}
+
+// indexedEnsemble returns an Ensemble of trees whose Index is idx, which
+// must index exactly those trees.
+func indexedEnsemble(trees []*Tree, idx *OracleIndex) *Ensemble {
+	e := &Ensemble{Trees: trees}
+	e.idxOnce.Do(func() { e.idx = idx })
+	return e
 }

@@ -64,7 +64,8 @@ type OracleIndex struct {
 	packed []uint64
 	// packedLo holds the 32-bit lanes of heights < split (nil when split=0).
 	packedLo []uint64
-	// split is the first height whose cluster ids fit 16-bit lanes.
+	// split is the first height whose cluster ids fit 16-bit lanes: the
+	// largest of treeSplit.
 	split int
 	// words is the padded word count per (node, tree) high row:
 	// ceil((stride-split)/4).
@@ -72,6 +73,9 @@ type OracleIndex struct {
 	// loWords is the word count per (node, tree) low row: ceil(split/2).
 	loWords int
 	med     par.Pool[*[]float64]
+	// treeSplit[t] is tree t's own lane split (laneSplit), from which a
+	// patch re-derives split when it replaces some trees.
+	treeSplit []int
 }
 
 // packedLaneMax is the largest per-height cluster count a 16-bit lane can
@@ -92,12 +96,16 @@ const packedLaneMax = 1 << 16
 // is two int32 per tree node of the largest tree, and no per-leaf ancestor
 // table is built. The packing first assumes level-uniform weights; the
 // first tree that breaks them restarts it with per-leaf weight rows.
+//
+// NewOracleIndex is the one fresh pack, for the Embedder, snapshots and
+// hand-built trees alike. A DynamicEnsemble update instead patches the
+// current index with the rows of the trees it re-assembled (patch), and
+// falls back to NewOracleIndex only when the layout moves.
 func NewOracleIndex(trees []*Tree) (*OracleIndex, error) {
 	if len(trees) == 0 {
 		return nil, fmt.Errorf("frt: oracle index needs ≥ 1 tree")
 	}
-	o := &OracleIndex{n: len(trees[0].Leaf), k: len(trees)}
-	o.med.New = func() *[]float64 { ds := make([]float64, o.k); return &ds }
+	o := newIndex(len(trees[0].Leaf), len(trees))
 	// Cheap pre-pass: per-tree depths (for the padded stride) and per-height
 	// cluster-count bounds (for the 16/32-bit lane split), both derivable
 	// from the parent arrays alone. The depth walk checks only leaf 0's
@@ -121,27 +129,11 @@ func NewOracleIndex(trees []*Tree) (*OracleIndex, error) {
 	// tree. Distinct height-h ancestors of the n leaves number at most
 	// min(n, nodes at the matching tree level), so for n ≤ 65536 the split
 	// is always 0.
+	o.treeSplit = make([]int, o.k)
 	if o.n > packedLaneMax {
-		bound := make([]int, o.stride)
 		for i, t := range trees {
-			counts := treeLevelCounts(t, depths[i])
-			for h := 0; h < o.stride; h++ {
-				c := o.n
-				if counts != nil && h <= depths[i] && int(counts[h]) < c {
-					c = int(counts[h])
-				} else if counts != nil && h > depths[i] {
-					c = 1 // padded heights repeat the root
-				}
-				if c > bound[h] {
-					bound[h] = c
-				}
-			}
-		}
-		for h := o.stride - 1; h >= 0; h-- {
-			if bound[h] > packedLaneMax {
-				o.split = h + 1
-				break
-			}
+			o.treeSplit[i] = laneSplit(treeLevelCounts(t, depths[i]), o.n, o.stride)
+			o.split = max(o.split, o.treeSplit[i])
 		}
 	}
 	o.words = (o.stride - o.split + 3) / 4
@@ -158,6 +150,32 @@ func NewOracleIndex(trees []*Tree) (*OracleIndex, error) {
 		}
 		o.pwStep = o.k * o.stride
 	}
+}
+
+// newIndex returns an empty index of k trees over n leaves.
+func newIndex(n, k int) *OracleIndex {
+	o := &OracleIndex{n: n, k: k}
+	o.med.New = func() *[]float64 { ds := make([]float64, o.k); return &ds }
+	return o
+}
+
+// laneSplit returns the lowest height from which one tree's cluster ids fit
+// 16-bit lanes in an index of the given stride over n > packedLaneMax
+// leaves: one above the highest height with more than packedLaneMax
+// clusters, or 0. counts[h] is the tree's node count at height h
+// (treeLevelCounts), which bounds its height-h clusters together with n;
+// heights past the tree's depth repeat the root. A nil counts, for a
+// structurally suspect tree, bounds every height by n.
+func laneSplit(counts []int32, n, stride int) int {
+	if counts == nil {
+		return stride
+	}
+	for h := min(len(counts), stride) - 1; h >= 0; h-- {
+		if min(n, int(counts[h])) > packedLaneMax {
+			return h + 1
+		}
+	}
+	return 0
 }
 
 // pack fills the packed words and the weight table from scratch, one tree
@@ -319,14 +337,7 @@ func treeLevelCounts(t *Tree, depth int) []int32 {
 func (o *OracleIndex) packTree(t *Tree, ti, depth int, id []int32) bool {
 	shared := o.pw[ti*o.stride : (ti+1)*o.stride]
 	if o.pwStep == 0 {
-		u, acc := t.Leaf[0], 0.0
-		for h := 1; h < o.stride; h++ {
-			if h <= depth {
-				acc += t.EdgeWeight[u]
-				u = t.Parent[u]
-			}
-			shared[h] = acc
-		}
+		o.levelWeights(t, ti, depth)
 	}
 	split, k, words, loWords, perLeaf := o.split, o.k, o.words, o.loWords, o.pwStep > 0
 	parent, weight := t.Parent, t.EdgeWeight
@@ -380,6 +391,20 @@ func (o *OracleIndex) packTree(t *Tree, ti, depth int, id []int32) bool {
 			return uniform
 		},
 		func(a, b bool) bool { return a && b })
+}
+
+// levelWeights fills tree ti's shared prefix-weight row from leaf 0's chain,
+// padded past the depth with the full leaf-to-root weight.
+func (o *OracleIndex) levelWeights(t *Tree, ti, depth int) {
+	shared := o.pw[ti*o.stride : (ti+1)*o.stride]
+	u, acc := t.Leaf[0], 0.0
+	for h := 1; h < o.stride; h++ {
+		if h <= depth {
+			acc += t.EdgeWeight[u]
+			u = t.Parent[u]
+		}
+		shared[h] = acc
+	}
 }
 
 // NumTrees returns the ensemble size K.

@@ -49,7 +49,7 @@ type Embedding struct {
 // the MBF-like oracle → tree assembly. The expected stretch is
 // O(α^{O(log n)} · log n) where α = 1+ε̂ accounts for H's distance slack —
 // O(log n) for the default parameters (Corollary 7.10 with the hop-set
-// substitution recorded in DESIGN.md).
+// substitution described in the hopset package doc).
 //
 // Sample rebuilds the pipeline on every call; to draw several trees of the
 // same graph, use NewEmbedder and amortise the hop-set and H construction.

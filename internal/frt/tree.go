@@ -424,7 +424,9 @@ func assembleTree(lists []semiring.DistMap, rk rankKeys, beta float64, p treePat
 	// n-sized scratch at their offset k within the level (tree id base+k),
 	// and head is reset from the level's own centers. Each finished level is
 	// appended to allParent and allCenter, and the Tree's arrays are
-	// allocated once, at the final node count.
+	// allocated once, at the final node count. The levels are thus stored
+	// top-down at contiguous ids, each numbered in order of its clusters'
+	// smallest member leaf, which OracleIndex.patch relies on.
 	allParent := append(s.allParent[:0], -1)
 	allCenter := append(s.allCenter[:0], rootCenter)
 	levelEnd := []int{1}

@@ -48,12 +48,25 @@
 // distance, or a farthest node pushed past β·2^imax), the fallback reads
 // every list of that tree, exactly the full build. UpdateStats.PatchedRows
 // and RangeRebuilds count both.
+//
+// The OracleIndex is patched too. Assembly numbers each level's clusters in
+// order of their smallest member leaf, which is how the index numbers a
+// height's clusters, so a re-assembled tree's node ids, offset per level,
+// are its packed lanes. The next index copies the current one's words and
+// rewrites the dirty trees' rows from their leaf-to-root chains
+// (OracleIndex.patch). When a batch moves the index layout (a new largest
+// depth or lane split), NewOracleIndex packs all trees instead, and
+// UpdateStats.IndexRebuilds counts it. The per-tree repair marks (the taint
+// cone's, the reset set's and the repair runner's) are pooled and cleared
+// through the nodes they mark.
 package frt
 
 import (
 	"fmt"
+	"slices"
 
 	"parmbf/internal/graph"
+	"parmbf/internal/mbf"
 	"parmbf/internal/par"
 	"parmbf/internal/semiring"
 )
@@ -78,8 +91,13 @@ type DynamicEnsemble struct {
 	// ranges[i] are the block distance ranges of lists[i] (assembleTree),
 	// from which a patched tree re-derives its level range without reading
 	// the unchanged lists.
-	ranges  [][]rowRange
-	trees   []*Tree
+	ranges [][]rowRange
+	trees  []*Tree
+	// index is the OracleIndex of trees, which ApplyEdits patches.
+	index *OracleIndex
+	// runner is the LE-list repair runner, re-pointed at each edited graph
+	// so that its pooled frontier scratch outlives a batch.
+	runner  *mbf.Runner[float64, semiring.DistMap]
 	tracker *par.Tracker
 }
 
@@ -104,6 +122,10 @@ type UpdateStats struct {
 	// RangeRebuilds is the number of re-assembled trees whose level range
 	// moved, so that every list was re-read.
 	RangeRebuilds int
+	// IndexRebuilds is 1 when the batch moved the OracleIndex layout (the
+	// largest tree depth or the lane split), so that the index was packed
+	// afresh instead of patched.
+	IndexRebuilds int
 }
 
 // NewDynamicEnsemble draws count independent trees of g's exact metric via
@@ -162,6 +184,10 @@ func NewDynamicEnsembleWith(g *graph.Graph, orders []*Order, betas []float64, tr
 			return nil, fmt.Errorf("frt: tree %d: %w", i, err)
 		}
 	}
+	index, err := NewOracleIndex(trees)
+	if err != nil {
+		return nil, err
+	}
 	return &DynamicEnsemble{
 		g:       g,
 		orders:  orders,
@@ -170,6 +196,8 @@ func NewDynamicEnsembleWith(g *graph.Graph, orders []*Order, betas []float64, tr
 		lists:   lists,
 		ranges:  ranges,
 		trees:   trees,
+		index:   index,
+		runner:  leRunner(g, tracker),
 		tracker: tracker,
 	}, nil
 }
@@ -186,12 +214,37 @@ func (d *DynamicEnsemble) Trees() []*Tree {
 	return append([]*Tree(nil), d.trees...)
 }
 
-// Ensemble returns an immutable query-side snapshot of the current trees.
-// Each call returns a fresh Ensemble so its lazily built OracleIndex is
-// never stale: after an update, index the new snapshot and atomically swap
-// it in front of readers.
+// Ensemble returns an immutable query-side snapshot of the current trees,
+// with their OracleIndex already built: Index returns the index that the
+// constructor packed and each ApplyEdits since has patched. After an
+// update, take a new snapshot and atomically swap it in front of readers.
 func (d *DynamicEnsemble) Ensemble() *Ensemble {
-	return &Ensemble{Trees: d.Trees()}
+	return indexedEnsemble(d.Trees(), d.index)
+}
+
+// repairMarks is the n-entry working memory of one tree's repair, pooled
+// across the trees of a batch and across batches. Between uses every mark
+// is clear: each pass clears exactly the nodes it marked, so a repair
+// touches O(cone) of it, not O(n).
+type repairMarks struct {
+	// taintAt[v] is 1 + the offset of v's per-entry taint flags in taint,
+	// or 0 for a node outside the cone (taintCone).
+	taintAt []int32
+	taint   []bool
+	queued  []bool
+	// reset marks the cone in ApplyEdits.
+	reset []bool
+}
+
+var repairMarksPool = par.Pool[*repairMarks]{New: func() *repairMarks { return &repairMarks{} }}
+
+// getRepairMarks returns pooled marks sized for n nodes.
+func getRepairMarks(n int) *repairMarks {
+	m := repairMarksPool.Get()
+	if len(m.reset) != n {
+		*m = repairMarks{taintAt: make([]int32, n), queued: make([]bool, n), reset: make([]bool, n)}
+	}
+	return m
 }
 
 // taintCone walks support chains forwards over the OLD graph and OLD lists
@@ -209,24 +262,26 @@ func (d *DynamicEnsemble) Ensemble() *Ensemble {
 // walk keeps exact distances, and under non-decreasing edits unchanged
 // blockers admit no new entries either, so its whole list is unchanged.
 // Equal-length alternative paths may over-taint; they never under-taint.
-func taintCone(g *graph.Graph, lists []semiring.DistMap, applied []graph.AppliedEdit) []graph.Node {
-	n := g.N()
-	taintIdx := make([][]bool, n) // per node, parallel to lists[v]'s entries
-	queued := make([]bool, n)
+//
+// The marks live in m and are clear again on return.
+func taintCone(g *graph.Graph, lists []semiring.DistMap, applied []graph.AppliedEdit, m *repairMarks) []graph.Node {
 	var queue []graph.Node
 	var cone []graph.Node
 	taint := func(v graph.Node, i int) {
-		tv := taintIdx[v]
-		if tv == nil {
-			tv = make([]bool, lists[v].Len())
-			taintIdx[v] = tv
+		at := m.taintAt[v]
+		if at == 0 {
+			at = int32(len(m.taint)) + 1
+			m.taintAt[v] = at
+			m.taint = append(m.taint, make([]bool, lists[v].Len())...)
 			cone = append(cone, v)
 		}
-		if !tv[i] && !queued[v] {
-			queued[v] = true
-			queue = append(queue, v)
+		if f := &m.taint[int(at)-1+i]; !*f {
+			*f = true
+			if !m.queued[v] {
+				m.queued[v] = true
+				queue = append(queue, v)
+			}
 		}
-		tv[i] = true
 	}
 	for _, e := range applied {
 		nonMonotone := e.Op == graph.EditDelete ||
@@ -240,20 +295,25 @@ func taintCone(g *graph.Graph, lists []semiring.DistMap, applied []graph.Applied
 			func(i, _ int) { taint(e.V, i) })
 	}
 	// A node re-enters the queue whenever its tainted set grows, so every
-	// tainted entry is eventually propagated across every out-arc.
+	// tainted entry is eventually propagated across every out-arc. The
+	// queue drains, which clears queued.
 	for head := 0; head < len(queue); head++ {
 		w := queue[head]
-		queued[w] = false
-		tw := taintIdx[w]
+		m.queued[w] = false
+		tw := int(m.taintAt[w]) - 1
 		for _, a := range g.Neighbors(w) {
 			q := a.To
 			semiring.SupportedEntries(lists[q], lists[w], a.Weight, func(i, j int) {
-				if tw[j] {
+				if m.taint[tw+j] {
 					taint(q, i)
 				}
 			})
 		}
 	}
+	for _, v := range cone {
+		m.taintAt[v] = 0
+	}
+	m.taint = m.taint[:0]
 	return cone
 }
 
@@ -263,6 +323,12 @@ func taintCone(g *graph.Graph, lists []semiring.DistMap, applied []graph.Applied
 // trees whose lists changed are re-assembled; the trees are repaired
 // concurrently. The result is bitwise the full rebuild with the same frozen
 // randomness (NewDynamicEnsembleWith on the edited graph).
+//
+// The OracleIndex is patched, not repacked: the next index is a copy of
+// the current one with the re-assembled trees' rows rewritten from their
+// cluster ids. When the batch moves the index layout (the largest depth or
+// the lane split), NewOracleIndex packs the new trees instead. Either way
+// the index equals NewOracleIndex of the new trees, field for field.
 //
 // The batch is transactional: on any error — validation, a deletion that
 // disconnects the graph (the §1.2 standing assumption), tree assembly — the
@@ -284,6 +350,7 @@ func (d *DynamicEnsemble) ApplyEdits(edits []graph.Edit) (*UpdateStats, error) {
 	if sum.Deletes > 0 && !g2.Connected() {
 		return nil, fmt.Errorf("frt: edit batch disconnects the graph")
 	}
+	d.runner.Graph = g2
 	// Each tree repairs into its own slot. Stats are merged in tree order
 	// and the lowest-index error wins, so the outcome does not depend on
 	// the parallel width; d changes only once every tree has succeeded.
@@ -299,6 +366,8 @@ func (d *DynamicEnsemble) ApplyEdits(edits []graph.Edit) (*UpdateStats, error) {
 	par.ForEach(d.K(), func(i int) {
 		r := &repairs[i]
 		old := d.lists[i]
+		m := getRepairMarks(g2.N())
+		defer repairMarksPool.Put(m)
 		// The repair steps its own copy of the old fixpoint; the old lists
 		// stay intact until the whole batch has succeeded.
 		x := append([]semiring.DistMap(nil), old...)
@@ -307,7 +376,7 @@ func (d *DynamicEnsemble) ApplyEdits(edits []graph.Edit) (*UpdateStats, error) {
 		if !sum.DecreaseOnly {
 			// Non-monotone: invalidate the support cone (computed against the
 			// OLD graph and lists) and recompute it alongside the endpoints.
-			cone = taintCone(d.g, old, sum.Applied)
+			cone = taintCone(d.g, old, sum.Applied, m)
 			if len(cone) > 0 {
 				for _, v := range cone {
 					x[v] = semiring.SingletonDist(d.keys[i].key[v], 0)
@@ -317,7 +386,7 @@ func (d *DynamicEnsemble) ApplyEdits(edits []graph.Edit) (*UpdateStats, error) {
 				seeds = append(seeds, sum.Touched...)
 			}
 		}
-		changed, iters := leRunner(g2, d.tracker).RepairInPlace(x, seeds, g2.N())
+		changed, iters := d.runner.RepairInPlace(x, seeds, g2.N())
 		r.iters = iters
 		// The affected set — reset or actually changed — is where the new
 		// lists can differ from the old; everything else aliases old states.
@@ -325,21 +394,23 @@ func (d *DynamicEnsemble) ApplyEdits(edits []graph.Edit) (*UpdateStats, error) {
 		// that was also reset is skipped. rows collects the affected nodes
 		// whose lists really differ: the rows the tree patch re-reads.
 		var rows []graph.Node
-		reset := make([]bool, g2.N())
 		for _, v := range cone {
-			reset[v] = true
+			m.reset[v] = true
 			if !module.Equal(x[v], old[v]) {
 				rows = append(rows, v)
 			}
 		}
 		r.affected = len(cone)
 		for _, v := range changed {
-			if !reset[v] {
+			if !m.reset[v] {
 				r.affected++
 				if !module.Equal(x[v], old[v]) {
 					rows = append(rows, v)
 				}
 			}
+		}
+		for _, v := range cone {
+			m.reset[v] = false
 		}
 		if len(rows) == 0 {
 			r.lists, r.tree, r.built.ranges = old, d.trees[i], d.ranges[i]
@@ -355,6 +426,7 @@ func (d *DynamicEnsemble) ApplyEdits(edits []graph.Edit) (*UpdateStats, error) {
 	newLists := make([][]semiring.DistMap, d.K())
 	newRanges := make([][]rowRange, d.K())
 	newTrees := make([]*Tree, d.K())
+	dirty := make([]bool, d.K())
 	for i, r := range repairs {
 		if r.err != nil {
 			return nil, r.err
@@ -367,9 +439,96 @@ func (d *DynamicEnsemble) ApplyEdits(edits []graph.Edit) (*UpdateStats, error) {
 			if r.built.full {
 				stats.RangeRebuilds++
 			}
+			dirty[i] = true
 		}
 		newLists[i], newRanges[i], newTrees[i] = r.lists, r.built.ranges, r.tree
 	}
-	d.g, d.lists, d.ranges, d.trees = g2, newLists, newRanges, newTrees
+	index := d.index
+	if stats.AffectedTrees > 0 {
+		if index = d.index.patch(newTrees, dirty); index == nil {
+			stats.IndexRebuilds = 1
+			if index, err = NewOracleIndex(newTrees); err != nil {
+				return nil, fmt.Errorf("frt: indexing the repaired trees: %w", err)
+			}
+		}
+	}
+	d.g, d.lists, d.ranges, d.trees, d.index = g2, newLists, newRanges, newTrees, index
 	return stats, nil
+}
+
+// patch returns the index of trees, which differ from the trees o indexes
+// only where dirty is set, or nil when the layout moved: a new largest
+// depth (stride), a new lane split, or per-leaf weight rows in o. The
+// result copies o's words and weight rows and rewrites the dirty trees'
+// rows, so it equals NewOracleIndex(trees) field for field.
+//
+// Every dirty tree must be assembled (assembleTree). Assembly stores the
+// levels top-down at contiguous node ids and numbers each level's clusters
+// in order of their smallest member leaf, which is the order in which
+// clusterIDs numbers a height. So a node's lane is its offset within its
+// level: its id minus that of leaf 0's ancestor at the same height, the
+// level's first cluster. The rows are then written straight from the
+// leaf-to-root chains, in parallel over leaves as in packTree but with no
+// renumbering pass, and the trees are level-uniform, so each writes only
+// its shared weight row.
+func (o *OracleIndex) patch(trees []*Tree, dirty []bool) *OracleIndex {
+	if o.pwStep != 0 {
+		return nil
+	}
+	c := newIndex(o.n, o.k)
+	c.stride, c.split, c.words, c.loWords = o.stride, o.split, o.words, o.loWords
+	c.treeSplit = slices.Clone(o.treeSplit)
+	// first[ti][h] is the first node id of dirty tree ti's height-h level.
+	first := make([][]int32, len(trees))
+	maxDepth := 0
+	for ti, t := range trees {
+		maxDepth = max(maxDepth, t.Depth())
+		if !dirty[ti] {
+			continue
+		}
+		for u := t.Leaf[0]; u != -1; u = t.Parent[u] {
+			first[ti] = append(first[ti], u)
+		}
+		if c.n > packedLaneMax {
+			counts, end := make([]int32, len(first[ti])), int32(t.NumNodes())
+			for h, f := range first[ti] {
+				counts[h], end = end-f, f
+			}
+			c.treeSplit[ti] = laneSplit(counts, c.n, len(counts))
+		}
+	}
+	if maxDepth+1 != c.stride || slices.Max(c.treeSplit) != c.split {
+		return nil
+	}
+	c.pw, c.packed, c.packedLo = slices.Clone(o.pw), slices.Clone(o.packed), slices.Clone(o.packedLo)
+	n, k, split, words, loWords := c.n, c.k, c.split, c.words, c.loWords
+	for ti, t := range trees {
+		if !dirty[ti] {
+			continue
+		}
+		f, depth := first[ti], len(first[ti])-1
+		c.levelWeights(t, ti, depth)
+		// Each leaf's walk to the root rewrites its own row; lanes past
+		// the depth and the root's lane are 0.
+		par.ForEachChunk(n, func(start, end int) {
+			for v := start; v < end; v++ {
+				hi := c.packed[(v*k+ti)*words:][:words]
+				lo := c.packedLo[(v*k+ti)*loWords:][:loWords]
+				clear(hi)
+				clear(lo)
+				u := t.Leaf[v]
+				for h := 0; h < depth; h++ {
+					lane := uint64(u - f[h])
+					if h < split {
+						lo[h>>1] |= lane << (uint(h&1) * 32)
+					} else {
+						l := uint(h - split)
+						hi[l>>2] |= lane << ((l & 3) * 16)
+					}
+					u = t.Parent[u]
+				}
+			}
+		})
+	}
+	return c
 }

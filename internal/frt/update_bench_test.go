@@ -2,12 +2,12 @@ package frt
 
 // Benchmarks for the live-update path at serving scale (n = 4096, K = 16,
 // the direct pipeline): one single-edge reweight absorbed incrementally —
-// repair + tree patch + fresh OracleIndex, i.e. everything POST /update does
-// — against the full frozen-randomness rebuild it replaces. The acceptance
+// repair + tree patch + index patch, i.e. everything POST /update does —
+// against the full frozen-randomness rebuild it replaces. The acceptance
 // bar for the dynamic path is incremental ≥ 10× faster than the rebuild.
 // UpdateCycle runs the serving benchmark's /update script shape in-process
-// and splits each cycle into repair and reindex time. Part of the bench-mbf
-// tier; IncrementalUpdate is pinned by bench-gate.
+// and splits each cycle into ApplyEdits and Index time. Part of the
+// bench-mbf tier; IncrementalUpdate is pinned by bench-gate.
 
 import (
 	"sync"
@@ -63,8 +63,8 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 }
 
 // BenchmarkIncrementalUpdateBaseline is the cost the incremental path
-// replaces: a full rebuild of the same ensemble (frozen randomness) plus
-// reindex, after the same single-edge edit.
+// replaces: a full rebuild of the same ensemble (frozen randomness), whose
+// constructor also packs the index, after the same single-edge edit.
 func BenchmarkIncrementalUpdateBaseline(b *testing.B) {
 	d := updateFixture(b)
 	b.ResetTimer()
@@ -83,9 +83,10 @@ func BenchmarkIncrementalUpdateBaseline(b *testing.B) {
 // n = 2048, m = 4n, K = 16 live ensemble absorbs cycles of six one-edit
 // batches that return the graph to its start state — halve and restore an
 // edge weight, delete and reinsert a non-bridge edge, insert and delete a
-// new edge — each followed by the fresh OracleIndex POST /update builds.
-// One op is one cycle; apply_ms/cycle and index_ms/cycle split it into
-// ApplyEdits and Index time.
+// new edge — each followed by the Index call POST /update makes. One op is
+// one cycle; apply_ms/cycle and index_ms/cycle split it into ApplyEdits and
+// Index time. ApplyEdits patches the index itself, so index_ms/cycle only
+// reads the snapshot's index and apply_ms/cycle holds the index work.
 func BenchmarkUpdateCycle(b *testing.B) {
 	g := graph.RandomConnected(2048, 8192, 10, par.NewRNG(1))
 	d, err := NewDynamicEnsemble(g, 16, par.NewRNG(1), nil)

@@ -4,9 +4,8 @@
 // tree-embedding pipeline (§4): they bound the number of MBF-like iterations
 // needed before distances stabilise.
 //
-// The paper invokes Cohen's polylog-hop-set construction [13]. Per the
-// reproduction plan (DESIGN.md, substitution 1) this package provides two
-// self-contained replacements:
+// The paper invokes Cohen's polylog-hop-set construction [13]. In its place
+// this package provides two self-contained replacements:
 //
 //   - Skeleton: an *exact* (O(√(n log n)), 0)-hop set in the style of the
 //     skeleton graphs of §8.2 (and Lemma 4.6 of [29]): sample each node with

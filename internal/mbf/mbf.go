@@ -312,6 +312,7 @@ func (r *Runner[S, M]) Iterate(x []M) []M {
 type deltaScratch[M any] struct {
 	touched []bool
 	front   []bool
+	seen    []bool // RepairInPlace's seed and changed-set marks, made on its first use
 	cand    []graph.Node
 	changed []bool
 	states  []M
@@ -470,9 +471,7 @@ func (r *Runner[S, M]) start(x0 []M) ([]M, []graph.Node) {
 // caller must own x exclusively. The first iteration merges every
 // in-neighbour and the later ones only the frontier (the semi-naive rule of
 // the package doc); Stepper.Step follows the same rule.
-func (r *Runner[S, M]) fixpoint(x []M, frontier []graph.Node, maxIter int, visit func(changed []graph.Node)) int {
-	ds := r.getDelta(len(x))
-	defer r.putDelta(ds)
+func (r *Runner[S, M]) fixpoint(x []M, frontier []graph.Node, maxIter int, ds *deltaScratch[M], visit func(changed []graph.Node)) int {
 	it := 0
 	for ; it < maxIter && len(frontier) > 0; it++ {
 		frontier = r.iterateDelta(x, frontier, it == 0, ds)
@@ -501,7 +500,9 @@ func (r *Runner[S, M]) RunToFixpoint(x0 []M, maxIter int) ([]M, int) {
 		panic("mbf: state vector length does not match graph size")
 	}
 	x, frontier := r.start(x0)
-	return x, r.fixpoint(x, frontier, maxIter, nil)
+	ds := r.getDelta(len(x))
+	defer r.putDelta(ds)
+	return x, r.fixpoint(x, frontier, maxIter, ds, nil)
 }
 
 // Run performs h iterations starting from x0 and returns r^V A^h x(0).

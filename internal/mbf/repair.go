@@ -51,17 +51,26 @@ func (r *Runner[S, M]) RepairInPlace(x []M, seeds []graph.Node, maxIter int) ([]
 	if len(x) != r.Graph.N() {
 		panic("mbf: state vector length does not match graph size")
 	}
+	ds := r.getDelta(len(x))
+	defer r.putDelta(ds)
+	// seen marks the seeds, then the changed set; each is cleared through
+	// its own list, so the pooled marks are clear again on return.
+	if ds.seen == nil {
+		ds.seen = make([]bool, len(x))
+	}
+	seen := ds.seen
 	frontier := make([]graph.Node, 0, len(seeds))
-	seen := make([]bool, len(x))
 	for _, v := range seeds {
 		if !seen[v] {
 			seen[v] = true
 			frontier = append(frontier, v)
 		}
 	}
-	clear(seen) // reuse as the changed-set marks below
+	for _, v := range frontier {
+		seen[v] = false
+	}
 	var changed []graph.Node
-	it := r.fixpoint(x, frontier, maxIter, func(next []graph.Node) {
+	it := r.fixpoint(x, frontier, maxIter, ds, func(next []graph.Node) {
 		for _, v := range next {
 			if !seen[v] {
 				seen[v] = true
@@ -69,5 +78,8 @@ func (r *Runner[S, M]) RepairInPlace(x []M, seeds []graph.Node, maxIter int) ([]
 			}
 		}
 	})
+	for _, v := range changed {
+		seen[v] = false
+	}
 	return changed, it
 }

@@ -17,6 +17,7 @@
 package metric
 
 import (
+	"fmt"
 	"math"
 
 	"parmbf/internal/graph"
@@ -36,35 +37,41 @@ type Result struct {
 	// ApproximateSparse. The lower bound is always 1.
 	MaxRatio float64
 	// Iterations is the number of oracle iterations to the APSP fixpoint
-	// (≤ SPD(H) ∈ O(log² n) w.h.p.). It is simgraph.MaxIters(n)+1 when the
-	// cap cut the run off; Matrix then holds the states after the last
-	// iteration allowed, which need not be the metric of H.
+	// (≤ SPD(H) ∈ O(log² n) w.h.p.), at most simgraph.MaxIters(n): a run
+	// the cap cuts off is an error, not a Result.
 	Iterations int
 }
 
 // Approximate computes a (1+o(1))-approximate metric of g (Theorem 6.1) by
 // querying the oracle with APSP (identity filter) on the simulated graph H
-// built over the default skeleton hop set.
-func Approximate(g *graph.Graph, rng *par.RNG, tracker *par.Tracker) *Result {
+// built over the default skeleton hop set. It fails, naming the cap, when
+// the oracle does not reach its fixpoint within simgraph.MaxIters(n)
+// iterations.
+func Approximate(g *graph.Graph, rng *par.RNG, tracker *par.Tracker) (*Result, error) {
 	hs := hopset.DefaultSkeleton(g, rng, tracker)
 	h := simgraph.Build(hs, 0, rng)
-	return approximateOnH(h, tracker)
+	return approximateOnH(h, simgraph.MaxIters(h.N()), tracker)
 }
 
 // ApproximateSparse computes an O(1)-approximate metric using Õ(n^{1+1/k})
 // edges (Theorem 6.2): it sparsifies g with a (2k−1)-spanner and then runs
-// Approximate on the spanner. k ≤ 0 selects spanner.RecommendedK(n, 1).
-func ApproximateSparse(g *graph.Graph, k int, rng *par.RNG, tracker *par.Tracker) *Result {
+// Approximate on the spanner, whose error it returns. k ≤ 0 selects
+// spanner.RecommendedK(n, 1).
+func ApproximateSparse(g *graph.Graph, k int, rng *par.RNG, tracker *par.Tracker) (*Result, error) {
 	if k <= 0 {
 		k = spanner.RecommendedK(g.N(), 1)
 	}
 	sp := spanner.Build(g, k, rng, tracker)
-	res := Approximate(sp, rng, tracker)
+	res, err := Approximate(sp, rng, tracker)
+	if err != nil {
+		return nil, err
+	}
 	res.MaxRatio *= float64(2*k - 1)
-	return res
+	return res, nil
 }
 
-func approximateOnH(h *simgraph.H, tracker *par.Tracker) *Result {
+// approximateOnH runs the APSP oracle on h for at most maxIters iterations.
+func approximateOnH(h *simgraph.H, maxIters int, tracker *par.Tracker) (*Result, error) {
 	n := h.N()
 	oracle := simgraph.NewOracle(h, tracker)
 	x0 := make([]semiring.DistMap, n)
@@ -72,7 +79,10 @@ func approximateOnH(h *simgraph.H, tracker *par.Tracker) *Result {
 		x0[v] = semiring.SingletonDist(graph.Node(v), 0)
 	}
 	identity := semiring.Identity[semiring.DistMap]()
-	states, iters := oracle.RunToFixpoint(x0, identity, simgraph.MaxIters(n))
+	states, iters := oracle.RunToFixpoint(x0, identity, maxIters)
+	if iters > maxIters {
+		return nil, fmt.Errorf("metric: oracle fixpoint not reached within the iteration cap %d", maxIters)
+	}
 
 	m := graph.NewMatrix(n)
 	par.ForEach(n, func(v int) {
@@ -85,5 +95,5 @@ func approximateOnH(h *simgraph.H, tracker *par.Tracker) *Result {
 		Matrix:     m,
 		MaxRatio:   math.Pow(1+h.EpsHat, float64(h.Lambda+1)),
 		Iterations: iters,
-	}
+	}, nil
 }

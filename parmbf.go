@@ -117,10 +117,14 @@ func SampleTreeExact(g *Graph, seed uint64) (*Embedding, error) {
 // ApproxMetric computes a (1+o(1))-approximate true metric of g with
 // constant-time query access (Theorem 6.1 of the paper). The returned
 // matrix never underestimates distances and overestimates by at most the
-// reported factor.
-func ApproxMetric(g *Graph, seed uint64) (*Matrix, float64) {
-	res := metric.Approximate(g, par.NewRNG(seed), nil)
-	return res.Matrix, res.MaxRatio
+// reported factor. It fails, naming the cap, when the oracle does not
+// converge within its iteration cap.
+func ApproxMetric(g *Graph, seed uint64) (*Matrix, float64, error) {
+	res, err := metric.Approximate(g, par.NewRNG(seed), nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	return res.Matrix, res.MaxRatio, nil
 }
 
 // Spanner computes a (2k−1)-spanner of g with O(k·n^{1+1/k}) expected

@@ -67,7 +67,10 @@ func TestFacadeExactSampler(t *testing.T) {
 
 func TestFacadeApproxMetric(t *testing.T) {
 	g := RandomConnected(40, 90, 5, NewRNG(4))
-	m, ratio := ApproxMetric(g, 11)
+	m, ratio, err := ApproxMetric(g, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ratio < 1 {
 		t.Fatalf("ratio %v below 1", ratio)
 	}
