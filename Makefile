@@ -133,7 +133,7 @@ bench-oracle:
 ## oblivious routing (table build + 256-route query batches); each run
 ## appends one JSON line to BENCH_apps.json.
 bench-apps:
-	@out="$$($(GO) test ./internal/apps/kmedian/ ./internal/apps/buyatbulk/ ./internal/apps/routing/ -run xxx -bench 'KMedianEval|KMedianSolve|BuyAtBulkSolve|BuyAtBulkWarmTables|RoutingTables|RouteQueryBatch' -benchmem -timeout 30m)" \
+	@out="$$($(GO) test ./internal/apps/kmedian/ ./internal/apps/buyatbulk/ ./internal/apps/routing/ -run xxx -bench 'KMedianEval|KMedianSolve|TreeKMedian|BuyAtBulkSolve|BuyAtBulkWarmTables|RoutingTables|RouteQueryBatch' -benchmem -timeout 30m)" \
 		|| { echo "$$out"; echo "bench-apps: go test failed"; exit 1; }; \
 	echo "$$out"; \
 	echo "$$out" | grep '^Benchmark' | jq -R . | jq -sc \

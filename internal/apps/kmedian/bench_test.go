@@ -107,3 +107,24 @@ func BenchmarkKMedianSolve(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTreeKMedian is one tree DP per op: the first fixture tree, k=8,
+// centers restricted to the candidates BenchmarkKMedianSolve samples.
+func BenchmarkTreeKMedian(b *testing.B) {
+	g, ens, _ := benchFixture(b)
+	allowed := make([]bool, g.N())
+	for _, q := range SampleCandidates(g, 8, par.NewRNG(23), nil) {
+		allowed[q] = true
+	}
+	weight := make([]float64, g.N())
+	for v := range weight {
+		weight[v] = 1
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(TreeKMedian(ens.Trees[0], weight, allowed, 8)) == 0 {
+			b.Fatal("no centers")
+		}
+	}
+}

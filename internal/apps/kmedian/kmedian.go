@@ -2,9 +2,10 @@
 // Lenzen: an expected O(log k)-approximation for graphs (Theorem 9.2),
 // combining
 //
-//	(1) Mettu–Plaxton-style candidate sampling, with distances evaluated by
-//	    the sparse fixpoint engine's source-detection algebra (the paper
-//	    runs the forest-fire MBF-like algorithm on H for the same purpose),
+//	(1) Mettu–Plaxton-style candidate sampling, whose distances to each
+//	    round's sample come from the forest-fire MBF-like algorithm of
+//	    Example 3.7 (scalar min-plus states, no threshold) run by the sparse
+//	    fixpoint engine,
 //	(2) FRT trees of the graph drawn through the shared frt.Embedder
 //	    pipeline, and
 //	(3) an exact dynamic program for k-median on each tree with centers
@@ -85,7 +86,9 @@ func SampleCandidates(g *graph.Graph, k int, rng *par.RNG, tracker *par.Tracker)
 		if len(sample) == 0 {
 			break
 		}
-		dist := nearestDist(g, sample, tracker)
+		// Distance to the nearest sample: the forest fire of Example 3.7
+		// with the sample burning and no threshold.
+		dist := mbf.ForestFire(g, sample, semiring.Inf, tracker)
 		// Remove the closest half of the alive nodes.
 		alivedists := make([]float64, 0, aliveCount)
 		for v := 0; v < n; v++ {
@@ -143,27 +146,6 @@ func quickSelect(xs []float64, k int) float64 {
 		}
 	}
 	return xs[lo]
-}
-
-// nearestDist returns dist(v, sources) for every node, computed by the
-// sparse fixpoint engine's (S, ∞, 1)-source-detection instance — the
-// MBF-like replacement for a multi-source Dijkstra sweep.
-func nearestDist(g *graph.Graph, sources []graph.Node, tracker *par.Tracker) []float64 {
-	isSource := make([]bool, g.N())
-	for _, s := range sources {
-		isSource[s] = true
-	}
-	maps := mbf.SourceDetection(g, func(v graph.Node) bool { return isSource[v] },
-		g.N(), semiring.Inf, 1, tracker)
-	dist := make([]float64, len(maps))
-	for v, m := range maps {
-		if m.Len() > 0 {
-			dist[v] = m.Entry(0).Dist
-		} else {
-			dist[v] = semiring.Inf
-		}
-	}
-	return dist
 }
 
 // Options is the unified application-scenario configuration; see
@@ -257,23 +239,36 @@ func Solve(g *graph.Graph, k int, opts Options) (*Result, error) {
 // contributes its total weight times the toll at t.
 func TreeKMedian(t *frt.Tree, weight []float64, allowed []bool, k int) []int32 {
 	nt := t.NumNodes()
-	children := make([][]int32, nt)
+	// The children of u are kids[at[u]:at[u+1]], in ascending id: at
+	// counts them at p+2, sums to each list's start at p+1, then advances
+	// that start to the list's end (= the start of p+1's list) while filling.
+	at := make([]int32, nt+2)
 	root := int32(-1)
 	for u := 0; u < nt; u++ {
-		p := t.Parent[u]
-		if p == -1 {
+		if p := t.Parent[u]; p == -1 {
 			root = int32(u)
 		} else {
-			children[p] = append(children[p], int32(u))
+			at[p+2]++
 		}
 	}
+	for u := 2; u < nt+2; u++ {
+		at[u] += at[u-1]
+	}
+	kids := make([]int32, nt)
+	for u := 0; u < nt; u++ {
+		if p := t.Parent[u]; p != -1 {
+			kids[at[p+1]] = int32(u)
+			at[p+1]++
+		}
+	}
+	children := func(u int32) []int32 { return kids[at[u]:at[u+1]] }
 	// climbTo[u] = cost from leaf depth up to tree node u (uniform over
 	// leaves below u).
 	climbTo := make([]float64, nt)
 	var setClimb func(u int32, above float64)
 	setClimb = func(u int32, above float64) {
 		climbTo[u] = above
-		for _, c := range children[u] {
+		for _, c := range children(u) {
 			setClimb(c, above+t.EdgeWeight[c])
 		}
 	}
@@ -281,12 +276,8 @@ func TreeKMedian(t *frt.Tree, weight []float64, allowed []bool, k int) []int32 {
 	// Re-express: climbTo currently holds root-to-u descent; convert to
 	// leaf-to-u ascent = total depth − descent.
 	totalDepth := 0.0
-	{
-		u := t.Leaf[0]
-		for t.Parent[u] != -1 {
-			totalDepth += t.EdgeWeight[u]
-			u = t.Parent[u]
-		}
+	for u := t.Leaf[0]; t.Parent[u] != -1; u = t.Parent[u] {
+		totalDepth += t.EdgeWeight[u]
 	}
 	for u := range climbTo {
 		climbTo[u] = totalDepth - climbTo[u]
@@ -304,43 +295,39 @@ func TreeKMedian(t *frt.Tree, weight []float64, allowed []bool, k int) []int32 {
 
 	const inf = math.MaxFloat64 / 4
 	// f[u] has length maxJ+1; f[u][0] = inf (at least one center needed for
-	// the subtree to serve itself). choice[u][j] records the allocation for
-	// backtracking.
+	// the subtree to serve itself). The knapsack at u takes its children in
+	// order; pick[c][j] is the center count it gave child c in the best
+	// j-center allocation of c and the children before it, so backtracking
+	// needs one int32 per (child, j) instead of a copied allocation chain.
 	f := make([][]float64, nt)
-	type alloc struct {
-		child int32
-		jc    int
-	}
-	choice := make([][][]alloc, nt)
+	pick := make([][]int32, nt)
+	leafF, clientF := []float64{inf, 0}, []float64{inf} // shared, never written
+	var fBuf []float64
+	var pickBuf []int32
 
 	var solve func(u int32)
 	solve = func(u int32) {
 		if leafOf[u] != -1 {
 			subWeight[u] = weight[leafOf[u]]
 			if allowed == nil || allowed[leafOf[u]] {
-				f[u] = []float64{inf, 0} // one center: the leaf itself, cost 0
+				f[u] = leafF // one center: the leaf itself, cost 0
 			} else {
-				f[u] = []float64{inf} // client-only leaf: no center option
+				f[u] = clientF // client-only leaf: no center option
 			}
-			choice[u] = make([][]alloc, len(f[u]))
 			return
 		}
-		for _, c := range children[u] {
+		for _, c := range children(u) {
 			solve(c)
 			subWeight[u] += subWeight[c]
 		}
 		toll := 2 * climbTo[u]
 		// Knapsack over children: cur[j] = best cost using j centers among
 		// the processed children, where 0-center children pay the toll.
-		cur := []float64{0}
-		curChoice := [][]alloc{nil}
-		for _, c := range children[u] {
-			maxJ := len(cur) - 1 + len(f[c]) - 1
-			if maxJ > k {
-				maxJ = k
-			}
-			next := make([]float64, maxJ+1)
-			nextChoice := make([][]alloc, maxJ+1)
+		cur := bump(&fBuf, 1)
+		cur[0] = 0
+		for _, c := range children(u) {
+			maxJ := min(len(cur)-1+len(f[c])-1, k)
+			next, jcOf := bump(&fBuf, maxJ+1), bump(&pickBuf, maxJ+1)
 			for j := range next {
 				next[j] = inf
 			}
@@ -351,8 +338,7 @@ func TreeKMedian(t *frt.Tree, weight []float64, allowed []bool, k int) []int32 {
 				// Option A: no center in c — its weight pays the toll here.
 				if j0 <= maxJ {
 					if cost := cur[j0] + subWeight[c]*toll; cost < next[j0] {
-						next[j0] = cost
-						nextChoice[j0] = append(append([]alloc(nil), curChoice[j0]...), alloc{child: c, jc: 0})
+						next[j0], jcOf[j0] = cost, 0
 					}
 				}
 				// Option B: jc ≥ 1 centers in c.
@@ -361,21 +347,15 @@ func TreeKMedian(t *frt.Tree, weight []float64, allowed []bool, k int) []int32 {
 						continue
 					}
 					if cost := cur[j0] + f[c][jc]; cost < next[j0+jc] {
-						next[j0+jc] = cost
-						nextChoice[j0+jc] = append(append([]alloc(nil), curChoice[j0]...), alloc{child: c, jc: jc})
+						next[j0+jc], jcOf[j0+jc] = cost, int32(jc)
 					}
 				}
 			}
-			cur, curChoice = next, nextChoice
+			cur, pick[c] = next, jcOf
 		}
 		// f[u][0] stays invalid; j ≥ 1 taken from the knapsack.
-		f[u] = make([]float64, len(cur))
-		f[u][0] = inf
-		choice[u] = make([][]alloc, len(cur))
-		for j := 1; j < len(cur); j++ {
-			f[u][j] = cur[j]
-			choice[u][j] = curChoice[j]
-		}
+		cur[0] = inf
+		f[u] = cur
 	}
 	solve(root)
 
@@ -388,21 +368,41 @@ func TreeKMedian(t *frt.Tree, weight []float64, allowed []bool, k int) []int32 {
 	if bestJ == 0 {
 		return nil
 	}
+	// Backtrack: peel u's children off its knapsack last to first, then
+	// descend in child order, so the centers come out in the order of a
+	// forward walk.
 	var picked []int32
+	given := make([]int32, nt)
 	var collect func(u int32, j int)
 	collect = func(u int32, j int) {
 		if leafOf[u] != -1 {
 			picked = append(picked, leafOf[u])
 			return
 		}
-		for _, a := range choice[u][j] {
-			if a.jc > 0 {
-				collect(a.child, a.jc)
+		cs := children(u)
+		for i := len(cs) - 1; i >= 0; i-- {
+			given[cs[i]] = pick[cs[i]][j]
+			j -= int(given[cs[i]])
+		}
+		for _, c := range cs {
+			if given[c] > 0 {
+				collect(c, int(given[c]))
 			}
 		}
 	}
 	collect(root, bestJ)
 	return picked
+}
+
+// bump carves an n-element slice off *buf, growing it into a fresh block
+// when full; earlier slices keep their block.
+func bump[T any](buf *[]T, n int) []T {
+	if len(*buf)+n > cap(*buf) {
+		*buf = make([]T, 0, max(2*cap(*buf), n, 1024))
+	}
+	s := (*buf)[len(*buf) : len(*buf)+n]
+	*buf = (*buf)[:len(*buf)+n]
+	return s
 }
 
 // BruteForce solves k-median exactly by enumerating all center sets — only

@@ -326,3 +326,52 @@ func TestValidateRejectsBadCertificates(t *testing.T) {
 		t.Fatal("length above the tree-distance certificate accepted")
 	}
 }
+
+// TestRouteBatchAlwaysValidates is the property that Validate accepts every
+// route RouteBatch returns: over random weighted graphs, heavy-tailed
+// ChungLu graphs and unit and weighted grids, several seeds and ensemble
+// sizes, random pairs including self pairs.
+func TestRouteBatchAlwaysValidates(t *testing.T) {
+	seeds := 4
+	if testing.Short() {
+		seeds = 2
+	}
+	gens := []struct {
+		name string
+		gen  func(rng *par.RNG) *graph.Graph
+	}{
+		{"random", func(rng *par.RNG) *graph.Graph { return graph.RandomConnected(72, 200, 9, rng) }},
+		{"chunglu", func(rng *par.RNG) *graph.Graph { return graph.ChungLu(72, 4, 2.5, 20, rng) }},
+		{"grid", func(rng *par.RNG) *graph.Graph { return graph.GridGraph(8, 9, 1, rng) }},
+		{"wgrid", func(rng *par.RNG) *graph.Graph { return graph.GridGraph(8, 9, 6, rng) }},
+	}
+	routes := 0
+	for _, gen := range gens {
+		for seed := uint64(1); seed <= uint64(seeds); seed++ {
+			rng := par.NewRNG(900 + seed)
+			g := gen.gen(rng)
+			for _, k := range []int{1, 3, 6} {
+				rt, err := Build(g, Options{RNG: par.NewRNG(seed), Trees: k})
+				if err != nil {
+					t.Fatal(err)
+				}
+				pairs := make([]frt.Pair, 150)
+				for i := range pairs {
+					pairs[i] = frt.Pair{U: graph.Node(rng.Intn(g.N())), V: graph.Node(rng.Intn(g.N()))}
+				}
+				pairs[0].V = pairs[0].U
+				res, err := rt.RouteBatch(pairs)
+				if err != nil {
+					t.Fatalf("%s seed %d K=%d: %v", gen.name, seed, k, err)
+				}
+				for i, r := range res {
+					if err := Validate(g, pairs[i].U, pairs[i].V, r); err != nil {
+						t.Fatalf("%s seed %d K=%d pair (%d,%d): %v", gen.name, seed, k, pairs[i].U, pairs[i].V, err)
+					}
+					routes++
+				}
+			}
+		}
+	}
+	t.Logf("%d routes validated", routes)
+}

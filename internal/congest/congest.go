@@ -28,7 +28,6 @@ package congest
 
 import (
 	"math"
-	"sort"
 
 	"parmbf/internal/frt"
 	"parmbf/internal/graph"
@@ -277,15 +276,4 @@ func BestOfBoth(g *graph.Graph, rng *par.RNG) *Result {
 		return khan
 	}
 	return skel
-}
-
-// SortedSkeletonRanks is a test helper: it returns the sorted ranks of the
-// given nodes.
-func SortedSkeletonRanks(order *frt.Order, nodes []graph.Node) []uint64 {
-	out := make([]uint64, len(nodes))
-	for i, v := range nodes {
-		out[i] = order.Rank[v]
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"sort"
 	"testing"
 
 	"parmbf/internal/frt"
@@ -66,7 +67,7 @@ func TestSkeletonFirstOrder(t *testing.T) {
 	rng := par.NewRNG(3)
 	skeleton := []graph.Node{3, 7, 11}
 	o := NewSkeletonFirstOrder(20, skeleton, rng)
-	ranks := SortedSkeletonRanks(o, skeleton)
+	ranks := sortedSkeletonRanks(o, skeleton)
 	for i, r := range ranks {
 		if r != uint64(i) {
 			t.Fatalf("skeleton ranks %v, want 0..%d", ranks, len(skeleton)-1)
@@ -193,4 +194,14 @@ func TestSkeletonStretchBound(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sortedSkeletonRanks returns the sorted ranks of the given nodes.
+func sortedSkeletonRanks(order *frt.Order, nodes []graph.Node) []uint64 {
+	out := make([]uint64, len(nodes))
+	for i, v := range nodes {
+		out[i] = order.Rank[v]
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }

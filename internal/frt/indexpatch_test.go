@@ -153,3 +153,78 @@ func TestPatchedIndexSplitLanes(t *testing.T) {
 		t.Fatal("every batch repacked the index; the split-lane patch went untested")
 	}
 }
+
+// TestPatchedIndexTreeSplitMoves moves one tree's own lane split while the
+// index's split, the largest over the trees, holds, so the patch must
+// re-derive that tree's treeSplit instead of keeping the old one. The graph
+// is a star of 2^16+64 leaves on weight-3 spokes plus disjoint leaf-leaf
+// edges: 40 of weight 1, 40 of weight 1.5 and 1000 of weight 2. With
+// d_min = 1, height h has radius β·2^(h−1), and a pair merges at the first
+// height whose radius reaches its weight.
+//   - β = 1.75 (tree 0): height 1 merges the weight-1 and weight-1.5 pairs,
+//     n−80 ≤ 2^16 clusters, so its split is 1.
+//   - β = 1.25 (tree 1): height 1 merges only the weight-1 pairs, n−40 >
+//     2^16 clusters; height 2 merges all pairs. Its split is 2.
+//
+// Raising 20 of the weight-1.5 edges to 3 leaves tree 0 n−60 clusters at
+// height 1 (split 2), and lowering them back restores split 1. Tree 1 keeps
+// split 2 throughout, so the index's split stays 2.
+func TestPatchedIndexTreeSplitMoves(t *testing.T) {
+	const n = 1<<16 + 64
+	b := graph.NewBuilder(n)
+	for v := 1; v < n; v++ {
+		b.Add(0, graph.Node(v), 3)
+	}
+	for i := 0; i < 1000; i++ {
+		b.Add(graph.Node(161+2*i), graph.Node(162+2*i), 2)
+	}
+	var raise, lower []graph.Edit
+	for i := 0; i < 80; i++ {
+		u, v := graph.Node(1+2*i), graph.Node(2+2*i)
+		w := 1.0
+		if i >= 40 {
+			w = 1.5
+		}
+		b.Add(u, v, w)
+		if i >= 60 {
+			raise = append(raise, graph.Edit{Op: graph.EditReweight, U: u, V: v, Weight: 3})
+			lower = append(lower, graph.Edit{Op: graph.EditReweight, U: u, V: v, Weight: 1.5})
+		}
+	}
+	rng := par.NewRNG(91)
+	orders := []*Order{NewOrder(n, rng), NewOrder(n, rng)}
+	d, err := NewDynamicEnsembleWith(b.Freeze(), orders, []float64{1.75, 1.25}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		name  string
+		edits []graph.Edit
+		want  []int
+	}{
+		{"start", nil, []int{1, 2}},
+		{"raise", raise, []int{2, 2}},
+		{"lower", lower, []int{1, 2}},
+	} {
+		if step.edits != nil {
+			stats, err := d.ApplyEdits(step.edits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.IndexRebuilds != 0 || stats.AffectedTrees == 0 {
+				t.Fatalf("%s: %+v, want a patched index", step.name, *stats)
+			}
+		}
+		got, _ := d.Ensemble().Index()
+		want, err := NewOracleIndex(d.Trees())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want.treeSplit, step.want) || want.split != 2 {
+			t.Fatalf("%s: fresh pack has lane splits %v (split %d), want %v (split 2)", step.name, want.treeSplit, want.split, step.want)
+		}
+		if f := indexDiff(got, want); f != "" {
+			t.Fatalf("%s: patched index field %s differs from NewOracleIndex", step.name, f)
+		}
+	}
+}
