@@ -297,8 +297,8 @@ func TreeKMedian(t *frt.Tree, weight []float64, allowed []bool, k int) []int32 {
 	// f[u] has length maxJ+1; f[u][0] = inf (at least one center needed for
 	// the subtree to serve itself). The knapsack at u takes its children in
 	// order; pick[c][j] is the center count it gave child c in the best
-	// j-center allocation of c and the children before it, so backtracking
-	// needs one int32 per (child, j) instead of a copied allocation chain.
+	// j-center allocation of c and the children before it: backtracking
+	// needs one int32 per (child, j).
 	f := make([][]float64, nt)
 	pick := make([][]int32, nt)
 	leafF, clientF := []float64{inf, 0}, []float64{inf} // shared, never written
