@@ -97,7 +97,9 @@ bench-mbf:
 
 ## Merge-kernel micro-benchmarks: the SoA k-way merge behind
 ## DistMapModule.Aggregate on every rung of the dispatch ladder (k = 2, 4,
-## 8, 16, 40, 72, 600) against an array-of-structs fold baseline, plus the
+## 8, 16, 40, 72, 600) against an array-of-structs fold baseline, the fused
+## staircase pass of StaircaseModule against merge-then-StaircaseInPlace on
+## LE-shaped inputs (MergeKernelStaircase, k = 2, 8, 40, 80), plus the
 ## surrounding DistMap primitives; each run appends one JSON line to
 ## BENCH_semiring.json.
 bench-semiring:
@@ -178,7 +180,7 @@ bench-gate:
 	$(GO) run ./cmd/benchgate -file BENCH_graph.json -match 'Dijkstra4096' -max 1.20
 	$(GO) run ./cmd/benchgate -file BENCH_mbf.json -match 'Iterate4096|SourceDetection4096|BenchmarkLEListsOnGraph$$|BenchmarkBuildTree$$|BenchmarkIncrementalUpdate$$|BenchmarkEmbedderSample$$|BenchmarkEmbedderSampleChungLu1024$$|BenchmarkOracleRunToFixpoint$$|RoutingTablesTop8$$' -max 1.20
 	$(GO) run ./cmd/benchgate -file BENCH_oracle.json -match 'OracleIndexMinBatch4096|OracleIndexMedianBatch4096|OracleIndexBuild4096|SnapshotLoad4096|FleetBatch1024' -max 1.20
-	$(GO) run ./cmd/benchgate -file BENCH_semiring.json -match 'MergeKernel/' -max 1.20
+	$(GO) run ./cmd/benchgate -file BENCH_semiring.json -match 'MergeKernel(Staircase)?/' -max 1.20
 	$(GO) run ./cmd/benchgate -file BENCH_apps.json -match 'KMedianEvalDijkstra|KMedianSolve|BuyAtBulkSolve|BuyAtBulkWarmTables|RouteQueryBatch' -max 1.20
 
 ## Scale-tier gate: wider ns/op budget (single 1x runs are noisier than the
@@ -202,7 +204,7 @@ profile-mbf:
 
 ## CPU + heap profiles of one tree's LE fixpoint on H, the bulk of an
 ## Embedder draw (BenchmarkOracleRunToFixpoint: n=256, m=4n, the embed
-## workload's shape): writes /tmp/draw.cpu.pprof and /tmp/draw.mem.pprof
+## workload's shape, in the Embedder's oracle configuration): writes /tmp/draw.cpu.pprof and /tmp/draw.mem.pprof
 ## (the test binary goes to /tmp/draw.test, outside the tree), then prints
 ## the top CPU consumers.
 profile-draw:

@@ -6,7 +6,6 @@ import (
 	"parmbf/internal/graph"
 	"parmbf/internal/hopset"
 	"parmbf/internal/par"
-	"parmbf/internal/semiring"
 	"parmbf/internal/simgraph"
 )
 
@@ -76,11 +75,10 @@ func (e *Embedder) sampleWith(rng *par.RNG, tracker *par.Tracker) (*Embedding, e
 	// Each sample binds a fresh oracle to its own tracker (ensemble sampling
 	// charges a private per-tree tracker so the shared tracker can record
 	// max-depth, not summed depth). Only H is shared state. The fixpoint
-	// runs on rank-keyed lists, where the LE filter is the Staircase scan,
+	// runs on rank-keyed lists, where the LE filter is the Staircase scan
+	// and every aggregation prunes as it merges (semiring.StaircaseModule),
 	// and the tree is read off them directly (see the package doc).
-	oracle := simgraph.NewOracle(e.h, tracker)
-	oracle.FilterInPlace = semiring.StaircaseInPlace
-	lists, iters := oracle.RunToFixpoint(semiring.SingletonStatesKeyed(rk.key), semiring.Staircase, e.maxIters)
+	lists, iters := simgraph.StaircaseFixpoint(e.h, rk.key, tracker, e.maxIters)
 	if iters > e.maxIters {
 		// Lists cut off before their fixpoint need not be LE lists.
 		return nil, fmt.Errorf("frt: oracle fixpoint not reached within the iteration cap %d", e.maxIters)

@@ -9,7 +9,6 @@ import (
 
 	"parmbf/internal/graph"
 	"parmbf/internal/par"
-	"parmbf/internal/semiring"
 	"parmbf/internal/simgraph"
 )
 
@@ -238,8 +237,7 @@ func TestIterationCapIsLoud(t *testing.T) {
 		t.Fatal(err)
 	}
 	rk := NewOrder(n, par.NewRNG(6)).mustKeys(n)
-	oracle := simgraph.NewOracle(emb.H(), nil)
-	if _, it := oracle.RunToFixpoint(semiring.SingletonStatesKeyed(rk.key), semiring.Staircase, capIters); it != capIters+1 {
+	if _, it := simgraph.StaircaseFixpoint(emb.H(), rk.key, nil, capIters); it != capIters+1 {
 		t.Fatalf("capped oracle run returned %d iterations, want cap+1 = %d", it, capIters+1)
 	}
 	emb.maxIters = capIters

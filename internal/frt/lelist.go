@@ -16,13 +16,17 @@
 // stored under w. Everything the package computes itself — the samplers,
 // LEListsOnGraphBatch's fixpoints and DynamicEnsemble — is rank-keyed
 // instead: the entry for w is stored under Rank[w]. The relabel is exact,
-// because the semimodule operations and the merge kernel only compare keys,
-// and it pays twice: key order becomes rank order, so the LE filter is the
-// linear semiring.Staircase scan with no sort, and a rank-keyed LE list is
-// distance-descending, which is the order the tree construction reads
-// (buildTreeRanked). The samplers go from rank-keyed lists straight to the
-// tree; only LEListsOnGraphBatch converts its lists to node keys, once, on
-// output.
+// because the semimodule operations and the merge kernels only compare
+// keys, and it pays twice. First, key order becomes rank order, so the LE
+// filter is the linear semiring.Staircase scan with no sort — linear enough
+// to run inside the merge: every rank-keyed fixpoint (the Embedder's
+// oracle through simgraph.StaircaseFixpoint, leRunner's direct lists and
+// repairs) aggregates through semiring.StaircaseModule, which merges and
+// filters in one pass and drops a dominated entry as soon as it reads it.
+// Second, a rank-keyed LE list is distance-descending, which is the order
+// the tree construction reads (buildTreeRanked). The samplers go from
+// rank-keyed lists straight to the tree; only LEListsOnGraphBatch converts
+// its lists to node keys, once, on output.
 package frt
 
 import (
@@ -185,15 +189,15 @@ func leListsRanked(g *graph.Graph, keys []rankKeys, tracker *par.Tracker) ([][]s
 }
 
 // leRunner builds the rank-keyed LE-list runner of Definition 7.3 on g, the
-// one configuration shared by the LE fixpoints and their repairs.
+// one configuration shared by the LE fixpoints and their repairs. Its
+// module fuses the Staircase filter into every aggregation.
 func leRunner(g *graph.Graph, tracker *par.Tracker) *mbf.Runner[float64, semiring.DistMap] {
 	return &mbf.Runner[float64, semiring.DistMap]{
-		Graph:         g,
-		Module:        semiring.DistMapModule{},
-		Filter:        semiring.Staircase,
-		FilterInPlace: semiring.StaircaseInPlace,
-		Weight:        mbf.MinPlusWeight,
-		Size:          func(m semiring.DistMap) int { return m.Len() + 1 },
-		Tracker:       tracker,
+		Graph:   g,
+		Module:  semiring.StaircaseModule{},
+		Filter:  semiring.Staircase,
+		Weight:  mbf.MinPlusWeight,
+		Size:    func(m semiring.DistMap) int { return m.Len() + 1 },
+		Tracker: tracker,
 	}
 }

@@ -64,12 +64,11 @@ func rankKeyGraphs() []struct {
 }
 
 // embedderLists replays the rank-keyed LE fixpoint an Embedder draw with
-// this order runs (sampleWith) and returns its lists under rank keys.
+// this order runs (sampleWith: simgraph.StaircaseFixpoint) and returns its
+// lists under rank keys.
 func embedderLists(e *Embedder, order *Order) []semiring.DistMap {
 	n := e.Graph().N()
-	oracle := simgraph.NewOracle(e.H(), nil)
-	oracle.FilterInPlace = semiring.StaircaseInPlace
-	lists, _ := oracle.RunToFixpoint(semiring.SingletonStatesKeyed(order.mustKeys(n).key), semiring.Staircase, simgraph.MaxIters(n))
+	lists, _ := simgraph.StaircaseFixpoint(e.H(), order.mustKeys(n).key, nil, simgraph.MaxIters(n))
 	return lists
 }
 

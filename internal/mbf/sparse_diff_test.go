@@ -10,6 +10,7 @@ package mbf
 // workers.
 
 import (
+	"slices"
 	"testing"
 
 	"parmbf/internal/graph"
@@ -84,19 +85,21 @@ func TestSparseFixpointMatchesDenseDistMap(t *testing.T) {
 	sources := func(v graph.Node) bool { return v%2 == 0 }
 	for _, cfg := range []struct {
 		name          string
+		module        semiring.Semimodule[float64, semiring.DistMap]
 		filter        semiring.Filter[semiring.DistMap]
 		filterInPlace semiring.Filter[semiring.DistMap]
 	}{
-		{"unfiltered", nil, nil},
-		{"top4", semiring.TopKFilter(4, semiring.Inf, nil), semiring.TopKFilterInPlace(4, semiring.Inf, nil)},
-		{"top3-d40-sources", semiring.TopKFilter(3, 40, sources), semiring.TopKFilterInPlace(3, 40, sources)},
+		{"unfiltered", semiring.DistMapModule{}, nil, nil},
+		{"top4", semiring.DistMapModule{}, semiring.TopKFilter(4, semiring.Inf, nil), semiring.TopKFilterInPlace(4, semiring.Inf, nil)},
+		{"top3-d40-sources", semiring.DistMapModule{}, semiring.TopKFilter(3, 40, sources), semiring.TopKFilterInPlace(3, 40, sources)},
+		{"staircase-module", semiring.StaircaseModule{}, semiring.Staircase, nil},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			for _, seed := range []uint64{11, 12, 13} {
 				g := diffGraph(seed)
 				r := &Runner[float64, semiring.DistMap]{
 					Graph:         g,
-					Module:        semiring.DistMapModule{},
+					Module:        cfg.module,
 					Filter:        cfg.filter,
 					FilterInPlace: cfg.filterInPlace,
 					Weight:        MinPlusWeight,
@@ -329,9 +332,14 @@ func TestTrackerParityFastVsGeneric(t *testing.T) {
 	size := func(x semiring.DistMap) int { return x.Len() + 1 }
 	for _, cfg := range []struct {
 		name   string
-		weight func(from, to graph.Node, w float64) float64
+		module semiring.Semimodule[float64, semiring.DistMap]
+		filter semiring.Filter[semiring.DistMap]
 	}{
-		{"live-edges-default-approximation", MinPlusWeight},
+		{"live-edges-default-approximation", semiring.DistMapModule{}, nil},
+		// The fused module against the fold filtered by Staircase: on these
+		// node-keyed maps Staircase is the LE projection of the identity
+		// order.
+		{"staircase-module", semiring.StaircaseModule{}, semiring.Staircase},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			g := diffGraph(20)
@@ -341,13 +349,13 @@ func TestTrackerParityFastVsGeneric(t *testing.T) {
 			}
 			fastTr, slowTr := &par.Tracker{}, &par.Tracker{}
 			fast := &Runner[float64, semiring.DistMap]{
-				Graph: g, Module: semiring.DistMapModule{},
-				Weight: cfg.weight, Size: size,
+				Graph: g, Module: cfg.module, Filter: cfg.filter,
+				Weight: MinPlusWeight, Size: size,
 				Tracker: fastTr,
 			}
 			slow := &Runner[float64, semiring.DistMap]{
-				Graph: g, Module: foldOnly[float64, semiring.DistMap]{semiring.DistMapModule{}},
-				Weight: cfg.weight, Size: size,
+				Graph: g, Module: foldOnly[float64, semiring.DistMap]{semiring.DistMapModule{}}, Filter: cfg.filter,
+				Weight: MinPlusWeight, Size: size,
 				Tracker: slowTr,
 			}
 			parity := func(leg string) {
@@ -376,12 +384,131 @@ func TestTrackerParityFastVsGeneric(t *testing.T) {
 			base := append([]semiring.DistMap(nil), fix...)
 			var seeds []graph.Node
 			for v := 1; v < 8; v += 2 {
-				base[v] = fast.Module.Add(base[v], x0[v])
+				base[v] = fast.filter(fast.Module.Add(base[v], x0[v]))
 				seeds = append(seeds, graph.Node(v))
 			}
 			fast.RunToFixpointFrom(base, seeds, g.N())
 			slow.RunToFixpointFrom(base, seeds, g.N())
 			parity("RunToFixpointFrom")
 		})
+	}
+}
+
+// TestStaircaseModuleMatchesStaircaseFilter pins the fused module against
+// the configuration it replaced, DistMapModule under the Staircase filter
+// and its in-place variant, on rank-keyed LE-list fixpoints (the frt
+// package's leRunner) across the parallel-width sweep: a fresh run, a warm
+// RunToFixpointFrom that adds sources to a fixpoint, and RepairInPlace after
+// a weight increase with the stale nodes reset must give identical lists,
+// iteration counts, changed sets and tracker work.
+func TestStaircaseModuleMatchesStaircaseFilter(t *testing.T) {
+	defer func(p int) { par.MaxProcs = p }(par.MaxProcs)
+	size := func(x semiring.DistMap) int { return x.Len() + 1 }
+	runners := func(g *graph.Graph) (fused, ref *Runner[float64, semiring.DistMap]) {
+		fused = &Runner[float64, semiring.DistMap]{
+			Graph: g, Module: semiring.StaircaseModule{}, Filter: semiring.Staircase,
+			Weight: MinPlusWeight, Size: size, Tracker: &par.Tracker{},
+		}
+		ref = &Runner[float64, semiring.DistMap]{
+			Graph: g, Module: semiring.DistMapModule{}, Filter: semiring.Staircase,
+			FilterInPlace: semiring.StaircaseInPlace,
+			Weight:        MinPlusWeight, Size: size, Tracker: &par.Tracker{},
+		}
+		return fused, ref
+	}
+	mod := semiring.DistMapModule{}
+	for _, seed := range []uint64{27, 28, 29} {
+		rng := par.NewRNG(seed)
+		g := graph.RandomConnected(64, 200, 8, rng)
+		key := make([]graph.Node, g.N())
+		for v, r := range rng.Perm(g.N()) {
+			key[v] = graph.Node(r)
+		}
+		// The repair leg raises the first edge (in a random order) whose
+		// increase moves some list of the all-sources fixpoint.
+		all := semiring.SingletonStatesKeyed(key)
+		_, probe := runners(g)
+		fix, _ := probe.RunToFixpoint(all, g.N())
+		var g2 *graph.Graph
+		var e graph.Edge
+		var want []semiring.DistMap
+		edges := g.Edges()
+		for _, i := range rng.Perm(len(edges)) {
+			e = edges[i]
+			var err error
+			if g2, _, err = graph.ApplyEdits(g, []graph.Edit{{Op: graph.EditReweight, U: e.U, V: e.V, Weight: e.Weight * 4}}); err != nil {
+				t.Fatal(err)
+			}
+			_, probe := runners(g2)
+			if want, _ = probe.RunToFixpoint(all, g2.N()); !slices.EqualFunc(fix, want, mod.Equal) {
+				break
+			}
+		}
+		for _, procs := range maxProcsVariants() {
+			par.MaxProcs = procs
+			fused, ref := runners(g)
+			same := func(leg string, got, want []semiring.DistMap, gotIt, wantIt int) {
+				t.Helper()
+				if gotIt != wantIt {
+					t.Fatalf("seed %d MaxProcs=%d %s: fused %d iterations, reference %d", seed, procs, leg, gotIt, wantIt)
+				}
+				for v := range want {
+					if !mod.Equal(got[v], want[v]) {
+						t.Fatalf("seed %d MaxProcs=%d %s node %d: fused %v, reference %v", seed, procs, leg, v, got[v], want[v])
+					}
+				}
+				if fused.Tracker.Work() != ref.Tracker.Work() || fused.Tracker.Depth() != ref.Tracker.Depth() {
+					t.Fatalf("seed %d MaxProcs=%d %s: fused charged %d/%d work/depth, reference %d/%d", seed, procs, leg,
+						fused.Tracker.Work(), fused.Tracker.Depth(), ref.Tracker.Work(), ref.Tracker.Depth())
+				}
+			}
+			sameChanged := func(leg string, got, want []graph.Node) {
+				t.Helper()
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d MaxProcs=%d %s: fused changed %v, reference %v", seed, procs, leg, got, want)
+				}
+			}
+
+			// Fresh run from the even nodes' rank singletons.
+			x0 := make([]semiring.DistMap, g.N())
+			for v := 0; v < g.N(); v += 2 {
+				x0[v] = semiring.SingletonDist(key[v], 0)
+			}
+			fixF, itF := fused.RunToFixpoint(x0, g.N())
+			fixR, itR := ref.RunToFixpoint(x0, g.N())
+			same("fresh", fixF, fixR, itF, itR)
+
+			// Warm start: the odd nodes join as sources.
+			base := append([]semiring.DistMap(nil), fixR...)
+			var seeds []graph.Node
+			for v := 1; v < g.N(); v += 2 {
+				base[v] = semiring.Staircase(mod.Add(base[v], semiring.SingletonDist(key[v], 0)))
+				seeds = append(seeds, graph.Node(v))
+			}
+			warmF, chF, itF := fused.RunToFixpointFrom(base, seeds, g.N())
+			warmR, chR, itR := ref.RunToFixpointFrom(base, seeds, g.N())
+			same("warm", warmF, warmR, itF, itR)
+			sameChanged("warm", chF, chR)
+
+			// Repair on the edited graph: reset every node whose list the
+			// edit moves and seed them with the edge's endpoints (the
+			// contract of RepairInPlace, as frt's DynamicEnsemble uses it).
+			fused.Graph, ref.Graph = g2, g2
+			reset := append([]semiring.DistMap(nil), warmR...)
+			seeds = []graph.Node{e.U, e.V}
+			for v := range reset {
+				if !mod.Equal(reset[v], want[v]) {
+					reset[v] = semiring.SingletonDist(key[v], 0)
+					seeds = append(seeds, graph.Node(v))
+				}
+			}
+			xF := append([]semiring.DistMap(nil), reset...)
+			xR := append([]semiring.DistMap(nil), reset...)
+			chF, itF = fused.RepairInPlace(xF, seeds, g2.N())
+			chR, itR = ref.RepairInPlace(xR, seeds, g2.N())
+			same("repair", xF, xR, itF, itR)
+			sameChanged("repair", chF, chR)
+			same("repair vs fresh", xR, want, itR, itR)
+		}
 	}
 }

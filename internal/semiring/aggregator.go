@@ -18,8 +18,9 @@ package semiring
 // extensionally equal to the filtered fold (the differential tests in
 // internal/mbf pin this on random graphs for every module below). A module
 // implements it only where the merge measurably beats the fold: DistMap
-// (every oracle, LE-list, source-detection and routing-table iteration)
-// and the two scalar algebras.
+// (every oracle, LE-list, source-detection and routing-table iteration;
+// StaircaseModule fuses the LE projection into the merge for rank-keyed
+// lists) and the two scalar algebras.
 
 // Term is one summand s ⊙ x of a k-way aggregation: S is the
 // adjacency-matrix entry of the edge and X the neighbor's state.
@@ -54,7 +55,8 @@ type Aggregator[S, M any] interface {
 }
 
 // Scratch holds the reusable buffers of Aggregate: the list headers and
-// reduction arenas of the SoA distance-map kernel (distmerge.go). A zero
+// reduction arenas of the SoA distance-map kernel and the per-list cursors
+// of the fused staircase pass (distmerge.go). A zero
 // Scratch is ready to use; engines keep one per worker (mbf.Runner recycles
 // them through a sync.Pool) so steady-state aggregation allocates nothing
 // beyond the merged result.
@@ -70,8 +72,13 @@ type Scratch struct {
 	rShifts []float64
 	arenas  [2]mergeArena
 	// out is the scratch-owned merge output a filtered Aggregate filters
-	// in place before copying out the survivors.
+	// in place before copying out the survivors, and the output of the
+	// fused staircase pass.
 	out mergeArena
+	// The per-list slots of the fused staircase pass (staircaseInto).
+	slot, pos []int32
+	head      []NodeID
+	val       []float64
 }
 
 // mergeArena is one reduction-round output buffer of the SoA kernel.
@@ -94,5 +101,16 @@ func (sc *Scratch) growDist(k int) {
 			sc.rDs = make([][]float64, 0, groups)
 			sc.rShifts = make([]float64, 0, groups)
 		}
+	}
+}
+
+// growStair pre-sizes the per-list cursors of StaircaseModule's fused pass
+// for k lists.
+func (sc *Scratch) growStair(k int) {
+	if len(sc.pos) < k {
+		sc.slot = make([]int32, k)
+		sc.pos = make([]int32, k)
+		sc.head = make([]NodeID, k)
+		sc.val = make([]float64, k)
 	}
 }

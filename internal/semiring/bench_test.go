@@ -110,6 +110,62 @@ func BenchmarkMergeKernel(b *testing.B) {
 	}
 }
 
+// stairKernelKs are the list counts of BenchmarkMergeKernelStaircase: a
+// pair, the last stack-gathered rung of the merge, one reduction round, and
+// two rounds (the 65–128-term aggregations that dominate an embed draw).
+var stairKernelKs = []int{2, 8, 40, 80}
+
+// stairKernelInputs builds k staircases of 8 entries plus a self staircase,
+// shaped like a rank-keyed LE-list neighbourhood: keys spread over a shared
+// range, distances strictly decreasing in key order.
+func stairKernelInputs(k int) (DistMap, []Term[float64, DistMap]) {
+	stair := func(seed int64) DistMap {
+		rng := rand.New(rand.NewSource(seed))
+		m := NewDistMap(8)
+		node, d := NodeID(0), float64(1000+rng.Intn(1000))
+		for i := 0; i < 8; i++ {
+			node += NodeID(1 + rng.Intn(16))
+			d -= float64(1 + rng.Intn(120))
+			m = m.Append(node, d)
+		}
+		return m
+	}
+	self := stair(100)
+	terms := make([]Term[float64, DistMap], k)
+	for i := range terms {
+		terms[i] = Term[float64, DistMap]{S: float64(1 + i%7), X: stair(int64(i))}
+	}
+	return self, terms
+}
+
+// BenchmarkMergeKernelStaircase times the LE-list aggregation on staircase
+// inputs both ways: fused, StaircaseModule's one pruning pass, and merge,
+// the k-way merge into scratch filtered by StaircaseInPlace that
+// DistMapModule runs for the same result.
+func BenchmarkMergeKernelStaircase(b *testing.B) {
+	for _, v := range []struct {
+		name   string
+		mod    Aggregator[float64, DistMap]
+		filter Filter[DistMap]
+	}{
+		{"fused", StaircaseModule{}, nil},
+		{"merge", DistMapModule{}, StaircaseInPlace},
+	} {
+		for _, k := range stairKernelKs {
+			b.Run(v.name+"/"+benchK(k), func(b *testing.B) {
+				self, terms := stairKernelInputs(k)
+				var sc Scratch
+				v.mod.Aggregate(&sc, self, terms, v.filter) // warm the pooled buffers
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					v.mod.Aggregate(&sc, self, terms, v.filter)
+				}
+			})
+		}
+	}
+}
+
 // aosEntry replicates the pre-SoA DistMap element: interleaved (node, dist)
 // pairs, 16 bytes each, so a merge touches twice the cache lines per ID scan
 // that the split ids/ds layout does.

@@ -58,9 +58,12 @@ type Entry struct {
 // operations, which are the only ones allowed to write to their argument:
 // SMulInPlace (rewrites distances), TopKFilterInPlace, StaircaseInPlace,
 // Compact, SortFunc, and Order.FilterInPlace in internal/frt (all of which
-// reorder or compact both arrays). Applying them to a value that shares storage with a state
-// vector corrupts every alias, including the shared ID array of an SMul
-// result.
+// reorder or compact both arrays; Order.FilterInPlace is StaircaseInPlace
+// between two sorts). Applying them to a value that shares storage with a
+// state vector corrupts every alias, including the shared ID array of an
+// SMul result. StaircaseModule.Aggregate needs none of them: it reads its
+// inputs in place, writes only scratch, and hands its filter a fresh
+// result, so no unfiltered intermediate is ever exposed.
 type DistMap struct {
 	ids []NodeID
 	ds  []float64
@@ -334,9 +337,9 @@ func (x DistMap) String() string {
 type DistMapModule struct{}
 
 // Add returns the node-wise minimum of x and y (Equation 2.6). It is the
-// k = 2 case of the shared SoA merge kernel (distmerge.go), so there is
-// exactly one merge implementation; an empty side returns the other side
-// unchanged (aliased), per the sharing contract.
+// k = 2 case of the SoA min-merge ladder (distmerge.go) that Aggregate
+// runs, so Add and Aggregate share one merge implementation; an empty side
+// returns the other side unchanged (aliased), per the sharing contract.
 func (DistMapModule) Add(x, y DistMap) DistMap {
 	if x.Len() == 0 {
 		return y
@@ -523,6 +526,49 @@ func (DistMapModule) Equal(x, y DistMap) bool {
 }
 
 var _ Aggregator[float64, DistMap] = DistMapModule{}
+
+// StaircaseModule is DistMapModule with the staircase projection fused into
+// its aggregation: Add, SMul, Zero and Equal are DistMapModule's, and
+//
+//	Aggregate(sc, self, terms, filter) = filter(Staircase(self ⊕ ⊕_i s_i ⊙ x_i))
+//
+// (nil filter = identity), computed in one pruning pass over the input lists
+// (staircaseInto in distmerge.go) instead of a full k-way merge followed by
+// a Staircase scan. That meets the Aggregator contract for every filter r
+// with r∘Staircase = r — Staircase itself, the LE projection of Definition
+// 7.3 on rank-keyed maps, which is the filter the frt package's fixpoints
+// run it with. Corollary 2.17 is what lets the projection act on the
+// partial merge: an entry already dominated by an earlier-keyed survivor
+// never reaches the output, so the pass drops it as soon as it is read.
+// The result is bitwise Staircase(DistMapModule{}.Aggregate(sc, self,
+// terms, nil)).
+type StaircaseModule struct{ DistMapModule }
+
+// Aggregate implements the fused Aggregator fast path (see the type). Dead
+// terms (s = ∞ or ⊥ states) are skipped. The pass reads the lists in place
+// — no header gather — writes into scratch, and allocates only the
+// survivors, one block per non-empty result.
+func (StaircaseModule) Aggregate(sc *Scratch, self DistMap, terms []Term[float64, DistMap], filter Filter[DistMap]) DistMap {
+	sc.growStair(len(terms) + 1)
+	o := &sc.out
+	oIds, oDs := staircaseInto(o.ids[:0], o.ds[:0], self, terms, sc.slot, sc.pos, sc.head, sc.val)
+	// The buffer starts empty and grows only when a pass outgrows it: a
+	// staircase keeps few of the entries it reads, so sizing it to the
+	// input, as the merge does, would waste scratch.
+	if cap(oIds) > cap(o.ids) {
+		o.ids = oIds[:0]
+	}
+	if cap(oDs) > cap(o.ds) {
+		o.ds = oDs[:0]
+	}
+	out := DistMap{ids: oIds, ds: oDs}.Clone()
+	if filter != nil {
+		out = filter(out)
+	}
+	return out
+}
+
+var _ Aggregator[float64, DistMap] = StaircaseModule{}
 
 // Normalize sorts the entries by node ID, keeping the minimum distance per
 // node, and drops ∞ entries. It is used to establish the representation

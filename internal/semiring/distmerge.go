@@ -1,9 +1,21 @@
 package semiring
 
-// This file is the k-way min-merge kernel of the distance-map semimodule —
-// the single merge implementation behind DistMapModule.Add and Aggregate,
-// and therefore the inner loop of every MBF-like iteration, oracle
-// cross-level merge, and LE-list pass (Lemma 2.3).
+// This file holds the two k-way kernels of the distance-map semimodule
+// (Lemma 2.3), the inner loops of every MBF-like iteration:
+//
+//   - the min-merge ladder below (mergeDistInto), the one merge behind
+//     DistMapModule.Add and DistMapModule.Aggregate — source detection,
+//     routing tables, node-keyed LE lists, and any oracle run on the
+//     default module;
+//   - the fused staircase pass (staircaseInto, at the end of the file),
+//     behind StaircaseModule.Aggregate — the rank-keyed LE fixpoints of the
+//     frt package (Embedder draws, LEListsOnGraphBatch, DynamicEnsemble
+//     start-up and repairs), level runs and cross-level fold alike. It
+//     merges and applies the LE projection in one pass, in key order, and
+//     drops an entry as soon as an earlier survivor dominates it, so it
+//     needs neither the ladder's reduction arenas nor a per-entry head-min.
+//
+// The rest of this header describes the ladder.
 //
 // The kernel exploits the SoA layout of DistMap: the merge order is decided
 // on the contiguous int32 node-ID arrays alone, with the float64 payload
@@ -438,4 +450,136 @@ func mergeDistInto(sc *Scratch, oIds []NodeID, oDs []float64,
 	}
 	sc.rIds, sc.rDs, sc.rShifts = sc.rIds[:0], sc.rDs[:0], sc.rShifts[:0]
 	return oIds, oDs
+}
+
+// staircaseInto appends Staircase(self ⊕ ⊕_i terms[i].S ⊙ terms[i].X) to the
+// output in one pass over the live lists (self if non-⊥, then every term
+// with a finite scalar and a non-⊥ state), read in place, without
+// materialising the merge. Each live list holds a slot: its list number
+// (0 = self, i+1 = terms[i]), its cursor, and the key and shifted distance
+// of its head, which is always below the last kept distance best. A round
+// emits the smallest head key with the minimum of its heads' distances,
+// lowers best to it, and then refreshes only the slots that round
+// invalidated — the heads it consumed and the heads the new best dominates
+// — by skipping every entry whose shifted distance is not below best (kept
+// distances only fall, so a skipped entry can never survive). A list whose
+// remaining entries are all skipped leaves the scan; a lone survivor
+// finishes with a plain staircase scan of its tail.
+//
+// The result is bitwise Staircase of the k-way merge (mergeDistInto): the
+// first key of the merge is kept unconditionally, with the merge's own
+// per-key minimum (start at Inf, strict <, lists in input order); every
+// later key survives iff one of its shifted distances is below the last
+// kept one, and then the skipped distances, being larger, cannot change the
+// strict-< minimum the merge would have taken. Slots stay in list order, so
+// ties fold in input order exactly as in the merge.
+//
+// slot, pos, head and val are caller scratch of length ≥ len(terms)+1.
+func staircaseInto(oIds []NodeID, oDs []float64, self DistMap, terms []Term[float64, DistMap],
+	slot, pos []int32, head []NodeID, val []float64) ([]NodeID, []float64) {
+	// Collect the live lists and the merge's first key m with its minimum.
+	n := 0
+	var m NodeID
+	best := Inf
+	if self.Len() > 0 {
+		slot[0], m, best = 0, self.ids[0], self.ds[0]
+		n = 1
+	}
+	for i := range terms {
+		t := &terms[i] // by pointer: a Term is 56 bytes, too wide to copy per visit
+		if IsInf(t.S) || len(t.X.ids) == 0 {
+			continue
+		}
+		h, v := t.X.ids[0], t.X.ds[0]+t.S
+		if n == 0 || h < m {
+			m, best = h, Inf
+		}
+		if h == m && v < best {
+			best = v
+		}
+		slot[n] = int32(i + 1)
+		n++
+	}
+	if n == 0 {
+		return oIds, oDs
+	}
+	oIds, oDs = append(oIds, m), append(oDs, best)
+	// Fill the slots in place (w ≤ t), tracking the next key m and its
+	// distance dv.
+	first := m
+	var dv float64
+	w := 0
+	for _, j := range slot[:n] {
+		a, d, s := stairList(self, terms, j)
+		p := 0
+		if a[0] == first {
+			p = 1
+		}
+		for p < len(a) && !(d[p]+s < best) {
+			p++
+		}
+		if p == len(a) {
+			continue
+		}
+		h, v := a[p], d[p]+s
+		slot[w], pos[w], head[w], val[w] = j, int32(p), h, v
+		if w == 0 || h < m {
+			m, dv = h, v
+		} else if h == m && v < dv {
+			dv = v
+		}
+		w++
+	}
+	n = w
+	for {
+		switch n {
+		case 0:
+			return oIds, oDs
+		case 1:
+			a, d, s := stairList(self, terms, slot[0])
+			for p := int(pos[0]); p < len(a); p++ {
+				if v := d[p] + s; v < best {
+					best = v
+					oIds, oDs = append(oIds, a[p]), append(oDs, v)
+				}
+			}
+			return oIds, oDs
+		}
+		oIds, oDs = append(oIds, m), append(oDs, dv)
+		best = dv
+		km := m
+		w := 0
+		for t := 0; t < n; t++ {
+			j, p, h, v := slot[t], int(pos[t]), head[t], val[t]
+			if h == km || !(v < best) {
+				a, d, s := stairList(self, terms, j)
+				p++
+				for p < len(a) && !(d[p]+s < best) {
+					p++
+				}
+				if p == len(a) {
+					continue
+				}
+				h, v = a[p], d[p]+s
+			}
+			slot[w], pos[w], head[w], val[w] = j, int32(p), h, v
+			if w == 0 || h < m {
+				m, dv = h, v
+			} else if h == m && v < dv {
+				dv = v
+			}
+			w++
+		}
+		n = w
+	}
+}
+
+// stairList returns list j of a fused pass: self for j = 0, terms[j-1]
+// otherwise, as IDs, distances and shift.
+func stairList(self DistMap, terms []Term[float64, DistMap], j int32) ([]NodeID, []float64, float64) {
+	if j == 0 {
+		return self.ids, self.ds, 0
+	}
+	t := &terms[j-1]
+	return t.X.ids, t.X.ds, t.S
 }

@@ -34,28 +34,23 @@ func BenchmarkOracleIterate(b *testing.B) {
 }
 
 // BenchmarkOracleRunToFixpoint measures the LE-list computation of one FRT
-// tree on H: a full RunToFixpoint from the initial states under the LE
-// filter, the oracle's share of an Embedder draw. Like the Embedder it runs
-// on rank-keyed lists (node v's entry stored under its rank), where the LE
-// filter is the semiring.Staircase scan. Unlike a single Iterate it
-// includes the later oracle iterations, where the level runs resume from
-// their previous fixpoints.
+// tree on H: the oracle configuration of an Embedder draw
+// (StaircaseFixpoint) on rank-keyed lists, where the LE filter is the
+// semiring.Staircase scan fused into every aggregation. Unlike a single
+// Iterate it includes the later oracle iterations, where the level runs
+// resume from their previous fixpoints.
 func BenchmarkOracleRunToFixpoint(b *testing.B) {
 	g := graph.RandomConnected(256, 1024, 8, par.NewRNG(11))
 	hs := hopset.DefaultSkeleton(g, par.NewRNG(12), nil)
 	h := simgraph.Build(hs, 0, par.NewRNG(13))
 	order := frt.NewOrder(g.N(), par.NewRNG(14))
-	oracle := simgraph.NewOracle(h, nil)
-	oracle.FilterInPlace = semiring.StaircaseInPlace
-	filter := semiring.Staircase
 	keys := make([]semiring.NodeID, g.N())
 	for v, r := range order.Rank {
 		keys[v] = semiring.NodeID(r)
 	}
-	x0 := semiring.SingletonStatesKeyed(keys)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		oracle.RunToFixpoint(x0, filter, simgraph.MaxIters(g.N()))
+		simgraph.StaircaseFixpoint(h, keys, nil, simgraph.MaxIters(g.N()))
 	}
 }

@@ -161,11 +161,20 @@ type Oracle struct {
 	H       *H
 	Tracker *par.Tracker
 
+	// Module aggregates the level runs' neighbourhoods and the cross-level
+	// fold of Equation 5.9, mirroring mbf.Runner.Module. Nil means
+	// semiring.DistMapModule. semiring.StaircaseModule fuses the staircase
+	// projection into the merge; it is exact only when the filter passed
+	// to Iterate/Run/RunToFixpoint absorbs it (r∘Staircase = r), as
+	// Staircase itself does on rank-keyed lists (see StaircaseFixpoint).
+	Module semiring.Aggregator[float64, semiring.DistMap]
+
 	// FilterInPlace, if non-nil, must compute the same function as the
 	// filter argument passed to Iterate/Run/RunToFixpoint but may reuse its
-	// argument's storage. It is handed to DistMapModule.Aggregate, which
-	// applies it only to merges it owns exclusively, mirroring
-	// mbf.Runner.FilterInPlace.
+	// argument's storage. It is handed to Module's Aggregate, which applies
+	// it only to merges it owns exclusively, mirroring
+	// mbf.Runner.FilterInPlace. A fused module needs none: it owns no
+	// unfiltered merge to filter.
 	FilterInPlace semiring.Filter[semiring.DistMap]
 
 	// scratch recycles the per-worker buffers of the cross-level merge of
@@ -175,8 +184,9 @@ type Oracle struct {
 	// owns the sparse engine's pooled scratch, so keeping them alive across
 	// oracle iterations — a fixpoint run performs O(log² n) of them over
 	// Λ+1 levels — lets those pools actually recycle; per-call fields
-	// (Filter, FilterInPlace, Tracker) are refreshed on every use, and the
-	// cache is keyed to runnersH so swapping the H field rebuilds it.
+	// (Module, Filter, FilterInPlace, Tracker) are refreshed on every use,
+	// and the cache is keyed to runnersH so swapping the H field rebuilds
+	// it.
 	runners  []*mbf.Runner[float64, semiring.DistMap]
 	runnersH *H
 }
@@ -203,6 +213,18 @@ type warmStart struct {
 // may be nil).
 func NewOracle(h *H, tracker *par.Tracker) *Oracle {
 	return &Oracle{H: h, Tracker: tracker}
+}
+
+// StaircaseFixpoint runs the oracle on H to its fixpoint from the keyed
+// singletons semiring.SingletonStatesKeyed(key) under the semiring.Staircase
+// projection, aggregating through semiring.StaircaseModule, and returns
+// RunToFixpoint's lists and iteration count. With key[v] the rank of v in a
+// random order this is the LE-list fixpoint of Definition 7.3 on rank-keyed
+// lists: the oracle's share of an FRT draw (frt.Embedder), and the one
+// configuration its benchmarks and tests replay.
+func StaircaseFixpoint(h *H, key []semiring.NodeID, tracker *par.Tracker, maxIters int) ([]semiring.DistMap, int) {
+	o := &Oracle{H: h, Tracker: tracker, Module: semiring.StaircaseModule{}}
+	return o.RunToFixpoint(semiring.SingletonStatesKeyed(key), semiring.Staircase, maxIters)
 }
 
 // project applies P_λ: entries at nodes of level < λ are reset to ⊥.
@@ -251,7 +273,6 @@ func (o *Oracle) iterate(x []semiring.DistMap, filter semiring.Filter[semiring.D
 			scale := h.scale[lambda]
 			o.runners[lambda] = &mbf.Runner[float64, semiring.DistMap]{
 				Graph:  gp,
-				Module: semiring.DistMapModule{},
 				Weight: func(_, _ graph.Node, w float64) float64 { return scale * w },
 				Size:   func(m semiring.DistMap) int { return m.Len() + 1 },
 			}
@@ -274,7 +295,10 @@ func (o *Oracle) iterate(x []semiring.DistMap, filter semiring.Filter[semiring.D
 	// (Lemma 2.16 / Corollary 2.17), so the folded result equals the one-shot
 	// (Λ+1)-way merge entry for entry. The fold order λ = 0, 1, …, Λ is
 	// fixed, keeping the output deterministic at any parallel width.
-	var agg semiring.DistMapModule
+	agg := o.Module
+	if agg == nil {
+		agg = semiring.DistMapModule{}
+	}
 	owned := filter
 	if o.FilterInPlace != nil {
 		owned = o.FilterInPlace
@@ -282,6 +306,7 @@ func (o *Oracle) iterate(x []semiring.DistMap, filter semiring.Filter[semiring.D
 	var acc []semiring.DistMap
 	for lambda := 0; lambda <= h.Lambda; lambda++ {
 		runner := o.runners[lambda]
+		runner.Module = agg
 		runner.Filter = filter
 		runner.FilterInPlace = o.FilterInPlace
 		runner.Tracker = levelTracker
@@ -303,19 +328,24 @@ func (o *Oracle) iterate(x []semiring.DistMap, filter semiring.Filter[semiring.D
 		}
 		lvl := o.project(y, lambda)
 		final := lambda == h.Lambda
-		par.ForEach(n, func(v int) {
+		// One pooled scratch per chunk, not per node (the rule of
+		// mbf.Runner.getIter).
+		par.ForEachChunk(n, func(start, end int) {
 			st, _ := o.scratch.Get().(*levelScratch)
 			if st == nil {
 				st = new(levelScratch)
 			}
-			terms := append(st.terms[:0],
-				semiring.Term[float64, semiring.DistMap]{X: acc[v]},
-				semiring.Term[float64, semiring.DistMap]{X: lvl[v]})
-			acc[v] = agg.Aggregate(&st.sc, semiring.DistMap{}, terms, owned)
-			if final && changed != nil {
-				changed[v] = !agg.Equal(acc[v], x[v])
+			terms := st.terms[:0]
+			for v := start; v < end; v++ {
+				terms = append(terms[:0],
+					semiring.Term[float64, semiring.DistMap]{X: acc[v]},
+					semiring.Term[float64, semiring.DistMap]{X: lvl[v]})
+				acc[v] = agg.Aggregate(&st.sc, semiring.DistMap{}, terms, owned)
+				if final && changed != nil {
+					changed[v] = !agg.Equal(acc[v], x[v])
+				}
 			}
-			terms[0], terms[1] = semiring.Term[float64, semiring.DistMap]{}, semiring.Term[float64, semiring.DistMap]{}
+			clear(terms) // drop state references so the pool cannot pin them
 			st.terms = terms[:0]
 			o.scratch.Put(st)
 		})

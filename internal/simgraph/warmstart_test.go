@@ -132,3 +132,48 @@ func TestRunToFixpointReuse(t *testing.T) {
 		checkSame(t, got, gotIts, want, wantIts)
 	}
 }
+
+// TestStaircaseFixpointMatchesDistMapModule runs the Embedder's oracle
+// configuration — StaircaseFixpoint: rank-keyed singletons, the Staircase
+// filter, and the fused semiring.StaircaseModule for the level runs and the
+// cross-level fold — against the same fixpoint through the default
+// DistMapModule with Staircase as a plain filter, and against the cold
+// reference. Lists, iteration counts and tracker work must be identical, on
+// the graph shapes and hop bounds of TestRunToFixpointMatchesCold (so some
+// level runs stop unconverged and restart cold), with and without Λ = 0.
+func TestStaircaseFixpointMatchesDistMapModule(t *testing.T) {
+	for _, gc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"random", graph.RandomConnected(96, 300, 8, par.NewRNG(21))},
+		{"chunglu", graph.ChungLu(120, 4, 2.5, 8, par.NewRNG(23))},
+	} {
+		n := gc.g.N()
+		for _, hs := range []*hopset.Result{hopset.DefaultSkeleton(gc.g, par.NewRNG(24), nil), withHopBound(gc.g, 4)} {
+			h := simgraph.Build(hs, 0, par.NewRNG(25))
+			flat := *h
+			flat.Level, flat.Lambda = make([]int, n), 0
+			order := frt.NewOrder(n, par.NewRNG(26))
+			key := make([]semiring.NodeID, n)
+			for v, r := range order.Rank {
+				key[v] = semiring.NodeID(r)
+			}
+			for _, hh := range []*simgraph.H{h, &flat} {
+				t.Run(fmt.Sprintf("%s/d=%d/lambda=%d", gc.name, hs.D, hh.Lambda), func(t *testing.T) {
+					x0 := semiring.SingletonStatesKeyed(key)
+					want, wantIts := coldFixpoint(t, hh, x0, semiring.Staircase)
+					refTr, fusedTr := &par.Tracker{}, &par.Tracker{}
+					ref, refIts := simgraph.NewOracle(hh, refTr).RunToFixpoint(x0, semiring.Staircase, simgraph.MaxIters(n))
+					checkSame(t, ref, refIts, want, wantIts)
+					got, gotIts := simgraph.StaircaseFixpoint(hh, key, fusedTr, simgraph.MaxIters(n))
+					checkSame(t, got, gotIts, want, wantIts)
+					if fusedTr.Work() != refTr.Work() || fusedTr.Depth() != refTr.Depth() {
+						t.Fatalf("fused charged %d/%d work/depth, DistMapModule %d/%d",
+							fusedTr.Work(), fusedTr.Depth(), refTr.Work(), refTr.Depth())
+					}
+				})
+			}
+		}
+	}
+}
