@@ -457,14 +457,14 @@ func mergeDistInto(sc *Scratch, oIds []NodeID, oDs []float64,
 // with a finite scalar and a non-⊥ state), read in place, without
 // materialising the merge. Each live list holds a slot: its list number
 // (0 = self, i+1 = terms[i]), its cursor, and the key and shifted distance
-// of its head, which is always below the last kept distance best. A round
-// emits the smallest head key with the minimum of its heads' distances,
-// lowers best to it, and then refreshes only the slots that round
-// invalidated — the heads it consumed and the heads the new best dominates
-// — by skipping every entry whose shifted distance is not below best (kept
-// distances only fall, so a skipped entry can never survive). A list whose
-// remaining entries are all skipped leaves the scan; a lone survivor
-// finishes with a plain staircase scan of its tail.
+// of its head. A round emits the smallest head key m with the minimum of
+// its heads' distances, which becomes the last kept distance best, and
+// then refreshes only the slots that round invalidated — the heads at m
+// and the heads best now dominates — by skipping every entry whose shifted
+// distance is not below best (kept distances only fall, so a skipped entry
+// can never survive). A list whose remaining entries are all skipped
+// leaves the scan; a lone survivor finishes with a plain staircase scan of
+// its tail.
 //
 // The result is bitwise Staircase of the k-way merge (mergeDistInto): the
 // first key of the merge is kept unconditionally, with the merge's own
@@ -477,12 +477,14 @@ func mergeDistInto(sc *Scratch, oIds []NodeID, oDs []float64,
 // slot, pos, head and val are caller scratch of length ≥ len(terms)+1.
 func staircaseInto(oIds []NodeID, oDs []float64, self DistMap, terms []Term[float64, DistMap],
 	slot, pos []int32, head []NodeID, val []float64) ([]NodeID, []float64) {
-	// Collect the live lists and the merge's first key m with its minimum.
+	// Fill the slots with the live lists' first entries, tracking the
+	// merge's first key m and its minimum best.
 	n := 0
 	var m NodeID
 	best := Inf
 	if self.Len() > 0 {
-		slot[0], m, best = 0, self.ids[0], self.ds[0]
+		slot[0], pos[0], head[0], val[0] = 0, 0, self.ids[0], self.ds[0]
+		m, best = self.ids[0], self.ds[0]
 		n = 1
 	}
 	for i := range terms {
@@ -491,63 +493,22 @@ func staircaseInto(oIds []NodeID, oDs []float64, self DistMap, terms []Term[floa
 			continue
 		}
 		h, v := t.X.ids[0], t.X.ds[0]+t.S
+		slot[n], pos[n], head[n], val[n] = int32(i+1), 0, h, v
 		if n == 0 || h < m {
 			m, best = h, Inf
 		}
 		if h == m && v < best {
 			best = v
 		}
-		slot[n] = int32(i + 1)
 		n++
 	}
 	if n == 0 {
 		return oIds, oDs
 	}
-	oIds, oDs = append(oIds, m), append(oDs, best)
-	// Fill the slots in place (w ≤ t), tracking the next key m and its
-	// distance dv.
-	first := m
-	var dv float64
-	w := 0
-	for _, j := range slot[:n] {
-		a, d, s := stairList(self, terms, j)
-		p := 0
-		if a[0] == first {
-			p = 1
-		}
-		for p < len(a) && !(d[p]+s < best) {
-			p++
-		}
-		if p == len(a) {
-			continue
-		}
-		h, v := a[p], d[p]+s
-		slot[w], pos[w], head[w], val[w] = j, int32(p), h, v
-		if w == 0 || h < m {
-			m, dv = h, v
-		} else if h == m && v < dv {
-			dv = v
-		}
-		w++
-	}
-	n = w
 	for {
-		switch n {
-		case 0:
-			return oIds, oDs
-		case 1:
-			a, d, s := stairList(self, terms, slot[0])
-			for p := int(pos[0]); p < len(a); p++ {
-				if v := d[p] + s; v < best {
-					best = v
-					oIds, oDs = append(oIds, a[p]), append(oDs, v)
-				}
-			}
-			return oIds, oDs
-		}
-		oIds, oDs = append(oIds, m), append(oDs, dv)
-		best = dv
+		oIds, oDs = append(oIds, m), append(oDs, best)
 		km := m
+		var dv float64
 		w := 0
 		for t := 0; t < n; t++ {
 			j, p, h, v := slot[t], int(pos[t]), head[t], val[t]
@@ -571,6 +532,20 @@ func staircaseInto(oIds []NodeID, oDs []float64, self DistMap, terms []Term[floa
 			w++
 		}
 		n = w
+		switch n {
+		case 0:
+			return oIds, oDs
+		case 1:
+			a, d, s := stairList(self, terms, slot[0])
+			for p := int(pos[0]); p < len(a); p++ {
+				if v := d[p] + s; v < best {
+					best = v
+					oIds, oDs = append(oIds, a[p]), append(oDs, v)
+				}
+			}
+			return oIds, oDs
+		}
+		best = dv
 	}
 }
 
