@@ -60,12 +60,11 @@ type Result struct {
 // by alpha.
 func leRunner(g *graph.Graph, order *frt.Order, alpha float64) *mbf.Runner[float64, semiring.DistMap] {
 	return &mbf.Runner[float64, semiring.DistMap]{
-		Graph:         g,
-		Module:        semiring.DistMapModule{},
-		Filter:        order.Filter(),
-		FilterInPlace: order.FilterInPlace(),
-		Weight:        func(_, _ graph.Node, w float64) float64 { return alpha * w },
-		Size:          func(m semiring.DistMap) int { return m.Len() + 1 },
+		Graph:  g,
+		Module: semiring.DistMapModule{},
+		Filter: order.Filter(),
+		Weight: func(_, _ graph.Node, w float64) float64 { return alpha * w },
+		Size:   func(m semiring.DistMap) int { return m.Len() + 1 },
 	}
 }
 

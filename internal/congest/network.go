@@ -157,9 +157,7 @@ func MessageKhan(g *graph.Graph, order *frt.Order) ([]semiring.DistMap, int) {
 	lists := net.Run(g.N() * g.N())
 	sorted := make([]semiring.DistMap, len(lists))
 	for v, l := range lists {
-		c := l.Clone()
-		c.SortFunc(func(a, b semiring.Entry) bool { return a.Node < b.Node })
-		sorted[v] = c
+		sorted[v] = semiring.Normalize(l)
 	}
 	return sorted, net.Rounds
 }

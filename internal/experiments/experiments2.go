@@ -303,13 +303,12 @@ func A1Filtering(cfg Config) *Table {
 	// saving column measures Corollary 2.17 alone.
 	trF := &par.Tracker{}
 	frunner := &mbf.Runner[float64, semiring.DistMap]{
-		Graph:         g,
-		Module:        semiring.DistMapModule{},
-		Filter:        filter,
-		FilterInPlace: semiring.TopKFilterInPlace(k, semiring.Inf, nil),
-		Weight:        mbf.MinPlusWeight,
-		Size:          func(m semiring.DistMap) int { return m.Len() + 1 },
-		Tracker:       trF,
+		Graph:   g,
+		Module:  semiring.DistMapModule{},
+		Filter:  filter,
+		Weight:  mbf.MinPlusWeight,
+		Size:    func(m semiring.DistMap) int { return m.Len() + 1 },
+		Tracker: trF,
 	}
 	filtered := frunner.Run(frt.InitialStates(n), h)
 

@@ -32,8 +32,9 @@ func BenchmarkLEListsFromMetric(b *testing.B) {
 }
 
 // BenchmarkLEFilter applies the LE filter to one unfiltered state in both
-// key spaces: node-keyed (Order.Filter: sort by rank, Staircase scan, sort
-// back by node) and rank-keyed (the bare Staircase scan the fixpoints run).
+// key spaces: node-keyed (Order.Filter: relabel to rank keys, Staircase
+// scan, relabel back to node keys) and rank-keyed (the bare Staircase scan
+// the fixpoints run).
 func BenchmarkLEFilter(b *testing.B) {
 	rng := par.NewRNG(3)
 	order := NewOrder(256, rng)

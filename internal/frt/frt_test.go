@@ -2,6 +2,7 @@ package frt
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -42,26 +43,57 @@ func bruteLE(x semiring.DistMap, o *Order) semiring.DistMap {
 	return out
 }
 
+// TestLEFilterMatchesBruteForce pins Order.Filter to bruteLE on random maps
+// with many tied distances, and to the contract of every semiring.Filter: it
+// leaves its input bitwise unchanged and returns the input itself or a map
+// sharing no storage with it. At n = 80 lists outgrow Relabel's
+// insertion-sort range.
 func TestLEFilterMatchesBruteForce(t *testing.T) {
 	rng := par.NewRNG(2)
-	o := NewOrder(20, rng)
-	filter := o.Filter()
-	mod := semiring.DistMapModule{}
-	for trial := 0; trial < 100; trial++ {
-		x := semiring.DistMap{}
-		node := semiring.NodeID(0)
-		for node < 20 {
-			if rng.Float64() < 0.5 {
-				x = x.Append(node, float64(rng.Intn(8)))
+	for _, n := range []int{20, 80} {
+		o := NewOrder(n, rng)
+		filter := o.Filter()
+		for trial := 0; trial < 100; trial++ {
+			x := semiring.DistMap{}
+			for node := semiring.NodeID(0); node < semiring.NodeID(n); node++ {
+				if rng.Float64() < 0.5 {
+					x = x.Append(node, float64(rng.Intn(8)))
+				}
 			}
-			node++
-		}
-		got := filter(x)
-		want := bruteLE(x, o)
-		if !mod.Equal(got, want) {
-			t.Fatalf("filter %v ≠ brute force %v for %v", got, want, x)
+			before := x.Entries()
+			got := filter(x)
+			want := bruteLE(x, o)
+			if !slices.Equal(got.Entries(), want.Entries()) {
+				t.Fatalf("filter %v ≠ brute force %v for %v", got, want, x)
+			}
+			if !slices.EqualFunc(x.Entries(), before, func(a, b semiring.Entry) bool {
+				return a.Node == b.Node && math.Float64bits(a.Dist) == math.Float64bits(b.Dist)
+			}) {
+				t.Fatalf("filter wrote its input: %v, was %v", x, before)
+			}
+			if gs, xs := storage(got), storage(x); gs != xs {
+				for _, a := range gs {
+					for _, b := range xs {
+						if a[0] < b[1] && b[0] < a[1] {
+							t.Fatalf("filter(%v) = %v shares storage with its input", x, got)
+						}
+					}
+				}
+			}
 		}
 	}
+}
+
+// storage returns the address ranges [start, end) of x's two backing
+// arrays, read through reflection since DistMap keeps them unexported.
+func storage(x semiring.DistMap) (spans [2][2]uintptr) {
+	v := reflect.ValueOf(x)
+	for i := range spans {
+		f := v.Field(i)
+		p := f.Pointer()
+		spans[i] = [2]uintptr{p, p + uintptr(f.Len())*f.Type().Elem().Size()}
+	}
+	return spans
 }
 
 func TestLEFilterIsCongruence(t *testing.T) {

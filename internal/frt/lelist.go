@@ -11,13 +11,12 @@
 // # Key spaces
 //
 // LE lists live in two key spaces. The public list API is node-keyed:
-// InitialStates, Order.Filter and Order.FilterInPlace, BuildTree and
-// LEListsOnGraphBatch take and return DistMaps whose entry for source w is
-// stored under w. Everything the package computes itself — the samplers,
-// LEListsOnGraphBatch's fixpoints and DynamicEnsemble — is rank-keyed
-// instead: the entry for w is stored under Rank[w]. The relabel is exact,
-// because the semimodule operations and the merge kernels only compare
-// keys, and it pays twice. First, key order becomes rank order, so the LE
+// InitialStates, Order.Filter, BuildTree and LEListsOnGraphBatch take and
+// return DistMaps whose entry for source w is stored under w. Everything
+// the package computes itself — the samplers, LEListsOnGraphBatch's
+// fixpoints and DynamicEnsemble — is rank-keyed instead: the entry for w is
+// stored under Rank[w]. The relabel is exact, because the semimodule
+// operations and the merge kernels only compare keys, and it pays twice. First, key order becomes rank order, so the LE
 // filter is the linear semiring.Staircase scan with no sort — linear enough
 // to run inside the merge: every rank-keyed fixpoint (the Embedder's
 // oracle through simgraph.StaircaseFixpoint, leRunner's direct lists and
@@ -26,7 +25,8 @@
 // Second, a rank-keyed LE list is distance-descending, which is the order
 // the tree construction reads (buildTreeRanked). The samplers go from
 // rank-keyed lists straight to the tree; only LEListsOnGraphBatch converts
-// its lists to node keys, once, on output.
+// its lists to node keys, once, on output. The node-keyed Order.Filter is
+// the same Staircase scan between two relabels, to rank keys and back.
 package frt
 
 import (
@@ -107,33 +107,26 @@ func (rk rankKeys) nodeKeyed(lists []semiring.DistMap) []semiring.DistMap {
 // The surviving entries, read in order of increasing rank, have strictly
 // decreasing distances; their count is O(log n) w.h.p. for any input that
 // does not depend on the random order (Lemma 7.6). On rank-keyed lists the
-// same projection is semiring.Staircase.
+// same projection is semiring.Staircase, and Filter is exactly that scan
+// conjugated by the relabel: to rank keys, Staircase, back to node keys. Like
+// every filter it is pure (x itself when every entry survives, a fresh map
+// otherwise). Rank must be a permutation of 0..n−1.
 func (o *Order) Filter() semiring.Filter[semiring.DistMap] {
-	inPlace := o.FilterInPlace()
+	rk := o.mustKeys(len(o.Rank))
 	return func(x semiring.DistMap) semiring.DistMap {
-		return inPlace(x.Clone())
+		kept := semiring.Staircase(x.Relabel(rk.key))
+		if kept.Len() == x.Len() {
+			return x
+		}
+		return kept.Relabel(rk.node)
 	}
 }
 
-// FilterInPlace is Filter for caller-owned values: it works inside x's
-// backing array, allocating nothing. It must never be used on shared DistMap
-// values (see the type's aliasing contract in internal/semiring).
+// FilterInPlace returns Filter().
 //
-// It is the rank-keyed filter conjugated by the relabel: sort x by rank, run
-// the shared semiring.StaircaseInPlace scan, and sort the survivors back by
-// node ID. Ranks are distinct, so both sorts are total orders and the
-// survivor set is unique; Filter computes the same representative.
-func (o *Order) FilterInPlace() semiring.Filter[semiring.DistMap] {
-	rank := o.Rank
-	byRank := func(a, b semiring.Entry) bool { return rank[a.Node] < rank[b.Node] }
-	byNode := func(a, b semiring.Entry) bool { return a.Node < b.Node }
-	return func(x semiring.DistMap) semiring.DistMap {
-		x.SortFunc(byRank)
-		kept := semiring.StaircaseInPlace(x)
-		kept.SortFunc(byNode)
-		return kept
-	}
-}
+// Deprecated: every filter is pure now, so there is no in-place variant;
+// use Filter.
+func (o *Order) FilterInPlace() semiring.Filter[semiring.DistMap] { return o.Filter() }
 
 // InitialStates returns the LE-list initialisation x(0) of Definition 7.3:
 // every node knows itself at distance 0, node-keyed. The singletons share

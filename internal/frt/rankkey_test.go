@@ -19,7 +19,7 @@ import (
 
 // TestStaircaseMatchesOrderFilter checks the shared dominance rule on random
 // maps with many tied distances: under the node→rank relabel, the Staircase
-// scan (pure and in place) keeps exactly what Order.Filter keeps.
+// scan keeps exactly what Order.Filter keeps, on a fresh copy too.
 func TestStaircaseMatchesOrderFilter(t *testing.T) {
 	rng := par.NewRNG(31)
 	const n = 40
@@ -39,8 +39,8 @@ func TestStaircaseMatchesOrderFilter(t *testing.T) {
 		if !mod.Equal(got, want.Relabel(rk.key)) {
 			t.Fatalf("trial %d: Staircase %v ≠ relabelled Order.Filter %v", trial, got, want.Relabel(rk.key))
 		}
-		if inPlace := semiring.StaircaseInPlace(ranked.Clone()); !mod.Equal(inPlace, got) {
-			t.Fatalf("trial %d: StaircaseInPlace %v ≠ Staircase %v", trial, inPlace, got)
+		if copied := semiring.Staircase(ranked.Clone()); !mod.Equal(copied, got) {
+			t.Fatalf("trial %d: Staircase of a copy %v ≠ Staircase %v", trial, copied, got)
 		}
 		if back := got.Relabel(rk.node); !mod.Equal(back, want) || !back.IsSorted() {
 			t.Fatalf("trial %d: back to node keys %v, want %v", trial, back, want)
@@ -73,10 +73,9 @@ func embedderLists(e *Embedder, order *Order) []semiring.DistMap {
 }
 
 // TestEmbedderMatchesNodeKeyedOracle replays every Embedder draw through the
-// node-keyed public path — InitialStates, Order.Filter with no in-place
-// variant, the oracle, and BuildTree — and requires the same LE lists (of
-// the rank-keyed replay, relabelled), iteration count and tree, at two
-// parallel widths.
+// node-keyed public path — InitialStates, Order.Filter, the oracle, and
+// BuildTree — and requires the same LE lists (of the rank-keyed replay,
+// relabelled), iteration count and tree, at two parallel widths.
 func TestEmbedderMatchesNodeKeyedOracle(t *testing.T) {
 	defer func(p int) { par.MaxProcs = p }(par.MaxProcs)
 	for _, procs := range []int{1, 2} {

@@ -61,11 +61,10 @@ func TestFastPathMatchesFoldDistMap(t *testing.T) {
 		g := diffGraph(seed)
 		sources := func(v graph.Node) bool { return v%2 == 0 }
 		r := &Runner[float64, semiring.DistMap]{
-			Graph:         g,
-			Module:        semiring.DistMapModule{},
-			Filter:        semiring.TopKFilter(4, 40, sources),
-			FilterInPlace: semiring.TopKFilterInPlace(4, 40, sources),
-			Weight:        MinPlusWeight,
+			Graph:  g,
+			Module: semiring.DistMapModule{},
+			Filter: semiring.TopKFilter(4, 40, sources),
+			Weight: MinPlusWeight,
 		}
 		x0 := make([]semiring.DistMap, g.N())
 		for v := range x0 {
@@ -126,17 +125,16 @@ func TestFastPathMatchesFoldScalars(t *testing.T) {
 }
 
 // TestFastPathDoesNotMutateInput is the engine-level mutation fuzz: Iterate
-// with pooled scratch and in-place filtering must leave the input state
+// with pooled scratch and filtering in scratch must leave the input state
 // vector byte-identical — states are shared immutable values.
 func TestFastPathDoesNotMutateInput(t *testing.T) {
 	g := diffGraph(9)
 	var mod semiring.DistMapModule
 	r := &Runner[float64, semiring.DistMap]{
-		Graph:         g,
-		Module:        mod,
-		Filter:        semiring.TopKFilter(3, semiring.Inf, nil),
-		FilterInPlace: semiring.TopKFilterInPlace(3, semiring.Inf, nil),
-		Weight:        MinPlusWeight,
+		Graph:  g,
+		Module: mod,
+		Filter: semiring.TopKFilter(3, semiring.Inf, nil),
+		Weight: MinPlusWeight,
 	}
 	x := make([]semiring.DistMap, g.N())
 	for v := range x {
@@ -164,11 +162,10 @@ func TestFastPathDeterministicAcrossMaxProcs(t *testing.T) {
 	g := diffGraph(10)
 	build := func() ([]semiring.DistMap, *Runner[float64, semiring.DistMap]) {
 		r := &Runner[float64, semiring.DistMap]{
-			Graph:         g,
-			Module:        semiring.DistMapModule{},
-			Filter:        semiring.TopKFilter(4, semiring.Inf, nil),
-			FilterInPlace: semiring.TopKFilterInPlace(4, semiring.Inf, nil),
-			Weight:        MinPlusWeight,
+			Graph:  g,
+			Module: semiring.DistMapModule{},
+			Filter: semiring.TopKFilter(4, semiring.Inf, nil),
+			Weight: MinPlusWeight,
 		}
 		x0 := make([]semiring.DistMap, g.N())
 		for v := range x0 {

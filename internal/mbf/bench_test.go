@@ -14,15 +14,13 @@ import (
 func iterateBench(generic bool) (*Runner[float64, semiring.DistMap], []semiring.DistMap) {
 	g := graph.RandomConnected(4096, 16384, 8, par.NewRNG(7))
 	r := &Runner[float64, semiring.DistMap]{
-		Graph:         g,
-		Module:        semiring.DistMapModule{},
-		Filter:        semiring.TopKFilter(8, semiring.Inf, nil),
-		FilterInPlace: semiring.TopKFilterInPlace(8, semiring.Inf, nil),
-		Weight:        MinPlusWeight,
+		Graph:  g,
+		Module: semiring.DistMapModule{},
+		Filter: semiring.TopKFilter(8, semiring.Inf, nil),
+		Weight: MinPlusWeight,
 	}
 	if generic {
 		r.Module = foldOnly[float64, semiring.DistMap]{semiring.DistMapModule{}}
-		r.FilterInPlace = nil
 	}
 	x := make([]semiring.DistMap, g.N())
 	for v := range x {
@@ -68,11 +66,10 @@ func BenchmarkIterateGeneric4096(b *testing.B) {
 func fixpointBenchRunner() (*Runner[float64, semiring.DistMap], []semiring.DistMap) {
 	g := graph.GridGraph(64, 64, 8, par.NewRNG(9))
 	r := &Runner[float64, semiring.DistMap]{
-		Graph:         g,
-		Module:        semiring.DistMapModule{},
-		Filter:        semiring.TopKFilter(8, semiring.Inf, nil),
-		FilterInPlace: semiring.TopKFilterInPlace(8, semiring.Inf, nil),
-		Weight:        MinPlusWeight,
+		Graph:  g,
+		Module: semiring.DistMapModule{},
+		Filter: semiring.TopKFilter(8, semiring.Inf, nil),
+		Weight: MinPlusWeight,
 	}
 	x0 := make([]semiring.DistMap, g.N())
 	x0[0] = semiring.SingletonDist(0, 0)

@@ -96,14 +96,11 @@ type Runner[S, M any] struct {
 	// Module is the zero-preserving semimodule M over the semiring.
 	Module semiring.Semimodule[S, M]
 	// Filter is the representative projection r. Nil means the identity.
+	// Like every semiring.Filter it is pure, so the engine applies it to the
+	// caller's initial states, to fold results and, through the module's
+	// Aggregate, to scratch merges alike, and never writes a state it was
+	// handed.
 	Filter semiring.Filter[M]
-	// FilterInPlace, if non-nil, must compute the same function as Filter
-	// but may reuse its argument's storage. The engine hands it to the
-	// module's Aggregate, which applies it only to a merge it owns
-	// exclusively, saving the copy a pure Filter would make. Callers that
-	// set it must also set Filter (the generic fold and the initial-state
-	// projection still go through Filter).
-	FilterInPlace semiring.Filter[M]
 	// Weight translates the arc from→to of weight w into a_{from,to} ∈ S.
 	Weight func(from, to graph.Node, w float64) S
 	// Size measures the representation size of a node state (e.g. the
@@ -161,16 +158,6 @@ func (r *Runner[S, M]) filterAll(x0 []M) []M {
 	return x
 }
 
-// ownedFilter returns the filter the engine applies to values it owns
-// exclusively: the in-place variant when the caller provided one, the pure
-// one otherwise (nil when unfiltered).
-func (r *Runner[S, M]) ownedFilter() semiring.Filter[M] {
-	if r.FilterInPlace != nil {
-		return r.FilterInPlace
-	}
-	return r.Filter
-}
-
 // getIter pops a pooled per-worker aggregation scratch; putIter drops the
 // state references the term buffer accumulated since getIter and returns it
 // to the pool. The iteration loops call the pair once per ForEachChunk range,
@@ -217,7 +204,7 @@ func (r *Runner[S, M]) recompute(vi int, x []M, front []bool, st *iterScratch[S,
 			}
 			terms = append(terms, semiring.Term[S, M]{S: r.Weight(v, a.To, a.Weight), X: x[a.To]})
 		}
-		out := agg.Aggregate(&st.sc, x[vi], terms, r.ownedFilter())
+		out := agg.Aggregate(&st.sc, x[vi], terms, r.Filter)
 		if r.Tracker != nil {
 			work = int64(r.size(x[vi]))
 			for _, t := range terms {
@@ -272,9 +259,9 @@ func (r *Runner[S, M]) chargePhase(workPerNode []int64) {
 //
 // When the module implements semiring.Aggregator, each node's neighborhood
 // is aggregated and filtered in one call over pooled scratch buffers — the
-// Lemma 2.3 fast path, which allocates only the filtered result — handing
-// the module the in-place filter when available. Otherwise the generic
-// Add/SMul fold of Definition 2.11 runs; both paths compute the same states.
+// Lemma 2.3 fast path, which allocates only the filtered result. Otherwise
+// the generic Add/SMul fold of Definition 2.11 runs; both paths compute the
+// same states.
 func (r *Runner[S, M]) Iterate(x []M) []M {
 	n := r.Graph.N()
 	if len(x) != n {

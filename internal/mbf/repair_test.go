@@ -17,11 +17,10 @@ import (
 
 func repairRunner(g *graph.Graph) *Runner[float64, semiring.DistMap] {
 	return &Runner[float64, semiring.DistMap]{
-		Graph:         g,
-		Module:        semiring.DistMapModule{},
-		Filter:        semiring.TopKFilter(4, semiring.Inf, nil),
-		FilterInPlace: semiring.TopKFilterInPlace(4, semiring.Inf, nil),
-		Weight:        MinPlusWeight,
+		Graph:  g,
+		Module: semiring.DistMapModule{},
+		Filter: semiring.TopKFilter(4, semiring.Inf, nil),
+		Weight: MinPlusWeight,
 	}
 }
 
@@ -120,11 +119,10 @@ func TestRunToFixpointFromResetMatchesFresh(t *testing.T) {
 	defer func(p int) { par.MaxProcs = p }(par.MaxProcs)
 	leRunner := func(g *graph.Graph) *Runner[float64, semiring.DistMap] {
 		return &Runner[float64, semiring.DistMap]{
-			Graph:         g,
-			Module:        semiring.DistMapModule{},
-			Filter:        semiring.Staircase,
-			FilterInPlace: semiring.StaircaseInPlace,
-			Weight:        MinPlusWeight,
+			Graph:  g,
+			Module: semiring.DistMapModule{},
+			Filter: semiring.Staircase,
+			Weight: MinPlusWeight,
 		}
 	}
 	module := semiring.DistMapModule{}

@@ -84,25 +84,23 @@ func fixpointBoth[S, M any](t *testing.T, r *Runner[S, M], x0 []M, maxIter int) 
 func TestSparseFixpointMatchesDenseDistMap(t *testing.T) {
 	sources := func(v graph.Node) bool { return v%2 == 0 }
 	for _, cfg := range []struct {
-		name          string
-		module        semiring.Semimodule[float64, semiring.DistMap]
-		filter        semiring.Filter[semiring.DistMap]
-		filterInPlace semiring.Filter[semiring.DistMap]
+		name   string
+		module semiring.Semimodule[float64, semiring.DistMap]
+		filter semiring.Filter[semiring.DistMap]
 	}{
-		{"unfiltered", semiring.DistMapModule{}, nil, nil},
-		{"top4", semiring.DistMapModule{}, semiring.TopKFilter(4, semiring.Inf, nil), semiring.TopKFilterInPlace(4, semiring.Inf, nil)},
-		{"top3-d40-sources", semiring.DistMapModule{}, semiring.TopKFilter(3, 40, sources), semiring.TopKFilterInPlace(3, 40, sources)},
-		{"staircase-module", semiring.StaircaseModule{}, semiring.Staircase, nil},
+		{"unfiltered", semiring.DistMapModule{}, nil},
+		{"top4", semiring.DistMapModule{}, semiring.TopKFilter(4, semiring.Inf, nil)},
+		{"top3-d40-sources", semiring.DistMapModule{}, semiring.TopKFilter(3, 40, sources)},
+		{"staircase-module", semiring.StaircaseModule{}, semiring.Staircase},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			for _, seed := range []uint64{11, 12, 13} {
 				g := diffGraph(seed)
 				r := &Runner[float64, semiring.DistMap]{
-					Graph:         g,
-					Module:        cfg.module,
-					Filter:        cfg.filter,
-					FilterInPlace: cfg.filterInPlace,
-					Weight:        MinPlusWeight,
+					Graph:  g,
+					Module: cfg.module,
+					Filter: cfg.filter,
+					Weight: MinPlusWeight,
 				}
 				x0 := make([]semiring.DistMap, g.N())
 				for v := range x0 {
@@ -173,11 +171,10 @@ func TestSparseFixpointMatchesDenseScalars(t *testing.T) {
 func TestIterateDeltaMatchesIterate(t *testing.T) {
 	g := diffGraph(18)
 	r := &Runner[float64, semiring.DistMap]{
-		Graph:         g,
-		Module:        semiring.DistMapModule{},
-		Filter:        semiring.TopKFilter(4, semiring.Inf, nil),
-		FilterInPlace: semiring.TopKFilterInPlace(4, semiring.Inf, nil),
-		Weight:        MinPlusWeight,
+		Graph:  g,
+		Module: semiring.DistMapModule{},
+		Filter: semiring.TopKFilter(4, semiring.Inf, nil),
+		Weight: MinPlusWeight,
 	}
 	xd := make([]semiring.DistMap, g.N())
 	for v := range xd {
@@ -395,9 +392,8 @@ func TestTrackerParityFastVsGeneric(t *testing.T) {
 }
 
 // TestStaircaseModuleMatchesStaircaseFilter pins the fused module against
-// the configuration it replaced, DistMapModule under the Staircase filter
-// and its in-place variant, on rank-keyed LE-list fixpoints (the frt
-// package's leRunner) across the parallel-width sweep: a fresh run, a warm
+// the configuration it replaced, DistMapModule under the Staircase filter,
+// on rank-keyed LE-list fixpoints (the frt package's leRunner) across the parallel-width sweep: a fresh run, a warm
 // RunToFixpointFrom that adds sources to a fixpoint, and RepairInPlace after
 // a weight increase with the stale nodes reset must give identical lists,
 // iteration counts, changed sets and tracker work.
@@ -411,8 +407,7 @@ func TestStaircaseModuleMatchesStaircaseFilter(t *testing.T) {
 		}
 		ref = &Runner[float64, semiring.DistMap]{
 			Graph: g, Module: semiring.DistMapModule{}, Filter: semiring.Staircase,
-			FilterInPlace: semiring.StaircaseInPlace,
-			Weight:        MinPlusWeight, Size: size, Tracker: &par.Tracker{},
+			Weight: MinPlusWeight, Size: size, Tracker: &par.Tracker{},
 		}
 		return fused, ref
 	}

@@ -43,13 +43,12 @@ func SSSP(g *graph.Graph, source graph.Node, h int, tracker *par.Tracker) []floa
 // graph stabilises before hop h.
 func SourceDetection(g *graph.Graph, sources func(graph.Node) bool, h int, d float64, k int, tracker *par.Tracker) []semiring.DistMap {
 	r := &Runner[float64, semiring.DistMap]{
-		Graph:         g,
-		Module:        semiring.DistMapModule{},
-		Filter:        semiring.TopKFilter(k, d, sources),
-		FilterInPlace: semiring.TopKFilterInPlace(k, d, sources),
-		Weight:        MinPlusWeight,
-		Size:          func(x semiring.DistMap) int { return x.Len() + 1 },
-		Tracker:       tracker,
+		Graph:   g,
+		Module:  semiring.DistMapModule{},
+		Filter:  semiring.TopKFilter(k, d, sources),
+		Weight:  MinPlusWeight,
+		Size:    func(x semiring.DistMap) int { return x.Len() + 1 },
+		Tracker: tracker,
 	}
 	x0 := make([]semiring.DistMap, g.N())
 	for v := range x0 {

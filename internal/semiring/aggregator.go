@@ -9,8 +9,8 @@ package semiring
 // churn for degree d and state size k. Lemma 2.3 of the paper aggregates
 // all k inputs in ONE merge; the Aggregator interface exposes exactly that:
 // the engine hands a semimodule the whole neighborhood and the filter at
-// once, and the module merges the sorted entry lists, applies the filter to
-// a value it owns, and allocates only the result.
+// once, and the module merges the sorted entry lists into scratch, applies
+// the filter there, and allocates only the result.
 //
 // Implementing Aggregator is optional. The engine (mbf.Runner) type-asserts
 // for it and falls back to the generic Add/SMul fold, so Definition 2.11
@@ -45,12 +45,10 @@ type Aggregator[S, M any] interface {
 	// plain merge when filter is nil. It must equal the filtered fold
 	// exactly.
 	//
-	// The filter is applied to an intermediate the module owns exclusively,
-	// so engines pass their in-place filter variant when they have one; the
-	// filter must not retain its argument. The result never aliases self,
-	// any term, or sc — the caller owns it exclusively. terms and sc are
-	// caller-owned scratch, reused across calls; Aggregate must not retain
-	// references to either.
+	// The filter is pure (see Filter) and may be handed an intermediate in
+	// sc. The result never aliases self, any term, or sc — the caller owns
+	// it exclusively. terms and sc are caller-owned scratch, reused across
+	// calls; Aggregate must not retain references to either.
 	Aggregate(sc *Scratch, self M, terms []Term[S, M], filter Filter[M]) M
 }
 
@@ -71,9 +69,8 @@ type Scratch struct {
 	rDs     [][]float64
 	rShifts []float64
 	arenas  [2]mergeArena
-	// out is the scratch-owned merge output a filtered Aggregate filters
-	// in place before copying out the survivors, and the output of the
-	// fused staircase pass.
+	// out is the scratch-owned merge output a filtered Aggregate hands its
+	// filter, and the output of the fused staircase pass.
 	out mergeArena
 	// The per-list slots of the fused staircase pass (staircaseInto).
 	slot, pos []int32

@@ -36,17 +36,6 @@ func BenchmarkDistMapSMul(b *testing.B) {
 	}
 }
 
-func BenchmarkMergeMin8Way(b *testing.B) {
-	xs := make([]DistMap, 8)
-	for i := range xs {
-		xs[i] = benchDistMap(16, int64(i))
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		MergeMin(xs...)
-	}
-}
-
 func BenchmarkTopKFilter(b *testing.B) {
 	x := benchDistMap(64, 4)
 	r := TopKFilter(8, Inf, nil)
@@ -140,8 +129,8 @@ func stairKernelInputs(k int) (DistMap, []Term[float64, DistMap]) {
 
 // BenchmarkMergeKernelStaircase times the LE-list aggregation on staircase
 // inputs both ways: fused, StaircaseModule's one pruning pass, and merge,
-// the k-way merge into scratch filtered by StaircaseInPlace that
-// DistMapModule runs for the same result.
+// DistMapModule's k-way merge into scratch followed by Staircase, which
+// computes the same result.
 func BenchmarkMergeKernelStaircase(b *testing.B) {
 	for _, v := range []struct {
 		name   string
@@ -149,7 +138,7 @@ func BenchmarkMergeKernelStaircase(b *testing.B) {
 		filter Filter[DistMap]
 	}{
 		{"fused", StaircaseModule{}, nil},
-		{"merge", DistMapModule{}, StaircaseInPlace},
+		{"merge", DistMapModule{}, Staircase},
 	} {
 		for _, k := range stairKernelKs {
 			b.Run(v.name+"/"+benchK(k), func(b *testing.B) {

@@ -53,17 +53,13 @@ type Entry struct {
 // Callers must therefore never mutate a DistMap after handing it to (or
 // receiving it from) the algebra or the engine.
 //
-// Code that owns a value exclusively — in practice: the freshly merged
-// output of Aggregate, or a Clone — may use the explicitly in-place
-// operations, which are the only ones allowed to write to their argument:
-// SMulInPlace (rewrites distances), TopKFilterInPlace, StaircaseInPlace,
-// Compact, SortFunc, and Order.FilterInPlace in internal/frt (all of which
-// reorder or compact both arrays; Order.FilterInPlace is StaircaseInPlace
-// between two sorts). Applying them to a value that shares storage with a
-// state vector corrupts every alias, including the shared ID array of an
-// SMul result. StaircaseModule.Aggregate needs none of them: it reads its
-// inputs in place, writes only scratch, and hands its filter a fresh
-// result, so no unfiltered intermediate is ever exposed.
+// Filters follow the same rule (see Filter): a filter never writes its
+// argument, and returns either the argument itself or a map sharing no
+// storage with it. So no operation of this package writes to a map it did
+// not allocate, and states may share backing storage freely (see
+// SingletonStates). Aggregate is the one place that filters a value it owns
+// — the merge in its scratch — and it copies the result out when the filter
+// hands that merge back.
 type DistMap struct {
 	ids []NodeID
 	ds  []float64
@@ -119,8 +115,7 @@ func SingletonDist(v NodeID, d float64) DistMap {
 // n = 2^20 that is 3 allocations instead of ~2 million, and the backing
 // is 12 bytes per node instead of two size-classed slivers. Sharing is
 // safe under the aliasing contract: DistMap values are immutable once
-// published, and the engines only apply in-place filters to merge results
-// they own, never to inputs.
+// published, and neither the algebra nor the filters write their inputs.
 func SingletonStates(n int) []DistMap { return singletonStates(n, nil) }
 
 // SingletonStatesKeyed is SingletonStates with node v's singleton stored
@@ -218,30 +213,6 @@ func (x DistMap) IsSorted() bool {
 	return true
 }
 
-// SortFunc sorts the entries of an exclusively owned map in place by the
-// given ordering (see the aliasing contract). The sort is not stable; use a
-// total order (every ordering in this library breaks ties by node ID, which
-// is unique per map).
-func (x DistMap) SortFunc(less func(a, b Entry) bool) {
-	sortPairs(x.ids, x.ds, less)
-}
-
-// Compact keeps, in order, the entries an exclusively owned map for which
-// keep returns true, compacting them to the front of x's storage, and
-// returns the kept prefix (see the aliasing contract). keep is called once
-// per entry in ascending index order, so stateful sweeps are sound.
-func (x DistMap) Compact(keep func(Entry) bool) DistMap {
-	w := 0
-	for i := range x.ids {
-		if keep(Entry{Node: x.ids[i], Dist: x.ds[i]}) {
-			x.ids[w] = x.ids[i]
-			x.ds[w] = x.ds[i]
-			w++
-		}
-	}
-	return DistMap{ids: x.ids[:w], ds: x.ds[:w]}
-}
-
 // Relabel returns a fresh map holding x's entries under the keys key[id],
 // sorted by the new keys. key must be injective on x's keys. The frt package
 // uses it to move LE lists between node keys and rank keys.
@@ -252,14 +223,32 @@ func (x DistMap) Relabel(key []NodeID) DistMap {
 	}
 	ids, ds := allocPairs(n)
 	ids, ds = ids[:n], ds[:n]
-	for i, id := range x.ids {
-		ids[i], ds[i] = key[id], x.ds[i]
+	if n > relabelInsertionMax {
+		es := make([]Entry, n)
+		for i, id := range x.ids {
+			es[i] = Entry{Node: key[id], Dist: x.ds[i]}
+		}
+		slices.SortFunc(es, func(a, b Entry) int { return cmp.Compare(a.Node, b.Node) })
+		for i, e := range es {
+			ids[i], ds[i] = e.Node, e.Dist
+		}
+		return DistMap{ids: ids, ds: ds}
 	}
-	sortPairs(ids, ds, byKey)
+	// Insertion sort straight into the result: LE lists, the maps Relabel
+	// mostly sees, are O(log n) long.
+	for i, id := range x.ids {
+		k, d := key[id], x.ds[i]
+		j := i
+		for ; j > 0 && ids[j-1] > k; j-- {
+			ids[j], ds[j] = ids[j-1], ds[j-1]
+		}
+		ids[j], ds[j] = k, d
+	}
 	return DistMap{ids: ids, ds: ds}
 }
 
-func byKey(a, b Entry) bool { return a.Node < b.Node }
+// relabelInsertionMax is the longest map Relabel sorts by insertion.
+const relabelInsertionMax = 32
 
 // Staircase keeps, in key order, every entry whose distance is strictly
 // below the distance of each earlier entry, so the distances of the result
@@ -270,49 +259,47 @@ func byKey(a, b Entry) bool { return a.Node < b.Node }
 // Definition 7.3 (an entry survives iff no lower-ranked entry is at most as
 // far), which is what the frt package's fixpoints key their lists by.
 func Staircase(x DistMap) DistMap {
-	if len(x.ds) == 0 {
+	// The longest strictly decreasing prefix survives whole; on a staircase,
+	// what StaircaseModule's outputs are, that is all of x.
+	n := len(x.ds)
+	first := 1
+	for first < n && x.ds[first] < x.ds[first-1] {
+		first++
+	}
+	if first >= n {
 		return x
 	}
-	kept := 1
-	best := x.ds[0]
-	for _, d := range x.ds[1:] {
-		if d < best {
+	// One scan of the rest notes where the later survivors are, so the
+	// copy re-reads only those instead of re-running the data-dependent
+	// scan; a rescan covers the rare list with more than len(at) of them.
+	var at [16]int32
+	more := 0
+	best := x.ds[first-1]
+	for i := first + 1; i < n; i++ {
+		if d := x.ds[i]; d < best {
 			best = d
-			kept++
+			if more < len(at) {
+				at[more] = int32(i)
+			}
+			more++
 		}
 	}
-	if kept == len(x.ds) {
-		return x
+	ids, ds := allocPairs(first + more)
+	ids, ds = append(ids, x.ids[:first]...), append(ds, x.ds[:first]...)
+	if more <= len(at) {
+		for _, i := range at[:more] {
+			ids, ds = append(ids, x.ids[i]), append(ds, x.ds[i])
+		}
+		return DistMap{ids: ids, ds: ds}
 	}
-	ids, ds := allocPairs(kept)
-	ids, ds = append(ids, x.ids[0]), append(ds, x.ds[0])
-	best = x.ds[0]
-	for i, d := range x.ds[1:] {
-		if d < best {
+	best = x.ds[first-1]
+	for i := first + 1; i < n; i++ {
+		if d := x.ds[i]; d < best {
 			best = d
-			ids, ds = append(ids, x.ids[i+1]), append(ds, d)
+			ids, ds = append(ids, x.ids[i]), append(ds, d)
 		}
 	}
 	return DistMap{ids: ids, ds: ds}
-}
-
-// StaircaseInPlace is Staircase for exclusively owned maps: it compacts the
-// survivors to the front of x's storage and allocates nothing (see the
-// aliasing contract).
-func StaircaseInPlace(x DistMap) DistMap {
-	if len(x.ds) == 0 {
-		return x
-	}
-	w := 1
-	best := x.ds[0]
-	for i, d := range x.ds[1:] {
-		if d < best {
-			best = d
-			x.ids[w], x.ds[w] = x.ids[i+1], d
-			w++
-		}
-	}
-	return DistMap{ids: x.ids[:w], ds: x.ds[:w]}
 }
 
 // String renders the map as "{v:d, …}" for debugging and test failure
@@ -372,24 +359,6 @@ func (DistMapModule) SMul(s float64, x DistMap) DistMap {
 	return DistMap{ids: x.ids, ds: ds}
 }
 
-// SMulInPlace is SMul for caller-owned values: it shifts the stored
-// distances inside x's backing array and returns the (possibly empty)
-// result. It must only be applied to a DistMap the caller owns exclusively —
-// never to a value that was handed to or received from the algebra or the
-// engine, whose sharing discipline treats values as immutable.
-func (DistMapModule) SMulInPlace(s float64, x DistMap) DistMap {
-	if IsInf(s) || x.Len() == 0 {
-		return DistMap{}
-	}
-	if s == 0 {
-		return x
-	}
-	for i := range x.ds {
-		x.ds[i] += s
-	}
-	return x
-}
-
 // Aggregate implements the Aggregator fast path: the k-way aggregation of
 // Lemma 2.3, merging self and every propagated neighbor list in one pass
 // (min per node ID, shifts applied on the fly) instead of folding Add/SMul.
@@ -399,8 +368,8 @@ func (DistMapModule) SMulInPlace(s float64, x DistMap) DistMap {
 // kernel of distmerge.go: direct 2-/3-/4-/8-way merges for k ≤ 8, and
 // reduction rounds of 8-way merges for every larger k.
 // Unfiltered, it merges straight into the freshly allocated result. With a
-// filter, it merges into scratch, filters there in place, and allocates
-// only the survivors: under a top-k or LE projection the per-node
+// filter, it merges into scratch and filters from there, so only the
+// survivors are allocated: under a top-k or LE projection the per-node
 // allocation is the filtered size, not the raw merge size, and the retained
 // states stay dense for the next iteration's reads.
 func (DistMapModule) Aggregate(sc *Scratch, self DistMap, terms []Term[float64, DistMap], filter Filter[DistMap]) DistMap {
@@ -457,13 +426,18 @@ func (sc *Scratch) mergeOut(total int, filter Filter[DistMap]) ([]NodeID, []floa
 }
 
 // filterOut turns a merge written into mergeOut's buffers into Aggregate's
-// result: as is when unfiltered; filtered in scratch, with the survivors
-// right-sized into one fresh block (see allocPairs), otherwise.
+// result: as is when unfiltered, filtered otherwise. A pure filter returns
+// either its argument — here the scratch merge, which is then copied out
+// into one right-sized block (see allocPairs) — or a map it allocated.
 func filterOut(merged DistMap, filter Filter[DistMap]) DistMap {
 	if filter == nil {
 		return merged
 	}
-	return filter(merged).Clone()
+	out := filter(merged)
+	if unsafe.SliceData(out.ids) == unsafe.SliceData(merged.ids) {
+		return out.Clone()
+	}
+	return out
 }
 
 // smallLists is the stack-resident gather buffer of the ≤ 8-list
@@ -598,27 +572,6 @@ func Normalize(x DistMap) DistMap {
 	return FromEntries(out[:w]...)
 }
 
-// MergeMin computes ⊕ over many distance maps at once, the aggregation step
-// of Lemma 2.3. It is equivalent to folding Add but merges in one pass
-// through the k-way kernel over pooled scratch semantics (here: a local
-// scratch, since MergeMin is not on the engine's hot path).
-func MergeMin(xs ...DistMap) DistMap {
-	switch len(xs) {
-	case 0:
-		return DistMap{}
-	case 1:
-		return xs[0]
-	case 2:
-		return DistMapModule{}.Add(xs[0], xs[1])
-	}
-	var sc Scratch
-	terms := make([]Term[float64, DistMap], len(xs))
-	for i, x := range xs {
-		terms[i] = Term[float64, DistMap]{S: 0, X: x}
-	}
-	return DistMapModule{}.Aggregate(&sc, DistMap{}, terms, nil)
-}
-
 // SupportedEntries visits every individual derivation of xq from xw over an
 // arc of weight a: each pair of positions (i, j) with
 // xq.ids[i] == xw.ids[j] and xq.ds[i] == a + xw.ds[j] exactly. In a
@@ -657,106 +610,79 @@ func SupportedEntries(xq, xw DistMap, a float64, yield func(i, j int)) {
 // TopKFilter returns the representative projection of source detection
 // (Example 3.2): keep only entries whose node is in sources (nil means all
 // nodes), whose distance is at most maxDist, and which are among the k
-// smallest entries (ties broken by node ID). k ≤ 0 means unbounded. The
-// input is left untouched; the result never shares storage with it.
+// smallest entries (ties broken by node ID). k ≤ 0 means unbounded. It is a
+// pure filter: x is returned unchanged when every entry survives, and a
+// fresh right-sized map otherwise.
 func TopKFilter(k int, maxDist float64, sources func(NodeID) bool) Filter[DistMap] {
-	inPlace := TopKFilterInPlace(k, maxDist, sources)
-	return func(x DistMap) DistMap {
-		return inPlace(x.Clone())
-	}
-}
-
-// TopKFilterInPlace is TopKFilter for caller-owned values: it compacts the
-// surviving entries into x's backing arrays, allocating nothing for k ≤ 64.
-// The engine applies it to the freshly merged output of the aggregation fast
-// path; it must never be used on shared DistMap values (see the type's
-// aliasing contract).
-//
-// The k smallest entries by (distance, node) are selected with a bounded
-// max-heap threshold scan instead of a full sort; since the input is sorted
-// by node ID and the survivor set is unique (node IDs are distinct), the
-// in-order compaction already leaves the result sorted — no re-sort pass.
-func TopKFilterInPlace(k int, maxDist float64, sources func(NodeID) bool) Filter[DistMap] {
 	if IsInf(maxDist) && sources == nil {
-		// Pure top-k: no compaction pass, and the truncation guard sits
-		// directly in the closure — the engine calls the filter once per
-		// recomputed node, and on wavefront workloads nearly every state is
-		// already within k.
+		// Pure top-k: the guard sits directly in the closure — the engine
+		// calls the filter once per recomputed node, nearly every state of
+		// a wavefront workload is already within k, and that case must not
+		// pay the prologue zeroing of topK's stack-resident heap buffers.
 		return func(x DistMap) DistMap {
-			if k > 0 && x.Len() > k {
-				x = topKSelect(x, k)
+			if k <= 0 || x.Len() <= k {
+				return x
 			}
-			if x.Len() == 0 {
-				return DistMap{}
-			}
-			return x
+			return topK(x, k, maxDist, sources)
 		}
 	}
-	return func(x DistMap) DistMap {
-		kept := x
-		if !IsInf(maxDist) || sources != nil {
-			kept = x.Compact(func(e Entry) bool {
-				return e.Dist <= maxDist && (sources == nil || sources(e.Node))
-			})
-		}
-		kept = topKTruncate(kept, k)
-		if kept.Len() == 0 {
-			return DistMap{}
-		}
-		return kept
-	}
+	return func(x DistMap) DistMap { return topK(x, k, maxDist, sources) }
 }
 
-// topKTruncate reduces kept (sorted by node ID) to its k smallest entries by
-// (distance, node) in place, preserving node order. It selects the k-th
-// smallest pair with a bounded max-heap over stack (k ≤ 64) or heap scratch
-// and keeps exactly the entries at or below that threshold — the same
-// survivor set a full (distance, node) sort would keep, without sorting.
-func topKTruncate(kept DistMap, k int) DistMap {
-	// The guard lives apart from the selection so it inlines into the filter
-	// closures: the common case (nothing to truncate) must not pay the
-	// prologue zeroing of the selection's stack-resident heap buffers.
-	if k <= 0 || kept.Len() <= k {
-		return kept
-	}
-	return topKSelect(kept, k)
-}
-
-// topKSelect is the truncating path of topKTruncate; kept.Len() > k > 0.
-func topKSelect(kept DistMap, k int) DistMap {
+// topK is TopKFilter's filtering pass. It reads x once to find the k-th
+// smallest eligible (distance, node) pair with a bounded max-heap over stack
+// (k ≤ 64) or heap scratch, then copies the eligible entries at or below
+// that threshold into one right-sized block — the survivor set a full
+// (distance, node) sort would keep, in node order, without sorting.
+func topK(x DistMap, k int, maxDist float64, sources func(NodeID) bool) DistMap {
 	var idBuf [64]NodeID
 	var dBuf [64]float64
-	var hIds []NodeID
-	var hDs []float64
-	if k <= len(idBuf) {
-		hIds, hDs = idBuf[:k], dBuf[:k]
-	} else {
-		hIds, hDs = make([]NodeID, k), make([]float64, k)
+	hIds, hDs := idBuf[:0], dBuf[:0]
+	if k > len(idBuf) {
+		hIds, hDs = make([]NodeID, 0, k), make([]float64, 0, k)
 	}
-	// Max-heap of the k smallest (dist, node) pairs seen so far; the root is
-	// the running threshold.
-	ids, ds := kept.ids, kept.ds
-	for i := 0; i < k; i++ {
-		hIds[i], hDs[i] = ids[i], ds[i]
-	}
-	for i := k / 2; i >= 0; i-- {
-		siftDownMax(hIds, hDs, i)
-	}
-	for i := k; i < len(ids); i++ {
-		if pairLess(ds[i], ids[i], hDs[0], hIds[0]) {
-			hIds[0], hDs[0] = ids[i], ds[i]
+	// Max-heap of the k smallest eligible pairs seen so far; once full, its
+	// root is the running threshold.
+	eligible := 0
+	for i, id := range x.ids {
+		d := x.ds[i]
+		if !(d <= maxDist) || (sources != nil && !sources(id)) {
+			continue
+		}
+		eligible++
+		switch {
+		case k <= 0:
+		case len(hIds) < k:
+			hIds, hDs = append(hIds, id), append(hDs, d)
+			if len(hIds) == k {
+				for j := k/2 - 1; j >= 0; j-- {
+					siftDownMax(hIds, hDs, j)
+				}
+			}
+		case pairLess(d, id, hDs[0], hIds[0]):
+			hIds[0], hDs[0] = id, d
 			siftDownMax(hIds, hDs, 0)
 		}
 	}
-	tid, td := hIds[0], hDs[0]
-	w := 0
-	for i := range ids {
-		if pairLess(ds[i], ids[i], td, tid) || (ds[i] == td && ids[i] == tid) {
-			ids[w], ds[w] = ids[i], ds[i]
-			w++
-		}
+	kept, cut := eligible, k > 0 && eligible > k
+	if cut {
+		kept = k
 	}
-	return DistMap{ids: ids[:w], ds: ds[:w]}
+	if kept == len(x.ids) {
+		return x
+	}
+	if kept == 0 {
+		return DistMap{}
+	}
+	ids, ds := allocPairs(kept)
+	for i, id := range x.ids {
+		d := x.ds[i]
+		if !(d <= maxDist) || (sources != nil && !sources(id)) || (cut && pairLess(hDs[0], hIds[0], d, id)) {
+			continue
+		}
+		ids, ds = append(ids, id), append(ds, d)
+	}
+	return DistMap{ids: ids, ds: ds}
 }
 
 // pairLess orders (dist, node) pairs lexicographically — the tie-break order
@@ -784,111 +710,5 @@ func siftDownMax(hIds []NodeID, hDs []float64, i int) {
 		hIds[i], hIds[big] = hIds[big], hIds[i]
 		hDs[i], hDs[big] = hDs[big], hDs[i]
 		i = big
-	}
-}
-
-// sortPairs sorts the parallel (ids, dists) arrays by less: insertion sort
-// for short runs, quicksort with median-of-three pivots above, heapsort on
-// pathological recursion depth — allocation-free and deterministic for the
-// total orders used in this library.
-func sortPairs(ids []NodeID, ds []float64, less func(a, b Entry) bool) {
-	sortPairsRange(ids, ds, 0, len(ids), 2*bitsLen(len(ids)), less)
-}
-
-func bitsLen(n int) int {
-	b := 0
-	for n > 0 {
-		b++
-		n >>= 1
-	}
-	return b
-}
-
-func sortPairsRange(ids []NodeID, ds []float64, lo, hi, depth int, less func(a, b Entry) bool) {
-	for hi-lo > 16 {
-		if depth == 0 {
-			heapSortPairs(ids, ds, lo, hi, less)
-			return
-		}
-		depth--
-		p := medianOfThreePivot(ids, ds, lo, hi, less)
-		i, j := lo, hi-1
-		for i <= j {
-			for less(Entry{ids[i], ds[i]}, p) {
-				i++
-			}
-			for less(p, Entry{ids[j], ds[j]}) {
-				j--
-			}
-			if i <= j {
-				ids[i], ids[j] = ids[j], ids[i]
-				ds[i], ds[j] = ds[j], ds[i]
-				i++
-				j--
-			}
-		}
-		// Recurse on the smaller half, loop on the larger.
-		if j-lo < hi-i {
-			sortPairsRange(ids, ds, lo, j+1, depth, less)
-			lo = i
-		} else {
-			sortPairsRange(ids, ds, i, hi, depth, less)
-			hi = j + 1
-		}
-	}
-	// Insertion sort for the short tail.
-	for i := lo + 1; i < hi; i++ {
-		id, d := ids[i], ds[i]
-		j := i - 1
-		for j >= lo && less(Entry{id, d}, Entry{ids[j], ds[j]}) {
-			ids[j+1], ds[j+1] = ids[j], ds[j]
-			j--
-		}
-		ids[j+1], ds[j+1] = id, d
-	}
-}
-
-func medianOfThreePivot(ids []NodeID, ds []float64, lo, hi int, less func(a, b Entry) bool) Entry {
-	m := lo + (hi-lo)/2
-	a, b, c := Entry{ids[lo], ds[lo]}, Entry{ids[m], ds[m]}, Entry{ids[hi-1], ds[hi-1]}
-	if less(b, a) {
-		a, b = b, a
-	}
-	if less(c, b) {
-		b = c
-		if less(b, a) {
-			b = a
-		}
-	}
-	return b
-}
-
-func heapSortPairs(ids []NodeID, ds []float64, lo, hi int, less func(a, b Entry) bool) {
-	n := hi - lo
-	sift := func(i, n int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			big := i
-			if l < n && less(Entry{ids[lo+big], ds[lo+big]}, Entry{ids[lo+l], ds[lo+l]}) {
-				big = l
-			}
-			if r < n && less(Entry{ids[lo+big], ds[lo+big]}, Entry{ids[lo+r], ds[lo+r]}) {
-				big = r
-			}
-			if big == i {
-				return
-			}
-			ids[lo+i], ids[lo+big] = ids[lo+big], ids[lo+i]
-			ds[lo+i], ds[lo+big] = ds[lo+big], ds[lo+i]
-			i = big
-		}
-	}
-	for i := n/2 - 1; i >= 0; i-- {
-		sift(i, n)
-	}
-	for end := n - 1; end > 0; end-- {
-		ids[lo], ids[lo+end] = ids[lo+end], ids[lo]
-		ds[lo], ds[lo+end] = ds[lo+end], ds[lo]
-		sift(0, end)
 	}
 }

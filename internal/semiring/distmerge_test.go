@@ -211,7 +211,7 @@ func TestAggregateMatchesReference(t *testing.T) {
 		if !mod.Equal(got, want) {
 			t.Fatalf("trial %d: Aggregate %v ≠ reference %v", trial, got, want)
 		}
-		filter := TopKFilterInPlace(3, Inf, nil)
+		filter := TopKFilter(3, Inf, nil)
 		gotF := mod.Aggregate(&sc, self, terms, filter)
 		wantF := filter(want.Clone())
 		if !mod.Equal(gotF, wantF) {
@@ -221,8 +221,8 @@ func TestAggregateMatchesReference(t *testing.T) {
 }
 
 // TestAggregateFilteredOwnership pins the ownership contract of the
-// filtered Aggregate, which filters inside scratch: the result must survive scratch reuse and in-place mutation without
-// disturbing the inputs.
+// filtered Aggregate, which hands its filter the merge in scratch: the result
+// must survive scratch reuse and mutation without disturbing the inputs.
 func TestAggregateFilteredOwnership(t *testing.T) {
 	mod := DistMapModule{}
 	var sc Scratch
@@ -231,14 +231,14 @@ func TestAggregateFilteredOwnership(t *testing.T) {
 		{S: 1, X: dm(Entry{2, 1}, Entry{3, 9})},
 		{S: 2, X: dm(Entry{1, 1}, Entry{4, 4})},
 	}
-	out := mod.Aggregate(&sc, self, terms, TopKFilterInPlace(8, Inf, nil))
+	out := mod.Aggregate(&sc, self, terms, TopKFilter(8, Inf, nil))
 	snapshot := out.Clone()
 	// Scribble over the scratch with an unrelated merge, then mutate out.
-	mod.Aggregate(&sc, dm(Entry{9, 9}), terms, TopKFilterInPlace(1, Inf, nil))
+	mod.Aggregate(&sc, dm(Entry{9, 9}), terms, TopKFilter(1, Inf, nil))
 	if !mod.Equal(out, snapshot) {
 		t.Fatalf("result changed under scratch reuse: %v ≠ %v", out, snapshot)
 	}
-	mod.SMulInPlace(1000, out)
+	scribble(out)
 	if self.Dist(0) != 5 || terms[0].X.Dist(0) != 1 {
 		t.Fatal("mutating the filtered result reached an input")
 	}
@@ -287,7 +287,7 @@ func TestAllocPairsSharedBlock(t *testing.T) {
 func TestAggregateAllocsWarmScratch(t *testing.T) {
 	mod := DistMapModule{}
 	rng := rand.New(rand.NewSource(13))
-	filter := TopKFilterInPlace(8, Inf, nil)
+	filter := TopKFilter(8, Inf, nil)
 	for _, k := range []int{2, 4, 8, 16, 33, 40, 65, 600} {
 		self := randomDistMap(rng, 8)
 		terms := make([]Term[float64, DistMap], k)

@@ -73,7 +73,7 @@ func TestQuickDistMapAddAssociative(t *testing.T) {
 
 func TestQuickDistMapAddIdempotent(t *testing.T) {
 	// min is idempotent: x ⊕ x = x (a semilattice property specific to the
-	// tropical algebra that MergeMin exploits).
+	// tropical algebra that the k-way merge exploits).
 	mod := DistMapModule{}
 	f := func(a quickDistMap) bool {
 		return mod.Equal(mod.Add(a.M, a.M), a.M)
@@ -141,17 +141,6 @@ func TestQuickTopKFilterProperties(t *testing.T) {
 			return false
 		}
 		return mod.Equal(r(mod.Add(a.M, b.M)), r(mod.Add(r(a.M), r(b.M))))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickMergeMinEqualsPairwise(t *testing.T) {
-	mod := DistMapModule{}
-	f := func(a, b, c, d quickDistMap) bool {
-		folded := mod.Add(mod.Add(a.M, b.M), mod.Add(c.M, d.M))
-		return mod.Equal(MergeMin(a.M, b.M, c.M, d.M), folded)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

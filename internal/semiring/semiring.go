@@ -85,6 +85,11 @@ type Semimodule[S, M any] interface {
 // r(x) = r(y). Filters discard information that is irrelevant to the problem
 // at hand; by Corollary 2.17 they may be applied after any iteration without
 // changing the output.
+//
+// Every filter is pure: it never writes its argument, and it returns either
+// the argument itself (typically when it keeps everything) or a value that
+// shares no storage with it. Engines and Aggregate rely on this to hand a
+// filter shared input states and scratch merges alike.
 type Filter[M any] func(M) M
 
 // Identity returns the identity filter, the trivial representative

@@ -162,26 +162,6 @@ func TestDistMapNormalize(t *testing.T) {
 	}
 }
 
-func TestMergeMinMatchesFoldedAdd(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	mod := DistMapModule{}
-	for trial := 0; trial < 50; trial++ {
-		k := 1 + rng.Intn(6)
-		xs := make([]DistMap, k)
-		for i := range xs {
-			xs[i] = randomDistMap(rng, 8)
-		}
-		folded := mod.Zero()
-		for _, x := range xs {
-			folded = mod.Add(folded, x)
-		}
-		merged := MergeMin(xs...)
-		if !mod.Equal(folded, merged) {
-			t.Fatalf("MergeMin %v ≠ folded Add %v", merged, folded)
-		}
-	}
-}
-
 func TestTopKFilterKeepsKSmallest(t *testing.T) {
 	r := TopKFilter(2, Inf, nil)
 	x := dm(Entry{1, 9}, Entry{2, 3}, Entry{3, 5}, Entry{4, 3})

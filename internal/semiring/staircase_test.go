@@ -25,10 +25,10 @@ func bruteStaircase(x DistMap) DistMap {
 	return out
 }
 
-// TestStaircase pins both variants against the quadratic definition on
-// random maps with many tied distances, and checks the ownership contract:
-// the pure variant never writes its input and returns it unchanged when
-// nothing is dropped; the in-place variant allocates nothing.
+// TestStaircase pins Staircase against the quadratic definition on random
+// maps with many tied distances, and checks the ownership contract: it never
+// writes its input, returns it unchanged when nothing is dropped, and
+// allocates one block otherwise.
 func TestStaircase(t *testing.T) {
 	rng := par.NewRNG(61)
 	var mod DistMapModule
@@ -51,13 +51,10 @@ func TestStaircase(t *testing.T) {
 		if got.Len() == x.Len() && x.Len() > 0 && &got.ids[0] != &x.ids[0] {
 			t.Fatal("Staircase copied a map it kept whole")
 		}
-		if inPlace := StaircaseInPlace(x.Clone()); !mod.Equal(inPlace, want) {
-			t.Fatalf("StaircaseInPlace(%v) = %v, want %v", x, inPlace, want)
-		}
 	}
 	x := FromEntries(Entry{0, 5}, Entry{1, 7}, Entry{2, 3}, Entry{3, 3}, Entry{4, 0})
-	if allocs := testing.AllocsPerRun(10, func() { StaircaseInPlace(x.Clone()) }); allocs > 1 {
-		t.Errorf("StaircaseInPlace allocates: %.0f allocs beyond the clone", allocs-1)
+	if allocs := testing.AllocsPerRun(10, func() { Staircase(x) }); allocs > 1 {
+		t.Errorf("Staircase allocates %.0f blocks, want 1", allocs)
 	}
 	if got := Staircase(DistMap{}); got.Len() != 0 {
 		t.Fatalf("Staircase(⊥) = %v", got)
@@ -77,9 +74,14 @@ func TestRelabel(t *testing.T) {
 		for v, k := range perm {
 			key[v], inv[k] = NodeID(k), NodeID(v)
 		}
+		// Dense odd trials give maps longer than relabelInsertionMax.
+		p := 0.4
+		if trial%2 == 1 {
+			p = 0.9
+		}
 		x := DistMap{}
 		for v := NodeID(0); v < n; v++ {
-			if rng.Float64() < 0.4 {
+			if rng.Float64() < p {
 				x = x.Append(v, float64(rng.Intn(100)))
 			}
 		}

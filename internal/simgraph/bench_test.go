@@ -19,7 +19,6 @@ func BenchmarkOracleIterate(b *testing.B) {
 	hs := hopset.DefaultSkeleton(g, par.NewRNG(12), nil)
 	h := simgraph.Build(hs, 0, par.NewRNG(13))
 	oracle := simgraph.NewOracle(h, nil)
-	oracle.FilterInPlace = semiring.TopKFilterInPlace(8, semiring.Inf, nil)
 	filter := semiring.TopKFilter(8, semiring.Inf, nil)
 	x := make([]semiring.DistMap, g.N())
 	for v := range x {

@@ -169,12 +169,10 @@ type Oracle struct {
 	// Staircase itself does on rank-keyed lists (see StaircaseFixpoint).
 	Module semiring.Aggregator[float64, semiring.DistMap]
 
-	// FilterInPlace, if non-nil, must compute the same function as the
-	// filter argument passed to Iterate/Run/RunToFixpoint but may reuse its
-	// argument's storage. It is handed to Module's Aggregate, which applies
-	// it only to merges it owns exclusively, mirroring
-	// mbf.Runner.FilterInPlace. A fused module needs none: it owns no
-	// unfiltered merge to filter.
+	// FilterInPlace is ignored: every filter is pure (semiring.Filter), so
+	// the oracle applies the filter argument everywhere.
+	//
+	// Deprecated: kept only so existing callers that set it still compile.
 	FilterInPlace semiring.Filter[semiring.DistMap]
 
 	// scratch recycles the per-worker buffers of the cross-level merge of
@@ -184,7 +182,7 @@ type Oracle struct {
 	// owns the sparse engine's pooled scratch, so keeping them alive across
 	// oracle iterations — a fixpoint run performs O(log² n) of them over
 	// Λ+1 levels — lets those pools actually recycle; per-call fields
-	// (Module, Filter, FilterInPlace, Tracker) are refreshed on every use,
+	// (Module, Filter, Tracker) are refreshed on every use,
 	// and the cache is keyed to runnersH so swapping the H field rebuilds
 	// it.
 	runners  []*mbf.Runner[float64, semiring.DistMap]
@@ -299,16 +297,11 @@ func (o *Oracle) iterate(x []semiring.DistMap, filter semiring.Filter[semiring.D
 	if agg == nil {
 		agg = semiring.DistMapModule{}
 	}
-	owned := filter
-	if o.FilterInPlace != nil {
-		owned = o.FilterInPlace
-	}
 	var acc []semiring.DistMap
 	for lambda := 0; lambda <= h.Lambda; lambda++ {
 		runner := o.runners[lambda]
 		runner.Module = agg
 		runner.Filter = filter
-		runner.FilterInPlace = o.FilterInPlace
 		runner.Tracker = levelTracker
 		levelTracker.Reset()
 		y := o.runLevel(runner, x, filter, lambda, ws)
@@ -317,9 +310,7 @@ func (o *Oracle) iterate(x []semiring.DistMap, filter semiring.Filter[semiring.D
 		if lambda == 0 {
 			// P_0 is the identity, so level 0 seeds the accumulator with y
 			// itself. The fold below overwrites acc in place: a y kept as the
-			// next iteration's warm start must not be that vector. Its
-			// entries may alias the caller's states, so only pure filters
-			// may touch them.
+			// next iteration's warm start must not be that vector.
 			acc = y
 			if ws != nil && ws.fix[0] != nil {
 				acc = slices.Clone(y)
@@ -340,7 +331,7 @@ func (o *Oracle) iterate(x []semiring.DistMap, filter semiring.Filter[semiring.D
 				terms = append(terms[:0],
 					semiring.Term[float64, semiring.DistMap]{X: acc[v]},
 					semiring.Term[float64, semiring.DistMap]{X: lvl[v]})
-				acc[v] = agg.Aggregate(&st.sc, semiring.DistMap{}, terms, owned)
+				acc[v] = agg.Aggregate(&st.sc, semiring.DistMap{}, terms, filter)
 				if final && changed != nil {
 					changed[v] = !agg.Equal(acc[v], x[v])
 				}

@@ -92,11 +92,11 @@ func TestRunToFixpointMatchesCold(t *testing.T) {
 			flat.Level, flat.Lambda = make([]int, n), 0
 			order := frt.NewOrder(n, par.NewRNG(26))
 			filters := []struct {
-				name            string
-				filter, inPlace semiring.Filter[semiring.DistMap]
+				name   string
+				filter semiring.Filter[semiring.DistMap]
 			}{
-				{"le", order.Filter(), order.FilterInPlace()},
-				{"top3", semiring.TopKFilter(3, semiring.Inf, nil), semiring.TopKFilterInPlace(3, semiring.Inf, nil)},
+				{"le", order.Filter()},
+				{"top3", semiring.TopKFilter(3, semiring.Inf, nil)},
 			}
 			for _, hh := range []*simgraph.H{h, &flat} {
 				for _, fc := range filters {
@@ -104,7 +104,6 @@ func TestRunToFixpointMatchesCold(t *testing.T) {
 						x0 := frt.InitialStates(n)
 						want, wantIts := coldFixpoint(t, hh, x0, fc.filter)
 						o := simgraph.NewOracle(hh, nil)
-						o.FilterInPlace = fc.inPlace
 						got, gotIts := o.RunToFixpoint(x0, fc.filter, simgraph.MaxIters(n))
 						checkSame(t, got, gotIts, want, wantIts)
 					})
@@ -125,9 +124,7 @@ func TestRunToFixpointReuse(t *testing.T) {
 	for _, seed := range []uint64{32, 33} {
 		order := frt.NewOrder(n, par.NewRNG(seed))
 		fresh := simgraph.NewOracle(h, nil)
-		fresh.FilterInPlace = order.FilterInPlace()
 		want, wantIts := fresh.RunToFixpoint(frt.InitialStates(n), order.Filter(), simgraph.MaxIters(n))
-		reused.FilterInPlace = order.FilterInPlace()
 		got, gotIts := reused.RunToFixpoint(frt.InitialStates(n), order.Filter(), simgraph.MaxIters(n))
 		checkSame(t, got, gotIts, want, wantIts)
 	}
