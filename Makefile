@@ -5,16 +5,27 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+## vet also fails when a non-test package imports a test-support package
+## (a package of this module whose path ends in "test", such as
+## internal/semiring/semiringtest). `go list` reports non-test imports only,
+## so any hit is a library or command file.
 vet:
 	$(GO) vet ./...
+	@bad="$$($(GO) list -f '{{.ImportPath}}:{{range .Imports}} {{.}}{{end}}' ./... | grep -v '^[^:]*test:' | grep -E ' parmbf/[^ ]*test( |$$)')"; \
+	if [ -n "$$bad" ]; then echo "non-test packages import test-support packages:"; echo "$$bad"; exit 1; fi
 
 ## Non-test Go lines: the semiring package, the mbf/simgraph/frt/apps core,
 ## the whole repository minus the perfbench module, and the parmbfd serving
-## command (the counts ROADMAP.md quotes).
+## command (the counts ROADMAP.md quotes). Test-support packages (directories
+## named *test, such as internal/semiring/semiringtest: only _test.go files
+## import them) count on their own line and in none of the others, so moving
+## code into one reads as a move.
+TEST_SUPPORT := -type d -name '*test' -prune
 loc:
-	@printf 'internal/semiring: '; find internal/semiring -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l
-	@printf 'mbf+simgraph+frt+apps: '; find internal/mbf internal/simgraph internal/frt internal/apps -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l
-	@printf 'repository minus perfbench/: '; find . \( -path ./perfbench -o -path ./.bench_build \) -prune -o -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l
+	@printf 'internal/semiring: '; find internal/semiring $(TEST_SUPPORT) -o -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l
+	@printf 'mbf+simgraph+frt+apps: '; find internal/mbf internal/simgraph internal/frt internal/apps $(TEST_SUPPORT) -o -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l
+	@printf 'repository minus perfbench/: '; find . \( -path ./perfbench -o -path ./.bench_build -o -path ./.git \) -prune -o $(TEST_SUPPORT) -o -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l
+	@printf 'test-support packages: '; find . \( -path ./perfbench -o -path ./.bench_build -o -path ./.git \) -prune -o -path '*test/*.go' ! -name '*_test.go' -exec cat {} + | wc -l
 	@printf 'cmd/parmbfd: '; find cmd/parmbfd -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l
 
 fmt-check:

@@ -19,6 +19,14 @@
 //     al. whenever SPD(G) ≫ √n, which experiment E9 demonstrates on
 //     lollipop graphs.
 //
+// Both run the library's one LE-list runner, frt.LERunner, on rank-keyed
+// lists (see frt's "Key spaces" doc) and convert Result.Lists to node keys
+// once, on output. The meter reads only list lengths, which the relabel
+// keeps, so the simulated rounds are those of the node-keyed iteration. The
+// package's tests keep a message-level runtime (MessageNetwork) that runs
+// node-keyed with Order.Filter, an independent check of both the lists and
+// the round estimates.
+//
 // Substitution note: where §8.3 invokes the
 // Henzinger et al. Congest hop set [25] to push the skeleton work to
 // n^{1/2+o(1)}, this simulator uses the exact hop-limited skeleton distances
@@ -31,7 +39,6 @@ import (
 
 	"parmbf/internal/frt"
 	"parmbf/internal/graph"
-	"parmbf/internal/mbf"
 	"parmbf/internal/par"
 	"parmbf/internal/semiring"
 	"parmbf/internal/spanner"
@@ -54,18 +61,6 @@ type Result struct {
 	Skeleton []graph.Node
 	// Spanner is the broadcast skeleton spanner (Skeleton algorithm only).
 	Spanner *graph.Graph
-}
-
-// leRunner builds the MBF runner for LE lists on g with edge weights scaled
-// by alpha.
-func leRunner(g *graph.Graph, order *frt.Order, alpha float64) *mbf.Runner[float64, semiring.DistMap] {
-	return &mbf.Runner[float64, semiring.DistMap]{
-		Graph:  g,
-		Module: semiring.DistMapModule{},
-		Filter: order.Filter(),
-		Weight: func(_, _ graph.Node, w float64) float64 { return alpha * w },
-		Size:   func(m semiring.DistMap) int { return m.Len() + 1 },
-	}
 }
 
 // maxListLen returns max_v |x_v|, the per-iteration round cost of
@@ -94,9 +89,9 @@ func maxListLen(x []semiring.DistMap) int {
 func Khan(g *graph.Graph, rng *par.RNG) *Result {
 	n := g.N()
 	order := frt.NewOrder(n, rng)
-	runner := leRunner(g, order, 1)
+	rk := order.MustKeys(n)
 
-	st := runner.NewStepper(frt.InitialStates(n))
+	st := frt.LERunner(g, 1, nil).NewStepper(semiring.SingletonStatesKeyed(rk.Key))
 	defer st.Release()
 	rounds := 0
 	for !st.Done() {
@@ -106,7 +101,7 @@ func Khan(g *graph.Graph, rng *par.RNG) *Result {
 			break
 		}
 	}
-	return &Result{Lists: st.States(), Order: order, Rounds: rounds, Iterations: st.Steps(), StretchBound: 1}
+	return &Result{Lists: rk.NodeKeyed(st.States()), Order: order, Rounds: rounds, Iterations: st.Steps(), StretchBound: 1}
 }
 
 // SkeletonOptions configures Skeleton.
@@ -162,6 +157,7 @@ func Skeleton(g *graph.Graph, rng *par.RNG, opts SkeletonOptions) *Result {
 	// Skeleton-first random order (Lemma 4.9 of [22] justifies coupling the
 	// order to S).
 	order := NewSkeletonFirstOrder(n, skeleton, rng)
+	rk := order.MustKeys(n)
 
 	// ℓ-hop-limited skeleton distances ((S, ℓ, |S|)-detection in the real
 	// algorithm, [31]); pipelined round cost ℓ + |S|.
@@ -194,8 +190,7 @@ func Skeleton(g *graph.Graph, rng *par.RNG, opts SkeletonOptions) *Result {
 	// distance 0), but non-skeleton nodes are isolated in the spanner, so
 	// they fall out after the first step and the remaining iterations run
 	// on skeleton-sized frontiers.
-	spannerRunner := leRunner(sp, order, 1)
-	xbar, _ := spannerRunner.RunToFixpoint(frt.InitialStates(n), len(skeleton)+1)
+	xbar, _ := frt.LERunner(sp, 1, nil).RunToFixpoint(semiring.SingletonStatesKeyed(rk.Key), len(skeleton)+1)
 
 	// Final phase: ℓ LE iterations on G with weights stretched by α,
 	// starting from x̄ (Equation 8.9 / 8.20). One Stepper carries the whole
@@ -203,16 +198,14 @@ func Skeleton(g *graph.Graph, rng *par.RNG, opts SkeletonOptions) *Result {
 	// scratch, and once the fixpoint lands further steps are no-ops — but the
 	// round meter still charges all ℓ broadcasts, as the analysed algorithm
 	// does not detect convergence.
-	runner := leRunner(g, order, alpha)
-	st := runner.NewStepper(xbar)
+	st := frt.LERunner(g, alpha, nil).NewStepper(xbar)
 	defer st.Release()
 	for i := 0; i < ell; i++ {
 		rounds += maxListLen(st.States())
 		st.Step()
 	}
-	x := st.States()
 	return &Result{
-		Lists: x, Order: order, Rounds: rounds, Iterations: ell,
+		Lists: rk.NodeKeyed(st.States()), Order: order, Rounds: rounds, Iterations: ell,
 		StretchBound: alpha, Skeleton: skeleton, Spanner: sp,
 	}
 }

@@ -28,6 +28,26 @@ func TestKhanListsMatchExactLE(t *testing.T) {
 	}
 }
 
+// TestKhanMatchesLEListsOnGraphBatch pins Khan's simulation to the library's
+// direct LE lists: the same fixpoint under the same order, with the same
+// iteration count, on a low-SPD and a high-SPD graph.
+func TestKhanMatchesLEListsOnGraphBatch(t *testing.T) {
+	rng := par.NewRNG(7)
+	mod := semiring.DistMapModule{}
+	for _, g := range []*graph.Graph{graph.RandomConnected(60, 150, 6, rng), starPath(80)} {
+		res := Khan(g, rng)
+		lists, iters := frt.LEListsOnGraphBatch(g, []*frt.Order{res.Order}, nil)
+		if res.Iterations != iters[0] {
+			t.Fatalf("n=%d: Khan ran %d iterations, LEListsOnGraphBatch %d", g.N(), res.Iterations, iters[0])
+		}
+		for v := range lists[0] {
+			if !mod.Equal(res.Lists[v], lists[0][v]) {
+				t.Fatalf("n=%d node %d: Khan %v ≠ LEListsOnGraphBatch %v", g.N(), v, res.Lists[v], lists[0][v])
+			}
+		}
+	}
+}
+
 func TestKhanRoundsScaleWithSPD(t *testing.T) {
 	rng := par.NewRNG(2)
 	longPath := graph.PathGraph(200, 1)

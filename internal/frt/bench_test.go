@@ -27,7 +27,7 @@ func BenchmarkLEListsFromMetric(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		exactLELists(m, NewOrder(m.N, rng).mustKeys(m.N), nil)
+		exactLELists(m, NewOrder(m.N, rng).MustKeys(m.N), nil)
 	}
 }
 
@@ -43,7 +43,7 @@ func BenchmarkLEFilter(b *testing.B) {
 	for node := semiring.NodeID(0); node < 256; node += 4 {
 		input = input.Append(node, float64(rng.Intn(1000)))
 	}
-	ranked := input.Relabel(order.mustKeys(256).key)
+	ranked := input.Relabel(order.MustKeys(256).Key)
 	for _, c := range []struct {
 		name   string
 		filter semiring.Filter[semiring.DistMap]

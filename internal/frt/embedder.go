@@ -71,14 +71,14 @@ func (e *Embedder) sampleWith(rng *par.RNG, tracker *par.Tracker) (*Embedding, e
 	n := e.g.N()
 	order := NewOrder(n, rng)
 	beta := RandomBeta(rng)
-	rk := order.mustKeys(n)
+	rk := order.MustKeys(n)
 	// Each sample binds a fresh oracle to its own tracker (ensemble sampling
 	// charges a private per-tree tracker so the shared tracker can record
 	// max-depth, not summed depth). Only H is shared state. The fixpoint
 	// runs on rank-keyed lists, where the LE filter is the Staircase scan
 	// and every aggregation prunes as it merges (semiring.StaircaseModule),
 	// and the tree is read off them directly (see the package doc).
-	lists, iters := simgraph.StaircaseFixpoint(e.h, rk.key, tracker, e.maxIters)
+	lists, iters := simgraph.StaircaseFixpoint(e.h, rk.Key, tracker, e.maxIters)
 	if iters > e.maxIters {
 		// Lists cut off before their fixpoint need not be LE lists.
 		return nil, fmt.Errorf("frt: oracle fixpoint not reached within the iteration cap %d", e.maxIters)

@@ -236,8 +236,8 @@ func TestIterationCapIsLoud(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rk := NewOrder(n, par.NewRNG(6)).mustKeys(n)
-	if _, it := simgraph.StaircaseFixpoint(emb.H(), rk.key, nil, capIters); it != capIters+1 {
+	rk := NewOrder(n, par.NewRNG(6)).MustKeys(n)
+	if _, it := simgraph.StaircaseFixpoint(emb.H(), rk.Key, nil, capIters); it != capIters+1 {
 		t.Fatalf("capped oracle run returned %d iterations, want cap+1 = %d", it, capIters+1)
 	}
 	emb.maxIters = capIters

@@ -10,6 +10,7 @@ import (
 	"parmbf/internal/mbf"
 	"parmbf/internal/par"
 	"parmbf/internal/semiring"
+	"parmbf/internal/semiring/semiringtest"
 )
 
 func TestNewOrderIsPermutation(t *testing.T) {
@@ -110,7 +111,7 @@ func TestLEFilterIsCongruence(t *testing.T) {
 		}
 		elems = append(elems, x)
 	}
-	err := semiring.CheckFilterCongruence[float64, semiring.DistMap](
+	err := semiringtest.CheckFilterCongruence[float64, semiring.DistMap](
 		semiring.DistMapModule{}, o.Filter(), []float64{0, 1, 3, semiring.Inf}, elems)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +132,7 @@ func TestLEFilterOutputShape(t *testing.T) {
 	}
 	// In rank order, distances strictly decrease: the Staircase invariant
 	// the rank-keyed tree construction reads.
-	byRank := got.Relabel(o.mustKeys(30).key)
+	byRank := got.Relabel(o.MustKeys(30).Key)
 	for i := 1; i < byRank.Len(); i++ {
 		if byRank.Dist(i) >= byRank.Dist(i-1) {
 			t.Fatalf("distances not strictly decreasing along rank order: %v", byRank)
@@ -170,8 +171,8 @@ func TestLEListsOnGraphMatchExactMetricLE(t *testing.T) {
 func TestLEListsFromMetricMatchesGraphLE(t *testing.T) {
 	rng := par.NewRNG(6)
 	g := graph.RandomConnected(30, 70, 5, rng)
-	rk := NewOrder(g.N(), rng).mustKeys(g.N())
-	fromGraph, _ := leListsRanked(g, []rankKeys{rk}, nil)
+	rk := NewOrder(g.N(), rng).MustKeys(g.N())
+	fromGraph, _ := leListsRanked(g, []RankKeys{rk}, nil)
 	fromMetric := exactLELists(graph.APSPDijkstra(g), rk, nil)
 	mod := semiring.DistMapModule{}
 	for v := range fromMetric {

@@ -12,21 +12,25 @@
 //
 // LE lists live in two key spaces. The public list API is node-keyed:
 // InitialStates, Order.Filter, BuildTree and LEListsOnGraphBatch take and
-// return DistMaps whose entry for source w is stored under w. Everything
-// the package computes itself — the samplers, LEListsOnGraphBatch's
-// fixpoints and DynamicEnsemble — is rank-keyed instead: the entry for w is
-// stored under Rank[w]. The relabel is exact, because the semimodule
-// operations and the merge kernels only compare keys, and it pays twice. First, key order becomes rank order, so the LE
-// filter is the linear semiring.Staircase scan with no sort — linear enough
-// to run inside the merge: every rank-keyed fixpoint (the Embedder's
-// oracle through simgraph.StaircaseFixpoint, leRunner's direct lists and
-// repairs) aggregates through semiring.StaircaseModule, which merges and
-// filters in one pass and drops a dominated entry as soon as it reads it.
-// Second, a rank-keyed LE list is distance-descending, which is the order
-// the tree construction reads (buildTreeRanked). The samplers go from
-// rank-keyed lists straight to the tree; only LEListsOnGraphBatch converts
-// its lists to node keys, once, on output. The node-keyed Order.Filter is
-// the same Staircase scan between two relabels, to rank keys and back.
+// return DistMaps whose entry for source w is stored under w. Every LE
+// fixpoint in the library is rank-keyed instead: the entry for w is stored
+// under Rank[w] (the Order's RankKeys view). That covers the samplers,
+// LEListsOnGraphBatch, DynamicEnsemble and the Congest simulations of
+// package congest. The relabel is exact, because the semimodule operations
+// and the merge kernels only compare keys, and it pays twice. First, key
+// order becomes rank order, so the LE filter is the linear
+// semiring.Staircase scan with no sort — linear enough to run inside the
+// merge: every LE fixpoint (the Embedder's oracle through
+// simgraph.StaircaseFixpoint, and LERunner's direct lists, repairs and
+// Congest rounds) aggregates through semiring.StaircaseModule, which merges
+// and filters in one pass and drops a dominated entry as soon as it reads
+// it. Second, a rank-keyed LE list is distance-descending, which is the
+// order the tree construction reads (buildTreeRanked). The samplers go from
+// rank-keyed lists straight to the tree; LEListsOnGraphBatch and the
+// Congest simulations convert their lists to node keys once, on output
+// (RankKeys.NodeKeyed). The node-keyed Order.Filter is the same Staircase
+// scan between two relabels, to rank keys and back; no library path runs
+// it, it is the reference the rank-keyed runs are tested against.
 package frt
 
 import (
@@ -56,34 +60,34 @@ func NewOrder(n int, rng *par.RNG) *Order {
 	return &Order{Rank: rank}
 }
 
-// rankKeys is the rank-keyed view of an Order: key[v] is Rank[v] as a
-// DistMap key, and node[k] is the node of rank k.
-type rankKeys struct {
-	key, node []graph.Node
+// RankKeys is the rank-keyed view of an Order: Key[v] is Rank[v] as a
+// DistMap key, and Node[k] is the node of rank k.
+type RankKeys struct {
+	Key, Node []graph.Node
 }
 
 // keys returns o's rank-keyed view on n nodes. It fails unless Rank is a
 // permutation of 0..n−1.
-func (o *Order) keys(n int) (rankKeys, error) {
+func (o *Order) keys(n int) (RankKeys, error) {
 	if len(o.Rank) != n {
-		return rankKeys{}, fmt.Errorf("frt: order has %d ranks for %d nodes", len(o.Rank), n)
+		return RankKeys{}, fmt.Errorf("frt: order has %d ranks for %d nodes", len(o.Rank), n)
 	}
-	rk := rankKeys{key: make([]graph.Node, n), node: make([]graph.Node, n)}
-	for k := range rk.node {
-		rk.node[k] = -1
+	rk := RankKeys{Key: make([]graph.Node, n), Node: make([]graph.Node, n)}
+	for k := range rk.Node {
+		rk.Node[k] = -1
 	}
 	for v, r := range o.Rank {
-		if r >= uint64(n) || rk.node[r] != -1 {
-			return rankKeys{}, fmt.Errorf("frt: order ranks are not a permutation of 0..%d", n-1)
+		if r >= uint64(n) || rk.Node[r] != -1 {
+			return RankKeys{}, fmt.Errorf("frt: order ranks are not a permutation of 0..%d", n-1)
 		}
-		rk.key[v], rk.node[r] = graph.Node(r), graph.Node(v)
+		rk.Key[v], rk.Node[r] = graph.Node(r), graph.Node(v)
 	}
 	return rk, nil
 }
 
-// mustKeys is keys for callers whose API has no error return; a bad order
+// MustKeys is keys for callers whose API has no error return; a bad order
 // there is a programming error.
-func (o *Order) mustKeys(n int) rankKeys {
+func (o *Order) MustKeys(n int) RankKeys {
 	rk, err := o.keys(n)
 	if err != nil {
 		panic(err)
@@ -91,10 +95,10 @@ func (o *Order) mustKeys(n int) rankKeys {
 	return rk
 }
 
-// nodeKeyed converts one tree's rank-keyed lists to node keys.
-func (rk rankKeys) nodeKeyed(lists []semiring.DistMap) []semiring.DistMap {
+// NodeKeyed converts one order's rank-keyed lists to node keys.
+func (rk RankKeys) NodeKeyed(lists []semiring.DistMap) []semiring.DistMap {
 	out := make([]semiring.DistMap, len(lists))
-	par.ForEach(len(lists), func(v int) { out[v] = lists[v].Relabel(rk.node) })
+	par.ForEach(len(lists), func(v int) { out[v] = lists[v].Relabel(rk.Node) })
 	return out
 }
 
@@ -112,13 +116,13 @@ func (rk rankKeys) nodeKeyed(lists []semiring.DistMap) []semiring.DistMap {
 // every filter it is pure (x itself when every entry survives, a fresh map
 // otherwise). Rank must be a permutation of 0..n−1.
 func (o *Order) Filter() semiring.Filter[semiring.DistMap] {
-	rk := o.mustKeys(len(o.Rank))
+	rk := o.MustKeys(len(o.Rank))
 	return func(x semiring.DistMap) semiring.DistMap {
-		kept := semiring.Staircase(x.Relabel(rk.key))
+		kept := semiring.Staircase(x.Relabel(rk.Key))
 		if kept.Len() == x.Len() {
 			return x
 		}
-		return kept.Relabel(rk.node)
+		return kept.Relabel(rk.Node)
 	}
 }
 
@@ -149,22 +153,22 @@ func InitialStates(n int) []semiring.DistMap {
 // lists (see the package doc) and convert them to node keys once, on
 // output; every order's ranks must be a permutation of 0..n−1.
 func LEListsOnGraphBatch(g *graph.Graph, orders []*Order, tracker *par.Tracker) ([][]semiring.DistMap, []int) {
-	keys := make([]rankKeys, len(orders))
+	keys := make([]RankKeys, len(orders))
 	for b, order := range orders {
-		keys[b] = order.mustKeys(g.N())
+		keys[b] = order.MustKeys(g.N())
 	}
 	lists, iters := leListsRanked(g, keys, tracker)
 	for b, rk := range keys {
-		lists[b] = rk.nodeKeyed(lists[b])
+		lists[b] = rk.NodeKeyed(lists[b])
 	}
 	return lists, iters
 }
 
-// leListsRanked is LEListsOnGraphBatch on rank-keyed lists: one leRunner
+// leListsRanked is LEListsOnGraphBatch on rank-keyed lists: one LERunner
 // fixpoint per order, from rank singletons. The orders are independent
 // parallel work in the cost model of §1.2, so each charges a private tracker
 // and the caller's tracker is charged their summed work and maximum depth.
-func leListsRanked(g *graph.Graph, keys []rankKeys, tracker *par.Tracker) ([][]semiring.DistMap, []int) {
+func leListsRanked(g *graph.Graph, keys []RankKeys, tracker *par.Tracker) ([][]semiring.DistMap, []int) {
 	lists := make([][]semiring.DistMap, len(keys))
 	iters := make([]int, len(keys))
 	var work, depth int64
@@ -173,7 +177,7 @@ func leListsRanked(g *graph.Graph, keys []rankKeys, tracker *par.Tracker) ([][]s
 		if tracker != nil {
 			tk = &par.Tracker{}
 		}
-		lists[b], iters[b] = leRunner(g, tk).RunToFixpoint(semiring.SingletonStatesKeyed(rk.key), g.N())
+		lists[b], iters[b] = LERunner(g, 1, tk).RunToFixpoint(semiring.SingletonStatesKeyed(rk.Key), g.N())
 		work += tk.Work()
 		depth = max(depth, tk.Depth())
 	}
@@ -181,15 +185,24 @@ func leListsRanked(g *graph.Graph, keys []rankKeys, tracker *par.Tracker) ([][]s
 	return lists, iters
 }
 
-// leRunner builds the rank-keyed LE-list runner of Definition 7.3 on g, the
-// one configuration shared by the LE fixpoints and their repairs. Its
-// module fuses the Staircase filter into every aggregation.
-func leRunner(g *graph.Graph, tracker *par.Tracker) *mbf.Runner[float64, semiring.DistMap] {
+// LERunner builds the rank-keyed LE-list runner of Definition 7.3 on g with
+// every edge weight scaled by alpha: the one LE configuration of the
+// library, shared by the direct lists, their repairs and the Congest
+// simulations (alpha = 1 everywhere except the skeleton algorithm's
+// stretched final phase). Its module fuses the Staircase filter into every
+// aggregation, so its states must be rank-keyed: start it from
+// semiring.SingletonStatesKeyed(rk.Key) and convert the result with
+// rk.NodeKeyed.
+func LERunner(g *graph.Graph, alpha float64, tracker *par.Tracker) *mbf.Runner[float64, semiring.DistMap] {
+	weight := mbf.MinPlusWeight
+	if alpha != 1 {
+		weight = func(_, _ graph.Node, w float64) float64 { return alpha * w }
+	}
 	return &mbf.Runner[float64, semiring.DistMap]{
 		Graph:   g,
 		Module:  semiring.StaircaseModule{},
 		Filter:  semiring.Staircase,
-		Weight:  mbf.MinPlusWeight,
+		Weight:  weight,
 		Size:    func(m semiring.DistMap) int { return m.Len() + 1 },
 		Tracker: tracker,
 	}

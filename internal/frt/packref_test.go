@@ -226,8 +226,8 @@ func packCases(tb testing.TB) map[string][]*Tree {
 	for _, gc := range graphs {
 		var trees []*Tree
 		for seed, beta := range []float64{1, 1.25, 1.5, 1.9999} {
-			rk := NewOrder(gc.g.N(), par.NewRNG(uint64(seed+1))).mustKeys(gc.g.N())
-			lists, _ := leListsRanked(gc.g, []rankKeys{rk}, nil)
+			rk := NewOrder(gc.g.N(), par.NewRNG(uint64(seed+1))).MustKeys(gc.g.N())
+			lists, _ := leListsRanked(gc.g, []RankKeys{rk}, nil)
 			tr, err := buildTreeRanked(lists[0], rk, beta)
 			if err != nil {
 				tb.Fatal(err)

@@ -26,7 +26,7 @@ func TestStaircaseMatchesOrderFilter(t *testing.T) {
 	mod := semiring.DistMapModule{}
 	for trial := 0; trial < 300; trial++ {
 		o := NewOrder(n, rng)
-		rk := o.mustKeys(n)
+		rk := o.MustKeys(n)
 		x := semiring.DistMap{}
 		for v := semiring.NodeID(0); v < n; v++ {
 			if rng.Float64() < 0.6 {
@@ -34,15 +34,15 @@ func TestStaircaseMatchesOrderFilter(t *testing.T) {
 			}
 		}
 		want := o.Filter()(x)
-		ranked := x.Relabel(rk.key)
+		ranked := x.Relabel(rk.Key)
 		got := semiring.Staircase(ranked)
-		if !mod.Equal(got, want.Relabel(rk.key)) {
-			t.Fatalf("trial %d: Staircase %v ≠ relabelled Order.Filter %v", trial, got, want.Relabel(rk.key))
+		if !mod.Equal(got, want.Relabel(rk.Key)) {
+			t.Fatalf("trial %d: Staircase %v ≠ relabelled Order.Filter %v", trial, got, want.Relabel(rk.Key))
 		}
 		if copied := semiring.Staircase(ranked.Clone()); !mod.Equal(copied, got) {
 			t.Fatalf("trial %d: Staircase of a copy %v ≠ Staircase %v", trial, copied, got)
 		}
-		if back := got.Relabel(rk.node); !mod.Equal(back, want) || !back.IsSorted() {
+		if back := got.Relabel(rk.Node); !mod.Equal(back, want) || !back.IsSorted() {
 			t.Fatalf("trial %d: back to node keys %v, want %v", trial, back, want)
 		}
 	}
@@ -68,7 +68,7 @@ func rankKeyGraphs() []struct {
 // lists under rank keys.
 func embedderLists(e *Embedder, order *Order) []semiring.DistMap {
 	n := e.Graph().N()
-	lists, _ := simgraph.StaircaseFixpoint(e.H(), order.mustKeys(n).key, nil, simgraph.MaxIters(n))
+	lists, _ := simgraph.StaircaseFixpoint(e.H(), order.MustKeys(n).Key, nil, simgraph.MaxIters(n))
 	return lists
 }
 
@@ -99,7 +99,7 @@ func TestEmbedderMatchesNodeKeyedOracle(t *testing.T) {
 				if emb.Iterations != wantIts {
 					t.Fatalf("%s procs=%d tree %d: %d iterations, node-keyed %d", tc.name, procs, i, emb.Iterations, wantIts)
 				}
-				got := emb.Order.mustKeys(n).nodeKeyed(embedderLists(e, emb.Order))
+				got := emb.Order.MustKeys(n).NodeKeyed(embedderLists(e, emb.Order))
 				for v := range want {
 					if !got[v].IsSorted() || !mod.Equal(got[v], want[v]) || !mod.Equal(cold[v], want[v]) {
 						t.Fatalf("%s procs=%d tree %d node %d: rank-keyed %v, node-keyed %v, cold %v",

@@ -68,8 +68,8 @@ func Sample(g *graph.Graph, opts Options) (*Embedding, error) {
 func SampleOnGraph(g *graph.Graph, rng *par.RNG, tracker *par.Tracker) (*Embedding, error) {
 	order := NewOrder(g.N(), rng)
 	beta := RandomBeta(rng)
-	rk := order.mustKeys(g.N())
-	lists, iters := leListsRanked(g, []rankKeys{rk}, tracker)
+	rk := order.MustKeys(g.N())
+	lists, iters := leListsRanked(g, []RankKeys{rk}, tracker)
 	tree, err := buildTreeRanked(lists[0], rk, beta)
 	if err != nil {
 		return nil, err
@@ -88,7 +88,7 @@ func SampleExact(g *graph.Graph, rng *par.RNG, tracker *par.Tracker) (*Embedding
 	tracker.AddPhase(int64(n)*int64(g.M()+n), int64(graph.SPDFrom(g, 0)+1))
 	order := NewOrder(n, rng)
 	beta := RandomBeta(rng)
-	rk := order.mustKeys(n)
+	rk := order.MustKeys(n)
 	tree, err := buildTreeRanked(exactLELists(m, rk, tracker), rk, beta)
 	if err != nil {
 		return nil, err
@@ -99,13 +99,13 @@ func SampleExact(g *graph.Graph, rng *par.RNG, tracker *par.Tracker) (*Embedding
 // exactLELists reads the rank-keyed LE lists off an explicit metric: it
 // scans each row in rank order and keeps an entry iff it is strictly closer
 // than every lower-ranked one — Order.Filter's projection with no sort.
-func exactLELists(m *graph.Matrix, rk rankKeys, tracker *par.Tracker) []semiring.DistMap {
+func exactLELists(m *graph.Matrix, rk RankKeys, tracker *par.Tracker) []semiring.DistMap {
 	n := m.N
 	lists := make([]semiring.DistMap, n)
 	par.ForEach(n, func(v int) {
 		var l semiring.DistMap
 		closest := semiring.Inf
-		for r, w := range rk.node {
+		for r, w := range rk.Node {
 			if d := m.At(v, int(w)); d < closest {
 				l, closest = l.Append(graph.Node(r), d), d
 			}

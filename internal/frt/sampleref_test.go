@@ -59,10 +59,10 @@ func checkSamplerRef(t *testing.T, label string, emb *Embedding, ranked, want []
 	if emb.Iterations != iters {
 		t.Fatalf("%s: %d iterations, reference %d", label, emb.Iterations, iters)
 	}
-	rk := order.mustKeys(len(want))
+	rk := order.MustKeys(len(want))
 	mod := semiring.DistMapModule{}
 	for v, l := range ranked {
-		if got := l.Relabel(rk.node); !mod.Equal(got, want[v]) {
+		if got := l.Relabel(rk.Node); !mod.Equal(got, want[v]) {
 			t.Fatalf("%s node %d: rank-keyed list %v relabels to %v, reference %v", label, v, l, got, want[v])
 		}
 	}
@@ -92,7 +92,7 @@ func TestSamplersMatchNodeKeyedReference(t *testing.T) {
 				}
 				want[v] = filter(full)
 			}
-			ranked := exactLELists(m, order.mustKeys(n), nil)
+			ranked := exactLELists(m, order.MustKeys(n), nil)
 			checkSamplerRef(t, tc.name+"/exact", emb, ranked, want, order, beta, 1)
 
 			emb, err = SampleOnGraph(g, par.NewRNG(seed), nil)
@@ -109,7 +109,7 @@ func TestSamplersMatchNodeKeyedReference(t *testing.T) {
 				Weight: mbf.MinPlusWeight,
 			}
 			want, iters := ref.RunToFixpoint(InitialStates(n), n)
-			lists, _ := leListsRanked(g, []rankKeys{order.mustKeys(n)}, nil)
+			lists, _ := leListsRanked(g, []RankKeys{order.MustKeys(n)}, nil)
 			checkSamplerRef(t, tc.name+"/on-graph", emb, lists[0], want, order, beta, iters)
 		}
 	}

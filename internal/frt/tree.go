@@ -174,13 +174,13 @@ func BuildTree(lists []semiring.DistMap, order *Order, beta float64) (*Tree, err
 		}
 	}
 	ranked := make([]semiring.DistMap, n)
-	par.ForEach(n, func(v int) { ranked[v] = lists[v].Relabel(rk.key) })
+	par.ForEach(n, func(v int) { ranked[v] = lists[v].Relabel(rk.Key) })
 	return buildTreeRanked(ranked, rk, beta)
 }
 
 // buildTreeRanked is BuildTree on rank-keyed LE lists: the full build, which
 // is assembleTree with every row read.
-func buildTreeRanked(lists []semiring.DistMap, rk rankKeys, beta float64) (*Tree, error) {
+func buildTreeRanked(lists []semiring.DistMap, rk RankKeys, beta float64) (*Tree, error) {
 	t, _, err := assembleTree(lists, rk, beta, treePatch{})
 	return t, err
 }
@@ -261,7 +261,7 @@ func getTreeScratch(n int) *treeScratch {
 //
 // For each level i with radius r_i = β·2^i, node v's level-i center is
 // v_i = min{w | dist(v,w) ≤ r_i}: the first entry with distance ≤ r_i,
-// mapped back to its node through rk.node. The level range [imin, imax] is
+// mapped back to its node through rk.Node. The level range [imin, imax] is
 // chosen so that r_imin is below the smallest non-zero LE distance (leaf
 // clusters are singletons) and r_imax reaches every node's farthest LE
 // entry (a single root, centered at the rank-0 node).
@@ -275,7 +275,7 @@ func getTreeScratch(n int) *treeScratch {
 // every other node's centers off p.old's leaf-to-root chain, provided the
 // level range is p.old's; when it moved, every list is read. The tree is
 // byte-identical to a full build of the same lists either way.
-func assembleTree(lists []semiring.DistMap, rk rankKeys, beta float64, p treePatch) (*Tree, assembly, error) {
+func assembleTree(lists []semiring.DistMap, rk RankKeys, beta float64, p treePatch) (*Tree, assembly, error) {
 	n := len(lists)
 	if n == 0 {
 		return nil, assembly{}, fmt.Errorf("frt: no LE lists")
@@ -324,7 +324,7 @@ func assembleTree(lists []semiring.DistMap, rk rankKeys, beta float64, p treePat
 				switch {
 				case last < 0:
 					bad.empty = min(bad.empty, v)
-				case l.Node(last) != rk.key[v] || l.Dist(last) != 0:
+				case l.Node(last) != rk.Key[v] || l.Dist(last) != 0:
 					bad.self = min(bad.self, v)
 				case last > 0:
 					r = joinRanges(r, rowRange{l.Dist(last - 1), l.Dist(0)})
@@ -402,7 +402,7 @@ func assembleTree(lists []semiring.DistMap, rk rankKeys, beta float64, p treePat
 			for l.Dist(j) > r {
 				j++
 			}
-			centers[li*n+v] = rk.node[l.Node(j)]
+			centers[li*n+v] = rk.Node[l.Node(j)]
 		}
 	})
 

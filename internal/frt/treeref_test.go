@@ -20,7 +20,7 @@ import (
 
 // buildTreeRef is buildTreeRanked with the level grouping keyed by a map
 // and every step serial: the specification the chained grouping must meet.
-func buildTreeRef(lists []semiring.DistMap, rk rankKeys, beta float64) *Tree {
+func buildTreeRef(lists []semiring.DistMap, rk RankKeys, beta float64) *Tree {
 	n := len(lists)
 	dmin, dmax := semiring.Inf, 0.0
 	for _, l := range lists {
@@ -50,7 +50,7 @@ func buildTreeRef(lists []semiring.DistMap, rk rankKeys, beta float64) *Tree {
 		for l.Dist(j) > r {
 			j++
 		}
-		return rk.node[l.Node(j)]
+		return rk.Node[l.Node(j)]
 	}
 	tree := &Tree{Beta: beta, Leaf: make([]int32, n)}
 	addNode := func(parent int32, c graph.Node, level int, w float64) int32 {
@@ -99,8 +99,8 @@ func TestBuildTreeMatchesMapGrouping(t *testing.T) {
 	}
 	for _, gc := range graphs {
 		for _, seed := range []uint64{1, 2} {
-			rk := NewOrder(gc.g.N(), par.NewRNG(seed)).mustKeys(gc.g.N())
-			lists, _ := leListsRanked(gc.g, []rankKeys{rk}, nil)
+			rk := NewOrder(gc.g.N(), par.NewRNG(seed)).MustKeys(gc.g.N())
+			lists, _ := leListsRanked(gc.g, []RankKeys{rk}, nil)
 			for _, beta := range []float64{1, 1.25, 1.5, 1.9999} {
 				want := buildTreeRef(lists[0], rk, beta)
 				for _, procs := range []int{1, 4} {

@@ -1,6 +1,6 @@
 // Live updates: incremental re-embedding of an FRT ensemble under edge
 // edits. The algebraic framework makes fixpoints repairable, not just
-// computable — the sparse engine (mbf.Runner.RunToFixpointFrom) re-converges
+// computable — the sparse engine (mbf.Runner.RepairInPlace) re-converges
 // an old LE-list fixpoint from a seed frontier, so a small edit batch costs
 // O(affected cone), not a full rebuild.
 //
@@ -86,7 +86,7 @@ type DynamicEnsemble struct {
 	betas  []float64
 	// keys are the orders' rank-keyed views; lists holds each tree's
 	// retained LE fixpoint under those rank keys (see the package doc).
-	keys  []rankKeys
+	keys  []RankKeys
 	lists [][]semiring.DistMap
 	// ranges[i] are the block distance ranges of lists[i] (assembleTree),
 	// from which a patched tree re-derives its level range without reading
@@ -162,7 +162,7 @@ func NewDynamicEnsembleWith(g *graph.Graph, orders []*Order, betas []float64, tr
 	if len(orders) == 0 || len(orders) != len(betas) {
 		return nil, fmt.Errorf("frt: need equally many orders and betas (≥ 1), got %d and %d", len(orders), len(betas))
 	}
-	keys := make([]rankKeys, len(orders))
+	keys := make([]RankKeys, len(orders))
 	for i, o := range orders {
 		rk, err := o.keys(g.N())
 		if err != nil {
@@ -197,7 +197,7 @@ func NewDynamicEnsembleWith(g *graph.Graph, orders []*Order, betas []float64, tr
 		ranges:  ranges,
 		trees:   trees,
 		index:   index,
-		runner:  leRunner(g, tracker),
+		runner:  LERunner(g, 1, tracker),
 		tracker: tracker,
 	}, nil
 }
@@ -379,7 +379,7 @@ func (d *DynamicEnsemble) ApplyEdits(edits []graph.Edit) (*UpdateStats, error) {
 			cone = taintCone(d.g, old, sum.Applied, m)
 			if len(cone) > 0 {
 				for _, v := range cone {
-					x[v] = semiring.SingletonDist(d.keys[i].key[v], 0)
+					x[v] = semiring.SingletonDist(d.keys[i].Key[v], 0)
 				}
 				seeds = make([]graph.Node, 0, len(cone)+len(sum.Touched))
 				seeds = append(seeds, cone...)

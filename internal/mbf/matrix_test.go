@@ -1,12 +1,16 @@
-package semiring
+package mbf
 
-import "fmt"
+import (
+	"fmt"
+
+	"parmbf/internal/semiring"
+)
 
 // This file implements the Simple Linear Function (SLF) machinery of §2.4
 // of the paper in its concrete matrix form: square matrices over an
 // arbitrary semiring, with addition, multiplication, and powers. Lemma 2.14
 // states that SLFs under (⊕, ∘) are isomorphic to the matrix semiring over
-// S; the tests realise the isomorphism by checking that h iterations of the
+// S; slf_test.go realises the isomorphism by checking that h iterations of the
 // MBF-like engine equal multiplication by A^h, for every algebra in the
 // toolbox (Definition 2.11: A^h(G) = r^V A^h x(0)).
 
@@ -19,7 +23,7 @@ type Mat[S any] struct {
 // NewMat returns the n×n matrix filled with the semiring zero off the
 // diagonal and the semiring one on it — the multiplicative identity of the
 // matrix semiring.
-func NewMat[S any](sr Semiring[S], n int) *Mat[S] {
+func NewMat[S any](sr semiring.Semiring[S], n int) *Mat[S] {
 	m := &Mat[S]{N: n, Data: make([]S, n*n)}
 	for i := range m.Data {
 		m.Data[i] = sr.Zero()
@@ -37,9 +41,9 @@ func (m *Mat[S]) At(v, w int) S { return m.Data[v*m.N+w] }
 func (m *Mat[S]) Set(v, w int, s S) { m.Data[v*m.N+w] = s }
 
 // MatAdd returns the element-wise sum a ⊕ b (Equation 1.5 generalised).
-func MatAdd[S any](sr Semiring[S], a, b *Mat[S]) *Mat[S] {
+func MatAdd[S any](sr semiring.Semiring[S], a, b *Mat[S]) *Mat[S] {
 	if a.N != b.N {
-		panic(fmt.Sprintf("semiring: size mismatch %d vs %d", a.N, b.N))
+		panic(fmt.Sprintf("matrix: size mismatch %d vs %d", a.N, b.N))
 	}
 	out := &Mat[S]{N: a.N, Data: make([]S, len(a.Data))}
 	for i := range a.Data {
@@ -50,9 +54,9 @@ func MatAdd[S any](sr Semiring[S], a, b *Mat[S]) *Mat[S] {
 
 // MatMul returns the semiring matrix product a ⊙ b (Equation 1.6
 // generalised): (ab)_{vw} = ⊕_u a_{vu} ⊙ b_{uw}.
-func MatMul[S any](sr Semiring[S], a, b *Mat[S]) *Mat[S] {
+func MatMul[S any](sr semiring.Semiring[S], a, b *Mat[S]) *Mat[S] {
 	if a.N != b.N {
-		panic(fmt.Sprintf("semiring: size mismatch %d vs %d", a.N, b.N))
+		panic(fmt.Sprintf("matrix: size mismatch %d vs %d", a.N, b.N))
 	}
 	n := a.N
 	out := &Mat[S]{N: n, Data: make([]S, n*n)}
@@ -70,7 +74,7 @@ func MatMul[S any](sr Semiring[S], a, b *Mat[S]) *Mat[S] {
 
 // MatPow returns a^h by repeated multiplication (h ≥ 0; a⁰ is the
 // identity).
-func MatPow[S any](sr Semiring[S], a *Mat[S], h int) *Mat[S] {
+func MatPow[S any](sr semiring.Semiring[S], a *Mat[S], h int) *Mat[S] {
 	out := NewMat(sr, a.N)
 	for i := 0; i < h; i++ {
 		out = MatMul(sr, out, a)
@@ -80,9 +84,9 @@ func MatPow[S any](sr Semiring[S], a *Mat[S], h int) *Mat[S] {
 
 // MatApply computes the SLF application (Ax)_v = ⊕_w a_{vw} ⊙ x_w of
 // Definition 2.12, for a module state vector x over the semimodule mod.
-func MatApply[S, M any](sr Semiring[S], mod Semimodule[S, M], a *Mat[S], x []M) []M {
+func MatApply[S, M any](sr semiring.Semiring[S], mod semiring.Semimodule[S, M], a *Mat[S], x []M) []M {
 	if a.N != len(x) {
-		panic(fmt.Sprintf("semiring: matrix size %d vs vector length %d", a.N, len(x)))
+		panic(fmt.Sprintf("matrix: size %d vs vector length %d", a.N, len(x)))
 	}
 	out := make([]M, len(x))
 	for v := 0; v < a.N; v++ {
@@ -96,7 +100,7 @@ func MatApply[S, M any](sr Semiring[S], mod Semimodule[S, M], a *Mat[S], x []M) 
 }
 
 // MatEqual reports element-wise equality.
-func MatEqual[S any](sr Semiring[S], a, b *Mat[S]) bool {
+func MatEqual[S any](sr semiring.Semiring[S], a, b *Mat[S]) bool {
 	if a.N != b.N {
 		return false
 	}

@@ -26,7 +26,7 @@
 // late iterations re-deriving states that are already stable: x'(v) depends
 // only on x at v and at v's neighbors, so if none of those states changed in
 // the previous iteration, recomputing v reproduces x(v) exactly. Every
-// fixpoint driver of the Runner — RunToFixpoint, RunToFixpointFrom and the
+// fixpoint driver of the Runner — RunToFixpoint, RepairInPlace and the
 // step-wise Stepper — runs one sparse loop that exploits this with change
 // propagation:
 //
@@ -66,11 +66,11 @@
 // at every recomputed node by idempotence of ⊕ (its merge already contained
 // that term, and Corollary 2.17 lets r commute with ⊕), and at every other
 // node because that node satisfies its full fixpoint equation on entry —
-// by ⊥-stability for a fresh run, by RunToFixpointFrom's contract for a
+// by ⊥-stability for a fresh run, by RepairInPlace's contract for a
 // resumed one. A later iteration then adds only terms the full merge would
 // add too, so the semi-naive merge equals the full one node for node and
 // the invariant carries over. The first iteration has to be full: a node
-// seeded because its own state was reset (RunToFixpointFrom after a
+// seeded because its own state was reset (RepairInPlace after a
 // non-monotone edit) has absorbed nothing, and only the full merge gives
 // it back its unchanged neighbours' states.
 package mbf
@@ -451,7 +451,7 @@ func (r *Runner[S, M]) start(x0 []M) ([]M, []graph.Node) {
 }
 
 // fixpoint is the one sparse loop behind RunToFixpoint and
-// RunToFixpointFrom: it steps x in place from frontier until the frontier
+// RepairInPlace: it steps x in place from frontier until the frontier
 // empties or maxIter iterations have run, handing each iteration's changed
 // nodes to visit when it is non-nil, and returns the number of iterations
 // performed — including the final one that confirms the fixpoint. The
@@ -475,7 +475,7 @@ func (r *Runner[S, M]) fixpoint(x []M, frontier []graph.Node, maxIter int, ds *d
 // fixpoint. A fixpoint is reached after at most SPD(G) hops for the distance
 // algebras (§1.2), so the count is SPD-related + 1 when it converges.
 //
-// It is the sparse loop of RunToFixpointFrom seeded for a fresh run: the
+// It is the sparse loop of RepairInPlace seeded for a fresh run: the
 // frontier starts at the non-⊥ filtered initial states (every node if the
 // filter does not map ⊥ to ⊥), and only nodes that can still change are
 // re-aggregated. An all-⊥ input under a ⊥-preserving filter is recognised

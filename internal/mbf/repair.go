@@ -2,17 +2,20 @@ package mbf
 
 import "parmbf/internal/graph"
 
-// RunToFixpointFrom resumes a fixpoint computation from a caller-supplied
-// state vector and seed frontier — the incremental-repair entry point of the
+// RepairInPlace resumes a fixpoint computation from a caller-supplied state
+// vector and seed frontier — the incremental-repair entry point of the
 // sparse engine, sharing RunToFixpoint's loop: instead of seeding from the
 // non-⊥ initial states of a fresh run, the caller hands in an old fixpoint
 // (or an old fixpoint with some nodes reset) plus the set of nodes whose
 // state or whose inputs changed, and the engine re-aggregates outward from
-// those seeds until the states stabilise again.
+// those seeds until the states stabilise again. It steps x itself: the
+// caller hands x over, and one that must keep the old fixpoint repairs a
+// copy (slices.Clone; the copy may share the unchanged maps, which the
+// engine never writes).
 //
-// The contract on (x0, seeds): x0 must already be filtered, and every node
+// The contract on (x, seeds): x must already be filtered, and every node
 // that neither is a seed nor reads a seed's state (has an arc to a seed)
-// must satisfy the fixpoint equation x0(v) = r(x0(v) ⊕ ⊕_w a_vw ⊙ x0(w))
+// must satisfy the fixpoint equation x(v) = r(x(v) ⊕ ⊕_w a_vw ⊙ x(w))
 // under the runner's CURRENT graph — i.e. seeds must cover every node whose
 // own state was modified by the caller (e.g. reset to a singleton after a
 // non-monotone edit) and every endpoint of an edited edge. Nodes beyond the
@@ -27,26 +30,13 @@ import "parmbf/internal/graph"
 // does not recompute already absorbs each of its neighbours, because it
 // satisfies its full fixpoint equation (see the package doc).
 //
-// Returns the repaired states (x0 is not modified; the result vector aliases
-// unchanged states), the deduplicated set of nodes whose state actually
-// changed at some iteration (in first-change order — the "affected cone" a
-// caller patches downstream artifacts from), and the number of sparse
-// iterations performed, including the final iteration that confirms the
-// fixpoint. Duplicate seeds are tolerated. A graph whose node count differs
-// from the runner's pooled scratch re-sizes the scratch transparently (see
-// getDelta), so a runner may be re-pointed at an edited graph between calls.
-func (r *Runner[S, M]) RunToFixpointFrom(x0 []M, seeds []graph.Node, maxIter int) ([]M, []graph.Node, int) {
-	x := make([]M, len(x0))
-	copy(x, x0)
-	changed, it := r.RepairInPlace(x, seeds, maxIter)
-	return x, changed, it
-}
-
-// RepairInPlace is RunToFixpointFrom on a state vector the caller owns and
-// hands over: it steps x itself, under the same contract on (x, seeds), and
-// returns the changed set and the iteration count. A caller that has to copy
-// the old fixpoint anyway, to reset part of it, repairs the copy with no
-// second one.
+// Returns the deduplicated set of nodes whose state actually changed at some
+// iteration (in first-change order — the "affected cone" a caller patches
+// downstream artifacts from) and the number of sparse iterations performed,
+// including the final iteration that confirms the fixpoint. Duplicate seeds
+// are tolerated. A graph whose node count differs from the runner's pooled
+// scratch re-sizes the scratch transparently (see getDelta), so a runner may
+// be re-pointed at an edited graph between calls.
 func (r *Runner[S, M]) RepairInPlace(x []M, seeds []graph.Node, maxIter int) ([]graph.Node, int) {
 	if len(x) != r.Graph.N() {
 		panic("mbf: state vector length does not match graph size")

@@ -21,8 +21,8 @@ func slfGraph() *graph.Graph {
 }
 
 // minPlusAdjacency builds the generic matrix of Equation (1.4).
-func minPlusAdjacency(g *graph.Graph) *semiring.Mat[float64] {
-	a := semiring.NewMat[float64](semiring.MinPlus{}, g.N())
+func minPlusAdjacency(g *graph.Graph) *Mat[float64] {
+	a := NewMat[float64](semiring.MinPlus{}, g.N())
 	for _, e := range g.Edges() {
 		a.Set(int(e.U), int(e.V), e.Weight)
 		a.Set(int(e.V), int(e.U), e.Weight)
@@ -46,7 +46,7 @@ func TestEngineEqualsMatrixPowerMinPlus(t *testing.T) {
 		viaEngine := runner.Run(x0, h)
 		viaMatrix := x0
 		for i := 0; i < h; i++ {
-			viaMatrix = semiring.MatApply[float64, semiring.DistMap](sr, mod, a, viaMatrix)
+			viaMatrix = MatApply[float64, semiring.DistMap](sr, mod, a, viaMatrix)
 		}
 		for v := range viaEngine {
 			if !mod.Equal(viaEngine[v], semiring.Normalize(viaMatrix[v])) {
@@ -62,7 +62,7 @@ func TestMatrixPowerEntriesAreHopDistances(t *testing.T) {
 	sr := semiring.MinPlus{}
 	a := minPlusAdjacency(g)
 	for h := 0; h <= g.N(); h++ {
-		p := semiring.MatPow[float64](sr, a, h)
+		p := MatPow[float64](sr, a, h)
 		for v := 0; v < g.N(); v++ {
 			bf := graph.BellmanFord(g, graph.Node(v), h)
 			for w := 0; w < g.N(); w++ {
@@ -78,12 +78,12 @@ func TestMatrixPowerMaxMinIsWidestPath(t *testing.T) {
 	// Lemma 3.12 in matrix form over S_{max,min}.
 	g := slfGraph()
 	sr := semiring.MaxMin{}
-	a := semiring.NewMat[float64](sr, g.N())
+	a := NewMat[float64](sr, g.N())
 	for _, e := range g.Edges() {
 		a.Set(int(e.U), int(e.V), e.Weight)
 		a.Set(int(e.V), int(e.U), e.Weight)
 	}
-	p := semiring.MatPow[float64](sr, a, g.N())
+	p := MatPow[float64](sr, a, g.N())
 	for v := 0; v < g.N(); v++ {
 		want := SSWP(g, graph.Node(v), g.N(), nil)
 		for w := 0; w < g.N(); w++ {
@@ -98,13 +98,13 @@ func TestMatrixPowerBooleanIsReachability(t *testing.T) {
 	// Equation (3.30) in matrix form: (A^h x(0))_{vw} = 1 ⇔ P^h(v,w) ≠ ∅.
 	g := graph.NewBuilder(5).Add(0, 1, 1).Add(1, 2, 1).Add(3, 4, 1).Freeze()
 	sr := semiring.Boolean{}
-	a := semiring.NewMat[bool](sr, g.N())
+	a := NewMat[bool](sr, g.N())
 	for _, e := range g.Edges() {
 		a.Set(int(e.U), int(e.V), true)
 		a.Set(int(e.V), int(e.U), true)
 	}
 	for h := 0; h <= 3; h++ {
-		p := semiring.MatPow[bool](sr, a, h)
+		p := MatPow[bool](sr, a, h)
 		for v := 0; v < g.N(); v++ {
 			reach := Connectivity(g, h, nil)[v]
 			for w := 0; w < g.N(); w++ {
@@ -127,7 +127,7 @@ func TestMatrixPowerAllPathsEnumeratesPaths(t *testing.T) {
 	// paths starting at v, with their weights.
 	g := graph.NewBuilder(4).Add(0, 1, 1).Add(1, 2, 2).Add(0, 2, 5).Add(2, 3, 1).Freeze()
 	sr := semiring.AllPaths{}
-	a := semiring.NewMat[semiring.PathSet](sr, g.N())
+	a := NewMat[semiring.PathSet](sr, g.N())
 	for _, e := range g.Edges() {
 		a.Set(int(e.U), int(e.V), semiring.PathSet{semiring.MakePath(e.U, e.V): e.Weight})
 		a.Set(int(e.V), int(e.U), semiring.PathSet{semiring.MakePath(e.V, e.U): e.Weight})
@@ -138,7 +138,7 @@ func TestMatrixPowerAllPathsEnumeratesPaths(t *testing.T) {
 		x[v] = semiring.PathSet{semiring.MakePath(graph.Node(v)): 0}
 	}
 	for h := 0; h < 3; h++ {
-		x = semiring.MatApply[semiring.PathSet, semiring.PathSet](sr, mod, a, x)
+		x = MatApply[semiring.PathSet, semiring.PathSet](sr, mod, a, x)
 	}
 	// After 3 hops from node 0: the full path inventory out of node 0.
 	want := semiring.PathSet{
@@ -161,37 +161,37 @@ func TestMatSemiringIdentityAndAssociativity(t *testing.T) {
 	g := slfGraph()
 	sr := semiring.MinPlus{}
 	a := minPlusAdjacency(g)
-	id := semiring.NewMat[float64](sr, g.N())
-	if !semiring.MatEqual[float64](sr, semiring.MatMul(sr, a, id), a) {
+	id := NewMat[float64](sr, g.N())
+	if !MatEqual[float64](sr, MatMul(sr, a, id), a) {
 		t.Fatal("A·I ≠ A")
 	}
-	if !semiring.MatEqual[float64](sr, semiring.MatMul(sr, id, a), a) {
+	if !MatEqual[float64](sr, MatMul(sr, id, a), a) {
 		t.Fatal("I·A ≠ A")
 	}
-	a2 := semiring.MatMul(sr, a, a)
-	left := semiring.MatMul(sr, a2, a)
-	right := semiring.MatMul(sr, a, a2)
-	if !semiring.MatEqual[float64](sr, left, right) {
+	a2 := MatMul(sr, a, a)
+	left := MatMul(sr, a2, a)
+	right := MatMul(sr, a, a2)
+	if !MatEqual[float64](sr, left, right) {
 		t.Fatal("(A·A)·A ≠ A·(A·A)")
 	}
 	// Distributivity over a second matrix.
-	b := semiring.NewMat[float64](sr, g.N())
+	b := NewMat[float64](sr, g.N())
 	b.Set(0, 3, 2)
-	lhs := semiring.MatMul(sr, a, semiring.MatAdd(sr, id, b))
-	rhs := semiring.MatAdd(sr, semiring.MatMul(sr, a, id), semiring.MatMul(sr, a, b))
-	if !semiring.MatEqual[float64](sr, lhs, rhs) {
+	lhs := MatMul(sr, a, MatAdd(sr, id, b))
+	rhs := MatAdd(sr, MatMul(sr, a, id), MatMul(sr, a, b))
+	if !MatEqual[float64](sr, lhs, rhs) {
 		t.Fatal("A·(I⊕B) ≠ A·I ⊕ A·B")
 	}
 }
 
 func TestMatSizeMismatchPanics(t *testing.T) {
 	sr := semiring.MinPlus{}
-	a := semiring.NewMat[float64](sr, 2)
-	b := semiring.NewMat[float64](sr, 3)
+	a := NewMat[float64](sr, 2)
+	b := NewMat[float64](sr, 3)
 	for _, fn := range []func(){
-		func() { semiring.MatMul(sr, a, b) },
-		func() { semiring.MatAdd(sr, a, b) },
-		func() { semiring.MatApply[float64, float64](sr, semiring.MinPlusSelf{}, a, make([]float64, 3)) },
+		func() { MatMul(sr, a, b) },
+		func() { MatAdd(sr, a, b) },
+		func() { MatApply[float64, float64](sr, semiring.MinPlusSelf{}, a, make([]float64, 3)) },
 	} {
 		func() {
 			defer func() {

@@ -384,19 +384,20 @@ func TestTrackerParityFastVsGeneric(t *testing.T) {
 				base[v] = fast.filter(fast.Module.Add(base[v], x0[v]))
 				seeds = append(seeds, graph.Node(v))
 			}
-			fast.RunToFixpointFrom(base, seeds, g.N())
-			slow.RunToFixpointFrom(base, seeds, g.N())
-			parity("RunToFixpointFrom")
+			fast.RepairInPlace(slices.Clone(base), seeds, g.N())
+			slow.RepairInPlace(slices.Clone(base), seeds, g.N())
+			parity("RepairInPlace")
 		})
 	}
 }
 
 // TestStaircaseModuleMatchesStaircaseFilter pins the fused module against
 // the configuration it replaced, DistMapModule under the Staircase filter,
-// on rank-keyed LE-list fixpoints (the frt package's leRunner) across the parallel-width sweep: a fresh run, a warm
-// RunToFixpointFrom that adds sources to a fixpoint, and RepairInPlace after
-// a weight increase with the stale nodes reset must give identical lists,
-// iteration counts, changed sets and tracker work.
+// on rank-keyed LE-list fixpoints (the frt package's LERunner) across the
+// parallel-width sweep: a fresh run, a warm repair that adds sources to a
+// fixpoint, and a repair after a weight increase with the stale nodes reset
+// must give identical lists, iteration counts, changed sets and tracker
+// work.
 func TestStaircaseModuleMatchesStaircaseFilter(t *testing.T) {
 	defer func(p int) { par.MaxProcs = p }(par.MaxProcs)
 	size := func(x semiring.DistMap) int { return x.Len() + 1 }
@@ -480,8 +481,9 @@ func TestStaircaseModuleMatchesStaircaseFilter(t *testing.T) {
 				base[v] = semiring.Staircase(mod.Add(base[v], semiring.SingletonDist(key[v], 0)))
 				seeds = append(seeds, graph.Node(v))
 			}
-			warmF, chF, itF := fused.RunToFixpointFrom(base, seeds, g.N())
-			warmR, chR, itR := ref.RunToFixpointFrom(base, seeds, g.N())
+			warmF, warmR := slices.Clone(base), slices.Clone(base)
+			chF, itF := fused.RepairInPlace(warmF, seeds, g.N())
+			chR, itR := ref.RepairInPlace(warmR, seeds, g.N())
 			same("warm", warmF, warmR, itF, itR)
 			sameChanged("warm", chF, chR)
 

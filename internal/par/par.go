@@ -22,57 +22,24 @@ var MaxProcs = runtime.GOMAXPROCS(0)
 
 // ForEach invokes body(i) for every i in [0, n), distributing iterations over
 // up to MaxProcs goroutines. It blocks until all iterations complete. body
-// must be safe for concurrent invocation on distinct indices.
+// must be safe for concurrent invocation on distinct indices. It is
+// ForEachChunk with a body that loops over its range.
 func ForEach(n int, body func(i int)) {
-	if n <= 0 {
-		return
-	}
-	procs := MaxProcs
-	if procs > n {
-		procs = n
-	}
-	if procs <= 1 {
-		for i := 0; i < n; i++ {
+	ForEachChunk(n, func(start, end int) {
+		for i := start; i < end; i++ {
 			body(i)
 		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(procs)
-	// Dynamic chunking: grab a batch of indices at a time to amortise the
-	// atomic increment without sacrificing load balance on skewed work.
-	chunk := n / (procs * 8)
-	if chunk < 1 {
-		chunk = 1
-	}
-	for p := 0; p < procs; p++ {
-		go func() {
-			defer wg.Done()
-			for {
-				start := int(next.Add(int64(chunk))) - chunk
-				if start >= n {
-					return
-				}
-				end := start + chunk
-				if end > n {
-					end = n
-				}
-				for i := start; i < end; i++ {
-					body(i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	})
 }
 
 // ForEachChunk invokes body(start, end) over disjoint half-open ranges
-// covering [0, n), distributing ranges over up to MaxProcs goroutines with
-// the same dynamic chunking as ForEach. It exists for bodies that amortise
-// per-worker state — pooled scratch, accumulators — over a whole range
-// instead of paying the pool round trip per index; the engine's iteration
-// loops fetch their aggregation scratch once per chunk through it.
+// covering [0, n), distributing ranges over up to MaxProcs goroutines. Each
+// goroutine grabs a batch of indices at a time (dynamic chunking), which
+// amortises the atomic increment without sacrificing load balance on
+// skewed work. ForEach runs through it; bodies that amortise per-worker
+// state — pooled scratch, accumulators — over a whole range call it
+// directly, as the engine's iteration loops do to fetch their aggregation
+// scratch once per chunk.
 func ForEachChunk(n int, body func(start, end int)) {
 	if n <= 0 {
 		return

@@ -1,18 +1,22 @@
-package semiring
-
-import "fmt"
-
-// This file provides executable checks for the algebraic laws of
+// Package semiringtest provides executable checks for the algebraic laws of
 // Definitions A.2 (semiring), A.3 (semimodule), and 2.4/2.6 (congruence
 // relation with representative projection). The property-based tests drive
-// these checkers with randomly generated elements; any law violation in a
-// concrete algebra is a bug in this library, since the paper's correctness
-// results (in particular Corollary 2.17, which justifies intermediate
-// filtering) rest exactly on these laws.
+// these checkers with sample elements; any law violation in a concrete
+// algebra is a bug in this library, since the paper's correctness results
+// (in particular Corollary 2.17, which justifies intermediate filtering)
+// rest exactly on these laws. It is test support: only _test.go files may
+// import it (make vet enforces this).
+package semiringtest
+
+import (
+	"fmt"
+
+	"parmbf/internal/semiring"
+)
 
 // CheckSemiringLaws verifies the semiring axioms on all combinations of the
 // sample elements and returns a descriptive error for the first violation.
-func CheckSemiringLaws[S any](sr Semiring[S], samples []S) error {
+func CheckSemiringLaws[S any](sr semiring.Semiring[S], samples []S) error {
 	zero, one := sr.Zero(), sr.One()
 	for _, a := range samples {
 		if !sr.Equal(sr.Add(a, zero), a) || !sr.Equal(sr.Add(zero, a), a) {
@@ -50,7 +54,7 @@ func CheckSemiringLaws[S any](sr Semiring[S], samples []S) error {
 // CheckSemimoduleLaws verifies the zero-preserving-semimodule axioms
 // (Equations 2.1–2.5 plus annihilation) on all combinations of the sample
 // scalars and module elements.
-func CheckSemimoduleLaws[S, M any](sr Semiring[S], mod Semimodule[S, M], scalars []S, elems []M) error {
+func CheckSemimoduleLaws[S, M any](sr semiring.Semiring[S], mod semiring.Semimodule[S, M], scalars []S, elems []M) error {
 	bot := mod.Zero()
 	for _, x := range elems {
 		if !mod.Equal(mod.Add(x, bot), x) || !mod.Equal(mod.Add(bot, x), x) {
@@ -90,7 +94,7 @@ func CheckSemimoduleLaws[S, M any](sr Semiring[S], mod Semimodule[S, M], scalars
 // are checked in the sufficient single-sided form r(s⊙x) = r(s⊙r(x)) and
 // r(x⊕y) = r(r(x)⊕r(y)) used in the proof of Lemma 7.5 (Equation 7.7),
 // which implies the two-sided conditions by transitivity.
-func CheckFilterCongruence[S, M any](mod Semimodule[S, M], r Filter[M], scalars []S, elems []M) error {
+func CheckFilterCongruence[S, M any](mod semiring.Semimodule[S, M], r semiring.Filter[M], scalars []S, elems []M) error {
 	for _, x := range elems {
 		rx := r(x)
 		if !mod.Equal(r(rx), rx) {

@@ -390,7 +390,8 @@ func (o *Oracle) runLevel(runner *mbf.Runner[float64, semiring.DistMap], x []sem
 	} else if seeds := o.reseed(fix, x, ws.changed, lambda, filter); len(seeds) == 0 {
 		return fix // nothing new reached this level: fix is still its fixpoint
 	} else {
-		y, _, it = runner.RunToFixpointFrom(fix, seeds, d)
+		_, it = runner.RepairInPlace(fix, seeds, d) // reseed already wrote fix in place
+		y = fix
 	}
 	ws.fix[lambda] = nil
 	if it < d {
