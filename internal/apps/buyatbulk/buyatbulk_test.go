@@ -277,4 +277,41 @@ func TestSolveRejectsInvalidTree(t *testing.T) {
 	if _, err := Solve(g, demands, testCables, Options{Ensemble: &frt.Ensemble{Trees: []*frt.Tree{&bad}}}); err == nil {
 		t.Fatal("Solve accepted a structurally invalid tree")
 	}
+	for name, tr := range layoutBreakers(ens.Trees[0]) {
+		if _, err := Solve(g, demands, testCables, Options{Ensemble: &frt.Ensemble{Trees: []*frt.Tree{tr}}}); err == nil {
+			t.Fatalf("Solve accepted a %s tree", name)
+		}
+	}
+}
+
+// layoutBreakers returns sound copies of tr that break frt.Tree's layout
+// contract: one with node 3's leaf edge reweighted, and one with the
+// non-root node ids reversed, so that Level increases with the id.
+func layoutBreakers(tr *frt.Tree) map[string]*frt.Tree {
+	skewed := *tr
+	skewed.EdgeWeight = append([]float64(nil), tr.EdgeWeight...)
+	skewed.EdgeWeight[tr.Leaf[3]] /= 2
+	nn := tr.NumNodes()
+	id := func(u int32) int32 {
+		if u <= 0 {
+			return u
+		}
+		return int32(nn) - u
+	}
+	permuted := frt.Tree{
+		Parent:     make([]int32, nn),
+		EdgeWeight: make([]float64, nn),
+		Center:     make([]graph.Node, nn),
+		Level:      make([]int32, nn),
+		Leaf:       make([]int32, len(tr.Leaf)),
+		Beta:       tr.Beta,
+	}
+	for u := int32(0); u < int32(nn); u++ {
+		permuted.Parent[id(u)] = id(tr.Parent[u])
+		permuted.EdgeWeight[id(u)], permuted.Center[id(u)], permuted.Level[id(u)] = tr.EdgeWeight[u], tr.Center[u], tr.Level[u]
+	}
+	for v, leaf := range tr.Leaf {
+		permuted.Leaf[v] = id(leaf)
+	}
+	return map[string]*frt.Tree{"non-uniform": &skewed, "permuted": &permuted}
 }

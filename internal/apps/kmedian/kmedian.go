@@ -192,6 +192,11 @@ func Solve(g *graph.Graph, k int, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	for i, tree := range visit {
+		if err := tree.Validate(); err != nil {
+			return nil, fmt.Errorf("kmedian: tree %d: %w", i, err)
+		}
+	}
 	allowed := make([]bool, g.N())
 	for _, q := range candidates {
 		allowed[q] = true
@@ -231,7 +236,9 @@ func Solve(g *graph.Graph, k int, opts Options) (*Result, error) {
 // DP runs on the real FRT tree of G, no candidate submetric required.
 //
 // The DP exploits the FRT structure: all leaves share one depth and edge
-// weights depend only on the level, so a leaf served by a center outside
+// weights depend only on the level (frt.Tree's layout contract, which
+// every library-built tree meets and Solve checks with Tree.Validate; a
+// tree that breaks it is mispriced), so a leaf served by a center outside
 // its subtree pays exactly 2·climb(ℓ), where ℓ is the level of the lowest
 // tree node that contains both and climb is the uniform leaf-to-level
 // ascent cost. f[t][j] is the optimal cost of subtree(t) with exactly j ≥ 1

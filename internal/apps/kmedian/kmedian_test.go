@@ -262,6 +262,14 @@ func TestSolveInjectedEnsemble(t *testing.T) {
 	if res.Cost >= 150 {
 		t.Fatalf("cost %v suggests a cluster was left unserved", res.Cost)
 	}
+	// A tree whose weights differ within a level would be mispriced by the
+	// DP: it is refused.
+	skewed := *ens.Trees[0]
+	skewed.EdgeWeight = append([]float64(nil), skewed.EdgeWeight...)
+	skewed.EdgeWeight[skewed.Leaf[3]] /= 2
+	if _, err := Solve(g, 3, Options{RNG: rng, Ensemble: &frt.Ensemble{Trees: []*frt.Tree{&skewed}}}); err == nil {
+		t.Fatal("Solve accepted a tree that breaks the layout contract")
+	}
 }
 
 func TestSolveSmallKReturnsDirectly(t *testing.T) {

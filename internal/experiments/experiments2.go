@@ -110,7 +110,7 @@ func E9Congest(cfg Config) *Table {
 		ID:         "E9",
 		Title:      "Congest rounds: Khan et al. vs skeleton algorithm",
 		PaperClaim: "Khan: O(SPD·log n) rounds [26]; skeleton: ≈ Õ(√n + D) (§8.3, Thm 8.1)",
-		Header:     []string{"graph", "n", "SPD(G)", "D(G)", "roundsKhan", "roundsSkeleton", "winner"},
+		Header:     []string{"graph", "n", "SPD(G)", "D(G)", "roundsKhan", "roundsSkeleton", "winner", "itersKhan", "itersSkeleton"},
 	}
 	type workload struct {
 		name string
@@ -134,7 +134,7 @@ func E9Congest(cfg Config) *Table {
 		}
 		t.Rows = append(t.Rows, []string{
 			w.name, d0(w.g.N()), d0(graph.SPDFrom(w.g, 0)), d0(graph.HopDiameter(w.g)),
-			d0(khan.Rounds), d0(skel.Rounds), winner,
+			d0(khan.Rounds), d0(skel.Rounds), winner, d0(khan.Iterations), d0(skel.Iterations),
 		})
 	}
 	t.Notes = "claim reproduced if skeleton wins on the high-SPD/low-D workload and Khan on the low-SPD one"

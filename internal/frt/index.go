@@ -3,6 +3,8 @@ package frt
 import (
 	"fmt"
 	"math/bits"
+	"slices"
+	"sync/atomic"
 
 	"parmbf/internal/graph"
 	"parmbf/internal/par"
@@ -36,31 +38,27 @@ type OracleIndex struct {
 	// stride is maxDepth+1: every weight row is padded to it, so one lookup
 	// serves all trees.
 	stride int
-	// pw[v*pwStep + t*stride + h] is the prefix weight from v's leaf up to
-	// its height-h ancestor in tree t (heights past the tree's depth repeat
-	// the full leaf-to-root weight). pwStep is 0 when every tree is
-	// level-uniform — all leaves of a tree see the same edge weight at each
-	// height, which is how BuildTree constructs trees (the level-i edge
-	// weight 2β2^i does not depend on the cluster) — so the whole table is
-	// k·stride floats that live in L1 and a query's memory traffic is the
-	// two packed ancestor blocks. Trees with non-uniform level weights
-	// (possible for trees deserialised from elsewhere) need one row per leaf:
-	// pwStep is then k·stride.
-	pw     []float64
-	pwStep int
-	// packed is the merge-height representation: ancestors are renumbered
-	// into per-height dense cluster ids (equality-preserving, so XOR
-	// comparisons find the merge height) and packed into uint64 words. The
-	// heights split by lane width at `split`: heights ≥ split have at most
-	// 65536 distinct clusters in every tree, so their ids pack four 16-bit
+	// pw[t*stride + h] is the prefix weight from any leaf up to its height-h
+	// ancestor in tree t (heights past the tree's depth repeat the full
+	// leaf-to-root weight). A tree's edge weights depend on the level alone
+	// (see Tree), so every leaf shares the row: the whole table is k·stride
+	// floats that live in L1, and a query's memory traffic is the two packed
+	// ancestor blocks.
+	pw []float64
+	// packed is the merge-height representation: a height-h ancestor's
+	// cluster id is its offset within its level (node id minus the level's
+	// first id; levels are contiguous, see Tree), packed into uint64 words.
+	// Equal ids mean equal ancestors, so XOR comparisons find the merge
+	// height. The heights split by lane width at `split`: heights ≥ split
+	// have at most 65536 nodes in every tree, so their ids pack four 16-bit
 	// lanes per word into packed — packed[(v*k+t)*words + (h-split)/4], lane
-	// (h-split)%4 — while the low heights 0…split-1 (where cluster counts can
-	// approach n) pack two 32-bit lanes per word into packedLo. Cluster
-	// counts only shrink going up (clusters merge), so one split serves
-	// every tree, and for n ≤ 65536 the split is 0: the whole row is 16-bit
-	// lanes and packedLo is empty. The merge height of a pair in one tree is
-	// a top-down scan of XOR-compared words — high row first, then the low
-	// row — plus one leading-zero count: O(depth/4) word ops, typically 2–3.
+	// (h-split)%4 — while the low heights 0…split-1 (where levels can
+	// approach n nodes) pack two 32-bit lanes per word into packedLo. Levels
+	// only shrink going up (clusters merge), so one split serves every tree,
+	// and for n ≤ 65536 the split is 0: the whole row is 16-bit lanes and
+	// packedLo is empty. The merge height of a pair in one tree is a top-down
+	// scan of XOR-compared words — high row first, then the low row — plus
+	// one leading-zero count: O(depth/4) word ops, typically 2–3.
 	packed []uint64
 	// packedLo holds the 32-bit lanes of heights < split (nil when split=0).
 	packedLo []uint64
@@ -78,78 +76,60 @@ type OracleIndex struct {
 	treeSplit []int
 }
 
-// packedLaneMax is the largest per-height cluster count a 16-bit lane can
-// hold; heights with more clusters in some tree fall below the split and
-// use 32-bit lanes.
+// packedLaneMax is the largest level size a 16-bit lane can hold; heights
+// with a larger level in some tree fall below the split and use 32-bit lanes.
 const packedLaneMax = 1 << 16
 
 // NewOracleIndex indexes every tree of the ensemble. All trees must embed
-// the same node set, and each must be structurally sound: leaves and
-// parents in range, no parent cycle, every leaf at the same depth. A tree
-// that breaks any of these is refused, with an error naming the lowest
+// the same node set and meet the layout contract (see Tree), and each must
+// be structurally sound: leaves and parents in range, no parent cycle, every
+// leaf at the same depth. A tree that breaks the contract is refused with
+// the contract's error; one that is unsound, with an error naming the lowest
 // graph node whose leaf-to-root walk finds the defect.
 //
-// Each tree is packed straight from its Parent, Leaf and EdgeWeight arrays,
-// one tree at a time: a serial walk numbers the tree's clusters per height
-// (clusterIDs), then a parallel walk up from every leaf writes the leaf's
-// packed words and fills or checks its prefix weights. Construction scratch
-// is two int32 per tree node of the largest tree, and no per-leaf ancestor
-// table is built. The packing first assumes level-uniform weights; the
-// first tree that breaks them restarts it with per-leaf weight rows.
+// Each tree's levels come from one pass over Level (levelStarts); a parallel
+// walk up from every leaf then writes the leaf's packed words (writeTree),
+// with no construction scratch beyond the level starts.
 //
 // NewOracleIndex is the one fresh pack, for the Embedder, snapshots and
 // hand-built trees alike. A DynamicEnsemble update instead patches the
-// current index with the rows of the trees it re-assembled (patch), and
-// falls back to NewOracleIndex only when the layout moves.
+// current index with the rows of the trees it re-assembled (patch), through
+// the same writer, and falls back to NewOracleIndex only when the layout
+// moves.
 func NewOracleIndex(trees []*Tree) (*OracleIndex, error) {
 	if len(trees) == 0 {
 		return nil, fmt.Errorf("frt: oracle index needs ≥ 1 tree")
 	}
 	o := newIndex(len(trees[0].Leaf), len(trees))
-	// Cheap pre-pass: per-tree depths (for the padded stride) and per-height
-	// cluster-count bounds (for the 16/32-bit lane split), both derivable
-	// from the parent arrays alone. The depth walk checks only leaf 0's
-	// chain; clusterIDs checks every leaf.
-	depths := make([]int, len(trees))
-	maxDepth, maxNodes := 0, 0
+	levels := make([]treeLevels, len(trees))
+	o.treeSplit = make([]int, o.k)
+	maxDepth := 0
 	for i, t := range trees {
 		if len(t.Leaf) != o.n {
 			return nil, fmt.Errorf("frt: tree %d embeds %d nodes, tree 0 embeds %d", i, len(t.Leaf), o.n)
 		}
-		d, ok := leafDepth(t)
-		if !ok {
-			return nil, fmt.Errorf("frt: tree %d: %w", i, fmt.Errorf("frt: broken parent chain at leaf 0 (run Validate for details)"))
+		l, err := indexLevels(t)
+		if err != nil {
+			return nil, fmt.Errorf("frt: tree %d: %w", i, err)
 		}
-		depths[i] = d
-		maxDepth = max(maxDepth, d)
-		maxNodes = max(maxNodes, t.NumNodes())
+		levels[i], o.treeSplit[i] = l, l.laneSplit()
+		maxDepth = max(maxDepth, l.depth)
 	}
 	o.stride = maxDepth + 1
-	// split = lowest height whose cluster count fits a 16-bit lane in every
-	// tree. Distinct height-h ancestors of the n leaves number at most
-	// min(n, nodes at the matching tree level), so for n ≤ 65536 the split
-	// is always 0.
-	o.treeSplit = make([]int, o.k)
-	if o.n > packedLaneMax {
-		for i, t := range trees {
-			o.treeSplit[i] = laneSplit(treeLevelCounts(t, depths[i]), o.n, o.stride)
-			o.split = max(o.split, o.treeSplit[i])
-		}
-	}
+	o.split = slices.Max(o.treeSplit)
 	o.words = (o.stride - o.split + 3) / 4
 	o.loWords = (o.split + 1) / 2
-	id := make([]int32, maxNodes)
-	height := make([]int32, maxNodes)
-	for {
-		done, err := o.pack(trees, depths, id, height)
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			return o, nil
-		}
-		o.pwStep = o.k * o.stride
+	o.packed = make([]uint64, o.n*o.k*o.words)
+	if o.loWords > 0 {
+		o.packedLo = make([]uint64, o.n*o.k*o.loWords)
 	}
+	o.pw = make([]float64, o.k*o.stride)
+	for i, t := range trees {
+		if err := o.writeTree(t, i, levels[i]); err != nil {
+			return nil, fmt.Errorf("frt: tree %d: %w", i, err)
+		}
+	}
+	return o, nil
 }
 
 // newIndex returns an empty index of k trees over n leaves.
@@ -159,49 +139,35 @@ func newIndex(n, k int) *OracleIndex {
 	return o
 }
 
-// laneSplit returns the lowest height from which one tree's cluster ids fit
-// 16-bit lanes in an index of the given stride over n > packedLaneMax
-// leaves: one above the highest height with more than packedLaneMax
-// clusters, or 0. counts[h] is the tree's node count at height h
-// (treeLevelCounts), which bounds its height-h clusters together with n;
-// heights past the tree's depth repeat the root. A nil counts, for a
-// structurally suspect tree, bounds every height by n.
-func laneSplit(counts []int32, n, stride int) int {
-	if counts == nil {
-		return stride
+// treeLevels is what the index reads of one tree's layout: its level starts
+// (levelStarts) and its depth, the index of leaf 0's level among them.
+type treeLevels struct {
+	starts []int32
+	depth  int
+}
+
+// indexLevels checks t's layout contract and finds its depth.
+func indexLevels(t *Tree) (treeLevels, error) {
+	starts, err := t.levelStarts(nil)
+	if err != nil {
+		return treeLevels{}, err
 	}
-	for h := min(len(counts), stride) - 1; h >= 0; h-- {
-		if min(n, int(counts[h])) > packedLaneMax {
-			return h + 1
+	if len(t.Leaf) == 0 || t.Leaf[0] < 0 || int(t.Leaf[0]) >= t.NumNodes() {
+		return treeLevels{}, invalidTreeAt(0)
+	}
+	return treeLevels{starts, int(t.Level[0]) - int(t.Level[t.Leaf[0]])}, nil
+}
+
+// laneSplit returns the lowest height from which the tree's cluster ids fit
+// 16-bit lanes: one above the highest height whose level holds more than
+// packedLaneMax nodes, or 0.
+func (l treeLevels) laneSplit() int {
+	for li := 0; li <= l.depth; li++ {
+		if l.starts[li+1]-l.starts[li] > packedLaneMax {
+			return l.depth - li + 1
 		}
 	}
 	return 0
-}
-
-// pack fills the packed words and the weight table from scratch, one tree
-// at a time, with id and height as clusterIDs' scratch. With pwStep = 0 it
-// returns false at the first tree whose level weights are not uniform,
-// leaving the caller to restart with per-leaf rows.
-func (o *OracleIndex) pack(trees []*Tree, depths []int, id, height []int32) (bool, error) {
-	o.packed = make([]uint64, o.n*o.k*o.words)
-	if o.loWords > 0 {
-		o.packedLo = make([]uint64, o.n*o.k*o.loWords)
-	}
-	rows := 1
-	if o.pwStep > 0 {
-		rows = o.n
-	}
-	o.pw = make([]float64, rows*o.k*o.stride)
-	for i, t := range trees {
-		nn := t.NumNodes()
-		if err := clusterIDs(t, depths[i], id[:nn], height[:nn]); err != nil {
-			return false, fmt.Errorf("frt: tree %d: %w", i, err)
-		}
-		if !o.packTree(t, i, depths[i], id[:nn]) {
-			return false, nil
-		}
-	}
-	return true, nil
 }
 
 // invalidTreeAt is the error for a tree whose parent chain from graph node
@@ -210,201 +176,61 @@ func invalidTreeAt(v int) error {
 	return fmt.Errorf("frt: tree is structurally invalid at graph node %d (run Validate for details)", v)
 }
 
-// clusterIDs numbers t's nodes per height in first-seen order into id: for
-// v = 0…n−1 it climbs from v's leaf to the first node already numbered, and
-// a node's id is the number of same-height nodes numbered before it. Every
-// ancestor of a numbered node is numbered, so a height-h node gets its id
-// at the first leaf whose height-h ancestor it is — the equality-preserving
-// renumbering the merge-height scan compares, independent of how the tree
-// numbers its nodes. The walk also checks the tree's shape: leaves and
-// parents in range, and every leaf at depth, which is leaf 0's depth. A
-// node reached at a height other than the one it was numbered at closes a
-// parent cycle or joins chains of unequal length. The error names the
-// lowest graph node whose walk finds a defect.
-func clusterIDs(t *Tree, depth int, id, height []int32) error {
-	nn := len(id)
-	for u := range id {
-		id[u] = -1
-	}
-	next := make([]int32, depth+1)
-	for v, u := range t.Leaf {
-		for h := int32(0); ; h++ {
-			if u < 0 || int(u) >= nn || int(h) > depth {
-				return invalidTreeAt(v)
-			}
-			if id[u] >= 0 {
-				if height[u] != h {
-					return invalidTreeAt(v)
-				}
-				break
-			}
-			id[u], height[u] = next[h], h
-			next[h]++
-			if u = t.Parent[u]; u == -1 {
-				if int(h) != depth {
-					return invalidTreeAt(v)
-				}
-				break
-			}
+// writeTree writes tree ti's prefix-weight row and packed words (see the
+// pw and packed field docs), overwriting whatever the rows held. The row
+// sums the level weights bottom-up, Tree.Dist's summation order. Each
+// leaf's walk to the root owns its leaf's words, so leaves run in parallel.
+// The walk checks the tree's shape: the height-h ancestor must lie in the
+// height-h level's id range, and the height-depth one must be the root.
+// That catches leaves and parents out of range, parent cycles and leaves at
+// another depth; the error names the lowest graph node whose walk fails.
+// Lanes past the tree's depth, the root's lane and low-row padding lanes are
+// 0, so padding never manufactures a difference.
+func (o *OracleIndex) writeTree(t *Tree, ti int, l treeLevels) error {
+	row := o.pw[ti*o.stride : (ti+1)*o.stride]
+	row[0] = 0
+	for h := 1; h < o.stride; h++ {
+		row[h] = row[h-1]
+		if h <= l.depth {
+			row[h] += t.EdgeWeight[l.starts[l.depth-h+1]]
 		}
 	}
-	return nil
-}
-
-// leafDepth measures the parent-chain length of Leaf[0] with explicit
-// bounds and cycle guards, reporting failure instead of diverging on a
-// broken tree.
-func leafDepth(t *Tree) (int, bool) {
-	if len(t.Leaf) == 0 || t.NumNodes() == 0 || len(t.EdgeWeight) < t.NumNodes() {
-		return 0, false
-	}
-	depth := 0
-	for u := t.Leaf[0]; ; depth++ {
-		if u < 0 || int(u) >= t.NumNodes() || depth > t.NumNodes() {
-			return 0, false
-		}
-		if t.Parent[u] == -1 {
-			return depth, true
-		}
-		u = t.Parent[u]
-	}
-}
-
-// treeLevelCounts returns the number of tree nodes at each height (distance
-// below depth), an upper bound on the distinct height-h ancestors the
-// packed renumbering can produce. It returns nil on structurally suspect
-// trees (cycles, dangling parents, nodes deeper than the leaves); the
-// caller then falls back to the conservative bound n and clusterIDs
-// reports the defect.
-func treeLevelCounts(t *Tree, depth int) []int32 {
-	nn := t.NumNodes()
-	d := make([]int32, nn) // depth from the root; -1 = unknown
-	for i := range d {
-		d[i] = -1
-	}
-	counts := make([]int32, depth+1)
-	stack := make([]int32, 0, 64)
-	for u := 0; u < nn; u++ {
-		if d[u] != -1 {
-			continue
-		}
-		stack = stack[:0]
-		v := int32(u)
-		for d[v] == -1 {
-			stack = append(stack, v)
-			if len(stack) > nn {
-				return nil // parent cycle
-			}
-			p := t.Parent[v]
-			if p == -1 {
-				break
-			}
-			if p < 0 || int(p) >= nn {
-				return nil
-			}
-			v = p
-		}
-		base := int32(-1) // unwinding starts at the root (depth 0)
-		if d[v] != -1 {
-			base = d[v] // unwinding starts below an already-resolved node
-		}
-		for i := len(stack) - 1; i >= 0; i-- {
-			base++
-			d[stack[i]] = base
-		}
-	}
-	for u := 0; u < nn; u++ {
-		h := int32(depth) - d[u]
-		if h < 0 {
-			return nil // deeper than the leaves: invalid FRT tree
-		}
-		counts[h]++
-	}
-	return counts
-}
-
-// packTree writes tree t's packed words (see the packed field doc) and its
-// prefix weights, from the cluster ids clusterIDs numbered; the tree's
-// structure is already checked. Each leaf's walk to the root owns its
-// leaf's words, so leaves run in parallel, and every word is stored once.
-// Lanes past the tree's depth are the root's id 0, and low-row padding lanes
-// are 0 too, so padding never manufactures a difference. Prefix weights
-// accumulate bottom-up, Tree.Dist's summation order. With per-leaf rows
-// (pwStep > 0) each leaf writes its row, padded past the depth with the
-// full leaf-to-root weight; otherwise every leaf's sums are checked against
-// the shared row, leaf 0's, and packTree reports whether all matched
-// bitwise.
-func (o *OracleIndex) packTree(t *Tree, ti, depth int, id []int32) bool {
-	shared := o.pw[ti*o.stride : (ti+1)*o.stride]
-	if o.pwStep == 0 {
-		o.levelWeights(t, ti, depth)
-	}
-	split, k, words, loWords, perLeaf := o.split, o.k, o.words, o.loWords, o.pwStep > 0
-	parent, weight := t.Parent, t.EdgeWeight
-	return par.Reduce(o.n, true,
-		func(v int) bool {
+	n, k, split, words, loWords := o.n, o.k, o.split, o.words, o.loWords
+	starts, depth, parent := l.starts, l.depth, t.Parent
+	var bad atomic.Int64 // the lowest graph node whose walk fails, or n
+	bad.Store(int64(n))
+	par.ForEachChunk(n, func(start, end int) {
+		for v := start; v < end; v++ {
 			hi := o.packed[(v*k+ti)*words:][:words]
 			lo := o.packedLo[(v*k+ti)*loWords:][:loWords]
-			pw := shared
-			if perLeaf {
-				pw = o.pw[v*o.pwStep+ti*o.stride:][:o.stride]
-			}
-			uniform := true
-			u, acc, word := t.Leaf[v], 0.0, uint64(0)
-			for h := 0; ; h++ {
-				c := uint64(id[u])
-				if h < split {
-					word |= c << (uint(h&1) * 32)
-					if h&1 == 1 || h == split-1 {
-						lo[h>>1], word = word, 0
-					}
-				} else {
-					l := uint(h - split)
-					word |= c << ((l & 3) * 16)
-					if l&3 == 3 {
-						hi[l>>2], word = word, 0
-					}
-				}
-				if perLeaf {
-					pw[h] = acc
-				} else if pw[h] != acc {
-					uniform = false
-				}
-				if h == depth {
+			clear(hi)
+			clear(lo)
+			u, h := t.Leaf[v], 0
+			for ; h < depth; h++ {
+				first := starts[depth-h]
+				if u < first || u >= starts[depth-h+1] {
 					break
 				}
-				acc += weight[u]
+				lane := uint64(u - first)
+				if h < split {
+					lo[h>>1] |= lane << (uint(h&1) * 32)
+				} else {
+					l := uint(h - split)
+					hi[l>>2] |= lane << ((l & 3) * 16)
+				}
 				u = parent[u]
 			}
-			if word != 0 { // the partial word holding height depth
-				if depth < split {
-					lo[depth/2] = word
-				} else {
-					hi[(depth-split)/4] = word
+			if h < depth || u != 0 {
+				for cur := bad.Load(); int64(v) < cur && !bad.CompareAndSwap(cur, int64(v)); cur = bad.Load() {
 				}
+				return
 			}
-			if perLeaf {
-				for h := depth + 1; h < len(pw); h++ {
-					pw[h] = acc
-				}
-			}
-			return uniform
-		},
-		func(a, b bool) bool { return a && b })
-}
-
-// levelWeights fills tree ti's shared prefix-weight row from leaf 0's chain,
-// padded past the depth with the full leaf-to-root weight.
-func (o *OracleIndex) levelWeights(t *Tree, ti, depth int) {
-	shared := o.pw[ti*o.stride : (ti+1)*o.stride]
-	u, acc := t.Leaf[0], 0.0
-	for h := 1; h < o.stride; h++ {
-		if h <= depth {
-			acc += t.EdgeWeight[u]
-			u = t.Parent[u]
 		}
-		shared[h] = acc
+	})
+	if v := int(bad.Load()); v < n {
+		return invalidTreeAt(v)
 	}
+	return nil
 }
 
 // NumTrees returns the ensemble size K.
@@ -426,15 +252,15 @@ func (o *OracleIndex) MaxDepth() int { return o.stride - 1 }
 // rows agree; they agree at the shared root, and lockstep walks never
 // separate once met — is found by XOR-comparing packed-lane words top-down
 // and locating the highest differing lane with a leading-zero count. The
-// loop is chosen from the index's shape: 16-bit rows over level-uniform
-// trees (every BuildTree ensemble up to 65536 nodes) take a hand-inlined
-// scan, anything else the per-tree TreeDist.
+// loop is chosen from the index's shape: all-16-bit rows (every ensemble up
+// to 65536 nodes) take a hand-inlined scan, split rows the per-tree
+// TreeDist.
 func (o *OracleIndex) Min(u, v graph.Node) float64 {
 	if u == v {
 		return 0
 	}
 	var best float64
-	if o.split > 0 || o.pwStep > 0 {
+	if o.split > 0 {
 		for t := 0; t < o.k; t++ {
 			if d := o.TreeDist(u, v, t); t == 0 || d < best {
 				best = d
@@ -448,9 +274,8 @@ func (o *OracleIndex) Min(u, v graph.Node) float64 {
 	ps := o.pw
 	off, woff := 0, 0
 	// Both half-paths climb through identical level weights, so
-	// d = ps[h] + ps[h] — the same bits as the two per-leaf prefix weights —
-	// and the query never touches a per-leaf table. The word scan is inlined
-	// by hand: the Go inliner refuses functions with loops, and 16 calls per
+	// d = ps[h] + ps[h], the same bits as Tree.Dist's two half-path sums.
+	// The word scan is inlined by hand: the Go inliner refuses functions with loops, and 16 calls per
 	// query are measurable on the serving path.
 	for t := 0; t < o.k; t++ {
 		h := 0
@@ -470,14 +295,14 @@ func (o *OracleIndex) Min(u, v graph.Node) float64 {
 }
 
 // TreeDist returns the distance of u and v in tree t, bitwise
-// Trees[t].Dist(u, v): the prefix weights of both leaves at their merge
-// height, 0 when u == v.
+// Trees[t].Dist(u, v): twice the prefix weight at their merge height, 0 when
+// u == v.
 func (o *OracleIndex) TreeDist(u, v graph.Node, t int) float64 {
 	if u == v {
 		return 0
 	}
 	h := t*o.stride + o.height(u, v, t)
-	return o.pw[int(u)*o.pwStep+h] + o.pw[int(v)*o.pwStep+h]
+	return o.pw[h] + o.pw[h]
 }
 
 // height returns the merge height of u ≠ v in tree t: the 16-bit high row

@@ -8,8 +8,9 @@ import (
 
 // bigSyntheticTree builds a valid 3-level FRT-shaped tree on n leaves:
 // root → groups → leaves, with leaf v in group v%groups (or v/width when
-// byDivision). Level weights are uniform (leafW up, groupW up), matching
-// the BuildTree convention, so the shared weight table engages.
+// byDivision). Level weights are uniform (leafW up, groupW up) and the
+// levels are stored top-down, each numbered in order of its smallest
+// member leaf, as BuildTree stores them.
 func bigSyntheticTree(n, groups int, byDivision bool, leafW, groupW float64) *Tree {
 	nn := 1 + groups + n
 	tr := &Tree{
@@ -45,17 +46,14 @@ func bigSyntheticTree(n, groups int, byDivision bool, leafW, groupW float64) *Tr
 // TestOracleIndexSplitLanes drives the packed rows past the 16-bit lane
 // capacity: with n > 65536 leaves the height-0 cluster ids need 32-bit
 // lanes, so the index must select a nonzero split and still answer every
-// query identically to the tree walk — over level-uniform trees (shared
-// weight row) and with one skewed tree added (per-leaf weight rows).
+// query identically to the tree walk, through Min's general loop.
 func TestOracleIndexSplitLanes(t *testing.T) {
 	n := 1<<16 + 512
-	uniform := []*Tree{
+	trees := []*Tree{
 		bigSyntheticTree(n, 300, false, 1, 4),
 		bigSyntheticTree(n, 17, true, 2, 8),
 	}
-	skewed := bigSyntheticTree(n, 300, false, 1, 4)
-	skewed.EdgeWeight[skewed.Leaf[300*7+5]] = 3
-	for i, tr := range append(uniform, skewed) {
+	for i, tr := range trees {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("tree %d: %v", i, err)
 		}
@@ -65,71 +63,20 @@ func TestOracleIndexSplitLanes(t *testing.T) {
 		{0, graph.Node(n - 1)}, {graph.Node(n / 2), graph.Node(n/2 + 1)},
 		{17, 17}, {graph.Node(n - 2), graph.Node(n - 1)},
 	}
-	for _, trees := range [][]*Tree{uniform, append(uniform, skewed)} {
-		idx, err := NewOracleIndex(trees)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if idx.packedLo == nil || idx.split == 0 {
-			t.Fatalf("split rows not engaged: split=%d loWords=%d", idx.split, idx.loWords)
-		}
-		if perLeaf := idx.pwStep > 0; perLeaf != (len(trees) == 3) {
-			t.Fatalf("%d trees: per-leaf weight rows = %v", len(trees), perLeaf)
-		}
-		ens := &Ensemble{Trees: trees}
-		for _, p := range pairs {
-			if got, want := idx.Min(p.U, p.V), ens.minWalk(p.U, p.V); got != want {
-				t.Fatalf("%d trees: Min(%d,%d)=%v, walk %v", len(trees), p.U, p.V, got, want)
-			}
-			if got, want := idx.Median(p.U, p.V), medianWalkDirect(trees, p.U, p.V); got != want {
-				t.Fatalf("%d trees: Median(%d,%d)=%v, walk %v", len(trees), p.U, p.V, got, want)
-			}
-		}
-	}
-}
-
-// TestOracleIndexBackfillsNonUniformPrefix covers the streaming rare path:
-// when a later tree breaks level uniformity, the restarted stream must also
-// fill the per-leaf weight rows of the earlier (already dropped) trees.
-func TestOracleIndexBackfillsNonUniformPrefix(t *testing.T) {
-	uniform := &Tree{
-		Parent:     []int32{-1, 0, 0, 1, 2},
-		EdgeWeight: []float64{0, 5, 5, 2, 2},
-		Center:     []graph.Node{0, 0, 1, 0, 1},
-		Level:      []int32{2, 1, 1, 0, 0},
-		Leaf:       []int32{3, 4},
-		Beta:       1.5,
-	}
-	skewed := &Tree{
-		Parent:     []int32{-1, 0, 0, 1, 2},
-		EdgeWeight: []float64{0, 5, 7, 2, 3},
-		Center:     []graph.Node{0, 0, 1, 0, 1},
-		Level:      []int32{2, 1, 1, 0, 0},
-		Leaf:       []int32{3, 4},
-		Beta:       1.5,
-	}
-	for _, tr := range []*Tree{uniform, skewed} {
-		if err := tr.Validate(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	idx, err := NewOracleIndex([]*Tree{uniform, skewed})
+	idx, err := NewOracleIndex(trees)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.pwStep == 0 {
-		t.Fatal("shared table built despite a non-uniform tree")
+	if idx.packedLo == nil || idx.split == 0 {
+		t.Fatalf("split rows not engaged: split=%d loWords=%d", idx.split, idx.loWords)
 	}
-	want := uniform.Dist(0, 1)
-	if d := skewed.Dist(0, 1); d < want {
-		want = d
-	}
-	if got := idx.Min(0, 1); got != want {
-		t.Fatalf("Min(0,1)=%v, walk %v (tree 0's weights lost in the restart?)", got, want)
-	}
-	var per [2]float64
-	idx.perTreeDists(0, 1, 0, 2, per[:])
-	if per[0] != uniform.Dist(0, 1) || per[1] != skewed.Dist(0, 1) {
-		t.Fatalf("per-tree dists %v, want [%v %v]", per, uniform.Dist(0, 1), skewed.Dist(0, 1))
+	ens := &Ensemble{Trees: trees}
+	for _, p := range pairs {
+		if got, want := idx.Min(p.U, p.V), ens.minWalk(p.U, p.V); got != want {
+			t.Fatalf("Min(%d,%d)=%v, walk %v", p.U, p.V, got, want)
+		}
+		if got, want := idx.Median(p.U, p.V), medianWalkDirect(trees, p.U, p.V); got != want {
+			t.Fatalf("Median(%d,%d)=%v, walk %v", p.U, p.V, got, want)
+		}
 	}
 }

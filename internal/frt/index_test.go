@@ -131,10 +131,9 @@ func insertionSort(a []float64) {
 }
 
 // TestOracleIndexFastPathSelection pins the layout selection: on sampled
-// trees (level-uniform by construction, n ≤ 65536) the index must take the
-// 16-bit rows and the shared level-weight table that Min's fast loop scans —
-// if either silently stops applying, the serving path regresses with no
-// functional failure to flag it.
+// trees (n ≤ 65536) the index must take the all-16-bit rows that Min's fast
+// loop scans — if that silently stops applying, the serving path regresses
+// with no functional failure to flag it.
 func TestOracleIndexFastPathSelection(t *testing.T) {
 	_, e := sampleEnsembleForIndex(t, 61, 48, 120, 4)
 	idx, err := e.Index()
@@ -144,82 +143,58 @@ func TestOracleIndexFastPathSelection(t *testing.T) {
 	if idx.split != 0 || idx.packedLo != nil {
 		t.Fatalf("32-bit low rows built for a small graph (split=%d)", idx.split)
 	}
-	if idx.pwStep != 0 {
-		t.Fatal("shared level-weight table not detected on BuildTree trees")
-	}
 }
 
 // perturbLeafEdge returns a copy of tr whose leaf edge of graph node v
-// carries half its weight: the tree stays valid but is no longer
-// level-uniform, so an index over it needs per-leaf weight rows.
-func perturbLeafEdge(t testing.TB, tr *Tree, v graph.Node) *Tree {
-	t.Helper()
+// carries half its weight: the tree is sound but no longer level-uniform,
+// so it breaks the layout contract.
+func perturbLeafEdge(tr *Tree, v graph.Node) *Tree {
 	cp := *tr
 	cp.EdgeWeight = append([]float64(nil), tr.EdgeWeight...)
 	cp.EdgeWeight[tr.Leaf[v]] /= 2
-	if err := cp.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	return &cp
 }
 
-// TestOracleIndexKernelsAgree runs both of Min's loops on real input: a
-// BuildTree ensemble (the fast loop) and the same ensemble with one leaf
-// edge of one tree reweighted (per-leaf weight rows, the general loop),
-// on random pairs and on every pair with the reweighted leaf.
-// Min, Median, MinBatch, MedianBatch and PerTreeBatch must reproduce the
-// walk bitwise at every par.MaxProcs setting.
+// TestOracleIndexKernelsAgree runs Min's fast loop on a BuildTree ensemble,
+// on random pairs and on every pair with one fixed node. Min, Median,
+// MinBatch, MedianBatch and PerTreeBatch must reproduce the walk bitwise at
+// every par.MaxProcs setting. The general loop is TestOracleIndexSplitLanes'.
 func TestOracleIndexKernelsAgree(t *testing.T) {
 	defer func(p int) { par.MaxProcs = p }(par.MaxProcs)
 	g, e := sampleEnsembleForIndex(t, 71, 64, 160, 5)
-	const moved = 7
-	skewed := append([]*Tree(nil), e.Trees...)
-	skewed[2] = perturbLeafEdge(t, e.Trees[2], moved)
+	const fixed = 7
 	prng := par.NewRNG(72)
 	pairs := make([]Pair, 150, 150+2*g.N())
 	for i := range pairs {
 		pairs[i] = Pair{U: graph.Node(prng.Intn(g.N())), V: graph.Node(prng.Intn(g.N()))}
 	}
 	for v := graph.Node(0); v < graph.Node(g.N()); v++ {
-		pairs = append(pairs, Pair{U: moved, V: v}, Pair{U: v, V: moved})
+		pairs = append(pairs, Pair{U: fixed, V: v}, Pair{U: v, V: fixed})
 	}
 	for _, procs := range maxProcsSettings() {
 		par.MaxProcs = procs
-		for _, c := range []struct {
-			name    string
-			trees   []*Tree
-			perLeaf bool
-		}{
-			{"uniform", e.Trees, false},
-			{"skewed", skewed, true},
-		} {
-			ens := &Ensemble{Trees: c.trees}
-			idx, err := NewOracleIndex(c.trees)
-			if err != nil {
-				t.Fatal(err)
+		idx, err := NewOracleIndex(e.Trees)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mins := idx.MinBatch(pairs, nil)
+		meds := idx.MedianBatch(pairs, nil)
+		per, err := idx.PerTreeBatch(pairs, 0, idx.k, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range pairs {
+			want := e.minWalk(p.U, p.V)
+			if got := idx.Min(p.U, p.V); got != want || mins[i] != want {
+				t.Fatalf("procs=%d: Min(%d,%d)=%v, MinBatch %v, walk %v", procs, p.U, p.V, got, mins[i], want)
 			}
-			if perLeaf := idx.pwStep > 0; perLeaf != c.perLeaf {
-				t.Fatalf("%s: per-leaf weight rows = %v, want %v", c.name, perLeaf, c.perLeaf)
+			wmed := medianWalkDirect(e.Trees, p.U, p.V)
+			if got := idx.Median(p.U, p.V); got != wmed || meds[i] != wmed {
+				t.Fatalf("procs=%d: Median(%d,%d)=%v, MedianBatch %v, walk %v", procs, p.U, p.V, got, meds[i], wmed)
 			}
-			mins := idx.MinBatch(pairs, nil)
-			meds := idx.MedianBatch(pairs, nil)
-			per, err := idx.PerTreeBatch(pairs, 0, idx.k, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, p := range pairs {
-				want := ens.minWalk(p.U, p.V)
-				if got := idx.Min(p.U, p.V); got != want || mins[i] != want {
-					t.Fatalf("procs=%d %s: Min(%d,%d)=%v, MinBatch %v, walk %v", procs, c.name, p.U, p.V, got, mins[i], want)
-				}
-				wmed := medianWalkDirect(c.trees, p.U, p.V)
-				if got := idx.Median(p.U, p.V); got != wmed || meds[i] != wmed {
-					t.Fatalf("procs=%d %s: Median(%d,%d)=%v, MedianBatch %v, walk %v", procs, c.name, p.U, p.V, got, meds[i], wmed)
-				}
-				for ti, tr := range c.trees {
-					if got, want := per[i*idx.k+ti], tr.Dist(p.U, p.V); got != want {
-						t.Fatalf("procs=%d %s: PerTreeBatch(%d,%d) tree %d = %v, walk %v", procs, c.name, p.U, p.V, ti, got, want)
-					}
+			for ti, tr := range e.Trees {
+				if got, want := per[i*idx.k+ti], tr.Dist(p.U, p.V); got != want {
+					t.Fatalf("procs=%d: PerTreeBatch(%d,%d) tree %d = %v, walk %v", procs, p.U, p.V, ti, got, want)
 				}
 			}
 		}
@@ -243,31 +218,42 @@ func TestOracleIndexReleasesSupersededTables(t *testing.T) {
 	}
 }
 
-// TestOracleIndexNonUniformWeights feeds a valid tree whose level weights
-// differ between branches (possible for deserialised trees, impossible for
-// BuildTree output): the shared-table optimisation must disengage and
-// queries must still match the walk.
-func TestOracleIndexNonUniformWeights(t *testing.T) {
-	tr := &Tree{
-		Parent:     []int32{-1, 0, 0, 1, 2},
-		EdgeWeight: []float64{0, 5, 7, 2, 2},
-		Center:     []graph.Node{0, 0, 1, 0, 1},
-		Level:      []int32{2, 1, 1, 0, 0},
-		Leaf:       []int32{3, 4},
-		Beta:       1.5,
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	idx, err := NewOracleIndex([]*Tree{tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx.pwStep == 0 {
-		t.Fatal("shared level-weight table built for non-uniform weights")
-	}
-	if got, want := idx.Min(0, 1), tr.Dist(0, 1); got != want {
-		t.Fatalf("Min(0,1)=%v, walk %v", got, want)
+// TestOracleIndexRefusesLayoutBreakers: sound trees that break the layout
+// contract — a reweighted leaf edge, permuted node ids, and both — must
+// fail Validate and NewOracleIndex, on sampled trees and on split-lane ones,
+// while the trees they came from pass both.
+func TestOracleIndexRefusesLayoutBreakers(t *testing.T) {
+	_, e := sampleEnsembleForIndex(t, 101, 64, 160, 2)
+	big := bigSyntheticTree(1<<16+512, 300, false, 1, 4)
+	prng := par.NewRNG(102)
+	for _, c := range []struct {
+		name string
+		tr   *Tree
+	}{
+		{"sampled", e.Trees[0]},
+		{"split", big},
+	} {
+		if err := c.tr.Validate(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if _, err := NewOracleIndex([]*Tree{c.tr}); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for _, b := range []struct {
+			name string
+			tr   *Tree
+		}{
+			{"non-uniform", perturbLeafEdge(c.tr, 17)},
+			{"permuted", permuteTree(c.tr, prng)},
+			{"permuted-non-uniform", permuteTree(perturbLeafEdge(c.tr, 3), prng)},
+		} {
+			if err := b.tr.Validate(); err == nil {
+				t.Fatalf("%s/%s: Validate accepted the tree", c.name, b.name)
+			}
+			if _, err := NewOracleIndex([]*Tree{c.tr, b.tr}); err == nil || !strings.Contains(err.Error(), "tree 1") {
+				t.Fatalf("%s/%s: NewOracleIndex error %v, want one naming tree 1", c.name, b.name, err)
+			}
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"parmbf/internal/graph"
@@ -256,8 +257,9 @@ func TestWriteSnapshotRejectsBadEnsembles(t *testing.T) {
 
 // TestReadSnapshotHostileInput pins the parser's rejection paths
 // deterministically (the fuzz target explores beyond them): bad magic,
-// unknown versions, truncations at every boundary, corrupt checksums, and
-// headers declaring more than the file holds all error out without panic.
+// unknown versions, truncations at every boundary, corrupt checksums,
+// headers declaring more than the file holds, and trees that break the
+// layout contract all error out without panic.
 func TestReadSnapshotHostileInput(t *testing.T) {
 	_, ens := sampleEnsembleForIndex(t, 37, 16, 40, 2)
 	var buf bytes.Buffer
@@ -309,6 +311,21 @@ func TestReadSnapshotHostileInput(t *testing.T) {
 		binary.LittleEndian.PutUint64(b[metaOff:], 0)
 		fixChecksum(b)
 	})
+	// A sound tree that breaks the layout contract fails, naming the tree.
+	// WriteSnapshot refuses one, so tree 1's record is overwritten in place.
+	treesOff := int(binary.LittleEndian.Uint64(good[snapshotHeaderLen+snapshotSectionLen+8:]))
+	tree1Off := treesOff + treeRecordSize(ens.Trees[0].NumNodes(), len(ens.Trees[0].Leaf))
+	for name, bad := range map[string]*Tree{
+		"non-uniform": perturbLeafEdge(ens.Trees[1], 5),
+		"permuted":    permuteTree(ens.Trees[1], par.NewRNG(38)),
+	} {
+		b := append([]byte(nil), good...)
+		putTreeRecord(b, tree1Off, bad)
+		fixChecksum(b)
+		if _, _, err := ReadSnapshot(b); err == nil || !strings.Contains(err.Error(), "tree 1 invalid") {
+			t.Fatalf("%s tree: ReadSnapshot error %v, want one naming tree 1", name, err)
+		}
+	}
 }
 
 // fixChecksum recomputes the trailer so a structural mutation is tested on

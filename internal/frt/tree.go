@@ -24,6 +24,17 @@ import (
 // while dist_T(u,v) = 2·Σ_{j≤i} 2β2^j = 4β(2^{i+1}−2^imin) ≥ 2β2^{i+1}).
 // It costs only a factor 2 in the upper bound, so the expected stretch
 // remains O(log n).
+//
+// Layout contract. BuildTree stores a tree so that it can be indexed by
+// offsets, and Validate refuses one that is stored otherwise:
+//   - the root is tree node 0;
+//   - Level is non-increasing in the node id and drops by at most one from
+//     one id to the next, so each level is one contiguous id range, taken
+//     top-down;
+//   - every non-root node at a level has that level's one EdgeWeight.
+//
+// OracleIndex packs a node's offset within its level as its cluster id, and
+// the k-median tree DP prices a climb by level alone; both rely on it.
 type Tree struct {
 	// Parent[t] is the parent tree node of t, or -1 for the root.
 	Parent []int32
@@ -62,7 +73,8 @@ func (t *Tree) Depth() int {
 // the weight of the unique tree path between them. Both leaves are at equal
 // depth, so the walk climbs in lockstep until the paths merge. The two
 // half-paths are summed separately, bottom-up, so the result is bitwise
-// identical to OracleIndex.TreeDist, which answers from per-leaf prefix sums.
+// identical to OracleIndex.TreeDist, which doubles the level weights' prefix
+// sum.
 //
 // On a tree violating the uniform-leaf-depth invariant (a structural error
 // that Validate reports) Dist returns +Inf rather than panicking.
@@ -85,9 +97,10 @@ func (t *Tree) Dist(u, v graph.Node) float64 {
 
 // Validate checks the structural invariants of the tree: consistent array
 // lengths, a single root, acyclic parent pointers, leaves in range and at
-// uniform depth, positive edge weights, and centers consistent with levels.
-// It returns nil if all hold; it never panics, so it is safe to call on
-// trees assembled from untrusted input (ReadSnapshot relies on this).
+// uniform depth, positive edge weights, centers consistent with levels, and
+// the layout contract (see Tree). It returns nil if all hold; it never
+// panics, so it is safe to call on trees assembled from untrusted input
+// (ReadSnapshot relies on this).
 func (t *Tree) Validate() error {
 	n := len(t.Leaf)
 	if t.NumNodes() == 0 {
@@ -145,7 +158,44 @@ func (t *Tree) Validate() error {
 			return fmt.Errorf("leaf of %d has center %d", v, t.Center[t.Leaf[v]])
 		}
 	}
-	return nil
+	var buf [64]int32 // 63 levels, a distance ratio up to about 2^61, need no allocation
+	_, err := t.levelStarts(buf[:0])
+	return err
+}
+
+// levelStarts checks the layout contract (see Tree) and returns where the
+// levels start: the li-th level from the top occupies tree ids
+// [starts[li], starts[li+1]), and the last entry is NumNodes. The starts
+// overwrite buf when it has room for them, else one slice is allocated. It
+// reads only Parent[0], Level and EdgeWeight, so it is safe on a tree that
+// Validate would refuse for other reasons.
+func (t *Tree) levelStarts(buf []int32) ([]int32, error) {
+	nn := t.NumNodes()
+	if nn == 0 || len(t.Level) != nn || len(t.EdgeWeight) != nn {
+		return nil, fmt.Errorf("%d parents, %d levels, %d weights: need equal and non-zero", nn, len(t.Level), len(t.EdgeWeight))
+	}
+	if t.Parent[0] != -1 {
+		return nil, fmt.Errorf("tree node 0 is not the root")
+	}
+	// A tree that meets the contract has Level[0]−Level[nn−1]+1 ≤ nn levels.
+	span := int64(t.Level[0]) - int64(t.Level[nn-1])
+	if c := int(min(max(span, 0), int64(nn-1))) + 2; cap(buf) < c {
+		buf = make([]int32, 0, c)
+	}
+	starts := append(buf[:0], 0)
+	for u := 1; u < nn; u++ {
+		switch int64(t.Level[u-1]) - int64(t.Level[u]) {
+		case 0:
+			if u > 1 && t.EdgeWeight[u] != t.EdgeWeight[u-1] {
+				return nil, fmt.Errorf("tree node %d: edge weight %v differs from its level's %v", u, t.EdgeWeight[u], t.EdgeWeight[u-1])
+			}
+		case 1:
+			starts = append(starts, int32(u))
+		default:
+			return nil, fmt.Errorf("tree node %d: level %d after level %d, not stored top-down", u, t.Level[u], t.Level[u-1])
+		}
+	}
+	return append(starts, int32(nn)), nil
 }
 
 // BuildTree assembles the FRT tree from LE lists (Lemma 7.2). lists[v] must
@@ -426,7 +476,7 @@ func assembleTree(lists []semiring.DistMap, rk RankKeys, beta float64, p treePat
 	// appended to allParent and allCenter, and the Tree's arrays are
 	// allocated once, at the final node count. The levels are thus stored
 	// top-down at contiguous ids, each numbered in order of its clusters'
-	// smallest member leaf, which OracleIndex.patch relies on.
+	// smallest member leaf (see the layout contract on Tree).
 	allParent := append(s.allParent[:0], -1)
 	allCenter := append(s.allCenter[:0], rootCenter)
 	levelEnd := []int{1}

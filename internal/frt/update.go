@@ -49,13 +49,11 @@
 // every list of that tree, exactly the full build. UpdateStats.PatchedRows
 // and RangeRebuilds count both.
 //
-// The OracleIndex is patched too. Assembly numbers each level's clusters in
-// order of their smallest member leaf, which is how the index numbers a
-// height's clusters, so a re-assembled tree's node ids, offset per level,
-// are its packed lanes. The next index copies the current one's words and
-// rewrites the dirty trees' rows from their leaf-to-root chains
-// (OracleIndex.patch). When a batch moves the index layout (a new largest
-// depth or lane split), NewOracleIndex packs all trees instead, and
+// The OracleIndex is patched too. The index's lanes are node ids offset per
+// level (see Tree's layout contract), so the next index copies the current
+// one's words and rewrites the dirty trees' rows through the writer a fresh
+// pack uses (OracleIndex.patch). When a batch moves the index layout (a new
+// largest depth or lane split), NewOracleIndex packs all trees instead, and
 // UpdateStats.IndexRebuilds counts it. The per-tree repair marks (the taint
 // cone's, the reset set's and the repair runner's) are pooled and cleared
 // through the nodes they mark.
@@ -325,10 +323,10 @@ func taintCone(g *graph.Graph, lists []semiring.DistMap, applied []graph.Applied
 // randomness (NewDynamicEnsembleWith on the edited graph).
 //
 // The OracleIndex is patched, not repacked: the next index is a copy of
-// the current one with the re-assembled trees' rows rewritten from their
-// cluster ids. When the batch moves the index layout (the largest depth or
-// the lane split), NewOracleIndex packs the new trees instead. Either way
-// the index equals NewOracleIndex of the new trees, field for field.
+// the current one with the re-assembled trees' rows rewritten. When the
+// batch moves the index layout (the largest depth or the lane split),
+// NewOracleIndex packs the new trees instead. Either way the index equals
+// NewOracleIndex of the new trees, field for field.
 //
 // The batch is transactional: on any error — validation, a deletion that
 // disconnects the graph (the §1.2 standing assumption), tree assembly — the
@@ -457,78 +455,37 @@ func (d *DynamicEnsemble) ApplyEdits(edits []graph.Edit) (*UpdateStats, error) {
 }
 
 // patch returns the index of trees, which differ from the trees o indexes
-// only where dirty is set, or nil when the layout moved: a new largest
-// depth (stride), a new lane split, or per-leaf weight rows in o. The
-// result copies o's words and weight rows and rewrites the dirty trees'
-// rows, so it equals NewOracleIndex(trees) field for field.
-//
-// Every dirty tree must be assembled (assembleTree). Assembly stores the
-// levels top-down at contiguous node ids and numbers each level's clusters
-// in order of their smallest member leaf, which is the order in which
-// clusterIDs numbers a height. So a node's lane is its offset within its
-// level: its id minus that of leaf 0's ancestor at the same height, the
-// level's first cluster. The rows are then written straight from the
-// leaf-to-root chains, in parallel over leaves as in packTree but with no
-// renumbering pass, and the trees are level-uniform, so each writes only
-// its shared weight row.
+// only where dirty is set, or nil when the layout moved (a new largest
+// depth, hence stride, or a new lane split) or a dirty tree cannot be indexed;
+// NewOracleIndex then repacks, or reports the error. The result copies o's
+// words and weight rows and rewrites the dirty trees' through writeTree, so
+// it equals NewOracleIndex(trees) field for field.
 func (o *OracleIndex) patch(trees []*Tree, dirty []bool) *OracleIndex {
-	if o.pwStep != 0 {
-		return nil
-	}
 	c := newIndex(o.n, o.k)
 	c.stride, c.split, c.words, c.loWords = o.stride, o.split, o.words, o.loWords
 	c.treeSplit = slices.Clone(o.treeSplit)
-	// first[ti][h] is the first node id of dirty tree ti's height-h level.
-	first := make([][]int32, len(trees))
+	levels := make([]treeLevels, len(trees))
 	maxDepth := 0
 	for ti, t := range trees {
-		maxDepth = max(maxDepth, t.Depth())
 		if !dirty[ti] {
+			maxDepth = max(maxDepth, t.Depth())
 			continue
 		}
-		for u := t.Leaf[0]; u != -1; u = t.Parent[u] {
-			first[ti] = append(first[ti], u)
+		l, err := indexLevels(t)
+		if err != nil {
+			return nil
 		}
-		if c.n > packedLaneMax {
-			counts, end := make([]int32, len(first[ti])), int32(t.NumNodes())
-			for h, f := range first[ti] {
-				counts[h], end = end-f, f
-			}
-			c.treeSplit[ti] = laneSplit(counts, c.n, len(counts))
-		}
+		levels[ti], c.treeSplit[ti] = l, l.laneSplit()
+		maxDepth = max(maxDepth, l.depth)
 	}
 	if maxDepth+1 != c.stride || slices.Max(c.treeSplit) != c.split {
 		return nil
 	}
 	c.pw, c.packed, c.packedLo = slices.Clone(o.pw), slices.Clone(o.packed), slices.Clone(o.packedLo)
-	n, k, split, words, loWords := c.n, c.k, c.split, c.words, c.loWords
 	for ti, t := range trees {
-		if !dirty[ti] {
-			continue
+		if dirty[ti] && c.writeTree(t, ti, levels[ti]) != nil {
+			return nil
 		}
-		f, depth := first[ti], len(first[ti])-1
-		c.levelWeights(t, ti, depth)
-		// Each leaf's walk to the root rewrites its own row; lanes past
-		// the depth and the root's lane are 0.
-		par.ForEachChunk(n, func(start, end int) {
-			for v := start; v < end; v++ {
-				hi := c.packed[(v*k+ti)*words:][:words]
-				lo := c.packedLo[(v*k+ti)*loWords:][:loWords]
-				clear(hi)
-				clear(lo)
-				u := t.Leaf[v]
-				for h := 0; h < depth; h++ {
-					lane := uint64(u - f[h])
-					if h < split {
-						lo[h>>1] |= lane << (uint(h&1) * 32)
-					} else {
-						l := uint(h - split)
-						hi[l>>2] |= lane << ((l & 3) * 16)
-					}
-					u = t.Parent[u]
-				}
-			}
-		})
 	}
 	return c
 }

@@ -62,7 +62,10 @@ type Edge = graph.Edge
 // Matrix is a dense distance matrix over the min-plus semiring.
 type Matrix = graph.Matrix
 
-// Tree is a sampled FRT metric tree embedding.
+// Tree is a sampled FRT metric tree embedding. Its layout is a checked
+// contract (see frt.Tree): the root is node 0, the levels are contiguous id
+// ranges taken top-down, and each level has one edge weight. Tree.Validate,
+// the distance oracle and the applications refuse a tree stored otherwise.
 type Tree = frt.Tree
 
 // Embedding is one sample from the FRT distribution: the tree (whose Beta
