@@ -46,10 +46,11 @@ type result struct {
 
 // parseBenchLines extracts name → {ns/op, B/op} from raw `go test -bench`
 // output lines. The trailing -N GOMAXPROCS suffix is stripped so runs from
-// machines with different core counts stay comparable.
+// machines with different core counts stay comparable. Metrics a benchmark
+// reports itself (b.ReportMetric) print between ns/op and B/op.
 func parseBenchLines(lines []string) map[string]result {
 	out := make(map[string]result)
-	re := regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op)?`)
+	re := regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([0-9.]+) ns/op(?:.*?\s([0-9.]+) B/op)?`)
 	for _, l := range lines {
 		m := re.FindStringSubmatch(l)
 		if m == nil {

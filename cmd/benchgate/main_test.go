@@ -14,12 +14,15 @@ func TestParseBenchLines(t *testing.T) {
 		"BenchmarkDijkstra4096-8      \t    1081\t   1144411 ns/op\t  147536 B/op\t       7 allocs/op",
 		"ok  \tparmbf/internal/mbf\t6.376s",
 		"BenchmarkSub/trees=4-16      \t      10\t 158000000 ns/op",
+		"BenchmarkEmbedderSample-2    \t       3\t   8713934 ns/op\t         5.000 iters/op\t    431381 work/op\t 1397888 B/op\t    9202 allocs/op",
 	}
 	got := parseBenchLines(lines)
 	want := map[string]result{
 		"BenchmarkIterate4096":  {Ns: 33650869, Bytes: 4857426},
 		"BenchmarkDijkstra4096": {Ns: 1144411, Bytes: 147536},
 		"BenchmarkSub/trees=4":  {Ns: 158000000, Bytes: -1}, // no -benchmem column
+		// b.ReportMetric columns print between ns/op and B/op.
+		"BenchmarkEmbedderSample": {Ns: 8713934, Bytes: 1397888},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("parsed %d benchmarks, want %d: %v", len(got), len(want), got)

@@ -9,6 +9,21 @@ import (
 	"parmbf/internal/semiring"
 )
 
+// reportCounters stops the timer and publishes the deterministic cost
+// counters of one traced run of a benchmark's operation with fixed
+// randomness: run charges tr and returns its (oracle or fixpoint)
+// iterations. The timed loop runs untraced, since tracing adds work, and
+// varies its randomness from op to op, so the counters come from this run:
+// work/op is the tracker work and iters/op the iterations, which repeat
+// bitwise run to run and across par.MaxProcs.
+func reportCounters(b *testing.B, run func(tr *par.Tracker) int) {
+	b.StopTimer()
+	tr := &par.Tracker{}
+	iters := run(tr)
+	b.ReportMetric(float64(tr.Work()), "work/op")
+	b.ReportMetric(float64(iters), "iters/op")
+}
+
 func BenchmarkLEListsOnGraph(b *testing.B) {
 	rng := par.NewRNG(1)
 	g := graph.RandomConnected(512, 2048, 8, rng)
@@ -18,6 +33,10 @@ func BenchmarkLEListsOnGraph(b *testing.B) {
 		order := NewOrder(g.N(), rng)
 		leListsOnGraph(g, order, nil)
 	}
+	reportCounters(b, func(tr *par.Tracker) int {
+		_, iters := leListsOnGraph(g, NewOrder(g.N(), par.NewRNG(7)), tr)
+		return iters
+	})
 }
 
 func BenchmarkLEListsFromMetric(b *testing.B) {
@@ -138,6 +157,18 @@ func BenchmarkEmbedderSample(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	reportCounters(b, func(tr *par.Tracker) int {
+		e, err := NewEmbedder(g, Options{RNG: par.NewRNG(42)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		e.opts.Tracker = tr // the draw's work only, not the hop set's
+		emb, err := e.Sample()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return emb.Iterations
+	})
 }
 
 // BenchmarkEmbedderSampleChungLu1024 is a K=2 draw on a warm Embedder at the

@@ -266,6 +266,9 @@ type assembly struct {
 	// ranges is the tree's rowRange per block of rangeBlock rows, for the
 	// next patch.
 	ranges []rowRange
+	// starts is the tree's levelStarts, known from the assembly itself, so
+	// an index patch need not re-scan Level.
+	starts []int32
 }
 
 // treeScratch is the n-sized working memory of one tree assembly, pooled so
@@ -512,6 +515,10 @@ func assembleTree(lists []semiring.DistMap, rk RankKeys, beta float64, p treePat
 		Center: slices.Clone(allCenter),
 		Leaf:   cur,
 		Beta:   beta,
+	}
+	built.starts = make([]int32, 1, len(levelEnd)+1)
+	for _, end := range levelEnd {
+		built.starts = append(built.starts, int32(end))
 	}
 	// EdgeWeight and Level are functions of the level sizes, imax and β
 	// alone, so a patch whose levels kept their sizes shares the old

@@ -384,7 +384,13 @@ func (d *DynamicEnsemble) ApplyEdits(edits []graph.Edit) (*UpdateStats, error) {
 				seeds = append(seeds, sum.Touched...)
 			}
 		}
-		changed, iters := d.runner.RepairInPlace(x, seeds, g2.N())
+		// Every seed's old state is its old list: a reset node's singleton
+		// is an entry of that list, so it adds nothing its readers lack.
+		olds := make([]semiring.DistMap, len(seeds))
+		for j, v := range seeds {
+			olds[j] = old[v]
+		}
+		changed, iters := d.runner.RepairInPlace(x, seeds, olds, g2.N())
 		r.iters = iters
 		// The affected set — reset or actually changed — is where the new
 		// lists can differ from the old; everything else aliases old states.
@@ -424,7 +430,7 @@ func (d *DynamicEnsemble) ApplyEdits(edits []graph.Edit) (*UpdateStats, error) {
 	newLists := make([][]semiring.DistMap, d.K())
 	newRanges := make([][]rowRange, d.K())
 	newTrees := make([]*Tree, d.K())
-	dirty := make([]bool, d.K())
+	starts := make([][]int32, d.K())
 	for i, r := range repairs {
 		if r.err != nil {
 			return nil, r.err
@@ -437,13 +443,13 @@ func (d *DynamicEnsemble) ApplyEdits(edits []graph.Edit) (*UpdateStats, error) {
 			if r.built.full {
 				stats.RangeRebuilds++
 			}
-			dirty[i] = true
+			starts[i] = r.built.starts
 		}
 		newLists[i], newRanges[i], newTrees[i] = r.lists, r.built.ranges, r.tree
 	}
 	index := d.index
 	if stats.AffectedTrees > 0 {
-		if index = d.index.patch(newTrees, dirty); index == nil {
+		if index = d.index.patch(newTrees, starts); index == nil {
 			stats.IndexRebuilds = 1
 			if index, err = NewOracleIndex(newTrees); err != nil {
 				return nil, fmt.Errorf("frt: indexing the repaired trees: %w", err)
@@ -455,26 +461,27 @@ func (d *DynamicEnsemble) ApplyEdits(edits []graph.Edit) (*UpdateStats, error) {
 }
 
 // patch returns the index of trees, which differ from the trees o indexes
-// only where dirty is set, or nil when the layout moved (a new largest
-// depth, hence stride, or a new lane split) or a dirty tree cannot be indexed;
-// NewOracleIndex then repacks, or reports the error. The result copies o's
-// words and weight rows and rewrites the dirty trees' through writeTree, so
-// it equals NewOracleIndex(trees) field for field.
-func (o *OracleIndex) patch(trees []*Tree, dirty []bool) *OracleIndex {
+// only at the re-assembled ones, or nil when the layout moved (a new largest
+// depth, hence stride, or a new lane split) or a re-assembled tree cannot
+// be indexed; NewOracleIndex then repacks, or reports the error. The result
+// copies o's words and weight rows and rewrites the re-assembled trees'
+// through writeTree, so it equals NewOracleIndex(trees) field for field.
+// starts[ti] is nil for a tree o indexes and, for a re-assembled tree, its
+// levelStarts as the assembly laid the levels out (assembly.starts): an
+// assembled tree meets the layout contract by construction, so patch takes
+// its levels from there instead of re-scanning Level.
+func (o *OracleIndex) patch(trees []*Tree, starts [][]int32) *OracleIndex {
 	c := newIndex(o.n, o.k)
 	c.stride, c.split, c.words, c.loWords = o.stride, o.split, o.words, o.loWords
 	c.treeSplit = slices.Clone(o.treeSplit)
 	levels := make([]treeLevels, len(trees))
 	maxDepth := 0
 	for ti, t := range trees {
-		if !dirty[ti] {
+		if starts[ti] == nil {
 			maxDepth = max(maxDepth, t.Depth())
 			continue
 		}
-		l, err := indexLevels(t)
-		if err != nil {
-			return nil
-		}
+		l := treeLevels{starts: starts[ti], depth: len(starts[ti]) - 2}
 		levels[ti], c.treeSplit[ti] = l, l.laneSplit()
 		maxDepth = max(maxDepth, l.depth)
 	}
@@ -483,7 +490,7 @@ func (o *OracleIndex) patch(trees []*Tree, dirty []bool) *OracleIndex {
 	}
 	c.pw, c.packed, c.packedLo = slices.Clone(o.pw), slices.Clone(o.packed), slices.Clone(o.packedLo)
 	for ti, t := range trees {
-		if dirty[ti] && c.writeTree(t, ti, levels[ti]) != nil {
+		if starts[ti] != nil && c.writeTree(t, ti, levels[ti]) != nil {
 			return nil
 		}
 	}

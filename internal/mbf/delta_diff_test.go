@@ -1,0 +1,205 @@
+package mbf
+
+// Differential suite of the entry-level semi-naive loop: StaircaseModule
+// (which has semiring.Differ, so every semi-naive iteration merges its
+// changed neighbours' deltas) on rank-keyed LE-list fixpoints over random,
+// Chung-Lu and grid graphs, through every entry point of the sparse loop —
+// RunToFixpoint, Stepper, and RepairInPlace with grown seeds (the oracle's
+// warm restarts) and with reset seeds (frt's non-monotone updates) —
+// against the dense Iterate loop, across the parallel-width sweep. States
+// must be equal bitwise after every iteration, and iteration counts and
+// changed sets must match. Runs in the short and -race tiers.
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"parmbf/internal/graph"
+	"parmbf/internal/par"
+	"parmbf/internal/semiring"
+)
+
+// deltaCase is one graph of the suite with a random rank key per node.
+type deltaCase struct {
+	name string
+	g    *graph.Graph
+	key  []graph.Node
+}
+
+func deltaCases() []deltaCase {
+	rng := par.NewRNG(41)
+	cases := []deltaCase{
+		{name: "random", g: graph.RandomConnected(64, 200, 8, rng)},
+		{name: "chunglu", g: graph.ChungLu(96, 4, 2.5, 8, rng)},
+		{name: "grid", g: graph.GridGraph(8, 9, 8, rng)},
+	}
+	for i := range cases {
+		n := cases[i].g.N()
+		cases[i].key = make([]graph.Node, n)
+		for v, r := range rng.Perm(n) {
+			cases[i].key[v] = graph.Node(r)
+		}
+	}
+	return cases
+}
+
+func stairRunner(g *graph.Graph) *Runner[float64, semiring.DistMap] {
+	return &Runner[float64, semiring.DistMap]{
+		Graph:  g,
+		Module: semiring.StaircaseModule{},
+		Filter: semiring.Staircase,
+		Weight: MinPlusWeight,
+	}
+}
+
+// denseTrace iterates Iterate from the filtered x until two consecutive
+// vectors are equal or maxIter iterations have run, and returns the final
+// states, the number of iterations (including the confirming one) and the
+// nodes whose state changed in some iteration, in ascending order.
+func denseTrace(r *Runner[float64, semiring.DistMap], x []semiring.DistMap, maxIter int) ([]semiring.DistMap, int, []graph.Node) {
+	x = r.filterAll(x)
+	moved := make([]bool, len(x))
+	it := 0
+	for it < maxIter {
+		it++
+		next := r.Iterate(x)
+		done := true
+		for v := range x {
+			if !r.Module.Equal(next[v], x[v]) {
+				moved[v], done = true, false
+			}
+		}
+		x = next
+		if done {
+			break
+		}
+	}
+	var changed []graph.Node
+	for v, m := range moved {
+		if m {
+			changed = append(changed, graph.Node(v))
+		}
+	}
+	return x, it, changed
+}
+
+// sameStates fails unless got and want are equal bitwise at every node.
+func sameStates(t *testing.T, leg string, got, want []semiring.DistMap) {
+	t.Helper()
+	var mod semiring.DistMapModule
+	for v := range want {
+		if !mod.Equal(got[v], want[v]) {
+			t.Fatalf("%s node %d: delta loop %v, dense %v", leg, v, got[v], want[v])
+		}
+	}
+}
+
+func TestDeltaLoopMatchesDense(t *testing.T) {
+	defer func(p int) { par.MaxProcs = p }(par.MaxProcs)
+	var mod semiring.DistMapModule
+	for _, c := range deltaCases() {
+		g, key, n := c.g, c.key, c.g.N()
+		half := make([]semiring.DistMap, n)
+		for v := 0; v < n; v += 2 {
+			half[v] = semiring.SingletonDist(key[v], 0)
+		}
+		all := semiring.SingletonStatesKeyed(key)
+
+		// Grown seeds: the odd nodes join the even nodes' fixpoint as
+		// sources, as an oracle level's warm restart raises its seeds.
+		fix, _, _ := denseTrace(stairRunner(g), half, n)
+		grown := slices.Clone(fix)
+		var grownSeeds []graph.Node
+		for v := 1; v < n; v += 2 {
+			grown[v] = semiring.Staircase(mod.Add(fix[v], all[v]))
+			grownSeeds = append(grownSeeds, graph.Node(v))
+		}
+
+		// Reset seeds: raise the first edge (in a random order) whose
+		// increase moves a list of the all-sources fixpoint, reset every
+		// node whose list moves, and seed them with the edge's endpoints,
+		// as frt's DynamicEnsemble repairs a non-monotone edit.
+		old, _, _ := denseTrace(stairRunner(g), all, n)
+		rng := par.NewRNG(42)
+		var g2 *graph.Graph
+		var e graph.Edge
+		var want []semiring.DistMap
+		edges := g.Edges()
+		for _, i := range rng.Perm(len(edges)) {
+			e = edges[i]
+			var err error
+			if g2, _, err = graph.ApplyEdits(g, []graph.Edit{{Op: graph.EditReweight, U: e.U, V: e.V, Weight: e.Weight * 4}}); err != nil {
+				t.Fatal(err)
+			}
+			if want, _, _ = denseTrace(stairRunner(g2), all, n); !slices.EqualFunc(old, want, mod.Equal) {
+				break
+			}
+		}
+		reset := slices.Clone(old)
+		resetSeeds := []graph.Node{e.U, e.V}
+		for v := range reset {
+			if !mod.Equal(old[v], want[v]) {
+				reset[v] = all[v]
+				resetSeeds = append(resetSeeds, graph.Node(v))
+			}
+		}
+
+		for _, procs := range maxProcsVariants() {
+			par.MaxProcs = procs
+			t.Run(fmt.Sprintf("%s/procs=%d", c.name, procs), func(t *testing.T) {
+				r := stairRunner(g)
+
+				wantFix, wantIt, _ := denseTrace(r, half, n)
+				gotFix, gotIt := r.RunToFixpoint(half, n)
+				sameStates(t, "RunToFixpoint", gotFix, wantFix)
+				if gotIt != wantIt {
+					t.Fatalf("RunToFixpoint: %d iterations, dense %d", gotIt, wantIt)
+				}
+
+				st := r.NewStepper(half)
+				defer st.Release()
+				xd := r.filterAll(half)
+				for step := 1; ; step++ {
+					next, _, moved := denseTrace(r, xd, 1)
+					st.Step()
+					sameStates(t, fmt.Sprintf("Stepper step %d", step), st.States(), next)
+					if front := slices.Sorted(slices.Values(st.frontier)); !slices.Equal(front, moved) {
+						t.Fatalf("Stepper step %d: frontier %v, dense changed %v", step, front, moved)
+					}
+					xd = next
+					if len(moved) == 0 {
+						break
+					}
+				}
+
+				for _, leg := range []struct {
+					name  string
+					g     *graph.Graph
+					start []semiring.DistMap
+					seeds []graph.Node
+					old   []semiring.DistMap
+					fresh []semiring.DistMap // the fixpoint a fresh run reaches, if known
+				}{
+					{"grown", g, grown, grownSeeds, seedStates(fix, grownSeeds), nil},
+					{"reset", g2, reset, resetSeeds, seedStates(old, resetSeeds), want},
+				} {
+					rr := stairRunner(leg.g)
+					wantX, wantIt, wantCh := denseTrace(rr, leg.start, n)
+					x := slices.Clone(leg.start)
+					ch, it := rr.RepairInPlace(x, leg.seeds, leg.old, n)
+					sameStates(t, leg.name, x, wantX)
+					if it != wantIt {
+						t.Fatalf("%s: %d iterations, dense %d", leg.name, it, wantIt)
+					}
+					if ch = slices.Sorted(slices.Values(ch)); !slices.Equal(ch, wantCh) {
+						t.Fatalf("%s: changed %v, dense %v", leg.name, ch, wantCh)
+					}
+					if leg.fresh != nil {
+						sameStates(t, leg.name+" vs fresh", x, leg.fresh)
+					}
+				}
+			})
+		}
+	}
+}

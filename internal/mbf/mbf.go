@@ -53,26 +53,33 @@
 //
 // # Semi-naive merges
 //
-// The loop is semi-naive inside each node as well: the first iteration of
-// every call recomputes its candidates from all in-neighbours, and every
-// later iteration recomputes candidate v as
+// The loop is semi-naive inside each node as well, down to single entries.
+// Every iteration after a call's first recomputes candidate v as
 //
-//	x'(v) = r( x(v) ⊕ ⊕_{w ∈ frontier} a_{vw} ⊙ x(w) ),
+//	x'(v) = r( x(v) ⊕ ⊕_{w ∈ frontier} a_{vw} ⊙ Δ(w) ),
 //
 // merging only the neighbours whose state changed in the previous
-// iteration. This is exact because of an absorption invariant: after every
-// iteration, every node has absorbed every neighbour outside the frontier,
-// r(x(v) ⊕ a_{vw} ⊙ x(w)) = x(v). After the full first iteration it holds
-// at every recomputed node by idempotence of ⊕ (its merge already contained
-// that term, and Corollary 2.17 lets r commute with ⊕), and at every other
-// node because that node satisfies its full fixpoint equation on entry —
-// by ⊥-stability for a fresh run, by RepairInPlace's contract for a
-// resumed one. A later iteration then adds only terms the full merge would
-// add too, so the semi-naive merge equals the full one node for node and
-// the invariant carries over. The first iteration has to be full: a node
-// seeded because its own state was reset (RepairInPlace after a
-// non-monotone edit) has absorbed nothing, and only the full merge gives
-// it back its unchanged neighbours' states.
+// iteration, and of each only its delta Δ(w): for a module with
+// semiring.Differ, the entries its new state holds and its old one does
+// not (the Khan et al. rule that a node forwards only its new entries);
+// without Differ, its whole new state. This is exact because of an
+// absorption invariant: after every iteration, every node has absorbed
+// each neighbour's state from before that neighbour's last change,
+// r(x(v) ⊕ a_{vw} ⊙ x_old(w)) = x(v). Two lines prove the step. The delta
+// loses nothing: old ⊕ Δ = old ⊕ new, since every entry of new outside Δ
+// is already in old. And absorption is transitive under the congruence of
+// Corollary 2.17: x(v) ⊕ a ⊙ new ∼ x(v) ⊕ a ⊙ old ⊕ a ⊙ new = x(v) ⊕
+// a ⊙ old ⊕ a ⊙ Δ ∼ x(v) ⊕ a ⊙ Δ, so the semi-naive merge equals the full
+// one node for node, and the node it produces absorbs the new states in
+// turn.
+//
+// The first iteration establishes the invariant. A fresh run merges every
+// candidate in full: its seeds have absorbed nothing. A repair merges its
+// seeds in full — a seed reset after a non-monotone edit has absorbed
+// nothing, and an edited arc ends at a seed — and every other candidate
+// from the seeds' deltas against their old states, which RepairInPlace's
+// contract says it has absorbed; without Differ every candidate merges in
+// full, as in a fresh run.
 package mbf
 
 import (
@@ -109,11 +116,11 @@ type Runner[S, M any] struct {
 	Size func(M) int
 	// Tracker, if non-nil, is charged the work/depth of every iteration in
 	// the DAG cost model of §1.2. Sparse iterations charge only the nodes
-	// they actually re-aggregate and, after a loop's first iteration, only
-	// the terms they actually merge (the node's own state and its changed
-	// neighbours') — the work performed, not the work a dense iteration
-	// would have performed. A node is charged Size of its own state, of
-	// every merged term and of its output. The aggregation path charges a
+	// they actually re-aggregate and only the terms they actually merge (in
+	// a semi-naive iteration, the node's own state and its changed
+	// neighbours' deltas) — the work performed, not the work a dense
+	// iteration would have performed. A node is charged Size of its own
+	// state, of every merged term and of its output. The aggregation path charges a
 	// term Size(x) of the neighbour's state x rather than of the propagated
 	// s ⊙ x: the aggregating modules shift distances, so the two sizes
 	// agree unless Weight returns the semiring zero, which no Weight in
@@ -181,18 +188,20 @@ func (r *Runner[S, M]) putIter(st *iterScratch[S, M]) {
 	r.scratch.Put(st)
 }
 
-// recompute derives one node's next state x'(v) = r(x(v) ⊕ ⊕_w a_vw ⊙ x(w))
+// recompute derives one node's next state x'(v) = r(x(v) ⊕ ⊕_w a_vw ⊙ src(w))
 // — through the module's filtered k-way aggregation when agg is non-nil,
 // through the generic Add/SMul fold otherwise — and returns it together with
-// the work to charge for the node (0 when no Tracker is attached). A non-nil
-// front restricts the sum to the arcs whose head is marked in it: the
-// semi-naive merge of the sparse loop's later iterations, where every
-// unmarked neighbour's term is already absorbed by x(v). Both paths skip the
+// the work to charge for the node (0 when no Tracker is attached). A full
+// merge reads every neighbour with src = x and front = nil. A non-nil front
+// restricts the sum to the arcs whose head is marked in it, and src is
+// then x or the marked nodes' deltas: the semi-naive merge of the sparse
+// loop, where every unmarked neighbour's state, and every marked one's
+// before its last change, is already absorbed by x(v). Both paths skip the
 // same arcs and charge identically: the node's own state, every propagated
 // state actually merged, and the filtered output. st carries the worker's
 // pooled term buffer and merge scratch; the aggregation leaves its state
 // references in st.terms for putIter to drop once per chunk.
-func (r *Runner[S, M]) recompute(vi int, x []M, front []bool, st *iterScratch[S, M], agg semiring.Aggregator[S, M]) (M, int64) {
+func (r *Runner[S, M]) recompute(vi int, x, src []M, front []bool, st *iterScratch[S, M], agg semiring.Aggregator[S, M]) (M, int64) {
 	g := r.Graph
 	v := graph.Node(vi)
 	var work int64
@@ -202,7 +211,7 @@ func (r *Runner[S, M]) recompute(vi int, x []M, front []bool, st *iterScratch[S,
 			if front != nil && !front[a.To] {
 				continue
 			}
-			terms = append(terms, semiring.Term[S, M]{S: r.Weight(v, a.To, a.Weight), X: x[a.To]})
+			terms = append(terms, semiring.Term[S, M]{S: r.Weight(v, a.To, a.Weight), X: src[a.To]})
 		}
 		out := agg.Aggregate(&st.sc, x[vi], terms, r.Filter)
 		if r.Tracker != nil {
@@ -226,7 +235,7 @@ func (r *Runner[S, M]) recompute(vi int, x []M, front []bool, st *iterScratch[S,
 		}
 		// Propagate the neighbor's state over the edge, then aggregate.
 		s := r.Weight(v, a.To, a.Weight)
-		propagated := r.Module.SMul(s, x[a.To])
+		propagated := r.Module.SMul(s, src[a.To])
 		acc = r.Module.Add(acc, propagated)
 		if r.Tracker != nil {
 			work += int64(r.size(propagated))
@@ -278,7 +287,7 @@ func (r *Runner[S, M]) Iterate(x []M) []M {
 	par.ForEachChunk(n, func(start, end int) {
 		st := r.getIter()
 		for vi := start; vi < end; vi++ {
-			s, work := r.recompute(vi, x, nil, st, agg)
+			s, work := r.recompute(vi, x, x, nil, st, agg)
 			out[vi] = s
 			if workPerNode != nil {
 				workPerNode[vi] = work
@@ -294,8 +303,10 @@ func (r *Runner[S, M]) Iterate(x []M) []M {
 // the candidate mark bits, the frontier mark bits of a semi-naive iteration,
 // the candidate list, the per-candidate change flags, and the per-candidate
 // recomputed states (buffered so the write-back can happen after the
-// parallel read phase, letting the driver update its vector in place). One
-// instance serves a whole fixpoint loop.
+// parallel read phase, letting the caller update its vector in place). For
+// a module with semiring.Differ it also holds the frontier's deltas: delta[u]
+// is what u's last change added, carved from arena, and is read only while
+// u is in the frontier. One instance serves a whole fixpoint loop.
 type deltaScratch[M any] struct {
 	touched []bool
 	front   []bool
@@ -304,6 +315,8 @@ type deltaScratch[M any] struct {
 	changed []bool
 	states  []M
 	work    []int64
+	delta   []M // made on first use by a Differ module
+	arena   semiring.DeltaArena
 }
 
 // getDelta pops a pooled deltaScratch sized for the runner's graph (the
@@ -320,16 +333,57 @@ func (r *Runner[S, M]) getDelta(n int) *deltaScratch[M] {
 
 func (r *Runner[S, M]) putDelta(ds *deltaScratch[M]) { r.deltaPool.Put(ds) }
 
+// differ returns the module's Differ and readies ds's delta slots for it,
+// or returns nil when the module merges whole states.
+func (r *Runner[S, M]) differ(ds *deltaScratch[M]) semiring.Differ[M] {
+	d, _ := r.Module.(semiring.Differ[M])
+	if d != nil && ds.delta == nil {
+		ds.delta = make([]M, len(ds.touched))
+	}
+	return d
+}
+
+// arena returns ds's delta arena, emptied, or nil, which makes Diff
+// allocate, when the module folds (agg == nil; see iterateDelta).
+func (r *Runner[S, M]) arena(ds *deltaScratch[M], agg semiring.Aggregator[S, M]) *semiring.DeltaArena {
+	if agg == nil {
+		return nil
+	}
+	ds.arena.Reset()
+	return &ds.arena
+}
+
+// mergeRule says which states an iteration of the sparse loop merges (see
+// the package doc).
+type mergeRule int
+
+const (
+	// mergeDelta: every candidate merges its own state and the frontier's
+	// deltas only — every iteration after a loop's first.
+	mergeDelta mergeRule = iota
+	// mergeAll: every candidate merges all its in-neighbours — the first
+	// iteration of a fresh run, and of a repair without Differ.
+	mergeAll
+	// mergeSeeds: the frontier (the seeds) merges all its in-neighbours,
+	// every other candidate only the seeds' deltas — the first iteration of
+	// a repair with Differ.
+	mergeSeeds
+)
+
 // iterateDelta is the in-place sparse step: it recomputes the affected
 // nodes of x (reading the vector concurrently, buffering the results in
 // ds.states) and then writes the changed states back into x, returning the
 // next frontier. The caller must own x exclusively.
 //
-// With full set every candidate merges all its in-neighbours; otherwise the
-// step is semi-naive and a candidate merges only its own state and the
-// frontier's — exact when frontier is the change set of the previous
-// iteration of the same loop (see fixpoint).
-func (r *Runner[S, M]) iterateDelta(x []M, frontier []graph.Node, full bool, ds *deltaScratch[M]) []graph.Node {
+// rule says what each candidate merges. Under mergeDelta and mergeSeeds the
+// frontier's terms are its deltas in ds.delta when the module has Differ
+// (set by the previous iteration's write-back, or by RepairInPlace for the
+// seeds), and its whole states otherwise. The write-back records the new
+// frontier's deltas for the next iteration. They are carved from ds.arena
+// after the read phase is over, so one arena serves every iteration; the
+// generic fold may keep a delta's storage in a state (Add returns an empty
+// side's partner), so without an Aggregator each delta is allocated.
+func (r *Runner[S, M]) iterateDelta(x []M, frontier []graph.Node, rule mergeRule, ds *deltaScratch[M]) []graph.Node {
 	g := r.Graph
 	// Candidates: the frontier plus everyone reading a frontier node's
 	// state. Node v aggregates x over its arcs, so a change at u feeds
@@ -362,11 +416,16 @@ func (r *Runner[S, M]) iterateDelta(x []M, frontier []graph.Node, full bool, ds 
 			workPerNode = append(workPerNode, 0)
 		}
 	}
+	differ := r.differ(ds)
 	var front []bool
-	if !full {
+	src := x
+	if rule != mergeAll {
 		front = ds.front
 		for _, u := range frontier {
 			front[u] = true
+		}
+		if differ != nil {
+			src = ds.delta
 		}
 	}
 	agg, _ := r.Module.(semiring.Aggregator[S, M])
@@ -374,7 +433,13 @@ func (r *Runner[S, M]) iterateDelta(x []M, frontier []graph.Node, full bool, ds 
 		st := r.getIter()
 		for i := start; i < end; i++ {
 			v := cand[i]
-			s, work := r.recompute(int(v), x, front, st, agg)
+			var s M
+			var work int64
+			if rule == mergeSeeds && front[v] {
+				s, work = r.recompute(int(v), x, x, nil, st, agg)
+			} else {
+				s, work = r.recompute(int(v), x, src, front, st, agg)
+			}
 			if workPerNode != nil {
 				workPerNode[i] = work
 			}
@@ -391,11 +456,18 @@ func (r *Runner[S, M]) iterateDelta(x []M, frontier []graph.Node, full bool, ds 
 		}
 	}
 	r.chargePhase(workPerNode)
+	var arena *semiring.DeltaArena
+	if differ != nil {
+		arena = r.arena(ds, agg)
+	}
 	// Write-back after the parallel read phase: no candidate may observe a
 	// neighbor's new state mid-iteration.
 	next := make([]graph.Node, 0, len(cand))
 	for i, v := range cand {
 		if changed[i] {
+			if differ != nil {
+				ds.delta[v] = differ.Diff(arena, x[v], states[i])
+			}
 			x[v] = states[i]
 			next = append(next, v)
 		}
@@ -455,13 +527,13 @@ func (r *Runner[S, M]) start(x0 []M) ([]M, []graph.Node) {
 // empties or maxIter iterations have run, handing each iteration's changed
 // nodes to visit when it is non-nil, and returns the number of iterations
 // performed — including the final one that confirms the fixpoint. The
-// caller must own x exclusively. The first iteration merges every
-// in-neighbour and the later ones only the frontier (the semi-naive rule of
-// the package doc); Stepper.Step follows the same rule.
-func (r *Runner[S, M]) fixpoint(x []M, frontier []graph.Node, maxIter int, ds *deltaScratch[M], visit func(changed []graph.Node)) int {
+// caller must own x exclusively. The first iteration merges by first and
+// the later ones only the frontier's deltas (the semi-naive rule of the
+// package doc); Stepper.Step follows the same rule.
+func (r *Runner[S, M]) fixpoint(x []M, frontier []graph.Node, first mergeRule, maxIter int, ds *deltaScratch[M], visit func(changed []graph.Node)) int {
 	it := 0
-	for ; it < maxIter && len(frontier) > 0; it++ {
-		frontier = r.iterateDelta(x, frontier, it == 0, ds)
+	for rule := first; it < maxIter && len(frontier) > 0; it, rule = it+1, mergeDelta {
+		frontier = r.iterateDelta(x, frontier, rule, ds)
 		if visit != nil {
 			visit(frontier)
 		}
@@ -489,7 +561,7 @@ func (r *Runner[S, M]) RunToFixpoint(x0 []M, maxIter int) ([]M, int) {
 	x, frontier := r.start(x0)
 	ds := r.getDelta(len(x))
 	defer r.putDelta(ds)
-	return x, r.fixpoint(x, frontier, maxIter, ds, nil)
+	return x, r.fixpoint(x, frontier, mergeAll, maxIter, ds, nil)
 }
 
 // Run performs h iterations starting from x0 and returns r^V A^h x(0).

@@ -24,6 +24,16 @@ func repairRunner(g *graph.Graph) *Runner[float64, semiring.DistMap] {
 	}
 }
 
+// seedStates returns the states of x at the seeds: RepairInPlace's old
+// argument for a repair that starts from a copy of x changed at the seeds.
+func seedStates[M any](x []M, seeds []graph.Node) []M {
+	old := make([]M, len(seeds))
+	for i, v := range seeds {
+		old[i] = x[v]
+	}
+	return old
+}
+
 func TestRepairInPlaceDecreaseMatchesFresh(t *testing.T) {
 	defer func(p int) { par.MaxProcs = p }(par.MaxProcs)
 	for _, seed := range []uint64{21, 22, 23} {
@@ -54,7 +64,7 @@ func TestRepairInPlaceDecreaseMatchesFresh(t *testing.T) {
 			par.MaxProcs = procs
 			r2 := repairRunner(g2)
 			got := slices.Clone(old)
-			changed, _ := r2.RepairInPlace(got, []graph.Node{e.U, e.V}, g2.N())
+			changed, _ := r2.RepairInPlace(got, []graph.Node{e.U, e.V}, seedStates(old, []graph.Node{e.U, e.V}), g2.N())
 			for v := range want {
 				if !r2.Module.Equal(got[v], want[v]) {
 					t.Fatalf("seed %d MaxProcs=%d node %d: repaired %v, fresh %v", seed, procs, v, got[v], want[v])
@@ -97,7 +107,7 @@ func TestRepairInPlaceNoopSeeds(t *testing.T) {
 	}
 	fix, _ := r.RunToFixpoint(append([]semiring.DistMap(nil), x0...), g.N())
 	got := slices.Clone(fix)
-	changed, iters := r.RepairInPlace(got, []graph.Node{0, 5, 31}, g.N())
+	changed, iters := r.RepairInPlace(got, []graph.Node{0, 5, 31}, seedStates(fix, []graph.Node{0, 5, 31}), g.N())
 	if len(changed) != 0 || iters != 1 {
 		t.Fatalf("no-op repair: %d nodes changed in %d iterations, want 0 in 1", len(changed), iters)
 	}
@@ -176,7 +186,7 @@ func TestRepairInPlaceResetMatchesFresh(t *testing.T) {
 		for _, procs := range maxProcsVariants() {
 			par.MaxProcs = procs
 			got := slices.Clone(base)
-			changed, _ := leRunner(g2).RepairInPlace(got, seeds, g2.N())
+			changed, _ := leRunner(g2).RepairInPlace(got, seeds, seedStates(old, seeds), g2.N())
 			for v := range want {
 				if !module.Equal(got[v], want[v]) {
 					t.Fatalf("seed %d MaxProcs=%d node %d: repaired %v, fresh %v", seed, procs, v, got[v], want[v])

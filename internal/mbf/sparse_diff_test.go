@@ -16,6 +16,7 @@ import (
 	"parmbf/internal/graph"
 	"parmbf/internal/par"
 	"parmbf/internal/semiring"
+	"parmbf/internal/semiring/semiringtest"
 )
 
 // maxProcsVariants is the parallel-width sweep of the differential suite.
@@ -319,6 +320,16 @@ func TestZeroUnstableFilterFallsBackDense(t *testing.T) {
 	}
 }
 
+// foldDiff is the generic fold with StaircaseModule's Diff: the semi-naive
+// iterations then merge deltas through Add/SMul.
+type foldDiff struct {
+	foldOnly[float64, semiring.DistMap]
+}
+
+func (foldDiff) Diff(a *semiring.DeltaArena, old, cur semiring.DistMap) semiring.DistMap {
+	return semiring.StaircaseModule{}.Diff(a, old, cur)
+}
+
 // TestTrackerParityFastVsGeneric pins the work-accounting satellite: the
 // aggregation fast path, which charges a merged term Size of the
 // neighbour's state, must charge the Tracker exactly what the generic
@@ -330,13 +341,15 @@ func TestTrackerParityFastVsGeneric(t *testing.T) {
 	for _, cfg := range []struct {
 		name   string
 		module semiring.Semimodule[float64, semiring.DistMap]
+		fold   semiring.Semimodule[float64, semiring.DistMap]
 		filter semiring.Filter[semiring.DistMap]
 	}{
-		{"live-edges-default-approximation", semiring.DistMapModule{}, nil},
+		{"live-edges-default-approximation", semiring.DistMapModule{}, foldOnly[float64, semiring.DistMap]{semiring.DistMapModule{}}, nil},
 		// The fused module against the fold filtered by Staircase: on these
 		// node-keyed maps Staircase is the LE projection of the identity
-		// order.
-		{"staircase-module", semiring.StaircaseModule{}, semiring.Staircase},
+		// order. The fold takes the fused module's Diff, so both merge the
+		// same deltas.
+		{"staircase-module", semiring.StaircaseModule{}, foldDiff{foldOnly[float64, semiring.DistMap]{semiring.DistMapModule{}}}, semiring.Staircase},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			g := diffGraph(20)
@@ -351,7 +364,7 @@ func TestTrackerParityFastVsGeneric(t *testing.T) {
 				Tracker: fastTr,
 			}
 			slow := &Runner[float64, semiring.DistMap]{
-				Graph: g, Module: foldOnly[float64, semiring.DistMap]{semiring.DistMapModule{}}, Filter: cfg.filter,
+				Graph: g, Module: cfg.fold, Filter: cfg.filter,
 				Weight: MinPlusWeight, Size: size,
 				Tracker: slowTr,
 			}
@@ -384,8 +397,8 @@ func TestTrackerParityFastVsGeneric(t *testing.T) {
 				base[v] = fast.filter(fast.Module.Add(base[v], x0[v]))
 				seeds = append(seeds, graph.Node(v))
 			}
-			fast.RepairInPlace(slices.Clone(base), seeds, g.N())
-			slow.RepairInPlace(slices.Clone(base), seeds, g.N())
+			fast.RepairInPlace(slices.Clone(base), seeds, seedStates(fix, seeds), g.N())
+			slow.RepairInPlace(slices.Clone(base), seeds, seedStates(fix, seeds), g.N())
 			parity("RepairInPlace")
 		})
 	}
@@ -397,7 +410,8 @@ func TestTrackerParityFastVsGeneric(t *testing.T) {
 // parallel-width sweep: a fresh run, a warm repair that adds sources to a
 // fixpoint, and a repair after a weight increase with the stale nodes reset
 // must give identical lists, iteration counts, changed sets and tracker
-// work.
+// work. The reference takes the fused module's Diff
+// (semiringtest.DiffDistMapModule), so both merge the same deltas.
 func TestStaircaseModuleMatchesStaircaseFilter(t *testing.T) {
 	defer func(p int) { par.MaxProcs = p }(par.MaxProcs)
 	size := func(x semiring.DistMap) int { return x.Len() + 1 }
@@ -407,7 +421,7 @@ func TestStaircaseModuleMatchesStaircaseFilter(t *testing.T) {
 			Weight: MinPlusWeight, Size: size, Tracker: &par.Tracker{},
 		}
 		ref = &Runner[float64, semiring.DistMap]{
-			Graph: g, Module: semiring.DistMapModule{}, Filter: semiring.Staircase,
+			Graph: g, Module: semiringtest.DiffDistMapModule{}, Filter: semiring.Staircase,
 			Weight: MinPlusWeight, Size: size, Tracker: &par.Tracker{},
 		}
 		return fused, ref
@@ -482,8 +496,8 @@ func TestStaircaseModuleMatchesStaircaseFilter(t *testing.T) {
 				seeds = append(seeds, graph.Node(v))
 			}
 			warmF, warmR := slices.Clone(base), slices.Clone(base)
-			chF, itF := fused.RepairInPlace(warmF, seeds, g.N())
-			chR, itR := ref.RepairInPlace(warmR, seeds, g.N())
+			chF, itF := fused.RepairInPlace(warmF, seeds, seedStates(fixR, seeds), g.N())
+			chR, itR := ref.RepairInPlace(warmR, seeds, seedStates(fixR, seeds), g.N())
 			same("warm", warmF, warmR, itF, itR)
 			sameChanged("warm", chF, chR)
 
@@ -501,8 +515,8 @@ func TestStaircaseModuleMatchesStaircaseFilter(t *testing.T) {
 			}
 			xF := append([]semiring.DistMap(nil), reset...)
 			xR := append([]semiring.DistMap(nil), reset...)
-			chF, itF = fused.RepairInPlace(xF, seeds, g2.N())
-			chR, itR = ref.RepairInPlace(xR, seeds, g2.N())
+			chF, itF = fused.RepairInPlace(xF, seeds, seedStates(warmR, seeds), g2.N())
+			chR, itR = ref.RepairInPlace(xR, seeds, seedStates(warmR, seeds), g2.N())
 			same("repair", xF, xR, itF, itR)
 			sameChanged("repair", chF, chR)
 			same("repair vs fresh", xR, want, itR, itR)

@@ -46,11 +46,40 @@ type Aggregator[S, M any] interface {
 	// exactly.
 	//
 	// The filter is pure (see Filter) and may be handed an intermediate in
-	// sc. The result never aliases self, any term, or sc — the caller owns
-	// it exclusively. terms and sc are caller-owned scratch, reused across
-	// calls; Aggregate must not retain references to either.
+	// sc. The result may be self itself, when the aggregation reproduces it,
+	// but never aliases a term or sc. States are immutable once published,
+	// so the caller may keep either as its own. terms and sc are
+	// caller-owned scratch, reused across calls; Aggregate must not retain
+	// references to either.
 	Aggregate(sc *Scratch, self M, terms []Term[S, M], filter Filter[M]) M
 }
+
+// Differ is the optional delta interface of a semimodule, the entry-level
+// semi-naive rule of the sparse fixpoint engine (mbf's package doc): once a
+// neighbour's state changes from old to new, a node that has absorbed old
+// needs only the entries new adds, because
+//
+//	old ⊕ Diff(old, new) = old ⊕ new.
+//
+// The engine type-asserts for it and merges whole states when it is absent.
+type Differ[M any] interface {
+	// Diff returns the entries of new that old does not hold with the same
+	// value, carved from a: the result shares a's storage and is valid until
+	// a is next Reset. A nil a allocates the result instead.
+	Diff(a *DeltaArena, old, new M) M
+}
+
+// DeltaArena is the reusable storage of Diff results: one append-only
+// block of entries, emptied by Reset. An engine keeps one per fixpoint loop,
+// so a loop's deltas cost no allocation per node.
+type DeltaArena struct {
+	ids []NodeID
+	ds  []float64
+}
+
+// Reset empties the arena and keeps its storage; the lists carved from it
+// before must not be read afterwards.
+func (a *DeltaArena) Reset() { a.ids, a.ds = a.ids[:0], a.ds[:0] }
 
 // Scratch holds the reusable buffers of Aggregate: the list headers and
 // reduction arenas of the SoA distance-map kernel and the per-list cursors

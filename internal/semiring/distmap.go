@@ -516,12 +516,16 @@ var _ Aggregator[float64, DistMap] = DistMapModule{}
 // never reaches the output, so the pass drops it as soon as it is read.
 // The result is bitwise Staircase(DistMapModule{}.Aggregate(sc, self,
 // terms, nil)).
+//
+// It also implements Differ, so the sparse fixpoint loop propagates only
+// the entries a list gained, not whole lists (mbf's package doc).
 type StaircaseModule struct{ DistMapModule }
 
 // Aggregate implements the fused Aggregator fast path (see the type). Dead
 // terms (s = ∞ or ⊥ states) are skipped. The pass reads the lists in place
 // — no header gather — writes into scratch, and allocates only the
-// survivors, one block per non-empty result.
+// survivors, one block per non-empty result that differs from self; a
+// result equal to self is self.
 func (StaircaseModule) Aggregate(sc *Scratch, self DistMap, terms []Term[float64, DistMap], filter Filter[DistMap]) DistMap {
 	sc.growStair(len(terms) + 1)
 	o := &sc.out
@@ -535,14 +539,53 @@ func (StaircaseModule) Aggregate(sc *Scratch, self DistMap, terms []Term[float64
 	if cap(oDs) > cap(o.ds) {
 		o.ds = oDs[:0]
 	}
-	out := DistMap{ids: oIds, ds: oDs}.Clone()
+	// A pass that reproduces self returns it uncopied: most recomputes of a
+	// fixpoint's later iterations confirm a state, and the copy would be
+	// their only allocation.
+	out := DistMap{ids: oIds, ds: oDs}
+	if (DistMapModule{}).Equal(out, self) {
+		out = self
+	} else {
+		out = out.Clone()
+	}
 	if filter != nil {
 		out = filter(out)
 	}
 	return out
 }
 
-var _ Aggregator[float64, DistMap] = StaircaseModule{}
+// Diff implements Differ: the entries of cur whose key old lacks or maps to
+// another distance, in key order, appended to a (see Differ). One merge walk
+// over both lists.
+func (StaircaseModule) Diff(a *DeltaArena, old, cur DistMap) DistMap {
+	if a == nil {
+		a = new(DeltaArena)
+	}
+	start := len(a.ids)
+	ids, ds := a.ids, a.ds
+	j := 0
+	for i, k := range cur.ids {
+		for j < len(old.ids) && old.ids[j] < k {
+			j++
+		}
+		if j < len(old.ids) && old.ids[j] == k && old.ds[j] == cur.ds[i] {
+			continue
+		}
+		ids, ds = append(ids, k), append(ds, cur.ds[i])
+	}
+	a.ids, a.ds = ids, ds
+	if len(ids) == start {
+		return DistMap{}
+	}
+	// Full slice expressions: an append to the result must not run into
+	// the arena's later lists.
+	return DistMap{ids: ids[start:len(ids):len(ids)], ds: ds[start:len(ds):len(ds)]}
+}
+
+var (
+	_ Aggregator[float64, DistMap] = StaircaseModule{}
+	_ Differ[DistMap]              = StaircaseModule{}
+)
 
 // Normalize sorts the entries by node ID, keeping the minimum distance per
 // node, and drops ∞ entries. It is used to establish the representation

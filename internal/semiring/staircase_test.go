@@ -226,3 +226,106 @@ func TestStaircaseModuleMatchesStaircaseOfMerge(t *testing.T) {
 		}
 	}
 }
+
+// TestStaircaseModuleDiff pins Diff's contract on random staircase lists
+// and their successors old ⊕ Staircase(old ⊕ s⊙y): old ⊕ Δ = old ⊕ new
+// bitwise, Δ holds exactly the entries of new that old lacks (a key old
+// does not have, or another distance), and deltas carved one after another
+// from one arena stay intact, even when one is appended to.
+func TestStaircaseModuleDiff(t *testing.T) {
+	rng := par.NewRNG(63)
+	var mod DistMapModule
+	var sm StaircaseModule
+	var arena DeltaArena
+	for trial := 0; trial < 300; trial++ {
+		arena.Reset()
+		var olds, news, deltas []DistMap
+		for k := 0; k < 4; k++ {
+			old := randomStair(rng, 0.4)
+			var cur DistMap
+			switch trial % 3 {
+			case 0: // a fixpoint successor: old plus whatever survives
+				cur = Staircase(mod.Add(old, mod.SMul(float64(rng.Intn(4)), randomMap(rng, 0.3))))
+			case 1: // unrelated lists
+				cur = randomStair(rng, 0.4)
+			default: // a subset of old: nothing new
+				cur = Staircase(mod.Add(old, FromEntries(Entry{0, 0})))
+			}
+			a := &arena
+			if k == 3 {
+				a = nil // allocates
+			}
+			d := sm.Diff(a, old, cur)
+			olds, news, deltas = append(olds, old), append(news, cur), append(deltas, d)
+		}
+		// A caller appending to a carved delta must not reach the next one.
+		_ = deltas[0].Append(1<<30, 0)
+		for k := range deltas {
+			old, cur, d := olds[k], news[k], deltas[k]
+			if got, want := mod.Add(old, d), mod.Add(old, cur); !mod.Equal(got, want) {
+				t.Fatalf("old ⊕ Δ = %v, old ⊕ new = %v (old %v, new %v, Δ %v)", got, want, old, cur, d)
+			}
+			i := 0
+			for j := 0; j < cur.Len(); j++ {
+				k, v := cur.Node(j), cur.Dist(j)
+				if old.Get(k) == v {
+					continue
+				}
+				if i >= d.Len() || d.Node(i) != k || d.Dist(i) != v {
+					t.Fatalf("Δ(%v, %v) = %v: entry %d:%g missing or out of order", old, cur, d, k, v)
+				}
+				i++
+			}
+			if i != d.Len() {
+				t.Fatalf("Δ(%v, %v) = %v has entries new lacks or old holds", old, cur, d)
+			}
+		}
+	}
+	if d := sm.Diff(nil, FromEntries(Entry{1, 2}), FromEntries(Entry{1, 2})); d.Len() != 0 {
+		t.Fatalf("Δ of equal lists = %v", d)
+	}
+}
+
+// TestStaircaseAggregateKeepsSelf pins the no-clone rule: an aggregation
+// that reproduces self returns self itself and allocates nothing, and one
+// that changes it shares no storage with self or any term.
+func TestStaircaseAggregateKeepsSelf(t *testing.T) {
+	var sm StaircaseModule
+	var sc Scratch
+	self := FromEntries(Entry{0, 9}, Entry{3, 4}, Entry{7, 1})
+	dominated := []Term[float64, DistMap]{{S: 2, X: FromEntries(Entry{1, 8}, Entry{4, 3})}}
+	got := sm.Aggregate(&sc, self, dominated, Staircase)
+	if !sameStorage(got, self) {
+		t.Fatalf("reproduced self %v came back as a copy %v", self, got)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { sm.Aggregate(&sc, self, dominated, Staircase) }); allocs != 0 {
+		t.Errorf("reproducing self allocates %.0f blocks, want 0", allocs)
+	}
+	better := []Term[float64, DistMap]{{S: 1, X: FromEntries(Entry{1, 2}, Entry{5, 0})}}
+	got = sm.Aggregate(&sc, self, better, Staircase)
+	if want := FromEntries(Entry{0, 9}, Entry{1, 3}, Entry{5, 1}); !(DistMapModule{}).Equal(got, want) {
+		t.Fatalf("Aggregate = %v, want %v", got, want)
+	}
+	if sameStorage(got, self) || sameStorage(got, better[0].X) {
+		t.Fatal("a changed aggregation aliases its input")
+	}
+}
+
+// randomMap returns a map over keys 0..39, each present with probability
+// p at a distance in 0..49; randomStair its staircase.
+func randomMap(rng *par.RNG, p float64) DistMap {
+	x := DistMap{}
+	for k := NodeID(0); k < 40; k++ {
+		if rng.Float64() < p {
+			x = x.Append(k, float64(rng.Intn(50)))
+		}
+	}
+	return x
+}
+
+func randomStair(rng *par.RNG, p float64) DistMap { return Staircase(randomMap(rng, p)) }
+
+// sameStorage reports whether two non-empty maps share their ID array.
+func sameStorage(x, y DistMap) bool {
+	return x.Len() > 0 && y.Len() > 0 && &x.ids[0] == &y.ids[0]
+}

@@ -52,4 +52,11 @@ func BenchmarkOracleRunToFixpoint(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		simgraph.StaircaseFixpoint(h, keys, nil, simgraph.MaxIters(g.N()))
 	}
+	// The deterministic cost counters of one traced run (untraced in the
+	// timed loop, since tracing adds work).
+	b.StopTimer()
+	tr := &par.Tracker{}
+	_, iters := simgraph.StaircaseFixpoint(h, keys, tr, simgraph.MaxIters(g.N()))
+	b.ReportMetric(float64(tr.Work()), "work/op")
+	b.ReportMetric(float64(iters), "iters/op")
 }

@@ -33,13 +33,16 @@
 // Corollary 2.17 lets r commute with ⊕ and A_λ. Iterate and Run stay cold and
 // are the reference the warm path is tested against.
 //
-// Each level run is semi-naive inside as well: mbf's sparse loop merges a
-// node's whole neighbourhood only in the first iteration of a run, and
-// afterwards only the neighbours whose state changed in the previous
-// iteration (the absorption argument is in the mbf package doc). A warm
-// restart from reseed satisfies that argument's entry condition, because
-// every node that neither was reseeded nor reads a reseeded node still
-// satisfies its fixpoint equation of the previous run.
+// Each level run is semi-naive inside as well, down to single entries
+// (the absorption argument is in the mbf package doc). A cold run merges a
+// node's whole neighbourhood only in its first iteration, and afterwards
+// only what the previous iteration added to the changed neighbours' lists
+// (semiring.StaircaseModule's Diff; whole lists under DistMapModule). A
+// warm restart from reseed merges in full only at the reseeded nodes, and
+// everywhere else only what reseed added to them: every node that was not
+// reseeded still satisfies its fixpoint equation of the previous run over
+// the reseeded nodes' states before reseed, which is RepairInPlace's
+// contract.
 package simgraph
 
 import (
@@ -154,8 +157,8 @@ func (h *H) Materialize() *graph.Graph {
 
 // Oracle answers MBF-like queries on H over the distance-map semimodule D
 // (Theorem 5.2). It is safe for sequential reuse across queries but NOT for
-// concurrent use: the per-level runners (and their scratch pools) cached on
-// the oracle are reconfigured by every Iterate/RunToFixpoint call. Use one
+// concurrent use: the level runner (and its scratch pools) cached on the
+// oracle is reconfigured by every Iterate/RunToFixpoint call. Use one
 // Oracle per goroutine, as the Embedder does.
 type Oracle struct {
 	H       *H
@@ -178,15 +181,37 @@ type Oracle struct {
 	// scratch recycles the per-worker buffers of the cross-level merge of
 	// Equation 5.9.
 	scratch sync.Pool // *levelScratch
-	// runners holds one lazily built per-level runner (index λ). A runner
-	// owns the sparse engine's pooled scratch, so keeping them alive across
-	// oracle iterations — a fixpoint run performs O(log² n) of them over
-	// Λ+1 levels — lets those pools actually recycle; per-call fields
-	// (Module, Filter, Tracker) are refreshed on every use,
-	// and the cache is keyed to runnersH so swapping the H field rebuilds
-	// it.
-	runners  []*mbf.Runner[float64, semiring.DistMap]
-	runnersH *H
+	// runner is the one runner of the level runs, built lazily and keyed
+	// to runnerH so swapping the H field rebuilds it. The level runs are
+	// sequential, so they share it (levelRunner points its Weight at
+	// weights[λ]), and with it one set of the sparse engine's pooled
+	// scratch. Keeping it alive across oracle iterations — a fixpoint run
+	// performs O(log² n) of them over Λ+1 levels — lets those pools
+	// actually recycle; per-call fields (Module, Filter, Tracker) are
+	// refreshed on every use.
+	runner  *mbf.Runner[float64, semiring.DistMap]
+	weights []func(_, _ graph.Node, w float64) float64
+	runnerH *H
+}
+
+// levelRunner returns the level runs' runner, weighted for level λ: every
+// arc of G′ scaled by (1+ε̂)^{Λ−λ}.
+func (o *Oracle) levelRunner(lambda int) *mbf.Runner[float64, semiring.DistMap] {
+	h := o.H
+	if o.runnerH != h {
+		o.runner = &mbf.Runner[float64, semiring.DistMap]{
+			Graph: h.Hop.Graph,
+			Size:  func(m semiring.DistMap) int { return m.Len() + 1 },
+		}
+		o.weights = make([]func(_, _ graph.Node, w float64) float64, h.Lambda+1)
+		for l := range o.weights {
+			scale := h.scale[l]
+			o.weights[l] = func(_, _ graph.Node, w float64) float64 { return scale * w }
+		}
+		o.runnerH = h
+	}
+	o.runner.Weight = o.weights[lambda]
+	return o.runner
 }
 
 // levelScratch is one worker's reusable state for the ⊕_λ aggregation.
@@ -263,20 +288,7 @@ func (o *Oracle) Iterate(x []semiring.DistMap, filter semiring.Filter[semiring.D
 // the depth of the deepest level.
 func (o *Oracle) iterate(x []semiring.DistMap, filter semiring.Filter[semiring.DistMap], ws *warmStart) []semiring.DistMap {
 	h := o.H
-	gp := h.Hop.Graph
 	n := len(x)
-	if o.runnersH != h {
-		o.runners = make([]*mbf.Runner[float64, semiring.DistMap], h.Lambda+1)
-		for lambda := range o.runners {
-			scale := h.scale[lambda]
-			o.runners[lambda] = &mbf.Runner[float64, semiring.DistMap]{
-				Graph:  gp,
-				Weight: func(_, _ graph.Node, w float64) float64 { return scale * w },
-				Size:   func(m semiring.DistMap) int { return m.Len() + 1 },
-			}
-		}
-		o.runnersH = h
-	}
 	var levelTracker *par.Tracker
 	if o.Tracker != nil {
 		levelTracker = new(par.Tracker)
@@ -299,7 +311,7 @@ func (o *Oracle) iterate(x []semiring.DistMap, filter semiring.Filter[semiring.D
 	}
 	var acc []semiring.DistMap
 	for lambda := 0; lambda <= h.Lambda; lambda++ {
-		runner := o.runners[lambda]
+		runner := o.levelRunner(lambda)
 		runner.Module = agg
 		runner.Filter = filter
 		runner.Tracker = levelTracker
@@ -328,10 +340,10 @@ func (o *Oracle) iterate(x []semiring.DistMap, filter semiring.Filter[semiring.D
 			}
 			terms := st.terms[:0]
 			for v := start; v < end; v++ {
-				terms = append(terms[:0],
-					semiring.Term[float64, semiring.DistMap]{X: acc[v]},
-					semiring.Term[float64, semiring.DistMap]{X: lvl[v]})
-				acc[v] = agg.Aggregate(&st.sc, semiring.DistMap{}, terms, filter)
+				// acc[v] goes in as self: a module may then hand it back
+				// uncopied when level λ adds nothing to it.
+				terms = append(terms[:0], semiring.Term[float64, semiring.DistMap]{X: lvl[v]})
+				acc[v] = agg.Aggregate(&st.sc, acc[v], terms, filter)
 				if final && changed != nil {
 					changed[v] = !agg.Equal(acc[v], x[v])
 				}
@@ -387,10 +399,10 @@ func (o *Oracle) runLevel(runner *mbf.Runner[float64, semiring.DistMap], x []sem
 	var it int
 	if fix := ws.fix[lambda]; fix == nil {
 		y, it = runner.RunToFixpoint(o.project(x, lambda), d)
-	} else if seeds := o.reseed(fix, x, ws.changed, lambda, filter); len(seeds) == 0 {
+	} else if seeds, old := o.reseed(fix, x, ws.changed, lambda, filter); len(seeds) == 0 {
 		return fix // nothing new reached this level: fix is still its fixpoint
 	} else {
-		_, it = runner.RepairInPlace(fix, seeds, d) // reseed already wrote fix in place
+		_, it = runner.RepairInPlace(fix, seeds, old, d) // reseed already wrote fix in place
 		y = fix
 	}
 	ws.fix[lambda] = nil
@@ -403,22 +415,23 @@ func (o *Oracle) runLevel(runner *mbf.Runner[float64, semiring.DistMap], x []sem
 // reseed turns level λ's previous fixpoint into the warm start for input x:
 // at every changed node v of level ≥ λ it sets fix[v] = r(fix[v] ⊕ x[v]),
 // in place, and returns the nodes where that altered fix — exactly the seed
-// frontier the sparse engine needs. Nodes outside changed have the same
-// projected input as last time, which fix already absorbs through A_λ's
-// identity diagonal.
-func (o *Oracle) reseed(fix, x []semiring.DistMap, changed []graph.Node, lambda int, filter semiring.Filter[semiring.DistMap]) []graph.Node {
+// frontier the sparse engine needs — with their states before the change.
+// Nodes outside changed have the same projected input as last time, which
+// fix already absorbs through A_λ's identity diagonal.
+func (o *Oracle) reseed(fix, x []semiring.DistMap, changed []graph.Node, lambda int, filter semiring.Filter[semiring.DistMap]) ([]graph.Node, []semiring.DistMap) {
 	var agg semiring.DistMapModule
 	var seeds []graph.Node
+	var old []semiring.DistMap
 	for _, v := range changed {
 		if o.H.Level[v] < lambda {
 			continue
 		}
 		if b := filter(agg.Add(fix[v], x[v])); !agg.Equal(b, fix[v]) {
+			seeds, old = append(seeds, v), append(old, fix[v])
 			fix[v] = b
-			seeds = append(seeds, v)
 		}
 	}
-	return seeds
+	return seeds, old
 }
 
 // Run performs iters cold MBF-like iterations on H starting from x0.
@@ -449,6 +462,11 @@ func (o *Oracle) Run(x0 []semiring.DistMap, filter semiring.Filter[semiring.Dist
 // instead of from P_λ x. At each changed node v of level ≥ λ the start state
 // becomes r(y[v] ⊕ x[v]), and only the nodes where that differs from y seed
 // the frontier; a level with no seeds costs no runner work at all. The
+// repair (mbf.Runner.RepairInPlace, handed the seeds' states from before
+// reseed) merges the seeds' whole neighbourhoods in its first iteration and
+// everywhere else only what reseed added to them, the entries of
+// r(y[v] ⊕ x[v]) missing from y[v]: every other node of y is still a
+// fixpoint over the old seed states, so that is all it lacks. The
 // states and the iteration count equal those of Run node for node. Two facts
 // make this exact. A_H has the identity on its diagonal, so successive
 // oracle states satisfy x_t ≡ x_t ⊕ x_{t−1} and P_λ x_t ≡ P_λ x_t ⊕ P_λ x_{t−1}.

@@ -217,7 +217,8 @@ func TestOracleChargesDeepestLevel(t *testing.T) {
 	oracle := NewOracle(h, tr)
 	oracle.Iterate(x, filter)
 	var work, depth, depthSum int64
-	for lambda, runner := range oracle.runners {
+	for lambda := 0; lambda <= h.Lambda; lambda++ {
+		runner := oracle.levelRunner(lambda)
 		level := &par.Tracker{}
 		runner.Tracker = level
 		runner.RunToFixpoint(oracle.project(x, lambda), h.Hop.D)

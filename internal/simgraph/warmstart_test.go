@@ -9,6 +9,7 @@ import (
 	"parmbf/internal/hopset"
 	"parmbf/internal/par"
 	"parmbf/internal/semiring"
+	"parmbf/internal/semiring/semiringtest"
 	"parmbf/internal/simgraph"
 )
 
@@ -133,9 +134,10 @@ func TestRunToFixpointReuse(t *testing.T) {
 // TestStaircaseFixpointMatchesDistMapModule runs the Embedder's oracle
 // configuration — StaircaseFixpoint: rank-keyed singletons, the Staircase
 // filter, and the fused semiring.StaircaseModule for the level runs and the
-// cross-level fold — against the same fixpoint through the default
-// DistMapModule with Staircase as a plain filter, and against the cold
-// reference. Lists, iteration counts and tracker work must be identical, on
+// cross-level fold — against the same fixpoint through DistMapModule with
+// Staircase as a plain filter, and against the cold reference. The
+// reference module carries StaircaseModule's Diff
+// (semiringtest.DiffDistMapModule), so its level runs merge the same deltas. Lists, iteration counts and tracker work must be identical, on
 // the graph shapes and hop bounds of TestRunToFixpointMatchesCold (so some
 // level runs stop unconverged and restart cold), with and without Λ = 0.
 func TestStaircaseFixpointMatchesDistMapModule(t *testing.T) {
@@ -161,7 +163,8 @@ func TestStaircaseFixpointMatchesDistMapModule(t *testing.T) {
 					x0 := semiring.SingletonStatesKeyed(key)
 					want, wantIts := coldFixpoint(t, hh, x0, semiring.Staircase)
 					refTr, fusedTr := &par.Tracker{}, &par.Tracker{}
-					ref, refIts := simgraph.NewOracle(hh, refTr).RunToFixpoint(x0, semiring.Staircase, simgraph.MaxIters(n))
+					refOracle := &simgraph.Oracle{H: hh, Tracker: refTr, Module: semiringtest.DiffDistMapModule{}}
+					ref, refIts := refOracle.RunToFixpoint(x0, semiring.Staircase, simgraph.MaxIters(n))
 					checkSame(t, ref, refIts, want, wantIts)
 					got, gotIts := simgraph.StaircaseFixpoint(hh, key, fusedTr, simgraph.MaxIters(n))
 					checkSame(t, got, gotIts, want, wantIts)
