@@ -40,11 +40,13 @@ test-short:
 	$(GO) test -short ./...
 
 ## Race tier: the packages with internal parallelism, under the race detector
-## (cmd/parmbfd exercises the router fan-out and fault-injection paths).
+## (cmd/parmbfd exercises the router fan-out and fault-injection paths;
+## congest is the Stepper's one caller, and metric runs the oracle on
+## DistMapModule under the identity filter).
 ## -timeout caps a wedged parallel test (a deadlocked worker pool would
 ## otherwise hold the CI job for the default 10 minutes per package).
 test-race:
-	$(GO) test -short -race -timeout 5m . ./cmd/parmbfd/ ./internal/frt/... ./internal/graph/... ./internal/mbf/... ./internal/par/... ./internal/semiring/... ./internal/simgraph/...
+	$(GO) test -short -race -timeout 5m . ./cmd/parmbfd/ ./internal/congest/ ./internal/frt/... ./internal/graph/... ./internal/mbf/... ./internal/metric/ ./internal/par/... ./internal/semiring/... ./internal/simgraph/...
 
 ## Brief fuzz tier: every fuzz target runs for a few seconds (CI smoke; for
 ## a real fuzzing session raise -fuzztime). -fuzz takes one target per

@@ -14,13 +14,14 @@ import (
 // randomness: run charges tr and returns its (oracle or fixpoint)
 // iterations. The timed loop runs untraced, since tracing adds work, and
 // varies its randomness from op to op, so the counters come from this run:
-// work/op is the tracker work and iters/op the iterations, which repeat
-// bitwise run to run and across par.MaxProcs.
+// work/op and depth/op are the tracker's work and depth and iters/op the
+// iterations, which repeat bitwise run to run and across par.MaxProcs.
 func reportCounters(b *testing.B, run func(tr *par.Tracker) int) {
 	b.StopTimer()
 	tr := &par.Tracker{}
 	iters := run(tr)
 	b.ReportMetric(float64(tr.Work()), "work/op")
+	b.ReportMetric(float64(tr.Depth()), "depth/op")
 	b.ReportMetric(float64(iters), "iters/op")
 }
 
@@ -190,6 +191,19 @@ func BenchmarkEmbedderSampleChungLu1024(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	// iters/op sums the two trees' oracle iterations.
+	reportCounters(b, func(tr *par.Tracker) int {
+		e, err := NewEmbedder(g, Options{RNG: par.NewRNG(42), HopSet: HopSetLandmark})
+		if err != nil {
+			b.Fatal(err)
+		}
+		e.opts.Tracker = tr // the draw's work only, not the hop set's
+		embs, err := e.SampleEmbeddings(2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return embs[0].Iterations + embs[1].Iterations
+	})
 }
 
 func BenchmarkTreeDist(b *testing.B) {

@@ -110,37 +110,18 @@ func (e *Embedder) SampleEmbeddings(count int) ([]*Embedding, error) {
 		return nil, fmt.Errorf("frt: ensemble needs ≥ 1 tree")
 	}
 	rngs := e.opts.RNG.SplitN(count)
-	var trackers []*par.Tracker
-	if e.opts.Tracker != nil {
-		trackers = make([]*par.Tracker, count)
-		for i := range trackers {
-			trackers[i] = &par.Tracker{}
-		}
-	}
+	trackers, join := e.opts.Tracker.Fork(count)
 	embs := make([]*Embedding, count)
 	errs := make([]error, count)
 	par.ForEach(count, func(i int) {
-		var tr *par.Tracker
-		if trackers != nil {
-			tr = trackers[i]
-		}
-		embs[i], errs[i] = e.sampleWith(rngs[i], tr)
+		embs[i], errs[i] = e.sampleWith(rngs[i], trackers[i])
 	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	if trackers != nil {
-		var work, depth int64
-		for _, tr := range trackers {
-			work += tr.Work()
-			if d := tr.Depth(); d > depth {
-				depth = d
-			}
-		}
-		e.opts.Tracker.AddPhase(work, depth)
-	}
+	join()
 	return embs, nil
 }
 

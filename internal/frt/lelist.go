@@ -171,17 +171,11 @@ func LEListsOnGraphBatch(g *graph.Graph, orders []*Order, tracker *par.Tracker) 
 func leListsRanked(g *graph.Graph, keys []RankKeys, tracker *par.Tracker) ([][]semiring.DistMap, []int) {
 	lists := make([][]semiring.DistMap, len(keys))
 	iters := make([]int, len(keys))
-	var work, depth int64
+	trackers, join := tracker.Fork(len(keys))
 	for b, rk := range keys {
-		var tk *par.Tracker
-		if tracker != nil {
-			tk = &par.Tracker{}
-		}
-		lists[b], iters[b] = LERunner(g, 1, tk).RunToFixpoint(semiring.SingletonStatesKeyed(rk.Key), g.N())
-		work += tk.Work()
-		depth = max(depth, tk.Depth())
+		lists[b], iters[b] = LERunner(g, 1, trackers[b]).RunToFixpoint(semiring.SingletonStatesKeyed(rk.Key), g.N())
 	}
-	tracker.AddPhase(work, depth)
+	join()
 	return lists, iters
 }
 

@@ -8,7 +8,9 @@ package mbf
 // warm restarts) and with reset seeds (frt's non-monotone updates) —
 // against the dense Iterate loop, across the parallel-width sweep. States
 // must be equal bitwise after every iteration, and iteration counts and
-// changed sets must match. Runs in the short and -race tiers.
+// changed sets must match. A last leg pins that a fresh run is the repair
+// from ⊥, for StaircaseModule, DistMapModule and the generic fold. Runs in
+// the short and -race tiers.
 
 import (
 	"fmt"
@@ -92,6 +94,78 @@ func sameStates(t *testing.T, leg string, got, want []semiring.DistMap) {
 		if !mod.Equal(got[v], want[v]) {
 			t.Fatalf("%s node %d: delta loop %v, dense %v", leg, v, got[v], want[v])
 		}
+	}
+}
+
+// freshIsRepairFromBottom is the leg of TestDeltaLoopMatchesDense that pins
+// the one start rule of the sparse loop, for module under the Staircase
+// filter on rank-keyed x0. A fresh RunToFixpoint must match the dense loop,
+// and RepairInPlace of the all-⊥ vector with the non-⊥ filtered states of x0
+// as seeds and ⊥ as their old states must match the fresh run: states,
+// iteration counts, changed sets and tracker work. Its first iteration must
+// charge what the rule merges: every seed its own state, its whole
+// in-neighbourhood and its output, and every other candidate its own state,
+// its seed neighbours and its output.
+func freshIsRepairFromBottom(t *testing.T, leg string, g *graph.Graph, module semiring.Semimodule[float64, semiring.DistMap], x0 []semiring.DistMap) {
+	t.Helper()
+	n := g.N()
+	size := func(x semiring.DistMap) int { return x.Len() + 1 }
+	runner := func(tr *par.Tracker) *Runner[float64, semiring.DistMap] {
+		return &Runner[float64, semiring.DistMap]{
+			Graph: g, Module: module, Filter: semiring.Staircase,
+			Weight: MinPlusWeight, Size: size, Tracker: tr,
+		}
+	}
+	wantX, wantIt, wantCh := denseTrace(runner(nil), x0, n)
+	fresh := runner(&par.Tracker{})
+	gotX, gotIt := fresh.RunToFixpoint(x0, n)
+	sameStates(t, leg+" fresh", gotX, wantX)
+	if gotIt != wantIt {
+		t.Fatalf("%s fresh: %d iterations, dense %d", leg, gotIt, wantIt)
+	}
+
+	x := make([]semiring.DistMap, n)
+	seed := make([]bool, n)
+	var seeds []graph.Node
+	var old []semiring.DistMap
+	for v, s := range x0 {
+		if f := semiring.Staircase(s); f.Len() > 0 {
+			x[v], seed[v] = f, true
+			seeds, old = append(seeds, graph.Node(v)), append(old, semiring.DistMap{})
+		}
+	}
+	start := slices.Clone(x)
+	repair := runner(&par.Tracker{})
+	ch, it := repair.RepairInPlace(x, seeds, old, n)
+	sameStates(t, leg+" repair from ⊥", x, gotX)
+	if it != gotIt {
+		t.Fatalf("%s repair from ⊥: %d iterations, fresh %d", leg, it, gotIt)
+	}
+	if ch = slices.Sorted(slices.Values(ch)); !slices.Equal(ch, wantCh) {
+		t.Fatalf("%s repair from ⊥: changed %v, dense %v", leg, ch, wantCh)
+	}
+	if fresh.Tracker.Work() != repair.Tracker.Work() || fresh.Tracker.Depth() != repair.Tracker.Depth() {
+		t.Fatalf("%s: fresh run charged %d/%d work/depth, repair from ⊥ %d/%d", leg,
+			fresh.Tracker.Work(), fresh.Tracker.Depth(), repair.Tracker.Work(), repair.Tracker.Depth())
+	}
+
+	next, _, _ := denseTrace(runner(nil), x0, 1)
+	var want int64
+	for v := range n {
+		cand, terms := seed[v], 0
+		for _, a := range g.Neighbors(graph.Node(v)) {
+			if seed[v] || seed[a.To] {
+				cand, terms = true, terms+size(start[a.To])
+			}
+		}
+		if cand {
+			want += int64(size(start[v]) + terms + size(next[v]))
+		}
+	}
+	first := runner(&par.Tracker{})
+	first.RunToFixpoint(x0, 1)
+	if got := first.Tracker.Work(); got != want {
+		t.Fatalf("%s: first iteration charged %d work, the start rule merges %d", leg, got, want)
 	}
 }
 
@@ -198,6 +272,17 @@ func TestDeltaLoopMatchesDense(t *testing.T) {
 					if leg.fresh != nil {
 						sameStates(t, leg.name+" vs fresh", x, leg.fresh)
 					}
+				}
+
+				for _, m := range []struct {
+					name   string
+					module semiring.Semimodule[float64, semiring.DistMap]
+				}{
+					{"staircase", semiring.StaircaseModule{}},
+					{"distmap", semiring.DistMapModule{}},
+					{"fold", foldOnly[float64, semiring.DistMap]{semiring.DistMapModule{}}},
+				} {
+					freshIsRepairFromBottom(t, m.name, g, m.module, half)
 				}
 			})
 		}

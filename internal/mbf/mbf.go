@@ -73,13 +73,15 @@
 // one node for node, and the node it produces absorbs the new states in
 // turn.
 //
-// The first iteration establishes the invariant. A fresh run merges every
-// candidate in full: its seeds have absorbed nothing. A repair merges its
-// seeds in full — a seed reset after a non-monotone edit has absorbed
+// Every loop starts one way, as a repair: from seeds, each with its state
+// before the caller changed it, over a vector whose every other node has
+// absorbed those old states. The first iteration merges each seed's whole
+// in-neighbourhood — a seed reset after a non-monotone edit has absorbed
 // nothing, and an edited arc ends at a seed — and every other candidate
-// from the seeds' deltas against their old states, which RepairInPlace's
-// contract says it has absorbed; without Differ every candidate merges in
-// full, as in a fresh run.
+// merges its own state and the seeds' terms only, as in every later
+// iteration. A fresh run is the repair from ⊥: the all-⊥ vector is a
+// fixpoint of r∘A when r(⊥) = ⊥, its seeds are the non-⊥ nodes, and each
+// seed's old state is ⊥, so its delta is its whole state.
 package mbf
 
 import (
@@ -353,37 +355,22 @@ func (r *Runner[S, M]) arena(ds *deltaScratch[M], agg semiring.Aggregator[S, M])
 	return &ds.arena
 }
 
-// mergeRule says which states an iteration of the sparse loop merges (see
-// the package doc).
-type mergeRule int
-
-const (
-	// mergeDelta: every candidate merges its own state and the frontier's
-	// deltas only — every iteration after a loop's first.
-	mergeDelta mergeRule = iota
-	// mergeAll: every candidate merges all its in-neighbours — the first
-	// iteration of a fresh run, and of a repair without Differ.
-	mergeAll
-	// mergeSeeds: the frontier (the seeds) merges all its in-neighbours,
-	// every other candidate only the seeds' deltas — the first iteration of
-	// a repair with Differ.
-	mergeSeeds
-)
-
 // iterateDelta is the in-place sparse step: it recomputes the affected
 // nodes of x (reading the vector concurrently, buffering the results in
 // ds.states) and then writes the changed states back into x, returning the
 // next frontier. The caller must own x exclusively.
 //
-// rule says what each candidate merges. Under mergeDelta and mergeSeeds the
-// frontier's terms are its deltas in ds.delta when the module has Differ
-// (set by the previous iteration's write-back, or by RepairInPlace for the
-// seeds), and its whole states otherwise. The write-back records the new
-// frontier's deltas for the next iteration. They are carved from ds.arena
-// after the read phase is over, so one arena serves every iteration; the
-// generic fold may keep a delta's storage in a state (Add returns an empty
-// side's partner), so without an Aggregator each delta is allocated.
-func (r *Runner[S, M]) iterateDelta(x []M, frontier []graph.Node, rule mergeRule, ds *deltaScratch[M]) []graph.Node {
+// Every candidate merges its own state and the frontier's terms: the
+// frontier's deltas in ds.delta when the module has Differ (set by the
+// previous iteration's write-back, or by the loop's start for the seeds),
+// and its whole states otherwise. In a loop's first iteration (first set)
+// the frontier is the seeds, and each seed merges its whole
+// in-neighbourhood instead. The write-back records the new frontier's
+// deltas for the next iteration. They are carved from ds.arena after the
+// read phase is over, so one arena serves every iteration; the generic fold
+// may keep a delta's storage in a state (Add returns an empty side's
+// partner), so without an Aggregator each delta is allocated.
+func (r *Runner[S, M]) iterateDelta(x []M, frontier []graph.Node, first bool, ds *deltaScratch[M]) []graph.Node {
 	g := r.Graph
 	// Candidates: the frontier plus everyone reading a frontier node's
 	// state. Node v aggregates x over its arcs, so a change at u feeds
@@ -417,16 +404,13 @@ func (r *Runner[S, M]) iterateDelta(x []M, frontier []graph.Node, rule mergeRule
 		}
 	}
 	differ := r.differ(ds)
-	var front []bool
+	front := ds.front
+	for _, u := range frontier {
+		front[u] = true
+	}
 	src := x
-	if rule != mergeAll {
-		front = ds.front
-		for _, u := range frontier {
-			front[u] = true
-		}
-		if differ != nil {
-			src = ds.delta
-		}
+	if differ != nil {
+		src = ds.delta
 	}
 	agg, _ := r.Module.(semiring.Aggregator[S, M])
 	par.ForEachChunk(len(cand), func(start, end int) {
@@ -435,7 +419,7 @@ func (r *Runner[S, M]) iterateDelta(x []M, frontier []graph.Node, rule mergeRule
 			v := cand[i]
 			var s M
 			var work int64
-			if rule == mergeSeeds && front[v] {
+			if first && front[v] {
 				s, work = r.recompute(int(v), x, x, nil, st, agg)
 			} else {
 				s, work = r.recompute(int(v), x, src, front, st, agg)
@@ -450,10 +434,8 @@ func (r *Runner[S, M]) iterateDelta(x []M, frontier []graph.Node, rule mergeRule
 		}
 		r.putIter(st)
 	})
-	if front != nil {
-		for _, u := range frontier {
-			front[u] = false
-		}
+	for _, u := range frontier {
+		front[u] = false
 	}
 	r.chargePhase(workPerNode)
 	var arena *semiring.DeltaArena
@@ -506,34 +488,45 @@ func (r *Runner[S, M]) zeroStable() bool {
 	return r.Module.Equal(r.Filter(zero), zero)
 }
 
-// start filters x0 into a fresh vector the caller owns and returns it with
-// the seed frontier of a fresh run: the non-⊥ nodes, or every node when the
-// filter does not map ⊥ to ⊥ (a full first iteration, as the dense loop
-// would perform).
-func (r *Runner[S, M]) start(x0 []M) ([]M, []graph.Node) {
+// start filters x0 into a fresh vector the caller owns and readies a fresh
+// run on it: the repair from ⊥ (see the package doc). It returns the vector,
+// the seeds — the non-⊥ nodes, or every node when the filter does not map ⊥
+// to ⊥ (a full first iteration, as the dense loop would perform) — and a
+// pooled scratch holding the seeds' deltas: each seed's old state is ⊥, so
+// its delta is its whole state, with no Diff and no arena copy.
+func (r *Runner[S, M]) start(x0 []M) ([]M, []graph.Node, *deltaScratch[M]) {
 	x := r.filterAll(x0)
+	var seeds []graph.Node
 	if r.zeroStable() {
-		return x, r.Frontier(x)
+		seeds = r.Frontier(x)
+	} else {
+		seeds = make([]graph.Node, len(x))
+		for v := range seeds {
+			seeds[v] = graph.Node(v)
+		}
 	}
-	all := make([]graph.Node, len(x))
-	for v := range all {
-		all[v] = graph.Node(v)
+	ds := r.getDelta(len(x))
+	if r.differ(ds) != nil {
+		for _, v := range seeds {
+			ds.delta[v] = x[v]
+		}
 	}
-	return x, all
+	return x, seeds, ds
 }
 
-// fixpoint is the one sparse loop behind RunToFixpoint and
-// RepairInPlace: it steps x in place from frontier until the frontier
-// empties or maxIter iterations have run, handing each iteration's changed
-// nodes to visit when it is non-nil, and returns the number of iterations
-// performed — including the final one that confirms the fixpoint. The
-// caller must own x exclusively. The first iteration merges by first and
-// the later ones only the frontier's deltas (the semi-naive rule of the
-// package doc); Stepper.Step follows the same rule.
-func (r *Runner[S, M]) fixpoint(x []M, frontier []graph.Node, first mergeRule, maxIter int, ds *deltaScratch[M], visit func(changed []graph.Node)) int {
+// fixpoint is the one sparse loop behind RunToFixpoint and RepairInPlace:
+// it steps x in place from the seeds until the frontier empties or maxIter
+// iterations have run, handing each iteration's changed nodes to visit when
+// it is non-nil, and returns the number of iterations performed — including
+// the final one that confirms the fixpoint. The caller must own x
+// exclusively and have recorded the seeds' deltas in ds. The first
+// iteration merges the seeds' whole in-neighbourhoods and every later one
+// only the frontier's deltas (the semi-naive rule of the package doc);
+// Stepper.Step follows the same rule.
+func (r *Runner[S, M]) fixpoint(x []M, seeds []graph.Node, maxIter int, ds *deltaScratch[M], visit func(changed []graph.Node)) int {
 	it := 0
-	for rule := first; it < maxIter && len(frontier) > 0; it, rule = it+1, mergeDelta {
-		frontier = r.iterateDelta(x, frontier, rule, ds)
+	for frontier := seeds; it < maxIter && len(frontier) > 0; it++ {
+		frontier = r.iterateDelta(x, frontier, it == 0, ds)
 		if visit != nil {
 			visit(frontier)
 		}
@@ -547,21 +540,19 @@ func (r *Runner[S, M]) fixpoint(x []M, frontier []graph.Node, first mergeRule, m
 // fixpoint. A fixpoint is reached after at most SPD(G) hops for the distance
 // algebras (§1.2), so the count is SPD-related + 1 when it converges.
 //
-// It is the sparse loop of RepairInPlace seeded for a fresh run: the
-// frontier starts at the non-⊥ filtered initial states (every node if the
-// filter does not map ⊥ to ⊥), and only nodes that can still change are
-// re-aggregated. An all-⊥ input under a ⊥-preserving filter is recognised
-// as a fixpoint immediately, with 0 iterations; otherwise the states and
-// iteration count equal those of iterating Iterate until two consecutive
-// vectors are equal.
+// It is RepairInPlace from ⊥: the seeds are the non-⊥ filtered initial
+// states (every node if the filter does not map ⊥ to ⊥), each with ⊥ as its
+// old state, and only nodes that can still change are re-aggregated. An
+// all-⊥ input under a ⊥-preserving filter is recognised as a fixpoint
+// immediately, with 0 iterations; otherwise the states and iteration count
+// equal those of iterating Iterate until two consecutive vectors are equal.
 func (r *Runner[S, M]) RunToFixpoint(x0 []M, maxIter int) ([]M, int) {
 	if len(x0) != r.Graph.N() {
 		panic("mbf: state vector length does not match graph size")
 	}
-	x, frontier := r.start(x0)
-	ds := r.getDelta(len(x))
+	x, seeds, ds := r.start(x0)
 	defer r.putDelta(ds)
-	return x, r.fixpoint(x, frontier, mergeAll, maxIter, ds, nil)
+	return x, r.fixpoint(x, seeds, maxIter, ds, nil)
 }
 
 // Run performs h iterations starting from x0 and returns r^V A^h x(0).

@@ -30,12 +30,12 @@ import (
 // The first iteration recomputes every seed from all the states it reads —
 // a reset seed has absorbed nothing, and an edited arc ends at a seed — and
 // every other candidate from its own state and the seeds' deltas only
-// (semiring.Differ: what each seed's current state adds to its old one); a
-// module without Differ recomputes every candidate in full. Every later
+// (semiring.Differ: what each seed's current state adds to its old one; a
+// module without Differ merges the seeds' whole states). Every later
 // iteration merges only the deltas of the neighbours that changed in the
 // previous one. The contract is exactly what makes this exact: a non-seed
 // node has absorbed each neighbour's old state, so the deltas are all it
-// lacks (see the package doc).
+// lacks (see the package doc). RunToFixpoint is this loop from ⊥.
 //
 // Returns the deduplicated set of nodes whose state actually changed at some
 // iteration (in first-change order — the "affected cone" a caller patches
@@ -54,11 +54,9 @@ func (r *Runner[S, M]) RepairInPlace(x []M, seeds []graph.Node, old []M, maxIter
 	}
 	ds := r.getDelta(len(x))
 	defer r.putDelta(ds)
-	first := mergeAll
 	differ := r.differ(ds)
 	var arena *semiring.DeltaArena
 	if differ != nil {
-		first = mergeSeeds
 		agg, _ := r.Module.(semiring.Aggregator[S, M])
 		arena = r.arena(ds, agg)
 	}
@@ -82,7 +80,7 @@ func (r *Runner[S, M]) RepairInPlace(x []M, seeds []graph.Node, old []M, maxIter
 		seen[v] = false
 	}
 	var changed []graph.Node
-	it := r.fixpoint(x, frontier, first, maxIter, ds, func(next []graph.Node) {
+	it := r.fixpoint(x, frontier, maxIter, ds, func(next []graph.Node) {
 		for _, v := range next {
 			if !seen[v] {
 				seen[v] = true

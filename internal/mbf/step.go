@@ -25,29 +25,21 @@ type Stepper[S, M any] struct {
 // exactly as RunToFixpoint does before its first iteration. The input vector
 // is not retained.
 func (r *Runner[S, M]) NewStepper(x0 []M) *Stepper[S, M] {
-	x, frontier := r.start(x0)
-	return &Stepper[S, M]{
-		r:        r,
-		x:        x,
-		frontier: frontier,
-		ds:       r.getDelta(len(x)),
-	}
+	x, seeds, ds := r.start(x0)
+	return &Stepper[S, M]{r: r, x: x, frontier: seeds, ds: ds}
 }
 
 // Step performs one sparse iteration in place and reports whether any state
-// changed: the first from all in-neighbours, every later one semi-naive
-// from the previous step's changed nodes only (their deltas, for a module
-// with semiring.Differ), as in RunToFixpoint. Once it returns false the
+// changed: the first from the seeds' whole in-neighbourhoods and every other
+// candidate's seed neighbours, every later one semi-naive from the previous
+// step's changed nodes only (their deltas, for a module with
+// semiring.Differ), as in RunToFixpoint. Once it returns false the
 // fixpoint is reached and further calls are no-ops.
 func (st *Stepper[S, M]) Step() bool {
 	if len(st.frontier) == 0 {
 		return false
 	}
-	rule := mergeDelta
-	if st.steps == 0 {
-		rule = mergeAll
-	}
-	st.frontier = st.r.iterateDelta(st.x, st.frontier, rule, st.ds)
+	st.frontier = st.r.iterateDelta(st.x, st.frontier, st.steps == 0, st.ds)
 	st.steps++
 	return len(st.frontier) > 0
 }

@@ -177,7 +177,11 @@ func TestTrackerNilSafe(t *testing.T) {
 	tr.AddWork(5)
 	tr.AddDepth(3)
 	tr.AddPhase(1, 1)
-	tr.MaxDepth(10)
+	branches, join := tr.Fork(2)
+	if len(branches) != 2 || branches[0] != nil || branches[1] != nil {
+		t.Fatalf("nil tracker forked %v, want 2 nil branches", branches)
+	}
+	join()
 	tr.Reset()
 	if tr.Work() != 0 || tr.Depth() != 0 {
 		t.Fatal("nil tracker should report zero")
@@ -201,16 +205,22 @@ func TestTrackerAccumulates(t *testing.T) {
 	}
 }
 
-func TestTrackerMaxDepth(t *testing.T) {
+// TestTrackerFork: the join of independent branches charges one phase of
+// their summed work and the deepest branch's depth, on top of what the
+// tracker already holds.
+func TestTrackerFork(t *testing.T) {
 	tr := &Tracker{}
-	tr.AddDepth(5)
-	tr.MaxDepth(3) // no-op, 5 > 3
-	if tr.Depth() != 5 {
-		t.Fatalf("depth = %d, want 5", tr.Depth())
+	tr.AddPhase(1, 1)
+	branches, join := tr.Fork(3)
+	for i, b := range branches {
+		b.AddPhase(int64(10*(i+1)), int64([]int{2, 7, 4}[i]))
 	}
-	tr.MaxDepth(9)
-	if tr.Depth() != 9 {
-		t.Fatalf("depth = %d, want 9", tr.Depth())
+	if tr.Work() != 1 || tr.Depth() != 1 {
+		t.Fatalf("branches charged the parent before join: work %d depth %d", tr.Work(), tr.Depth())
+	}
+	join()
+	if tr.Work() != 61 || tr.Depth() != 8 {
+		t.Fatalf("after join: work %d depth %d, want 61 and 8", tr.Work(), tr.Depth())
 	}
 }
 

@@ -64,17 +64,25 @@ func (t *Tracker) Reset() {
 	}
 }
 
-// MaxDepth updates the tracker's depth to at least d. It is used by parallel
-// phases where branches track their own depth and the phase contributes the
-// maximum.
-func (t *Tracker) MaxDepth(d int64) {
+// Fork returns private trackers for n independent branches of one parallel
+// phase and a join that charges t the phase: the branches' summed work and
+// the depth of the deepest branch (§1.2). Call join once every branch is
+// done. On a nil t the branches are nil and join does nothing, so untracked
+// callers pay nothing.
+func (t *Tracker) Fork(n int) (branches []*Tracker, join func()) {
+	branches = make([]*Tracker, n)
 	if t == nil {
-		return
+		return branches, func() {}
 	}
-	for {
-		cur := t.depth.Load()
-		if d <= cur || t.depth.CompareAndSwap(cur, d) {
-			return
+	for i := range branches {
+		branches[i] = new(Tracker)
+	}
+	return branches, func() {
+		var work, depth int64
+		for _, b := range branches {
+			work += b.Work()
+			depth = max(depth, b.Depth())
 		}
+		t.AddPhase(work, depth)
 	}
 }

@@ -58,5 +58,6 @@ func BenchmarkOracleRunToFixpoint(b *testing.B) {
 	tr := &par.Tracker{}
 	_, iters := simgraph.StaircaseFixpoint(h, keys, tr, simgraph.MaxIters(g.N()))
 	b.ReportMetric(float64(tr.Work()), "work/op")
+	b.ReportMetric(float64(tr.Depth()), "depth/op")
 	b.ReportMetric(float64(iters), "iters/op")
 }

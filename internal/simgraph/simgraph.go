@@ -25,27 +25,31 @@
 // re-filtered and aggregated — which is valid precisely because filters are
 // representative projections of congruence relations (Corollary 2.17).
 //
-// Oracle.RunToFixpoint is semi-naive across oracle iterations: a level whose
-// previous run reached a true fixpoint of r∘A_λ resumes from it, seeded only
-// at the nodes whose state changed, instead of restarting from P_λ x. This
-// is exact for two reasons. A_H has the identity on its diagonal, so the
-// oracle states only grow in the congruence order (x_t ≡ x_t ⊕ x_{t−1}), and
-// Corollary 2.17 lets r commute with ⊕ and A_λ. Iterate and Run stay cold and
-// are the reference the warm path is tested against.
+// Every level run is a repair (mbf.Runner.RepairInPlace) of that level's
+// last fixpoint of r∘A_λ: the one its run reached in the previous oracle
+// iteration of Oracle.RunToFixpoint, or else the all-⊥ vector, a fixpoint of
+// every r∘A_λ because the filters map ⊥ to ⊥. reseed folds the input into it
+// at the nodes of level ≥ λ, and the nodes where that changed the state seed
+// the repair. From ⊥ the seeds are the non-⊥ nodes of P_λ x, and the repair
+// is exactly a fresh run from P_λ x; from a kept fixpoint it resumes where
+// the previous oracle iteration left off. The resumption is exact for two
+// reasons. A_H has the identity on its diagonal, so the oracle states only
+// grow in the congruence order (x_t ≡ x_t ⊕ x_{t−1}), and Corollary 2.17
+// lets r commute with ⊕ and A_λ. Iterate and Run start every level from ⊥
+// and are the reference the resumed runs are tested against.
 //
-// Each level run is semi-naive inside as well, down to single entries
-// (the absorption argument is in the mbf package doc). A cold run merges a
-// node's whole neighbourhood only in its first iteration, and afterwards
-// only what the previous iteration added to the changed neighbours' lists
-// (semiring.StaircaseModule's Diff; whole lists under DistMapModule). A
-// warm restart from reseed merges in full only at the reseeded nodes, and
-// everywhere else only what reseed added to them: every node that was not
-// reseeded still satisfies its fixpoint equation of the previous run over
-// the reseeded nodes' states before reseed, which is RepairInPlace's
-// contract.
+// Each level run is semi-naive inside as well, down to single entries (the
+// absorption argument is in the mbf package doc). It merges a whole
+// neighbourhood only at the seeds and only in its first iteration;
+// everywhere else it merges only what the seeds, and later the changed
+// neighbours, added to their lists (semiring.StaircaseModule's Diff; whole
+// lists under DistMapModule). That is exact because every node that was not
+// seeded satisfies its level's fixpoint equation over the seeds' states
+// before reseed, which is RepairInPlace's contract.
 package simgraph
 
 import (
+	"iter"
 	"math"
 	"slices"
 	"sync"
@@ -220,16 +224,23 @@ type levelScratch struct {
 	sc    semiring.Scratch
 }
 
-// warmStart is what RunToFixpoint carries from one oracle iteration to the
-// next. It lives for a single RunToFixpoint call.
+// warmStart is what an oracle iteration carries to the next. It lives for
+// a single RunToFixpoint call; Iterate makes a fresh one per call.
 type warmStart struct {
 	// fix[λ] is level λ's unprojected result from the previous oracle
 	// iteration if that run ended with an empty frontier — a true fixpoint
-	// of r∘A_λ — and nil otherwise.
+	// of r∘A_λ — and nil otherwise, which stands for the all-⊥ fixpoint.
 	fix [][]semiring.DistMap
 	// changed lists the nodes whose state the previous oracle iteration
-	// changed, in ascending order.
+	// changed, in ascending order. It is read only where fix is kept.
 	changed []graph.Node
+	// seeds and old are reseed's output buffers, reused by every level run.
+	seeds []graph.Node
+	old   []semiring.DistMap
+}
+
+func (o *Oracle) newWarmStart() *warmStart {
+	return &warmStart{fix: make([][]semiring.DistMap, o.H.Lambda+1)}
 }
 
 // NewOracle returns an oracle for H charging work/depth to tracker (which
@@ -250,86 +261,52 @@ func StaircaseFixpoint(h *H, key []semiring.NodeID, tracker *par.Tracker, maxIte
 	return o.RunToFixpoint(semiring.SingletonStatesKeyed(key), semiring.Staircase, maxIters)
 }
 
-// project applies P_λ: entries at nodes of level < λ are reset to ⊥.
-func (o *Oracle) project(x []semiring.DistMap, lambda int) []semiring.DistMap {
-	if lambda == 0 {
-		return x // P_0 is the identity: every node has level ≥ 0.
-	}
-	out := make([]semiring.DistMap, len(x))
-	for v := range x {
-		if o.H.Level[v] >= lambda {
-			out[v] = x[v]
-		}
-	}
-	return out
-}
-
 // Iterate simulates one MBF-like iteration on H:
 //
 //	x ↦ r^V ( ⊕_{λ=0}^{Λ} P_λ (r^V A_λ)^d P_λ x )
 //
 // (Equation 5.9). filter must be a representative projection of a
-// congruence relation on D; Corollary 2.17 guarantees the result equals the
-// unfiltered iteration r^V(A_H x). Every level runs cold from P_λ x, which
+// congruence relation on D that maps ⊥ to ⊥; Corollary 2.17 guarantees the
+// result equals the unfiltered iteration r^V(A_H x). Every call gets a fresh
+// warm state, so every level runs from ⊥ (a fresh run from P_λ x), which
 // makes Iterate and Run the reference RunToFixpoint is tested against.
 func (o *Oracle) Iterate(x []semiring.DistMap, filter semiring.Filter[semiring.DistMap]) []semiring.DistMap {
-	return o.iterate(x, filter, nil)
+	return o.iterate(x, filter, o.newWarmStart())
 }
 
-// iterate is Iterate with optional warm starts: with ws set, each level
-// resumes from its previous fixpoint when it has one (see runLevel), and the
-// cross-level merge pass records in ws.changed every node whose new state
-// differs from x — the fixpoint test fused into the pass that already owns
-// the data.
+// iterate runs every level from its warm start in ws (see runLevel) and
+// folds the results; the last level's fold pass records in ws.changed every
+// node whose new state differs from x — the fixpoint test fused into the
+// pass that already owns the data.
 //
-// Each level's runner charges a private tracker. The Λ+1 level runs are
-// independent (they would execute in parallel in the PRAM formulation), so
-// the oracle iteration charges o.Tracker one phase with the summed work and
-// the depth of the deepest level.
+// The Λ+1 level runs are independent (they would execute in parallel in the
+// PRAM formulation), so each charges its own branch of o.Tracker.Fork, and
+// the oracle iteration charges one phase with the summed work and the depth
+// of the deepest level.
 func (o *Oracle) iterate(x []semiring.DistMap, filter semiring.Filter[semiring.DistMap], ws *warmStart) []semiring.DistMap {
 	h := o.H
 	n := len(x)
-	var levelTracker *par.Tracker
-	if o.Tracker != nil {
-		levelTracker = new(par.Tracker)
-	}
-	var work, depth int64
-	var changed []bool
-	if ws != nil {
-		changed = make([]bool, n)
-	}
-	// ⊕_λ is folded incrementally: acc carries r(⊕_{λ'≤λ} P_λ' …) and each
-	// level's projected vector is dropped as soon as it is merged in.
-	// Filtering between partial merges is exact, not an approximation: a
-	// representative projection satisfies r(r(a⊕b)⊕c) = r(a⊕b⊕c)
-	// (Lemma 2.16 / Corollary 2.17), so the folded result equals the one-shot
-	// (Λ+1)-way merge entry for entry. The fold order λ = 0, 1, …, Λ is
+	trackers, join := o.Tracker.Fork(h.Lambda + 1)
+	changed := make([]bool, n)
+	// ⊕_λ is folded incrementally into acc, its own vector, which level 0
+	// fills (P_0 is the identity) and every later level λ updates at its
+	// nodes of level ≥ λ, its outer P_λ. Filtering between partial merges is
+	// exact, not an approximation: a representative projection satisfies
+	// r(r(a⊕b)⊕c) = r(a⊕b⊕c) (Lemma 2.16 / Corollary 2.17), so the folded
+	// result equals the one-shot (Λ+1)-way merge entry for entry, and a level
+	// run's output is already filtered. The fold order λ = 0, 1, …, Λ is
 	// fixed, keeping the output deterministic at any parallel width.
 	agg := o.Module
 	if agg == nil {
 		agg = semiring.DistMapModule{}
 	}
-	var acc []semiring.DistMap
+	acc := make([]semiring.DistMap, n)
 	for lambda := 0; lambda <= h.Lambda; lambda++ {
 		runner := o.levelRunner(lambda)
 		runner.Module = agg
 		runner.Filter = filter
-		runner.Tracker = levelTracker
-		levelTracker.Reset()
+		runner.Tracker = trackers[lambda]
 		y := o.runLevel(runner, x, filter, lambda, ws)
-		work += levelTracker.Work()
-		depth = max(depth, levelTracker.Depth())
-		if lambda == 0 {
-			// P_0 is the identity, so level 0 seeds the accumulator with y
-			// itself. The fold below overwrites acc in place: a y kept as the
-			// next iteration's warm start must not be that vector.
-			acc = y
-			if ws != nil && ws.fix[0] != nil {
-				acc = slices.Clone(y)
-			}
-			continue
-		}
-		lvl := o.project(y, lambda)
 		final := lambda == h.Lambda
 		// One pooled scratch per chunk, not per node (the rule of
 		// mbf.Runner.getIter).
@@ -340,11 +317,16 @@ func (o *Oracle) iterate(x []semiring.DistMap, filter semiring.Filter[semiring.D
 			}
 			terms := st.terms[:0]
 			for v := start; v < end; v++ {
-				// acc[v] goes in as self: a module may then hand it back
-				// uncopied when level λ adds nothing to it.
-				terms = append(terms[:0], semiring.Term[float64, semiring.DistMap]{X: lvl[v]})
-				acc[v] = agg.Aggregate(&st.sc, acc[v], terms, filter)
-				if final && changed != nil {
+				switch {
+				case lambda == 0:
+					acc[v] = y[v]
+				case h.Level[v] >= lambda:
+					// acc[v] goes in as self: a module may then hand it
+					// back uncopied when level λ adds nothing to it.
+					terms = append(terms[:0], semiring.Term[float64, semiring.DistMap]{X: y[v]})
+					acc[v] = agg.Aggregate(&st.sc, acc[v], terms, filter)
+				}
+				if final {
 					changed[v] = !agg.Equal(acc[v], x[v])
 				}
 			}
@@ -353,25 +335,11 @@ func (o *Oracle) iterate(x []semiring.DistMap, filter semiring.Filter[semiring.D
 			o.scratch.Put(st)
 		})
 	}
-	o.Tracker.AddPhase(work, depth)
-	if h.Lambda == 0 {
-		// Single-level graph: the merge loop never ran, so apply the final
-		// filter and change detection in one pass.
-		out := make([]semiring.DistMap, n)
-		par.ForEach(n, func(v int) {
-			out[v] = filter(acc[v])
-			if changed != nil {
-				changed[v] = !agg.Equal(out[v], x[v])
-			}
-		})
-		acc = out
-	}
-	if ws != nil {
-		ws.changed = ws.changed[:0]
-		for v, c := range changed {
-			if c {
-				ws.changed = append(ws.changed, graph.Node(v))
-			}
+	join()
+	ws.changed = ws.changed[:0]
+	for v, c := range changed {
+		if c {
+			ws.changed = append(ws.changed, graph.Node(v))
 		}
 	}
 	return acc
@@ -384,45 +352,55 @@ func (o *Oracle) iterate(x []semiring.DistMap, filter semiring.Filter[semiring.D
 // sparse iterations re-aggregate only the nodes still in motion. This inner
 // loop is the hot path of Embedder builds.
 //
-// With ws set, a level that has a fixpoint from the previous oracle
-// iteration resumes from it instead of from P_λ x (the exactness argument is
-// on RunToFixpoint), and a result is kept in ws.fix only when its run
-// provably ended with an empty frontier: a run that used all d iterations
-// may have stopped short of its fixpoint, so the level runs cold next time.
+// The run repairs level λ's last fixpoint: ws.fix[λ], reseeded at the nodes
+// the previous oracle iteration changed (the exactness argument is on
+// RunToFixpoint), or, when there is none, a fresh all-⊥ vector reseeded at
+// every node, which makes the repair a fresh run from P_λ x. The result is
+// kept in ws.fix only when its run provably ended with an empty frontier: a
+// run that used all d iterations may have stopped short of its fixpoint, so
+// the level starts from ⊥ again next time.
 func (o *Oracle) runLevel(runner *mbf.Runner[float64, semiring.DistMap], x []semiring.DistMap, filter semiring.Filter[semiring.DistMap], lambda int, ws *warmStart) []semiring.DistMap {
 	d := o.H.Hop.D
-	if ws == nil {
-		y, _ := runner.RunToFixpoint(o.project(x, lambda), d)
-		return y
+	fix, nodes := ws.fix[lambda], slices.Values(ws.changed)
+	if fix == nil {
+		fix, nodes = make([]semiring.DistMap, len(x)), allNodes(len(x))
 	}
-	var y []semiring.DistMap
-	var it int
-	if fix := ws.fix[lambda]; fix == nil {
-		y, it = runner.RunToFixpoint(o.project(x, lambda), d)
-	} else if seeds, old := o.reseed(fix, x, ws.changed, lambda, filter); len(seeds) == 0 {
-		return fix // nothing new reached this level: fix is still its fixpoint
-	} else {
-		_, it = runner.RepairInPlace(fix, seeds, old, d) // reseed already wrote fix in place
-		y = fix
+	ws.fix[lambda] = fix
+	ws.seeds, ws.old = o.reseed(fix, x, nodes, lambda, filter, ws.seeds[:0], ws.old[:0])
+	if len(ws.seeds) > 0 {
+		// reseed wrote fix in place, so the repair steps it from there.
+		if _, it := runner.RepairInPlace(fix, ws.seeds, ws.old, d); it >= d {
+			ws.fix[lambda] = nil
+		}
 	}
-	ws.fix[lambda] = nil
-	if it < d {
-		ws.fix[lambda] = y
-	}
-	return y
+	clear(ws.old) // drop the old states so the buffer cannot pin them
+	return fix
 }
 
-// reseed turns level λ's previous fixpoint into the warm start for input x:
-// at every changed node v of level ≥ λ it sets fix[v] = r(fix[v] ⊕ x[v]),
-// in place, and returns the nodes where that altered fix — exactly the seed
-// frontier the sparse engine needs — with their states before the change.
-// Nodes outside changed have the same projected input as last time, which
-// fix already absorbs through A_λ's identity diagonal.
-func (o *Oracle) reseed(fix, x []semiring.DistMap, changed []graph.Node, lambda int, filter semiring.Filter[semiring.DistMap]) ([]graph.Node, []semiring.DistMap) {
+// allNodes yields every node of an n-node graph: the nodes at which a
+// fresh ⊥ vector differs from the input it starts from.
+func allNodes(n int) iter.Seq[graph.Node] {
+	return func(yield func(graph.Node) bool) {
+		for v := range n {
+			if !yield(graph.Node(v)) {
+				return
+			}
+		}
+	}
+}
+
+// reseed turns level λ's last fixpoint into the warm start for input x: at
+// every node v of nodes with level ≥ λ it sets fix[v] = r(fix[v] ⊕ x[v]), in
+// place, and appends to seeds and old the nodes where that altered fix —
+// exactly the seed frontier the sparse engine needs — and their states
+// before the change.
+// nodes must hold every node whose input differs from what fix absorbed:
+// every node for a fresh ⊥ vector, the changed nodes for a kept fixpoint,
+// whose other nodes have the same projected input as last time, which fix
+// already absorbs through A_λ's identity diagonal.
+func (o *Oracle) reseed(fix, x []semiring.DistMap, nodes iter.Seq[graph.Node], lambda int, filter semiring.Filter[semiring.DistMap], seeds []graph.Node, old []semiring.DistMap) ([]graph.Node, []semiring.DistMap) {
 	var agg semiring.DistMapModule
-	var seeds []graph.Node
-	var old []semiring.DistMap
-	for _, v := range changed {
+	for v := range nodes {
 		if o.H.Level[v] < lambda {
 			continue
 		}
@@ -434,7 +412,8 @@ func (o *Oracle) reseed(fix, x []semiring.DistMap, changed []graph.Node, lambda 
 	return seeds, old
 }
 
-// Run performs iters cold MBF-like iterations on H starting from x0.
+// Run performs iters MBF-like iterations on H starting from x0, each an
+// Iterate: every level runs from ⊥.
 func (o *Oracle) Run(x0 []semiring.DistMap, filter semiring.Filter[semiring.DistMap], iters int) []semiring.DistMap {
 	x := make([]semiring.DistMap, len(x0))
 	for i, s := range x0 {
@@ -458,16 +437,18 @@ func (o *Oracle) Run(x0 []semiring.DistMap, filter semiring.Filter[semiring.Dist
 // per-level inner loops run on the sparse frontier engine.
 //
 // The level runs are semi-naive: from the second oracle iteration on, a
-// level whose previous run reached a fixpoint y of r∘A_λ restarts from y
-// instead of from P_λ x. At each changed node v of level ≥ λ the start state
+// level whose previous run reached a fixpoint y of r∘A_λ resumes from y
+// instead of from ⊥. At each changed node v of level ≥ λ the start state
 // becomes r(y[v] ⊕ x[v]), and only the nodes where that differs from y seed
 // the frontier; a level with no seeds costs no runner work at all. The
 // repair (mbf.Runner.RepairInPlace, handed the seeds' states from before
 // reseed) merges the seeds' whole neighbourhoods in its first iteration and
 // everywhere else only what reseed added to them, the entries of
 // r(y[v] ⊕ x[v]) missing from y[v]: every other node of y is still a
-// fixpoint over the old seed states, so that is all it lacks. The
-// states and the iteration count equal those of Run node for node. Two facts
+// fixpoint over the old seed states, so that is all it lacks. A level
+// without a fixpoint repairs the all-⊥ vector the same way, which is a
+// fresh run from P_λ x. The states and the iteration count equal those of
+// Run node for node. Two facts
 // make this exact. A_H has the identity on its diagonal, so successive
 // oracle states satisfy x_t ≡ x_t ⊕ x_{t−1} and P_λ x_t ≡ P_λ x_t ⊕ P_λ x_{t−1}.
 // And r is the representative projection of a congruence (Lemma 7.5 for
@@ -477,15 +458,15 @@ func (o *Oracle) Run(x0 []semiring.DistMap, filter semiring.Filter[semiring.Dist
 //	r(A_λ^d (y ⊕ P_λ x_t)) = r(y ⊕ A_λ^d P_λ x_t) = r(A_λ^d P_λ x_t).
 //
 // A level result is reused only after a true fixpoint: a run that used all
-// d hops restarts cold in the next iteration. The warm state is created on
-// entry and dropped on return, so the oracle stays safe for sequential
-// reuse; it keeps one state vector per level.
+// d hops starts from ⊥ again in the next iteration. The warm state is
+// created on entry and dropped on return, so the oracle stays safe for
+// sequential reuse; it keeps one state vector per level.
 func (o *Oracle) RunToFixpoint(x0 []semiring.DistMap, filter semiring.Filter[semiring.DistMap], maxIters int) ([]semiring.DistMap, int) {
 	x := make([]semiring.DistMap, len(x0))
 	for i, s := range x0 {
 		x[i] = filter(s)
 	}
-	ws := &warmStart{fix: make([][]semiring.DistMap, o.H.Lambda+1)}
+	ws := o.newWarmStart()
 	for it := 1; it <= maxIters; it++ {
 		x = o.iterate(x, filter, ws)
 		if len(ws.changed) == 0 {

@@ -221,7 +221,13 @@ func TestOracleChargesDeepestLevel(t *testing.T) {
 		runner := oracle.levelRunner(lambda)
 		level := &par.Tracker{}
 		runner.Tracker = level
-		runner.RunToFixpoint(oracle.project(x, lambda), h.Hop.D)
+		px := make([]semiring.DistMap, len(x)) // P_λ x
+		for v := range x {
+			if h.Level[v] >= lambda {
+				px[v] = x[v]
+			}
+		}
+		runner.RunToFixpoint(px, h.Hop.D)
 		work += level.Work()
 		depth = max(depth, level.Depth())
 		depthSum += level.Depth()
